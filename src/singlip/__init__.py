@@ -12,8 +12,8 @@ from .decomp import (Decomposition, NodeFlags, Piece, amalgamate,
                      is_metrically_conical, outer_signature, signatures_equal,
                      thick_thin, thin_zone_rate)
 from .errors import DomainError, InputError, ResourceCapExceeded, SinglipError
-from .exactnum import (Cyclotomic, PlusContinuedFraction, Rational,
-                       cf_approximants, cf_expand, cyclotomic_polynomial)
+from .exactnum import (PlusContinuedFraction, Rational, cf_approximants,
+                       cf_expand)
 from .strands import (ContactMatrix, PuiseuxBranch, Strand,
                       branch_char_exponents, coincidence_exponent,
                       contact_matrix, horn_jump_profile, strand_contact,

@@ -24,8 +24,6 @@ from .errors import InputError
 from .exactnum import rational_to_json
 from .strands import ContactMatrix
 
-_INF_KEY = Fraction(10 ** 9)  # larger than any finite contact in practice
-
 
 @dataclass(frozen=True)
 class CarrouselNode:
@@ -52,7 +50,10 @@ class CarrouselNode:
         """Canonical encoding: children sorted by (weight, encoding)."""
         if self.is_leaf():
             return ("leaf",)
-        deco = (self.m, self.n, self.r, self.s, self.edge_label) if with_decorations else ()
+        # a missing decoration encodes as -1, below every real one, so that
+        # siblings with and without an edge label still compare
+        deco = tuple(-1 if v is None else v for v in (
+            self.m, self.n, self.r, self.s, self.edge_label)) if with_decorations else ()
         kids = sorted(c.encoding(with_decorations) for c in self.children)
         return ("v", self.weight, deco, tuple(kids))
 

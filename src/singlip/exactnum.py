@@ -1,5 +1,4 @@
-"""Exact scalar arithmetic: rationals, plus-type continued fractions, and
-cyclotomic field elements with a decidable zero test.
+"""Exact scalar arithmetic: rationals and plus-type continued fractions.
 
 Rationals are plain ``fractions.Fraction`` values; the standard library
 already keeps them in lowest terms with a positive denominator, which is
@@ -13,19 +12,13 @@ A "plus" continued fraction is the expansion
 with ``a1 >= 0`` (so values below 1 are allowed, e.g. 1/2 = [0,2]+) and
 ``ai >= 1`` afterwards.  Canonical form ends with a term >= 2 whenever there
 is more than one term, which makes the expansion of a rational unique.
-
-Cyclotomic numbers are elements of Q(zeta_N) stored as polynomials in
-zeta_N reduced modulo the N-th cyclotomic polynomial.  Reduction keeps the
-zero test exact: an element is zero iff its reduced coefficient vector is.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterable, Sequence, Union
+from typing import Union
 
 from .errors import InputError
 
@@ -117,159 +110,3 @@ def cf_expand(r: RationalLike) -> PlusContinuedFraction:
 
 def cf_approximants(cf: PlusContinuedFraction) -> tuple[Fraction, ...]:
     return cf.approximants()
-
-
-# ---------------------------------------------------------------------------
-# dense polynomials over Q, low degree first; just enough for Q(zeta_N)
-
-def _poly_trim(c: list[Fraction]) -> tuple[Fraction, ...]:
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def _poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _poly_trim(out)
-
-
-def _poly_divmod(a: Sequence[Fraction], b: Sequence[Fraction]):
-    a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    inv = 1 / b[-1]
-    for i in range(len(a) - len(b), -1, -1):
-        coeff = a[i + len(b) - 1] * inv
-        if coeff:
-            q[i] = coeff
-            for j, bj in enumerate(b):
-                a[i + j] -= coeff * bj
-    return _poly_trim(q), _poly_trim(a)
-
-
-@lru_cache(maxsize=None)
-def cyclotomic_polynomial(n: int) -> tuple[Fraction, ...]:
-    """Coefficients of Phi_n, by dividing x^n - 1 by all lower Phi_d."""
-    if n < 1:
-        raise InputError("cyclotomic order must be >= 1")
-    num = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
-    poly = _poly_trim(num)
-    for d in range(1, n):
-        if n % d == 0:
-            poly, rem = _poly_divmod(poly, cyclotomic_polynomial(d))
-            assert not rem
-    return poly
-
-
-def euler_phi(n: int) -> int:
-    return len(cyclotomic_polynomial(n)) - 1
-
-
-@dataclass(frozen=True)
-class Cyclotomic:
-    """An element of Q(zeta_order), reduced modulo Phi_order."""
-
-    order: int
-    coeffs: tuple[Fraction, ...]
-
-    @staticmethod
-    def _reduce(order: int, coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        phi = cyclotomic_polynomial(order)
-        c = _poly_trim(list(coeffs))
-        if len(c) >= len(phi):
-            _, c = _poly_divmod(c, phi)
-        return tuple(c)
-
-    @classmethod
-    def make(cls, order: int, coeffs: Iterable[RationalLike]) -> "Cyclotomic":
-        return cls(order, cls._reduce(order, [Fraction(c) for c in coeffs]))
-
-    @classmethod
-    def from_rational(cls, r: RationalLike, order: int = 1) -> "Cyclotomic":
-        return cls.make(order, [Fraction(r)])
-
-    @classmethod
-    def root_of_unity(cls, order: int, k: int = 1) -> "Cyclotomic":
-        """zeta_order ** k."""
-        k %= order
-        return cls.make(order, [Fraction(0)] * k + [Fraction(1)])
-
-    def lift(self, order: int) -> "Cyclotomic":
-        """Embed into Q(zeta_order); requires self.order | order."""
-        if order == self.order:
-            return self
-        if order % self.order != 0:
-            raise InputError(
-                f"cannot lift from order {self.order} to non-multiple {order}")
-        step = order // self.order
-        out = [Fraction(0)] * (step * max(1, len(self.coeffs)))
-        for i, c in enumerate(self.coeffs):
-            out[i * step] = c
-        return Cyclotomic.make(order, out)
-
-    def _binop(self, other, op):
-        if not isinstance(other, Cyclotomic):
-            other = Cyclotomic.from_rational(other, self.order)
-        if other.order != self.order:
-            raise InputError(
-                f"mixed cyclotomic orders {self.order} and {other.order}; "
-                "lift both to the lcm order first")
-        return op(other)
-
-    def __add__(self, other):
-        def add(o):
-            n = max(len(self.coeffs), len(o.coeffs))
-            a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-            for i, c in enumerate(o.coeffs):
-                a[i] += c
-            return Cyclotomic.make(self.order, a)
-        return self._binop(other, add)
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, Cyclotomic) else Cyclotomic.from_rational(-Fraction(other), self.order))
-
-    def __neg__(self):
-        return Cyclotomic(self.order, tuple(-c for c in self.coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            r = Fraction(other)
-            return Cyclotomic(self.order, tuple(c * r for c in self.coeffs))
-        return self._binop(other, lambda o: Cyclotomic.make(
-            self.order, _poly_mul(self.coeffs, o.coeffs)))
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Cyclotomic.from_rational(other, self.order)
-        if not isinstance(other, Cyclotomic):
-            return NotImplemented
-        if other.order != self.order:
-            lcm = self.order * other.order // math.gcd(self.order, other.order)
-            return self.lift(lcm) == other.lift(lcm)
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.order, self.coeffs))
-
-    def eval_complex(self) -> complex:
-        """Numeric evaluation at exp(2*pi*i/order).  Test oracle only."""
-        z = complex(math.cos(2 * math.pi / self.order),
-                    math.sin(2 * math.pi / self.order))
-        out = 0j
-        for c in reversed(self.coeffs):
-            out = out * z + complex(c)
-        return out
-
-    def to_json(self) -> dict:
-        return {"order": self.order,
-                "coeffs": [rational_to_json(c) for c in self.coeffs]}

@@ -8,8 +8,11 @@ pairwise contacts is the combinatorial core of the outer Lipschitz geometry
 of the germ.
 
 Coefficients of the input branches are rational; roots of unity enter only
-through the conjugation twist, so all strand coefficients live in Q(zeta_N)
-with N the lcm of the branch denominators and every comparison is exact.
+through the conjugation twist, so every strand coefficient is a monomial
+a * zeta_N^k with a rational and N the lcm of the branch denominators.  It
+is stored as the exact key (a, k), normalised so that equal coefficients
+have equal keys; contacts are then tuple comparisons, with no field
+arithmetic.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from functools import reduce
 from typing import Optional, Sequence
 
 from .errors import InputError
-from .exactnum import Cyclotomic, as_rational, rational_to_json
+from .exactnum import as_rational, rational_to_json
 
 INFINITY = None  # sentinel for infinite contact, kept exact on purpose
 
@@ -84,35 +87,42 @@ class PuiseuxBranch:
 
 @dataclass(frozen=True)
 class Strand:
-    """One of the n conjugate series of a branch, over a common order N."""
+    """One of the n conjugate series of a branch, over a common order N.
+
+    ``series`` holds (exponent, (a, k)) in increasing exponent order; the
+    coefficient is a * zeta_N^k with a != 0, keyed by ``coefficient_key``.
+    """
 
     branch_index: int
     twist: int
     order: int
-    series: tuple[tuple[Fraction, Cyclotomic], ...]
+    series: tuple[tuple[Fraction, tuple[Fraction, int]], ...]
 
-    def coefficient(self, exp: Fraction) -> Cyclotomic:
-        for e, c in self.series:
-            if e == exp:
-                return c
-        return Cyclotomic.from_rational(0, self.order)
+
+def coefficient_key(a: Fraction, k: int, order: int) -> tuple[Fraction, int]:
+    """Normal form of a * zeta_order^k: k reduced mod order, and below
+    order/2 when order is even, by zeta^(order/2) = -1."""
+    # a zeta^k = b zeta^l forces zeta^(k-l) = b/a to be a rational root of
+    # unity, i.e. +-1, so after this reduction equal values have equal keys
+    k %= order
+    if order % 2 == 0 and k >= order // 2:
+        return -a, k - order // 2
+    return a, k
 
 
 def _strands_of_branch(index: int, branch: PuiseuxBranch, order: int) -> list[Strand]:
     n = branch.denominator
+    step = order // n
     out = []
     for j in range(n):
-        series = []
-        for e, a in branch.terms:
-            m = (e * n).numerator
-            zeta = Cyclotomic.root_of_unity(order, (j * m * (order // n)) % order)
-            series.append((e, zeta * a))
-        out.append(Strand(index, j, order, tuple(series)))
+        series = tuple((e, coefficient_key(a, j * (e * n).numerator * step, order))
+                       for e, a in branch.terms)
+        out.append(Strand(index, j, order, series))
     return out
 
 
 def strands_of(curve: Sequence[PuiseuxBranch]) -> list[Strand]:
-    """All strands of the curve over Q(zeta_N), N = lcm of denominators.
+    """All strands of the curve over N = lcm of the branch denominators.
 
     Rejects curves containing two copies of the same branch (identical
     strand sets), which are non-reduced and have no finite contact data.
@@ -133,12 +143,17 @@ def strands_of(curve: Sequence[PuiseuxBranch]) -> list[Strand]:
 def strand_contact(s: Strand, t: Strand) -> Optional[Fraction]:
     """Smallest exponent where the two series differ; None (infinity) if equal."""
     if s.order != t.order:
-        raise InputError("strands expanded over different cyclotomic orders")
-    exps = sorted({e for e, _ in s.series} | {e for e, _ in t.series})
-    for e in exps:
-        if not (s.coefficient(e) - t.coefficient(e)).is_zero():
-            return e
-    return INFINITY
+        raise InputError("strands expanded over different orders")
+    # at the first differing term either the keys differ at one exponent,
+    # or the smaller exponent is missing (coefficient 0) from the other
+    # series; stored coefficients are never 0
+    for x, y in zip(s.series, t.series):
+        if x != y:
+            return min(x[0], y[0])
+    a, b = len(s.series), len(t.series)
+    if a == b:
+        return INFINITY
+    return s.series[b][0] if a > b else t.series[a][0]
 
 
 @dataclass(frozen=True)
@@ -155,17 +170,25 @@ class ContactMatrix:
         return {v for row in self.entries for v in row if v is not None}
 
     def check_ultrametric(self) -> list[tuple[int, int, int]]:
-        """Triples (j,k,l) violating q(j,l) >= min(q(j,k), q(k,l))."""
-        def key(v):
-            return Fraction(10 ** 9) if v is None else v
-        bad = []
+        """Triples (j,k,l) violating q(j,l) >= min(q(j,k), q(k,l)), None
+        counting as infinity.
+
+        The leaf contacts of any carrousel tree form an ultrametric matrix
+        with infinite diagonal, and such a matrix is the leaf contact matrix
+        of its own tree.  So a matrix the round trip gives back has no
+        violation, and the cubic scan only runs for one it does not (never
+        one built by ``contact_matrix``).
+        """
+        from .carrousel import build_carrousel_tree, leaf_contacts
+        if leaf_contacts(build_carrousel_tree(self)).entries == self.entries:
+            return []
+
+        def below(v, w):  # v < w with None as infinity
+            return v is not None and (w is None or v < w)
+        rows = self.entries
         m = self.size
-        for j in range(m):
-            for k in range(m):
-                for l in range(m):
-                    if key(self.q(j, l)) < min(key(self.q(j, k)), key(self.q(k, l))):
-                        bad.append((j, k, l))
-        return bad
+        return [(j, k, l) for j in range(m) for k in range(m) for l in range(m)
+                if below(rows[j][l], rows[j][k]) and below(rows[j][l], rows[k][l])]
 
     def to_json(self) -> dict:
         rows = [["inf" if v is None else rational_to_json(v) for v in row]

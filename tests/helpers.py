@@ -3,6 +3,7 @@ small DOT syntax checker used to validate emitted graphs."""
 
 from __future__ import annotations
 
+import cmath
 import random
 import re
 from fractions import Fraction
@@ -11,12 +12,19 @@ from singlip import PuiseuxBranch, strands_of
 from singlip.errors import SinglipError
 
 
+def coefficient_value(strand, exp) -> complex:
+    """Numeric value a * exp(2 pi i k / N) of the strand's coefficient
+    (a, k) at ``exp``, 0 when the series has no such term."""
+    for e, (a, k) in strand.series:
+        if e == exp:
+            return float(a) * cmath.exp(2j * cmath.pi * k / strand.order)
+    return 0j
+
+
 def eval_strand(strand, t: float) -> complex:
     """Numeric value of a strand series at x = t (t > 0 real)."""
-    out = 0j
-    for e, c in strand.series:
-        out += c.eval_complex() * (t ** float(e))
-    return out
+    return sum(coefficient_value(strand, e) * t ** float(e)
+               for e, _ in strand.series)
 
 
 def numeric_contact(s, s2, q: Fraction, samples=(1e-2, 1e-3, 1e-4),
@@ -35,7 +43,7 @@ def numeric_contact(s, s2, q: Fraction, samples=(1e-2, 1e-3, 1e-4),
         n = max(e.denominator for e, _ in list(s.series) + list(s2.series))
         samples = tuple(10.0 ** (-2 * n * k) for k in (1, 2, 3))
         exps = sorted({e for e, _ in s.series} | {e for e, _ in s2.series})
-        diff = [(e, (s.coefficient(e) - s2.coefficient(e)).eval_complex())
+        diff = [(e, coefficient_value(s, e) - coefficient_value(s2, e))
                 for e in exps]
     ratios = []
     for t in samples:

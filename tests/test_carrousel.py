@@ -90,6 +90,20 @@ def test_eggers_reduction_paper_tree():
     assert kinds == [(F(13, 6), 1, None), (F(5, 2), 2, 2)]
 
 
+def test_eggers_reduction_mixed_edge_labels():
+    # the 7/4-subtrees below 5/3 are compared after the inner reduction has
+    # labelled some of them, so labelled and unlabelled siblings meet
+    a = branch(("3/2", 1), ("7/4", 1), ("11/6", 1))
+    b = branch(("3/2", 1), ("5/3", 1), ("7/4", 1))
+    r = reduce_to_eggers(decorate(tree_of([a, b])))
+    (mid,) = r.root.children[0].children
+    assert mid.weight == F(5, 3)
+    kids = [(c.weight, c.edge_label, len(c.children)) for c in mid.children]
+    assert kids == [(F(7, 4), None, 1), (F(7, 4), 3, 1)]
+    swapped = reduce_to_eggers(decorate(tree_of([b, a])))
+    assert swapped.encoding(with_decorations=True) == r.encoding(with_decorations=True)
+
+
 def test_eggers_reduction_trivial():
     t = decorate(tree_of([branch((2, 1))]))
     r = reduce_to_eggers(t)

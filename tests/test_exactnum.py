@@ -4,8 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from singlip.errors import InputError
-from singlip.exactnum import (Cyclotomic, PlusContinuedFraction, cf_approximants,
-                              cf_expand, cyclotomic_polynomial, euler_phi)
+from singlip.exactnum import PlusContinuedFraction, cf_approximants, cf_expand
 
 
 def test_cf_expand_paper_values():
@@ -60,68 +59,3 @@ def test_noncanonical_terms_rejected():
         PlusContinuedFraction((1, 0, 2))
     with pytest.raises(InputError):
         PlusContinuedFraction(())
-
-
-def test_cyclotomic_basic_relations():
-    one = Cyclotomic.from_rational(1, 3)
-    z3 = Cyclotomic.root_of_unity(3)
-    assert (one + z3 + z3 * z3).is_zero()
-    z4 = Cyclotomic.root_of_unity(4)
-    assert (z4 * z4 + Cyclotomic.from_rational(1, 4)).is_zero()
-    z6 = Cyclotomic.root_of_unity(6)
-    assert (z6 - z6).is_zero()
-
-
-def test_root_of_unity_order():
-    for n in (1, 2, 3, 4, 5, 6, 8, 12):
-        z = Cyclotomic.root_of_unity(n)
-        power = Cyclotomic.from_rational(1, n)
-        for _ in range(n):
-            power = power * z
-        assert power == Cyclotomic.from_rational(1, n)
-
-
-def test_mixed_orders_rejected_and_lift():
-    a = Cyclotomic.root_of_unity(3)
-    b = Cyclotomic.root_of_unity(4)
-    with pytest.raises(InputError):
-        a + b
-    lifted = a.lift(12) + b.lift(12)
-    assert lifted.order == 12
-    # zeta_3 lifted is zeta_12^4
-    assert a.lift(12) == Cyclotomic.root_of_unity(12, 4)
-
-
-def test_cyclotomic_polynomial_degrees():
-    assert cyclotomic_polynomial(1) == (F(-1), F(1))
-    assert cyclotomic_polynomial(2) == (F(1), F(1))
-    assert euler_phi(12) == 4
-    assert euler_phi(24) == 8
-
-
-def _random_element(rng, n):
-    return Cyclotomic.make(n, [F(rng.randint(-4, 4), rng.randint(1, 3))
-                               for _ in range(euler_phi(n))])
-
-
-def test_field_axioms_and_numeric_oracle():
-    rng = random.Random(3)
-    for _ in range(200):
-        n = rng.choice([2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 15, 16, 20, 24])
-        a = _random_element(rng, n)
-        b = _random_element(rng, n)
-        assert (a + b) - b == a
-        assert a * b == b * a
-        x = a * b - b * a + (a - a)
-        assert x.is_zero() == (abs(x.eval_complex()) < 1e-9)
-        assert abs((a + b).eval_complex()
-                   - (a.eval_complex() + b.eval_complex())) < 1e-9
-        assert abs((a * b).eval_complex()
-                   - (a.eval_complex() * b.eval_complex())) < 1e-9
-
-
-def test_cyclotomic_serialization_shape():
-    z = Cyclotomic.root_of_unity(6) * F(3, 2)
-    doc = z.to_json()
-    assert doc["order"] == 6
-    assert all(set(c) == {"num", "den"} for c in doc["coeffs"])

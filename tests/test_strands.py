@@ -1,14 +1,17 @@
+import cmath
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from helpers import numeric_contact, random_curve
+from helpers import coefficient_value, numeric_contact, random_curve
 from singlip import (PuiseuxBranch, branch_char_exponents, coincidence_exponent,
                      contact_matrix, horn_jump_profile, strand_contact,
                      strands_of)
 from singlip.errors import InputError
 from singlip.fixtures import curve_carrousel_example
+from singlip.strands import ContactMatrix, coefficient_key
 
 
 def branch(*terms):
@@ -21,7 +24,7 @@ def test_strand_counts():
     two = strands_of([branch(("3/2", 1))])
     assert len(two) == 2
     # twist rule: coefficients +1 and -1 at exponent 3/2
-    coeffs = sorted(s.coefficient(F(3, 2)).eval_complex().real for s in two)
+    coeffs = sorted(coefficient_value(s, F(3, 2)).real for s in two)
     assert coeffs == pytest.approx([-1.0, 1.0])
 
 
@@ -30,6 +33,29 @@ def test_duplicate_branches_rejected():
         strands_of([branch(("3/2", 1)), branch(("3/2", -1))])  # same strand set
     with pytest.raises(InputError):
         strands_of([branch((2, 1)), branch((2, 1))])
+    with pytest.raises(InputError):
+        strands_of([branch(("5/4", 2)), branch(("5/4", -2))])
+    # a sign flip on 3/2 alone is no conjugate: -1 = zeta_4^(6j) needs j
+    # odd, while 1 = zeta_4^(7j) needs 4 | j
+    assert len(strands_of([branch(("3/2", 1), ("7/4", 1)),
+                           branch(("3/2", -1), ("7/4", 1))])) == 8
+
+
+def test_coefficient_key_normal_form():
+    for order in (2, 4, 6, 12):
+        half = order // 2
+        for k in range(-order, 2 * order):
+            for a in (F(1), F(-3, 2)):
+                assert coefficient_key(a, k + half, order) == coefficient_key(-a, k, order)
+                b, l = coefficient_key(a, k, order)
+                assert 0 <= l < half
+                assert abs(float(b) * cmath.exp(2j * cmath.pi * l / order)
+                           - float(a) * cmath.exp(2j * cmath.pi * k / order)) < 1e-9
+    for order in (1, 3, 5, 9):
+        for k in range(-order, 2 * order):
+            assert coefficient_key(F(2), k, order) == (F(2), k % order)
+    keys = {s.series for s in strands_of([branch(("3/2", 1))])}
+    assert keys == {((F(3, 2), (F(1), 0)),), ((F(3, 2), (F(-1), 0)),)}
 
 
 def test_strand_contact_same_branch():
@@ -182,3 +208,73 @@ def test_coincidence_is_max_over_strand_pairs_and_at_least_one():
         pairs = [strand_contact(s, t) for s in strands for t in strands
                  if s.branch_index == 0 and t.branch_index == 1]
         assert q == max(pairs)
+
+
+def _float_contacts(curve):
+    """Contacts from the complex values c * exp(2 pi i j m / n) of the
+    branch terms, strands ordered as strands_of orders them."""
+    values = [{e: float(c) * cmath.exp(2j * cmath.pi * j * (e * b.denominator).numerator
+                                       / b.denominator) for e, c in b.terms}
+              for b in curve for j in range(b.denominator)]
+    m = len(values)
+    rows = [[None] * m for _ in range(m)]
+    for j in range(m):
+        for k in range(m):
+            exps = sorted(set(values[j]) | set(values[k]))
+            rows[j][k] = next((e for e in exps if abs(
+                values[j].get(e, 0) - values[k].get(e, 0)) > 1e-9), None)
+    return tuple(tuple(r) for r in rows)
+
+
+def test_contact_matrix_matches_complex_values():
+    rng = random.Random(15)
+    for _ in range(150):
+        curve = random_curve(rng, max_branches=3, max_den=8)
+        assert contact_matrix(curve).entries == _float_contacts(curve), curve
+
+
+def _brute_violations(matrix):
+    def key(v):
+        return math.inf if v is None else v
+    m = matrix.size
+    return [(j, k, l) for j in range(m) for k in range(m) for l in range(m)
+            if key(matrix.q(j, l)) < min(key(matrix.q(j, k)), key(matrix.q(k, l)))]
+
+
+def _matrix(rows):
+    return ContactMatrix(len(rows), tuple(tuple(r) for r in rows))
+
+
+def test_check_ultrametric_hand_made():
+    cases = [
+        [[None, 2, 1], [2, None, 2], [1, 2, None]],
+        [[None, None, 1], [None, None, 2], [1, 2, None]],  # infinite off-diagonal
+        [[1, 2], [2, None]],  # finite diagonal
+        [[None, 2], [3, None]],  # not symmetric, yet no violating triple
+        [[None, F(3, 2), F(3, 2)], [F(3, 2), None, F(5, 2)], [F(3, 2), F(5, 2), None]],
+    ]
+    for rows in cases:
+        m = _matrix(rows)
+        assert m.check_ultrametric() == _brute_violations(m), rows
+    assert _matrix(cases[0]).check_ultrametric()
+    assert not _matrix(cases[-1]).check_ultrametric()
+
+
+def test_check_ultrametric_perturbed_random():
+    rng = random.Random(16)
+    seen_bad = 0
+    for _ in range(80):
+        m = contact_matrix(random_curve(rng, max_branches=3))
+        assert m.check_ultrametric() == []
+        if m.size < 3:
+            continue
+        rows = [list(r) for r in m.entries]
+        pool = sorted(m.finite_values()) + [F(1), F(7, 5), None]
+        for _ in range(rng.randint(1, 3)):
+            j, k = rng.sample(range(m.size), 2)
+            rows[j][k] = rows[k][j] = rng.choice(pool)
+        bent = _matrix(rows)
+        expected = _brute_violations(bent)
+        seen_bad += bool(expected)
+        assert bent.check_ultrametric() == expected
+    assert seen_bad > 20
