@@ -12,8 +12,7 @@ from .decomp import (Decomposition, NodeFlags, Piece, amalgamate,
                      is_metrically_conical, outer_signature, signatures_equal,
                      thick_thin, thin_zone_rate)
 from .errors import DomainError, InputError, ResourceCapExceeded, SinglipError
-from .exactnum import (PlusContinuedFraction, Rational, cf_approximants,
-                       cf_expand)
+from .exactnum import Rational
 from .strands import (ContactMatrix, PuiseuxBranch, Strand,
                       branch_char_exponents, coincidence_exponent,
                       contact_matrix, horn_jump_profile, strand_contact,

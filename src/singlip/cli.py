@@ -41,10 +41,18 @@ def _load_graph(path: str, strict: bool):
 
 
 def _event_cap(args) -> int:
-    if args.event_cap is not None:
-        return args.event_cap
-    env = os.environ.get(EVENT_CAP_ENV)
-    return int(env) if env else tower.DEFAULT_EVENT_CAP
+    """--event-cap, else $SINGLIP_EVENT_CAP, else the default; anything but
+    a positive integer is malformed input."""
+    raw = args.event_cap
+    if raw is None:
+        raw = os.environ.get(EVENT_CAP_ENV) or str(tower.DEFAULT_EVENT_CAP)
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise InputError(f"event cap {raw!r} is not an integer") from None
+    if cap < 1:
+        raise InputError(f"event cap {cap} is below 1")
+    return cap
 
 
 def _emit(args, json_doc, text_lines, dot_text=None) -> None:
@@ -319,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
                         default="text", help="output format")
     parser.add_argument("--strict", action="store_true",
                         help="reject unknown JSON fields")
-    parser.add_argument("--event-cap", type=int, default=None,
+    parser.add_argument("--event-cap", default=None,
                         help=f"blow-up event cap (or ${EVENT_CAP_ENV})")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -23,11 +23,10 @@ amalgamation rules, which is checked in the test suite.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
-
-import networkx as nx
 
 from .errors import DomainError, InputError
 from .exactnum import rational_to_json
@@ -476,8 +475,8 @@ def build_decomposition(graph: DualGraph, mode: str) -> Decomposition:
 
 # -- classification signatures ------------------------------------------------
 
-def _decomposition_graph(graph: DualGraph, d: Decomposition, metric: str) -> nx.Graph:
-    g = nx.Graph()
+def _decomposition_graph(graph: DualGraph, d: Decomposition,
+                         metric: str) -> tuple[dict, list]:
     mults = {}
     for p in d.pieces.values():
         if p.node is not None:
@@ -490,6 +489,7 @@ def _decomposition_graph(graph: DualGraph, d: Decomposition, metric: str) -> nx.
         scale = math.gcd(*mults.values()) if mults else 1
     else:
         scale = 1
+    nodes = {}
     for p in d.pieces.values():
         attrs = {"kind": "special-A" if p.special else p.kind,
                  "rates": tuple(str(q) for q in p.rates)}
@@ -497,48 +497,97 @@ def _decomposition_graph(graph: DualGraph, d: Decomposition, metric: str) -> nx.
             attrs["mult"] = Fraction(mults[p.pid], scale)
         if metric == "outer" and p.node is not None:
             attrs["selfint"] = graph.vertices[p.node].self_intersection
-        g.add_node(p.pid, **attrs)
-    for pair in d.adjacency:
-        a, b = sorted(pair)
-        g.add_edge(a, b)
-    return g
+        nodes[p.pid] = attrs
+    return nodes, sorted(tuple(sorted(pair)) for pair in d.adjacency)
 
 
 @dataclass(frozen=True)
 class Signature:
+    """A decomposition graph: piece id -> attributes, and piece edges."""
+
     metric: str
-    graph: nx.Graph
+    nodes: dict
+    edges: list
 
     def to_json(self) -> dict:
         nodes = []
-        for n in sorted(self.graph.nodes):
-            a = dict(self.graph.nodes[n])
+        for n in sorted(self.nodes):
+            a = dict(self.nodes[n])
             a["id"] = n
             if "mult" in a:
                 a["mult"] = str(a["mult"])
             a["rates"] = list(a["rates"])
             nodes.append(a)
         return {"metric": self.metric, "nodes": nodes,
-                "edges": sorted([sorted(e) for e in self.graph.edges])}
+                "edges": [list(e) for e in self.edges]}
 
 
 def inner_signature(graph: DualGraph) -> Signature:
     """Inner Lipschitz classification data: the inner decomposition graph
     with per-piece rates and scale-normalised generic-linear multiplicities."""
     d = build_decomposition(graph, "inner")
-    return Signature("inner", _decomposition_graph(graph, d, "inner"))
+    return Signature("inner", *_decomposition_graph(graph, d, "inner"))
 
 
 def outer_signature(graph: DualGraph) -> Signature:
     """Outer classification data: the outer decomposition graph with rate,
     self-intersection and generic-linear multiplicity at every node piece."""
     d = build_decomposition(graph, "outer")
-    return Signature("outer", _decomposition_graph(graph, d, "outer"))
+    return Signature("outer", *_decomposition_graph(graph, d, "outer"))
+
+
+def _refine(adj: dict, colour: dict) -> dict:
+    """Colour refinement to the stable partition: split every colour class
+    by the multiset of neighbour colours until no class splits.  One
+    palette serves every vertex, so equal colours on the two sides of a
+    comparison mean equal roles."""
+    while True:
+        palette: dict = {}
+        new = {v: palette.setdefault(
+                   (colour[v], tuple(sorted(colour[w] for w in adj[v]))),
+                   len(palette))
+               for v in adj}
+        if len(palette) == len(set(colour.values())):
+            return new
+        colour = new
+
+
+def _isomorphic(adj: dict, colour: dict) -> bool:
+    """Whether some bijection between side 0 and side 1 of ``adj`` keeps
+    colours and edges.  A stable colouring with equal histograms whose
+    classes are singletons is such a bijection; otherwise individualise
+    one vertex of the smallest tied class against each candidate."""
+    colour = _refine(adj, colour)
+    hist = [Counter(c for (side, _), c in colour.items() if side == s)
+            for s in (0, 1)]
+    if hist[0] != hist[1]:
+        return False
+    tied = [c for c, k in hist[0].items() if k > 1]
+    if not tied:
+        return True
+    c = min(tied, key=lambda c: (hist[0][c], c))
+    first = next(v for v in adj if v[0] == 0 and colour[v] == c)
+    fresh = len(colour)
+    return any(_isomorphic(adj, {**colour, first: fresh, v: fresh})
+               for v in adj if v[0] == 1 and colour[v] == c)
 
 
 def signatures_equal(a: Signature, b: Signature) -> bool:
+    """Isomorphism of the two decomposition graphs keeping every piece
+    attribute, by colour refinement with backtracking on ties (colour
+    refinement alone decides trees, so the backtracking only breaks
+    symmetries there)."""
     if a.metric != b.metric:
         return False
-    def node_match(x, y):
-        return x == y
-    return nx.is_isomorphic(a.graph, b.graph, node_match=node_match)
+    adj: dict = {}
+    colour: dict = {}
+    palette: dict = {}
+    for side, sig in enumerate((a, b)):
+        for pid, attrs in sig.nodes.items():
+            adj[side, pid] = []
+            colour[side, pid] = palette.setdefault(
+                tuple(sorted(attrs.items())), len(palette))
+        for x, y in sig.edges:
+            adj[side, x].append((side, y))
+            adj[side, y].append((side, x))
+    return _isomorphic(adj, colour)

@@ -1,29 +1,23 @@
-"""Exact scalar arithmetic: rationals and plus-type continued fractions.
+"""Exact arithmetic: rationals and fraction-free integer elimination.
 
 Rationals are plain ``fractions.Fraction`` values; the standard library
 already keeps them in lowest terms with a positive denominator, which is
 exactly the invariant we need.  Nothing in this module (or anywhere else in
 the package) rounds: floats appear only in test oracles.
 
-A "plus" continued fraction is the expansion
-
-    [a1, a2, ..., ar]+  =  a1 + 1/(a2 + 1/(a3 + ...))
-
-with ``a1 >= 0`` (so values below 1 are allowed, e.g. 1/2 = [0,2]+) and
-``ai >= 1`` afterwards.  Canonical form ends with a term >= 2 whenever there
-is more than one term, which makes the expansion of a rational unique.
+Every linear-algebra question about an intersection matrix (determinant,
+signs of the leading principal minors, exact solves) goes through the one
+Bareiss elimination ``eliminate`` below.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import InputError
 
 Rational = Fraction
-RationalLike = Union[int, Fraction]
 
 
 def as_rational(value) -> Fraction:
@@ -43,70 +37,54 @@ def rational_to_json(r: Fraction) -> dict:
     return {"num": r.numerator, "den": r.denominator}
 
 
-@dataclass(frozen=True)
-class PlusContinuedFraction:
-    """Canonical plus continued fraction [a1, ..., ar]+ of a rational >= 0."""
-
-    terms: tuple[int, ...]
-
-    def __post_init__(self):
-        t = self.terms
-        if not t:
-            raise InputError("continued fraction needs at least one term")
-        if t[0] < 0 or any(a < 1 for a in t[1:]):
-            raise InputError(f"invalid plus continued fraction terms {t}")
-        if len(t) >= 2 and t[-1] < 2:
-            raise InputError(f"non-canonical final term in {t}")
-
-    def value(self) -> Fraction:
-        v = Fraction(self.terms[-1])
-        for a in reversed(self.terms[:-1]):
-            v = a + 1 / v
-        return v
-
-    def approximants(self) -> tuple[Fraction, ...]:
-        """Values of the prefixes [a1]+, [a1,a2]+, ..., the full value last."""
-        out = []
-        for k in range(1, len(self.terms) + 1):
-            v = Fraction(self.terms[k - 1])
-            for a in reversed(self.terms[: k - 1]):
-                v = a + 1 / v
-            out.append(v)
-        return tuple(out)
-
-    def blowup_approximants(self) -> tuple[Fraction, ...]:
-        """One value per unit increment of a term: [1], [1,1], [1,1,1],
-        [1,1,2] for [1,1,2]+.  These are the approximation numbers matching
-        the sum(terms) point blow-ups resolving a single characteristic
-        exponent, in creation order."""
-        out = []
-        for k, a in enumerate(self.terms):
-            start = 1 if k > 0 else (0 if a == 0 else 1)
-            for partial in range(start, a + 1):
-                v = Fraction(partial)
-                for t in reversed(self.terms[:k]):
-                    v = t + 1 / v
-                out.append(v)
-        return tuple(out)
-
-    def __iter__(self):
-        return iter(self.terms)
+class Elimination(NamedTuple):
+    minors: tuple                 # leading principal minors of order 1, 2, ...
+    determinant: int
+    solution: Optional[tuple]     # Fractions; None without rhs or if singular
 
 
-def cf_expand(r: RationalLike) -> PlusContinuedFraction:
-    """Canonical plus-continued-fraction expansion of a rational r >= 0."""
-    r = Fraction(r)
-    if r < 0:
-        raise InputError(f"cf_expand needs a non-negative rational, got {r}")
-    terms = [r.numerator // r.denominator]
-    rest = r - terms[0]
-    while rest:
-        r = 1 / rest
-        a = r.numerator // r.denominator
-        rest = r - a
-        terms.append(a)
-    return PlusContinuedFraction(tuple(terms))
+def eliminate(matrix: Sequence[Sequence[int]],
+              rhs: Optional[Sequence[int]] = None) -> Elimination:
+    """Fraction-free Gaussian elimination of a square integer matrix
+    (Bareiss 1968), optionally augmented by an integer right-hand side.
 
-
-def cf_approximants(cf: PlusContinuedFraction) -> tuple[Fraction, ...]:
-    return cf.approximants()
+    Without row swaps the k-th pivot is the leading principal minor of
+    order k (Sylvester's identity) and every division is exact.  Rows are
+    swapped only when a pivot vanishes; that vanishing minor is the last
+    one reported, since the later pivots are minors of the permuted matrix.
+    The solve is fraction-free too: by Cramer's rule det * x is an integer
+    vector, recovered from the triangular system by exact divisions.
+    """
+    n = len(matrix)
+    rows = [list(row) + ([rhs[i]] if rhs is not None else [])
+            for i, row in enumerate(matrix)]
+    minors = []
+    swapped = False
+    sign = prev = 1
+    for k in range(n):
+        if not swapped:
+            minors.append(rows[k][k])
+        if rows[k][k] == 0:
+            swapped = True
+            pivot = next((r for r in range(k + 1, n) if rows[r][k]), None)
+            if pivot is None:
+                return Elimination(tuple(minors), 0, None)
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            sign = -sign
+        top = rows[k]
+        p = top[k]
+        for r in range(k + 1, n):
+            row = rows[r]
+            f = row[k]
+            row[k + 1:] = [(p * a - f * b) // prev
+                           for a, b in zip(row[k + 1:], top[k + 1:])]
+        prev = p
+    solution = None
+    if rhs is not None:
+        y = [0] * n
+        for i in reversed(range(n)):
+            acc = prev * rows[i][n] - sum(rows[i][j] * y[j]
+                                          for j in range(i + 1, n))
+            y[i] = acc // rows[i][i]
+        solution = tuple(Fraction(v, prev) for v in y)
+    return Elimination(tuple(minors), sign * prev, solution)

@@ -27,7 +27,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import DomainError, InputError, ResourceCapExceeded
-from .tower import (DualTree, _int_det, blow_up_arrow, blow_up_edge,
+from .exactnum import eliminate
+from .tower import (DualTree, blow_up_arrow, blow_up_edge,
                     CURVE_FUNCTION, GENERIC_LINEAR)
 
 L_NODE = "L"
@@ -140,16 +141,13 @@ class DualGraph:
         return m
 
     def determinant(self) -> int:
-        return _int_det(self.intersection_matrix())
+        return eliminate(self.intersection_matrix()).determinant
 
     def is_negative_definite(self) -> bool:
-        """Sign test on leading principal minors: (-1)^k minor_k > 0."""
-        m = self.intersection_matrix()
-        for k in range(1, len(m) + 1):
-            minor = _int_det([row[:k] for row in m[:k]])
-            if minor * (-1) ** k <= 0:
-                return False
-        return True
+        """Sign test on the leading principal minors, (-1)^k minor_k > 0,
+        all read off one ``exactnum.eliminate`` pass."""
+        minors = eliminate(self.intersection_matrix()).minors
+        return all(d * (-1) ** k > 0 for k, d in enumerate(minors, 1))
 
     def laufer_residuals(self, coefficients: dict, arrows: Sequence[tuple] = ()
                          ) -> dict:
@@ -200,28 +198,14 @@ def solve_multiplicities(graph: DualGraph, arrows, strict: bool = True) -> Divis
         pairs = list(arrows)
     ids = graph.ids()
     index = {v: i for i, v in enumerate(ids)}
-    m = [[Fraction(x) for x in row] for row in graph.intersection_matrix()]
-    rhs = [Fraction(0)] * len(ids)
+    rhs = [0] * len(ids)
     for vid, mult in pairs:
         rhs[index[vid]] -= mult
-
-    # gaussian elimination with exact arithmetic
-    n = len(ids)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col]), None)
-        if pivot is None:
-            raise DomainError("singular intersection matrix")
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            rhs[col], rhs[pivot] = rhs[pivot], rhs[col]
-        inv = 1 / m[col][col]
-        for r in range(n):
-            if r != col and m[r][col]:
-                factor = m[r][col] * inv
-                for c in range(col, n):
-                    m[r][c] -= factor * m[col][c]
-                rhs[r] -= factor * rhs[col]
-    values = [rhs[i] / m[i][i] for i in range(n)]
+    # exact solve by the shared Bareiss elimination, exactnum.eliminate
+    solved = eliminate(graph.intersection_matrix(), rhs)
+    if solved.solution is None:
+        raise DomainError("singular intersection matrix")
+    values = list(solved.solution)
     if strict and any(v.denominator != 1 for v in values):
         raise DomainError(f"non-integral multiplicities {values}")
     coeffs = {vid: (values[index[vid]].numerator if values[index[vid]].denominator == 1

@@ -32,6 +32,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import DomainError, InputError, ResourceCapExceeded
+from .exactnum import eliminate
 from .series import (RatSeries, padd, pclean, pmul, pmul_trunc, pord, ppow_trunc,
                      pscale, ptrunc, series_fractional_power)
 from .strands import PuiseuxBranch, strands_of
@@ -122,7 +123,7 @@ class DualTree:
         return m
 
     def determinant(self) -> int:
-        return _int_det(self.intersection_matrix())
+        return eliminate(self.intersection_matrix()).determinant
 
     def laufer_residuals(self, name: str) -> list[int]:
         """m_j*E_j^2 + sum of adjacent multiplicities + arrows of the
@@ -137,28 +138,6 @@ class DualTree:
                 acc += a.multiplicity
             out.append(acc)
         return out
-
-
-def _int_det(matrix: Sequence[Sequence[int]]) -> int:
-    n = len(matrix)
-    m = [[Fraction(x) for x in row] for row in matrix]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col]), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            factor = m[r][col] * inv
-            if factor:
-                for c in range(col, n):
-                    m[r][c] -= factor * m[col][c]
-    assert det.denominator == 1
-    return det.numerator
 
 
 @dataclass

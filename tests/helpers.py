@@ -1,5 +1,6 @@
-"""Shared test utilities: numeric oracles, random curve generation, and a
-small DOT syntax checker used to validate emitted graphs."""
+"""Shared test utilities: numeric oracles, a reference determinant, random
+curve generation, and a small DOT syntax checker used to validate emitted
+graphs."""
 
 from __future__ import annotations
 
@@ -55,6 +56,28 @@ def numeric_contact(s, s2, q: Fraction, samples=(1e-2, 1e-3, 1e-4),
     if any(r == 0 for r in ratios):
         return False
     return abs(ratios[-1] - ratios[-2]) <= rel_tol * abs(ratios[-1])
+
+
+def fraction_det(matrix) -> int:
+    """Reference determinant: plain Gaussian elimination over Fractions,
+    swapping rows at a zero pivot.  Independent of ``exactnum.eliminate``."""
+    m = [[Fraction(x) for x in row] for row in matrix]
+    n = len(m)
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col]), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        for r in range(col + 1, n):
+            factor = m[r][col] / m[col][col]
+            for c in range(col, n):
+                m[r][c] -= factor * m[col][c]
+    assert det.denominator == 1
+    return det.numerator
 
 
 def random_branch(rng: random.Random, max_den: int = 6,

@@ -1,6 +1,10 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -187,6 +191,35 @@ def test_event_cap_env(paths, monkeypatch):
     monkeypatch.setenv("SINGLIP_EVENT_CAP", "2")
     code, _, err = run_cli("curve", "resolve", paths["cusp-53"])
     assert code == 1 and "cap" in err
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5", "0", "-5"])
+def test_malformed_event_cap_env_exit_2(paths, monkeypatch, value):
+    monkeypatch.setenv("SINGLIP_EVENT_CAP", value)
+    code, out, err = run_cli("curve", "resolve", paths["cusp-53"])
+    assert code == 2 and out == ""
+    assert err.splitlines() == [err.strip()] and err.startswith("input error:")
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-5"])
+def test_malformed_event_cap_flag_exit_2(paths, value):
+    code, out, err = run_cli("--event-cap", value, "curve", "resolve",
+                             paths["cusp-53"])
+    assert code == 2 and out == ""
+    assert err.splitlines() == [err.strip()] and err.startswith("input error:")
+    code, _, _ = run_cli("--event-cap", "64", "curve", "resolve",
+                         paths["cusp-53"])
+    assert code == 0
+
+
+def test_cli_import_leaves_networkx_unloaded():
+    # networkx alone cost most of the CLI's cold start; nothing may import it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c", "import singlip.cli, sys; "
+                    "assert 'networkx' not in sys.modules"],
+                   env=env, check=True, timeout=60)
 
 
 def test_declared_denominator_checked(tmp_path):

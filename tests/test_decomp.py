@@ -1,11 +1,18 @@
+import json
+import operator
+import random
 from fractions import Fraction as F
 
 import pytest
 
+from helpers import random_curve
 from singlip import (amalgamate, build_decomposition, classify_nodes,
                      csquare_decomposition, inner_signature,
                      is_metrically_conical, outer_signature, resolve_curve,
-                     signatures_equal, thick_thin, thin_zone_rate)
+                     signatures_equal, thick_thin, thin_zone_rate,
+                     tower_to_graph)
+from singlip import fixtures, jsonio
+from singlip.decomp import Signature
 from singlip.errors import DomainError, InputError
 from singlip.fixtures import (curve_32_74, curve_cusp_53, graph_a_k, graph_d4,
                               graph_e8, graph_e8_nash,
@@ -257,6 +264,91 @@ def test_signatures():
     bumped = graph_e8_nash()
     bumped.vertices["E10"].self_intersection = -2
     assert not signatures_equal(outer, outer_signature(bumped))
+
+
+def _relabel(doc, rng):
+    """Same graph, vertex ids renamed and vertices and edges reordered."""
+    name = {v["id"]: f"r{i}" for i, v in enumerate(doc["vertices"])}
+    targets = list(name.values())
+    rng.shuffle(targets)
+    name = dict(zip(name, targets))
+    vertices = [dict(v, id=name[v["id"]]) for v in doc["vertices"]]
+    edges = [[name[a], name[b]] for a, b in doc["edges"]]
+    rng.shuffle(vertices)
+    rng.shuffle(edges)
+    arrows = [dict(a, vertex=name[a["vertex"]]) for a in doc["arrows"]]
+    return dict(doc, vertices=vertices, edges=edges, arrows=arrows)
+
+
+def _perturb(doc):
+    """Same graph with the rate of its first L-node raised by one."""
+    out = json.loads(json.dumps(doc))
+    target = min((v for v in out["vertices"] if "L" in v["flags"]),
+                 key=lambda v: str(v["id"]))
+    rate = F(target["rate"]["num"], target["rate"]["den"]) + 1
+    target["rate"] = {"num": rate.numerator, "den": rate.denominator}
+    return out
+
+
+def _rated_documents():
+    docs = []
+    for name in fixtures.fixture_names():
+        if fixtures.fixture_kind(name) == "graph":
+            doc = jsonio.graph_to_json(load_fixture(name))
+            if all(v.get("rate") is not None for v in doc["vertices"]):
+                docs.append(doc)
+    rng = random.Random(11)
+    for _ in range(40):
+        _, tree = resolve_curve(random_curve(rng, max_branches=3, max_den=4))
+        flags = {a.vertex: ("L",) for a in tree.arrows
+                 if a.kind == "generic-linear"}
+        docs.append(jsonio.graph_to_json(tower_to_graph(tree, flags)))
+    return docs
+
+
+def test_signatures_equal_matches_networkx():
+    nx = pytest.importorskip("networkx")
+
+    def as_nx(sig):
+        g = nx.Graph()
+        g.add_nodes_from(sig.nodes.items())
+        g.add_edges_from(sig.edges)
+        return g
+
+    def check(a, b):
+        expected = nx.is_isomorphic(as_nx(a), as_nx(b), node_match=operator.eq)
+        assert signatures_equal(a, b) == expected
+        return expected
+
+    rng = random.Random(5)
+    outcomes = set()
+    for doc in _rated_documents():
+        for build in (inner_signature, outer_signature):
+            sig = build(jsonio.parse_graph(doc))
+            assert check(sig, build(jsonio.parse_graph(_relabel(doc, rng))))
+            assert not check(sig, build(jsonio.parse_graph(_perturb(doc))))
+            outcomes.add(len(sig.nodes))
+    assert max(outcomes) >= 10
+    # colour refinement alone cannot split two 2-regular graphs of one
+    # size: the hexagon against two triangles needs the backtracking
+    node = {"kind": "A", "rates": ("2", "3")}
+    hexagon = Signature("inner", {i: node for i in range(6)},
+                        [(i, (i + 1) % 6) for i in range(6)])
+    triangles = Signature("inner", {i: node for i in range(6)},
+                          [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    perm = [3, 0, 4, 1, 5, 2]
+    turned = Signature("inner", {i: node for i in range(6)},
+                       [(perm[i], perm[(i + 1) % 6]) for i in range(6)])
+    assert not check(hexagon, triangles)
+    assert check(triangles, triangles)
+    assert check(hexagon, turned)
+    # the first candidate for vertex 0 (on the triangle) lies on the square
+    seven = {i: node for i in range(7)}
+    three_four = Signature("inner", seven, [(0, 1), (1, 2), (0, 2), (3, 4),
+                                            (4, 5), (5, 6), (3, 6)])
+    four_three = Signature("inner", seven, [(0, 1), (1, 2), (2, 3), (0, 3),
+                                            (4, 5), (5, 6), (4, 6)])
+    assert check(three_four, four_three)
 
 
 def test_signature_requires_multiplicities():

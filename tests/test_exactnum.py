@@ -3,59 +3,125 @@ from fractions import Fraction as F
 
 import pytest
 
-from singlip.errors import InputError
-from singlip.exactnum import PlusContinuedFraction, cf_approximants, cf_expand
+from helpers import fraction_det
+from singlip import fixtures, resolve_curve, solve_multiplicities, tower_to_graph
+from singlip.exactnum import eliminate
+from singlip.surfgraph import DualGraph
 
 
-def test_cf_expand_paper_values():
-    assert cf_expand(F(5, 3)).terms == (1, 1, 2)
-    assert cf_expand(F(1, 2)).terms == (0, 2)
-    assert cf_expand(F(1)).terms == (1,)
+def _leading(matrix, k):
+    return [row[:k] for row in matrix[:k]]
 
 
-def test_cf_expand_rejects_negative():
-    with pytest.raises(InputError):
-        cf_expand(F(-1, 2))
+def _reference_minors(matrix):
+    """Leading principal minors up to and including the first zero one."""
+    out = []
+    for k in range(1, len(matrix) + 1):
+        out.append(fraction_det(_leading(matrix, k)))
+        if out[-1] == 0:
+            break
+    return tuple(out)
 
 
-def test_cf_value_round_trip():
-    rng = random.Random(1)
-    for _ in range(300):
-        r = F(rng.randint(0, 400), rng.randint(1, 40))
-        cf = cf_expand(r)
-        assert cf.value() == r
-        if len(cf.terms) >= 2:
-            assert cf.terms[-1] >= 2
-        assert all(a >= 1 for a in cf.terms[1:])
+def _reference_negative_definite(matrix):
+    # the per-minor determinant loop the elimination replaced
+    for k in range(1, len(matrix) + 1):
+        if fraction_det(_leading(matrix, k)) * (-1) ** k <= 0:
+            return False
+    return True
 
 
-def test_prefix_approximants():
-    assert cf_approximants(cf_expand(F(3, 2))) == (F(1), F(3, 2))
-    assert cf_approximants(cf_expand(F(3))) == (F(3),)
-    assert cf_approximants(PlusContinuedFraction((1, 1, 2))) == (F(1), F(2), F(5, 3))
+def _cramer(matrix, rhs):
+    det = fraction_det(matrix)
+    return tuple(F(fraction_det([row[:i] + [b] + row[i + 1:]
+                                 for row, b in zip(matrix, rhs)]), det)
+                 for i in range(len(matrix)))
 
 
-def test_blowup_approximants_match_resolution_rates():
-    # one value per point blow-up resolving a single characteristic exponent
-    assert cf_expand(F(5, 3)).blowup_approximants() == (F(1), F(2), F(3, 2), F(5, 3))
-    assert cf_expand(F(3, 2)).blowup_approximants() == (F(1), F(2), F(3, 2))
-    assert cf_expand(F(3)).blowup_approximants() == (F(1), F(2), F(3))
+def _check(matrix, rhs):
+    e = eliminate(matrix, rhs)
+    assert e.determinant == fraction_det(matrix)
+    assert e.minors == _reference_minors(matrix)
+    if e.determinant == 0:
+        assert e.solution is None
+    else:
+        assert e.solution == _cramer(matrix, rhs)
+        assert [sum(a * x for a, x in zip(row, e.solution))
+                for row in matrix] == list(rhs)
+    return e
 
 
-def test_approximant_denominators_nondecreasing():
-    rng = random.Random(2)
-    for _ in range(300):
-        r = F(rng.randint(1, 500), rng.randint(1, 48))
-        approx = cf_approximants(cf_expand(r))
-        dens = [a.denominator for a in approx]
-        assert dens == sorted(dens)
-        assert approx[-1] == r
+def test_eliminate_hand_cases():
+    swap = _check([[0, 1], [1, 0]], [3, 4])
+    assert (swap.minors, swap.determinant, swap.solution) == ((0,), -1, (4, 3))
+    assert _check([[1, 2], [2, 4]], [1, 1]).minors == (1, 0)
+    assert _check([[0, 0], [0, 0]], [0, 0]).determinant == 0
+    assert eliminate([]) == ((), 1, None)
+    assert eliminate([], []) == ((), 1, ())
+    assert eliminate([[-2]]).minors == (-2,)
+    # a zero pivot past the first step, recovered by a swap
+    assert _check([[1, 1, 0], [1, 1, 1], [0, 1, 1]], [1, 2, 3]).determinant == -1
 
 
-def test_noncanonical_terms_rejected():
-    with pytest.raises(InputError):
-        PlusContinuedFraction((1, 1))  # final term must be >= 2
-    with pytest.raises(InputError):
-        PlusContinuedFraction((1, 0, 2))
-    with pytest.raises(InputError):
-        PlusContinuedFraction(())
+def test_eliminate_matches_fraction_reference_random():
+    rng = random.Random(7)
+    swaps = singular = 0
+    for trial in range(400):
+        n = rng.randint(1, 7)
+        m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        if trial % 4 == 1:                 # singular: last row a combination
+            coeffs = [rng.randint(-2, 2) for _ in range(n - 1)]
+            m[-1] = [sum(c * row[j] for c, row in zip(coeffs, m))
+                     for j in range(n)]
+        elif trial % 4 == 2:               # zero leading pivot
+            m[0][0] = 0
+        rhs = [rng.randint(-5, 5) for _ in range(n)]
+        e = _check(m, rhs)
+        swaps += 0 in e.minors
+        singular += e.determinant == 0
+    assert swaps > 50 and singular > 50
+
+
+def _random_tree_graph(rng, n):
+    g = DualGraph()
+    for i in range(n):
+        g.add_vertex(i, rng.choice([-1, -2, -2, -3]))
+        if i:
+            g.add_edge(rng.randrange(i), i)
+    return g
+
+
+def test_negative_definite_matches_per_minor_loop():
+    rng = random.Random(3)
+    seen = set()
+    for _ in range(150):
+        g = _random_tree_graph(rng, rng.randint(1, 12))
+        m = g.intersection_matrix()
+        expected = _reference_negative_definite(m)
+        assert g.is_negative_definite() == expected
+        assert g.determinant() == fraction_det(m)
+        seen.add(expected)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("name", fixtures.fixture_names())
+def test_fixture_intersection_matrices(name):
+    graph = fixtures.load_fixture(name)
+    if fixtures.fixture_kind(name) == "curve":
+        _, tower = resolve_curve(graph)
+        assert tower.determinant() == fraction_det(tower.intersection_matrix())
+        graph = tower_to_graph(tower)
+    m = graph.intersection_matrix()
+    e = eliminate(m)
+    assert e.determinant == graph.determinant() == fraction_det(m), name
+    assert e.minors == _reference_minors(m), name
+    assert graph.is_negative_definite() == _reference_negative_definite(m)
+    ids = graph.ids()
+    for arrow in sorted({a.name for a in graph.arrows}):
+        rhs = [0] * len(ids)
+        for a in graph.arrows:
+            if a.name == arrow:
+                rhs[ids.index(a.vertex)] -= a.multiplicity
+        expected = dict(zip(ids, _cramer(m, rhs)))
+        assert solve_multiplicities(graph, arrow, strict=False).coefficients \
+            == expected, (name, arrow)

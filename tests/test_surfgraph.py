@@ -45,7 +45,7 @@ def test_solve_singular_matrix():
     g.add_vertex("A", -1)
     g.add_vertex("B", -1)
     g.add_edge("A", "B")  # determinant zero
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^singular intersection matrix$"):
         solve_multiplicities(g, [("A", 1)])
 
 
