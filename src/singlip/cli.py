@@ -30,14 +30,21 @@ def _read(path: str) -> str:
         raise InputError(f"cannot read {path}: {exc}") from None
 
 
+def _parse(parse, doc: dict, strict: bool):
+    """Parse a document, then print its unknown-field warnings."""
+    warnings: list[str] = []
+    out = parse(doc, strict=strict, warnings=warnings)
+    for w in warnings:
+        print(f"warning: {w}", file=sys.stderr)
+    return out
+
+
 def _load_curve(path: str, strict: bool):
-    doc = jsonio.load_document(_read(path))
-    return jsonio.parse_curve(doc, strict=strict)
+    return _parse(jsonio.parse_curve, jsonio.load_document(_read(path)), strict)
 
 
 def _load_graph(path: str, strict: bool):
-    doc = jsonio.load_document(_read(path))
-    return jsonio.parse_graph(doc, strict=strict)
+    return _parse(jsonio.parse_graph, jsonio.load_document(_read(path)), strict)
 
 
 def _event_cap(args) -> int:
@@ -116,15 +123,21 @@ def cmd_curve_horns(args) -> int:
     return 0
 
 
+def _numbered_lines(g, detail) -> list[str]:
+    """Vertex and edge lines of a graph with ids 0..n-1, shown as E1..En."""
+    lines = []
+    for vid in g.ids():
+        v = g.vertices[vid]
+        mults = " ".join(f"{k}={m}" for k, m in sorted(v.multiplicities.items()))
+        lines.append(f"E{vid + 1}: self={v.self_intersection} {detail(v)} {mults}")
+    edges = ", ".join(f"E{a + 1}-E{b + 1}" for a, b in sorted(g.edges))
+    return lines + [f"edges: {edges}"]
+
+
 def cmd_curve_resolve(args) -> int:
     curve = _load_curve(args.input, args.strict)
     events, tree = tower.resolve_curve(curve, event_cap=_event_cap(args))
-    lines = []
-    for v in tree.vertices:
-        lines.append(f"E{v.index + 1}: self={v.self_intersection} rate={v.rate} "
-                     + " ".join(f"{k}={m}" for k, m in sorted(v.multiplicities.items())))
-    lines.append("edges: " + ", ".join(f"E{a + 1}-E{b + 1}"
-                                       for a, b in sorted(tree.edges)))
+    lines = _numbered_lines(tree, lambda v: f"rate={v.rate}")
     lines.append("arrows: " + ", ".join(
         f"{a.name}@E{a.vertex + 1}({a.multiplicity})" for a in tree.arrows))
     _emit(args, jsonio.tower_to_json(tree, events), lines, dot.tree_to_dot(tree))
@@ -159,12 +172,7 @@ def cmd_graph_laufer(args) -> int:
     _, tree = tower.resolve_curve(curve, event_cap=_event_cap(args))
     prepared = surfgraph.laufer_parity_prepare(tree)
     cover = surfgraph.laufer_double_cover(prepared)
-    lines = []
-    for vid, v in cover.vertices.items():
-        lines.append(f"E{vid + 1}: self={v.self_intersection} genus={v.genus} "
-                     + " ".join(f"{k}={m}" for k, m in sorted(v.multiplicities.items())))
-    lines.append("edges: " + ", ".join(f"E{a + 1}-E{b + 1}"
-                                       for a, b in sorted(cover.edges)))
+    lines = _numbered_lines(cover, lambda v: f"genus={v.genus}")
     _emit(args, jsonio.graph_to_json(cover), lines, dot.graph_to_dot(cover))
     return 0
 
@@ -259,37 +267,18 @@ def cmd_graph_signature(args) -> int:
 
 # -- verify and fixtures ------------------------------------------------------
 
-def _verify_graph(graph) -> list[str]:
-    problems = []
-    if not graph.is_connected():
-        problems.append("graph is not connected")
-    if not graph.is_negative_definite():
-        problems.append("intersection matrix is not negative definite")
-    for name in sorted({a.name for a in graph.arrows}):
-        coeffs = {vid: v.multiplicities.get(name)
-                  for vid, v in graph.vertices.items()}
-        if any(c is None for c in coeffs.values()):
-            continue  # divisor not stored; nothing to check against
-        arrows = [(a.vertex, a.multiplicity) for a in graph.arrows
-                  if a.name == name]
-        residuals = graph.laufer_residuals(coeffs, arrows)
-        for vid, r in residuals.items():
-            if r != 0:
-                problems.append(f"laufer residual {r} for {name!r} at {vid}")
-    return problems
-
-
 def cmd_verify(args) -> int:
     doc = jsonio.load_document(_read(args.input))
     fmt = doc["format"]
     problems: list[str] = []
     if fmt == jsonio.CURVE_FORMAT:
-        curve = jsonio.parse_curve(doc, strict=args.strict)
+        curve = _parse(jsonio.parse_curve, doc, args.strict)
         matrix = contact_matrix(curve)
         for j, k, l in matrix.check_ultrametric():
             problems.append(f"ultrametric violation at strands ({j},{k},{l})")
     elif fmt == jsonio.GRAPH_FORMAT:
-        problems = _verify_graph(jsonio.parse_graph(doc, strict=args.strict))
+        problems = surfgraph.verify_graph(
+            _parse(jsonio.parse_graph, doc, args.strict))
     elif fmt == jsonio.TOWER_FORMAT:
         report = tower.verify_tower(jsonio.parse_tower(doc))
         problems = report.problems()

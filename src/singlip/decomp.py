@@ -30,8 +30,8 @@ from typing import Sequence
 
 from .errors import DomainError, InputError
 from .exactnum import rational_to_json
-from .surfgraph import DualGraph, L_NODE, DELTA_NODE, P_NODE
-from .tower import DualTree, GENERIC_LINEAR
+from .surfgraph import (DualGraph, DualTree, L_NODE, DELTA_NODE, P_NODE,
+                        GENERIC_LINEAR)
 
 MODES = ("initial", "inner", "outer")
 
@@ -87,9 +87,21 @@ class ThickThin:
         return not self.thin_zones
 
 
-def _is_node_for_thick_thin(graph: DualGraph, vid) -> bool:
-    v = graph.vertices[vid]
-    return graph.valence(vid) >= 3 or v.genus > 0 or L_NODE in v.flags
+def _walk_string(graph: DualGraph, node, start, nodes) -> tuple[list, object]:
+    """Follow the string leaving ``node`` through its neighbour ``start``
+    across vertices not in ``nodes``.  Returns the string's interior and
+    the node it ends at, or None when it ends at a leaf (a bamboo)."""
+    chain = []
+    prev, cur = node, start
+    while cur not in nodes:
+        chain.append(cur)
+        nxt = [w for w in graph.neighbors(cur) if w != prev]
+        if not nxt:
+            return chain, None
+        if len(nxt) > 1:
+            raise InputError(f"non-node vertex {cur!r} with valence > 2")
+        prev, cur = cur, nxt[0]
+    return chain, cur
 
 
 def thick_thin(graph: DualGraph) -> ThickThin:
@@ -104,44 +116,23 @@ def thick_thin(graph: DualGraph) -> ThickThin:
             if L_NODE in graph.vertices[w].flags:
                 raise DomainError(f"adjacent L-nodes {vid!r} and {w!r}")
 
+    nodes = {vid for vid, v in graph.vertices.items()
+             if graph.valence(vid) >= 3 or v.genus > 0 or L_NODE in v.flags}
     thick: dict = {vid: {vid} for vid in l_nodes}
     for vid in l_nodes:
         for start in graph.neighbors(vid):
-            chain = []
-            prev, cur = vid, start
-            while not _is_node_for_thick_thin(graph, cur):
-                chain.append(cur)
-                nxt = [w for w in graph.neighbors(cur) if w != prev]
-                if not nxt:
-                    break  # bamboo: ends at a leaf
-                if len(nxt) > 1:
-                    raise InputError(f"non-node vertex {cur!r} with valence > 2")
-                prev, cur = cur, nxt[0]
-            else:
-                # chain ended at a node: interiors of strings to an L-node
-                # stay thin, strings to any other node thicken
-                if L_NODE in graph.vertices[cur].flags:
-                    continue
-            thick[vid].update(chain)
+            chain, end = _walk_string(graph, vid, start, nodes)
+            # bamboos and strings to a node thicken, except the interiors
+            # of strings to an L-node
+            if end is None or L_NODE not in graph.vertices[end].flags:
+                thick[vid].update(chain)
 
     claimed = set().union(*thick.values()) if thick else set()
-    rest = [vid for vid in graph.vertices if vid not in claimed]
+    rest = {vid for vid in graph.vertices if vid not in claimed}
     zones = []
-    seen = set()
     for vid in rest:
-        if vid in seen:
-            continue
-        comp = {vid}
-        queue = [vid]
-        seen.add(vid)
-        while queue:
-            x = queue.pop()
-            for w in graph.neighbors(x):
-                if w not in claimed and w not in seen:
-                    seen.add(w)
-                    comp.add(w)
-                    queue.append(w)
-        zones.append(frozenset(comp))
+        if not any(vid in zone for zone in zones):
+            zones.append(frozenset(graph.component(vid, rest)))
     zones.sort(key=lambda z: sorted(map(str, z)))
     return ThickThin(tuple((vid, frozenset(thick[vid])) for vid in l_nodes),
                      tuple(zones))
@@ -243,19 +234,19 @@ def csquare_decomposition(tree: DualTree) -> Decomposition:
     vertex_piece = {}
     for v in tree.vertices:
         q = v.rate
-        arrows = tree.arrows_at(v.index)
-        valence = len(tree.adjacency(v.index))
-        if v.index == tree.root:
+        arrows = tree.arrows_at(v.id)
+        valence = tree.valence(v.id)
+        if v.id == tree.root:
             piece = Piece(pid, "conical", (Fraction(1),),
-                          frozenset([v.index]), node=v.index)
+                          frozenset([v.id]), node=v.id)
         elif valence == 1 and not arrows:
-            piece = Piece(pid, "D", (q,), frozenset([v.index]), node=v.index)
+            piece = Piece(pid, "D", (q,), frozenset([v.id]), node=v.id)
         elif valence == 2 and not arrows:
-            piece = Piece(pid, "A", (q, q), frozenset([v.index]), node=v.index)
+            piece = Piece(pid, "A", (q, q), frozenset([v.id]), node=v.id)
         else:
-            piece = Piece(pid, "B", (q,), frozenset([v.index]), node=v.index)
+            piece = Piece(pid, "B", (q,), frozenset([v.id]), node=v.id)
         d.add_piece(piece)
-        vertex_piece[v.index] = pid
+        vertex_piece[v.id] = pid
         pid += 1
     for a, b in sorted(tree.edges):
         qa, qb = tree.vertices[a].rate, tree.vertices[b].rate
@@ -362,22 +353,13 @@ def amalgamate(d: Decomposition, protected: frozenset = frozenset()) -> Decompos
 
 
 def _mode_nodes(graph: DualGraph, mode: str) -> dict:
+    if mode not in MODES:
+        raise InputError(f"unknown decomposition mode {mode!r}")
     flags = classify_nodes(graph)
-    nodes = {}
-    for vid, f in flags.items():
-        v = graph.vertices[vid]
-        base = graph.valence(vid) >= 3 or v.genus > 0 or f.is_L
-        if mode == "inner":
-            take = base or f.is_special_P
-        elif mode == "outer":
-            take = base or f.is_P
-        elif mode == "initial":
-            take = base or f.is_P or f.is_Delta
-        else:
-            raise InputError(f"unknown decomposition mode {mode!r}")
-        if take:
-            nodes[vid] = f
-    return nodes
+    if mode == "inner":
+        return {vid: f for vid, f in flags.items() if f.is_inner_node}
+    return {vid: f for vid, f in flags.items()
+            if f.is_outer_node or (mode == "initial" and f.is_Delta)}
 
 
 def build_decomposition(graph: DualGraph, mode: str) -> Decomposition:
@@ -405,17 +387,9 @@ def build_decomposition(graph: DualGraph, mode: str) -> Decomposition:
         f = nodes[vid]
         support = {vid}
         for start in graph.neighbors(vid):
-            chain = []
-            prev, cur = vid, start
-            while cur not in nodes:
-                chain.append(cur)
-                nxt = [w for w in graph.neighbors(cur) if w != prev]
-                if not nxt:
-                    support.update(chain)  # bamboo
-                    break
-                if len(nxt) > 1:
-                    raise InputError(f"non-node vertex {cur!r} with valence > 2")
-                prev, cur = cur, nxt[0]
+            chain, end = _walk_string(graph, vid, start, nodes)
+            if end is None:
+                support.update(chain)  # bamboo
         special = (mode == "inner" and f.is_special_P
                    and not (graph.valence(vid) >= 3 or v.genus > 0 or f.is_L))
         if special:
@@ -444,19 +418,9 @@ def build_decomposition(graph: DualGraph, mode: str) -> Decomposition:
     seen_strings = set()
     for vid in piece_of_node:
         for start in graph.neighbors(vid):
-            if start in nodes:
-                continue
-            chain = []
-            prev, cur = vid, start
-            while cur not in nodes:
-                chain.append(cur)
-                nxt = [w for w in graph.neighbors(cur) if w != prev]
-                if not nxt:
-                    chain = None  # bamboo, already in the node's B-piece
-                    break
-                prev, cur = cur, nxt[0]
-            if chain is None:
-                continue
+            chain, cur = _walk_string(graph, vid, start, nodes)
+            if start in nodes or cur is None:
+                continue  # a direct edge, or a bamboo in the node's B-piece
             key = frozenset(chain)
             if key in seen_strings:
                 continue

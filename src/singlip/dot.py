@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from .carrousel import CarrouselNode, CarrouselTree
 from .decomp import Decomposition
-from .surfgraph import DualGraph, L_NODE
-from .tower import DualTree
+from .surfgraph import DualGraph, DualTree, L_NODE
 
 
 def _q(s) -> str:
@@ -21,17 +20,23 @@ def _q(s) -> str:
 def tree_to_dot(tree: DualTree, name: str = "tower") -> str:
     lines = [f"graph {name} {{", "  node [shape=circle];"]
     for v in tree.vertices:
-        label = f"E{v.index + 1}\\nq={v.rate}\\n{v.self_intersection}"
+        label = f"E{v.id + 1}\\nq={v.rate}\\n{v.self_intersection}"
         mults = ",".join(f"{k}:{m}" for k, m in sorted(v.multiplicities.items()))
         if mults:
             label += f"\\n({mults})"
-        lines.append(f"  v{v.index} [label={_q(label)}];")
+        lines.append(f"  v{v.id} [label={_q(label)}];")
     for a, b in sorted(tree.edges):
         lines.append(f"  v{a} -- v{b};")
-    for i, arrow in enumerate(tree.arrows):
+    return _close(lines, tree.arrows, tree.ids())
+
+
+def _close(lines: list, arrows, index) -> str:
+    """Append the arrows (``index`` maps a vertex id to its DOT number)
+    and the closing brace."""
+    for i, arrow in enumerate(arrows):
         label = f"{arrow.name}({arrow.multiplicity})"
         lines.append(f"  a{i} [shape=none, label={_q(label)}];")
-        lines.append(f"  v{arrow.vertex} -- a{i} [style=dashed];")
+        lines.append(f"  v{index[arrow.vertex]} -- a{i} [style=dashed];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -53,12 +58,7 @@ def graph_to_dot(graph: DualGraph, name: str = "resolution") -> str:
         lines.append(f"  v{ids[vid]} [label={_q(label)}{extra}];")
     for a, b in sorted(graph.edges, key=lambda e: (str(e[0]), str(e[1]))):
         lines.append(f"  v{ids[a]} -- v{ids[b]};")
-    for i, arrow in enumerate(graph.arrows):
-        label = f"{arrow.name}({arrow.multiplicity})"
-        lines.append(f"  a{i} [shape=none, label={_q(label)}];")
-        lines.append(f"  v{ids[arrow.vertex]} -- a{i} [style=dashed];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _close(lines, graph.arrows, ids)
 
 
 def carrousel_to_dot(tree: CarrouselTree, name: str = "carrousel") -> str:

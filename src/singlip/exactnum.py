@@ -21,15 +21,19 @@ Rational = Fraction
 
 
 def as_rational(value) -> Fraction:
-    """Coerce ints, Fractions, "p/q" strings and {"num","den"} dicts."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
+    """Coerce ints, Fractions, "p/q" strings and {"num","den"} dicts of
+    integers; anything else, a zero denominator included, is an
+    InputError."""
+    if isinstance(value, (int, Fraction)):
         return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    if isinstance(value, dict) and set(value) == {"num", "den"}:
-        return Fraction(value["num"], value["den"])
+    try:
+        if isinstance(value, str):
+            return Fraction(value)
+        if (isinstance(value, dict) and set(value) == {"num", "den"}
+                and all(isinstance(x, int) for x in value.values())):
+            return Fraction(value["num"], value["den"])
+    except (ValueError, ZeroDivisionError):
+        pass
     raise InputError(f"cannot interpret {value!r} as a rational number")
 
 

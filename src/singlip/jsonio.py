@@ -14,8 +14,8 @@ from typing import Optional
 from .errors import InputError
 from .exactnum import as_rational, rational_to_json
 from .strands import PuiseuxBranch
-from .surfgraph import DualGraph, KNOWN_FLAGS
-from .tower import Arrow, BlowupEvent, DualTree
+from .surfgraph import DualGraph, DualTree
+from .tower import BlowupEvent
 
 CURVE_FORMAT = "singlip.curve/1"
 GRAPH_FORMAT = "singlip.graph/1"
@@ -32,6 +32,24 @@ def _check_fields(obj: dict, allowed: set, where: str, strict: bool,
         warnings.append(msg)
 
 
+def _list(doc: dict, name: str) -> list:
+    value = doc.get(name, ())
+    if not isinstance(value, (list, tuple)):
+        raise InputError(f"field {name!r} must be a list")
+    return value
+
+
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise InputError(f"{where} must be an object")
+    return value
+
+
+def _check_format(doc: dict, fmt: str):
+    if doc.get("format") != fmt:
+        raise InputError(f"expected format {fmt!r}, got {doc.get('format')!r}")
+
+
 def load_document(text: str) -> dict:
     try:
         doc = json.loads(text)
@@ -46,22 +64,20 @@ def load_document(text: str) -> dict:
 def parse_curve(doc: dict, strict: bool = False,
                 warnings: Optional[list] = None) -> list[PuiseuxBranch]:
     warnings = warnings if warnings is not None else []
-    if doc.get("format") != CURVE_FORMAT:
-        raise InputError(f"expected format {CURVE_FORMAT!r}, got {doc.get('format')!r}")
+    _check_format(doc, CURVE_FORMAT)
     _check_fields(doc, {"format", "branches"}, "curve document", strict, warnings)
-    branches = doc.get("branches")
-    if not isinstance(branches, list) or not branches:
+    branches = _list(doc, "branches")
+    if not branches:
         raise InputError("field 'branches' must be a non-empty list")
     out = []
     for i, b in enumerate(branches):
         where = f"branches[{i}]"
-        if not isinstance(b, dict):
-            raise InputError(f"{where} must be an object")
-        _check_fields(b, {"denominator", "terms"}, where, strict, warnings)
+        _check_fields(_object(b, where), {"denominator", "terms"}, where,
+                      strict, warnings)
         terms = []
-        for j, t in enumerate(b.get("terms", ())):
-            _check_fields(t, {"exp", "coeff"}, f"{where}.terms[{j}]",
-                          strict, warnings)
+        for j, t in enumerate(_list(b, "terms")):
+            _check_fields(_object(t, f"{where}.terms[{j}]"), {"exp", "coeff"},
+                          f"{where}.terms[{j}]", strict, warnings)
             try:
                 terms.append((as_rational(t["exp"]), as_rational(t["coeff"])))
             except KeyError as exc:
@@ -82,62 +98,56 @@ def curve_to_json(curve: list[PuiseuxBranch]) -> dict:
 def parse_graph(doc: dict, strict: bool = False,
                 warnings: Optional[list] = None) -> DualGraph:
     warnings = warnings if warnings is not None else []
-    if doc.get("format") != GRAPH_FORMAT:
-        raise InputError(f"expected format {GRAPH_FORMAT!r}, got {doc.get('format')!r}")
+    _check_format(doc, GRAPH_FORMAT)
     _check_fields(doc, {"format", "vertices", "edges", "arrows"},
                   "graph document", strict, warnings)
     g = DualGraph()
-    for i, v in enumerate(doc.get("vertices", ())):
+    for i, v in enumerate(_list(doc, "vertices")):
         where = f"vertices[{i}]"
-        _check_fields(v, {"id", "self_intersection", "genus", "rate",
-                          "multiplicities", "flags"}, where, strict, warnings)
-        try:
-            vid = v["id"]
-            self_int = v["self_intersection"]
-        except KeyError as exc:
-            raise InputError(f"{where} missing {exc}") from None
-        if not isinstance(self_int, int) or self_int >= 0:
-            raise InputError(f"{where}: self_intersection must be a negative integer")
-        rate = v.get("rate")
-        mults = v.get("multiplicities", {})
-        if not all(isinstance(m, int) and m >= 0 for m in mults.values()):
-            raise InputError(f"{where}: multiplicities must be non-negative integers")
-        flags = v.get("flags", [])
-        bad = set(flags) - KNOWN_FLAGS
-        if bad:
-            raise InputError(f"{where}: unknown flags {sorted(bad)}")
-        g.add_vertex(vid, self_int, genus=v.get("genus", 0),
-                     rate=None if rate is None else as_rational(rate),
-                     multiplicities=mults, flags=flags)
-    for i, e in enumerate(doc.get("edges", ())):
-        if not isinstance(e, list) or len(e) != 2:
-            raise InputError(f"edges[{i}] must be a two-element list")
-        g.add_edge(e[0], e[1])
-    for i, a in enumerate(doc.get("arrows", ())):
-        where = f"arrows[{i}]"
-        _check_fields(a, {"vertex", "name", "multiplicity", "kind"},
+        _check_fields(_object(v, where), {"id", "self_intersection", "genus",
+                                          "rate", "multiplicities", "flags"},
                       where, strict, warnings)
+        rate = v.get("rate")
         try:
-            g.add_arrow(a["vertex"], a["name"], a.get("multiplicity", 1),
-                        a.get("kind", "function"))
+            g.add_vertex(v["id"], v["self_intersection"], genus=v.get("genus", 0),
+                         rate=None if rate is None else as_rational(rate),
+                         multiplicities=_object(v.get("multiplicities", {}),
+                                                f"{where}.multiplicities"),
+                         flags=_list(v, "flags"))
         except KeyError as exc:
             raise InputError(f"{where} missing {exc}") from None
+    _add_edges_and_arrows(g, doc, strict, warnings)
     if not g.vertices:
         raise InputError("graph document has no vertices")
     return g
 
 
+def _add_edges_and_arrows(g: DualGraph, doc: dict, strict: bool,
+                          warnings: list):
+    for i, e in enumerate(_list(doc, "edges")):
+        if not isinstance(e, list) or len(e) != 2:
+            raise InputError(f"edges[{i}] must be a two-element list")
+        g.add_edge(e[0], e[1])
+    for i, a in enumerate(_list(doc, "arrows")):
+        where = f"arrows[{i}]"
+        _check_fields(_object(a, where), {"vertex", "name", "multiplicity",
+                                          "kind", "branch"},
+                      where, strict, warnings)
+        try:
+            g.add_arrow(a["vertex"], a["name"], a.get("multiplicity", 1),
+                        a.get("kind", "function"), a.get("branch"))
+        except KeyError as exc:
+            raise InputError(f"{where} missing {exc}") from None
+
+
 def graph_to_json(g: DualGraph) -> dict:
-    vertices = []
-    for vid, v in g.vertices.items():
-        entry = {"id": vid, "self_intersection": v.self_intersection,
-                 "genus": v.genus,
-                 "rate": None if v.rate is None else rational_to_json(v.rate),
-                 "multiplicities": dict(sorted(v.multiplicities.items())),
-                 "flags": sorted(v.flags)}
-        vertices.append(entry)
     return {"format": GRAPH_FORMAT,
-            "vertices": vertices,
+            "vertices": [{"id": vid, "self_intersection": v.self_intersection,
+                          "genus": v.genus,
+                          "rate": None if v.rate is None else rational_to_json(v.rate),
+                          "multiplicities": dict(sorted(v.multiplicities.items())),
+                          "flags": sorted(v.flags)}
+                         for vid, v in g.vertices.items()],
             "edges": [[a, b] for a, b in g.edges],
             "arrows": [{"vertex": a.vertex, "name": a.name,
                         "multiplicity": a.multiplicity, "kind": a.kind}
@@ -146,7 +156,7 @@ def graph_to_json(g: DualGraph) -> dict:
 
 def tower_to_json(tree: DualTree, events: Optional[list[BlowupEvent]] = None) -> dict:
     out = {"format": TOWER_FORMAT,
-           "vertices": [{"id": v.index,
+           "vertices": [{"id": v.id,
                          "self_intersection": v.self_intersection,
                          "rate": rational_to_json(v.rate),
                          "rate_vector": list(v.rate_vector),
@@ -166,20 +176,23 @@ def tower_to_json(tree: DualTree, events: Optional[list[BlowupEvent]] = None) ->
 
 
 def parse_tower(doc: dict) -> DualTree:
-    if doc.get("format") != TOWER_FORMAT:
-        raise InputError(f"expected format {TOWER_FORMAT!r}, got {doc.get('format')!r}")
-    from .tower import TowerVertex
+    """Vertex ids must be 0..n-1 in order and every vertex needs its
+    rate_vector; the rate is read off it, so a stored "rate" is ignored."""
+    _check_format(doc, TOWER_FORMAT)
     tree = DualTree()
-    for v in doc.get("vertices", ()):
-        vec = tuple(v["rate_vector"])
-        tree.vertices.append(TowerVertex(v["id"], v["self_intersection"], vec,
-                                         {k: m for k, m in
-                                          v.get("multiplicities", {}).items()}))
-    for a, b in doc.get("edges", ()):
-        tree.add_edge(a, b)
-    for a in doc.get("arrows", ()):
-        tree.arrows.append(Arrow(a["vertex"], a["name"], a["multiplicity"],
-                                 a.get("kind", "function"), a.get("branch")))
+    for i, v in enumerate(_list(doc, "vertices")):
+        where = f"vertices[{i}]"
+        _object(v, where)
+        try:
+            tree.add_vertex(v["id"], v["self_intersection"],
+                            rate_vector=v["rate_vector"],
+                            multiplicities=_object(v.get("multiplicities", {}),
+                                                   f"{where}.multiplicities"))
+        except KeyError as exc:
+            raise InputError(f"{where} missing {exc}") from None
+    _add_edges_and_arrows(tree, doc, False, [])
+    if not tree.vertices:
+        raise InputError("tower document has no vertices")
     return tree
 
 

@@ -127,17 +127,6 @@ class RatSeries:
             raise DomainError("RatSeries denominator must be a unit at 0")
         return cls(num, den)
 
-    @classmethod
-    def monomial(cls, e: int, c=1) -> "RatSeries":
-        return cls.make({e: Fraction(c)})
-
-    @classmethod
-    def from_poly(cls, p: Poly) -> "RatSeries":
-        return cls.make(p)
-
-    def is_zero(self) -> bool:
-        return not self.num
-
     def ord(self):
         return pord(self.num)
 
@@ -149,12 +138,6 @@ class RatSeries:
             if e <= k:
                 acc += c * inv.get(k - e, Fraction(0))
         return acc
-
-    def leading(self) -> Fraction:
-        o = self.ord()
-        if o is None:
-            raise DomainError("zero series has no leading coefficient")
-        return self.num[o] / self.den[0]
 
     def sub_const(self, c: Fraction) -> "RatSeries":
         return RatSeries.make(padd(self.num, pscale(self.den, -c)), self.den)

@@ -22,112 +22,207 @@ from __future__ import annotations
 
 import copy
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import DomainError, InputError, ResourceCapExceeded
 from .exactnum import eliminate
-from .tower import (DualTree, blow_up_arrow, blow_up_edge,
-                    CURVE_FUNCTION, GENERIC_LINEAR)
 
 L_NODE = "L"
 DELTA_NODE = "Delta"
 P_NODE = "P"
-KNOWN_FLAGS = {L_NODE, DELTA_NODE, P_NODE}
-ARROW_KINDS = {"generic-linear", "polar", "function", "branch"}
+KNOWN_FLAGS = (L_NODE, DELTA_NODE, P_NODE)
+ARROW_KINDS = ("generic-linear", "polar", "function", "branch")
+
+CURVE_FUNCTION = "f"
+GENERIC_LINEAR = "h"
 
 
 @dataclass
-class GraphVertex:
+class Vertex:
+    """An exceptional curve.  A tower vertex also keeps its unreduced
+    inner-rate vector (p, q), and its rate is p/q."""
+
     id: object
     self_intersection: int
     genus: int = 0
     rate: Optional[Fraction] = None
     multiplicities: dict = field(default_factory=dict)
     flags: set = field(default_factory=set)
+    rate_vector: Optional[tuple] = None
 
 
 @dataclass(frozen=True)
-class GraphArrow:
+class Arrow:
+    """A strict transform meeting a vertex; ``branch`` names the curve
+    branch it comes from, if any."""
+
     vertex: object
     name: str
     multiplicity: int
     kind: str = "function"
+    branch: Optional[int] = None
 
 
-@dataclass
+# rate vector of a blown-up point, less those of the curves through it
+_RATE_STEP = {0: (1, 1), 1: (1, 0), 2: (0, 0)}
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 class DualGraph:
     """Resolution graph: vertices with decorations, edges (multi-edges
-    allowed), and arrows for strict transforms."""
+    allowed), and arrows for strict transforms.  ``vertices`` maps id to
+    record; every change of ``edges`` goes through ``add_edge`` and
+    ``remove_edge``, which keep the adjacency lists."""
 
-    vertices: dict = field(default_factory=dict)
-    edges: list = field(default_factory=list)
-    arrows: list = field(default_factory=list)
+    def __init__(self):
+        self.vertices = {}
+        self.edges: list = []
+        self.arrows: list = []
+        self._adjacent: dict = {}
 
-    def add_vertex(self, vid, self_intersection, genus=0, rate=None,
-                   multiplicities=None, flags=None) -> GraphVertex:
-        if vid in self.vertices:
-            raise InputError(f"duplicate vertex id {vid!r}")
-        v = GraphVertex(vid, self_intersection, genus,
-                        None if rate is None else Fraction(rate),
-                        dict(multiplicities or {}), set(flags or ()))
-        bad = v.flags - KNOWN_FLAGS
-        if bad:
-            raise InputError(f"unknown vertex flags {sorted(bad)}")
-        self.vertices[vid] = v
-        return v
+    # -- vertex storage (a DualTree keeps a list instead) -------------------
 
-    def add_edge(self, a, b):
-        if a not in self.vertices or b not in self.vertices:
-            raise InputError(f"edge ({a!r},{b!r}) references unknown vertex")
-        self.edges.append((a, b))
-
-    def add_arrow(self, vertex, name, multiplicity=1, kind="function"):
-        if vertex not in self.vertices:
-            raise InputError(f"arrow references unknown vertex {vertex!r}")
-        if kind not in ARROW_KINDS:
-            raise InputError(f"unknown arrow kind {kind!r}")
-        if not isinstance(multiplicity, int) or multiplicity < 1:
-            raise InputError("arrow multiplicity must be a positive integer")
-        self.arrows.append(GraphArrow(vertex, name, multiplicity, kind))
-
-    def copy(self) -> "DualGraph":
-        return copy.deepcopy(self)
+    def __contains__(self, vid) -> bool:
+        return isinstance(vid, (int, str)) and vid in self.vertices
 
     def ids(self) -> list:
         return list(self.vertices)
 
+    def _store(self, v: Vertex):
+        if not isinstance(v.id, (int, str)):
+            raise InputError(f"vertex id {v.id!r} is not a string or an integer")
+        if v.id in self.vertices:
+            raise InputError(f"duplicate vertex id {v.id!r}")
+        self.vertices[v.id] = v
+
+    # -- building -------------------------------------------------------------
+
+    def add_vertex(self, vid, self_intersection, genus=0, rate=None,
+                   multiplicities=None, flags=None, rate_vector=None) -> Vertex:
+        where = f"vertex {vid!r}"
+        if not _is_int(self_intersection) or self_intersection >= 0:
+            raise InputError(f"{where}: self_intersection must be a negative integer")
+        if not _is_int(genus) or genus < 0:
+            raise InputError(f"{where}: genus must be a non-negative integer")
+        mults = dict(multiplicities or {})
+        if not all(_is_int(m) and m >= 0 for m in mults.values()):
+            raise InputError(f"{where}: multiplicities must be non-negative integers")
+        bad = [f for f in flags or () if f not in KNOWN_FLAGS]
+        if bad:
+            raise InputError(f"{where}: unknown flags {bad}")
+        if rate_vector is not None:
+            if not (isinstance(rate_vector, (list, tuple)) and len(rate_vector) == 2
+                    and all(map(_is_int, rate_vector)) and rate_vector[1] > 0):
+                raise InputError(f"{where}: rate_vector must be two integers "
+                                 "[p, q] with q > 0")
+            rate_vector = tuple(rate_vector)
+            if rate is None:
+                rate = Fraction(*rate_vector)
+        v = Vertex(vid, self_intersection, genus,
+                   None if rate is None else Fraction(rate), mults,
+                   set(flags or ()), rate_vector)
+        self._store(v)
+        self._adjacent[vid] = []
+        return v
+
+    def add_edge(self, a, b):
+        if a not in self or b not in self:
+            raise InputError(f"edge ({a!r},{b!r}) references unknown vertex")
+        self.edges.append((a, b))
+        self._adjacent[a].append(b)
+        self._adjacent[b].append(a)
+
+    def remove_edge(self, a, b):
+        self.edges.remove((a, b) if (a, b) in self.edges else (b, a))
+        self._adjacent[a].remove(b)
+        self._adjacent[b].remove(a)
+
+    def add_arrow(self, vertex, name, multiplicity=1, kind="function",
+                  branch=None):
+        if vertex not in self:
+            raise InputError(f"arrow references unknown vertex {vertex!r}")
+        if not isinstance(name, str):
+            raise InputError(f"arrow name {name!r} is not a string")
+        if kind not in ARROW_KINDS:
+            raise InputError(f"unknown arrow kind {kind!r}")
+        if not _is_int(multiplicity) or multiplicity < 1:
+            raise InputError("arrow multiplicity must be a positive integer")
+        if branch is not None and not _is_int(branch):
+            raise InputError(f"arrow branch {branch!r} is not an integer")
+        self.arrows.append(Arrow(vertex, name, multiplicity, kind, branch))
+
+    def blow_up(self, vid, curves: Sequence, strict: Optional[dict] = None
+                ) -> Vertex:
+        """Blow up the origin of the plane (no curves), a point of one
+        curve, or the intersection point of two.  The new curve ``vid``
+        (self-intersection -1) meets each of them, their self-intersections
+        drop by one, and two of them stop meeting.
+
+        Each function's multiplicity on the new curve is the sum over the
+        curves through the point plus ``strict`` (function -> multiplicity
+        of its strict transforms through the point).  The rate vector is
+        (1,1) at the origin, v + (1,0) at a free point of a curve with
+        vector v, and the componentwise sum v + v' at a satellite point;
+        vectors are kept unreduced, since the sum is only right on those."""
+        old = [self.vertices[e] for e in curves]
+        strict = strict or {}
+        names = {n for v in old for n in v.multiplicities} | set(strict)
+        mults = {n: sum(v.multiplicities.get(n, 0) for v in old)
+                 + strict.get(n, 0) for n in sorted(names)}
+        vector = tuple(map(sum, zip(_RATE_STEP[len(old)],
+                                    *(v.rate_vector for v in old))))
+        new = self.add_vertex(vid, -1, multiplicities=mults, rate_vector=vector)
+        for e in curves:
+            self.vertices[e].self_intersection -= 1
+            self.add_edge(e, vid)
+        if len(curves) == 2:
+            self.remove_edge(*curves)
+        return new
+
+    def copy(self) -> "DualGraph":
+        return copy.deepcopy(self)
+
+    # -- reading --------------------------------------------------------------
+
     def neighbors(self, vid) -> list:
-        out = []
-        for a, b in self.edges:
-            if a == vid:
-                out.append(b)
-            if b == vid:
-                out.append(a)
-        return out
+        return list(self._adjacent[vid])
 
     def valence(self, vid) -> int:
-        return len(self.neighbors(vid))
+        return len(self._adjacent[vid])
 
-    def arrows_at(self, vid, name=None, kind=None) -> list[GraphArrow]:
-        return [a for a in self.arrows if a.vertex == vid
-                and (name is None or a.name == name)
-                and (kind is None or a.kind == kind)]
+    def arrows_at(self, vid, name=None) -> list[Arrow]:
+        return [a for a in self.arrows
+                if a.vertex == vid and (name is None or a.name == name)]
+
+    def arrow_pairs(self, name) -> list[tuple]:
+        """(vertex, multiplicity) of every arrow of the named function."""
+        return [(a.vertex, a.multiplicity) for a in self.arrows if a.name == name]
+
+    def function_names(self) -> list[str]:
+        """Functions whose multiplicities some vertex stores."""
+        return sorted({n for vid in self.ids()
+                       for n in self.vertices[vid].multiplicities})
+
+    def component(self, start, within=None) -> set:
+        """Vertices reachable from ``start``, through ``within`` only when
+        given."""
+        seen = {start}
+        queue = [start]
+        while queue:
+            for w in self._adjacent[queue.pop()]:
+                if w not in seen and (within is None or w in within):
+                    seen.add(w)
+                    queue.append(w)
+        return seen
 
     def is_connected(self) -> bool:
         ids = self.ids()
-        if not ids:
-            return True
-        seen = {ids[0]}
-        queue = [ids[0]]
-        while queue:
-            v = queue.pop()
-            for w in self.neighbors(v):
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return len(seen) == len(ids)
+        return not ids or len(self.component(ids[0])) == len(ids)
 
     def intersection_matrix(self) -> list[list[int]]:
         ids = self.ids()
@@ -157,13 +252,58 @@ class DualGraph:
         for vid, mult in arrows:
             arrow_mult[vid] = arrow_mult.get(vid, 0) + mult
         out = {}
-        for vid, v in self.vertices.items():
-            acc = coefficients.get(vid, 0) * v.self_intersection
-            for w in self.neighbors(vid):
+        for vid in self.ids():
+            acc = coefficients.get(vid, 0) * self.vertices[vid].self_intersection
+            for w in self._adjacent[vid]:
                 acc += coefficients.get(w, 0)
-            acc += arrow_mult.get(vid, 0)
-            out[vid] = acc
+            out[vid] = acc + arrow_mult.get(vid, 0)
         return out
+
+
+class DualTree(DualGraph):
+    """Decorated dual tree of a composition of point blow-ups over the
+    plane: a DualGraph whose vertex ids are 0..n-1 in creation order,
+    stored as a list indexed by id, with the root 0."""
+
+    root = 0
+
+    def __init__(self):
+        super().__init__()
+        self.vertices = []
+
+    def __contains__(self, vid) -> bool:
+        return _is_int(vid) and 0 <= vid < len(self.vertices)
+
+    def ids(self) -> list:
+        return list(range(len(self.vertices)))
+
+    def _store(self, v: Vertex):
+        if v.id != len(self.vertices) or not _is_int(v.id):
+            raise InputError(f"tower vertex id {v.id!r} is not its position "
+                             f"{len(self.vertices)}")
+        self.vertices.append(v)
+
+
+def verify_graph(graph: DualGraph) -> list[str]:
+    """Problems of a resolution graph: not connected, not negative
+    definite, or a function whose multiplicities some vertices store
+    while others do not, or that fail Laufer-zero with its arrows."""
+    problems = []
+    if not graph.is_connected():
+        problems.append("graph is not connected")
+    if not graph.is_negative_definite():
+        problems.append("intersection matrix is not negative definite")
+    for name in graph.function_names():
+        coeffs = {vid: graph.vertices[vid].multiplicities.get(name)
+                  for vid in graph.ids()}
+        missing = [vid for vid, c in coeffs.items() if c is None]
+        problems += [f"no multiplicity for {name!r} at vertex {vid}"
+                     for vid in missing]
+        if not missing:
+            residuals = graph.laufer_residuals(coeffs, graph.arrow_pairs(name))
+            problems += [f"laufer residual {r} for {name!r} at vertex {vid}"
+                         for vid, r in residuals.items() if r]
+    return problems
 
 
 @dataclass(frozen=True)
@@ -191,7 +331,7 @@ def solve_multiplicities(graph: DualGraph, arrows, strict: bool = True) -> Divis
     a non-integral solution is an error.
     """
     if isinstance(arrows, str):
-        pairs = [(a.vertex, a.multiplicity) for a in graph.arrows if a.name == arrows]
+        pairs = graph.arrow_pairs(arrows)
         if not pairs:
             raise InputError(f"graph has no arrows named {arrows!r}")
     else:
@@ -281,12 +421,57 @@ def resolve_pencil(graph: DualGraph, div_a: Divisor, div_b: Divisor, vertex,
         g.add_vertex(new, -1)
         g.add_edge(new, current)
         if ma < mb:
-            ma, mb = ma + 1, mb
+            ma += 1
         else:
-            ma, mb = ma, mb + 1
+            mb += 1
         current = new
         steps.append(PencilStep(current, (ma, mb)))
     return g, steps
+
+
+# -- graph-level blow-ups of towers (no branch series involved) ---------------
+
+def blow_up_edge(tree: DualTree, a: int, b: int) -> tuple[DualTree, int]:
+    """Blow up the intersection point of two exceptional curves."""
+    if b not in tree.neighbors(a):
+        raise InputError(f"no edge between {a} and {b}")
+    out = tree.copy()
+    new = _fresh_id(out)
+    out.blow_up(new, (a, b))
+    return out, new
+
+
+def blow_up_arrow(tree: DualTree, arrow_index: int) -> tuple[DualTree, int]:
+    """Blow up the point where an arrow (a strict transform) meets its curve;
+    the arrow moves to the new exceptional curve."""
+    out = tree.copy()
+    arrow = out.arrows[arrow_index]
+    new = _fresh_id(out)
+    out.blow_up(new, (arrow.vertex,), {arrow.name: arrow.multiplicity})
+    out.arrows[arrow_index] = replace(arrow, vertex=new)
+    return out, new
+
+
+def blow_all_double_points(tree: DualTree, name: str = CURVE_FUNCTION) -> DualTree:
+    """Blow up every intersection point of the named function's total
+    transform: all edges plus the points where its arrows meet their
+    curves.  Decorative arrows of other functions are left alone."""
+    out = tree.copy()
+    for a, b in sorted(tree.edges):
+        out, _ = blow_up_edge(out, a, b)
+    for i, arrow in enumerate(tree.arrows):
+        if arrow.name == name:
+            out, _ = blow_up_arrow(out, i)
+    return out
+
+
+def extend_arrow_chain(tree: DualTree, arrow_index: int, steps: int) -> DualTree:
+    """Blow up an arrow's attachment point repeatedly (a chain of free
+    points following the strict transform)."""
+    out = tree
+    for _ in range(steps):
+        out, _ = blow_up_arrow(out, arrow_index)
+    return out
 
 
 # -- Laufer double cover ------------------------------------------------------
@@ -341,50 +526,40 @@ def laufer_double_cover(tree: DualTree, name: str = CURVE_FUNCTION) -> DualGraph
                 f"{parity} adjacency at {kind} {ref}; not in the combinatorial "
                 "case of the double cover construction")
 
-    graph = DualGraph()
+    graph = tower_to_graph(tree)
+    graph.arrows = [a for a in graph.arrows if a.name == name]
     other_names = [n for n in tree.function_names() if n != name]
-    for v in tree.vertices:
+    for v in graph.vertices.values():
         m = v.multiplicities.get(name, 0)
         if m % 2 == 1:
             if v.self_intersection % 2 != 0:
                 raise DomainError(
                     f"odd self-intersection {v.self_intersection} at branch "
-                    f"vertex {v.index} cannot be halved")
-            self_int = v.self_intersection // 2
-            mult = m
-            genus = 0
-            scale = {n: 2 for n in other_names}
+                    f"vertex {v.id} cannot be halved")
+            v.self_intersection //= 2
+            scale = 2
         else:
             branch_points = sum(
-                1 for w in tree.adjacency(v.index)
+                1 for w in tree.neighbors(v.id)
                 if tree.vertices[w].multiplicities.get(name, 0) % 2 == 1)
-            branch_points += sum(1 for a in tree.arrows_at(v.index, name)
+            branch_points += sum(1 for a in tree.arrows_at(v.id, name)
                                  if a.multiplicity % 2 == 1)
             if branch_points == 0:
                 raise DomainError(
-                    f"even vertex {v.index} has no branch points; the cover "
+                    f"even vertex {v.id} has no branch points; the cover "
                     "splits over it")
             if branch_points % 2 == 1:
                 raise DomainError(
-                    f"odd branch point count {branch_points} at vertex {v.index}")
-            self_int = 2 * v.self_intersection
-            mult = m // 2
-            genus = branch_points // 2 - 1
-            scale = {n: 1 for n in other_names}
-        mults = {name: mult}
+                    f"odd branch point count {branch_points} at vertex {v.id}")
+            v.self_intersection *= 2
+            v.multiplicities[name] = m // 2
+            v.genus = branch_points // 2 - 1
+            scale = 1
         for n in other_names:
-            mults[n] = v.multiplicities.get(n, 0) * scale[n]
-        graph.add_vertex(v.index, self_int, genus=genus, rate=v.rate,
-                         multiplicities=mults)
-    for a, b in sorted(tree.edges):
-        graph.add_edge(a, b)
-    for arrow in tree.arrows:
-        if arrow.name == name:
-            graph.add_arrow(arrow.vertex, name, arrow.multiplicity, arrow.kind)
+            v.multiplicities[n] = v.multiplicities.get(n, 0) * scale
     # strict parts of the other functions are forced by the residuals
     for n in other_names:
-        coeffs = {v.index: graph.vertices[v.index].multiplicities[n]
-                  for v in tree.vertices}
+        coeffs = {vid: v.multiplicities[n] for vid, v in graph.vertices.items()}
         for vid, mult in strict_part_from_residuals(graph, coeffs):
             graph.add_arrow(vid, n, mult, "generic-linear" if n == GENERIC_LINEAR
                             else "function")
@@ -410,16 +585,14 @@ def blowdownable_vertices(graph: DualGraph) -> list:
 
 
 def tower_to_graph(tree: DualTree, flags: Optional[dict] = None) -> DualGraph:
-    """View a blow-up tower as a decorated resolution graph."""
+    """The tower as a resolution graph with dict storage, edges sorted and
+    the given vertex flags added."""
     graph = DualGraph()
-    flags = flags or {}
     for v in tree.vertices:
-        graph.add_vertex(v.index, v.self_intersection, genus=0, rate=v.rate,
-                         multiplicities=dict(v.multiplicities),
-                         flags=flags.get(v.index, ()))
+        graph.add_vertex(v.id, v.self_intersection, v.genus, v.rate,
+                         v.multiplicities, (flags or {}).get(v.id, ()),
+                         v.rate_vector)
     for a, b in sorted(tree.edges):
         graph.add_edge(a, b)
-    for arrow in tree.arrows:
-        graph.add_arrow(arrow.vertex, arrow.name, arrow.multiplicity,
-                        arrow.kind)
+    graph.arrows = list(tree.arrows)
     return graph

@@ -9,60 +9,28 @@ constants.  Points get blown up exactly while the total transform fails to
 be a normal crossings divisor with all branch arrows transversal at free
 points, so the event sequence is the minimal one.
 
-Every new exceptional curve receives:
-
-  * self-intersection -1, decrementing the curves through the center;
-  * an inner-rate vector: (1,1) at the origin, v + (1,0) at a free point of
-    the curve with vector v, and the componentwise sum v + v' at a satellite
-    point.  Vectors are deliberately kept unreduced; the satellite sum is
-    only correct on unreduced vectors.
-  * multiplicities of the tracked functions (the curve's own defining
-    function "f" and a generic linear form "h"): the sum over curves through
-    the center plus the local multiplicities of the branches through it.
-
-Graph-level blow-ups of double points and arrow points (no series needed)
-live here too; the double-cover pipeline builds on them.
+Each event is ``DualGraph.blow_up``, which sets the new curve's
+self-intersection, unreduced inner-rate vector and multiplicities.  The
+tracked functions are the curve's own defining function "f", whose strict
+transform through a center is the branches through it with their local
+multiplicities, and a generic linear form "h", whose strict transform
+passes through the origin only.  The graph-level blow-ups of double points
+and arrow points (no series needed) live in ``surfgraph``.
 """
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import DomainError, InputError, ResourceCapExceeded
-from .exactnum import eliminate
 from .series import (RatSeries, padd, pclean, pmul, pmul_trunc, pord, ppow_trunc,
                      pscale, ptrunc, series_fractional_power)
 from .strands import PuiseuxBranch, strands_of
+from .surfgraph import CURVE_FUNCTION, GENERIC_LINEAR, DualTree, verify_graph
 
 DEFAULT_EVENT_CAP = 512
-
-CURVE_FUNCTION = "f"
-GENERIC_LINEAR = "h"
-
-
-@dataclass(frozen=True)
-class Arrow:
-    vertex: int
-    name: str
-    multiplicity: int
-    kind: str = "function"
-    branch: Optional[int] = None
-
-
-@dataclass
-class TowerVertex:
-    index: int
-    self_intersection: int
-    rate_vector: tuple[int, int]
-    multiplicities: dict
-
-    @property
-    def rate(self) -> Fraction:
-        p, q = self.rate_vector
-        return Fraction(p, q)
 
 
 @dataclass(frozen=True)
@@ -70,74 +38,6 @@ class BlowupEvent:
     index: int
     center: tuple
     branches_through: tuple[tuple[int, int], ...]
-
-
-@dataclass
-class DualTree:
-    """Decorated dual tree of a composition of point blow-ups over the plane."""
-
-    vertices: list[TowerVertex] = field(default_factory=list)
-    edges: set = field(default_factory=set)
-    arrows: list[Arrow] = field(default_factory=list)
-    root: int = 0
-
-    def copy(self) -> "DualTree":
-        return copy.deepcopy(self)
-
-    def adjacency(self, v: int) -> list[int]:
-        out = []
-        for a, b in self.edges:
-            if a == v:
-                out.append(b)
-            elif b == v:
-                out.append(a)
-        return sorted(out)
-
-    def add_edge(self, a: int, b: int):
-        self.edges.add(tuple(sorted((a, b))))
-
-    def remove_edge(self, a: int, b: int):
-        self.edges.discard(tuple(sorted((a, b))))
-
-    def rates(self) -> list[Fraction]:
-        return [v.rate for v in self.vertices]
-
-    def function_names(self) -> list[str]:
-        names = set()
-        for v in self.vertices:
-            names.update(v.multiplicities)
-        return sorted(names)
-
-    def arrows_at(self, v: int, name: Optional[str] = None) -> list[Arrow]:
-        return [a for a in self.arrows
-                if a.vertex == v and (name is None or a.name == name)]
-
-    def intersection_matrix(self) -> list[list[int]]:
-        n = len(self.vertices)
-        m = [[0] * n for _ in range(n)]
-        for i, v in enumerate(self.vertices):
-            m[i][i] = v.self_intersection
-        for a, b in self.edges:
-            m[a][b] += 1
-            m[b][a] += 1
-        return m
-
-    def determinant(self) -> int:
-        return eliminate(self.intersection_matrix()).determinant
-
-    def laufer_residuals(self, name: str) -> list[int]:
-        """m_j*E_j^2 + sum of adjacent multiplicities + arrows of the
-        function at j; zero everywhere exactly for a total transform."""
-        out = []
-        for v in self.vertices:
-            m = v.multiplicities.get(name, 0)
-            acc = m * v.self_intersection
-            for w in self.adjacency(v.index):
-                acc += self.vertices[w].multiplicities.get(name, 0)
-            for a in self.arrows_at(v.index, name):
-                acc += a.multiplicity
-            out.append(acc)
-        return out
 
 
 @dataclass
@@ -158,11 +58,10 @@ class Resolution:
     state to synthesize curvettes of every exceptional curve afterwards."""
 
     def __init__(self, curve: Sequence[PuiseuxBranch], event_cap: int = DEFAULT_EVENT_CAP,
-                 track_generic: bool = True, record_determinants: bool = False):
+                 record_determinants: bool = False):
         strands_of(curve)  # validates branches and rejects duplicates
         self.curve = list(curve)
         self.event_cap = event_cap
-        self.track_generic = track_generic
         self.record_determinants = record_determinants
         self.prefix_determinants: list[int] = []
         self.tree = DualTree()
@@ -179,8 +78,7 @@ class Resolution:
         branches = {}
         for i, b in enumerate(self.curve):
             x, y = b.parametrization()
-            branches[i] = (RatSeries.from_poly({e: c for e, c in x.items()}),
-                           RatSeries.from_poly({e: c for e, c in y.items()}))
+            branches[i] = (RatSeries.make(x), RatSeries.make(y))
         origin = _Point(self._new_pid(), ("origin",), None, None,
                         branches, None, ("origin",))
         self._active[origin.pid] = origin
@@ -212,47 +110,20 @@ class Resolution:
             return True
         if p.key[0] == "sat" and p.dv is not None:
             return True  # branch sitting on a double point of the divisor
-        (bu, bv), = p.branches.values()
-        a = bu.ord()
-        b = bv.ord()
-        local = a if b is None else min(a, b)
-        if local >= 2:
+        (pair,) = p.branches.values()
+        if self._local_multiplicity(pair) >= 2:
             return True  # singular strict transform
-        return a >= 2  # smooth but tangent to the exceptional curve
+        return pair[0].ord() >= 2  # smooth but tangent to the exceptional curve
 
     def _blow_up(self, p: _Point):
         tree = self.tree
         new = len(tree.vertices)
         exceptional = [e for e in (p.du, p.dv) if e is not None]
-
-        if not exceptional:
-            vector = (1, 1)
-        elif len(exceptional) == 1:
-            pe, qe = tree.vertices[exceptional[0]].rate_vector
-            vector = (pe + 1, qe)
-        else:
-            (p1, q1) = tree.vertices[exceptional[0]].rate_vector
-            (p2, q2) = tree.vertices[exceptional[1]].rate_vector
-            vector = (p1 + p2, q1 + q2)
-
         through = tuple(sorted(
             (bid, self._local_multiplicity(pair)) for bid, pair in p.branches.items()))
-        mults = {}
-        names = {CURVE_FUNCTION} | ({GENERIC_LINEAR} if self.track_generic else set())
-        for name in names:
-            acc = sum(tree.vertices[e].multiplicities.get(name, 0) for e in exceptional)
-            if name == CURVE_FUNCTION:
-                acc += sum(m for _, m in through)
-            if name == GENERIC_LINEAR and p.key[0] == "origin":
-                acc += 1
-            mults[name] = acc
-
-        tree.vertices.append(TowerVertex(new, -1, vector, mults))
-        for e in exceptional:
-            tree.vertices[e].self_intersection -= 1
-            tree.add_edge(new, e)
-        if len(exceptional) == 2:
-            tree.remove_edge(*exceptional)
+        tree.blow_up(new, exceptional, {
+            CURVE_FUNCTION: sum(m for _, m in through),
+            GENERIC_LINEAR: int(p.key[0] == "origin")})
 
         if p.key[0] == "origin":
             center = ("origin",)
@@ -263,8 +134,8 @@ class Resolution:
             center = ("free", exceptional[0], tag)
         self.events.append(BlowupEvent(len(self.events), center, through))
 
-        if self.track_generic and p.key[0] == "origin":
-            tree.arrows.append(Arrow(new, GENERIC_LINEAR, 1, "generic-linear"))
+        if p.key[0] == "origin":
+            tree.add_arrow(new, GENERIC_LINEAR, 1, "generic-linear")
 
         self.creation_point[new] = p
         del self._active[p.pid]
@@ -311,8 +182,7 @@ class Resolution:
         for point in sorted(self._active.values(), key=lambda q: q.pid):
             for bid, (bu, bv) in sorted(point.branches.items()):
                 assert bu.ord() == 1 and point.du is not None
-                self.tree.arrows.append(
-                    Arrow(point.du, CURVE_FUNCTION, 1, "branch", branch=bid))
+                self.tree.add_arrow(point.du, CURVE_FUNCTION, 1, "branch", bid)
 
     # -- curvettes ----------------------------------------------------------
 
@@ -418,82 +288,11 @@ def resolve_curve(curve: Sequence[PuiseuxBranch], event_cap: int = DEFAULT_EVENT
     return res.events, res.tree
 
 
-# -- graph-level blow-ups (no branch series involved) -----------------------
-
-def blow_up_edge(tree: DualTree, a: int, b: int) -> tuple[DualTree, int]:
-    """Blow up the intersection point of two exceptional curves."""
-    if tuple(sorted((a, b))) not in tree.edges:
-        raise InputError(f"no edge between {a} and {b}")
-    out = tree.copy()
-    new = len(out.vertices)
-    va, vb = out.vertices[a], out.vertices[b]
-    vector = (va.rate_vector[0] + vb.rate_vector[0],
-              va.rate_vector[1] + vb.rate_vector[1])
-    mults = {name: va.multiplicities.get(name, 0) + vb.multiplicities.get(name, 0)
-             for name in set(va.multiplicities) | set(vb.multiplicities)}
-    out.vertices.append(TowerVertex(new, -1, vector, mults))
-    va.self_intersection -= 1
-    vb.self_intersection -= 1
-    out.remove_edge(a, b)
-    out.add_edge(new, a)
-    out.add_edge(new, b)
-    return out, new
-
-
-def blow_up_arrow(tree: DualTree, arrow_index: int) -> tuple[DualTree, int]:
-    """Blow up the point where an arrow (a strict transform) meets its curve;
-    the arrow moves to the new exceptional curve."""
-    out = tree.copy()
-    arrow = out.arrows[arrow_index]
-    host = out.vertices[arrow.vertex]
-    new = len(out.vertices)
-    vector = (host.rate_vector[0] + 1, host.rate_vector[1])
-    mults = dict(host.multiplicities)
-    if arrow.name in mults:
-        mults[arrow.name] = mults[arrow.name] + arrow.multiplicity
-    else:
-        mults[arrow.name] = arrow.multiplicity
-    out.vertices.append(TowerVertex(new, -1, vector, mults))
-    host.self_intersection -= 1
-    out.add_edge(new, arrow.vertex)
-    out.arrows[arrow_index] = Arrow(new, arrow.name, arrow.multiplicity,
-                                    arrow.kind, arrow.branch)
-    return out, new
-
-
-def blow_all_double_points(tree: DualTree, name: str = CURVE_FUNCTION) -> DualTree:
-    """Blow up every intersection point of the named function's total
-    transform: all edges plus the points where its arrows meet their
-    curves.  Decorative arrows of other functions are left alone."""
-    out = tree.copy()
-    for a, b in sorted(tree.edges):
-        out, _ = blow_up_edge(out, a, b)
-    for i, arrow in enumerate(tree.arrows):
-        if arrow.name == name:
-            out, _ = blow_up_arrow(out, i)
-    return out
-
-
-def extend_arrow_chain(tree: DualTree, arrow_index: int, steps: int) -> DualTree:
-    """Blow up an arrow's attachment point repeatedly (a chain of free
-    points following the strict transform)."""
-    out = tree
-    for _ in range(steps):
-        out, _ = blow_up_arrow(out, arrow_index)
-    return out
-
-
 def branch_contact(tree: DualTree, first: int, second: int) -> Fraction:
     """Contact exponent of two resolved branches read off the tree: the
     rate of the deepest vertex common to the root paths of their arrows."""
     parent = {tree.root: None}
-    queue = [tree.root]
-    while queue:
-        x = queue.pop(0)
-        for w in tree.adjacency(x):
-            if w not in parent:
-                parent[w] = x
-                queue.append(w)
+    parent.update((w, v) for v, w in _edges_from_root(tree))
 
     def path(branch):
         arrows = [a for a in tree.arrows if a.branch == branch]
@@ -510,48 +309,45 @@ def branch_contact(tree: DualTree, first: int, second: int) -> Fraction:
     return max(tree.vertices[v].rate for v in common)
 
 
+def _edges_from_root(tree: DualTree):
+    """(parent, child) for every vertex reachable from the root, depth
+    first with neighbours in sorted order."""
+    seen = {tree.root}
+    stack = [tree.root] if tree.vertices else []
+    while stack:
+        v = stack.pop()
+        for w in sorted(tree.neighbors(v)):
+            if w not in seen:
+                seen.add(w)
+                yield v, w
+                stack.append(w)
+
+
 @dataclass(frozen=True)
 class TowerReport:
-    laufer: dict
-    determinant: int
-    monotone_violations: tuple
-    root_rate_ok: bool
+    lines: tuple
 
     @property
     def ok(self) -> bool:
-        return (all(all(r == 0 for r in rs) for rs in self.laufer.values())
-                and abs(self.determinant) == 1
-                and not self.monotone_violations
-                and self.root_rate_ok)
+        return not self.lines
 
     def problems(self) -> list[str]:
-        out = []
-        for name, rs in sorted(self.laufer.items()):
-            for i, r in enumerate(rs):
-                if r != 0:
-                    out.append(f"laufer residual {r} for {name!r} at vertex {i}")
-        if abs(self.determinant) != 1:
-            out.append(f"intersection determinant {self.determinant} not +-1")
-        for a, b in self.monotone_violations:
-            out.append(f"rate not increasing from vertex {a} to {b}")
-        if not self.root_rate_ok:
-            out.append("root rate differs from 1")
-        return out
+        return list(self.lines)
 
 
 def verify_tower(tree: DualTree) -> TowerReport:
-    laufer = {name: tree.laufer_residuals(name) for name in tree.function_names()}
-    det = tree.determinant() if tree.vertices else 0
-    violations = []
-    seen = {tree.root}
-    queue = [tree.root]
-    while queue:
-        v = queue.pop()
-        for w in tree.adjacency(v):
-            if w not in seen:
-                seen.add(w)
-                if tree.vertices[w].rate <= tree.vertices[v].rate:
-                    violations.append((v, w))
-                queue.append(w)
-    root_ok = bool(tree.vertices) and tree.vertices[tree.root].rate == 1
-    return TowerReport(laufer, det, tuple(violations), root_ok)
+    """The checks of every resolution graph (``surfgraph.verify_graph``)
+    plus the tower's own: a connected tree with determinant +-1 whose
+    rates increase away from a root of rate 1."""
+    problems = verify_graph(tree)
+    if not tree.is_connected() or len(tree.edges) != len(tree.vertices) - 1:
+        problems.append("not a connected tree")
+    det = tree.determinant()
+    if abs(det) != 1:
+        problems.append(f"intersection determinant {det} not +-1")
+    problems += [f"rate not increasing from vertex {v} to {w}"
+                 for v, w in _edges_from_root(tree)
+                 if tree.vertices[w].rate <= tree.vertices[v].rate]
+    if not tree.vertices or tree.vertices[tree.root].rate != 1:
+        problems.append("root rate differs from 1")
+    return TowerReport(tuple(problems))

@@ -9,9 +9,9 @@ from pathlib import Path
 import pytest
 
 from helpers import parse_dot
-from singlip import jsonio
+from singlip import jsonio, resolve_curve
 from singlip.cli import main
-from singlip.fixtures import fixture_names
+from singlip.fixtures import curve_cusp_53, fixture_names, load_fixture
 
 
 def run_cli(*argv):
@@ -231,3 +231,121 @@ def test_declared_denominator_checked(tmp_path):
     p.write_text(json.dumps(doc))
     code, _, err = run_cli("curve", "contacts", str(p))
     assert code == 2 and "denominator" in err
+
+
+def _tower_json():
+    events, tree = resolve_curve(curve_cusp_53())
+    return jsonio.tower_to_json(tree, events)
+
+
+def _malformed(shape):
+    """Malformed documents that once escaped as tracebacks, as (argv, doc)."""
+    tower = _tower_json()
+    graph = jsonio.graph_to_json(load_fixture("e8"))
+    curve = jsonio.curve_to_json(curve_cusp_53())
+    if shape == "tower-no-rate-vector":
+        del tower["vertices"][-1]["rate_vector"]
+    elif shape == "tower-edge-to-missing-vertex":
+        tower["edges"].append([0, len(tower["vertices"]) + 5])
+    elif shape == "tower-id-not-position":
+        tower["vertices"][1]["id"] = 7
+    elif shape == "tower-arrow-to-missing-vertex":
+        tower["arrows"][0]["vertex"] = 99
+    elif shape == "tower-bad-rate-vector":
+        tower["vertices"][0]["rate_vector"] = [1, "x"]
+    elif shape == "graph-vertices-string":
+        graph["vertices"] = "E1"
+    elif shape == "graph-edges-number":
+        graph["edges"] = 5
+    elif shape == "graph-arrows-object":
+        graph["arrows"] = {"vertex": "E1"}
+    elif shape == "graph-vertex-not-object":
+        graph["vertices"][0] = ["E1", -2]
+    elif shape == "graph-multiplicities-list":
+        graph["vertices"][0]["multiplicities"] = [1, 2]
+    elif shape == "graph-rate-not-a-number":
+        graph["vertices"][0]["rate"] = "x"
+    elif shape == "graph-rate-zero-denominator":
+        graph["vertices"][0]["rate"] = {"num": 1, "den": 0}
+    elif shape == "curve-exp-zero-denominator":
+        curve["branches"][0]["terms"][0]["exp"] = "1/0"
+    if shape.startswith("tower"):
+        return ("verify",), tower
+    if shape.startswith("graph"):
+        return ("graph", "thickthin"), graph
+    return ("curve", "contacts"), curve
+
+
+@pytest.mark.parametrize("shape", [
+    "tower-no-rate-vector", "tower-edge-to-missing-vertex",
+    "tower-id-not-position", "tower-arrow-to-missing-vertex",
+    "tower-bad-rate-vector", "graph-vertices-string", "graph-edges-number",
+    "graph-arrows-object", "graph-vertex-not-object",
+    "graph-multiplicities-list", "graph-rate-not-a-number",
+    "graph-rate-zero-denominator", "curve-exp-zero-denominator"])
+def test_malformed_document_exit_2(tmp_path, shape):
+    argv, doc = _malformed(shape)
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(doc))
+    code, out, err = run_cli(*argv, str(p))
+    assert code == 2 and out == ""
+    assert err.splitlines() == [err.strip()] and err.startswith("input error:")
+
+
+def test_verify_rejects_a_tower_with_a_cycle(tmp_path):
+    doc = _tower_json()
+    doc["edges"].append([0, 1])
+    p = tmp_path / "tower.json"
+    p.write_text(json.dumps(doc))
+    code, out, _ = run_cli("verify", str(p))
+    assert code == 1
+    assert "not a connected tree" in out.splitlines()
+
+
+def test_verify_reports_a_missing_multiplicity(paths, tmp_path):
+    tower = _tower_json()
+    del tower["vertices"][0]["multiplicities"]["f"]
+    graph = json.loads(io.open(paths["e8"]).read())
+    del graph["vertices"][0]["multiplicities"]["h"]
+    for doc, name in ((tower, "f"), (graph, "h")):
+        p = tmp_path / "doc.json"
+        p.write_text(json.dumps(doc))
+        code, out, _ = run_cli("verify", str(p))
+        assert code == 1
+        assert (f"no multiplicity for '{name}' at vertex "
+                f"{doc['vertices'][0]['id']}") in out.splitlines()
+
+
+def test_unknown_field_prints_one_warning(paths, tmp_path):
+    doc = json.loads(io.open(paths["cusp-53"]).read())
+    doc["branches"][0]["extra"] = 1
+    p = tmp_path / "extra.json"
+    p.write_text(json.dumps(doc))
+    for argv in (("curve", "contacts"), ("verify",)):
+        code, _, err = run_cli(*argv, str(p))
+        assert code == 0
+        assert err.splitlines() == [
+            "warning: unknown fields ['extra'] in branches[0]"]
+        code, out, err = run_cli("--strict", *argv, str(p))
+        assert code == 2 and out == ""
+        assert err.splitlines() == [err.strip()]
+    graph = json.loads(io.open(paths["e8"]).read())
+    graph["arrows"][0]["colour"] = "red"
+    p.write_text(json.dumps(graph))
+    code, _, err = run_cli("graph", "mult", "--arrow", "h", str(p))
+    assert code == 0
+    assert err.splitlines() == [
+        "warning: unknown fields ['colour'] in arrows[0]"]
+
+
+def test_round_tripped_documents_give_no_warning(paths, tmp_path):
+    tower = tmp_path / "tower.json"
+    tower.write_text(jsonio.dumps(_tower_json()))
+    for name, path in [*paths.items(), ("tower", str(tower))]:
+        code, _, err = run_cli("verify", path)
+        assert code == 0 and err == "", name
+    for name in ("carrousel-example", "cusp-53"):
+        code, _, err = run_cli("curve", "contacts", paths[name])
+        assert code == 0 and err == "", name
+    code, _, err = run_cli("graph", "mult", "--arrow", "h", paths["e8"])
+    assert code == 0 and err == ""

@@ -5,7 +5,8 @@ import pytest
 
 from helpers import fraction_det
 from singlip import fixtures, resolve_curve, solve_multiplicities, tower_to_graph
-from singlip.exactnum import eliminate
+from singlip.errors import InputError
+from singlip.exactnum import as_rational, eliminate
 from singlip.surfgraph import DualGraph
 
 
@@ -125,3 +126,13 @@ def test_fixture_intersection_matrices(name):
         expected = dict(zip(ids, _cramer(m, rhs)))
         assert solve_multiplicities(graph, arrow, strict=False).coefficients \
             == expected, (name, arrow)
+
+
+def test_as_rational_accepts_and_rejects():
+    assert as_rational("3/2") == F(3, 2)
+    assert as_rational({"num": -4, "den": 6}) == F(-2, 3)
+    assert as_rational(5) == 5
+    for bad in ("1/0", "x", {"num": 1, "den": 0}, {"num": 1.5, "den": 2},
+                {"num": 1}, 0.5, None, [1, 2]):
+        with pytest.raises(InputError):
+            as_rational(bad)

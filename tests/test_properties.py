@@ -47,8 +47,8 @@ def test_rate_vectors_equal_curvette_contacts_200():
         curve = random_curve(rng, max_branches=2, max_den=6)
         res = Resolution(curve)
         for v in res.tree.vertices:
-            g1, g2 = res.curvette_pair(v.index)
-            assert coincidence_exponent(g1, g2) == v.rate, (curve, v.index)
+            g1, g2 = res.curvette_pair(v.id)
+            assert coincidence_exponent(g1, g2) == v.rate, (curve, v.id)
             checked += 1
         cases += 1
     assert checked >= 200

@@ -8,8 +8,7 @@ from singlip import (Divisor, DualGraph, PuiseuxBranch, has_base_point,
                      tower_to_graph, verify_tower)
 from singlip.errors import DomainError
 from singlip.fixtures import curve_cusp_53, graph_e8
-from singlip.surfgraph import strict_part_from_residuals
-from singlip.tower import Arrow, DualTree, TowerVertex
+from singlip.surfgraph import DualTree, strict_part_from_residuals
 
 
 E8_IDS = [f"E{i}" for i in range(1, 9)]
@@ -222,15 +221,15 @@ def test_double_cover_two_lines_gives_a1():
 
 def test_double_cover_rejects_split_cover():
     tree = DualTree()
-    tree.vertices.append(TowerVertex(0, -1, (1, 1), {"f": 2}))
+    tree.add_vertex(0, -1, rate_vector=(1, 1), multiplicities={"f": 2})
     with pytest.raises(DomainError):
         laufer_double_cover(tree)
 
 
 def test_double_cover_rejects_odd_selfint_halving():
     tree = DualTree()
-    tree.vertices.append(TowerVertex(0, -3, (1, 1), {"f": 3}))
-    tree.arrows.append(Arrow(0, "f", 1, "branch", 0))
+    tree.add_vertex(0, -3, rate_vector=(1, 1), multiplicities={"f": 3})
+    tree.add_arrow(0, "f", 1, "branch", 0)
     with pytest.raises(DomainError):
         laufer_double_cover(tree)
 
@@ -256,8 +255,8 @@ def test_resolve_pencil_cap():
 
 def test_double_cover_rejects_odd_branch_point_count():
     tree = DualTree()
-    tree.vertices.append(TowerVertex(0, -1, (1, 1), {"f": 2}))
-    tree.vertices.append(TowerVertex(1, -2, (2, 1), {"f": 1}))
+    tree.add_vertex(0, -1, rate_vector=(1, 1), multiplicities={"f": 2})
+    tree.add_vertex(1, -2, rate_vector=(2, 1), multiplicities={"f": 1})
     tree.add_edge(0, 1)
     with pytest.raises(DomainError):
         laufer_double_cover(tree)

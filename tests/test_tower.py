@@ -5,12 +5,12 @@ import pytest
 
 from helpers import random_curve
 from singlip import (PuiseuxBranch, Resolution, blow_all_double_points,
-                     coincidence_exponent, extend_arrow_chain, resolve_curve,
-                     verify_tower)
+                     coincidence_exponent, extend_arrow_chain,
+                     laufer_parity_prepare, resolve_curve, verify_tower)
 from singlip.errors import InputError, ResourceCapExceeded
 from singlip.fixtures import (curve_32_74, curve_carrousel_example,
                               curve_cusp_53)
-from singlip.tower import Arrow, DualTree, TowerVertex
+from singlip.surfgraph import DualTree
 
 
 def branch(*terms):
@@ -22,7 +22,7 @@ def test_cusp_53_tower_matches_figure():
     assert len(events) == 4
     assert [v.self_intersection for v in tree.vertices] == [-3, -3, -2, -1]
     assert [v.rate for v in tree.vertices] == [1, 2, F(3, 2), F(5, 3)]
-    assert tree.edges == {(0, 2), (1, 3), (2, 3)}
+    assert sorted(tree.edges) == [(0, 2), (1, 3), (2, 3)]
     (arrow,) = [a for a in tree.arrows if a.kind == "branch"]
     assert arrow.vertex == 3
     assert events[0].center == ("origin",)
@@ -99,16 +99,15 @@ def test_verify_flags_printed_figure_inconsistency():
     selfints = [-2, -3, -2, -1]  # -2 at the first leaf instead of -3
     vectors = [(1, 1), (2, 1), (3, 2), (5, 3)]
     for i in range(4):
-        tree.vertices.append(TowerVertex(i, selfints[i], vectors[i],
-                                         {"f": mults[i]}))
+        tree.add_vertex(i, selfints[i], rate_vector=vectors[i],
+                        multiplicities={"f": mults[i]})
     tree.add_edge(0, 2)
     tree.add_edge(2, 3)
     tree.add_edge(1, 3)
-    tree.arrows.append(Arrow(3, "f", 1, "branch", 0))
+    tree.add_arrow(3, "f", 1, "branch", 0)
     report = verify_tower(tree)
     assert not report.ok
-    assert report.laufer["f"][0] == 3
-    assert any("vertex 0" in p for p in report.problems())
+    assert "laufer residual 3 for 'f' at vertex 0" in report.problems()
 
 
 def test_event_cap():
@@ -125,7 +124,7 @@ def test_curvette_oracle_fixture_curves():
     for curve in (curve_cusp_53(), curve_32_74(), curve_carrousel_example()):
         res = Resolution(curve)
         for v in res.tree.vertices:
-            g1, g2 = res.curvette_pair(v.index)
+            g1, g2 = res.curvette_pair(v.id)
             assert coincidence_exponent(g1, g2) == v.rate
 
 
@@ -147,9 +146,54 @@ def test_coefficient_rescaling_gives_isomorphic_tree():
              for e, c in b.terms]) for b in curve]
         _, t1 = resolve_curve(curve)
         _, t2 = resolve_curve(scaled)
-        assert t1.edges == t2.edges
+        assert sorted(t1.edges) == sorted(t2.edges)
         assert [v.rate for v in t1.vertices] == [v.rate for v in t2.vertices]
         assert ([v.self_intersection for v in t1.vertices]
                 == [v.self_intersection for v in t2.vertices])
         assert ([v.multiplicities for v in t1.vertices]
                 == [v.multiplicities for v in t2.vertices])
+
+
+def _edge_neighbours(graph, v):
+    return sorted([b for a, b in graph.edges if a == v]
+                  + [a for a, b in graph.edges if b == v])
+
+
+def test_adjacency_lists_follow_edges():
+    # blow-ups add and remove edges; the adjacency lists must follow, and
+    # tower edges stay normalised with the smaller id first
+    rng = random.Random(7)
+    for _ in range(20):
+        _, tree = resolve_curve(random_curve(rng))
+        for t in (tree, laufer_parity_prepare(tree), blow_all_double_points(tree)):
+            assert t.ids() == list(range(len(t.vertices)))
+            assert all(a < b for a, b in t.edges)
+            for v in t.ids():
+                assert sorted(t.neighbors(v)) == _edge_neighbours(t, v)
+                assert t.valence(v) == len(_edge_neighbours(t, v))
+
+
+def test_tower_building_is_checked():
+    tree = DualTree()
+    with pytest.raises(InputError):
+        tree.add_vertex(1, -1, rate_vector=(1, 1))  # id is not its position
+    tree.add_vertex(0, -1, rate_vector=(1, 1))
+    for bad in ((1, 1, 1), (1, 0), ("1", 1), (1.0, 1)):
+        with pytest.raises(InputError):
+            tree.add_vertex(1, -1, rate_vector=bad)
+    tree.add_vertex(1, -2, rate_vector=(2, 1))
+    assert tree.vertices[1].rate == 2
+    for a, b in ((0, 2), (-1, 0), ("0", 1)):
+        with pytest.raises(InputError):
+            tree.add_edge(a, b)
+    with pytest.raises(InputError):
+        tree.add_arrow(5, "f")
+    tree.add_edge(0, 1)
+    assert tree.neighbors(0) == [1] and tree.neighbors(1) == [0]
+
+
+def test_verify_reports_a_cycle():
+    _, tree = resolve_curve(curve_cusp_53())
+    tree.add_edge(0, 1)
+    problems = verify_tower(tree).problems()
+    assert "not a connected tree" in problems
