@@ -47,19 +47,23 @@ def _load_graph(path: str, strict: bool):
     return _parse(jsonio.parse_graph, jsonio.load_document(_read(path)), strict)
 
 
+def _positive_int(raw: str, what: str) -> int:
+    """Anything but a positive integer is malformed input."""
+    try:
+        value = int(raw)
+    except ValueError:
+        raise InputError(f"{what} {raw!r} is not an integer") from None
+    if value < 1:
+        raise InputError(f"{what} {value} is below 1")
+    return value
+
+
 def _event_cap(args) -> int:
-    """--event-cap, else $SINGLIP_EVENT_CAP, else the default; anything but
-    a positive integer is malformed input."""
+    """--event-cap, else $SINGLIP_EVENT_CAP, else the default."""
     raw = args.event_cap
     if raw is None:
         raw = os.environ.get(EVENT_CAP_ENV) or str(tower.DEFAULT_EVENT_CAP)
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise InputError(f"event cap {raw!r} is not an integer") from None
-    if cap < 1:
-        raise InputError(f"event cap {cap} is below 1")
-    return cap
+    return _positive_int(raw, "event cap")
 
 
 def _emit(args, json_doc, text_lines, dot_text=None) -> None:
@@ -181,8 +185,8 @@ def cmd_graph_pencil(args) -> int:
     graph = _load_graph(args.input, args.strict)
     gens = []
     for entry in args.gen:
-        name, _, power = entry.partition(":")
-        power = int(power) if power else 1
+        name, _, raw = entry.partition(":")
+        power = _positive_int(raw or "1", f"--gen {name} power")
         base = surfgraph.solve_multiplicities(graph, name)
         gens.append(surfgraph.Divisor(
             {k: power * v for k, v in base.coefficients.items()},
@@ -280,8 +284,8 @@ def cmd_verify(args) -> int:
         problems = surfgraph.verify_graph(
             _parse(jsonio.parse_graph, doc, args.strict))
     elif fmt == jsonio.TOWER_FORMAT:
-        report = tower.verify_tower(jsonio.parse_tower(doc))
-        problems = report.problems()
+        problems = tower.verify_tower(
+            _parse(jsonio.parse_tower, doc, args.strict)).problems()
     else:
         raise InputError(f"cannot verify documents of format {fmt!r}")
     for p in problems:

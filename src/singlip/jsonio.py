@@ -9,6 +9,8 @@ otherwise they are collected as warnings.
 from __future__ import annotations
 
 import json
+import sys
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from .errors import InputError
@@ -175,14 +177,21 @@ def tower_to_json(tree: DualTree, events: Optional[list[BlowupEvent]] = None) ->
     return out
 
 
-def parse_tower(doc: dict) -> DualTree:
+def parse_tower(doc: dict, strict: bool = False,
+                warnings: Optional[list] = None) -> DualTree:
     """Vertex ids must be 0..n-1 in order and every vertex needs its
-    rate_vector; the rate is read off it, so a stored "rate" is ignored."""
+    rate_vector; the rate is read off it, so a stored "rate" is ignored,
+    and so are the "events"."""
+    warnings = warnings if warnings is not None else []
     _check_format(doc, TOWER_FORMAT)
+    _check_fields(doc, {"format", "vertices", "edges", "arrows", "events"},
+                  "tower document", strict, warnings)
     tree = DualTree()
     for i, v in enumerate(_list(doc, "vertices")):
         where = f"vertices[{i}]"
-        _object(v, where)
+        _check_fields(_object(v, where), {"id", "self_intersection", "rate",
+                                          "rate_vector", "multiplicities"},
+                      where, strict, warnings)
         try:
             tree.add_vertex(v["id"], v["self_intersection"],
                             rate_vector=v["rate_vector"],
@@ -190,11 +199,108 @@ def parse_tower(doc: dict) -> DualTree:
                                                    f"{where}.multiplicities"))
         except KeyError as exc:
             raise InputError(f"{where} missing {exc}") from None
-    _add_edges_and_arrows(tree, doc, False, [])
+    _add_edges_and_arrows(tree, doc, strict, warnings)
     if not tree.vertices:
         raise InputError("tower document has no vertices")
     return tree
 
 
 def dumps(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(doc, indent=2, sort_keys=True)`` plus a newline."""
+    if sys.version_info >= (3, 13):
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return _emit_json(doc)
+
+
+# The memo finds a container by its items under ==, where True == 1 == 1.0
+# and Fraction(2) == 2 although they render differently (or not at all), so
+# only containers whose keys and values have exactly these types are kept.
+# A dict's items are (key, value) tuples, never such a value, so a dict and
+# a list never share an entry.
+_FLAT = frozenset((str, int, type(None)))
+
+
+def _scalar(o) -> Optional[str]:
+    """The JSON text of a scalar, as ``json`` writes it, else None."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return json.dumps(o)
+    return None
+
+
+def _key(k) -> str:
+    s = _scalar(k)
+    if s is None:
+        raise TypeError(f"keys must be str, int, float, bool or None, "
+                        f"not {k.__class__.__name__}")
+    return s if isinstance(k, str) else '"' + s + '"'
+
+
+def _emit_json(doc) -> str:
+    """Byte-identical to ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``.
+
+    Below Python 3.13 any ``indent`` sends ``json`` to its pure-Python
+    generator encoder, which costs more than computing the reports.  This
+    writes into one list and renders each container of scalars (a contact
+    matrix repeats thousands of ``{"den": q, "num": p}``) once per
+    indentation.  Delete it once requires-python reaches 3.13, whose C
+    encoder handles ``indent`` and is faster still.
+    """
+    out: list[str] = []
+    append = out.append
+    memo: dict = {}
+
+    def emit(o, pad: str):
+        if isinstance(o, dict):
+            if not o:
+                return append("{}")
+            inner = pad + "  "
+            if {*map(type, o), *map(type, o.values())} <= _FLAT:
+                key = (pad, tuple(o.items()))
+                s = memo.get(key)
+                if s is None:
+                    s = memo[key] = "{" + inner + ("," + inner).join(
+                        _key(k) + ": " + _scalar(v)
+                        for k, v in sorted(o.items())) + pad + "}"
+                return append(s)
+            sep = "{" + inner
+            for k, v in sorted(o.items()):
+                append(sep + _key(k) + ": ")
+                emit(v, inner)
+                sep = "," + inner
+            return append(pad + "}")
+        if isinstance(o, (list, tuple)):
+            if not o:
+                return append("[]")
+            inner = pad + "  "
+            if set(map(type, o)) <= _FLAT:
+                key = (pad, tuple(o))
+                s = memo.get(key)
+                if s is None:
+                    s = memo[key] = ("[" + inner + ("," + inner).join(
+                        map(_scalar, o)) + pad + "]")
+                return append(s)
+            sep = "[" + inner
+            for v in o:
+                append(sep)
+                emit(v, inner)
+                sep = "," + inner
+            return append(pad + "]")
+        s = _scalar(o)
+        if s is None:
+            raise TypeError(f"Object of type {o.__class__.__name__} "
+                            f"is not JSON serializable")
+        append(s)
+
+    emit(doc, "\n")
+    append("\n")
+    return "".join(out)

@@ -99,6 +99,14 @@ def test_graph_pencil(paths):
     assert "E8(-3), E9(-2), E10(-1)" in out
 
 
+@pytest.mark.parametrize("gen", ["x:abc", "x:0", "x:-2", "x:1.5"])
+def test_malformed_pencil_power_exit_2(paths, gen):
+    code, out, err = run_cli("graph", "pencil", "--gen", gen, "--gen", "y",
+                             paths["e8"])
+    assert code == 2 and out == ""
+    assert err.splitlines() == [err.strip()] and err.startswith("input error:")
+
+
 def test_graph_thickthin(paths):
     code, out, _ = run_cli("graph", "thickthin", paths["d4"])
     assert code == 0 and "metrically conical: true" in out
@@ -336,6 +344,25 @@ def test_unknown_field_prints_one_warning(paths, tmp_path):
     assert code == 0
     assert err.splitlines() == [
         "warning: unknown fields ['colour'] in arrows[0]"]
+
+
+def test_unknown_tower_fields_warn_or_fail_under_strict(tmp_path):
+    doc = _tower_json()
+    doc["extra"] = 1
+    doc["vertices"][0]["junk"] = 2
+    doc["arrows"][0]["zzz"] = 3
+    p = tmp_path / "tower.json"
+    p.write_text(json.dumps(doc))
+    code, out, err = run_cli("verify", str(p))
+    assert code == 0 and out == "ok\n"
+    assert err.splitlines() == [
+        "warning: unknown fields ['extra'] in tower document",
+        "warning: unknown fields ['junk'] in vertices[0]",
+        "warning: unknown fields ['zzz'] in arrows[0]"]
+    code, out, err = run_cli("--strict", "verify", str(p))
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        "input error: unknown fields ['extra'] in tower document"]
 
 
 def test_round_tripped_documents_give_no_warning(paths, tmp_path):

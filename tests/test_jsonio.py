@@ -1,0 +1,166 @@
+"""The hand-written emitter behind ``jsonio.dumps`` against ``json`` itself.
+
+These tests call ``_emit_json`` directly, so they also cover it on Python
+3.13+, where ``dumps`` uses ``json.dumps``.  They need no pytest: every
+test is a plain function, so another interpreter can run them with
+``python -c "import test_jsonio as t; t.test_fixture_documents()"``.
+"""
+
+from __future__ import annotations
+
+import json
+import random
+from fractions import Fraction
+
+from singlip import (amalgamate, build_carrousel_tree, build_decomposition,
+                     contact_matrix, csquare_decomposition, decorate, fixtures,
+                     inner_signature, leaf_contacts, outer_signature,
+                     reduce_to_eggers, resolve_curve, tower_to_graph)
+from singlip.decomp import MODES
+from singlip.errors import DomainError
+from singlip.jsonio import _emit_json, curve_to_json, graph_to_json, tower_to_json
+
+
+def reference(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def assert_same(doc):
+    assert _emit_json(doc) == reference(doc), doc
+
+
+def _graph_reports(g) -> list:
+    if any(v.rate is None for v in g.vertices.values()):
+        return [graph_to_json(g)]
+    builders = [lambda mode=mode: {"format": "singlip.decomposition/1",
+                                   **build_decomposition(g, mode).to_json()}
+                for mode in MODES]
+    builders += [lambda: inner_signature(g).to_json(),
+                 lambda: outer_signature(g).to_json()]
+    docs = [graph_to_json(g)]
+    for build in builders:
+        try:
+            docs.append(build())
+        except DomainError:  # refused, e.g. no nodes for this mode
+            pass
+    return docs
+
+
+def _curve_reports(curve) -> list:
+    matrix = contact_matrix(curve)
+    tree = build_carrousel_tree(matrix)
+    deco = decorate(tree)
+    events, tower = resolve_curve(curve)
+    pieces = csquare_decomposition(tower)
+    return [curve_to_json(curve),
+            {"format": "singlip.contacts/1", **matrix.to_json()},
+            {"format": "singlip.carrousel/1", **deco.to_json()},
+            reduce_to_eggers(deco).to_json(),
+            leaf_contacts(tree).to_json(),
+            tower_to_json(tower, events), tower_to_json(tower),
+            pieces.to_json(), amalgamate(pieces).to_json(),
+            *_graph_reports(tower_to_graph(tower))]
+
+
+def test_fixture_documents():
+    count = 0
+    for name in fixtures.fixture_names():
+        obj = fixtures.load_fixture(name)
+        docs = (_curve_reports(obj) if fixtures.fixture_kind(name) == "curve"
+                else _graph_reports(obj))
+        for doc in docs:
+            assert_same(doc)
+        count += len(docs)
+    assert count > 80
+
+
+def test_whole_report_of_every_fixture():
+    # one nested document, like the reports the benchmark writes: equal
+    # leaves at many depths share the memo
+    report = {name: (_curve_reports(obj) if fixtures.fixture_kind(name) == "curve"
+                     else _graph_reports(obj))
+              for name in fixtures.fixture_names()
+              for obj in [fixtures.load_fixture(name)]}
+    assert_same(report)
+
+
+_STRINGS = ["", "a", "num", "den", "inf", "é", "日本", " ", "\x00\x1f",
+            "tab\there", 'quote"back\\slash', "\U0001f600", "\x7f", "/"]
+
+
+def _scalar(rng: random.Random):
+    return rng.choice([
+        lambda: rng.randint(-3, 3),
+        lambda: rng.choice([10**40, -10**40, 2**63, -2**63 - 1]),
+        lambda: rng.choice([True, False, None]),
+        lambda: rng.choice(_STRINGS),
+        lambda: rng.choice([0.5, -0.0, 1.0, 1e300, float("inf"), float("nan")]),
+        lambda: {"num": rng.randint(-2, 2), "den": rng.randint(1, 3)},
+    ])()
+
+
+def _random_doc(rng: random.Random, depth: int):
+    if depth == 0 or rng.random() < 0.3:
+        return _scalar(rng)
+    size = rng.randint(0, 4)
+    kind = rng.random()
+    if kind < 0.4:
+        return [_random_doc(rng, depth - 1) for _ in range(size)]
+    if kind < 0.5:
+        return tuple(_random_doc(rng, depth - 1) for _ in range(size))
+    if kind < 0.6:
+        return {rng.randint(-5, 5): _random_doc(rng, depth - 1)
+                for _ in range(size)}
+    return {rng.choice(_STRINGS): _random_doc(rng, depth - 1)
+            for _ in range(size)}
+
+
+def test_random_nested_documents():
+    rng = random.Random(20201)
+    for _ in range(500):
+        assert_same(_random_doc(rng, rng.randint(1, 6)))
+
+
+def test_hand_cases():
+    for doc in [
+            {}, [], (), {"a": {}}, [[]], [{}], {"a": [], "b": {}, "c": ()},
+            [[[]], [{}], {"x": [[]]}],
+            (1, (2, 3), [4]), [(1, 2), [1, 2]],
+            # equal under == but rendered differently: the memo keeps them apart
+            [True, 1, 1.0, False, 0, 0.0, None],
+            [[True], [1], [1.0], [False], [0]],
+            {"a": [1, 2], "b": [True, 2], "c": [1.0, 2]},
+            [{"v": 1}, {"v": True}, {"v": 1.0}],
+            [{1: "x"}, {True: "x"}, {1.0: "x"}, {"1": "x"}],
+            [{None: 0}, {"null": 0}, {False: 0}, {0: 0}],
+            # one container at two depths
+            [[1, 2], [[1, 2]], {"k": [1, 2]}],
+            None, True, 0, -1, 10**100, -(10**100), "x", "éÿĀ",
+            "\x00\x01\x08\x0c\x1f\"\\\n\r\t", "\ud800", "\U0010ffff",
+            {"é": "日本", "\x00": "\n"}, {"b": 1, "a": 2, "B": 3, "": 4},
+            {2: "b", 10: "a", -1: "c"},
+            [float("nan"), float("-inf"), 1e-7, 123456789.125],
+    ]:
+        assert_same(doc)
+
+
+def _type_error(doc) -> str:
+    try:
+        _emit_json(doc)
+    except TypeError as exc:
+        return str(exc)
+    raise AssertionError(f"no TypeError for {doc!r}")
+
+
+def test_unsupported_types_raise_type_error():
+    for doc in [Fraction(1, 2), {"q": Fraction(1, 2)}, [Fraction(2)],
+                [[2], [Fraction(2)]], {"a": 2, "b": [Fraction(2)]},
+                {1, 2}, [frozenset()], {"s": {1}}, object(), b"bytes",
+                {(1, 2): 0}, {Fraction(1, 2): 0}, [{1: 0, "a": 0}]]:
+        message = _type_error(doc)
+        try:
+            reference(doc)
+        except TypeError as exc:
+            assert str(exc) == message
+        else:
+            raise AssertionError(f"json accepted {doc!r}")
