@@ -22,7 +22,6 @@ from .surfgraph import (Divisor, DualGraph, DualTree, blow_all_double_points,
                         has_base_point, laufer_double_cover,
                         laufer_parity_prepare, pencil_min, resolve_pencil,
                         solve_multiplicities, tower_to_graph, verify_graph)
-from .tower import (BlowupEvent, Resolution, branch_contact, resolve_curve,
-                    verify_tower)
+from .tower import BlowupEvent, branch_contact, resolve_curve, verify_tower
 
 __version__ = "0.1.0"

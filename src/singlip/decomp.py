@@ -395,8 +395,6 @@ def build_decomposition(graph: DualGraph, mode: str) -> Decomposition:
         if special:
             piece = Piece(pid, "A", (v.rate, v.rate), frozenset(support),
                           special=True, node=vid)
-        elif v.rate == 1:
-            piece = Piece(pid, "B", (Fraction(1),), frozenset(support), node=vid)
         else:
             piece = Piece(pid, "B", (v.rate,), frozenset(support), node=vid)
         d.add_piece(piece)

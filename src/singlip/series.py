@@ -45,36 +45,8 @@ def pmul(a: Poly, b: Poly) -> Poly:
     return pclean(out)
 
 
-def pmul_trunc(a: Poly, b: Poly, k: int) -> Poly:
-    out: Poly = {}
-    for ea, ca in a.items():
-        if ea >= k:
-            continue
-        for eb, cb in b.items():
-            e = ea + eb
-            if e < k:
-                out[e] = out.get(e, Fraction(0)) + ca * cb
-    return pclean(out)
-
-
-def ppow_trunc(a: Poly, d: int, k: int) -> Poly:
-    """a**d mod t^k by binary exponentiation."""
-    out = {0: Fraction(1)}
-    base = ptrunc(a, k)
-    while d:
-        if d & 1:
-            out = pmul_trunc(out, base, k)
-        base = pmul_trunc(base, base, k)
-        d >>= 1
-    return out
-
-
 def pord(a: Poly):
     return min(a) if a else None
-
-
-def ptrunc(a: Poly, k: int) -> Poly:
-    return {e: c for e, c in a.items() if e < k}
 
 
 def series_inverse(p: Poly, k: int) -> Poly:
@@ -91,25 +63,6 @@ def series_inverse(p: Poly, k: int) -> Poly:
         if acc:
             inv[j] = -acc / c0
     return pclean(inv)
-
-
-def series_fractional_power(p: Poly, alpha: Fraction, k: int) -> Poly:
-    """(1 + w)^alpha mod t^k for p = 1 + w with ord w >= 1 (binomial series)."""
-    if p.get(0) != 1:
-        raise DomainError("fractional power needs constant term 1")
-    w = ptrunc({e: c for e, c in p.items() if e != 0}, k)
-    out = {0: Fraction(1)}
-    term = {0: Fraction(1)}
-    binom = Fraction(1)
-    j = 0
-    while True:
-        j += 1
-        binom *= (alpha - (j - 1)) / j
-        term = pmul_trunc(term, w, k)
-        if not term:
-            break
-        out = padd(out, pscale(term, binom))
-    return pclean(out)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,13 @@ transform through a center is the branches through it with their local
 multiplicities, and a generic linear form "h", whose strict transform
 passes through the origin only.  The graph-level blow-ups of double points
 and arrow points (no series needed) live in ``surfgraph``.
+
+The event log records the whole tower: each center names the curves through
+the blown-up point (none at the origin, one at a free point, two at a
+satellite point), so replaying the events through ``DualGraph.blow_up``
+rebuilds the tree, and the centers also fix the chain of coordinate changes
+that leads to each point.  The tests read both off the log to check the
+tower against independent oracles.
 """
 
 from __future__ import annotations
@@ -24,9 +31,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import DomainError, InputError, ResourceCapExceeded
-from .series import (RatSeries, padd, pclean, pmul, pmul_trunc, pord, ppow_trunc,
-                     pscale, ptrunc, series_fractional_power)
+from .errors import InputError, ResourceCapExceeded
+from .series import RatSeries
 from .strands import PuiseuxBranch, strands_of
 from .surfgraph import CURVE_FUNCTION, GENERIC_LINEAR, DualTree, verify_graph
 
@@ -49,24 +55,18 @@ class _Point:
     du: Optional[int]  # exceptional curve cut out by the first coordinate
     dv: Optional[int]  # exceptional curve cut out by the second, if any
     branches: dict     # branch id -> (RatSeries, RatSeries)
-    parent: Optional["_Point"]
-    transition: tuple  # ("origin",) | ("c1", landing constant) | ("c2",)
 
 
 class Resolution:
-    """Runs the minimal embedded resolution of a curve and keeps enough
-    state to synthesize curvettes of every exceptional curve afterwards."""
+    """Runs the minimal embedded resolution of a curve; the results are
+    ``events``, the blow-up log, and ``tree``, the decorated dual tree."""
 
-    def __init__(self, curve: Sequence[PuiseuxBranch], event_cap: int = DEFAULT_EVENT_CAP,
-                 record_determinants: bool = False):
+    def __init__(self, curve: Sequence[PuiseuxBranch], event_cap: int = DEFAULT_EVENT_CAP):
         strands_of(curve)  # validates branches and rejects duplicates
         self.curve = list(curve)
         self.event_cap = event_cap
-        self.record_determinants = record_determinants
-        self.prefix_determinants: list[int] = []
         self.tree = DualTree()
         self.events: list[BlowupEvent] = []
-        self.creation_point: dict[int, _Point] = {}
         self._next_pid = 0
         self._active: dict[int, _Point] = {}
         self._seed()
@@ -79,8 +79,7 @@ class Resolution:
         for i, b in enumerate(self.curve):
             x, y = b.parametrization()
             branches[i] = (RatSeries.make(x), RatSeries.make(y))
-        origin = _Point(self._new_pid(), ("origin",), None, None,
-                        branches, None, ("origin",))
+        origin = _Point(self._new_pid(), ("origin",), None, None, branches)
         self._active[origin.pid] = origin
 
     def _new_pid(self) -> int:
@@ -99,8 +98,6 @@ class Resolution:
                 raise ResourceCapExceeded(
                     f"blow-up event cap {self.event_cap} exceeded")
             self._blow_up(self._active[targets[0]])
-            if self.record_determinants:
-                self.prefix_determinants.append(self.tree.determinant())
         self._attach_arrows()
 
     def _needs_blowup(self, p: _Point) -> bool:
@@ -137,7 +134,6 @@ class Resolution:
         if p.key[0] == "origin":
             tree.add_arrow(new, GENERIC_LINEAR, 1, "generic-linear")
 
-        self.creation_point[new] = p
         del self._active[p.pid]
         self._land_branches(p, new)
 
@@ -154,26 +150,20 @@ class Resolution:
             a = bu.ord()
             b = bv.ord()
             if b is not None and b < a:
-                key = ("sat", new, p.du)
-                frame = (new, p.du)
-                trans = ("c2",)
+                key, dv = ("sat", new, p.du), p.du
                 pair = (bv, bu.div(bv))
             else:
                 ratio = bv.div(bu)
                 c = ratio.coeff(0)
                 if c:
-                    key = ("free", new, c)
-                    frame = (new, None)
-                    trans = ("c1", c)
+                    key, dv = ("free", new, c), None
                     pair = (bu, ratio.sub_const(c))
                 else:
-                    key = ("sat", new, p.dv)
-                    frame = (new, p.dv)
-                    trans = ("c1", Fraction(0))
+                    key, dv = ("sat", new, p.dv), p.dv
                     pair = (bu, ratio)
             point = landings.get(key)
             if point is None:
-                point = _Point(self._new_pid(), key, frame[0], frame[1], {}, p, trans)
+                point = _Point(self._new_pid(), key, new, dv, {})
                 landings[key] = point
                 self._active[point.pid] = point
             point.branches[bid] = pair
@@ -183,102 +173,6 @@ class Resolution:
             for bid, (bu, bv) in sorted(point.branches.items()):
                 assert bu.ord() == 1 and point.du is not None
                 self.tree.add_arrow(point.du, CURVE_FUNCTION, 1, "branch", bid)
-
-    # -- curvettes ----------------------------------------------------------
-
-    def curvette_pair(self, vertex: int) -> tuple[PuiseuxBranch, PuiseuxBranch]:
-        """Two curvettes with distinct free landing constants, normalised to
-        a common x-coordinate scale so their contact is well defined."""
-        n, _ = self._curvette_shape(vertex)
-        c1, c2 = Fraction(2 ** n), Fraction(3 ** n)
-        k = self._curvette_precision(vertex)
-        a1, b1 = self._pushdown(vertex, c1)
-        a2, b2 = self._pushdown(vertex, c2)
-        kappa1 = a1[pord(a1)]
-        kappa2 = a2[pord(a2)]
-        rho = _nth_root(kappa2 / kappa1, n)
-        a2, b2 = _reparametrize(a2, rho), _reparametrize(b2, rho)
-        scale = 1 / kappa1
-        g1 = _puiseux_from_parametrization(pscale(a1, scale), b1, k)
-        g2 = _puiseux_from_parametrization(pscale(a2, scale), b2, k)
-        return g1, g2
-
-    def _pushdown(self, vertex: int, c: Fraction):
-        a, b = {1: Fraction(1)}, {1: Fraction(c)}
-        point = self.creation_point[vertex]
-        while point is not None:
-            t = point.transition
-            if t[0] == "c1":
-                b = pmul(a, padd(b, {0: t[1]}))
-            elif t[0] == "c2":
-                a, b = pmul(a, b), dict(a)
-            point = point.parent
-        return a, b
-
-    def _curvette_shape(self, vertex: int) -> tuple[int, Fraction]:
-        a, _ = self._pushdown(vertex, Fraction(1))
-        return pord(a), self.tree.vertices[vertex].rate
-
-    def _curvette_precision(self, vertex: int) -> int:
-        # the pair differs first at the vertex rate, so the series only
-        # needs to be exact slightly beyond t-order n*rate
-        n, rate = self._curvette_shape(vertex)
-        return (n * rate.numerator) // rate.denominator + 3
-
-
-def _int_nth_root(x: int, n: int) -> int:
-    if x < 2 or n == 1:
-        return x
-    guess = 1 << (-(-x.bit_length() // n))
-    while True:
-        nxt = ((n - 1) * guess + x // guess ** (n - 1)) // n
-        if nxt >= guess:
-            return guess
-        guess = nxt
-
-
-def _nth_root(r: Fraction, n: int) -> Fraction:
-    num = _int_nth_root(r.numerator, n)
-    den = _int_nth_root(r.denominator, n)
-    if Fraction(num, den) ** n != r:
-        raise DomainError(f"{r} has no rational {n}-th root")
-    return Fraction(num, den)
-
-
-def _reparametrize(p, rho: Fraction):
-    """Substitute t -> t/rho in a polynomial."""
-    return pclean({e: c / rho ** e for e, c in p.items()})
-
-
-def _puiseux_from_parametrization(x, y, k: int) -> PuiseuxBranch:
-    """Re-expand a polynomial parametrization (x(t), y(t)) as a Puiseux
-    branch y(x) with all terms of t-order below k.
-
-    x must be monic of some order n up to a unit (after the caller's
-    scaling), so x^(m/n) = t^m * U^m with U = (1+w)^(1/n) computed once;
-    the expansion peels leading terms of y against these exact powers."""
-    n = pord(x)
-    if n is None or x[n] != 1:
-        raise DomainError("parametrization must have monic leading x-term")
-    w = pclean({e - n: c for e, c in x.items() if e != n})  # x = t^n (1 + w)
-    unit = series_fractional_power(padd({0: Fraction(1)}, w), Fraction(1, n), k)
-    terms = []
-    rest = ptrunc(dict(y), k)
-    upow = {0: Fraction(1)}
-    m_cur = 0
-    while rest:
-        o = pord(rest)
-        if o >= k:
-            break
-        upow = pmul_trunc(upow, ppow_trunc(unit, o - m_cur, k), k)
-        m_cur = o
-        c = rest[o]
-        terms.append((Fraction(o, n), c))
-        peel = pscale({e + o: v for e, v in upow.items() if e + o < k}, -c)
-        rest = pclean(ptrunc(padd(rest, peel), k))
-    if any(e < 1 for e, _ in terms):
-        raise DomainError("curvette has an exponent below 1")
-    return PuiseuxBranch.from_terms(terms)
 
 
 def resolve_curve(curve: Sequence[PuiseuxBranch], event_cap: int = DEFAULT_EVENT_CAP

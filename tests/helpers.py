@@ -1,6 +1,7 @@
 """Shared test utilities: numeric oracles, a reference determinant, random
-curve generation, and a small DOT syntax checker used to validate emitted
-graphs."""
+curve generation, towers replayed from the blow-up event log, the curvette
+oracle for inner rates, and a small DOT syntax checker used to validate
+emitted graphs."""
 
 from __future__ import annotations
 
@@ -10,7 +11,9 @@ import re
 from fractions import Fraction
 
 from singlip import PuiseuxBranch, strands_of
-from singlip.errors import SinglipError
+from singlip.errors import DomainError, SinglipError
+from singlip.series import padd, pclean, pmul, pord, pscale
+from singlip.surfgraph import CURVE_FUNCTION, GENERIC_LINEAR, DualTree
 
 
 def coefficient_value(strand, exp) -> complex:
@@ -101,6 +104,199 @@ def random_curve(rng: random.Random, max_branches: int = 2,
         except SinglipError:
             continue
 
+
+# -- towers from the event log ----------------------------------------------
+#
+# Vertex ids equal event indices.  A center names the curves through the
+# blown-up point: ("origin",), ("free", e, c) on curve e with landing
+# constant c (the tag "axis" for the point on the strict transform of the
+# chart axis, landing constant 0), or ("satellite", e, e') on two curves.
+
+
+def replay_prefixes(events):
+    """Yield the tower after each event, rebuilt from the log alone with
+    ``DualTree.blow_up``: f gains the local multiplicities of the branches
+    through the center, h is 1 at the origin only.  The same tree object is
+    grown in place."""
+    tree = DualTree()
+    for ev in events:
+        curves = ev.center[1:3] if ev.center[0] == "satellite" else ev.center[1:2]
+        tree.blow_up(ev.index, list(curves), {
+            CURVE_FUNCTION: sum(m for _, m in ev.branches_through),
+            GENERIC_LINEAR: int(ev.center[0] == "origin")})
+        yield tree
+
+
+def replay_events(events) -> DualTree:
+    """The whole tower: the replayed tree, the generic-linear arrow on the
+    first curve, and each branch's arrow on the curve of the last center
+    it passes through."""
+    last = {}
+    for tree, ev in zip(replay_prefixes(events), events):
+        last.update((bid, ev.index) for bid, _ in ev.branches_through)
+    tree.add_arrow(0, GENERIC_LINEAR, 1, "generic-linear")
+    for bid, vertex in sorted(last.items()):
+        tree.add_arrow(vertex, CURVE_FUNCTION, 1, "branch", bid)
+    return tree
+
+
+def creation_chain(events, vertex) -> list:
+    """Coordinate changes from the point blown up to create ``vertex`` back
+    to the origin.  A point of the curve e with local coordinates (u, v)
+    relates to those (U, V) of the point blown up to create e by
+    ("c1", c): U = u, V = u (v + c), or ("c2",): U = u v, V = u.  A
+    satellite center (e, e') is c2 when e' is the first curve through the
+    point that created e, and c1 with constant 0 when it is the second."""
+    chain = []
+    center = events[vertex].center
+    while center[0] != "origin":
+        e = center[1]
+        parent = events[e].center
+        if center[0] == "free":
+            chain.append(("c1", Fraction(0) if center[2] == "axis" else center[2]))
+        elif center[2] == parent[1]:
+            chain.append(("c2",))
+        else:
+            chain.append(("c1", Fraction(0)))
+        center = parent
+    return chain
+
+
+def _pushdown(chain, c: Fraction):
+    """The curvette (t, c t) at a point, in the origin's coordinates."""
+    a, b = {1: Fraction(1)}, {1: Fraction(c)}
+    for t in chain:
+        if t[0] == "c1":
+            b = pmul(a, padd(b, {0: t[1]}))
+        else:
+            a, b = pmul(a, b), dict(a)
+    return a, b
+
+
+def curvette_pair(events, tree, vertex) -> tuple[PuiseuxBranch, PuiseuxBranch]:
+    """Two curvettes of the exceptional curve ``vertex``, synthesized from
+    the event log: smooth curves through two distinct free points of the
+    curve, pushed down to the origin, normalised to a common x-coordinate
+    scale and expanded as Puiseux branches.  The paper defines the inner
+    rate of the curve as their contact exponent."""
+    chain = creation_chain(events, vertex)
+    rate = tree.vertices[vertex].rate
+    n = pord(_pushdown(chain, Fraction(1))[0])
+    # the pair differs first at t-order n*rate, so the series only needs
+    # to be exact slightly beyond it
+    k = (n * rate.numerator) // rate.denominator + 3
+    a1, b1 = _pushdown(chain, Fraction(2 ** n))
+    a2, b2 = _pushdown(chain, Fraction(3 ** n))
+    kappa1 = a1[pord(a1)]
+    kappa2 = a2[pord(a2)]
+    rho = _nth_root(kappa2 / kappa1, n)
+    a2, b2 = _reparametrize(a2, rho), _reparametrize(b2, rho)
+    scale = 1 / kappa1
+    g1 = _puiseux_from_parametrization(pscale(a1, scale), b1, k)
+    g2 = _puiseux_from_parametrization(pscale(a2, scale), b2, k)
+    return g1, g2
+
+
+def ptrunc(a: dict, k: int) -> dict:
+    return {e: c for e, c in a.items() if e < k}
+
+
+def pmul_trunc(a: dict, b: dict, k: int) -> dict:
+    out = {}
+    for ea, ca in a.items():
+        if ea >= k:
+            continue
+        for eb, cb in b.items():
+            e = ea + eb
+            if e < k:
+                out[e] = out.get(e, Fraction(0)) + ca * cb
+    return pclean(out)
+
+
+def ppow_trunc(a: dict, d: int, k: int) -> dict:
+    """a**d mod t^k by binary exponentiation."""
+    out = {0: Fraction(1)}
+    base = ptrunc(a, k)
+    while d:
+        if d & 1:
+            out = pmul_trunc(out, base, k)
+        base = pmul_trunc(base, base, k)
+        d >>= 1
+    return out
+
+
+def series_fractional_power(p: dict, alpha: Fraction, k: int) -> dict:
+    """(1 + w)^alpha mod t^k for p = 1 + w with ord w >= 1 (binomial series)."""
+    if p.get(0) != 1:
+        raise DomainError("fractional power needs constant term 1")
+    w = ptrunc({e: c for e, c in p.items() if e != 0}, k)
+    out = {0: Fraction(1)}
+    term = {0: Fraction(1)}
+    binom = Fraction(1)
+    j = 0
+    while True:
+        j += 1
+        binom *= (alpha - (j - 1)) / j
+        term = pmul_trunc(term, w, k)
+        if not term:
+            break
+        out = padd(out, pscale(term, binom))
+    return pclean(out)
+
+
+def _int_nth_root(x: int, n: int) -> int:
+    if x < 2 or n == 1:
+        return x
+    guess = 1 << (-(-x.bit_length() // n))
+    while True:
+        nxt = ((n - 1) * guess + x // guess ** (n - 1)) // n
+        if nxt >= guess:
+            return guess
+        guess = nxt
+
+
+def _nth_root(r: Fraction, n: int) -> Fraction:
+    num = _int_nth_root(r.numerator, n)
+    den = _int_nth_root(r.denominator, n)
+    if Fraction(num, den) ** n != r:
+        raise DomainError(f"{r} has no rational {n}-th root")
+    return Fraction(num, den)
+
+
+def _reparametrize(p, rho: Fraction):
+    """Substitute t -> t/rho in a polynomial."""
+    return pclean({e: c / rho ** e for e, c in p.items()})
+
+
+def _puiseux_from_parametrization(x, y, k: int) -> PuiseuxBranch:
+    """Re-expand a polynomial parametrization (x(t), y(t)) as a Puiseux
+    branch y(x) with all terms of t-order below k.
+
+    x must be monic of some order n up to a unit (after the caller's
+    scaling), so x^(m/n) = t^m * U^m with U = (1+w)^(1/n) computed once;
+    the expansion peels leading terms of y against these exact powers."""
+    n = pord(x)
+    if n is None or x[n] != 1:
+        raise DomainError("parametrization must have monic leading x-term")
+    w = pclean({e - n: c for e, c in x.items() if e != n})  # x = t^n (1 + w)
+    unit = series_fractional_power(padd({0: Fraction(1)}, w), Fraction(1, n), k)
+    terms = []
+    rest = ptrunc(dict(y), k)
+    upow = {0: Fraction(1)}
+    m_cur = 0
+    while rest:
+        o = pord(rest)
+        if o >= k:
+            break
+        upow = pmul_trunc(upow, ppow_trunc(unit, o - m_cur, k), k)
+        m_cur = o
+        c = rest[o]
+        terms.append((Fraction(o, n), c))
+        peel = pscale({e + o: v for e, v in upow.items() if e + o < k}, -c)
+        rest = pclean(ptrunc(padd(rest, peel), k))
+    if any(e < 1 for e, _ in terms):
+        raise DomainError("curvette has an exponent below 1")
+    return PuiseuxBranch.from_terms(terms)
 
 _TOKEN = re.compile(r'''
     "(?:[^"\\]|\\.)*"     |  # quoted string

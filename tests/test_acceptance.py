@@ -10,8 +10,8 @@ self-contained.
 import random
 from fractions import Fraction as F
 
-from helpers import random_curve
-from singlip import (Divisor, Resolution, blow_all_double_points,
+from helpers import curvette_pair, random_curve, replay_prefixes
+from singlip import (Divisor, blow_all_double_points,
                      build_carrousel_tree, coincidence_exponent,
                      contact_matrix, csquare_decomposition, extend_arrow_chain,
                      has_base_point, horn_jump_profile, is_metrically_conical,
@@ -190,12 +190,12 @@ def test_criterion_11_property_suites():
     checked = 0
     for _ in range(200):
         curve = random_curve(rng, max_branches=2, max_den=6)
-        res = Resolution(curve, record_determinants=True)
-        report = verify_tower(res.tree)
+        events, tree = resolve_curve(curve)
+        report = verify_tower(tree)
         assert report.ok, (curve, report.problems())
-        assert all(d in (1, -1) for d in res.prefix_determinants)
-        for v in res.tree.vertices:
-            g1, g2 = res.curvette_pair(v.id)
+        assert all(t.determinant() in (1, -1) for t in replay_prefixes(events))
+        for v in tree.vertices:
+            g1, g2 = curvette_pair(events, tree, v.id)
             assert coincidence_exponent(g1, g2) == v.rate
             checked += 1
     assert checked >= 200
@@ -204,7 +204,7 @@ def test_criterion_11_property_suites():
     rng = random.Random(203)
     for _ in range(200):
         curve = random_curve(rng, max_branches=2, max_den=5)
-        d = csquare_decomposition(Resolution(curve).tree)
+        d = csquare_decomposition(resolve_curve(curve)[1])
         reference = _shape(amalgamate(d))
         ids = list(d.pieces)
         shuffled = ids[:]

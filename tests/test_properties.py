@@ -5,10 +5,10 @@ exercising satellite chains, shared centers and conjugate contacts."""
 
 import random
 
-from helpers import random_curve
-from singlip import (Resolution, build_carrousel_tree, coincidence_exponent,
+from helpers import curvette_pair, random_curve
+from singlip import (build_carrousel_tree, coincidence_exponent,
                      contact_matrix, csquare_decomposition, leaf_contacts,
-                     verify_tower)
+                     resolve_curve, verify_tower)
 from singlip.decomp import Decomposition, Piece, amalgamate
 from singlip.tower import branch_contact
 
@@ -34,8 +34,8 @@ def test_tower_invariants_200():
     rng = random.Random(103)
     for _ in range(200):
         curve = random_curve(rng, max_branches=2, max_den=6)
-        res = Resolution(curve)
-        report = verify_tower(res.tree)
+        _, tree = resolve_curve(curve)
+        report = verify_tower(tree)
         assert report.ok, (curve, report.problems())
 
 
@@ -45,9 +45,9 @@ def test_rate_vectors_equal_curvette_contacts_200():
     cases = 0
     while cases < 200:
         curve = random_curve(rng, max_branches=2, max_den=6)
-        res = Resolution(curve)
-        for v in res.tree.vertices:
-            g1, g2 = res.curvette_pair(v.id)
+        events, tree = resolve_curve(curve)
+        for v in tree.vertices:
+            g1, g2 = curvette_pair(events, tree, v.id)
             assert coincidence_exponent(g1, g2) == v.rate, (curve, v.id)
             checked += 1
         cases += 1
@@ -78,8 +78,8 @@ def test_amalgamation_confluence_200():
     rng = random.Random(105)
     for _ in range(200):
         curve = random_curve(rng, max_branches=2, max_den=5)
-        res = Resolution(curve)
-        d = csquare_decomposition(res.tree)
+        _, tree = resolve_curve(curve)
+        d = csquare_decomposition(tree)
         reference = _shape(amalgamate(d))
         ids = list(d.pieces)
         shuffled = ids[:]
@@ -99,9 +99,9 @@ def test_tree_branch_contacts_match_strand_contacts_200():
         curve = random_curve(rng, max_branches=3, max_den=6)
         if len(curve) < 2:
             continue
-        res = Resolution(curve)
+        _, tree = resolve_curve(curve)
         for i in range(len(curve)):
             for j in range(i + 1, len(curve)):
                 expected = coincidence_exponent(curve[i], curve[j])
-                assert branch_contact(res.tree, i, j) == expected, (curve, i, j)
+                assert branch_contact(tree, i, j) == expected, (curve, i, j)
                 checked += 1

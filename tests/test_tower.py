@@ -3,9 +3,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from helpers import random_curve
-from singlip import (PuiseuxBranch, Resolution, blow_all_double_points,
-                     coincidence_exponent, extend_arrow_chain,
+from helpers import (curvette_pair, random_curve, replay_events,
+                     replay_prefixes)
+from singlip import (PuiseuxBranch, blow_all_double_points,
+                     coincidence_exponent, extend_arrow_chain, fixtures,
                      laufer_parity_prepare, resolve_curve, verify_tower)
 from singlip.errors import InputError, ResourceCapExceeded
 from singlip.fixtures import (curve_32_74, curve_carrousel_example,
@@ -67,8 +68,8 @@ def test_tree_contacts_match_strand_contacts():
     # between opposite twists) must still drive the shared centers
     from singlip.tower import branch_contact
     curve = [branch(("3/2", 1)), branch(("3/2", -1), (2, 1))]
-    res = Resolution(curve)
-    assert branch_contact(res.tree, 0, 1) == 2
+    _, tree = resolve_curve(curve)
+    assert branch_contact(tree, 0, 1) == 2
     assert coincidence_exponent(curve[0], curve[1]) == 2
 
 
@@ -122,19 +123,36 @@ def test_duplicate_branch_rejected():
 
 def test_curvette_oracle_fixture_curves():
     for curve in (curve_cusp_53(), curve_32_74(), curve_carrousel_example()):
-        res = Resolution(curve)
-        for v in res.tree.vertices:
-            g1, g2 = res.curvette_pair(v.id)
+        events, tree = resolve_curve(curve)
+        for v in tree.vertices:
+            g1, g2 = curvette_pair(events, tree, v.id)
             assert coincidence_exponent(g1, g2) == v.rate
 
 
 def test_unimodular_after_every_prefix():
     rng = random.Random(5)
     for _ in range(10):
-        curve = random_curve(rng)
-        res = Resolution(curve, record_determinants=True)
-        assert res.prefix_determinants
-        assert all(d in (1, -1) for d in res.prefix_determinants)
+        events, _ = resolve_curve(random_curve(rng))
+        determinants = [t.determinant() for t in replay_prefixes(events)]
+        assert determinants
+        assert all(d in (1, -1) for d in determinants)
+
+
+def _tower_shape(tree):
+    return ([(v.self_intersection, v.rate_vector, v.multiplicities)
+             for v in tree.vertices], sorted(tree.edges),
+            sorted((a.vertex, a.name, a.multiplicity, a.kind, a.branch)
+                   for a in tree.arrows))
+
+
+def test_event_log_replay_rebuilds_tower():
+    curves = [fixtures.load_fixture(name) for name in fixtures.fixture_names()
+              if fixtures.fixture_kind(name) == "curve"]
+    rng = random.Random(7)
+    curves += [random_curve(rng, max_branches=3) for _ in range(300)]
+    for curve in curves:
+        events, tree = resolve_curve(curve)
+        assert _tower_shape(replay_events(events)) == _tower_shape(tree), curve
 
 
 def test_coefficient_rescaling_gives_isomorphic_tree():
