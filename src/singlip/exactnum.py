@@ -7,7 +7,13 @@ the package) rounds: floats appear only in test oracles.
 
 Every linear-algebra question about an intersection matrix (determinant,
 signs of the leading principal minors, exact solves) goes through the one
-Bareiss elimination ``eliminate`` below.
+Bareiss elimination ``eliminate`` below.  Intersection matrices of
+resolution graphs are tridiagonal for chains and nearly so for trees, so
+``eliminate`` scales a row lazily: it touches a row only when a pivot
+column hits it or it becomes the pivot row, and the scalings of the steps
+it skipped telescope to one exact factor.  Scaling by a ratio of non-zero
+pivots keeps every zero entry zero and every non-zero one non-zero, so
+the zero tests read the stale rows as they are.
 """
 
 from __future__ import annotations
@@ -58,14 +64,39 @@ def eliminate(matrix: Sequence[Sequence[int]],
     one reported, since the later pivots are minors of the permuted matrix.
     The solve is fraction-free too: by Cramer's rule det * x is an integer
     vector, recovered from the triangular system by exact divisions.
+
+    Rows are updated lazily.  Step k, with pivot p_k (p_0 = 1), only
+    scales a row whose entry in the pivot column is zero, by p_k / p_(k-1);
+    after a run of such steps s+1..k the row is its value after step s
+    times p_k / p_s.  So each row keeps the last step it was brought up to
+    date at, and is touched only when a pivot column hits it or it becomes
+    the pivot row.  A hit at step k applies the Bareiss update to the stale
+    entries and divides by p_s instead of p_(k-1), which gives the same
+    exact integers; a new pivot row, by position or by a swap, is scaled by
+    p_(k-1) / p_s.  Pivots are non-zero, so a stale entry is zero exactly
+    when the current one is, and the hit tests and the swap search read
+    stale rows.  Every row is current at its own pivot step, which is all
+    the back substitution reads.  A chain's tridiagonal matrix thus costs
+    O(n^2) instead of O(n^3).
     """
     n = len(matrix)
     rows = [list(row) + ([rhs[i]] if rhs is not None else [])
             for i, row in enumerate(matrix)]
+    pivots = [1]         # pivots[s] = p_s, the pivot of step s
+    current = [0] * n    # rows[r] holds its value after step current[r]
+
+    def bring_up(r, k):          # rows[r] to its value after step k
+        s = current[r]
+        if s != k:
+            p, q = pivots[k], pivots[s]
+            rows[r][k:] = [a * p // q for a in rows[r][k:]]
+            current[r] = k
+
     minors = []
     swapped = False
-    sign = prev = 1
-    for k in range(n):
+    sign = 1
+    for k in range(n):           # step k + 1
+        bring_up(k, k)
         if not swapped:
             minors.append(rows[k][k])
         if rows[k][k] == 0:
@@ -74,15 +105,21 @@ def eliminate(matrix: Sequence[Sequence[int]],
             if pivot is None:
                 return Elimination(tuple(minors), 0, None)
             rows[k], rows[pivot] = rows[pivot], rows[k]
+            current[k], current[pivot] = current[pivot], current[k]
             sign = -sign
+            bring_up(k, k)
         top = rows[k]
         p = top[k]
         for r in range(k + 1, n):
             row = rows[r]
             f = row[k]
-            row[k + 1:] = [(p * a - f * b) // prev
-                           for a, b in zip(row[k + 1:], top[k + 1:])]
-        prev = p
+            if f:
+                q = pivots[current[r]]
+                row[k + 1:] = [(p * a - f * b) // q
+                               for a, b in zip(row[k + 1:], top[k + 1:])]
+                current[r] = k + 1
+        pivots.append(p)
+    prev = pivots[n]
     solution = None
     if rhs is not None:
         y = [0] * n

@@ -43,7 +43,7 @@ def _check(matrix, rhs):
     e = eliminate(matrix, rhs)
     assert e.determinant == fraction_det(matrix)
     assert e.minors == _reference_minors(matrix)
-    if e.determinant == 0:
+    if e.determinant == 0 or rhs is None:
         assert e.solution is None
     else:
         assert e.solution == _cramer(matrix, rhs)
@@ -83,6 +83,51 @@ def test_eliminate_matches_fraction_reference_random():
     assert swaps > 50 and singular > 50
 
 
+def _sparse_matrix(rng, kind, n):
+    """Tridiagonal, block-diagonal or random-density; diagonal entries
+    are sometimes zero or positive."""
+    m = [[0] * n for _ in range(n)]
+    if kind == 0:
+        for i in range(1, n):
+            m[i - 1][i] = rng.choice([0, 1, 1, -1, 2])
+            m[i][i - 1] = rng.choice([m[i - 1][i], rng.randint(-2, 2)])
+    elif kind == 1:
+        start = 0
+        while start < n:
+            block = range(start, min(n, start + rng.randint(1, 4)))
+            for i in block:
+                for j in block:
+                    m[i][j] = rng.randint(-3, 3)
+            start = block.stop
+    else:
+        density = rng.random() / 2
+        for i in range(n):
+            for j in range(i):
+                if rng.random() < density:
+                    m[i][j] = m[j][i] = rng.randint(-2, 2)
+                    if rng.random() < 0.2:
+                        m[j][i] = rng.randint(-2, 2)
+    for i in range(n):
+        if kind != 1 or m[i][i] == 0:
+            m[i][i] = rng.choice([-4, -3, -2, -2, -1, 0, 1, 2])
+    return m
+
+
+def test_eliminate_matches_fraction_reference_sparse():
+    # most rows are skipped at most steps here, so their lazy scaling,
+    # and swaps into rows left stale, are checked against the reference
+    rng = random.Random(11)
+    swaps = singular = 0
+    for trial in range(1000):
+        n = rng.randint(1, 10)
+        m = _sparse_matrix(rng, trial % 3, n)
+        rhs = [rng.randint(-5, 5) for _ in range(n)] if trial % 2 else None
+        e = _check(m, rhs)
+        swaps += 0 in e.minors
+        singular += e.determinant == 0
+    assert swaps > 100 and singular > 50
+
+
 def _random_tree_graph(rng, n):
     g = DualGraph()
     for i in range(n):
@@ -92,16 +137,32 @@ def _random_tree_graph(rng, n):
     return g
 
 
+def _relabelled(g, rng):
+    """Same graph, vertex ids renamed and vertices and edges reordered, so
+    the elimination order is not the tree order and fill-in happens."""
+    new = [f"r{i}" for i in g.ids()]
+    rng.shuffle(new)
+    name = dict(zip(g.ids(), new))
+    out = DualGraph()
+    for vid in rng.sample(g.ids(), len(g.ids())):
+        out.add_vertex(name[vid], g.vertices[vid].self_intersection)
+    for a, b in rng.sample(g.edges, len(g.edges)):
+        out.add_edge(name[a], name[b])
+    return out
+
+
 def test_negative_definite_matches_per_minor_loop():
     rng = random.Random(3)
+    shuffle = random.Random(5)
     seen = set()
     for _ in range(150):
-        g = _random_tree_graph(rng, rng.randint(1, 12))
-        m = g.intersection_matrix()
-        expected = _reference_negative_definite(m)
-        assert g.is_negative_definite() == expected
-        assert g.determinant() == fraction_det(m)
-        seen.add(expected)
+        tree = _random_tree_graph(rng, rng.randint(1, 12))
+        for g in (tree, _relabelled(tree, shuffle)):
+            m = g.intersection_matrix()
+            expected = _reference_negative_definite(m)
+            assert g.is_negative_definite() == expected
+            assert g.determinant() == fraction_det(m) == tree.determinant()
+            seen.add(expected)
     assert seen == {True, False}
 
 

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from singlip import (Divisor, DualGraph, PuiseuxBranch, has_base_point,
                      laufer_double_cover, laufer_parity_prepare, pencil_min,
                      resolve_curve, resolve_pencil, solve_multiplicities,
-                     tower_to_graph, verify_tower)
+                     tower_to_graph, verify_graph, verify_tower)
 from singlip.errors import DomainError
 from singlip.fixtures import curve_cusp_53, graph_e8
 from singlip.surfgraph import DualTree, strict_part_from_residuals
@@ -260,3 +261,25 @@ def test_double_cover_rejects_odd_branch_point_count():
     tree.add_edge(0, 1)
     with pytest.raises(DomainError):
         laufer_double_cover(tree)
+
+
+def test_long_chain_verifies_and_solves_fast():
+    # A_399: a chain of 399 (-2)-curves, L-nodes at both ends and an h-arrow
+    # at each end.  Its intersection matrix is tridiagonal, which the sparse
+    # elimination handles in about O(n^2); a dense O(n^3) one takes seconds.
+    k = 399
+    g = DualGraph()
+    for i in range(1, k + 1):
+        g.add_vertex(f"E{i}", -2, rate=min(i, k + 1 - i),
+                     multiplicities={"h": 1},
+                     flags=["L"] if i in (1, k) else [])
+        if i > 1:
+            g.add_edge(f"E{i - 1}", f"E{i}")
+    for end in ("E1", f"E{k}"):
+        g.add_arrow(end, "h", 1, kind="generic-linear")
+    start = time.perf_counter()
+    assert verify_graph(g) == []
+    solved = solve_multiplicities(g, "h").coefficients
+    elapsed = time.perf_counter() - start
+    assert solved == {vid: v.multiplicities["h"] for vid, v in g.vertices.items()}
+    assert elapsed < 1.0, f"A_{k} took {elapsed:.2f} s"
