@@ -18,10 +18,10 @@ from .strands import (ContactMatrix, PuiseuxBranch, Strand,
                       contact_matrix, horn_jump_profile, strand_contact,
                       strands_of)
 from .surfgraph import (Divisor, DualGraph, DualTree, blow_all_double_points,
-                        blow_up_arrow, blow_up_edge, extend_arrow_chain,
-                        has_base_point, laufer_double_cover,
-                        laufer_parity_prepare, pencil_min, resolve_pencil,
-                        solve_multiplicities, tower_to_graph, verify_graph)
+                        extend_arrow_chain, has_base_point,
+                        laufer_double_cover, laufer_parity_prepare, pencil_min,
+                        resolve_pencil, solve_multiplicities, tower_to_graph,
+                        verify_graph)
 from .tower import BlowupEvent, branch_contact, resolve_curve, verify_tower
 
 __version__ = "0.1.0"

@@ -23,10 +23,9 @@ amalgamation rules, which is checked in the test suite.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Sequence
 
 from .errors import DomainError, InputError
 from .exactnum import rational_to_json
@@ -197,14 +196,6 @@ class Decomposition:
         if a != b:
             self.adjacency.add(frozenset((a, b)))
 
-    def neighbors(self, pid: int) -> list[int]:
-        out = []
-        for pair in self.adjacency:
-            if pid in pair:
-                other = next(iter(pair - {pid}), pid)
-                out.append(other)
-        return sorted(out)
-
     def by_kind(self, kind: str) -> list[Piece]:
         return sorted((p for p in self.pieces.values() if p.kind == kind),
                       key=lambda p: p.pid)
@@ -259,97 +250,80 @@ def csquare_decomposition(tree: DualTree) -> Decomposition:
     return d
 
 
-def _merge_piece(d: Decomposition, keep: Piece, drop_ids: Sequence[int]):
-    for pid in drop_ids:
-        nbrs = d.neighbors(pid)
-        for w in nbrs:
-            d.adjacency.discard(frozenset((pid, w)))
-            if w not in drop_ids and w != keep.pid:
-                d.join(keep.pid, w)
-        del d.pieces[pid]
-    d.pieces[keep.pid] = keep
+def _other(rates: tuple, q) -> Fraction:
+    """The rate of a two-rate piece other than q (q when both are q)."""
+    return rates[1] if rates[0] == q else rates[0]
 
 
-def amalgamate(d: Decomposition, protected: frozenset = frozenset()) -> Decomposition:
+def _rule(x: Piece, y: Piece):
+    """The first amalgamation rule that applies to the adjacent pieces x, y
+    in this orientation, as (eliminated rate, ordering pid, kept pid, new
+    kind, new rates); kind and rates are None when the kept piece stays as
+    it is.  None when no rule applies."""
+    low = min(x.pid, y.pid)
+    # A(q,q') u A(q',q'') = A(q,q'')
+    if x.kind == y.kind == "A" and (shared := set(x.rates) & set(y.rates)):
+        s = max(shared)
+        return s, low, low, "A", tuple(sorted((_other(x.rates, s),
+                                               _other(y.rates, s))))
+    # A(q,q') u D(q') = D(q)
+    if x.kind == "A" and y.kind == "D" and y.rates[0] in x.rates:
+        s = y.rates[0]
+        return s, low, low, "D", (_other(x.rates, s),)
+    # D(q) melts into a B or conical piece of the same rate
+    if (x.kind == "D" and y.kind in ("B", "conical") and not y.special
+            and x.rates[0] == y.rates[0]):
+        return x.rates[0], x.pid, y.pid, None, None
+    # rate-1 pieces merge into a conical piece
+    if y.kind == "conical" and all(q == 1 for q in x.rates):
+        return Fraction(1), low, low, "conical", (Fraction(1),)
+    return None
+
+
+def amalgamate(d: Decomposition) -> Decomposition:
     """Run the amalgamation rules to a stable state in canonical order.
 
     Rules: adjacent A-pieces sharing a rate merge; a D absorbs across its
     A-collar; a D melts into an adjacent B (or conical) piece of the same
-    rate; adjacent all-rate-1 pieces merge into a conical piece.  Protected
-    pieces are never removed or changed (a protected B may still absorb).
-    The canonical order is highest eliminated rate first, then lowest piece
-    id, which makes the result reproducible; confluence under relabeling is
-    checked by the tests.
+    rate; adjacent all-rate-1 pieces merge into a conical piece.  Each step
+    merges the pair whose rule eliminates the highest rate, then has the
+    lowest ordering pid (the D's for a melt, else the lower of the two),
+    then the lowest pair, which makes the result reproducible; confluence
+    under relabeling is checked by the tests.  A rule reads only its two
+    pieces, so after a merge only the pairs at the kept piece are
+    evaluated again.
     """
-    d = Decomposition(d.mode, dict(d.pieces), set(d.adjacency))
+    pieces = dict(d.pieces)
+    nbrs = defaultdict(set)
+    rules: dict = {}
 
-    def candidates():
-        out = []
-        for pair in d.adjacency:
-            a, b = sorted(pair)
-            if a not in d.pieces or b not in d.pieces:
-                continue
-            pa, pb = d.pieces[a], d.pieces[b]
-            for x, y in ((pa, pb), (pb, pa)):
-                # rule: A(q,q') u A(q',q'') = A(q,q'')
-                if (x.kind == "A" and y.kind == "A"
-                        and x.pid not in protected and y.pid not in protected):
-                    shared = set(x.rates) & set(y.rates)
-                    if shared:
-                        s = max(shared)
-                        out.append((s, min(x.pid, y.pid), "AA", x.pid, y.pid, s))
-                        break
-                # rule: A(q,q') u D(q') = D(q)
-                if (x.kind == "A" and y.kind == "D"
-                        and x.pid not in protected and y.pid not in protected
-                        and y.rates[0] in x.rates):
-                    out.append((y.rates[0], min(x.pid, y.pid), "AD",
-                                x.pid, y.pid, y.rates[0]))
-                    break
-                # rule: D(q) glues into B(q) / conical piece of the same rate
-                if (x.kind == "D" and y.kind in ("B", "conical")
-                        and x.pid not in protected and not y.special
-                        and x.rates[0] == y.rates[0]):
-                    out.append((x.rates[0], x.pid, "DB", x.pid, y.pid, None))
-                    break
-                # rule: rate-1 pieces merge into a conical piece
-                if (x.kind in ("conical", "B", "D", "A") and y.kind == "conical"
-                        and x.pid not in protected and y.pid not in protected
-                        and all(q == 1 for q in x.rates)):
-                    out.append((Fraction(1), min(x.pid, y.pid), "CC",
-                                x.pid, y.pid, None))
-                    break
-        return out
+    def evaluate(a, b):
+        a, b = sorted((a, b))
+        if a in pieces and b in pieces:
+            found = _rule(pieces[a], pieces[b]) or _rule(pieces[b], pieces[a])
+            if found:
+                rules[a, b] = found
 
-    while True:
-        cand = candidates()
-        if not cand:
-            return d
-        cand.sort(key=lambda c: (-c[0], c[1]))
-        _, _, rule, xa, xb, shared = cand[0]
-        px, py = d.pieces[xa], d.pieces[xb]
-        keep_id = min(xa, xb)
-        support = px.support | py.support
-        edges = px.edge_support | py.edge_support
-        if rule == "AA":
-            rx = list(px.rates)
-            ry = list(py.rates)
-            rx.remove(shared)
-            ry.remove(shared)
-            rates = tuple(sorted((rx[0], ry[0])))
-            new = Piece(keep_id, "A", rates, support, edges)
-            _merge_piece(d, new, [p for p in (xa, xb) if p != keep_id])
-        elif rule == "AD":
-            other = [q for q in px.rates if q != shared]
-            low = other[0] if other else shared
-            new = Piece(keep_id, "D", (low,), support, edges)
-            _merge_piece(d, new, [p for p in (xa, xb) if p != keep_id])
-        elif rule == "DB":
-            new = replace(py, support=support, edge_support=edges)
-            _merge_piece(d, new, [xa])
-        else:  # CC
-            new = Piece(keep_id, "conical", (Fraction(1),), support, edges)
-            _merge_piece(d, new, [p for p in (xa, xb) if p != keep_id])
+    for a, b in d.adjacency:
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+        evaluate(a, b)
+    while rules:
+        pair = max(rules, key=lambda p: (rules[p][0], -rules[p][1], -p[0], -p[1]))
+        _, _, keep, kind, rates = rules[pair]
+        drop = pair[1] if keep == pair[0] else pair[0]
+        kept, gone = pieces[keep], pieces.pop(drop)
+        new = kept if kind is None else Piece(keep, kind, rates)
+        pieces[keep] = replace(new, support=kept.support | gone.support,
+                               edge_support=kept.edge_support | gone.edge_support)
+        rules = {p: r for p, r in rules.items()
+                 if keep not in p and drop not in p}
+        nbrs[keep] = (nbrs[keep] | nbrs.pop(drop)) - {keep, drop}
+        for w in nbrs[keep]:
+            nbrs[w] = nbrs[w] - {drop} | {keep}
+            evaluate(keep, w)
+    return Decomposition(d.mode, pieces,
+                         {frozenset((a, b)) for a in nbrs for b in nbrs[a]})
 
 
 def _mode_nodes(graph: DualGraph, mode: str) -> dict:
@@ -380,19 +354,18 @@ def build_decomposition(graph: DualGraph, mode: str) -> Decomposition:
     d = Decomposition(mode)
     pid = 0
     piece_of_node = {}
-    for vid in graph.vertices:
-        if vid not in nodes:
-            continue
+    strings = {}                # interior -> (node, end node), once per string
+    for vid, f in nodes.items():
         v = graph.vertices[vid]
-        f = nodes[vid]
         support = {vid}
         for start in graph.neighbors(vid):
             chain, end = _walk_string(graph, vid, start, nodes)
             if end is None:
                 support.update(chain)  # bamboo
-        special = (mode == "inner" and f.is_special_P
-                   and not (graph.valence(vid) >= 3 or v.genus > 0 or f.is_L))
-        if special:
+            elif chain:
+                strings.setdefault(frozenset(chain), (vid, end))
+        # a special P-node has valence two
+        if mode == "inner" and f.is_special_P and not (v.genus > 0 or f.is_L):
             piece = Piece(pid, "A", (v.rate, v.rate), frozenset(support),
                           special=True, node=vid)
         else:
@@ -413,22 +386,13 @@ def build_decomposition(graph: DualGraph, mode: str) -> Decomposition:
             pid += 1
 
     # strings between two nodes become A-pieces on their interior vertices
-    seen_strings = set()
-    for vid in piece_of_node:
-        for start in graph.neighbors(vid):
-            chain, cur = _walk_string(graph, vid, start, nodes)
-            if start in nodes or cur is None:
-                continue  # a direct edge, or a bamboo in the node's B-piece
-            key = frozenset(chain)
-            if key in seen_strings:
-                continue
-            seen_strings.add(key)
-            qa, qb = graph.vertices[vid].rate, graph.vertices[cur].rate
-            piece = Piece(pid, "A", tuple(sorted((qa, qb))), frozenset(chain))
-            d.add_piece(piece)
-            d.join(pid, piece_of_node[vid])
-            d.join(pid, piece_of_node[cur])
-            pid += 1
+    for chain, (vid, cur) in strings.items():
+        qa, qb = graph.vertices[vid].rate, graph.vertices[cur].rate
+        piece = Piece(pid, "A", tuple(sorted((qa, qb))), chain)
+        d.add_piece(piece)
+        d.join(pid, piece_of_node[vid])
+        d.join(pid, piece_of_node[cur])
+        pid += 1
 
     if not d.supports_partition(list(graph.vertices)):
         raise DomainError("piece supports do not partition the vertices")

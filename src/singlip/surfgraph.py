@@ -73,6 +73,10 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _negative_definite(minors) -> bool:
+    return all(d * (-1) ** k > 0 for k, d in enumerate(minors, 1))
+
+
 class DualGraph:
     """Resolution graph: vertices with decorations, edges (multi-edges
     allowed), and arrows for strict transforms.  ``vertices`` maps id to
@@ -241,8 +245,7 @@ class DualGraph:
     def is_negative_definite(self) -> bool:
         """Sign test on the leading principal minors, (-1)^k minor_k > 0,
         all read off one ``exactnum.eliminate`` pass."""
-        minors = eliminate(self.intersection_matrix()).minors
-        return all(d * (-1) ** k > 0 for k, d in enumerate(minors, 1))
+        return _negative_definite(eliminate(self.intersection_matrix()).minors)
 
     def laufer_residuals(self, coefficients: dict, arrows: Sequence[tuple] = ()
                          ) -> dict:
@@ -288,10 +291,17 @@ def verify_graph(graph: DualGraph) -> list[str]:
     """Problems of a resolution graph: not connected, not negative
     definite, or a function whose multiplicities some vertices store
     while others do not, or that fail Laufer-zero with its arrows."""
+    return verify_graph_det(graph)[0]
+
+
+def verify_graph_det(graph: DualGraph) -> tuple[list[str], int]:
+    """``verify_graph``'s problems and the intersection determinant, both
+    read off one elimination."""
     problems = []
     if not graph.is_connected():
         problems.append("graph is not connected")
-    if not graph.is_negative_definite():
+    elim = eliminate(graph.intersection_matrix())
+    if not _negative_definite(elim.minors):
         problems.append("intersection matrix is not negative definite")
     for name in graph.function_names():
         coeffs = {vid: graph.vertices[vid].multiplicities.get(name)
@@ -303,7 +313,7 @@ def verify_graph(graph: DualGraph) -> list[str]:
             residuals = graph.laufer_residuals(coeffs, graph.arrow_pairs(name))
             problems += [f"laufer residual {r} for {name!r} at vertex {vid}"
                          for vid, r in residuals.items() if r]
-    return problems
+    return problems, elim.determinant
 
 
 @dataclass(frozen=True)
@@ -431,25 +441,18 @@ def resolve_pencil(graph: DualGraph, div_a: Divisor, div_b: Divisor, vertex,
 
 # -- graph-level blow-ups of towers (no branch series involved) ---------------
 
-def blow_up_edge(tree: DualTree, a: int, b: int) -> tuple[DualTree, int]:
-    """Blow up the intersection point of two exceptional curves."""
-    if b not in tree.neighbors(a):
-        raise InputError(f"no edge between {a} and {b}")
-    out = tree.copy()
-    new = _fresh_id(out)
-    out.blow_up(new, (a, b))
-    return out, new
+def _blow_up_edge(tree: DualTree, a: int, b: int):
+    """Blow up the intersection point of two exceptional curves, in place."""
+    tree.blow_up(_fresh_id(tree), (a, b))
 
 
-def blow_up_arrow(tree: DualTree, arrow_index: int) -> tuple[DualTree, int]:
-    """Blow up the point where an arrow (a strict transform) meets its curve;
-    the arrow moves to the new exceptional curve."""
-    out = tree.copy()
-    arrow = out.arrows[arrow_index]
-    new = _fresh_id(out)
-    out.blow_up(new, (arrow.vertex,), {arrow.name: arrow.multiplicity})
-    out.arrows[arrow_index] = replace(arrow, vertex=new)
-    return out, new
+def _blow_up_arrow(tree: DualTree, arrow_index: int):
+    """Blow up the point where an arrow (a strict transform) meets its
+    curve, in place; the arrow moves to the new exceptional curve."""
+    arrow = tree.arrows[arrow_index]
+    new = _fresh_id(tree)
+    tree.blow_up(new, (arrow.vertex,), {arrow.name: arrow.multiplicity})
+    tree.arrows[arrow_index] = replace(arrow, vertex=new)
 
 
 def blow_all_double_points(tree: DualTree, name: str = CURVE_FUNCTION) -> DualTree:
@@ -458,19 +461,19 @@ def blow_all_double_points(tree: DualTree, name: str = CURVE_FUNCTION) -> DualTr
     curves.  Decorative arrows of other functions are left alone."""
     out = tree.copy()
     for a, b in sorted(tree.edges):
-        out, _ = blow_up_edge(out, a, b)
+        _blow_up_edge(out, a, b)
     for i, arrow in enumerate(tree.arrows):
         if arrow.name == name:
-            out, _ = blow_up_arrow(out, i)
+            _blow_up_arrow(out, i)
     return out
 
 
 def extend_arrow_chain(tree: DualTree, arrow_index: int, steps: int) -> DualTree:
     """Blow up an arrow's attachment point repeatedly (a chain of free
     points following the strict transform)."""
-    out = tree
+    out = tree.copy()
     for _ in range(steps):
-        out, _ = blow_up_arrow(out, arrow_index)
+        _blow_up_arrow(out, arrow_index)
     return out
 
 
@@ -493,19 +496,21 @@ def _parity_items(tree: DualTree, name: str):
 def laufer_parity_prepare(tree: DualTree, name: str = CURVE_FUNCTION) -> DualTree:
     """Blow up every intersection point of two odd-multiplicity components
     of the total transform (arrows counted); the result has no odd-odd
-    adjacency, so the branch locus of the double cover is smooth."""
-    out = tree
-    changed = True
-    while changed:
-        changed = False
-        for kind, ref, m1, m2 in list(_parity_items(out, name)):
-            if m1 % 2 == 1 and m2 % 2 == 1:
-                if kind == "edge":
-                    out, _ = blow_up_edge(out, *ref)
-                else:
-                    out, _ = blow_up_arrow(out, ref)
-                changed = True
-                break
+    adjacency, so the branch locus of the double cover is smooth.
+
+    One pass over the input's items suffices: blowing up an odd-odd point
+    gives an even curve, which creates no new odd-odd point, and leaves
+    the multiplicities of the other items alone."""
+    odd = [(kind, ref) for kind, ref, m1, m2 in _parity_items(tree, name)
+           if m1 % 2 == 1 and m2 % 2 == 1]
+    if not odd:
+        return tree
+    out = tree.copy()
+    for kind, ref in odd:
+        if kind == "edge":
+            _blow_up_edge(out, *ref)
+        else:
+            _blow_up_arrow(out, ref)
     return out
 
 

@@ -34,7 +34,7 @@ from typing import Optional, Sequence
 from .errors import InputError, ResourceCapExceeded
 from .series import RatSeries
 from .strands import PuiseuxBranch, strands_of
-from .surfgraph import CURVE_FUNCTION, GENERIC_LINEAR, DualTree, verify_graph
+from .surfgraph import CURVE_FUNCTION, GENERIC_LINEAR, DualTree, verify_graph_det
 
 DEFAULT_EVENT_CAP = 512
 
@@ -233,10 +233,9 @@ def verify_tower(tree: DualTree) -> TowerReport:
     """The checks of every resolution graph (``surfgraph.verify_graph``)
     plus the tower's own: a connected tree with determinant +-1 whose
     rates increase away from a root of rate 1."""
-    problems = verify_graph(tree)
+    problems, det = verify_graph_det(tree)
     if not tree.is_connected() or len(tree.edges) != len(tree.vertices) - 1:
         problems.append("not a connected tree")
-    det = tree.determinant()
     if abs(det) != 1:
         problems.append(f"intersection determinant {det} not +-1")
     problems += [f"rate not increasing from vertex {v} to {w}"

@@ -137,12 +137,49 @@ def test_amalgamate_identity_when_stable():
         p.support for p in a.pieces.values()}
 
 
-def test_amalgamate_respects_protection():
-    _, tree = resolve_curve(curve_cusp_53())
-    d = csquare_decomposition(tree)
-    protected = frozenset(p.pid for p in d.pieces.values() if p.kind == "D")
-    a = amalgamate(d, protected)
-    assert "D(2)" in a.summary()
+# amalgamate(csquare_decomposition(tower)) of the curve fixtures: per piece
+# (pid, kind, rates, support, edge support), then the adjacency
+AMALGAMATED_FIXTURES = {
+    "cusp-53": (
+        [(0, "conical", "1", ["0"], []),
+         (2, "A", "1,5/3", ["2"], ["(0, 2)", "(2, 3)"]),
+         (3, "B", "5/3", ["1", "3"], ["(1, 3)"])],
+        [[0, 2], [2, 3]]),
+    "curve-32-74": (
+        [(0, "conical", "1", ["0"], []),
+         (2, "B", "3/2", ["1", "2"], ["(1, 2)"]),
+         (4, "B", "7/4", ["3", "4"], ["(3, 4)"]),
+         (5, "A", "1,3/2", [], ["(0, 2)"]),
+         (7, "A", "3/2,7/4", [], ["(2, 4)"])],
+        [[0, 5], [2, 5], [2, 7], [4, 7]]),
+    "carrousel-example": (
+        [(0, "conical", "1", ["0"], []),
+         (1, "A", "3/2,5/2", ["1"], ["(1, 2)", "(1, 5)"]),
+         (2, "B", "3/2", ["2"], []),
+         (4, "A", "3/2,13/6", ["4"], ["(2, 4)", "(4, 8)"]),
+         (5, "B", "5/2", ["3", "5"], ["(3, 5)"]),
+         (8, "B", "13/6", ["6", "7", "8"], ["(6, 7)", "(7, 8)"]),
+         (9, "A", "1,3/2", [], ["(0, 2)"])],
+        [[0, 9], [1, 2], [1, 5], [2, 4], [2, 9], [4, 8]]),
+}
+
+
+def test_amalgamated_fixture_documents():
+    def rate(text):
+        q = F(text)
+        return {"num": q.numerator, "den": q.denominator}
+
+    for name, (pieces, adjacency) in AMALGAMATED_FIXTURES.items():
+        _, tree = resolve_curve(load_fixture(name))
+        expected = {
+            "mode": "csquare",
+            "pieces": [{"id": pid, "kind": kind,
+                        "rates": [rate(q) for q in rates.split(",")],
+                        "special": False, "support": support,
+                        "edge_support": edges}
+                       for pid, kind, rates, support, edges in pieces],
+            "adjacency": adjacency}
+        assert amalgamate(csquare_decomposition(tree)).to_json() == expected, name
 
 
 def test_build_decomposition_e8_inner():

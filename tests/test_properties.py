@@ -80,13 +80,15 @@ def test_amalgamation_confluence_200():
         curve = random_curve(rng, max_branches=2, max_den=5)
         _, tree = resolve_curve(curve)
         d = csquare_decomposition(tree)
-        reference = _shape(amalgamate(d))
+        stable = amalgamate(d)
+        reference = _shape(stable)
         ids = list(d.pieces)
         shuffled = ids[:]
         rng.shuffle(shuffled)
         perm = dict(zip(ids, shuffled))
         permuted = _relabel(d, perm)
         assert _shape(amalgamate(permuted)) == reference
+        assert amalgamate(stable).to_json() == stable.to_json()
 
 
 def test_tree_branch_contacts_match_strand_contacts_200():

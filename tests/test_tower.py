@@ -111,6 +111,30 @@ def test_verify_flags_printed_figure_inconsistency():
     assert "laufer residual 3 for 'f' at vertex 0" in report.problems()
 
 
+def test_verify_tower_eliminates_once(monkeypatch):
+    # the minors and the determinant come from one elimination
+    from singlip import surfgraph
+    sizes = []
+    eliminate = surfgraph.eliminate
+
+    def spy(matrix, *rest):
+        sizes.append(len(matrix))
+        return eliminate(matrix, *rest)
+
+    monkeypatch.setattr(surfgraph, "eliminate", spy)
+    _, tree = resolve_curve(curve_carrousel_example())
+    assert verify_tower(tree).ok
+    assert sizes == [len(tree.vertices)] == [9]
+    _, tree = resolve_curve(curve_cusp_53())
+    tree.vertices[2].self_intersection = -1
+    assert verify_tower(tree).problems() == [
+        "intersection matrix is not negative definite",
+        "laufer residual 9 for 'f' at vertex 2",
+        "laufer residual 2 for 'h' at vertex 2",
+        "intersection determinant -5 not +-1"]
+    assert sizes == [9, 4]
+
+
 def test_event_cap():
     with pytest.raises(ResourceCapExceeded):
         resolve_curve(curve_cusp_53(), event_cap=2)
