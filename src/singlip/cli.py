@@ -13,9 +13,8 @@ import argparse
 import os
 import sys
 
-from . import carrousel, decomp, dot, fixtures, jsonio, surfgraph, tower
+import singlip  # singlip.dot loads on first use, inside the DOT renderers
 from .errors import DomainError, InputError
-from .strands import contact_matrix, horn_jump_profile
 
 EVENT_CAP_ENV = "SINGLIP_EVENT_CAP"
 
@@ -40,10 +39,12 @@ def _parse(parse, doc: dict, strict: bool):
 
 
 def _load_curve(path: str, strict: bool):
+    from . import jsonio
     return _parse(jsonio.parse_curve, jsonio.load_document(_read(path)), strict)
 
 
 def _load_graph(path: str, strict: bool):
+    from . import jsonio
     return _parse(jsonio.parse_graph, jsonio.load_document(_read(path)), strict)
 
 
@@ -60,19 +61,21 @@ def _positive_int(raw: str, what: str) -> int:
 
 def _event_cap(args) -> int:
     """--event-cap, else $SINGLIP_EVENT_CAP, else the default."""
+    from .tower import DEFAULT_EVENT_CAP
     raw = args.event_cap
     if raw is None:
-        raw = os.environ.get(EVENT_CAP_ENV) or str(tower.DEFAULT_EVENT_CAP)
+        raw = os.environ.get(EVENT_CAP_ENV) or str(DEFAULT_EVENT_CAP)
     return _positive_int(raw, "event cap")
 
 
-def _emit(args, json_doc, text_lines, dot_text=None) -> None:
+def _emit(args, json_doc, text_lines, render_dot=None) -> None:
     if args.format == "json":
-        sys.stdout.write(jsonio.dumps(json_doc))
+        from .jsonio import dumps
+        sys.stdout.write(dumps(json_doc))
     elif args.format == "dot":
-        if dot_text is None:
+        if render_dot is None:
             raise InputError("no DOT form for this command")
-        sys.stdout.write(dot_text)
+        sys.stdout.write(render_dot())
     else:
         for line in text_lines:
             sys.stdout.write(line + "\n")
@@ -81,6 +84,7 @@ def _emit(args, json_doc, text_lines, dot_text=None) -> None:
 # -- curve commands -----------------------------------------------------------
 
 def cmd_curve_contacts(args) -> int:
+    from .strands import contact_matrix
     curve = _load_curve(args.input, args.strict)
     matrix = contact_matrix(curve)
     finite = sorted(matrix.finite_values())
@@ -109,16 +113,20 @@ def _render_carrousel(node, indent=0, label=None):
 
 
 def cmd_curve_carrousel(args) -> int:
+    from . import carrousel
+    from .strands import contact_matrix
     curve = _load_curve(args.input, args.strict)
     t = carrousel.decorate(carrousel.build_carrousel_tree(contact_matrix(curve)))
     if args.reduce:
         t = carrousel.reduce_to_eggers(t)
     doc = {"format": "singlip.carrousel/1", **t.to_json()}
-    _emit(args, doc, _render_carrousel(t.root), dot.carrousel_to_dot(t))
+    _emit(args, doc, _render_carrousel(t.root),
+          lambda: singlip.dot.carrousel_to_dot(t))
     return 0
 
 
 def cmd_curve_horns(args) -> int:
+    from .strands import contact_matrix, horn_jump_profile
     curve = _load_curve(args.input, args.strict)
     profile = horn_jump_profile(contact_matrix(curve), args.base)
     lines = ["thresholds: " + ", ".join(str(t) for t in profile.thresholds),
@@ -139,16 +147,20 @@ def _numbered_lines(g, detail) -> list[str]:
 
 
 def cmd_curve_resolve(args) -> int:
+    from . import jsonio, tower
     curve = _load_curve(args.input, args.strict)
     events, tree = tower.resolve_curve(curve, event_cap=_event_cap(args))
     lines = _numbered_lines(tree, lambda v: f"rate={v.rate}")
     lines.append("arrows: " + ", ".join(
         f"{a.name}@E{a.vertex + 1}({a.multiplicity})" for a in tree.arrows))
-    _emit(args, jsonio.tower_to_json(tree, events), lines, dot.tree_to_dot(tree))
+    _emit(args, jsonio.tower_to_json(tree, events), lines,
+          lambda: singlip.dot.tree_to_dot(tree))
     return 0
 
 
 def cmd_curve_equiv(args) -> int:
+    from . import carrousel
+    from .strands import contact_matrix
     trees = []
     for path in (args.first, args.second):
         curve = _load_curve(path, args.strict)
@@ -162,6 +174,7 @@ def cmd_curve_equiv(args) -> int:
 # -- graph commands -----------------------------------------------------------
 
 def cmd_graph_mult(args) -> int:
+    from . import surfgraph
     graph = _load_graph(args.input, args.strict)
     divisor = surfgraph.solve_multiplicities(graph, args.arrow,
                                              strict=not args.allow_fractional)
@@ -172,16 +185,19 @@ def cmd_graph_mult(args) -> int:
 
 
 def cmd_graph_laufer(args) -> int:
+    from . import jsonio, surfgraph, tower
     curve = _load_curve(args.input, args.strict)
     _, tree = tower.resolve_curve(curve, event_cap=_event_cap(args))
     prepared = surfgraph.laufer_parity_prepare(tree)
     cover = surfgraph.laufer_double_cover(prepared)
     lines = _numbered_lines(cover, lambda v: f"genus={v.genus}")
-    _emit(args, jsonio.graph_to_json(cover), lines, dot.graph_to_dot(cover))
+    _emit(args, jsonio.graph_to_json(cover), lines,
+          lambda: singlip.dot.graph_to_dot(cover))
     return 0
 
 
 def cmd_graph_pencil(args) -> int:
+    from . import jsonio, surfgraph
     graph = _load_graph(args.input, args.strict)
     gens = []
     for entry in args.gen:
@@ -218,6 +234,7 @@ def cmd_graph_pencil(args) -> int:
 
 
 def cmd_graph_thickthin(args) -> int:
+    from . import decomp
     graph = _load_graph(args.input, args.strict)
     tt = decomp.thick_thin(graph)
     lines = []
@@ -237,16 +254,18 @@ def cmd_graph_thickthin(args) -> int:
 
 
 def cmd_graph_decompose(args) -> int:
+    from . import decomp
     graph = _load_graph(args.input, args.strict)
     d = decomp.build_decomposition(graph, args.mode)
     lines = [p.describe() + " on {" + ", ".join(sorted(map(str, p.support))) + "}"
              for p in sorted(d.pieces.values(), key=lambda p: p.pid)]
     _emit(args, {"format": "singlip.decomposition/1", **d.to_json()}, lines,
-          dot.decomposition_to_dot(graph, d))
+          lambda: singlip.dot.decomposition_to_dot(graph, d))
     return 0
 
 
 def cmd_graph_signature(args) -> int:
+    from . import decomp
     build = (decomp.inner_signature if args.metric == "inner"
              else decomp.outer_signature)
     first = build(_load_graph(args.input, args.strict))
@@ -272,19 +291,22 @@ def cmd_graph_signature(args) -> int:
 # -- verify and fixtures ------------------------------------------------------
 
 def cmd_verify(args) -> int:
+    from . import jsonio
     doc = jsonio.load_document(_read(args.input))
     fmt = doc["format"]
     problems: list[str] = []
     if fmt == jsonio.CURVE_FORMAT:
+        from .strands import contact_matrix
         curve = _parse(jsonio.parse_curve, doc, args.strict)
         matrix = contact_matrix(curve)
         for j, k, l in matrix.check_ultrametric():
             problems.append(f"ultrametric violation at strands ({j},{k},{l})")
     elif fmt == jsonio.GRAPH_FORMAT:
-        problems = surfgraph.verify_graph(
-            _parse(jsonio.parse_graph, doc, args.strict))
+        from .surfgraph import verify_graph
+        problems = verify_graph(_parse(jsonio.parse_graph, doc, args.strict))
     elif fmt == jsonio.TOWER_FORMAT:
-        problems = tower.verify_tower(
+        from .tower import verify_tower
+        problems = verify_tower(
             _parse(jsonio.parse_tower, doc, args.strict)).problems()
     else:
         raise InputError(f"cannot verify documents of format {fmt!r}")
@@ -295,12 +317,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_fixtures_list(args) -> int:
+    from . import fixtures
     for name in fixtures.fixture_names():
         print(f"{name} ({fixtures.fixture_kind(name)})")
     return 0
 
 
 def cmd_fixtures_dump(args) -> int:
+    from . import fixtures, jsonio
     obj = fixtures.load_fixture(args.name)
     if fixtures.fixture_kind(args.name) == "curve":
         sys.stdout.write(jsonio.dumps(jsonio.curve_to_json(obj)))
@@ -369,7 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_graph_thickthin)
     p = gsub.add_parser("decompose", help="geometric decomposition")
     p.add_argument("input")
-    p.add_argument("--mode", choices=decomp.MODES, required=True)
+    p.add_argument("--mode", choices=("initial", "inner", "outer"),
+                   required=True)
     p.set_defaults(func=cmd_graph_decompose)
     p = gsub.add_parser("signature", help="classification signature")
     p.add_argument("input")

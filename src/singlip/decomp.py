@@ -223,9 +223,10 @@ def csquare_decomposition(tree: DualTree) -> Decomposition:
     d = Decomposition("csquare")
     pid = 0
     vertex_piece = {}
+    arrowed = {a.vertex for a in tree.arrows}
     for v in tree.vertices:
         q = v.rate
-        arrows = tree.arrows_at(v.id)
+        arrows = v.id in arrowed
         valence = tree.valence(v.id)
         if v.id == tree.root:
             piece = Piece(pid, "conical", (Fraction(1),),

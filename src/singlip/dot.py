@@ -8,9 +8,12 @@ deterministic: vertices and edges are emitted in sorted order.
 
 from __future__ import annotations
 
-from .carrousel import CarrouselNode, CarrouselTree
-from .decomp import Decomposition
-from .surfgraph import DualGraph, DualTree, L_NODE
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .carrousel import CarrouselNode, CarrouselTree
+    from .decomp import Decomposition
+    from .surfgraph import DualGraph, DualTree
 
 
 def _q(s) -> str:
@@ -42,6 +45,7 @@ def _close(lines: list, arrows, index) -> str:
 
 
 def graph_to_dot(graph: DualGraph, name: str = "resolution") -> str:
+    from .surfgraph import L_NODE
     lines = [f"graph {name} {{", "  node [shape=circle];"]
     ids = {vid: i for i, vid in enumerate(graph.vertices)}
     for vid, v in graph.vertices.items():

@@ -10,15 +10,19 @@ arrows and the intersection matrix is negative definite.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import InputError
-from .strands import PuiseuxBranch
-from .surfgraph import DualGraph
+
+if TYPE_CHECKING:
+    from .strands import PuiseuxBranch
+    from .surfgraph import DualGraph
 
 F = Fraction
 
 
 def _branch(*terms) -> PuiseuxBranch:
+    from .strands import PuiseuxBranch
     return PuiseuxBranch.from_terms([(F(e), F(c)) for e, c in terms])
 
 
@@ -35,6 +39,7 @@ def curve_32_74() -> list[PuiseuxBranch]:
 
 
 def _graph(data: dict) -> DualGraph:
+    from .surfgraph import DualGraph
     g = DualGraph()
     for vid, self_int, genus, rate, h, flags in data["vertices"]:
         mults = {} if h is None else {"h": h}
@@ -131,6 +136,7 @@ def graph_a_k(k: int) -> DualGraph:
     (for k = 2 the separating blow-up of the two L-curves' crossing)."""
     if k < 1:
         raise InputError("a_k needs k >= 1")
+    from .surfgraph import DualGraph
     g = DualGraph()
     if k == 1:
         g.add_vertex("E1", -2, rate=F(1), multiplicities={"h": 1}, flags=("L",))

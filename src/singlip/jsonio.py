@@ -11,13 +11,15 @@ from __future__ import annotations
 import json
 import sys
 from json.encoder import encode_basestring_ascii
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .errors import InputError
 from .exactnum import as_rational, rational_to_json
-from .strands import PuiseuxBranch
-from .surfgraph import DualGraph, DualTree
-from .tower import BlowupEvent
+
+if TYPE_CHECKING:
+    from .strands import PuiseuxBranch
+    from .surfgraph import DualGraph, DualTree
+    from .tower import BlowupEvent
 
 CURVE_FORMAT = "singlip.curve/1"
 GRAPH_FORMAT = "singlip.graph/1"
@@ -65,6 +67,7 @@ def load_document(text: str) -> dict:
 
 def parse_curve(doc: dict, strict: bool = False,
                 warnings: Optional[list] = None) -> list[PuiseuxBranch]:
+    from .strands import PuiseuxBranch
     warnings = warnings if warnings is not None else []
     _check_format(doc, CURVE_FORMAT)
     _check_fields(doc, {"format", "branches"}, "curve document", strict, warnings)
@@ -99,6 +102,7 @@ def curve_to_json(curve: list[PuiseuxBranch]) -> dict:
 
 def parse_graph(doc: dict, strict: bool = False,
                 warnings: Optional[list] = None) -> DualGraph:
+    from .surfgraph import DualGraph
     warnings = warnings if warnings is not None else []
     _check_format(doc, GRAPH_FORMAT)
     _check_fields(doc, {"format", "vertices", "edges", "arrows"},
@@ -182,6 +186,7 @@ def parse_tower(doc: dict, strict: bool = False,
     """Vertex ids must be 0..n-1 in order and every vertex needs its
     rate_vector; the rate is read off it, so a stored "rate" is ignored,
     and so are the "events"."""
+    from .surfgraph import DualTree
     warnings = warnings if warnings is not None else []
     _check_format(doc, TOWER_FORMAT)
     _check_fields(doc, {"format", "vertices", "edges", "arrows", "events"},

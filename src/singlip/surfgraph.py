@@ -576,10 +576,11 @@ def blowdownable_vertices(graph: DualGraph) -> list:
     the curves that separate two L-curves (those exist precisely so that no
     two L-curves intersect).  A good minimal resolution has none."""
     out = []
+    arrowed = {a.vertex for a in graph.arrows}
     for vid, v in graph.vertices.items():
         if v.self_intersection != -1 or v.genus != 0:
             continue
-        if graph.valence(vid) > 2 or graph.arrows_at(vid):
+        if graph.valence(vid) > 2 or vid in arrowed:
             continue
         nbrs = graph.neighbors(vid)
         if len(nbrs) == 2 and all(L_NODE in graph.vertices[w].flags

@@ -1,14 +1,18 @@
 """Shared test utilities: numeric oracles, a reference determinant, random
 curve generation, towers replayed from the blow-up event log, the curvette
-oracle for inner rates, and a small DOT syntax checker used to validate
-emitted graphs."""
+oracle for inner rates, a small DOT syntax checker used to validate
+emitted graphs, and a fresh interpreter that imports this checkout."""
 
 from __future__ import annotations
 
 import cmath
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from singlip import PuiseuxBranch, strands_of
 from singlip.errors import DomainError, SinglipError
@@ -360,3 +364,13 @@ def parse_dot(text: str) -> dict:
     if i >= len(tokens) or tokens[i] != "}":
         raise ValueError("missing closing brace")
     return {"nodes": nodes, "edges": edges}
+
+
+def run_python(*argv) -> subprocess.CompletedProcess:
+    """``python *argv`` in a fresh interpreter that imports singlip from this
+    checkout; it must exit 0."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *argv], env=env, check=True,
+                          capture_output=True, text=True, timeout=60)

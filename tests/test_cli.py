@@ -1,16 +1,14 @@
+import argparse
 import io
 import json
-import os
-import subprocess
-import sys
 from contextlib import redirect_stderr, redirect_stdout
-from pathlib import Path
 
 import pytest
 
-from helpers import parse_dot
+from helpers import parse_dot, run_python
 from singlip import jsonio, resolve_curve
-from singlip.cli import main
+from singlip.cli import build_parser, main
+from singlip.decomp import MODES
 from singlip.fixtures import curve_cusp_53, fixture_names, load_fixture
 
 
@@ -121,6 +119,17 @@ def test_graph_decompose(paths):
     assert "B(1)" in out and "A(1,5/3)" in out and "B(5/3)" in out
 
 
+def test_decompose_mode_choices_are_decomp_modes():
+    # build_parser lists the modes itself so that parsing never imports decomp
+    graph = next(a for a in build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)).choices["graph"]
+    decompose = next(a for a in graph._actions
+                     if isinstance(a, argparse._SubParsersAction)
+                     ).choices["decompose"]
+    mode = next(a for a in decompose._actions if a.dest == "mode")
+    assert tuple(mode.choices) == MODES
+
+
 def test_graph_signature_compare(paths):
     code, out, _ = run_cli("graph", "signature", "--metric", "inner",
                            paths["e8"], paths["e8"])
@@ -220,14 +229,32 @@ def test_malformed_event_cap_flag_exit_2(paths, value):
     assert code == 0
 
 
-def test_cli_import_leaves_networkx_unloaded():
-    # networkx alone cost most of the CLI's cold start; nothing may import it
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    subprocess.run([sys.executable, "-c", "import singlip.cli, sys; "
-                    "assert 'networkx' not in sys.modules"],
-                   env=env, check=True, timeout=60)
+def _loaded_modules(*argv) -> set:
+    """singlip and networkx modules loaded by one CLI call in a fresh
+    interpreter."""
+    out = run_python("-c", "import sys\nfrom singlip.cli import main\n"
+                     "main(sys.argv[1:])\nprint(*[m for m in sys.modules if "
+                     "m.split('.')[0] in ('singlip', 'networkx')])", *argv)
+    return set(out.stdout.splitlines()[-1].split())
+
+
+def test_cli_import_leaves_networkx_unloaded(paths):
+    # networkx alone cost most of the CLI's cold start; nothing may import it.
+    # Each command imports only the layers it runs.
+    listed = _loaded_modules("fixtures", "list")
+    assert listed == {"singlip", "singlip.cli", "singlip.errors",
+                      "singlip.fixtures"}
+    contacts = _loaded_modules("curve", "contacts", paths["cusp-53"])
+    assert not contacts & {f"singlip.{m}" for m in (
+        "surfgraph", "tower", "series", "carrousel", "decomp", "dot")}
+    mult = _loaded_modules("graph", "mult", "--arrow", "x", paths["e8"])
+    assert not mult & {f"singlip.{m}" for m in (
+        "strands", "tower", "series", "carrousel", "decomp", "dot")}
+    assert "singlip.strands" in contacts and "singlip.surfgraph" in mult
+    # DOT text is rendered, and dot loaded, only under --format dot
+    carrousel = _loaded_modules("curve", "carrousel", paths["cusp-53"])
+    assert "singlip.carrousel" in carrousel and "singlip.dot" not in carrousel
+    assert "networkx" not in listed | contacts | mult | carrousel
 
 
 def test_declared_denominator_checked(tmp_path):
