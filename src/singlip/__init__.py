@@ -38,3 +38,7 @@ def __getattr__(name: str):
     if name in _SUBMODULES:
         return import_module(f".{name}", __name__)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_SUBMODULES})

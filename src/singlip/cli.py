@@ -13,7 +13,6 @@ import argparse
 import os
 import sys
 
-import singlip  # singlip.dot loads on first use, inside the DOT renderers
 from .errors import DomainError, InputError
 
 EVENT_CAP_ENV = "SINGLIP_EVENT_CAP"
@@ -29,23 +28,19 @@ def _read(path: str) -> str:
         raise InputError(f"cannot read {path}: {exc}") from None
 
 
-def _parse(parse, doc: dict, strict: bool):
-    """Parse a document, then print its unknown-field warnings."""
+def _parse(kind: str, doc: dict, strict: bool):
+    """Parse a curve, graph or tower document; print its unknown-field warnings."""
+    from . import jsonio
     warnings: list[str] = []
-    out = parse(doc, strict=strict, warnings=warnings)
+    out = getattr(jsonio, f"parse_{kind}")(doc, strict=strict, warnings=warnings)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     return out
 
 
-def _load_curve(path: str, strict: bool):
-    from . import jsonio
-    return _parse(jsonio.parse_curve, jsonio.load_document(_read(path)), strict)
-
-
-def _load_graph(path: str, strict: bool):
-    from . import jsonio
-    return _parse(jsonio.parse_graph, jsonio.load_document(_read(path)), strict)
+def _load(kind: str, path: str, strict: bool):
+    from .jsonio import load_document
+    return _parse(kind, load_document(_read(path)), strict)
 
 
 def _positive_int(raw: str, what: str) -> int:
@@ -75,7 +70,8 @@ def _emit(args, json_doc, text_lines, render_dot=None) -> None:
     elif args.format == "dot":
         if render_dot is None:
             raise InputError("no DOT form for this command")
-        sys.stdout.write(render_dot())
+        from . import dot
+        sys.stdout.write(render_dot(dot))
     else:
         for line in text_lines:
             sys.stdout.write(line + "\n")
@@ -85,8 +81,7 @@ def _emit(args, json_doc, text_lines, render_dot=None) -> None:
 
 def cmd_curve_contacts(args) -> int:
     from .strands import contact_matrix
-    curve = _load_curve(args.input, args.strict)
-    matrix = contact_matrix(curve)
+    matrix = contact_matrix(_load("curve", args.input, args.strict))
     finite = sorted(matrix.finite_values())
     lines = [f"strands: {matrix.size}",
              "contacts: " + ", ".join(str(v) for v in finite)]
@@ -115,19 +110,18 @@ def _render_carrousel(node, indent=0, label=None):
 def cmd_curve_carrousel(args) -> int:
     from . import carrousel
     from .strands import contact_matrix
-    curve = _load_curve(args.input, args.strict)
+    curve = _load("curve", args.input, args.strict)
     t = carrousel.decorate(carrousel.build_carrousel_tree(contact_matrix(curve)))
     if args.reduce:
         t = carrousel.reduce_to_eggers(t)
     doc = {"format": "singlip.carrousel/1", **t.to_json()}
-    _emit(args, doc, _render_carrousel(t.root),
-          lambda: singlip.dot.carrousel_to_dot(t))
+    _emit(args, doc, _render_carrousel(t.root), lambda dot: dot.carrousel_to_dot(t))
     return 0
 
 
 def cmd_curve_horns(args) -> int:
     from .strands import contact_matrix, horn_jump_profile
-    curve = _load_curve(args.input, args.strict)
+    curve = _load("curve", args.input, args.strict)
     profile = horn_jump_profile(contact_matrix(curve), args.base)
     lines = ["thresholds: " + ", ".join(str(t) for t in profile.thresholds),
              "counts: " + ", ".join(str(c) for c in profile.counts)]
@@ -148,23 +142,22 @@ def _numbered_lines(g, detail) -> list[str]:
 
 def cmd_curve_resolve(args) -> int:
     from . import jsonio, tower
-    curve = _load_curve(args.input, args.strict)
+    curve = _load("curve", args.input, args.strict)
     events, tree = tower.resolve_curve(curve, event_cap=_event_cap(args))
     lines = _numbered_lines(tree, lambda v: f"rate={v.rate}")
     lines.append("arrows: " + ", ".join(
         f"{a.name}@E{a.vertex + 1}({a.multiplicity})" for a in tree.arrows))
     _emit(args, jsonio.tower_to_json(tree, events), lines,
-          lambda: singlip.dot.tree_to_dot(tree))
+          lambda dot: dot.tree_to_dot(tree))
     return 0
 
 
 def cmd_curve_equiv(args) -> int:
-    from . import carrousel
-    from .strands import contact_matrix
+    from . import carrousel, strands
     trees = []
     for path in (args.first, args.second):
-        curve = _load_curve(path, args.strict)
-        trees.append(carrousel.build_carrousel_tree(contact_matrix(curve)))
+        curve = _load("curve", path, args.strict)
+        trees.append(carrousel.build_carrousel_tree(strands.contact_matrix(curve)))
     equal = carrousel.trees_isomorphic(*trees)
     _emit(args, {"format": "singlip.equiv/1", "equivalent": equal},
           [f"equivalent: {'true' if equal else 'false'}"])
@@ -175,7 +168,7 @@ def cmd_curve_equiv(args) -> int:
 
 def cmd_graph_mult(args) -> int:
     from . import surfgraph
-    graph = _load_graph(args.input, args.strict)
+    graph = _load("graph", args.input, args.strict)
     divisor = surfgraph.solve_multiplicities(graph, args.arrow,
                                              strict=not args.allow_fractional)
     lines = [f"{vid}: {m}" for vid, m in divisor.coefficients.items()]
@@ -186,19 +179,18 @@ def cmd_graph_mult(args) -> int:
 
 def cmd_graph_laufer(args) -> int:
     from . import jsonio, surfgraph, tower
-    curve = _load_curve(args.input, args.strict)
+    curve = _load("curve", args.input, args.strict)
     _, tree = tower.resolve_curve(curve, event_cap=_event_cap(args))
-    prepared = surfgraph.laufer_parity_prepare(tree)
-    cover = surfgraph.laufer_double_cover(prepared)
+    cover = surfgraph.laufer_double_cover(surfgraph.laufer_parity_prepare(tree))
     lines = _numbered_lines(cover, lambda v: f"genus={v.genus}")
     _emit(args, jsonio.graph_to_json(cover), lines,
-          lambda: singlip.dot.graph_to_dot(cover))
+          lambda dot: dot.graph_to_dot(cover))
     return 0
 
 
 def cmd_graph_pencil(args) -> int:
     from . import jsonio, surfgraph
-    graph = _load_graph(args.input, args.strict)
+    graph = _load("graph", args.input, args.strict)
     gens = []
     for entry in args.gen:
         name, _, raw = entry.partition(":")
@@ -235,8 +227,7 @@ def cmd_graph_pencil(args) -> int:
 
 def cmd_graph_thickthin(args) -> int:
     from . import decomp
-    graph = _load_graph(args.input, args.strict)
-    tt = decomp.thick_thin(graph)
+    tt = decomp.thick_thin(_load("graph", args.input, args.strict))
     lines = []
     for l_node, zone in tt.thick_zones:
         lines.append(f"thick[{l_node}]: " + ", ".join(sorted(map(str, zone))))
@@ -255,22 +246,21 @@ def cmd_graph_thickthin(args) -> int:
 
 def cmd_graph_decompose(args) -> int:
     from . import decomp
-    graph = _load_graph(args.input, args.strict)
+    graph = _load("graph", args.input, args.strict)
     d = decomp.build_decomposition(graph, args.mode)
     lines = [p.describe() + " on {" + ", ".join(sorted(map(str, p.support))) + "}"
              for p in sorted(d.pieces.values(), key=lambda p: p.pid)]
     _emit(args, {"format": "singlip.decomposition/1", **d.to_json()}, lines,
-          lambda: singlip.dot.decomposition_to_dot(graph, d))
+          lambda dot: dot.decomposition_to_dot(graph, d))
     return 0
 
 
 def cmd_graph_signature(args) -> int:
     from . import decomp
-    build = (decomp.inner_signature if args.metric == "inner"
-             else decomp.outer_signature)
-    first = build(_load_graph(args.input, args.strict))
+    build = getattr(decomp, f"{args.metric}_signature")
+    first = build(_load("graph", args.input, args.strict))
     if args.second:
-        second = build(_load_graph(args.second, args.strict))
+        second = build(_load("graph", args.second, args.strict))
         equal = decomp.signatures_equal(first, second)
         _emit(args, {"format": "singlip.signature/1", "metric": args.metric,
                      "equal": equal},
@@ -294,20 +284,17 @@ def cmd_verify(args) -> int:
     from . import jsonio
     doc = jsonio.load_document(_read(args.input))
     fmt = doc["format"]
-    problems: list[str] = []
     if fmt == jsonio.CURVE_FORMAT:
         from .strands import contact_matrix
-        curve = _parse(jsonio.parse_curve, doc, args.strict)
-        matrix = contact_matrix(curve)
-        for j, k, l in matrix.check_ultrametric():
-            problems.append(f"ultrametric violation at strands ({j},{k},{l})")
+        matrix = contact_matrix(_parse("curve", doc, args.strict))
+        problems = [f"ultrametric violation at strands ({j},{k},{l})"
+                    for j, k, l in matrix.check_ultrametric()]
     elif fmt == jsonio.GRAPH_FORMAT:
         from .surfgraph import verify_graph
-        problems = verify_graph(_parse(jsonio.parse_graph, doc, args.strict))
+        problems = verify_graph(_parse("graph", doc, args.strict))
     elif fmt == jsonio.TOWER_FORMAT:
         from .tower import verify_tower
-        problems = verify_tower(
-            _parse(jsonio.parse_tower, doc, args.strict)).problems()
+        problems = verify_tower(_parse("tower", doc, args.strict)).problems()
     else:
         raise InputError(f"cannot verify documents of format {fmt!r}")
     for p in problems:
@@ -326,10 +313,8 @@ def cmd_fixtures_list(args) -> int:
 def cmd_fixtures_dump(args) -> int:
     from . import fixtures, jsonio
     obj = fixtures.load_fixture(args.name)
-    if fixtures.fixture_kind(args.name) == "curve":
-        sys.stdout.write(jsonio.dumps(jsonio.curve_to_json(obj)))
-    else:
-        sys.stdout.write(jsonio.dumps(jsonio.graph_to_json(obj)))
+    to_json = getattr(jsonio, f"{fixtures.fixture_kind(args.name)}_to_json")
+    sys.stdout.write(jsonio.dumps(to_json(obj)))
     return 0
 
 
@@ -393,8 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_graph_thickthin)
     p = gsub.add_parser("decompose", help="geometric decomposition")
     p.add_argument("input")
-    p.add_argument("--mode", choices=("initial", "inner", "outer"),
-                   required=True)
+    p.add_argument("--mode", choices=("initial", "inner", "outer"), required=True)
     p.set_defaults(func=cmd_graph_decompose)
     p = gsub.add_parser("signature", help="classification signature")
     p.add_argument("input")

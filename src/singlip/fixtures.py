@@ -298,8 +298,5 @@ def fixture_kind(name: str) -> str:
 
 
 def load_fixture(name: str):
-    if name in _CURVES:
-        return _CURVES[name]()
-    if name in _GRAPHS:
-        return _GRAPHS[name]()
-    raise InputError(f"unknown fixture {name!r}")
+    builders = _CURVES if fixture_kind(name) == "curve" else _GRAPHS
+    return builders[name]()

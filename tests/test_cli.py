@@ -255,6 +255,15 @@ def test_cli_import_leaves_networkx_unloaded(paths):
     carrousel = _loaded_modules("curve", "carrousel", paths["cusp-53"])
     assert "singlip.carrousel" in carrousel and "singlip.dot" not in carrousel
     assert "networkx" not in listed | contacts | mult | carrousel
+    # nor may any layer, including those that no pinned command loads
+    out = run_python("-c", "import importlib, pkgutil, sys, singlip\n"
+                     "for m in pkgutil.iter_modules(singlip.__path__):\n"
+                     "    importlib.import_module('singlip.' + m.name)\n"
+                     "print(*[m for m in sys.modules if m.split('.')[0] in "
+                     "('singlip', 'networkx')])")
+    every = set(out.stdout.split())
+    assert {f"singlip.{m}" for m in ("decomp", "dot", "series", "tower")} <= every
+    assert "networkx" not in every
 
 
 def test_declared_denominator_checked(tmp_path):

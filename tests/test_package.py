@@ -15,6 +15,7 @@ def test_every_public_name_is_its_modules_object():
         home = import_module(f"singlip.{singlip._HOME[name]}")
         assert getattr(singlip, name) is getattr(home, name), name
     assert singlip.jsonio is import_module("singlip.jsonio")
+    assert {*singlip.__all__, "jsonio", "dot"} <= set(dir(singlip))
 
 
 def test_unknown_name_raises_attribute_error():
