@@ -20,8 +20,8 @@ def _q(s) -> str:
     return '"' + str(s).replace('"', r'\"') + '"'
 
 
-def tree_to_dot(tree: DualTree, name: str = "tower") -> str:
-    lines = [f"graph {name} {{", "  node [shape=circle];"]
+def tree_to_dot(tree: DualTree) -> str:
+    lines = ["graph tower {", "  node [shape=circle];"]
     for v in tree.vertices:
         label = f"E{v.id + 1}\\nq={v.rate}\\n{v.self_intersection}"
         mults = ",".join(f"{k}:{m}" for k, m in sorted(v.multiplicities.items()))
@@ -44,9 +44,9 @@ def _close(lines: list, arrows, index) -> str:
     return "\n".join(lines) + "\n"
 
 
-def graph_to_dot(graph: DualGraph, name: str = "resolution") -> str:
+def graph_to_dot(graph: DualGraph) -> str:
     from .surfgraph import L_NODE
-    lines = [f"graph {name} {{", "  node [shape=circle];"]
+    lines = ["graph resolution {", "  node [shape=circle];"]
     ids = {vid: i for i, vid in enumerate(graph.vertices)}
     for vid, v in graph.vertices.items():
         parts = [str(vid), str(v.self_intersection)]
@@ -65,8 +65,8 @@ def graph_to_dot(graph: DualGraph, name: str = "resolution") -> str:
     return _close(lines, graph.arrows, ids)
 
 
-def carrousel_to_dot(tree: CarrouselTree, name: str = "carrousel") -> str:
-    lines = [f"graph {name} {{", "  node [shape=circle];"]
+def carrousel_to_dot(tree: CarrouselTree) -> str:
+    lines = ["graph carrousel {", "  node [shape=circle];"]
     counter = [0]
 
     def walk(node: CarrouselNode) -> int:
@@ -95,15 +95,14 @@ def carrousel_to_dot(tree: CarrouselTree, name: str = "carrousel") -> str:
 _PIECE_COLORS = {"conical": "black", "B": "red", "D": "gray", "A": "white"}
 
 
-def decomposition_to_dot(graph: DualGraph, decomposition: Decomposition,
-                         name: str = "decomposition") -> str:
+def decomposition_to_dot(graph: DualGraph, decomposition: Decomposition) -> str:
     """Vertices colored by owning piece: black for conical/B(1), red for
     B(q>1), white for A, blue for special A-pieces."""
     owner = {}
     for p in decomposition.pieces.values():
         for vid in p.support:
             owner[vid] = p
-    lines = [f"graph {name} {{", "  node [shape=circle, style=filled];"]
+    lines = ["graph decomposition {", "  node [shape=circle, style=filled];"]
     ids = {vid: i for i, vid in enumerate(graph.vertices)}
     for vid, v in graph.vertices.items():
         p = owner.get(vid)

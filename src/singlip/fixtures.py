@@ -9,7 +9,6 @@ arrows and the intersection matrix is negative definite.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import InputError
@@ -18,12 +17,10 @@ if TYPE_CHECKING:
     from .strands import PuiseuxBranch
     from .surfgraph import DualGraph
 
-F = Fraction
-
 
 def _branch(*terms) -> PuiseuxBranch:
     from .strands import PuiseuxBranch
-    return PuiseuxBranch.from_terms([(F(e), F(c)) for e, c in terms])
+    return PuiseuxBranch.from_terms(terms)
 
 
 def curve_carrousel_example() -> list[PuiseuxBranch]:
@@ -43,8 +40,7 @@ def _graph(data: dict) -> DualGraph:
     g = DualGraph()
     for vid, self_int, genus, rate, h, flags in data["vertices"]:
         mults = {} if h is None else {"h": h}
-        g.add_vertex(vid, self_int, genus=genus,
-                     rate=None if rate is None else F(rate),
+        g.add_vertex(vid, self_int, genus=genus, rate=rate,
                      multiplicities=mults, flags=flags)
     for a, b in data["edges"]:
         g.add_edge(a, b)
@@ -139,18 +135,18 @@ def graph_a_k(k: int) -> DualGraph:
     from .surfgraph import DualGraph
     g = DualGraph()
     if k == 1:
-        g.add_vertex("E1", -2, rate=F(1), multiplicities={"h": 1}, flags=("L",))
+        g.add_vertex("E1", -2, rate=1, multiplicities={"h": 1}, flags=("L",))
         g.add_arrow("E1", "h", 2, "generic-linear")
         return g
     if k == 2:
-        rates = [F(1), F(3, 2), F(1)]
+        rates = [1, "3/2", 1]
         selfints = [-3, -1, -3]
         mults = [1, 2, 1]
     else:
         rates = [None] * k
-        rates[0] = rates[-1] = F(1)
+        rates[0] = rates[-1] = 1
         if k == 3:
-            rates[1] = F(2)
+            rates[1] = 2
         selfints = [-2] * k
         mults = [1] * k
     for i in range(len(selfints)):

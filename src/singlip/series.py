@@ -5,8 +5,9 @@ coordinate functions evaluated on the branch parametrization.  Divisions of
 the form v/u produce genuine power series with infinitely many terms, so a
 truncated representation would force precision management; instead every
 coordinate function is stored as an exact quotient of polynomials in t with
-a denominator that is a unit at t = 0.  All order computations, coefficient
-extractions and zero tests are then exact, and no precision is ever lost.
+a denominator that is a unit at t = 0.  The resolver reads only orders and
+constant terms (values at t = 0) off these quotients, so both are exact and
+no precision is ever lost.
 
 Polynomials are ``{exponent: coefficient}`` dicts over Fraction.
 """
@@ -49,22 +50,6 @@ def pord(a: Poly):
     return min(a) if a else None
 
 
-def series_inverse(p: Poly, k: int) -> Poly:
-    """1/p mod t^k for p with a nonzero constant term."""
-    c0 = p.get(0, Fraction(0))
-    if not c0:
-        raise DomainError("series_inverse needs a unit")
-    inv = {0: 1 / c0}
-    for j in range(1, k):
-        acc = Fraction(0)
-        for e, c in p.items():
-            if 0 < e <= j:
-                acc += c * inv.get(j - e, Fraction(0))
-        if acc:
-            inv[j] = -acc / c0
-    return pclean(inv)
-
-
 @dataclass(frozen=True)
 class RatSeries:
     """Quotient num/den of polynomials in t, den a unit at 0."""
@@ -83,14 +68,9 @@ class RatSeries:
     def ord(self):
         return pord(self.num)
 
-    def coeff(self, k: int) -> Fraction:
-        """Coefficient of t^k in the series expansion."""
-        inv = series_inverse(self.den, k + 1)
-        acc = Fraction(0)
-        for e, c in self.num.items():
-            if e <= k:
-                acc += c * inv.get(k - e, Fraction(0))
-        return acc
+    def constant(self) -> Fraction:
+        """Value at t = 0."""
+        return self.num.get(0, 0) / self.den[0]
 
     def sub_const(self, c: Fraction) -> "RatSeries":
         return RatSeries.make(padd(self.num, pscale(self.den, -c)), self.den)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import copy
 import re
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -198,10 +199,6 @@ class DualGraph:
 
     def valence(self, vid) -> int:
         return len(self._adjacent[vid])
-
-    def arrows_at(self, vid, name=None) -> list[Arrow]:
-        return [a for a in self.arrows
-                if a.vertex == vid and (name is None or a.name == name)]
 
     def arrow_pairs(self, name) -> list[tuple]:
         """(vertex, multiplicity) of every arrow of the named function."""
@@ -455,15 +452,15 @@ def _blow_up_arrow(tree: DualTree, arrow_index: int):
     tree.arrows[arrow_index] = replace(arrow, vertex=new)
 
 
-def blow_all_double_points(tree: DualTree, name: str = CURVE_FUNCTION) -> DualTree:
-    """Blow up every intersection point of the named function's total
-    transform: all edges plus the points where its arrows meet their
-    curves.  Decorative arrows of other functions are left alone."""
+def blow_all_double_points(tree: DualTree) -> DualTree:
+    """Blow up every intersection point of f's total transform: all edges
+    plus the points where its arrows meet their curves.  Decorative arrows
+    of other functions are left alone."""
     out = tree.copy()
     for a, b in sorted(tree.edges):
         _blow_up_edge(out, a, b)
     for i, arrow in enumerate(tree.arrows):
-        if arrow.name == name:
+        if arrow.name == CURVE_FUNCTION:
             _blow_up_arrow(out, i)
     return out
 
@@ -479,21 +476,21 @@ def extend_arrow_chain(tree: DualTree, arrow_index: int, steps: int) -> DualTree
 
 # -- Laufer double cover ------------------------------------------------------
 
-def _parity_items(tree: DualTree, name: str):
-    """Edges and arrows of the total transform of the named function,
-    with the multiplicities of their two sides."""
+def _parity_items(tree: DualTree):
+    """Edges and arrows of the total transform of f, with the
+    multiplicities of their two sides."""
     for a, b in sorted(tree.edges):
         yield ("edge", (a, b),
-               tree.vertices[a].multiplicities.get(name, 0),
-               tree.vertices[b].multiplicities.get(name, 0))
+               tree.vertices[a].multiplicities.get(CURVE_FUNCTION, 0),
+               tree.vertices[b].multiplicities.get(CURVE_FUNCTION, 0))
     for i, arrow in enumerate(tree.arrows):
-        if arrow.name == name:
+        if arrow.name == CURVE_FUNCTION:
             yield ("arrow", i,
-                   tree.vertices[arrow.vertex].multiplicities.get(name, 0),
+                   tree.vertices[arrow.vertex].multiplicities.get(CURVE_FUNCTION, 0),
                    arrow.multiplicity)
 
 
-def laufer_parity_prepare(tree: DualTree, name: str = CURVE_FUNCTION) -> DualTree:
+def laufer_parity_prepare(tree: DualTree) -> DualTree:
     """Blow up every intersection point of two odd-multiplicity components
     of the total transform (arrows counted); the result has no odd-odd
     adjacency, so the branch locus of the double cover is smooth.
@@ -501,7 +498,7 @@ def laufer_parity_prepare(tree: DualTree, name: str = CURVE_FUNCTION) -> DualTre
     One pass over the input's items suffices: blowing up an odd-odd point
     gives an even curve, which creates no new odd-odd point, and leaves
     the multiplicities of the other items alone."""
-    odd = [(kind, ref) for kind, ref, m1, m2 in _parity_items(tree, name)
+    odd = [(kind, ref) for kind, ref, m1, m2 in _parity_items(tree)
            if m1 % 2 == 1 and m2 % 2 == 1]
     if not odd:
         return tree
@@ -514,7 +511,7 @@ def laufer_parity_prepare(tree: DualTree, name: str = CURVE_FUNCTION) -> DualTre
     return out
 
 
-def laufer_double_cover(tree: DualTree, name: str = CURVE_FUNCTION) -> DualGraph:
+def laufer_double_cover(tree: DualTree) -> DualGraph:
     """Resolution graph of z^2 + f from a parity-prepared resolution of f.
 
     Requires strictly alternating parity: every edge and every arrow
@@ -524,18 +521,23 @@ def laufer_double_cover(tree: DualTree, name: str = CURVE_FUNCTION) -> DualGraph
     k/2 - 1 from their k branch points.  Other tracked functions pull back
     with doubled multiplicity on odd (ramified) vertices.
     """
-    for kind, ref, m1, m2 in _parity_items(tree, name):
+    branch_points: Counter = Counter()  # even vertex -> odd partners
+    for kind, ref, m1, m2 in _parity_items(tree):
         if m1 % 2 == m2 % 2:
             parity = "odd-odd" if m1 % 2 else "even-even"
             raise DomainError(
                 f"{parity} adjacency at {kind} {ref}; not in the combinatorial "
                 "case of the double cover construction")
+        if kind == "edge":  # a branch point on its even end
+            branch_points[ref[m1 % 2]] += 1
+        elif m2 % 2:  # an odd arrow meets an even vertex
+            branch_points[tree.arrows[ref].vertex] += 1
 
     graph = tower_to_graph(tree)
-    graph.arrows = [a for a in graph.arrows if a.name == name]
-    other_names = [n for n in tree.function_names() if n != name]
+    graph.arrows = [a for a in graph.arrows if a.name == CURVE_FUNCTION]
+    other_names = [n for n in tree.function_names() if n != CURVE_FUNCTION]
     for v in graph.vertices.values():
-        m = v.multiplicities.get(name, 0)
+        m = v.multiplicities.get(CURVE_FUNCTION, 0)
         if m % 2 == 1:
             if v.self_intersection % 2 != 0:
                 raise DomainError(
@@ -544,21 +546,16 @@ def laufer_double_cover(tree: DualTree, name: str = CURVE_FUNCTION) -> DualGraph
             v.self_intersection //= 2
             scale = 2
         else:
-            branch_points = sum(
-                1 for w in tree.neighbors(v.id)
-                if tree.vertices[w].multiplicities.get(name, 0) % 2 == 1)
-            branch_points += sum(1 for a in tree.arrows_at(v.id, name)
-                                 if a.multiplicity % 2 == 1)
-            if branch_points == 0:
+            k = branch_points[v.id]
+            if k == 0:
                 raise DomainError(
                     f"even vertex {v.id} has no branch points; the cover "
                     "splits over it")
-            if branch_points % 2 == 1:
-                raise DomainError(
-                    f"odd branch point count {branch_points} at vertex {v.id}")
+            if k % 2 == 1:
+                raise DomainError(f"odd branch point count {k} at vertex {v.id}")
             v.self_intersection *= 2
-            v.multiplicities[name] = m // 2
-            v.genus = branch_points // 2 - 1
+            v.multiplicities[CURVE_FUNCTION] = m // 2
+            v.genus = k // 2 - 1
             scale = 1
         for n in other_names:
             v.multiplicities[n] = v.multiplicities.get(n, 0) * scale

@@ -9,6 +9,14 @@ constants.  Points get blown up exactly while the total transform fails to
 be a normal crossings divisor with all branch arrows transversal at free
 points, so the event sequence is the minimal one.
 
+The points pass through one queue in creation order.  A popped point that
+needs a blow-up is blown up and the points of the new curve are queued in
+the order of their first branch; any other point is kept and gets its
+branch arrows at the end, in pop order.  A point's branches are fixed once
+the blow-up that creates it has landed them, so whether it needs a blow-up
+never changes, and every later point is queued after it: the queue blows
+up, at each step, the earliest created point that needs it.
+
 Each event is ``DualGraph.blow_up``, which sets the new curve's
 self-intersection, unreduced inner-rate vector and multiplicities.  The
 tracked functions are the curve's own defining function "f", whose strict
@@ -27,6 +35,7 @@ tower against independent oracles.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -48,138 +57,100 @@ class BlowupEvent:
 
 @dataclass
 class _Point:
-    """An infinitely-near point currently carrying branch strict transforms."""
+    """An infinitely-near point carrying branch strict transforms."""
 
-    pid: int
     key: tuple
     du: Optional[int]  # exceptional curve cut out by the first coordinate
     dv: Optional[int]  # exceptional curve cut out by the second, if any
     branches: dict     # branch id -> (RatSeries, RatSeries)
 
 
-class Resolution:
-    """Runs the minimal embedded resolution of a curve; the results are
-    ``events``, the blow-up log, and ``tree``, the decorated dual tree."""
-
-    def __init__(self, curve: Sequence[PuiseuxBranch], event_cap: int = DEFAULT_EVENT_CAP):
-        strands_of(curve)  # validates branches and rejects duplicates
-        self.curve = list(curve)
-        self.event_cap = event_cap
-        self.tree = DualTree()
-        self.events: list[BlowupEvent] = []
-        self._next_pid = 0
-        self._active: dict[int, _Point] = {}
-        self._seed()
-        self._run()
-
-    # -- setup ------------------------------------------------------------
-
-    def _seed(self):
-        branches = {}
-        for i, b in enumerate(self.curve):
-            x, y = b.parametrization()
-            branches[i] = (RatSeries.make(x), RatSeries.make(y))
-        origin = _Point(self._new_pid(), ("origin",), None, None, branches)
-        self._active[origin.pid] = origin
-
-    def _new_pid(self) -> int:
-        pid = self._next_pid
-        self._next_pid += 1
-        return pid
-
-    # -- main loop ----------------------------------------------------------
-
-    def _run(self):
-        while True:
-            targets = sorted(p.pid for p in self._active.values() if self._needs_blowup(p))
-            if not targets:
-                break
-            if len(self.events) >= self.event_cap:
-                raise ResourceCapExceeded(
-                    f"blow-up event cap {self.event_cap} exceeded")
-            self._blow_up(self._active[targets[0]])
-        self._attach_arrows()
-
-    def _needs_blowup(self, p: _Point) -> bool:
-        if p.key[0] == "origin":
-            return True
-        if len(p.branches) >= 2:
-            return True
-        if p.key[0] == "sat" and p.dv is not None:
-            return True  # branch sitting on a double point of the divisor
-        (pair,) = p.branches.values()
-        if self._local_multiplicity(pair) >= 2:
-            return True  # singular strict transform
-        return pair[0].ord() >= 2  # smooth but tangent to the exceptional curve
-
-    def _blow_up(self, p: _Point):
-        tree = self.tree
-        new = len(tree.vertices)
-        exceptional = [e for e in (p.du, p.dv) if e is not None]
-        through = tuple(sorted(
-            (bid, self._local_multiplicity(pair)) for bid, pair in p.branches.items()))
-        tree.blow_up(new, exceptional, {
-            CURVE_FUNCTION: sum(m for _, m in through),
-            GENERIC_LINEAR: int(p.key[0] == "origin")})
-
-        if p.key[0] == "origin":
-            center = ("origin",)
-        elif len(exceptional) == 2:
-            center = ("satellite", exceptional[0], exceptional[1])
-        else:
-            tag = p.key[2] if p.key[0] == "free" else "axis"
-            center = ("free", exceptional[0], tag)
-        self.events.append(BlowupEvent(len(self.events), center, through))
-
-        if p.key[0] == "origin":
-            tree.add_arrow(new, GENERIC_LINEAR, 1, "generic-linear")
-
-        del self._active[p.pid]
-        self._land_branches(p, new)
-
-    @staticmethod
-    def _local_multiplicity(pair) -> int:
-        bu, bv = pair
-        a = bu.ord()
-        b = bv.ord()
-        return a if b is None else min(a, b)
-
-    def _land_branches(self, p: _Point, new: int):
-        landings: dict[tuple, _Point] = {}
-        for bid, (bu, bv) in sorted(p.branches.items()):
-            a = bu.ord()
-            b = bv.ord()
-            if b is not None and b < a:
-                key, dv = ("sat", new, p.du), p.du
-                pair = (bv, bu.div(bv))
-            else:
-                ratio = bv.div(bu)
-                c = ratio.coeff(0)
-                if c:
-                    key, dv = ("free", new, c), None
-                    pair = (bu, ratio.sub_const(c))
-                else:
-                    key, dv = ("sat", new, p.dv), p.dv
-                    pair = (bu, ratio)
-            point = landings.get(key)
-            if point is None:
-                point = _Point(self._new_pid(), key, new, dv, {})
-                landings[key] = point
-                self._active[point.pid] = point
-            point.branches[bid] = pair
-
-    def _attach_arrows(self):
-        for point in sorted(self._active.values(), key=lambda q: q.pid):
-            for bid, (bu, bv) in sorted(point.branches.items()):
-                assert bu.ord() == 1 and point.du is not None
-                self.tree.add_arrow(point.du, CURVE_FUNCTION, 1, "branch", bid)
-
-
 def resolve_curve(curve: Sequence[PuiseuxBranch], event_cap: int = DEFAULT_EVENT_CAP
                   ) -> tuple[list[BlowupEvent], DualTree]:
     """Minimal embedded resolution tower of the curve."""
-    res = Resolution(curve, event_cap=event_cap)
-    return res.events, res.tree
+    strands_of(curve)  # validates branches and rejects duplicates
+    tree = DualTree()
+    events: list[BlowupEvent] = []
+    queue = deque([_Point(("origin",), None, None, {
+        i: tuple(map(RatSeries.make, b.parametrization()))
+        for i, b in enumerate(curve)})])
+    kept = []
+    while queue:
+        p = queue.popleft()
+        if not _needs_blowup(p):
+            kept.append(p)
+            continue
+        if len(events) >= event_cap:
+            raise ResourceCapExceeded(f"blow-up event cap {event_cap} exceeded")
+        events.append(_blow_up(tree, p))
+        queue.extend(_land_branches(p, events[-1].index))
+    for p in kept:
+        for bid, (bu, _) in sorted(p.branches.items()):
+            assert bu.ord() == 1 and p.du is not None
+            tree.add_arrow(p.du, CURVE_FUNCTION, 1, "branch", bid)
+    return events, tree
+
+
+def _needs_blowup(p: _Point) -> bool:
+    if p.key[0] == "origin":
+        return True
+    if len(p.branches) >= 2:
+        return True
+    if p.key[0] == "sat" and p.dv is not None:
+        return True  # branch sitting on a double point of the divisor
+    (pair,) = p.branches.values()
+    if _local_multiplicity(pair) >= 2:
+        return True  # singular strict transform
+    return pair[0].ord() >= 2  # smooth but tangent to the exceptional curve
+
+
+def _local_multiplicity(pair) -> int:
+    a = pair[0].ord()
+    b = pair[1].ord()
+    return a if b is None else min(a, b)
+
+
+def _blow_up(tree: DualTree, p: _Point) -> BlowupEvent:
+    """Blow up the point in the tree; the new vertex id is the event index."""
+    new = len(tree.vertices)
+    exceptional = [e for e in (p.du, p.dv) if e is not None]
+    through = tuple(sorted(
+        (bid, _local_multiplicity(pair)) for bid, pair in p.branches.items()))
+    tree.blow_up(new, exceptional, {
+        CURVE_FUNCTION: sum(m for _, m in through),
+        GENERIC_LINEAR: int(p.key[0] == "origin")})
+    if p.key[0] == "origin":
+        tree.add_arrow(new, GENERIC_LINEAR, 1, "generic-linear")
+        center = ("origin",)
+    elif len(exceptional) == 2:
+        center = ("satellite", exceptional[0], exceptional[1])
+    else:
+        tag = p.key[2] if p.key[0] == "free" else "axis"
+        center = ("free", exceptional[0], tag)
+    return BlowupEvent(new, center, through)
+
+
+def _land_branches(p: _Point, new: int) -> list[_Point]:
+    """The points of the new curve ``new`` that p's branches pass through,
+    in the order of their first branch."""
+    landings: dict[tuple, _Point] = {}
+    for bid, (bu, bv) in sorted(p.branches.items()):
+        a = bu.ord()
+        b = bv.ord()
+        if b is not None and b < a:
+            key, dv = ("sat", new, p.du), p.du
+            pair = (bv, bu.div(bv))
+        else:
+            ratio = bv.div(bu)
+            c = ratio.constant()
+            if c:
+                key, dv = ("free", new, c), None
+                pair = (bu, ratio.sub_const(c))
+            else:
+                key, dv = ("sat", new, p.dv), p.dv
+                pair = (bu, ratio)
+        landings.setdefault(key, _Point(key, new, dv, {})).branches[bid] = pair
+    return list(landings.values())
 
 
 def branch_contact(tree: DualTree, first: int, second: int) -> Fraction:

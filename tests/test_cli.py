@@ -230,17 +230,19 @@ def test_malformed_event_cap_flag_exit_2(paths, value):
 
 
 def _loaded_modules(*argv) -> set:
-    """singlip and networkx modules loaded by one CLI call in a fresh
-    interpreter."""
+    """singlip, networkx and fractions modules loaded by one CLI call in a
+    fresh interpreter."""
     out = run_python("-c", "import sys\nfrom singlip.cli import main\n"
                      "main(sys.argv[1:])\nprint(*[m for m in sys.modules if "
-                     "m.split('.')[0] in ('singlip', 'networkx')])", *argv)
+                     "m.split('.')[0] in ('singlip', 'networkx', 'fractions')])",
+                     *argv)
     return set(out.stdout.splitlines()[-1].split())
 
 
 def test_cli_import_leaves_networkx_unloaded(paths):
     # networkx alone cost most of the CLI's cold start; nothing may import it.
     # Each command imports only the layers it runs.
+    # Listing fixtures loads no layer, and not even fractions.
     listed = _loaded_modules("fixtures", "list")
     assert listed == {"singlip", "singlip.cli", "singlip.errors",
                       "singlip.fixtures"}

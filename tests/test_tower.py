@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from helpers import (curvette_pair, random_curve, replay_events,
                      replay_prefixes)
 from singlip import (PuiseuxBranch, blow_all_double_points,
-                     coincidence_exponent, extend_arrow_chain, fixtures,
+                     coincidence_exponent, extend_arrow_chain, fixtures, jsonio,
                      laufer_parity_prepare, resolve_curve, verify_tower)
 from singlip.errors import InputError, ResourceCapExceeded
 from singlip.fixtures import (curve_32_74, curve_carrousel_example,
@@ -14,8 +15,20 @@ from singlip.fixtures import (curve_32_74, curve_carrousel_example,
 from singlip.surfgraph import DualTree
 
 
+DATA = Path(__file__).parent / "data"
+
+
 def branch(*terms):
     return PuiseuxBranch.from_terms([(F(e), F(c)) for e, c in terms])
+
+
+@pytest.mark.parametrize("name", ["carrousel-example", "cusp-53", "curve-32-74"])
+def test_fixture_tower_json_is_pinned(name):
+    # the whole tower document, event order included, as recorded before the
+    # resolver ran on a creation-order queue
+    events, tree = resolve_curve(fixtures.load_fixture(name))
+    pinned = (DATA / f"tower-{name}.json").read_text()
+    assert jsonio.dumps(jsonio.tower_to_json(tree, events)) == pinned
 
 
 def test_cusp_53_tower_matches_figure():
@@ -35,7 +48,7 @@ def test_cusp_53_tower_matches_figure():
 def test_smooth_branches_one_event():
     _, tree = resolve_curve([branch((1, 5))])
     assert len(tree.vertices) == 1
-    assert tree.arrows_at(0, "f")
+    assert (0, 1) in tree.arrow_pairs("f")
     # smooth but tangent to the x-axis also resolves with one blow-up
     _, tree = resolve_curve([branch((2, 1))])
     assert len(tree.vertices) == 1
@@ -136,8 +149,12 @@ def test_verify_tower_eliminates_once(monkeypatch):
 
 
 def test_event_cap():
-    with pytest.raises(ResourceCapExceeded):
-        resolve_curve(curve_cusp_53(), event_cap=2)
+    # cusp-53 takes 4 blow-ups: a cap of 4 lets them all run, 3 does not
+    events, _ = resolve_curve(curve_cusp_53(), event_cap=4)
+    assert len(events) == 4
+    for cap in (2, 3):
+        with pytest.raises(ResourceCapExceeded):
+            resolve_curve(curve_cusp_53(), event_cap=cap)
 
 
 def test_duplicate_branch_rejected():
