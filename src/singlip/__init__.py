@@ -14,7 +14,6 @@ _EXPORTS = {
                "is_metrically_conical outer_signature signatures_equal "
                "thick_thin thin_zone_rate"),
     "errors": "DomainError InputError ResourceCapExceeded SinglipError",
-    "exactnum": "Rational",
     "strands": ("ContactMatrix PuiseuxBranch Strand branch_char_exponents "
                 "coincidence_exponent contact_matrix horn_jump_profile "
                 "strand_contact strands_of"),
@@ -26,7 +25,7 @@ _EXPORTS = {
 }
 _HOME = {name: mod for mod, names in _EXPORTS.items() for name in names.split()}
 # never "cli": `python -m singlip.cli` must find it unimported
-_SUBMODULES = {*_EXPORTS, "dot", "fixtures", "jsonio", "series"}
+_SUBMODULES = {*_EXPORTS, "dot", "exactnum", "fixtures", "jsonio", "series"}
 
 __all__ = sorted(_HOME)
 __version__ = "0.1.0"

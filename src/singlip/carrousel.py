@@ -1,11 +1,14 @@
 """Carrousel trees: the rooted contact trees of plane curve germs.
 
-The tree is built from a contact matrix by taking, for each contact value q
-(always including 1), the equivalence classes of strands under "contact at
-least q", wiring classes by inclusion, weighting each class vertex with its
-q, and suppressing valence-2 vertices.  Two germs are outer Lipschitz
-equivalent exactly when their carrousel trees are isomorphic as rooted
-weighted trees, so isomorphism here is a decision procedure.
+The tree is built from a contact matrix by one recursive split.  The root
+has weight 1; a vertex of weight q splits its strands into the classes of
+contact above q, and a class of two or more strands becomes a child vertex
+weighted by the least contact inside it, so every vertex but the root
+branches.  For an ultrametric matrix, as every curve's is, the leaf
+contacts of the tree (the weight of each pair's deepest common ancestor)
+give the matrix back.  Two germs are outer Lipschitz equivalent exactly
+when their carrousel trees are isomorphic as rooted weighted trees, so
+isomorphism here is a decision procedure.
 
 Decorations m, n, r, s record how the denominator lattice grows down each
 root path; the reduction step collapses groups of r isomorphic sibling
@@ -18,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import InputError
 from .exactnum import rational_to_json
@@ -40,11 +43,6 @@ class CarrouselNode:
 
     def is_leaf(self) -> bool:
         return self.weight is None
-
-    def leaves(self) -> list[int]:
-        if self.is_leaf():
-            return [self.leaf]
-        return [x for c in self.children for x in c.leaves()]
 
     def encoding(self, with_decorations: bool = False):
         """Canonical encoding: children sorted by (weight, encoding)."""
@@ -74,9 +72,6 @@ class CarrouselTree:
     root: CarrouselNode
     size: int  # number of strands
 
-    def leaves(self) -> list[int]:
-        return self.root.leaves()
-
     def encoding(self, with_decorations: bool = False):
         return self.root.encoding(with_decorations)
 
@@ -85,46 +80,35 @@ class CarrouselTree:
 
 
 def build_carrousel_tree(matrix: ContactMatrix) -> CarrouselTree:
-    """Contact-class tree of the matrix, valence-2 vertices suppressed.
+    """Contact tree of the matrix, split recursively from a root of weight 1.
 
-    The level set is the finite contact values together with 1, so the root
-    always has weight 1 even when no two strands have contact exactly 1.
+    A vertex of weight q splits its strands into the classes of contact
+    above q, listed by least strand.  A class of one strand is a leaf; a
+    larger one is a vertex weighted by the least contact with its first
+    strand, so no vertex but the root is unary.  An infinite (None) entry
+    joins no class, so a matrix with one off the diagonal never comes back
+    from ``leaf_contacts``.
     """
-    m = matrix.size
-    values = sorted(matrix.finite_values() | {Fraction(1)}, reverse=True)
 
-    def classes(strands: Sequence[int], level: Fraction) -> list[list[int]]:
-        # the relation is transitive (ultrametric), so one representative
-        # per group is enough; union-find is overkill at these sizes
+    def split(strands: list[int], weight: Fraction) -> CarrouselNode:
+        # contact is ultrametric, so one representative per class is enough;
+        # as its row alone decides, the strand at the least contact splits
+        # off, and the recursion ends on any matrix, an asymmetric one too
         groups: list[list[int]] = []
         for s in strands:
             for g in groups:
-                q = matrix.q(s, g[0])
-                if q is None or q >= level:
+                q = matrix.q(g[0], s)
+                if q is not None and q > weight:
                     g.append(s)
                     break
             else:
                 groups.append([s])
-        return groups
+        return CarrouselNode(weight, tuple(
+            split(g, min(matrix.q(g[0], s) for s in g[1:])) if len(g) > 1
+            else CarrouselNode(None, leaf=g[0]) for g in groups))
 
-    def build(strands: Sequence[int], idx: int) -> CarrouselNode:
-        weight = values[idx]
-        if idx == 0:
-            kids = [CarrouselNode(None, leaf=s) for s in sorted(strands)]
-        else:
-            kids = [build(g, idx - 1) for g in classes(strands, values[idx - 1])]
-        return CarrouselNode(weight, tuple(kids))
-
-    def suppress(node: CarrouselNode, is_root: bool) -> CarrouselNode:
-        if node.is_leaf():
-            return node
-        kids = tuple(suppress(c, False) for c in node.children)
-        if not is_root and len(kids) == 1:
-            return kids[0]
-        return replace(node, children=kids)
-
-    root = suppress(build(list(range(m)), len(values) - 1), True)
-    return CarrouselTree(root, m)
+    return CarrouselTree(split(list(range(matrix.size)), Fraction(1)),
+                         matrix.size)
 
 
 def decorate(tree: CarrouselTree) -> CarrouselTree:

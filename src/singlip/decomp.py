@@ -126,7 +126,7 @@ def thick_thin(graph: DualGraph) -> ThickThin:
             if end is None or L_NODE not in graph.vertices[end].flags:
                 thick[vid].update(chain)
 
-    claimed = set().union(*thick.values()) if thick else set()
+    claimed = set().union(*thick.values())
     rest = {vid for vid in graph.vertices if vid not in claimed}
     zones = []
     for vid in rest:

@@ -23,20 +23,23 @@ from typing import NamedTuple, Optional, Sequence
 
 from .errors import InputError
 
-Rational = Fraction
+
+def is_int(x) -> bool:
+    """An integer that is not a bool: JSON ``true`` is not the number 1."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def as_rational(value) -> Fraction:
     """Coerce ints, Fractions, "p/q" strings and {"num","den"} dicts of
-    integers; anything else, a zero denominator included, is an
+    integers; anything else, a bool or a zero denominator included, is an
     InputError."""
-    if isinstance(value, (int, Fraction)):
+    if is_int(value) or isinstance(value, Fraction):
         return Fraction(value)
     try:
         if isinstance(value, str):
             return Fraction(value)
         if (isinstance(value, dict) and set(value) == {"num", "den"}
-                and all(isinstance(x, int) for x in value.values())):
+                and all(map(is_int, value.values()))):
             return Fraction(value["num"], value["den"])
     except (ValueError, ZeroDivisionError):
         pass

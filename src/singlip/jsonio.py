@@ -14,7 +14,7 @@ from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Optional
 
 from .errors import InputError
-from .exactnum import as_rational, rational_to_json
+from .exactnum import as_rational, is_int, rational_to_json
 
 if TYPE_CHECKING:
     from .strands import PuiseuxBranch
@@ -88,9 +88,10 @@ def parse_curve(doc: dict, strict: bool = False,
             except KeyError as exc:
                 raise InputError(f"{where}.terms[{j}] missing {exc}") from None
         branch = PuiseuxBranch.from_terms(terms)
-        if "denominator" in b and b["denominator"] != branch.denominator:
+        declared = b.get("denominator", branch.denominator)
+        if not is_int(declared) or declared != branch.denominator:
             raise InputError(
-                f"{where}: declared denominator {b['denominator']} differs "
+                f"{where}: declared denominator {declared!r} differs "
                 f"from the minimal one {branch.denominator}")
         out.append(branch)
     return out

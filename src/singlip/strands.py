@@ -69,9 +69,6 @@ class PuiseuxBranch:
         n = reduce(math.lcm, (e.denominator for e, _ in pairs), 1)
         return cls(n, tuple(pairs))
 
-    def exponents(self) -> tuple[Fraction, ...]:
-        return tuple(e for e, _ in self.terms)
-
     def parametrization(self) -> tuple[dict, dict]:
         """(x(t), y(t)) as exponent->coefficient dicts with x = t^n."""
         n = self.denominator

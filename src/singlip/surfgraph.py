@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import DomainError, InputError, ResourceCapExceeded
-from .exactnum import eliminate
+from .exactnum import eliminate, is_int
 
 L_NODE = "L"
 DELTA_NODE = "Delta"
@@ -70,10 +70,6 @@ class Arrow:
 _RATE_STEP = {0: (1, 1), 1: (1, 0), 2: (0, 0)}
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _negative_definite(minors) -> bool:
     return all(d * (-1) ** k > 0 for k, d in enumerate(minors, 1))
 
@@ -93,13 +89,13 @@ class DualGraph:
     # -- vertex storage (a DualTree keeps a list instead) -------------------
 
     def __contains__(self, vid) -> bool:
-        return isinstance(vid, (int, str)) and vid in self.vertices
+        return (is_int(vid) or isinstance(vid, str)) and vid in self.vertices
 
     def ids(self) -> list:
         return list(self.vertices)
 
     def _store(self, v: Vertex):
-        if not isinstance(v.id, (int, str)):
+        if not (is_int(v.id) or isinstance(v.id, str)):
             raise InputError(f"vertex id {v.id!r} is not a string or an integer")
         if v.id in self.vertices:
             raise InputError(f"duplicate vertex id {v.id!r}")
@@ -110,19 +106,19 @@ class DualGraph:
     def add_vertex(self, vid, self_intersection, genus=0, rate=None,
                    multiplicities=None, flags=None, rate_vector=None) -> Vertex:
         where = f"vertex {vid!r}"
-        if not _is_int(self_intersection) or self_intersection >= 0:
+        if not is_int(self_intersection) or self_intersection >= 0:
             raise InputError(f"{where}: self_intersection must be a negative integer")
-        if not _is_int(genus) or genus < 0:
+        if not is_int(genus) or genus < 0:
             raise InputError(f"{where}: genus must be a non-negative integer")
         mults = dict(multiplicities or {})
-        if not all(_is_int(m) and m >= 0 for m in mults.values()):
+        if not all(is_int(m) and m >= 0 for m in mults.values()):
             raise InputError(f"{where}: multiplicities must be non-negative integers")
         bad = [f for f in flags or () if f not in KNOWN_FLAGS]
         if bad:
             raise InputError(f"{where}: unknown flags {bad}")
         if rate_vector is not None:
             if not (isinstance(rate_vector, (list, tuple)) and len(rate_vector) == 2
-                    and all(map(_is_int, rate_vector)) and rate_vector[1] > 0):
+                    and all(map(is_int, rate_vector)) and rate_vector[1] > 0):
                 raise InputError(f"{where}: rate_vector must be two integers "
                                  "[p, q] with q > 0")
             rate_vector = tuple(rate_vector)
@@ -155,9 +151,9 @@ class DualGraph:
             raise InputError(f"arrow name {name!r} is not a string")
         if kind not in ARROW_KINDS:
             raise InputError(f"unknown arrow kind {kind!r}")
-        if not _is_int(multiplicity) or multiplicity < 1:
+        if not is_int(multiplicity) or multiplicity < 1:
             raise InputError("arrow multiplicity must be a positive integer")
-        if branch is not None and not _is_int(branch):
+        if branch is not None and not is_int(branch):
             raise InputError(f"arrow branch {branch!r} is not an integer")
         self.arrows.append(Arrow(vertex, name, multiplicity, kind, branch))
 
@@ -272,13 +268,13 @@ class DualTree(DualGraph):
         self.vertices = []
 
     def __contains__(self, vid) -> bool:
-        return _is_int(vid) and 0 <= vid < len(self.vertices)
+        return is_int(vid) and 0 <= vid < len(self.vertices)
 
     def ids(self) -> list:
         return list(range(len(self.vertices)))
 
     def _store(self, v: Vertex):
-        if v.id != len(self.vertices) or not _is_int(v.id):
+        if v.id != len(self.vertices) or not is_int(v.id):
             raise InputError(f"tower vertex id {v.id!r} is not its position "
                              f"{len(self.vertices)}")
         self.vertices.append(v)

@@ -8,7 +8,7 @@ from singlip import (PuiseuxBranch, build_carrousel_tree, contact_matrix,
                      decorate, leaf_contacts, reduce_to_eggers,
                      trees_isomorphic)
 from singlip.errors import InputError
-from singlip.fixtures import curve_carrousel_example
+from singlip.fixtures import curve_carrousel_example, load_fixture
 from singlip.strands import ContactMatrix
 
 
@@ -120,13 +120,31 @@ def test_isomorphism_decides_equivalence():
     assert trees_isomorphic(a, c)
 
 
+def _check_layout(node, parent_weight):
+    """Weights rise strictly, a non-root vertex branches, and children come
+    in order of their least strand; returns the least strand below."""
+    if node.is_leaf():
+        return node.leaf
+    assert parent_weight is None or node.weight > parent_weight
+    assert parent_weight is None or len(node.children) >= 2
+    least = [_check_layout(c, node.weight) for c in node.children]
+    assert least == sorted(least)
+    return least[0]
+
+
 def test_round_trip_matrix_reconstruction():
+    # with the round trip, these checks of the layout fix the tree (and so
+    # the output bytes) uniquely
     rng = random.Random(21)
-    for _ in range(60):
-        curve = random_curve(rng, max_branches=4)
+    curves = [load_fixture(name) for name in
+              ("carrousel-example", "cusp-53", "curve-32-74")]
+    curves += [random_curve(rng, max_branches=4) for _ in range(60)]
+    for curve in curves:
         m = contact_matrix(curve)
         t = build_carrousel_tree(m)
         assert leaf_contacts(t).entries == m.entries
+        assert t.root.weight == 1
+        _check_layout(t.root, None)
 
 
 def test_strand_permutation_invariance():

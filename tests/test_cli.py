@@ -6,7 +6,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 from helpers import parse_dot, run_python
-from singlip import jsonio, resolve_curve
+from singlip import PuiseuxBranch, jsonio, resolve_curve
 from singlip.cli import build_parser, main
 from singlip.decomp import MODES
 from singlip.fixtures import curve_cusp_53, fixture_names, load_fixture
@@ -284,11 +284,34 @@ def _tower_json():
     return jsonio.tower_to_json(tree, events)
 
 
+def _int_ids(graph):
+    """The graph document with its ids "E1", "E2", ... renamed 1, 2, ..."""
+    def num(vid):
+        return int(vid[1:])
+    for v in graph["vertices"]:
+        v["id"] = num(v["id"])
+    graph["edges"] = [[num(a), num(b)] for a, b in graph["edges"]]
+    for a in graph["arrows"]:
+        a["vertex"] = num(a["vertex"])
+    return graph
+
+
+def test_graph_with_integer_ids_loads(tmp_path):
+    p = tmp_path / "graph.json"
+    p.write_text(json.dumps(_int_ids(jsonio.graph_to_json(load_fixture("e8")))))
+    code, out, err = run_cli("graph", "thickthin", str(p))
+    assert code == 0 and err == ""
+
+
 def _malformed(shape):
-    """Malformed documents that once escaped as tracebacks, as (argv, doc)."""
+    """Malformed documents that once escaped as tracebacks, or that were
+    read with a JSON ``true`` as 1, as (argv, doc)."""
     tower = _tower_json()
     graph = jsonio.graph_to_json(load_fixture("e8"))
     curve = jsonio.curve_to_json(curve_cusp_53())
+    # denominators 1 and 2, which true and 2.0 compare equal to
+    smooth = jsonio.curve_to_json([PuiseuxBranch.from_terms([(2, 1)]),
+                                   PuiseuxBranch.from_terms([("3/2", 1)])])
     if shape == "tower-no-rate-vector":
         del tower["vertices"][-1]["rate_vector"]
     elif shape == "tower-edge-to-missing-vertex":
@@ -313,8 +336,27 @@ def _malformed(shape):
         graph["vertices"][0]["rate"] = "x"
     elif shape == "graph-rate-zero-denominator":
         graph["vertices"][0]["rate"] = {"num": 1, "den": 0}
+    elif shape == "graph-edge-true":
+        graph = _int_ids(graph)
+        graph["edges"].append([True, 2])
+    elif shape == "graph-arrow-vertex-true":
+        graph = _int_ids(graph)
+        graph["arrows"][0]["vertex"] = True
+    elif shape == "graph-vertex-id-true":
+        graph = _int_ids(graph)
+        graph["vertices"][0]["id"] = True
     elif shape == "curve-exp-zero-denominator":
         curve["branches"][0]["terms"][0]["exp"] = "1/0"
+    elif shape == "curve-coeff-true":
+        curve["branches"][0]["terms"][0]["coeff"] = True
+    elif shape == "curve-coeff-num-true":
+        curve["branches"][0]["terms"][0]["coeff"] = {"num": True, "den": 2}
+    elif shape == "curve-denominator-true":
+        curve = smooth
+        curve["branches"][0]["denominator"] = True
+    elif shape == "curve-denominator-float":
+        curve = smooth
+        curve["branches"][1]["denominator"] = 2.0
     if shape.startswith("tower"):
         return ("verify",), tower
     if shape.startswith("graph"):
@@ -328,7 +370,10 @@ def _malformed(shape):
     "tower-bad-rate-vector", "graph-vertices-string", "graph-edges-number",
     "graph-arrows-object", "graph-vertex-not-object",
     "graph-multiplicities-list", "graph-rate-not-a-number",
-    "graph-rate-zero-denominator", "curve-exp-zero-denominator"])
+    "graph-rate-zero-denominator", "graph-edge-true",
+    "graph-arrow-vertex-true", "graph-vertex-id-true",
+    "curve-exp-zero-denominator", "curve-coeff-true", "curve-coeff-num-true",
+    "curve-denominator-true", "curve-denominator-float"])
 def test_malformed_document_exit_2(tmp_path, shape):
     argv, doc = _malformed(shape)
     p = tmp_path / "doc.json"

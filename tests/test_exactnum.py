@@ -194,6 +194,6 @@ def test_as_rational_accepts_and_rejects():
     assert as_rational({"num": -4, "den": 6}) == F(-2, 3)
     assert as_rational(5) == 5
     for bad in ("1/0", "x", {"num": 1, "den": 0}, {"num": 1.5, "den": 2},
-                {"num": 1}, 0.5, None, [1, 2]):
+                {"num": 1}, 0.5, None, [1, 2], True, {"num": True, "den": 2}):
         with pytest.raises(InputError):
             as_rational(bad)

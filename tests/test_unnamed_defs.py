@@ -1,0 +1,58 @@
+"""Every function the library defines is named somewhere outside itself.
+
+A ``def`` in ``src/singlip`` counts as used when its name is read, as an
+identifier or as an attribute, in ``src/``, ``tests/`` or ``perfbench/``
+outside its own body; a recursive call alone does not count.  Dunder
+methods, which Python calls by protocol, are exempt."""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+LIBRARY = sorted((ROOT / "src" / "singlip").glob("*.py"))
+SOURCES = sorted(p for d in ("src", "tests", "perfbench")
+                 for p in (ROOT / d).rglob("*.py"))
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+ALLOWED = {
+    # cli._parse looks up jsonio.parse_<kind> with getattr
+    "jsonio.parse_tower",
+}
+
+
+def _reads(tree) -> Counter:
+    """How often each name is read as an identifier or an attribute."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr
+                   for n in ast.walk(tree)
+                   if isinstance(n, (ast.Name, ast.Attribute))
+                   and isinstance(n.ctx, ast.Load))
+
+
+def unnamed_defs(library: dict, sources: list) -> list[str]:
+    """``module.name`` of each def in the library sources (module name to
+    text) whose name no source text reads outside the def's own body."""
+    reads = sum((_reads(ast.parse(s)) for s in sources), Counter())
+    out = []
+    for module, source in library.items():
+        for node in ast.walk(ast.parse(source)):
+            if (isinstance(node, FUNCTIONS) and not node.name.startswith("__")
+                    and reads[node.name] == _reads(node)[node.name]):
+                out.append(f"{module}.{node.name}")
+    return out
+
+
+def test_guard_flags_an_unnamed_def():
+    lib = ("def used(): pass\n"
+           "def rec(n): return rec(n - 1)\n"
+           "def outer():\n    def inner(): pass\n    return inner\n"
+           "class C:\n    def __len__(self): return 0\n"
+           "    def method(self): pass\n    def other(self): pass\n")
+    user = "used()\nouter()\nx.method\nother = 1\n"
+    assert unnamed_defs({"m": lib}, [lib, user]) == ["m.rec", "m.other"]
+
+
+def test_every_library_def_is_named():
+    library = {p.stem: p.read_text() for p in LIBRARY}
+    sources = [p.read_text() for p in SOURCES]
+    # an allowed def that comes to be named leaves the list too
+    assert sorted(set(unnamed_defs(library, sources)) ^ ALLOWED) == []
