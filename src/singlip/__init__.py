@@ -14,9 +14,8 @@ _EXPORTS = {
                "is_metrically_conical outer_signature signatures_equal "
                "thick_thin thin_zone_rate"),
     "errors": "DomainError InputError ResourceCapExceeded SinglipError",
-    "strands": ("ContactMatrix PuiseuxBranch Strand branch_char_exponents "
-                "coincidence_exponent contact_matrix horn_jump_profile "
-                "strand_contact strands_of"),
+    "strands": ("ContactMatrix PuiseuxBranch Strand coincidence_exponent "
+                "contact_matrix horn_jump_profile strand_contact strands_of"),
     "surfgraph": ("Divisor DualGraph DualTree blow_all_double_points "
                   "extend_arrow_chain has_base_point laufer_double_cover "
                   "laufer_parity_prepare pencil_min resolve_pencil "

@@ -15,8 +15,6 @@ import sys
 
 from .errors import DomainError, InputError
 
-EVENT_CAP_ENV = "SINGLIP_EVENT_CAP"
-
 
 def _read(path: str) -> str:
     if path == "-":
@@ -54,13 +52,22 @@ def _positive_int(raw: str, what: str) -> int:
     return value
 
 
-def _event_cap(args) -> int:
-    """--event-cap, else $SINGLIP_EVENT_CAP, else the default."""
-    from .tower import DEFAULT_EVENT_CAP
-    raw = args.event_cap
+def _cap(args, name: str, default: int) -> int:
+    """--NAME-cap, else $SINGLIP_NAME_CAP, else the library default."""
+    raw = getattr(args, f"{name}_cap")
     if raw is None:
-        raw = os.environ.get(EVENT_CAP_ENV) or str(DEFAULT_EVENT_CAP)
-    return _positive_int(raw, "event cap")
+        raw = os.environ.get(f"SINGLIP_{name.upper()}_CAP") or str(default)
+    return _positive_int(raw, f"{name} cap")
+
+
+def _event_cap(args) -> int:
+    from .tower import DEFAULT_EVENT_CAP
+    return _cap(args, "event", DEFAULT_EVENT_CAP)
+
+
+def _strand_cap(args) -> int:
+    from .strands import DEFAULT_STRAND_CAP
+    return _cap(args, "strand", DEFAULT_STRAND_CAP)
 
 
 def _emit(args, json_doc, text_lines, render_dot=None) -> None:
@@ -81,7 +88,7 @@ def _emit(args, json_doc, text_lines, render_dot=None) -> None:
 
 def cmd_curve_contacts(args) -> int:
     from .strands import contact_matrix
-    matrix = contact_matrix(_load("curve", args.input, args.strict))
+    matrix = contact_matrix(_load("curve", args.input, args.strict), _strand_cap(args))
     finite = sorted(matrix.finite_values())
     lines = [f"strands: {matrix.size}",
              "contacts: " + ", ".join(str(v) for v in finite)]
@@ -111,7 +118,8 @@ def cmd_curve_carrousel(args) -> int:
     from . import carrousel
     from .strands import contact_matrix
     curve = _load("curve", args.input, args.strict)
-    t = carrousel.decorate(carrousel.build_carrousel_tree(contact_matrix(curve)))
+    t = carrousel.decorate(carrousel.build_carrousel_tree(
+        contact_matrix(curve, _strand_cap(args))))
     if args.reduce:
         t = carrousel.reduce_to_eggers(t)
     doc = {"format": "singlip.carrousel/1", **t.to_json()}
@@ -122,7 +130,7 @@ def cmd_curve_carrousel(args) -> int:
 def cmd_curve_horns(args) -> int:
     from .strands import contact_matrix, horn_jump_profile
     curve = _load("curve", args.input, args.strict)
-    profile = horn_jump_profile(contact_matrix(curve), args.base)
+    profile = horn_jump_profile(contact_matrix(curve, _strand_cap(args)), args.base)
     lines = ["thresholds: " + ", ".join(str(t) for t in profile.thresholds),
              "counts: " + ", ".join(str(c) for c in profile.counts)]
     _emit(args, {"format": "singlip.horns/1", **profile.to_json()}, lines)
@@ -143,7 +151,7 @@ def _numbered_lines(g, detail) -> list[str]:
 def cmd_curve_resolve(args) -> int:
     from . import jsonio, tower
     curve = _load("curve", args.input, args.strict)
-    events, tree = tower.resolve_curve(curve, event_cap=_event_cap(args))
+    events, tree = tower.resolve_curve(curve, _event_cap(args), _strand_cap(args))
     lines = _numbered_lines(tree, lambda v: f"rate={v.rate}")
     lines.append("arrows: " + ", ".join(
         f"{a.name}@E{a.vertex + 1}({a.multiplicity})" for a in tree.arrows))
@@ -157,7 +165,8 @@ def cmd_curve_equiv(args) -> int:
     trees = []
     for path in (args.first, args.second):
         curve = _load("curve", path, args.strict)
-        trees.append(carrousel.build_carrousel_tree(strands.contact_matrix(curve)))
+        trees.append(carrousel.build_carrousel_tree(
+            strands.contact_matrix(curve, _strand_cap(args))))
     equal = carrousel.trees_isomorphic(*trees)
     _emit(args, {"format": "singlip.equiv/1", "equivalent": equal},
           [f"equivalent: {'true' if equal else 'false'}"])
@@ -180,7 +189,7 @@ def cmd_graph_mult(args) -> int:
 def cmd_graph_laufer(args) -> int:
     from . import jsonio, surfgraph, tower
     curve = _load("curve", args.input, args.strict)
-    _, tree = tower.resolve_curve(curve, event_cap=_event_cap(args))
+    _, tree = tower.resolve_curve(curve, _event_cap(args), _strand_cap(args))
     cover = surfgraph.laufer_double_cover(surfgraph.laufer_parity_prepare(tree))
     lines = _numbered_lines(cover, lambda v: f"genus={v.genus}")
     _emit(args, jsonio.graph_to_json(cover), lines,
@@ -286,7 +295,7 @@ def cmd_verify(args) -> int:
     fmt = doc["format"]
     if fmt == jsonio.CURVE_FORMAT:
         from .strands import contact_matrix
-        matrix = contact_matrix(_parse("curve", doc, args.strict))
+        matrix = contact_matrix(_parse("curve", doc, args.strict), _strand_cap(args))
         problems = [f"ultrametric violation at strands ({j},{k},{l})"
                     for j, k, l in matrix.check_ultrametric()]
     elif fmt == jsonio.GRAPH_FORMAT:
@@ -330,7 +339,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--strict", action="store_true",
                         help="reject unknown JSON fields")
     parser.add_argument("--event-cap", default=None,
-                        help=f"blow-up event cap (or ${EVENT_CAP_ENV})")
+                        help="blow-up event cap (or $SINGLIP_EVENT_CAP)")
+    parser.add_argument("--strand-cap", default=None,
+                        help="strand count cap (or $SINGLIP_STRAND_CAP)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     curve = sub.add_parser("curve", help="plane curve germ operations")

@@ -260,12 +260,19 @@ def _emit_json(doc) -> str:
     matrix repeats thousands of ``{"den": q, "num": p}``) once per
     indentation.  Delete it once requires-python reaches 3.13, whose C
     encoder handles ``indent`` and is faster still.
+
+    ``seen`` keeps, one dict per pad, the text of each object written by
+    its ``id``; the loops read it before recursing, so an object repeated
+    in ``doc`` (``ContactMatrix.to_json`` shares each entry) costs one
+    lookup.  Ids are safe keys: one is reused only after its object is
+    freed, and the containers of ``doc`` keep all they hold alive.
     """
     out: list[str] = []
     append = out.append
     memo: dict = {}
+    seen: dict = {}
 
-    def emit(o, pad: str):
+    def emit(o, pad: str, known: dict):
         if isinstance(o, dict):
             if not o:
                 return append("{}")
@@ -277,12 +284,14 @@ def _emit_json(doc) -> str:
                     s = memo[key] = "{" + inner + ("," + inner).join(
                         _key(k) + ": " + _scalar(v)
                         for k, v in sorted(o.items())) + pad + "}"
+                known[id(o)] = s
                 return append(s)
-            sep = "{" + inner
+            sep, comma, here = "{" + inner, "," + inner, seen.setdefault(inner, {})
             for k, v in sorted(o.items()):
                 append(sep + _key(k) + ": ")
-                emit(v, inner)
-                sep = "," + inner
+                s = here.get(id(v))
+                emit(v, inner, here) if s is None else append(s)
+                sep = comma
             return append(pad + "}")
         if isinstance(o, (list, tuple)):
             if not o:
@@ -294,19 +303,21 @@ def _emit_json(doc) -> str:
                 if s is None:
                     s = memo[key] = ("[" + inner + ("," + inner).join(
                         map(_scalar, o)) + pad + "]")
+                known[id(o)] = s
                 return append(s)
-            sep = "[" + inner
+            sep, comma, here = "[" + inner, "," + inner, seen.setdefault(inner, {})
             for v in o:
                 append(sep)
-                emit(v, inner)
-                sep = "," + inner
+                s = here.get(id(v))
+                emit(v, inner, here) if s is None else append(s)
+                sep = comma
             return append(pad + "]")
-        s = _scalar(o)
+        s = known[id(o)] = _scalar(o)
         if s is None:
             raise TypeError(f"Object of type {o.__class__.__name__} "
                             f"is not JSON serializable")
         append(s)
 
-    emit(doc, "\n")
+    emit(doc, "\n", {})
     append("\n")
     return "".join(out)

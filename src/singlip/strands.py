@@ -13,6 +13,11 @@ a * zeta_N^k with a rational and N the lcm of the branch denominators.  It
 is stored as the exact key (a, k), normalised so that equal coefficients
 have equal keys; contacts are then tuple comparisons, with no field
 arithmetic.
+
+The monodromy x^(1/N) -> zeta_N x^(1/N), the carrousel's rotation, takes
+the j-th strand of each branch to its (j+1)-th.  It multiplies the
+coefficient at exponent e of every strand by the same zeta_N^(e*N), so it
+keeps equal keys equal and unequal ones unequal: contacts are invariant.
 """
 
 from __future__ import annotations
@@ -21,12 +26,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from itertools import accumulate
 from typing import Optional, Sequence
 
-from .errors import InputError
+from .errors import InputError, ResourceCapExceeded
 from .exactnum import as_rational, rational_to_json
 
 INFINITY = None  # sentinel for infinite contact, kept exact on purpose
+DEFAULT_STRAND_CAP = 1024
 
 
 @dataclass(frozen=True)
@@ -118,22 +125,26 @@ def _strands_of_branch(index: int, branch: PuiseuxBranch, order: int) -> list[St
     return out
 
 
-def strands_of(curve: Sequence[PuiseuxBranch]) -> list[Strand]:
+def strands_of(curve: Sequence[PuiseuxBranch],
+               strand_cap: int = DEFAULT_STRAND_CAP) -> list[Strand]:
     """All strands of the curve over N = lcm of the branch denominators.
 
     Rejects curves containing two copies of the same branch (identical
-    strand sets), which are non-reduced and have no finite contact data.
+    strand sets), which are non-reduced and have no finite contact data,
+    and curves of more than ``strand_cap`` strands, before building any.
     """
     if not curve:
         raise InputError("curve needs at least one branch")
+    count = sum(b.denominator for b in curve)
+    if count > strand_cap:
+        raise ResourceCapExceeded(f"strand cap {strand_cap} exceeded: {count} strands")
     order = reduce(math.lcm, (b.denominator for b in curve), 1)
     per_branch = [_strands_of_branch(i, b, order) for i, b in enumerate(curve)]
-    for i in range(len(curve)):
-        for k in range(i + 1, len(curve)):
-            series_i = {s.series for s in per_branch[i]}
-            series_k = {s.series for s in per_branch[k]}
-            if series_i == series_k:
-                raise InputError(f"branches {i} and {k} have identical strand sets")
+    first: dict = {}
+    for k, group in enumerate(per_branch):
+        i = first.setdefault(frozenset(s.series for s in group), k)
+        if i != k:
+            raise InputError(f"branches {i} and {k} have identical strand sets")
     return [s for group in per_branch for s in group]
 
 
@@ -188,48 +199,45 @@ class ContactMatrix:
                 if below(rows[j][l], rows[j][k]) and below(rows[j][l], rows[k][l])]
 
     def to_json(self) -> dict:
-        rows = [["inf" if v is None else rational_to_json(v) for v in row]
-                for row in self.entries]
-        return {"size": self.size, "entries": rows}
+        # one JSON value per distinct entry object, found by id: hashing a
+        # Fraction costs more than rendering it
+        distinct: dict = {}
+        for row in self.entries:
+            distinct.update(zip(map(id, row), row))
+        get = {i: "inf" if v is None else rational_to_json(v)
+               for i, v in distinct.items()}.__getitem__
+        return {"size": self.size,
+                "entries": [list(map(get, map(id, row))) for row in self.entries]}
 
 
-def contact_matrix(curve: Sequence[PuiseuxBranch]) -> ContactMatrix:
-    strands = strands_of(curve)
-    m = len(strands)
-    rows = [[None] * m for _ in range(m)]
-    for j in range(m):
-        for k in range(j + 1, m):
-            rows[j][k] = rows[k][j] = strand_contact(strands[j], strands[k])
-    return ContactMatrix(m, tuple(tuple(r) for r in rows))
-
-
-def branch_char_exponents(branch: PuiseuxBranch) -> set[Fraction]:
-    """Exponents that enlarge the denominator lattice of the earlier ones."""
-    out = set()
-    lattice = 1
-    for e, _ in branch.terms:
-        if lattice % e.denominator != 0:
-            out.add(e)
-            lattice = math.lcm(lattice, e.denominator)
-    return out
+def contact_matrix(curve: Sequence[PuiseuxBranch],
+                   strand_cap: int = DEFAULT_STRAND_CAP) -> ContactMatrix:
+    """Contacts of all strands from the twist-0 row of each branch: the
+    monodromy (module docstring) gives q((i,a),(k,b)) = q((i,0),(k,(b-a)
+    mod n_k)), so row (i, a) is row (i, 0) with each branch block rotated
+    right by a.  B*N contacts for B branches and N strands; equal values
+    are interned, so the rows share a few ``Fraction`` objects."""
+    strands = strands_of(curve, strand_cap)
+    sizes = [b.denominator for b in curve]
+    starts = list(accumulate(sizes, initial=0))
+    values: dict = {}
+    rows = []
+    for start, n in zip(starts, sizes):
+        head = tuple(values.setdefault(q, q)
+                     for q in (strand_contact(strands[start], t) for t in strands))
+        blocks = [head[c:c + size] for c, size in zip(starts, sizes)]
+        rows += [sum((b[-a % len(b):] + b[:-a % len(b)] for b in blocks), ())
+                 for a in range(n)]
+    return ContactMatrix(len(strands), tuple(rows))
 
 
 def coincidence_exponent(a: PuiseuxBranch, b: PuiseuxBranch) -> Fraction:
-    """Max strand contact between two distinct branches."""
+    """Max strand contact between two distinct branches: by the orbit rule
+    of ``contact_matrix``, the max over the strands of ``b`` against the
+    twist-0 strand of ``a``.  It is finite, as the strands of a branch are
+    one monodromy orbit and ``strands_of`` rejects equal orbits."""
     pair = strands_of([a, b])
-    best = None
-    for s in pair:
-        if s.branch_index != 0:
-            continue
-        for t in pair:
-            if t.branch_index != 1:
-                continue
-            q = strand_contact(s, t)
-            if q is INFINITY:
-                raise InputError("branches share a strand; not distinct")
-            if best is None or q > best:
-                best = q
-    return best
+    return max(strand_contact(pair[0], t) for t in pair[a.denominator:])
 
 
 @dataclass(frozen=True)

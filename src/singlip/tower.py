@@ -42,7 +42,7 @@ from typing import Optional, Sequence
 
 from .errors import InputError, ResourceCapExceeded
 from .series import RatSeries
-from .strands import PuiseuxBranch, strands_of
+from .strands import DEFAULT_STRAND_CAP, PuiseuxBranch, strands_of
 from .surfgraph import CURVE_FUNCTION, GENERIC_LINEAR, DualTree, verify_graph_det
 
 DEFAULT_EVENT_CAP = 512
@@ -65,10 +65,11 @@ class _Point:
     branches: dict     # branch id -> (RatSeries, RatSeries)
 
 
-def resolve_curve(curve: Sequence[PuiseuxBranch], event_cap: int = DEFAULT_EVENT_CAP
+def resolve_curve(curve: Sequence[PuiseuxBranch], event_cap: int = DEFAULT_EVENT_CAP,
+                  strand_cap: int = DEFAULT_STRAND_CAP
                   ) -> tuple[list[BlowupEvent], DualTree]:
     """Minimal embedded resolution tower of the curve."""
-    strands_of(curve)  # validates branches and rejects duplicates
+    strands_of(curve, strand_cap)  # validates branches and rejects duplicates
     tree = DualTree()
     events: list[BlowupEvent] = []
     queue = deque([_Point(("origin",), None, None, {

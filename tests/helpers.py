@@ -1,11 +1,13 @@
-"""Shared test utilities: numeric oracles, a reference determinant, random
-curve generation, towers replayed from the blow-up event log, the curvette
+"""Shared test utilities: numeric oracles, the pairwise contact matrix,
+characteristic exponents, a reference determinant, random curve
+generation, towers replayed from the blow-up event log, the curvette
 oracle for inner rates, a small DOT syntax checker used to validate
 emitted graphs, and a fresh interpreter that imports this checkout."""
 
 from __future__ import annotations
 
 import cmath
+import math
 import os
 import random
 import re
@@ -14,9 +16,10 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from singlip import PuiseuxBranch, strands_of
+from singlip import PuiseuxBranch, strand_contact, strands_of
 from singlip.errors import DomainError, SinglipError
 from singlip.series import padd, pclean, pmul, pord, pscale
+from singlip.strands import ContactMatrix
 from singlip.surfgraph import CURVE_FUNCTION, GENERIC_LINEAR, DualTree
 
 
@@ -63,6 +66,29 @@ def numeric_contact(s, s2, q: Fraction, samples=(1e-2, 1e-3, 1e-4),
     if any(r == 0 for r in ratios):
         return False
     return abs(ratios[-1] - ratios[-2]) <= rel_tol * abs(ratios[-1])
+
+
+def pairwise_contact_matrix(curve) -> ContactMatrix:
+    """Reference contact matrix: ``strand_contact`` of every pair of strands,
+    with no use of the monodromy."""
+    strands = strands_of(curve)
+    m = len(strands)
+    rows = [[None] * m for _ in range(m)]
+    for j in range(m):
+        for k in range(j + 1, m):
+            rows[j][k] = rows[k][j] = strand_contact(strands[j], strands[k])
+    return ContactMatrix(m, tuple(tuple(r) for r in rows))
+
+
+def branch_char_exponents(branch: PuiseuxBranch) -> set[Fraction]:
+    """Exponents that enlarge the denominator lattice of the earlier ones."""
+    out = set()
+    lattice = 1
+    for e, _ in branch.terms:
+        if lattice % e.denominator != 0:
+            out.add(e)
+            lattice = math.lcm(lattice, e.denominator)
+    return out
 
 
 def fraction_det(matrix) -> int:

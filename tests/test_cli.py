@@ -229,6 +229,49 @@ def test_malformed_event_cap_flag_exit_2(paths, value):
     assert code == 0
 
 
+_CURVE_COMMANDS = [["curve", "contacts"], ["curve", "carrousel"],
+                   ["curve", "horns", "--base", "0"], ["curve", "resolve"],
+                   ["graph", "laufer"], ["verify"]]
+
+
+def test_strand_cap_flag_and_env(paths, monkeypatch):
+    example = paths["carrousel-example"]  # 8 strands
+    for argv in _CURVE_COMMANDS:
+        code, out, err = run_cli("--strand-cap", "7", *argv, example)
+        assert (code, out) == (1, ""), argv
+        assert err == "error: strand cap 7 exceeded: 8 strands\n", argv
+        assert run_cli("--strand-cap", "8", *argv, example)[0] in (0, 1), argv
+    code, out, err = run_cli("--strand-cap", "7", "curve", "equiv", example, example)
+    assert code == 1 and "strand cap 7" in err
+    assert run_cli("--strand-cap", "8", "curve", "contacts", example)[0] == 0
+    monkeypatch.setenv("SINGLIP_STRAND_CAP", "7")
+    code, _, err = run_cli("curve", "contacts", example)
+    assert code == 1 and "strand cap 7" in err
+    assert run_cli("--strand-cap", "8", "curve", "contacts", example)[0] == 0
+
+
+def test_default_strand_cap_refuses_a_million_strands(tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"format": "singlip.curve/1", "branches": [
+        {"terms": [{"exp": "1000001/1000000", "coeff": 1}]}]}))
+    for argv in _CURVE_COMMANDS:
+        code, out, err = run_cli(*argv, str(path))
+        assert (code, out) == (1, ""), argv
+        assert err == "error: strand cap 1024 exceeded: 1000000 strands\n", argv
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5", "0", "-5"])
+def test_malformed_strand_cap_exit_2(paths, monkeypatch, value):
+    code, out, err = run_cli("--strand-cap", value, "curve", "contacts",
+                             paths["carrousel-example"])
+    assert code == 2 and out == ""
+    assert err.splitlines() == [err.strip()] and err.startswith("input error:")
+    monkeypatch.setenv("SINGLIP_STRAND_CAP", value)
+    code, out, err = run_cli("curve", "resolve", paths["cusp-53"])
+    assert code == 2 and out == ""
+    assert err.splitlines() == [err.strip()] and err.startswith("input error:")
+
+
 def _loaded_modules(*argv) -> set:
     """singlip, networkx and fractions modules loaded by one CLI call in a
     fresh interpreter."""

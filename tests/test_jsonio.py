@@ -144,6 +144,39 @@ def test_hand_cases():
         assert_same(doc)
 
 
+def test_repeated_objects():
+    # the emitter keeps the text of an object by its id and indentation
+    d, l, t, one = {"den": 2, "num": 3}, [1, 2], [True], [1]
+    nested = {"a": [d, l], "b": d}
+    for doc in [
+            # one dict and one list object repeated in a list
+            [d, d, l, l, d, l],
+            # the same object at two depths, and as a dict value
+            [d, [d, [d, [l]]], {"k": d, "j": [l, d]}, l, [[l]]],
+            {"x": d, "y": d, "z": {"w": d, "v": [d]}, "l": l, "m": [l]},
+            [nested, nested, [nested], {"n": nested}],
+            # shared objects among equal but distinct ones
+            [d, {"den": 2, "num": 3}, d, [1, 2], l, (1, 2), l, tuple(l)],
+            [t, one, t, [1.0], t, one, {"v": t}, {"v": [1]}, {"v": one}],
+            [d, {"den": 2, "num": True}, {"den": 2.0, "num": 3}, d,
+             {"den": True, "num": 3}, d, {2: 3}, {True: 3}],
+    ]:
+        assert_same(doc)
+
+
+def test_repeated_object_before_a_type_error():
+    d, l = {"den": 2, "num": 3}, [1, 2]
+    for doc in [[d, d, Fraction(1, 2)], {"a": l, "b": l, "c": {1}},
+                [[d, l], [d, l, object()]], {"a": [d], "b": {"c": d, "d": b""}}]:
+        message = _type_error(doc)
+        try:
+            reference(doc)
+        except TypeError as exc:
+            assert str(exc) == message
+        else:
+            raise AssertionError(f"json accepted {doc!r}")
+
+
 def _type_error(doc) -> str:
     try:
         _emit_json(doc)

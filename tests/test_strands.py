@@ -1,17 +1,19 @@
 import cmath
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
 
-from helpers import coefficient_value, numeric_contact, random_curve
-from singlip import (PuiseuxBranch, branch_char_exponents, coincidence_exponent,
-                     contact_matrix, horn_jump_profile, strand_contact,
-                     strands_of)
-from singlip.errors import InputError
+from helpers import (branch_char_exponents, coefficient_value, numeric_contact,
+                     pairwise_contact_matrix, random_curve)
+from singlip import (PuiseuxBranch, coincidence_exponent, contact_matrix, fixtures,
+                     horn_jump_profile, resolve_curve, strand_contact, strands_of)
+from singlip.errors import InputError, ResourceCapExceeded
 from singlip.fixtures import curve_carrousel_example
-from singlip.strands import ContactMatrix, coefficient_key
+from singlip.jsonio import _emit_json
+from singlip.strands import DEFAULT_STRAND_CAP, ContactMatrix, coefficient_key
 
 
 def branch(*terms):
@@ -231,6 +233,79 @@ def test_contact_matrix_matches_complex_values():
     for _ in range(150):
         curve = random_curve(rng, max_branches=3, max_den=8)
         assert contact_matrix(curve).entries == _float_contacts(curve), curve
+
+
+def _plain_json(matrix) -> dict:
+    """The contacts document with a fresh object for every entry."""
+    return {"size": matrix.size,
+            "entries": [["inf" if v is None else {"num": v.numerator,
+                                                  "den": v.denominator}
+                         for v in row] for row in matrix.entries]}
+
+
+def _assert_matches_pairwise(curve):
+    m, ref = contact_matrix(curve), pairwise_contact_matrix(curve)
+    assert m.entries == ref.entries, curve
+    assert _emit_json(m.to_json()) == _emit_json(_plain_json(ref)), curve
+    assert _emit_json(ref.to_json()) == _emit_json(_plain_json(ref)), curve
+
+
+def _wide_shapes():
+    """Curves shaped like the benchmark's wide rungs: branches with n = 1,
+    and later branches that start with the first branch's head term."""
+    return [
+        [branch((2, 1)), branch((3, 1))],
+        [branch((2, 1)), branch((2, 1), (3, 1)), branch((2, 1), (5, 2))],
+        [branch(("3/2", 1), ("7/4", 1)), branch(("3/2", 1), ("13/8", 1)),
+         branch((2, 3))],
+        [branch(("5/4", 1), ("11/8", -1)), branch(("5/4", 1), ("7/5", 2))],
+        [branch(("3/2", 1), ("5/3", 1)), branch(("3/2", 1), ("9/5", 1)),
+         branch(("3/2", 2))],
+        [branch(("3/2", 1), ("37/24", 2)), branch((2, 1), ("33/16", 1))],
+    ]
+
+
+def test_contact_matrix_matches_pairwise_reference():
+    curves = [fixtures.load_fixture(name) for name in fixtures.fixture_names()
+              if fixtures.fixture_kind(name) == "curve"]
+    assert len(curves) == 3
+    rng = random.Random(17)
+    curves += [random_curve(rng, 3, 8) for _ in range(300)]
+    curves += _wide_shapes()
+    assert max(sum(b.denominator for b in c) for c in curves) >= 24
+    for curve in curves:
+        _assert_matches_pairwise(curve)
+
+
+def test_contact_matrix_of_1000_strands_is_fast():
+    # one branch of 1000 strands: the twist-0 row and 999 rotations of it;
+    # its 499500 pairs one by one take over a second
+    curve = [branch(("3/2", 1), ("7/4", 1), ("2001/1000", 1))]
+    start = time.perf_counter()
+    m = contact_matrix(curve)
+    elapsed = time.perf_counter() - start
+    assert m.size == 1000
+    assert set(m.entries[0]) == {None, F(3, 2), F(7, 4), F(2001, 1000)}
+    # twists 250 apart agree at 3/2, twists 500 apart at 7/4 as well
+    assert [m.q(0, 1), m.q(0, 250), m.q(0, 500), m.q(250, 750)] == [
+        F(3, 2), F(7, 4), F(2001, 1000), F(2001, 1000)]
+    assert elapsed < 0.5, f"1000 strands took {elapsed:.2f} s"
+
+
+def test_strand_cap():
+    curve = [branch(("3/2", 1), ("13/6", 1)), branch(("5/2", 1))]  # 8 strands
+    assert len(strands_of(curve, strand_cap=8)) == 8
+    for build in (strands_of, contact_matrix, resolve_curve):
+        with pytest.raises(ResourceCapExceeded, match="strand cap 7"):
+            build(curve, strand_cap=7)
+    # one exponent of denominator 10^6: refused before any strand is built
+    huge = [branch(("1000001/1000000", 1))]
+    start = time.perf_counter()
+    for build in (strands_of, contact_matrix, resolve_curve):
+        with pytest.raises(ResourceCapExceeded, match="1000000 strands"):
+            build(huge)
+    assert time.perf_counter() - start < 0.5
+    assert DEFAULT_STRAND_CAP >= 1000
 
 
 def _brute_violations(matrix):
