@@ -92,8 +92,7 @@ def cmd_curve_contacts(args) -> int:
     finite = sorted(matrix.finite_values())
     lines = [f"strands: {matrix.size}",
              "contacts: " + ", ".join(str(v) for v in finite)]
-    for row in matrix.entries:
-        lines.append(" ".join("inf" if v is None else str(v) for v in row))
+    lines += map(" ".join, matrix.rendered(lambda v: "inf" if v is None else str(v)))
     doc = {"format": "singlip.contacts/1", **matrix.to_json()}
     _emit(args, doc, lines)
     return 0

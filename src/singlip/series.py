@@ -1,90 +1,97 @@
-"""Exact one-variable series arithmetic for the blow-up simulator.
+"""Integer quotient series for the blow-up simulator.
 
-Branch strict transforms are tracked through blow-ups as pairs of local
-coordinate functions evaluated on the branch parametrization.  Divisions of
-the form v/u produce genuine power series with infinitely many terms, so a
-truncated representation would force precision management; instead every
-coordinate function is stored as an exact quotient of polynomials in t with
-a denominator that is a unit at t = 0.  The resolver reads only orders and
-constant terms (values at t = 0) off these quotients, so both are exact and
-no precision is ever lost.
+A coordinate function on a branch is a quotient num/den of polynomials in
+the branch parameter t, ``{exponent: int}`` dicts with den a unit at 0,
+divided by the gcd of all their coefficients, signed so that den(0) > 0.
 
-Polynomials are ``{exponent: coefficient}`` dicts over Fraction.
+It is known modulo t^P, P infinite when exact: the parametrization is, and
+so is a quotient by an exact monomial.  Any other division v/u, o = ord u,
+has P = min(P_v - o, ord v + P_u - 2o, horizon), v's error shifted by o
+and u's carried through, and keeps num below P and den below P - ord num.
+That is sound because den is a unit at 0: changing it by O(t^(P - ord num))
+changes num/den by O(t^P).  So subtracting a nonzero constant from a series
+of order s > 0 loses s.
+
+The resolver reads only orders and values at 0.  An order with no nonzero
+term stored below P, or a division leaving P < 1, raises
+``PrecisionExhausted``.  A resolution reads a branch up to n times its last
+characteristic or coincidence exponent (Wall 2004, *Singular Points of
+Plane Curves*), and ``tower.resolve_curve`` doubles the horizon until then.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError
 
-Poly = dict
-
-
-def pclean(p: Poly) -> Poly:
-    return {e: c for e, c in p.items() if c}
+class PrecisionExhausted(Exception):
+    """A decision would read a term past a series' precision."""
 
 
-def padd(a: Poly, b: Poly) -> Poly:
-    out = dict(a)
-    for e, c in b.items():
-        out[e] = out.get(e, Fraction(0)) + c
-    return pclean(out)
-
-
-def pscale(a: Poly, k: Fraction) -> Poly:
-    return pclean({e: c * k for e, c in a.items()})
-
-
-def pmul(a: Poly, b: Poly) -> Poly:
-    out: Poly = {}
+def _mul(a: dict, b: dict, shift: int, limit) -> dict:
+    """a * b / t^shift, keeping the terms below ``limit``."""
+    out: dict = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
-            e = ea + eb
-            out[e] = out.get(e, Fraction(0)) + ca * cb
-    return pclean(out)
-
-
-def pord(a: Poly):
-    return min(a) if a else None
+            e = ea + eb - shift
+            if e < limit:
+                out[e] = out.get(e, 0) + ca * cb
+    return out
 
 
 @dataclass(frozen=True)
 class RatSeries:
-    """Quotient num/den of polynomials in t, den a unit at 0."""
+    """num/den over Z, den a unit at 0, known modulo t^prec."""
 
-    num: Poly
-    den: Poly
+    num: dict
+    den: dict
+    prec: float  # an int, or math.inf when exact
+    horizon: int
 
     @classmethod
-    def make(cls, num: Poly, den: Poly | None = None) -> "RatSeries":
-        den = {0: Fraction(1)} if den is None else pclean(den)
-        num = pclean(num)
-        if den.get(0, Fraction(0)) == 0:
-            raise DomainError("RatSeries denominator must be a unit at 0")
-        return cls(num, den)
+    def make(cls, poly: dict, horizon: int) -> "RatSeries":
+        """The exact series of a polynomial with rational coefficients."""
+        d = math.lcm(*(c.denominator for c in poly.values()))  # gcd 1 with num
+        return cls({e: int(c * d) for e, c in poly.items()}, {0: d}, math.inf, horizon)
+
+    @classmethod
+    def _reduced(cls, num: dict, den: dict, prec, horizon: int) -> "RatSeries":
+        g = math.gcd(*num.values(), *den.values()) * (-1 if den[0] < 0 else 1)
+        return cls({e: c // g for e, c in num.items() if c},
+                   {e: c // g for e, c in den.items()}, prec, horizon)
 
     def ord(self):
-        return pord(self.num)
+        """t-order, infinite for the exact zero series."""
+        if self.num or self.prec == math.inf:
+            return min(self.num, default=math.inf)
+        raise PrecisionExhausted
 
     def constant(self) -> Fraction:
         """Value at t = 0."""
-        return self.num.get(0, 0) / self.den[0]
+        return Fraction(self.num.get(0, 0), self.den[0])
 
     def sub_const(self, c: Fraction) -> "RatSeries":
-        return RatSeries.make(padd(self.num, pscale(self.den, -c)), self.den)
+        prec = self.prec if not c or self.prec == math.inf else self.prec - self.ord()
+        p, q = c.numerator, c.denominator
+        num = {e: q * a for e, a in self.num.items()}
+        for e, b in self.den.items():
+            num[e] = num.get(e, 0) - p * b
+        return RatSeries._reduced(num, {e: q * b for e, b in self.den.items()},
+                                  prec, self.horizon)
 
     def div(self, other: "RatSeries") -> "RatSeries":
         """self / other, factoring other's t-order into the numerator side."""
-        o = other.ord()
-        if o is None:
-            raise DomainError("division by the zero series")
-        shifted = {e - o: c for e, c in other.num.items()}
-        num = pmul(self.num, other.den)
-        den = pmul(self.den, shifted)
-        so = self.ord()
-        if so is not None and so < o:
-            raise DomainError("division would produce a pole")
-        num = {e - o: c for e, c in num.items()}
-        return RatSeries.make(num, den)
+        o, so = other.ord(), self.ord()
+        if so == math.inf:
+            return self
+        assert o <= so and o < math.inf, "division by zero or to a pole"
+        monomial = other.prec == math.inf and len(other.num) == len(other.den) == 1
+        prec = min(self.prec - o, so + other.prec - 2 * o,
+                   math.inf if monomial else self.horizon)
+        if prec < 1:
+            raise PrecisionExhausted
+        return RatSeries._reduced(_mul(self.num, other.den, o, prec),
+                                  _mul(self.den, other.num, o, max(prec + o - so, 1)),
+                                  prec, self.horizon)

@@ -174,8 +174,21 @@ class ContactMatrix:
     def q(self, j: int, k: int) -> Optional[Fraction]:
         return self.entries[j][k]
 
+    def distinct(self) -> dict:
+        """id -> entry per distinct entry object: ``contact_matrix`` interns
+        equal values, and a Fraction hashes slowly."""
+        out: dict = {}
+        for row in self.entries:
+            out.update(zip(map(id, row), row))
+        return out
+
     def finite_values(self) -> set[Fraction]:
-        return {v for row in self.entries for v in row if v is not None}
+        return {v for v in self.distinct().values() if v is not None}
+
+    def rendered(self, text) -> list[list]:
+        """The rows with ``text`` applied once per distinct entry object."""
+        get = {i: text(v) for i, v in self.distinct().items()}.__getitem__
+        return [list(map(get, map(id, row))) for row in self.entries]
 
     def check_ultrametric(self) -> list[tuple[int, int, int]]:
         """Triples (j,k,l) violating q(j,l) >= min(q(j,k), q(k,l)), None
@@ -199,15 +212,8 @@ class ContactMatrix:
                 if below(rows[j][l], rows[j][k]) and below(rows[j][l], rows[k][l])]
 
     def to_json(self) -> dict:
-        # one JSON value per distinct entry object, found by id: hashing a
-        # Fraction costs more than rendering it
-        distinct: dict = {}
-        for row in self.entries:
-            distinct.update(zip(map(id, row), row))
-        get = {i: "inf" if v is None else rational_to_json(v)
-               for i, v in distinct.items()}.__getitem__
-        return {"size": self.size,
-                "entries": [list(map(get, map(id, row))) for row in self.entries]}
+        return {"size": self.size, "entries": self.rendered(
+            lambda v: "inf" if v is None else rational_to_json(v))}
 
 
 def contact_matrix(curve: Sequence[PuiseuxBranch],

@@ -2,12 +2,14 @@
 
 The simulator keeps, for every infinitely-near point currently carrying
 branches, the pair of local coordinate functions restricted to each branch
-parametrization (as exact rational-function series in the branch parameter).
-Blowing up a point is then series division plus recentering, and deciding
-which branches share the next center is an exact comparison of rational
-constants.  Points get blown up exactly while the total transform fails to
-be a normal crossings divisor with all branch arrows transversal at free
-points, so the event sequence is the minimal one.
+parametrization, as integer quotient series in the branch parameter cut at
+a horizon (``series``).  Blowing up a point is then series division plus
+recentering, and deciding which branches share the next center is an exact
+comparison of rational constants.  Points get blown up exactly while the
+total transform fails to be a normal crossings divisor with all branch
+arrows transversal at free points, so the event sequence is the minimal
+one.  A decision past a series' precision restarts the resolution at twice
+the horizon, so a horizon too small costs time, never a different tower.
 
 The points pass through one queue in creation order.  A popped point that
 needs a blow-up is blown up and the points of the new curve are queued in
@@ -41,7 +43,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import InputError, ResourceCapExceeded
-from .series import RatSeries
+from .series import PrecisionExhausted, RatSeries
 from .strands import DEFAULT_STRAND_CAP, PuiseuxBranch, strands_of
 from .surfgraph import CURVE_FUNCTION, GENERIC_LINEAR, DualTree, verify_graph_det
 
@@ -70,10 +72,25 @@ def resolve_curve(curve: Sequence[PuiseuxBranch], event_cap: int = DEFAULT_EVENT
                   ) -> tuple[list[BlowupEvent], DualTree]:
     """Minimal embedded resolution tower of the curve."""
     strands_of(curve, strand_cap)  # validates branches and rejects duplicates
+    horizon = _horizon(curve)
+    while True:
+        try:
+            return _resolve(curve, event_cap, horizon)
+        except PrecisionExhausted:
+            horizon *= 2
+
+
+def _horizon(curve: Sequence[PuiseuxBranch]) -> int:
+    """Twice the largest t-degree n * (last exponent) of a branch, which
+    bounds n times every characteristic and coincidence exponent."""
+    return 2 * max(max([*x, *y]) for x, y in (b.parametrization() for b in curve))
+
+
+def _resolve(curve, event_cap: int, horizon: int):
     tree = DualTree()
     events: list[BlowupEvent] = []
     queue = deque([_Point(("origin",), None, None, {
-        i: tuple(map(RatSeries.make, b.parametrization()))
+        i: tuple(RatSeries.make(s, horizon) for s in b.parametrization())
         for i, b in enumerate(curve)})])
     kept = []
     while queue:
@@ -106,9 +123,7 @@ def _needs_blowup(p: _Point) -> bool:
 
 
 def _local_multiplicity(pair) -> int:
-    a = pair[0].ord()
-    b = pair[1].ord()
-    return a if b is None else min(a, b)
+    return min(pair[0].ord(), pair[1].ord())
 
 
 def _blow_up(tree: DualTree, p: _Point) -> BlowupEvent:
@@ -136,9 +151,7 @@ def _land_branches(p: _Point, new: int) -> list[_Point]:
     in the order of their first branch."""
     landings: dict[tuple, _Point] = {}
     for bid, (bu, bv) in sorted(p.branches.items()):
-        a = bu.ord()
-        b = bv.ord()
-        if b is not None and b < a:
+        if bv.ord() < bu.ord():
             key, dv = ("sat", new, p.du), p.du
             pair = (bv, bu.div(bv))
         else:

@@ -18,7 +18,6 @@ from pathlib import Path
 
 from singlip import PuiseuxBranch, strand_contact, strands_of
 from singlip.errors import DomainError, SinglipError
-from singlip.series import padd, pclean, pmul, pord, pscale
 from singlip.strands import ContactMatrix
 from singlip.surfgraph import CURVE_FUNCTION, GENERIC_LINEAR, DualTree
 
@@ -225,6 +224,34 @@ def curvette_pair(events, tree, vertex) -> tuple[PuiseuxBranch, PuiseuxBranch]:
     g1 = _puiseux_from_parametrization(pscale(a1, scale), b1, k)
     g2 = _puiseux_from_parametrization(pscale(a2, scale), b2, k)
     return g1, g2
+
+
+def pclean(p: dict) -> dict:
+    return {e: c for e, c in p.items() if c}
+
+
+def padd(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, Fraction(0)) + c
+    return pclean(out)
+
+
+def pscale(a: dict, k: Fraction) -> dict:
+    return pclean({e: c * k for e, c in a.items()})
+
+
+def pmul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = ea + eb
+            out[e] = out.get(e, Fraction(0)) + ca * cb
+    return pclean(out)
+
+
+def pord(a: dict):
+    return min(a) if a else None
 
 
 def ptrunc(a: dict, k: int) -> dict:

@@ -6,7 +6,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 from helpers import parse_dot, run_python
-from singlip import PuiseuxBranch, jsonio, resolve_curve
+from singlip import PuiseuxBranch, contact_matrix, jsonio, resolve_curve
 from singlip.cli import build_parser, main
 from singlip.decomp import MODES
 from singlip.fixtures import curve_cusp_53, fixture_names, load_fixture
@@ -46,6 +46,12 @@ def test_curve_contacts(paths):
                            paths["carrousel-example"])
     doc = json.loads(out)
     assert doc["size"] == 8
+    # each row renders every entry, each distinct value object once
+    for name in ("carrousel-example", "cusp-53", "curve-32-74"):
+        _, out, _ = run_cli("curve", "contacts", paths[name])
+        rows = [" ".join("inf" if v is None else str(v) for v in row)
+                for row in contact_matrix(load_fixture(name)).entries]
+        assert out.splitlines()[2:] == rows
 
 
 def test_curve_resolve_and_verify_round_trip(paths, tmp_path):

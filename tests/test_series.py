@@ -1,0 +1,104 @@
+"""Integer quotient series against exact power series: every value a
+quotient claims is its value modulo t^prec, and an order that raises
+``PrecisionExhausted`` has no nonzero term below prec.
+
+The reference series are computed modulo the prime 2^61 - 1, where exact
+rational arithmetic on a few hundred terms costs little; the coefficients
+here are small, so no nonzero one vanishes modulo the prime."""
+
+import math
+import random
+from fractions import Fraction as F
+
+from singlip.series import PrecisionExhausted, RatSeries
+
+P = 2 ** 61 - 1
+DEPTH = 120  # terms of the reference series
+
+
+def _mod(c) -> int:
+    c = F(c)
+    return c.numerator * pow(c.denominator, -1, P) % P
+
+
+def _expand(num: dict, den: dict, k: int) -> list:
+    """The first k coefficients of num/den (den a unit at 0), modulo P."""
+    inv = pow(_mod(den[0]), -1, P)
+    den = {j: _mod(d) for j, d in den.items() if j}
+    out = []
+    for i in range(k):
+        acc = _mod(num.get(i, 0)) - sum(d * out[i - j] for j, d in den.items() if j <= i)
+        out.append(acc * inv % P)
+    return out
+
+
+def _div(a: list, b: list) -> list:
+    """a / b of two coefficient lists, b of order o <= ord a; the result
+    has the terms that both lists determine."""
+    o = next(i for i, c in enumerate(b) if c)
+    k = min(len(a), len(b)) - o
+    return _expand(dict(enumerate(a[o:])), dict(enumerate(b[o:k + o])), k)
+
+
+def _check(s: RatSeries, ref: list) -> bool:
+    """s agrees with the reference below its precision, and so do its
+    order and constant; False when its order is past its precision."""
+    k = min(s.prec, len(ref))
+    assert _expand(s.num, s.den, k) == ref[:k]
+    assert _mod(s.constant()) == ref[0]
+    try:
+        o = s.ord()
+    except PrecisionExhausted:
+        assert not any(ref[:s.prec])
+        return False
+    if o == math.inf:
+        assert s.prec == math.inf and not any(ref)
+    else:
+        assert not any(ref[:o]) and (o >= len(ref) or ref[o])
+    return True
+
+
+def test_quotients_are_known_to_their_precision():
+    # the resolver's steps on random pairs (t^n, y(t)): divide the larger
+    # order by the smaller, and take the constant off a quotient that has one
+    rng = random.Random(3)
+    steps = 0
+    for _ in range(400):
+        horizon = rng.randint(1, 24)
+        n = rng.randint(1, 6)
+        x = {n: F(1)}
+        y = {e: F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2, 3]))
+             for e in rng.sample(range(n, 4 * n + 2), rng.randint(1, 4))}
+        u, v = RatSeries.make(x, horizon), RatSeries.make(y, horizon)
+        ru, rv = _expand(x, {0: 1}, DEPTH), _expand(y, {0: 1}, DEPTH)
+        for _ in range(10):
+            try:
+                if v.ord() < u.ord():
+                    u, v, ru, rv = v, u.div(v), rv, _div(ru, rv)
+                else:
+                    v, rv = v.div(u), _div(rv, ru)
+                    c = v.constant()
+                    if c:
+                        v, rv = v.sub_const(c), [(rv[0] - _mod(c)) % P] + rv[1:]
+            except PrecisionExhausted:
+                break
+            steps += 1
+            if not (_check(u, ru) and _check(v, rv)):
+                break
+    assert steps > 1000
+
+
+def test_exact_series_stay_exact():
+    y = RatSeries.make({}, 4)  # y = 0
+    x = RatSeries.make({1: F(1)}, 4)
+    assert y.ord() == math.inf and y.div(x) is y
+    line = RatSeries.make({1: F(2, 3)}, 4).div(x)
+    assert (line.num, line.den, line.prec) == ({0: 2}, {0: 3}, math.inf)
+    assert line.sub_const(line.constant()).ord() == math.inf
+    # a quotient by a series that is not a monomial is cut at the horizon
+    q = x.div(RatSeries.make({1: F(1), 2: F(1)}, 4))
+    assert q.prec == 4 and q.num == {0: 1} and q.den == {0: 1, 1: 1}
+    r = RatSeries.make({2: F(1)}, 4).div(RatSeries.make({1: F(1), 2: F(1)}, 4))
+    assert (r.num, r.den, r.prec) == ({1: 1}, {0: 1, 1: 1}, 4)
+    # den is kept below 4 - ord r only, so subtracting a constant loses 1
+    assert r.sub_const(F(1)).prec == 3

@@ -292,6 +292,34 @@ def test_contact_matrix_of_1000_strands_is_fast():
     assert elapsed < 0.5, f"1000 strands took {elapsed:.2f} s"
 
 
+def test_finite_values_of_1000_strands_is_fast():
+    # a million entries that share four interned objects: read by id, they
+    # cost four Fraction hashes; a set of the entries took over half a second
+    m = contact_matrix([branch(("3/2", 1), ("7/4", 1), ("2001/1000", 1))])
+    start = time.perf_counter()
+    values = m.finite_values()
+    elapsed = time.perf_counter() - start
+    assert values == {F(3, 2), F(7, 4), F(2001, 1000)}
+    assert elapsed < 0.3, f"finite values of 1000 strands took {elapsed:.2f} s"
+
+
+def test_finite_values_are_the_set_of_entries():
+    curves = [fixtures.load_fixture(name) for name in fixtures.fixture_names()
+              if fixtures.fixture_kind(name) == "curve"]
+    rng = random.Random(17)
+    curves += [random_curve(rng, 3, 6) for _ in range(50)]
+    for curve in curves:
+        m = contact_matrix(curve)
+        assert m.finite_values() == {v for row in m.entries for v in row
+                                     if v is not None}
+    # equal values in distinct objects, as a matrix read from JSON has them
+    m = ContactMatrix(3, ((None, F(3, 2), F(3, 2)), (F(3, 2), None, F(2)),
+                          (F(3, 2), F(2), None)))
+    assert m.finite_values() == {F(3, 2), F(2)}
+    assert m.rendered(str) == [["None", "3/2", "3/2"], ["3/2", "None", "2"],
+                               ["3/2", "2", "None"]]
+
+
 def test_strand_cap():
     curve = [branch(("3/2", 1), ("13/6", 1)), branch(("5/2", 1))]  # 8 strands
     assert len(strands_of(curve, strand_cap=8)) == 8

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -8,7 +9,7 @@ from helpers import (curvette_pair, random_curve, replay_events,
                      replay_prefixes)
 from singlip import (PuiseuxBranch, blow_all_double_points,
                      coincidence_exponent, extend_arrow_chain, fixtures, jsonio,
-                     laufer_parity_prepare, resolve_curve, verify_tower)
+                     laufer_parity_prepare, resolve_curve, tower, verify_tower)
 from singlip.errors import InputError, ResourceCapExceeded
 from singlip.fixtures import (curve_32_74, curve_carrousel_example,
                               curve_cusp_53)
@@ -29,6 +30,81 @@ def test_fixture_tower_json_is_pinned(name):
     events, tree = resolve_curve(fixtures.load_fixture(name))
     pinned = (DATA / f"tower-{name}.json").read_text()
     assert jsonio.dumps(jsonio.tower_to_json(tree, events)) == pinned
+
+
+def _ladder(k):
+    # the Baseline ladder y = sum x^((2^(i+1)-1)/2^i), i = 1..k: k Puiseux
+    # pairs, multiplicity 2^k
+    return [branch(*((f"{2 ** (i + 1) - 1}/{2 ** i}", 1) for i in range(1, k + 1)))]
+
+
+def test_six_pair_ladder_is_pinned():
+    # recorded with the resolver on exact, unreduced rational quotients,
+    # which took 100 s or more
+    start = time.perf_counter()
+    events, tree = resolve_curve(_ladder(6))
+    elapsed = time.perf_counter() - start
+    pinned = (DATA / "tower-k6.json").read_text()
+    assert jsonio.dumps(jsonio.tower_to_json(tree, events)) == pinned
+    assert elapsed < 1, f"k = 6 took {elapsed:.2f} s"
+
+
+def test_seven_pair_ladder_is_fast():
+    start = time.perf_counter()
+    events, tree = resolve_curve(_ladder(7))
+    elapsed = time.perf_counter() - start
+    assert verify_tower(tree).ok
+    assert _tower_shape(replay_events(events)) == _tower_shape(tree)
+    # the branch arrow sits on the vertex of the last characteristic exponent
+    (arrow,) = [a for a in tree.arrows if a.kind == "branch"]
+    assert tree.vertices[arrow.vertex].rate == F(255, 128)
+    assert elapsed < 3, f"k = 7 took {elapsed:.2f} s"
+
+
+def _restart_curves():
+    curves = [fixtures.load_fixture(name) for name in
+              ("carrousel-example", "cusp-53", "curve-32-74")]
+    rng = random.Random(13)
+    curves += [random_curve(rng, 3, 8) for _ in range(200)]
+    for _ in range(40):
+        curves.append([PuiseuxBranch.from_terms(
+            [(e, c * F(rng.choice([1, 2, 5]), rng.choice([3, 4, 7])))
+             for e, c in b.terms]) for b in random_curve(rng, 2, 6)])
+    # y = 0 as a branch with no terms: an exactly zero coordinate
+    curves += [[PuiseuxBranch(1, ())],
+               [PuiseuxBranch(1, ()), branch(("3/2", 1))],
+               [PuiseuxBranch(1, ()), branch((1, 2)), branch(("5/3", -1))]]
+    return curves
+
+
+def _resolved_bytes(curve):
+    events, tree = resolve_curve(curve)
+    return jsonio.dumps(jsonio.tower_to_json(tree, events)), repr(events)
+
+
+def test_restarts_from_horizon_1_give_the_same_towers(monkeypatch):
+    # every decision is exact or raises PrecisionExhausted, so a horizon far
+    # too small only costs restarts
+    curves = _restart_curves()
+    expected = [_resolved_bytes(c) for c in curves]
+    runs = []
+    resolve = tower._resolve
+
+    def spy(curve, event_cap, horizon):
+        runs.append(horizon)
+        return resolve(curve, event_cap, horizon)
+
+    monkeypatch.setattr(tower, "_resolve", spy)
+    monkeypatch.setattr(tower, "_horizon", lambda curve: 1)
+    assert [_resolved_bytes(c) for c in curves] == expected
+    assert len(runs) > 2 * len(curves)
+    assert runs.count(1) == len(curves) and 8 in runs
+    # a run cut short by the event cap is a prefix of the full run, so the
+    # cap's boundary does not move; curve-32-74 restarts at horizons 1, 2, 4
+    for curve, events in ((curve_cusp_53(), 4), (curve_32_74(), 5)):
+        assert len(resolve_curve(curve, event_cap=events)[0]) == events
+        with pytest.raises(ResourceCapExceeded):
+            resolve_curve(curve, event_cap=events - 1)
 
 
 def test_cusp_53_tower_matches_figure():
