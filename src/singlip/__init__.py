@@ -11,15 +11,14 @@ _EXPORTS = {
                   "reduce_to_eggers trees_isomorphic"),
     "decomp": ("Decomposition NodeFlags Piece amalgamate build_decomposition "
                "classify_nodes csquare_decomposition inner_signature "
-               "is_metrically_conical outer_signature signatures_equal "
-               "thick_thin thin_zone_rate"),
+               "outer_signature signatures_equal thick_thin thin_zone_rate"),
     "errors": "DomainError InputError ResourceCapExceeded SinglipError",
     "strands": ("ContactMatrix PuiseuxBranch Strand coincidence_exponent "
                 "contact_matrix horn_jump_profile strand_contact strands_of"),
-    "surfgraph": ("Divisor DualGraph DualTree blow_all_double_points "
-                  "extend_arrow_chain has_base_point laufer_double_cover "
-                  "laufer_parity_prepare pencil_min resolve_pencil "
-                  "solve_multiplicities tower_to_graph verify_graph"),
+    "surfgraph": ("Divisor DualGraph DualTree has_base_point "
+                  "laufer_double_cover laufer_parity_prepare pencil_min "
+                  "resolve_pencil solve_multiplicities tower_to_graph "
+                  "verify_graph"),
     "tower": "BlowupEvent branch_contact resolve_curve verify_tower",
 }
 _HOME = {name: mod for mod, names in _EXPORTS.items() for name in names.split()}

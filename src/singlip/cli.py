@@ -17,12 +17,12 @@ from .errors import DomainError, InputError
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
 
 
@@ -30,7 +30,9 @@ def _parse(kind: str, doc: dict, strict: bool):
     """Parse a curve, graph or tower document; print its unknown-field warnings."""
     from . import jsonio
     warnings: list[str] = []
-    out = getattr(jsonio, f"parse_{kind}")(doc, strict=strict, warnings=warnings)
+    parse = {"curve": jsonio.parse_curve, "graph": jsonio.parse_graph,
+             "tower": jsonio.parse_tower}[kind]
+    out = parse(doc, strict=strict, warnings=warnings)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     return out
@@ -265,7 +267,8 @@ def cmd_graph_decompose(args) -> int:
 
 def cmd_graph_signature(args) -> int:
     from . import decomp
-    build = getattr(decomp, f"{args.metric}_signature")
+    build = {"inner": decomp.inner_signature,
+             "outer": decomp.outer_signature}[args.metric]
     first = build(_load("graph", args.input, args.strict))
     if args.second:
         second = build(_load("graph", args.second, args.strict))
@@ -321,7 +324,8 @@ def cmd_fixtures_list(args) -> int:
 def cmd_fixtures_dump(args) -> int:
     from . import fixtures, jsonio
     obj = fixtures.load_fixture(args.name)
-    to_json = getattr(jsonio, f"{fixtures.fixture_kind(args.name)}_to_json")
+    to_json = {"curve": jsonio.curve_to_json,
+               "graph": jsonio.graph_to_json}[fixtures.fixture_kind(args.name)]
     sys.stdout.write(jsonio.dumps(to_json(obj)))
     return 0
 

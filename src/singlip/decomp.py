@@ -137,10 +137,6 @@ def thick_thin(graph: DualGraph) -> ThickThin:
                      tuple(zones))
 
 
-def is_metrically_conical(graph: DualGraph) -> bool:
-    return thick_thin(graph).metrically_conical
-
-
 def thin_zone_rate(graph: DualGraph, zone) -> Fraction:
     """Minimal inner rate over the zone, the contact rate of its fast loops."""
     rates = []
@@ -196,18 +192,11 @@ class Decomposition:
         if a != b:
             self.adjacency.add(frozenset((a, b)))
 
-    def by_kind(self, kind: str) -> list[Piece]:
-        return sorted((p for p in self.pieces.values() if p.kind == kind),
-                      key=lambda p: p.pid)
-
     def supports_partition(self, graph_vertices) -> bool:
         seen = []
         for p in self.pieces.values():
             seen.extend(p.support)
         return sorted(map(str, seen)) == sorted(map(str, graph_vertices))
-
-    def summary(self) -> list[str]:
-        return sorted(p.describe() for p in self.pieces.values())
 
     def to_json(self) -> dict:
         return {"mode": self.mode,
@@ -479,24 +468,38 @@ def _refine(adj: dict, colour: dict) -> dict:
         colour = new
 
 
+def _individualised(adj: dict, colour: dict, c, first, fresh):
+    """The colourings that give ``first`` and one side-1 vertex of colour
+    ``c`` the colour ``fresh``, one per candidate, lazily.  A function, so
+    that a generator waiting on the stack keeps its own arguments."""
+    return ({**colour, first: fresh, v: fresh}
+            for v in adj if v[0] == 1 and colour[v] == c)
+
+
 def _isomorphic(adj: dict, colour: dict) -> bool:
     """Whether some bijection between side 0 and side 1 of ``adj`` keeps
     colours and edges.  A stable colouring with equal histograms whose
     classes are singletons is such a bijection; otherwise individualise
-    one vertex of the smallest tied class against each candidate."""
-    colour = _refine(adj, colour)
-    hist = [Counter(c for (side, _), c in colour.items() if side == s)
-            for s in (0, 1)]
-    if hist[0] != hist[1]:
-        return False
-    tied = [c for c, k in hist[0].items() if k > 1]
-    if not tied:
-        return True
-    c = min(tied, key=lambda c: (hist[0][c], c))
-    first = next(v for v in adj if v[0] == 0 and colour[v] == c)
-    fresh = len(colour)
-    return any(_isomorphic(adj, {**colour, first: fresh, v: fresh})
-               for v in adj if v[0] == 1 and colour[v] == c)
+    one vertex of the smallest tied class against each candidate, depth
+    first on an explicit stack of candidate generators."""
+    stack = [iter((colour,))]
+    while stack:
+        colour = next(stack[-1], None)
+        if colour is None:
+            stack.pop()
+            continue
+        colour = _refine(adj, colour)
+        hist = [Counter(c for (side, _), c in colour.items() if side == s)
+                for s in (0, 1)]
+        if hist[0] != hist[1]:
+            continue
+        tied = [c for c, k in hist[0].items() if k > 1]
+        if not tied:
+            return True
+        c = min(tied, key=lambda c: (hist[0][c], c))
+        first = next(v for v in adj if v[0] == 0 and colour[v] == c)
+        stack.append(_individualised(adj, colour, c, first, len(colour)))
+    return False
 
 
 def signatures_equal(a: Signature, b: Signature) -> bool:

@@ -60,6 +60,10 @@ def load_document(text: str) -> dict:
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: "
                          f"{exc.msg}") from None
+    except RecursionError:
+        raise InputError("invalid JSON: nested too deeply") from None
+    except ValueError as exc:  # an integer literal past int's digit limit
+        raise InputError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict) or "format" not in doc:
         raise InputError("document must be a JSON object with a 'format' field")
     return doc

@@ -260,9 +260,6 @@ class HornJumpProfile:
     thresholds: tuple[Fraction, ...]
     counts: tuple[int, ...]
 
-    def pairs(self) -> list[tuple[Fraction, int]]:
-        return [(t, self.counts[i + 1]) for i, t in enumerate(self.thresholds)]
-
     def to_json(self) -> dict:
         return {"base": self.base,
                 "thresholds": [rational_to_json(t) for t in self.thresholds],

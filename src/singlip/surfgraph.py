@@ -432,44 +432,6 @@ def resolve_pencil(graph: DualGraph, div_a: Divisor, div_b: Divisor, vertex,
     return g, steps
 
 
-# -- graph-level blow-ups of towers (no branch series involved) ---------------
-
-def _blow_up_edge(tree: DualTree, a: int, b: int):
-    """Blow up the intersection point of two exceptional curves, in place."""
-    tree.blow_up(_fresh_id(tree), (a, b))
-
-
-def _blow_up_arrow(tree: DualTree, arrow_index: int):
-    """Blow up the point where an arrow (a strict transform) meets its
-    curve, in place; the arrow moves to the new exceptional curve."""
-    arrow = tree.arrows[arrow_index]
-    new = _fresh_id(tree)
-    tree.blow_up(new, (arrow.vertex,), {arrow.name: arrow.multiplicity})
-    tree.arrows[arrow_index] = replace(arrow, vertex=new)
-
-
-def blow_all_double_points(tree: DualTree) -> DualTree:
-    """Blow up every intersection point of f's total transform: all edges
-    plus the points where its arrows meet their curves.  Decorative arrows
-    of other functions are left alone."""
-    out = tree.copy()
-    for a, b in sorted(tree.edges):
-        _blow_up_edge(out, a, b)
-    for i, arrow in enumerate(tree.arrows):
-        if arrow.name == CURVE_FUNCTION:
-            _blow_up_arrow(out, i)
-    return out
-
-
-def extend_arrow_chain(tree: DualTree, arrow_index: int, steps: int) -> DualTree:
-    """Blow up an arrow's attachment point repeatedly (a chain of free
-    points following the strict transform)."""
-    out = tree.copy()
-    for _ in range(steps):
-        _blow_up_arrow(out, arrow_index)
-    return out
-
-
 # -- Laufer double cover ------------------------------------------------------
 
 def _parity_items(tree: DualTree):
@@ -484,6 +446,15 @@ def _parity_items(tree: DualTree):
             yield ("arrow", i,
                    tree.vertices[arrow.vertex].multiplicities.get(CURVE_FUNCTION, 0),
                    arrow.multiplicity)
+
+
+def _blow_up_arrow(tree: DualTree, arrow_index: int):
+    """Blow up the point where an arrow (a strict transform) meets its
+    curve, in place; the arrow moves to the new exceptional curve."""
+    arrow = tree.arrows[arrow_index]
+    new = _fresh_id(tree)
+    tree.blow_up(new, (arrow.vertex,), {arrow.name: arrow.multiplicity})
+    tree.arrows[arrow_index] = replace(arrow, vertex=new)
 
 
 def laufer_parity_prepare(tree: DualTree) -> DualTree:
@@ -501,7 +472,7 @@ def laufer_parity_prepare(tree: DualTree) -> DualTree:
     out = tree.copy()
     for kind, ref in odd:
         if kind == "edge":
-            _blow_up_edge(out, *ref)
+            out.blow_up(_fresh_id(out), ref)
         else:
             _blow_up_arrow(out, ref)
     return out

@@ -1,8 +1,9 @@
 """Shared test utilities: numeric oracles, the pairwise contact matrix,
 characteristic exponents, a reference determinant, random curve
 generation, towers replayed from the blow-up event log, the curvette
-oracle for inner rates, a small DOT syntax checker used to validate
-emitted graphs, and a fresh interpreter that imports this checkout."""
+oracle for inner rates, graph-level blow-ups of towers, the piece labels
+of a decomposition, a small DOT syntax checker used to validate emitted
+graphs, and a fresh interpreter that imports this checkout."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ import random
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -167,6 +169,42 @@ def replay_events(events) -> DualTree:
     for bid, vertex in sorted(last.items()):
         tree.add_arrow(vertex, CURVE_FUNCTION, 1, "branch", bid)
     return tree
+
+
+def _blow_up_arrow(tree: DualTree, arrow_index: int):
+    """Blow up the point where an arrow (a strict transform) meets its
+    curve, in place; the arrow moves to the new exceptional curve."""
+    arrow = tree.arrows[arrow_index]
+    new = len(tree.vertices)
+    tree.blow_up(new, (arrow.vertex,), {arrow.name: arrow.multiplicity})
+    tree.arrows[arrow_index] = replace(arrow, vertex=new)
+
+
+def blow_all_double_points(tree: DualTree) -> DualTree:
+    """Blow up every intersection point of f's total transform: all edges
+    plus the points where its arrows meet their curves.  Decorative arrows
+    of other functions are left alone."""
+    out = tree.copy()
+    for a, b in sorted(tree.edges):
+        out.blow_up(len(out.vertices), (a, b))
+    for i, arrow in enumerate(tree.arrows):
+        if arrow.name == CURVE_FUNCTION:
+            _blow_up_arrow(out, i)
+    return out
+
+
+def extend_arrow_chain(tree: DualTree, arrow_index: int, steps: int) -> DualTree:
+    """Blow up an arrow's attachment point repeatedly (a chain of free
+    points following the strict transform)."""
+    out = tree.copy()
+    for _ in range(steps):
+        _blow_up_arrow(out, arrow_index)
+    return out
+
+
+def summary(d) -> list[str]:
+    """The sorted piece labels of a decomposition, e.g. ["A(1,5/3)", "B(1)"]."""
+    return sorted(p.describe() for p in d.pieces.values())
 
 
 def creation_chain(events, vertex) -> list:

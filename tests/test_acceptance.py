@@ -10,14 +10,14 @@ self-contained.
 import random
 from fractions import Fraction as F
 
-from helpers import curvette_pair, random_curve, replay_prefixes
-from singlip import (Divisor, blow_all_double_points,
-                     build_carrousel_tree, coincidence_exponent,
-                     contact_matrix, csquare_decomposition, extend_arrow_chain,
-                     has_base_point, horn_jump_profile, is_metrically_conical,
-                     laufer_double_cover, laufer_parity_prepare, leaf_contacts,
-                     pencil_min, resolve_curve, resolve_pencil,
-                     solve_multiplicities, thick_thin, verify_tower)
+from helpers import (blow_all_double_points, curvette_pair,
+                     extend_arrow_chain, random_curve, replay_prefixes, summary)
+from singlip import (Divisor, build_carrousel_tree, coincidence_exponent,
+                     contact_matrix, csquare_decomposition, has_base_point,
+                     horn_jump_profile, laufer_double_cover,
+                     laufer_parity_prepare, leaf_contacts, pencil_min,
+                     resolve_curve, resolve_pencil, solve_multiplicities,
+                     thick_thin, verify_tower)
 from singlip.decomp import amalgamate, build_decomposition
 from singlip.fixtures import (curve_carrousel_example, curve_cusp_53,
                               graph_e8, graph_e8_nash,
@@ -152,7 +152,7 @@ def test_criterion_09_thick_thin_fixtures():
     assert (len(bs.thick_zones), len(bs.thin_zones)) == (3, 1)
     bs0 = thick_thin(load_fixture("briancon-speder-t0"))
     assert (len(bs0.thick_zones), len(bs0.thin_zones)) == (1, 1)
-    ade = {name: is_metrically_conical(load_fixture(name))
+    ade = {name: thick_thin(load_fixture(name)).metrically_conical
            for name in ("a1", "a2", "a3", "a4", "a5", "d4", "d5",
                         "e6", "e7", "e8")}
     assert {name for name, conical in ade.items() if conical} == {"a1", "d4"}
@@ -162,10 +162,10 @@ def test_criterion_09_thick_thin_fixtures():
 
 def test_criterion_10_geometric_decompositions():
     inner = build_decomposition(graph_e8(), "inner")
-    assert inner.summary() == ["A(1,5/3)", "B(1)", "B(5/3)"]
+    assert summary(inner) == ["A(1,5/3)", "B(1)", "B(5/3)"]
     outer = build_decomposition(graph_e8_nash(), "outer")
-    assert outer.summary() == ["A(1,5/3)", "A(5/3,10/3)", "B(1)", "B(10/3)",
-                               "B(5/3)"]
+    assert summary(outer) == ["A(1,5/3)", "A(5/3,10/3)", "B(1)", "B(10/3)",
+                              "B(5/3)"]
     two_string = [p for p in outer.pieces.values()
                   if p.rates == (F(5, 3), F(10, 3))]
     assert len(two_string) == 1 and len(two_string[0].support) == 2

@@ -175,6 +175,19 @@ def test_input_errors_exit_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("raw", [
+    b"[" * 100_000 + b"]" * 100_000,
+    b'{"format": "singlip.curve/1", "x": ' + b"1" * 5000 + b"}",
+    b'\xff\xfe{"format": "singlip.curve/1"}'],
+    ids=["nested-100000-deep", "integer-of-5000-digits", "not-utf-8"])
+def test_malformed_raw_text_exit_2(tmp_path, raw):
+    p = tmp_path / "doc.json"
+    p.write_bytes(raw)
+    code, out, err = run_cli("curve", "contacts", str(p))
+    assert code == 2 and out == ""
+    assert err.splitlines() == [err.strip()] and err.startswith("input error:")
+
+
 def test_strict_mode_rejects_unknown_fields(paths, tmp_path):
     doc = json.loads(io.open(paths["cusp-53"]).read())
     doc["extra"] = 1

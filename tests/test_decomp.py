@@ -5,18 +5,18 @@ from fractions import Fraction as F
 
 import pytest
 
-from helpers import random_curve
+from helpers import random_curve, summary
 from singlip import (amalgamate, build_decomposition, classify_nodes,
-                     csquare_decomposition, inner_signature,
-                     is_metrically_conical, outer_signature, resolve_curve,
-                     signatures_equal, thick_thin, thin_zone_rate,
-                     tower_to_graph)
+                     csquare_decomposition, inner_signature, outer_signature,
+                     resolve_curve, signatures_equal, thick_thin,
+                     thin_zone_rate, tower_to_graph)
 from singlip import fixtures, jsonio
 from singlip.decomp import Signature
 from singlip.errors import DomainError, InputError
 from singlip.fixtures import (curve_32_74, curve_cusp_53, graph_a_k, graph_d4,
                               graph_e8, graph_e8_nash,
                               graph_minimal_singularity, load_fixture)
+from singlip.surfgraph import DualGraph
 
 
 def test_classify_nodes_minimal_singularity():
@@ -79,7 +79,8 @@ def test_metrically_conical_ade():
     expected = {"a1": True, "a2": False, "a3": False, "a4": False,
                 "a5": False, "d4": True, "d5": False, "e6": False,
                 "e7": False, "e8": False}
-    got = {name: is_metrically_conical(load_fixture(name)) for name in expected}
+    got = {name: thick_thin(load_fixture(name)).metrically_conical
+           for name in expected}
     assert got == expected
 
 
@@ -110,8 +111,8 @@ def test_csquare_53_tower():
         "A(1,3/2)", "A(3/2,3/2)", "A(3/2,5/3)", "A(5/3,2)", "B(1)", "B(5/3)",
         "D(2)"]
     a = amalgamate(d)
-    assert a.summary() == ["A(1,5/3)", "B(1)", "B(5/3)"]
-    conical = a.by_kind("conical")
+    assert summary(a) == ["A(1,5/3)", "B(1)", "B(5/3)"]
+    conical = [p for p in a.pieces.values() if p.kind == "conical"]
     assert len(conical) == 1 and conical[0].rates == (F(1),)
 
 
@@ -125,14 +126,14 @@ def test_csquare_single_event_tower():
 def test_amalgamate_fig17_shape():
     _, tree = resolve_curve(curve_32_74())
     a = amalgamate(csquare_decomposition(tree))
-    assert a.summary() == ["A(1,3/2)", "A(3/2,7/4)", "B(1)", "B(3/2)", "B(7/4)"]
+    assert summary(a) == ["A(1,3/2)", "A(3/2,7/4)", "B(1)", "B(3/2)", "B(7/4)"]
 
 
 def test_amalgamate_identity_when_stable():
     _, tree = resolve_curve(curve_32_74())
     a = amalgamate(csquare_decomposition(tree))
     again = amalgamate(a)
-    assert again.summary() == a.summary()
+    assert summary(again) == summary(a)
     assert {p.support for p in again.pieces.values()} == {
         p.support for p in a.pieces.values()}
 
@@ -184,7 +185,7 @@ def test_amalgamated_fixture_documents():
 
 def test_build_decomposition_e8_inner():
     d = build_decomposition(graph_e8(), "inner")
-    assert d.summary() == ["A(1,5/3)", "B(1)", "B(5/3)"]
+    assert summary(d) == ["A(1,5/3)", "B(1)", "B(5/3)"]
     supports = {p.describe(): p.support for p in d.pieces.values()}
     assert supports["B(1)"] == frozenset({"E5"})
     assert supports["A(1,5/3)"] == frozenset({"E2", "E3", "E4"})
@@ -194,15 +195,15 @@ def test_build_decomposition_e8_inner():
 def test_build_decomposition_e8_outer_and_initial():
     g = graph_e8_nash()
     outer = build_decomposition(g, "outer")
-    assert outer.summary() == ["A(1,5/3)", "A(5/3,10/3)", "B(1)", "B(10/3)",
-                               "B(5/3)"]
+    assert summary(outer) == ["A(1,5/3)", "A(5/3,10/3)", "B(1)", "B(10/3)",
+                              "B(5/3)"]
     a_pieces = {p.rates: p.support for p in outer.pieces.values()
                 if p.kind == "A"}
     assert a_pieces[(F(5, 3), F(10, 3))] == frozenset({"E8", "E9"})
     initial = build_decomposition(g, "initial")
-    assert initial.summary() == outer.summary()
+    assert summary(initial) == summary(outer)
     inner = build_decomposition(g, "inner")
-    assert inner.summary() == ["A(1,5/3)", "B(1)", "B(5/3)"]
+    assert summary(inner) == ["A(1,5/3)", "B(1)", "B(5/3)"]
 
 
 def test_build_decomposition_minimal_singularity_inner():
@@ -283,7 +284,7 @@ def test_conical_iff_single_piece_inner():
             single_b = (len(d.pieces) == 1
                         and all(q == 1 for p in d.pieces.values()
                                 for q in p.rates))
-            assert is_metrically_conical(g) == single_b
+            assert thick_thin(g).metrically_conical == single_b
 
 
 def test_signatures():
@@ -325,6 +326,26 @@ def _perturb(doc):
     rate = F(target["rate"]["num"], target["rate"]["den"]) + 1
     target["rate"] = {"num": rate.numerator, "den": rate.denominator}
     return out
+
+
+def _star(leaves: int, first_leaf_rate=F(1)) -> DualGraph:
+    """A rate-3/2 vertex with ``leaves`` L-curve leaves of rate 1 (the
+    first one ``first_leaf_rate``), h = 1 everywhere."""
+    g = DualGraph()
+    g.add_vertex("c", -1, rate=F(3, 2), multiplicities={"h": 1})
+    for i in range(leaves):
+        g.add_vertex(f"l{i}", -2, rate=first_leaf_rate if i == 0 else F(1),
+                     multiplicities={"h": 1}, flags=("L",))
+        g.add_edge("c", f"l{i}")
+    return g
+
+
+def test_signatures_of_a_wide_star_compare():
+    # the search individualises one tied leaf pair per level, which went
+    # past the interpreter's recursion limit at 400 leaves when it recursed
+    star = inner_signature(_star(450))
+    assert signatures_equal(star, inner_signature(_star(450)))
+    assert not signatures_equal(star, inner_signature(_star(450, F(2))))
 
 
 def _rated_documents():
@@ -419,6 +440,6 @@ def test_amalgamated_csquare_matches_node_construction():
         g = tower_to_graph(tree, flags=flags)
         direct = build_decomposition(g, "initial")
         rewritten = amalgamate(csquare_decomposition(tree))
-        assert direct.summary() == rewritten.summary()
+        assert summary(direct) == summary(rewritten)
         assert ({p.support for p in direct.pieces.values() if p.support}
                 == {p.support for p in rewritten.pieces.values() if p.support})

@@ -133,7 +133,8 @@ def test_horn_jump_profiles_paper():
     p = horn_jump_profile(m, 0)
     assert p.thresholds == (F(13, 6), F(3, 2))
     assert p.counts == (1, 3, 8)
-    assert p.pairs() == [(F(13, 6), 3), (F(3, 2), 8)]
+    assert list(zip(p.thresholds, p.counts[1:])) == [(F(13, 6), 3),
+                                                     (F(3, 2), 8)]
 
 
 def test_horn_profile_trivial():

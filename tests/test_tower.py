@@ -5,10 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from helpers import (curvette_pair, random_curve, replay_events,
+from helpers import (blow_all_double_points, curvette_pair,
+                     extend_arrow_chain, random_curve, replay_events,
                      replay_prefixes)
-from singlip import (PuiseuxBranch, blow_all_double_points,
-                     coincidence_exponent, extend_arrow_chain, fixtures, jsonio,
+from singlip import (PuiseuxBranch, coincidence_exponent, fixtures, jsonio,
                      laufer_parity_prepare, resolve_curve, tower, verify_tower)
 from singlip.errors import InputError, ResourceCapExceeded
 from singlip.fixtures import (curve_32_74, curve_carrousel_example,
