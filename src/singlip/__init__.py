@@ -9,9 +9,9 @@ from importlib import import_module
 _EXPORTS = {
     "carrousel": ("CarrouselTree build_carrousel_tree decorate leaf_contacts "
                   "reduce_to_eggers trees_isomorphic"),
-    "decomp": ("Decomposition NodeFlags Piece amalgamate build_decomposition "
-               "classify_nodes csquare_decomposition inner_signature "
-               "outer_signature signatures_equal thick_thin thin_zone_rate"),
+    "decomp": ("Decomposition Piece amalgamate build_decomposition "
+               "csquare_decomposition inner_signature outer_signature "
+               "signatures_equal thick_thin thin_zone_rate"),
     "errors": "DomainError InputError ResourceCapExceeded SinglipError",
     "strands": ("ContactMatrix PuiseuxBranch Strand coincidence_exponent "
                 "contact_matrix horn_jump_profile strand_contact strands_of"),

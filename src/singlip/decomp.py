@@ -35,42 +35,41 @@ from .surfgraph import (DualGraph, DualTree, L_NODE, DELTA_NODE, P_NODE,
 MODES = ("initial", "inner", "outer")
 
 
-@dataclass(frozen=True)
-class NodeFlags:
-    is_L: bool
-    is_Delta: bool
-    is_P: bool
-    is_special_P: bool
-    is_inner_node: bool
-    is_outer_node: bool
-
-
-def _require_rates(graph: DualGraph):
-    missing = [v.id for v in graph.vertices.values() if v.rate is None]
+def _require_rates(graph: DualGraph, vids):
+    missing = [vid for vid, v in graph.vertices.items()
+               if vid in vids and v.rate is None]
     if missing:
         raise InputError(f"vertices without inner rates: {missing}")
 
 
-def classify_nodes(graph: DualGraph) -> dict:
-    """Per-vertex node flags from the stored L/Delta/P decorations.
+def _is_node(graph: DualGraph, vid) -> bool:
+    """A node in every mode: valence >= 3, positive genus or an L-node."""
+    v = graph.vertices[vid]
+    return graph.valence(vid) >= 3 or v.genus > 0 or L_NODE in v.flags
 
-    A special P-node is a P-node of valence two whose rate strictly exceeds
-    both neighbor rates.  Inner nodes are vertices of valence >= 3, positive
-    genus, L-nodes or special P-nodes; outer nodes replace "special P" by
-    "P".
+
+def _nodes(graph: DualGraph, mode: str) -> dict:
+    """The mode's nodes in vertex order, each mapped to whether it gets a
+    frozen special A(q,q)-piece.
+
+    Beyond ``_is_node``, inner mode takes the special P-nodes (P-nodes of
+    valence two whose rate strictly exceeds both neighbour rates), which
+    get the special piece; outer mode takes every P-node, and initial mode
+    every P- and Delta-node.
     """
-    _require_rates(graph)
+    if mode not in MODES:
+        raise InputError(f"unknown decomposition mode {mode!r}")
     out = {}
     for vid, v in graph.vertices.items():
-        is_l = L_NODE in v.flags
-        is_d = DELTA_NODE in v.flags
-        is_p = P_NODE in v.flags
-        nbrs = graph.neighbors(vid)
-        special = (is_p and len(nbrs) == 2
-                   and all(graph.vertices[w].rate < v.rate for w in nbrs))
-        big = len(nbrs) >= 3 or v.genus > 0 or is_l
-        out[vid] = NodeFlags(is_l, is_d, is_p, special,
-                             big or special, big or is_p)
+        if _is_node(graph, vid):
+            out[vid] = False
+        elif mode == "inner":
+            nbrs = graph.neighbors(vid)
+            if (P_NODE in v.flags and len(nbrs) == 2
+                    and all(graph.vertices[w].rate < v.rate for w in nbrs)):
+                out[vid] = True
+        elif P_NODE in v.flags or (mode == "initial" and DELTA_NODE in v.flags):
+            out[vid] = False
     return out
 
 
@@ -115,8 +114,7 @@ def thick_thin(graph: DualGraph) -> ThickThin:
             if L_NODE in graph.vertices[w].flags:
                 raise DomainError(f"adjacent L-nodes {vid!r} and {w!r}")
 
-    nodes = {vid for vid, v in graph.vertices.items()
-             if graph.valence(vid) >= 3 or v.genus > 0 or L_NODE in v.flags}
+    nodes = {vid for vid in graph.vertices if _is_node(graph, vid)}
     thick: dict = {vid: {vid} for vid in l_nodes}
     for vid in l_nodes:
         for start in graph.neighbors(vid):
@@ -139,13 +137,8 @@ def thick_thin(graph: DualGraph) -> ThickThin:
 
 def thin_zone_rate(graph: DualGraph, zone) -> Fraction:
     """Minimal inner rate over the zone, the contact rate of its fast loops."""
-    rates = []
-    for vid in zone:
-        r = graph.vertices[vid].rate
-        if r is None:
-            raise InputError(f"vertex {vid!r} in thin zone has no rate")
-        rates.append(r)
-    q = min(rates)
+    _require_rates(graph, zone)
+    q = min(graph.vertices[vid].rate for vid in zone)
     if q <= 1:
         raise DomainError(f"thin zone rate {q} not > 1; inconsistent input")
     return q
@@ -163,12 +156,9 @@ class Piece:
     special: bool = False
     node: object = None          # central vertex for node pieces
 
-    def rate_label(self) -> str:
-        return "(" + ",".join(str(q) for q in self.rates) + ")"
-
     def describe(self) -> str:
         kind = {"conical": "B"}.get(self.kind, self.kind)
-        label = kind + self.rate_label()
+        label = kind + "(" + ",".join(str(q) for q in self.rates) + ")"
         return ("special " + label) if self.special else label
 
     def to_json(self) -> dict:
@@ -185,12 +175,13 @@ class Decomposition:
     pieces: dict = field(default_factory=dict)
     adjacency: set = field(default_factory=set)
 
-    def add_piece(self, piece: Piece):
-        self.pieces[piece.pid] = piece
-
-    def join(self, a: int, b: int):
-        if a != b:
-            self.adjacency.add(frozenset((a, b)))
+    def add(self, kind: str, rates: tuple, joins=(), **fields) -> int:
+        """Add a piece under the next pid, adjacent to the pieces ``joins``,
+        and return its pid."""
+        pid = len(self.pieces)
+        self.pieces[pid] = Piece(pid, kind, rates, **fields)
+        self.adjacency.update(frozenset((pid, j)) for j in joins)
+        return pid
 
     def supports_partition(self, graph_vertices) -> bool:
         seen = []
@@ -204,39 +195,35 @@ class Decomposition:
                 "adjacency": sorted(sorted(pair) for pair in self.adjacency)}
 
 
+def _rates_between(graph: DualGraph, a, b) -> tuple:
+    """Rates of the A-piece joining the vertices a and b, smaller first."""
+    return tuple(sorted((graph.vertices[a].rate, graph.vertices[b].rate)))
+
+
 def csquare_decomposition(tree: DualTree) -> Decomposition:
     """Per-vertex geometric decomposition of the plane attached to a tower:
     one piece per exceptional curve (conical at the root, D at arrowless
     leaves, A(q,q) at arrowless valence-2 vertices, B otherwise) and one
     A(q,q')-piece per edge."""
     d = Decomposition("csquare")
-    pid = 0
-    vertex_piece = {}
     arrowed = {a.vertex for a in tree.arrows}
     for v in tree.vertices:
         q = v.rate
         arrows = v.id in arrowed
         valence = tree.valence(v.id)
         if v.id == tree.root:
-            piece = Piece(pid, "conical", (Fraction(1),),
-                          frozenset([v.id]), node=v.id)
+            kind, rates = "conical", (Fraction(1),)
         elif valence == 1 and not arrows:
-            piece = Piece(pid, "D", (q,), frozenset([v.id]), node=v.id)
+            kind, rates = "D", (q,)
         elif valence == 2 and not arrows:
-            piece = Piece(pid, "A", (q, q), frozenset([v.id]), node=v.id)
+            kind, rates = "A", (q, q)
         else:
-            piece = Piece(pid, "B", (q,), frozenset([v.id]), node=v.id)
-        d.add_piece(piece)
-        vertex_piece[v.id] = pid
-        pid += 1
+            kind, rates = "B", (q,)
+        d.add(kind, rates, support=frozenset([v.id]), node=v.id)
+    # tower ids are creation positions, so the piece of vertex v has pid v
     for a, b in sorted(tree.edges):
-        qa, qb = tree.vertices[a].rate, tree.vertices[b].rate
-        piece = Piece(pid, "A", tuple(sorted((qa, qb))),
-                      edge_support=frozenset([(min(a, b), max(a, b))]))
-        d.add_piece(piece)
-        d.join(pid, vertex_piece[a])
-        d.join(pid, vertex_piece[b])
-        pid += 1
+        d.add("A", _rates_between(tree, a, b), (a, b),
+              edge_support=frozenset([(min(a, b), max(a, b))]))
     return d
 
 
@@ -316,16 +303,6 @@ def amalgamate(d: Decomposition) -> Decomposition:
                          {frozenset((a, b)) for a in nbrs for b in nbrs[a]})
 
 
-def _mode_nodes(graph: DualGraph, mode: str) -> dict:
-    if mode not in MODES:
-        raise InputError(f"unknown decomposition mode {mode!r}")
-    flags = classify_nodes(graph)
-    if mode == "inner":
-        return {vid: f for vid, f in flags.items() if f.is_inner_node}
-    return {vid: f for vid, f in flags.items()
-            if f.is_outer_node or (mode == "initial" and f.is_Delta)}
-
-
 def build_decomposition(graph: DualGraph, mode: str) -> Decomposition:
     """Inner, outer or initial geometric decomposition of the germ.
 
@@ -334,19 +311,18 @@ def build_decomposition(graph: DualGraph, mode: str) -> Decomposition:
     In inner mode a special P-node contributes a frozen A(q,q)-piece
     instead of a B-piece.
     """
-    _require_rates(graph)
+    _require_rates(graph, graph.vertices)
     if not graph.is_connected():
         raise InputError("decomposition needs a connected graph")
-    nodes = _mode_nodes(graph, mode)
+    nodes = _nodes(graph, mode)
     if not nodes:
         raise DomainError("graph has no nodes for this mode")
 
     d = Decomposition(mode)
-    pid = 0
     piece_of_node = {}
     strings = {}                # interior -> (node, end node), once per string
-    for vid, f in nodes.items():
-        v = graph.vertices[vid]
+    for vid, special in nodes.items():
+        q = graph.vertices[vid].rate
         support = {vid}
         for start in graph.neighbors(vid):
             chain, end = _walk_string(graph, vid, start, nodes)
@@ -354,35 +330,24 @@ def build_decomposition(graph: DualGraph, mode: str) -> Decomposition:
                 support.update(chain)  # bamboo
             elif chain:
                 strings.setdefault(frozenset(chain), (vid, end))
-        # a special P-node has valence two
-        if mode == "inner" and f.is_special_P and not (v.genus > 0 or f.is_L):
-            piece = Piece(pid, "A", (v.rate, v.rate), frozenset(support),
-                          special=True, node=vid)
+        if special:
+            kind, rates = "A", (q, q)
         else:
-            piece = Piece(pid, "B", (v.rate,), frozenset(support), node=vid)
-        d.add_piece(piece)
-        piece_of_node[vid] = pid
-        pid += 1
+            kind, rates = "B", (q,)
+        piece_of_node[vid] = d.add(kind, rates, support=frozenset(support),
+                                   special=special, node=vid)
 
     # direct edges between nodes become A-pieces supported on the edge
     for i, (a, b) in enumerate(graph.edges):
-        if a in piece_of_node and b in piece_of_node:
-            qa, qb = graph.vertices[a].rate, graph.vertices[b].rate
-            piece = Piece(pid, "A", tuple(sorted((qa, qb))),
-                          edge_support=frozenset([("edge", i)]))
-            d.add_piece(piece)
-            d.join(pid, piece_of_node[a])
-            d.join(pid, piece_of_node[b])
-            pid += 1
+        if a in nodes and b in nodes:
+            d.add("A", _rates_between(graph, a, b),
+                  (piece_of_node[a], piece_of_node[b]),
+                  edge_support=frozenset([("edge", i)]))
 
     # strings between two nodes become A-pieces on their interior vertices
-    for chain, (vid, cur) in strings.items():
-        qa, qb = graph.vertices[vid].rate, graph.vertices[cur].rate
-        piece = Piece(pid, "A", tuple(sorted((qa, qb))), chain)
-        d.add_piece(piece)
-        d.join(pid, piece_of_node[vid])
-        d.join(pid, piece_of_node[cur])
-        pid += 1
+    for chain, (a, b) in strings.items():
+        d.add("A", _rates_between(graph, a, b),
+              (piece_of_node[a], piece_of_node[b]), support=chain)
 
     if not d.supports_partition(list(graph.vertices)):
         raise DomainError("piece supports do not partition the vertices")

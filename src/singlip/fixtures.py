@@ -226,8 +226,8 @@ def graph_minimal_singularity() -> DualGraph:
     """A minimal surface singularity of multiplicity 7 whose resolution
     factoring through the Nash modification has two special P-nodes.  The
     rate-3 valence-2 vertex also carries polar components in the source
-    example but is deliberately left unflagged here; see the classification
-    notes in classify_nodes."""
+    example but is deliberately left unflagged here; see the node rule in
+    decomp._nodes."""
     return _graph({
         "vertices": [
             ("m1", -4, 0, "1", 1, ("L", "P")),

@@ -95,10 +95,10 @@ class Strand:
 
     ``series`` holds (exponent, (a, k)) in increasing exponent order; the
     coefficient is a * zeta_N^k with a != 0, keyed by ``coefficient_key``.
+    Its twist is its position among its branch's strands in ``strands_of``.
     """
 
     branch_index: int
-    twist: int
     order: int
     series: tuple[tuple[Fraction, tuple[Fraction, int]], ...]
 
@@ -121,7 +121,7 @@ def _strands_of_branch(index: int, branch: PuiseuxBranch, order: int) -> list[St
     for j in range(n):
         series = tuple((e, coefficient_key(a, j * (e * n).numerator * step, order))
                        for e, a in branch.terms)
-        out.append(Strand(index, j, order, series))
+        out.append(Strand(index, order, series))
     return out
 
 

@@ -6,12 +6,12 @@ from fractions import Fraction as F
 import pytest
 
 from helpers import random_curve, summary
-from singlip import (amalgamate, build_decomposition, classify_nodes,
-                     csquare_decomposition, inner_signature, outer_signature,
-                     resolve_curve, signatures_equal, thick_thin,
-                     thin_zone_rate, tower_to_graph)
+from singlip import (amalgamate, build_decomposition, csquare_decomposition,
+                     inner_signature, outer_signature, resolve_curve,
+                     signatures_equal, thick_thin, thin_zone_rate,
+                     tower_to_graph)
 from singlip import fixtures, jsonio
-from singlip.decomp import Signature
+from singlip.decomp import MODES, Signature, _nodes
 from singlip.errors import DomainError, InputError
 from singlip.fixtures import (curve_32_74, curve_cusp_53, graph_a_k, graph_d4,
                               graph_e8, graph_e8_nash,
@@ -20,16 +20,15 @@ from singlip.surfgraph import DualGraph
 
 
 def test_classify_nodes_minimal_singularity():
+    # each inner node maps to whether it is a special P-node
     g = graph_minimal_singularity()
-    flags = classify_nodes(g)
-    assert flags["m4"].is_special_P and flags["m4"].is_inner_node
-    assert flags["m7"].is_special_P
-    assert not flags["m2"].is_special_P  # P-node but valence 3
-    assert flags["m2"].is_inner_node
-    assert not flags["m9"].is_inner_node and not flags["m9"].is_outer_node
-    inner = [v for v, f in flags.items() if f.is_inner_node]
+    inner, outer = _nodes(g, "inner"), _nodes(g, "outer")
+    assert inner["m4"] is True
+    assert inner["m7"] is True
+    assert inner["m2"] is False  # P-node but valence 3
+    assert "m2" in inner
+    assert "m9" not in inner and "m9" not in outer
     assert len(inner) == 9
-    outer = [v for v, f in flags.items() if f.is_outer_node]
     assert set(outer) == set(inner)
 
 
@@ -40,15 +39,18 @@ def test_special_p_definition_on_contested_vertex():
     # it special); this exercises the definition itself
     g = graph_minimal_singularity()
     g.vertices["m9"].flags.add("P")
-    flags = classify_nodes(g)
-    assert flags["m9"].is_special_P
-    assert flags["m9"].is_outer_node
+    assert _nodes(g, "inner")["m9"] is True
+    assert "m9" in _nodes(g, "outer")
+    # a P-node whose rate is below one neighbour's is not special
+    g.vertices["m10"].flags.add("P")
+    assert "m10" not in _nodes(g, "inner") and "m10" in _nodes(g, "outer")
 
 
 def test_classify_requires_rates():
     g = graph_a_k(4)  # interior vertices carry no rates
-    with pytest.raises(InputError):
-        classify_nodes(g)
+    for mode in MODES:
+        with pytest.raises(InputError, match="without inner rates"):
+            build_decomposition(g, mode)
 
 
 def test_thick_thin_e8():
@@ -226,13 +228,11 @@ def test_partition_property_all_modes():
 def test_inner_b_pieces_biject_with_inner_nodes():
     for name in ("e8", "e8-nash", "minimal-singularity", "d4"):
         g = load_fixture(name)
-        flags = classify_nodes(g)
         d = build_decomposition(g, "inner")
         node_pieces = [p for p in d.pieces.values()
                        if p.kind == "B" or p.special]
-        inner_nodes = [v for v, f in flags.items() if f.is_inner_node]
-        assert len(node_pieces) == len(inner_nodes)
-        outer_nodes = [v for v, f in flags.items() if f.is_outer_node]
+        assert len(node_pieces) == len(_nodes(g, "inner"))
+        outer_nodes = _nodes(g, "outer")
         do = build_decomposition(g, "outer")
         outer_pieces = [p for p in do.pieces.values()
                         if p.kind == "B" or p.special]

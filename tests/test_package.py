@@ -10,7 +10,7 @@ from helpers import run_python
 
 
 def test_every_public_name_is_its_modules_object():
-    assert len(singlip.__all__) == len(set(singlip.__all__)) == 45
+    assert len(singlip.__all__) == len(set(singlip.__all__)) == 43
     for name in singlip.__all__:
         home = import_module(f"singlip.{singlip._HOME[name]}")
         assert getattr(singlip, name) is getattr(home, name), name

@@ -6,7 +6,11 @@ identifier or as an attribute, in ``src/``, ``tests/`` or ``perfbench/``
 outside its own body; a recursive call alone does not count.  Dunder
 methods, which Python calls by protocol, are exempt.  The second guard
 reads only ``src/`` and ``perfbench/``: a def that only tests name belongs
-in ``tests/helpers.py``."""
+in ``tests/helpers.py``.
+
+Likewise every field of a dataclass or NamedTuple in ``src/singlip`` is
+read as an attribute somewhere in ``src/``, ``tests/`` or ``perfbench/``.
+A field that nothing reads is state the library keeps up for no one."""
 
 import ast
 from collections import Counter
@@ -48,6 +52,32 @@ def unnamed_defs(library: dict, sources: list) -> list[str]:
     return out
 
 
+def _is_record(node: ast.ClassDef) -> bool:
+    """Whether the class is a dataclass or a NamedTuple."""
+    marks = [d.func if isinstance(d, ast.Call) else d
+             for d in node.decorator_list] + node.bases
+    return any(getattr(m, "id", getattr(m, "attr", None))
+               in ("dataclass", "NamedTuple") for m in marks)
+
+
+def unread_fields(library: dict, sources: list) -> list[str]:
+    """``module.Class.field`` of each dataclass or NamedTuple field in the
+    library sources (module name to text) that no source text reads as an
+    attribute."""
+    reads = {n.attr for s in sources for n in ast.walk(ast.parse(s))
+             if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    out = []
+    for module, source in library.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef) and _is_record(node):
+                out += [f"{module}.{node.name}.{stmt.target.id}"
+                        for stmt in node.body
+                        if isinstance(stmt, ast.AnnAssign)
+                        and isinstance(stmt.target, ast.Name)
+                        and stmt.target.id not in reads]
+    return out
+
+
 def test_guard_flags_an_unnamed_def():
     lib = ("def used(): pass\n"
            "def rec(n): return rec(n - 1)\n"
@@ -56,6 +86,15 @@ def test_guard_flags_an_unnamed_def():
            "    def method(self): pass\n    def other(self): pass\n")
     user = "used()\nouter()\nx.method\nother = 1\n"
     assert unnamed_defs({"m": lib}, [lib, user]) == ["m.rec", "m.other"]
+
+
+def test_guard_flags_an_unread_field():
+    lib = ("@dataclass(frozen=True)\nclass D:\n    read: int\n    unread: int\n"
+           "    def get(self): return self.read\n"
+           "class T(typing.NamedTuple):\n    used: int\n    idle: int\n"
+           "class Plain:\n    ignored: int\n")
+    user = "t.used\nidle = 1\nx.idle = 2\nunread(x)\n"
+    assert unread_fields({"m": lib}, [lib, user]) == ["m.D.unread", "m.T.idle"]
 
 
 def test_every_library_def_is_named():
@@ -70,3 +109,8 @@ def test_every_library_def_is_named_outside_the_tests():
     sources = [p.read_text() for p in SOURCES
                if p.relative_to(ROOT).parts[0] != "tests"]
     assert sorted(set(unnamed_defs(library, sources)) ^ TEST_ONLY) == []
+
+
+def test_every_record_field_is_read():
+    library = {p.stem: p.read_text() for p in LIBRARY}
+    assert unread_fields(library, [p.read_text() for p in SOURCES]) == []
