@@ -19,17 +19,15 @@ implicit conjugation action.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import InputError
 from .exactnum import rational_to_json
 from .strands import ContactMatrix
 
 
-@dataclass(frozen=True)
-class CarrouselNode:
+class CarrouselNode(NamedTuple):
     """Vertex of a carrousel tree; leaves carry a strand id, no weight."""
 
     weight: Optional[Fraction]
@@ -67,8 +65,7 @@ class CarrouselNode:
         return out
 
 
-@dataclass(frozen=True)
-class CarrouselTree:
+class CarrouselTree(NamedTuple):
     root: CarrouselNode
     size: int  # number of strands
 
@@ -129,7 +126,7 @@ def decorate(tree: CarrouselTree) -> CarrouselTree:
             r = n // parent_n
             s = int(n * (q - parent_q))
         kids = tuple(walk(c, q, n) for c in node.children)
-        return replace(node, children=kids, m=m_, n=n, r=r, s=s)
+        return node._replace(children=kids, m=m_, n=n, r=r, s=s)
 
     return CarrouselTree(walk(tree.root, None, None), tree.size)
 
@@ -149,7 +146,7 @@ def reduce_to_eggers(tree: CarrouselTree) -> CarrouselTree:
         kids = [reduce_node(c) for c in node.children]
         r = node.r or 1
         if r == 1:
-            return replace(node, children=tuple(kids))
+            return node._replace(children=tuple(kids))
         by_shape: dict = {}
         for c in kids:
             by_shape.setdefault(c.encoding(with_decorations=True), []).append(c)
@@ -162,8 +159,8 @@ def reduce_to_eggers(tree: CarrouselTree) -> CarrouselTree:
                     f"subtree group of size {len(group)} not 0 or 1 mod r={r}")
             new_kids.extend(group[:full])
             if extra:
-                new_kids.append(replace(group[full * r], edge_label=r))
-        return replace(node, children=tuple(new_kids))
+                new_kids.append(group[full * r]._replace(edge_label=r))
+        return node._replace(children=tuple(new_kids))
 
     if tree.root.n is None and not tree.root.is_leaf():
         raise InputError("reduce_to_eggers needs a decorated tree")

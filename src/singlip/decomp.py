@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DomainError, InputError
 from .exactnum import rational_to_json
@@ -75,8 +75,7 @@ def _nodes(graph: DualGraph, mode: str) -> dict:
 
 # -- thick-thin ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ThickThin:
+class ThickThin(NamedTuple):
     thick_zones: tuple          # (l_node, frozenset of vertices) per L-node
     thin_zones: tuple           # frozenset of vertices per zone
 
@@ -146,8 +145,7 @@ def thin_zone_rate(graph: DualGraph, zone) -> Fraction:
 
 # -- pieces and decompositions ------------------------------------------------
 
-@dataclass(frozen=True)
-class Piece:
+class Piece(NamedTuple):
     pid: int
     kind: str                    # "B" | "D" | "A" | "conical"
     rates: tuple                 # (q,) or (q, q') with q <= q'
@@ -169,11 +167,15 @@ class Piece:
                 "edge_support": sorted(map(str, self.edge_support))}
 
 
-@dataclass
 class Decomposition:
-    mode: str
-    pieces: dict = field(default_factory=dict)
-    adjacency: set = field(default_factory=set)
+    """Pieces by pid, and the adjacent pairs of pids as frozensets."""
+
+    __slots__ = ("mode", "pieces", "adjacency")
+
+    def __init__(self, mode: str, pieces=None, adjacency=None):
+        self.mode = mode
+        self.pieces = {} if pieces is None else pieces
+        self.adjacency = set() if adjacency is None else adjacency
 
     def add(self, kind: str, rates: tuple, joins=(), **fields) -> int:
         """Add a piece under the next pid, adjacent to the pieces ``joins``,
@@ -291,8 +293,8 @@ def amalgamate(d: Decomposition) -> Decomposition:
         drop = pair[1] if keep == pair[0] else pair[0]
         kept, gone = pieces[keep], pieces.pop(drop)
         new = kept if kind is None else Piece(keep, kind, rates)
-        pieces[keep] = replace(new, support=kept.support | gone.support,
-                               edge_support=kept.edge_support | gone.edge_support)
+        pieces[keep] = new._replace(support=kept.support | gone.support,
+                                    edge_support=kept.edge_support | gone.edge_support)
         rules = {p: r for p, r in rules.items()
                  if keep not in p and drop not in p}
         nbrs[keep] = (nbrs[keep] | nbrs.pop(drop)) - {keep, drop}
@@ -382,8 +384,7 @@ def _decomposition_graph(graph: DualGraph, d: Decomposition,
     return nodes, sorted(tuple(sorted(pair)) for pair in d.adjacency)
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(NamedTuple):
     """A decomposition graph: piece id -> attributes, and piece edges."""
 
     metric: str

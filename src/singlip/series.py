@@ -22,8 +22,8 @@ Plane Curves*), and ``tower.resolve_curve`` doubles the horizon until then.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 
 class PrecisionExhausted(Exception):
@@ -41,8 +41,7 @@ def _mul(a: dict, b: dict, shift: int, limit) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class RatSeries:
+class RatSeries(NamedTuple):
     """num/den over Z, den a unit at 0, known modulo t^prec."""
 
     num: dict

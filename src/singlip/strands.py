@@ -23,11 +23,10 @@ keeps equal keys equal and unequal ones unequal: contacts are invariant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import InputError, ResourceCapExceeded
 from .exactnum import as_rational, rational_to_json
@@ -36,26 +35,30 @@ INFINITY = None  # sentinel for infinite contact, kept exact on purpose
 DEFAULT_STRAND_CAP = 1024
 
 
-@dataclass(frozen=True)
-class PuiseuxBranch:
+class _BranchFields(NamedTuple):
+    denominator: int
+    terms: tuple[tuple[Fraction, Fraction], ...]
+
+
+class PuiseuxBranch(_BranchFields):
     """One Puiseux branch: strictly increasing exponents >= 1, coeffs != 0.
 
     ``denominator`` is the minimal common denominator of the exponents; the
     constructor checks minimality rather than silently renormalising, since
     a non-minimal denominator means the caller is describing a non-reduced
-    branch (fewer genuine strands than claimed).
+    branch (fewer genuine strands than claimed).  ``_make`` and
+    ``_replace`` skip these checks, so nothing calls them on a branch.
     """
 
-    denominator: int
-    terms: tuple[tuple[Fraction, Fraction], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = self.denominator
+    def __new__(cls, denominator: int, terms: tuple):
+        n = denominator
         if n < 1:
             raise InputError("branch denominator must be a positive integer")
         prev = None
         nums = []
-        for exp, coeff in self.terms:
+        for exp, coeff in terms:
             if coeff == 0:
                 raise InputError("zero coefficient in branch term")
             if exp < 1:
@@ -68,6 +71,7 @@ class PuiseuxBranch:
             prev = exp
         if math.gcd(n, *nums) != 1:
             raise InputError(f"denominator {n} is not minimal for {nums}")
+        return super().__new__(cls, denominator, terms)
 
     @classmethod
     def from_terms(cls, terms: Sequence[tuple]) -> "PuiseuxBranch":
@@ -89,8 +93,7 @@ class PuiseuxBranch:
                            "coeff": rational_to_json(c)} for e, c in self.terms]}
 
 
-@dataclass(frozen=True)
-class Strand:
+class Strand(NamedTuple):
     """One of the n conjugate series of a branch, over a common order N.
 
     ``series`` holds (exponent, (a, k)) in increasing exponent order; the
@@ -164,8 +167,7 @@ def strand_contact(s: Strand, t: Strand) -> Optional[Fraction]:
     return s.series[b][0] if a > b else t.series[a][0]
 
 
-@dataclass(frozen=True)
-class ContactMatrix:
+class ContactMatrix(NamedTuple):
     """Symmetric matrix of strand contacts with infinite diagonal."""
 
     size: int
@@ -246,8 +248,7 @@ def coincidence_exponent(a: PuiseuxBranch, b: PuiseuxBranch) -> Fraction:
     return max(strand_contact(pair[0], t) for t in pair[a.denominator:])
 
 
-@dataclass(frozen=True)
-class HornJumpProfile:
+class HornJumpProfile(NamedTuple):
     """Component counts of a shrinking horn around one strand's arc.
 
     ``thresholds`` are the distinct finite contacts with the base strand in

@@ -20,12 +20,10 @@ standard branched-cover computation.
 
 from __future__ import annotations
 
-import copy
 import re
 from collections import Counter
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import DomainError, InputError, ResourceCapExceeded
 from .exactnum import eliminate, is_int
@@ -40,22 +38,26 @@ CURVE_FUNCTION = "f"
 GENERIC_LINEAR = "h"
 
 
-@dataclass
 class Vertex:
     """An exceptional curve.  A tower vertex also keeps its unreduced
     inner-rate vector (p, q), and its rate is p/q."""
 
-    id: object
-    self_intersection: int
-    genus: int = 0
-    rate: Optional[Fraction] = None
-    multiplicities: dict = field(default_factory=dict)
-    flags: set = field(default_factory=set)
-    rate_vector: Optional[tuple] = None
+    __slots__ = ("id", "self_intersection", "genus", "rate", "multiplicities",
+                 "flags", "rate_vector")
+
+    def __init__(self, id, self_intersection: int, genus: int,
+                 rate: Optional[Fraction], multiplicities: dict, flags: set,
+                 rate_vector: Optional[tuple]):
+        self.id = id
+        self.self_intersection = self_intersection
+        self.genus = genus
+        self.rate = rate
+        self.multiplicities = multiplicities
+        self.flags = flags
+        self.rate_vector = rate_vector
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(NamedTuple):
     """A strict transform meeting a vertex; ``branch`` names the curve
     branch it comes from, if any."""
 
@@ -186,7 +188,19 @@ class DualGraph:
         return new
 
     def copy(self) -> "DualGraph":
-        return copy.deepcopy(self)
+        """A graph of the same type that shares no mutable state with this
+        one: each vertex is rebuilt with its own multiplicities and flags,
+        and arrows, being immutable, are shared."""
+        out = type(self)()
+        for vid in self.ids():
+            v = self.vertices[vid]
+            out._store(Vertex(v.id, v.self_intersection, v.genus, v.rate,
+                              dict(v.multiplicities), set(v.flags),
+                              v.rate_vector))
+        out.edges = list(self.edges)
+        out.arrows = list(self.arrows)
+        out._adjacent = {vid: list(ws) for vid, ws in self._adjacent.items()}
+        return out
 
     # -- reading --------------------------------------------------------------
 
@@ -309,8 +323,7 @@ def verify_graph_det(graph: DualGraph) -> tuple[list[str], int]:
     return problems, elim.determinant
 
 
-@dataclass(frozen=True)
-class Divisor:
+class Divisor(NamedTuple):
     """Compact-part coefficients of a total transform plus its strict part."""
 
     coefficients: dict
@@ -384,8 +397,7 @@ def has_base_point(divisors: Sequence[Divisor], vertex) -> bool:
     return len(values) > 1
 
 
-@dataclass(frozen=True)
-class PencilStep:
+class PencilStep(NamedTuple):
     vertex: object
     multiplicities: tuple
 
@@ -454,7 +466,7 @@ def _blow_up_arrow(tree: DualTree, arrow_index: int):
     arrow = tree.arrows[arrow_index]
     new = _fresh_id(tree)
     tree.blow_up(new, (arrow.vertex,), {arrow.name: arrow.multiplicity})
-    tree.arrows[arrow_index] = replace(arrow, vertex=new)
+    tree.arrows[arrow_index] = arrow._replace(vertex=new)
 
 
 def laufer_parity_prepare(tree: DualTree) -> DualTree:

@@ -38,9 +38,8 @@ tower against independent oracles.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import InputError, ResourceCapExceeded
 from .series import PrecisionExhausted, RatSeries
@@ -50,21 +49,27 @@ from .surfgraph import CURVE_FUNCTION, GENERIC_LINEAR, DualTree, verify_graph_de
 DEFAULT_EVENT_CAP = 512
 
 
-@dataclass(frozen=True)
-class BlowupEvent:
+class BlowupEvent(NamedTuple):
     index: int
     center: tuple
     branches_through: tuple[tuple[int, int], ...]
 
 
-@dataclass
 class _Point:
-    """An infinitely-near point carrying branch strict transforms."""
+    """An infinitely-near point carrying branch strict transforms.
 
-    key: tuple
-    du: Optional[int]  # exceptional curve cut out by the first coordinate
-    dv: Optional[int]  # exceptional curve cut out by the second, if any
-    branches: dict     # branch id -> (RatSeries, RatSeries)
+    ``du`` is the exceptional curve cut out by the first coordinate, ``dv``
+    the one cut out by the second, if any, and ``branches`` maps branch id
+    to (RatSeries, RatSeries)."""
+
+    __slots__ = ("key", "du", "dv", "branches")
+
+    def __init__(self, key: tuple, du: Optional[int], dv: Optional[int],
+                 branches: dict):
+        self.key = key
+        self.du = du
+        self.dv = dv
+        self.branches = branches
 
 
 def resolve_curve(curve: Sequence[PuiseuxBranch], event_cap: int = DEFAULT_EVENT_CAP,
@@ -202,8 +207,7 @@ def _edges_from_root(tree: DualTree):
                 stack.append(w)
 
 
-@dataclass(frozen=True)
-class TowerReport:
+class TowerReport(NamedTuple):
     lines: tuple
 
     @property

@@ -14,7 +14,6 @@ import random
 import re
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -177,7 +176,7 @@ def _blow_up_arrow(tree: DualTree, arrow_index: int):
     arrow = tree.arrows[arrow_index]
     new = len(tree.vertices)
     tree.blow_up(new, (arrow.vertex,), {arrow.name: arrow.multiplicity})
-    tree.arrows[arrow_index] = replace(arrow, vertex=new)
+    tree.arrows[arrow_index] = arrow._replace(vertex=new)
 
 
 def blow_all_double_points(tree: DualTree) -> DualTree:

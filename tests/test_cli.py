@@ -10,6 +10,7 @@ from singlip import PuiseuxBranch, contact_matrix, jsonio, resolve_curve
 from singlip.cli import build_parser, main
 from singlip.decomp import MODES
 from singlip.fixtures import curve_cusp_53, fixture_names, load_fixture
+from singlip.surfgraph import DualGraph
 
 
 def run_cli(*argv):
@@ -208,6 +209,47 @@ def test_outputs_deterministic(paths):
         _, first, _ = run_cli(*argv)
         _, second, _ = run_cli(*argv)
         assert first == second
+
+
+def _plain(doc) -> bool:
+    """Whether every container in ``doc`` is a plain dict, list or tuple.
+    A record is a tuple too, and would be written as a list unchecked."""
+    if type(doc) is dict:
+        return all(map(_plain, doc.values()))
+    if type(doc) in (list, tuple):
+        return all(map(_plain, doc))
+    return type(doc) in (str, int, bool, type(None))
+
+
+def test_no_record_reaches_a_json_document(paths, monkeypatch):
+    docs, rate_vectors = [], set()
+    dumps, add_vertex = jsonio.dumps, DualGraph.add_vertex
+    monkeypatch.setattr(jsonio, "dumps", lambda doc: docs.append(doc) or dumps(doc))
+
+    def spy(self, vid, self_intersection, genus=0, rate=None,
+            multiplicities=None, flags=None, rate_vector=None):
+        rate_vectors.add(type(rate_vector))
+        return add_vertex(self, vid, self_intersection, genus, rate,
+                          multiplicities, flags, rate_vector)
+
+    monkeypatch.setattr(DualGraph, "add_vertex", spy)
+    curve, graph = paths["carrousel-example"], paths["e8"]
+    for argv in (["curve", "contacts", curve], ["curve", "carrousel", curve],
+                 ["curve", "carrousel", "--reduce", curve],
+                 ["curve", "horns", "--base", "0", curve],
+                 ["curve", "resolve", curve], ["curve", "equiv", curve, curve],
+                 ["graph", "mult", "--arrow", "x", graph],
+                 ["graph", "laufer", paths["cusp-53"]],
+                 ["graph", "pencil", "--gen", "x", "--gen", "y", "--resolve", graph],
+                 ["graph", "thickthin", graph],
+                 *(["graph", "decompose", "--mode", m, graph] for m in MODES),
+                 ["graph", "signature", "--metric", "inner", graph],
+                 ["graph", "signature", "--metric", "outer", graph, graph],
+                 ["fixtures", "dump", "e8"], ["fixtures", "dump", "cusp-53"]):
+        assert run_cli("--format", "json", *argv)[0] == 0, argv
+    assert len(docs) == 17 and all(map(_plain, docs))
+    # a tower vertex gets the tuple blow_up sums, a parsed graph vertex none
+    assert rate_vectors == {tuple, type(None)}
 
 
 def test_dot_outputs_parse(paths):

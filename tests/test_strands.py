@@ -182,6 +182,13 @@ def test_branch_validation():
         PuiseuxBranch.from_terms([(F(3, 2), F(0))])  # zero coefficient
     with pytest.raises(InputError):
         PuiseuxBranch(4, ((F(3, 2), F(1)),))  # non-minimal denominator
+    # the constructor itself checks, not only from_terms, which sorts
+    with pytest.raises(InputError):
+        PuiseuxBranch(2, ((F(3, 2), F(0)),))  # zero coefficient
+    with pytest.raises(InputError):
+        PuiseuxBranch(2, ((F(2), F(1)), (F(3, 2), F(1))))  # exponents decrease
+    with pytest.raises(InputError):
+        PuiseuxBranch(2, ((F(3, 2), F(1)), (F(3, 2), F(2))))  # exponent repeats
     b = PuiseuxBranch.from_terms([(F(3, 2), F(1)), (F(2), F(1))])
     assert b.denominator == 2
 

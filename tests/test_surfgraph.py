@@ -9,6 +9,7 @@ from singlip import (Divisor, DualGraph, PuiseuxBranch, has_base_point,
                      tower_to_graph, verify_graph, verify_tower)
 from singlip.errors import DomainError
 from singlip.fixtures import curve_cusp_53, graph_e8
+from singlip.jsonio import graph_to_json, tower_to_json
 from singlip.surfgraph import DualTree, strict_part_from_residuals
 
 
@@ -283,3 +284,26 @@ def test_long_chain_verifies_and_solves_fast():
     elapsed = time.perf_counter() - start
     assert solved == {vid: v.multiplicities["h"] for vid, v in g.vertices.items()}
     assert elapsed < 1.0, f"A_{k} took {elapsed:.2f} s"
+
+
+def test_copy_shares_no_mutable_state():
+    _, tree = resolve_curve(curve_cusp_53())
+    for graph, to_json in ((graph_e8(), graph_to_json), (tree, tower_to_json)):
+        def state(g):
+            return (to_json(g), [sorted(g.vertices[v].flags) for v in g.ids()],
+                    [g.neighbors(v) for v in g.ids()])
+        before = state(graph)
+        dup = graph.copy()
+        assert type(dup) is type(graph) and state(dup) == before
+        for vid in dup.ids():
+            v = dup.vertices[vid]
+            v.self_intersection -= 1
+            v.multiplicities["f"] = 99
+            v.flags.add("L")
+        a, b = dup.edges[0]
+        dup.remove_edge(a, b)
+        new = len(dup.vertices) if isinstance(dup, DualTree) else "new"
+        dup.add_vertex(new, -1)
+        dup.add_edge(a, new)
+        dup.add_arrow(new, "g")
+        assert state(graph) == before

@@ -32,6 +32,15 @@ def test_fixture_tower_json_is_pinned(name):
     assert jsonio.dumps(jsonio.tower_to_json(tree, events)) == pinned
 
 
+def test_event_repr_names_its_fields():
+    # test_restarts_from_horizon_1_give_the_same_towers compares these reprs
+    events, _ = resolve_curve(curve_cusp_53())
+    assert repr(events[:2]) == (
+        "[BlowupEvent(index=0, center=('origin',), branches_through=((0, 3),)), "
+        "BlowupEvent(index=1, center=('free', 0, 'axis'), "
+        "branches_through=((0, 2),))]")
+
+
 def _ladder(k):
     # the Baseline ladder y = sum x^((2^(i+1)-1)/2^i), i = 1..k: k Puiseux
     # pairs, multiplicity 2^k

@@ -8,9 +8,10 @@ methods, which Python calls by protocol, are exempt.  The second guard
 reads only ``src/`` and ``perfbench/``: a def that only tests name belongs
 in ``tests/helpers.py``.
 
-Likewise every field of a dataclass or NamedTuple in ``src/singlip`` is
-read as an attribute somewhere in ``src/``, ``tests/`` or ``perfbench/``.
-A field that nothing reads is state the library keeps up for no one."""
+Likewise every field of a record in ``src/singlip`` (a dataclass, a
+NamedTuple or a class with ``__slots__``) is read as an attribute somewhere
+in ``src/``, ``tests/`` or ``perfbench/``.  A field that nothing reads is
+state the library keeps up for no one."""
 
 import ast
 from collections import Counter
@@ -60,8 +61,30 @@ def _is_record(node: ast.ClassDef) -> bool:
                in ("dataclass", "NamedTuple") for m in marks)
 
 
+def _slots(node: ast.ClassDef) -> list[str]:
+    """The names the class body's ``__slots__`` tuple lists."""
+    for stmt in node.body:
+        if (isinstance(stmt, ast.Assign)
+                and any(getattr(t, "id", None) == "__slots__" for t in stmt.targets)):
+            return list(ast.literal_eval(stmt.value))
+    return []
+
+
+def record_fields(node: ast.ClassDef) -> list[str]:
+    """The fields of a record class: the annotated names of a dataclass or
+    a NamedTuple, and the ``__slots__`` of any class.  A subclass that
+    validates a NamedTuple declares ``__slots__ = ()``; its fields are
+    its base's."""
+    out = _slots(node)
+    if _is_record(node):
+        out += [stmt.target.id for stmt in node.body
+                if isinstance(stmt, ast.AnnAssign)
+                and isinstance(stmt.target, ast.Name)]
+    return out
+
+
 def unread_fields(library: dict, sources: list) -> list[str]:
-    """``module.Class.field`` of each dataclass or NamedTuple field in the
+    """``module.Class.field`` of each record field (``record_fields``) in the
     library sources (module name to text) that no source text reads as an
     attribute."""
     reads = {n.attr for s in sources for n in ast.walk(ast.parse(s))
@@ -69,12 +92,9 @@ def unread_fields(library: dict, sources: list) -> list[str]:
     out = []
     for module, source in library.items():
         for node in ast.walk(ast.parse(source)):
-            if isinstance(node, ast.ClassDef) and _is_record(node):
-                out += [f"{module}.{node.name}.{stmt.target.id}"
-                        for stmt in node.body
-                        if isinstance(stmt, ast.AnnAssign)
-                        and isinstance(stmt.target, ast.Name)
-                        and stmt.target.id not in reads]
+            if isinstance(node, ast.ClassDef):
+                out += [f"{module}.{node.name}.{name}"
+                        for name in record_fields(node) if name not in reads]
     return out
 
 
@@ -92,9 +112,13 @@ def test_guard_flags_an_unread_field():
     lib = ("@dataclass(frozen=True)\nclass D:\n    read: int\n    unread: int\n"
            "    def get(self): return self.read\n"
            "class T(typing.NamedTuple):\n    used: int\n    idle: int\n"
+           "class Checked(T):\n    __slots__ = ()\n"
+           "class S:\n    __slots__ = ('seen', 'unseen')\n"
+           "    def __init__(self): self.seen = self.unseen = 0\n"
            "class Plain:\n    ignored: int\n")
-    user = "t.used\nidle = 1\nx.idle = 2\nunread(x)\n"
-    assert unread_fields({"m": lib}, [lib, user]) == ["m.D.unread", "m.T.idle"]
+    user = "t.used\nidle = 1\nx.idle = 2\nunread(x)\ns.seen\n"
+    assert unread_fields({"m": lib}, [lib, user]) == [
+        "m.D.unread", "m.T.idle", "m.S.unseen"]
 
 
 def test_every_library_def_is_named():
