@@ -132,32 +132,22 @@ def graph_a_k(k: int) -> DualGraph:
     (for k = 2 the separating blow-up of the two L-curves' crossing)."""
     if k < 1:
         raise InputError("a_k needs k >= 1")
-    from .surfgraph import DualGraph
-    g = DualGraph()
-    if k == 1:
-        g.add_vertex("E1", -2, rate=1, multiplicities={"h": 1}, flags=("L",))
-        g.add_arrow("E1", "h", 2, "generic-linear")
-        return g
     if k == 2:
-        rates = [1, "3/2", 1]
-        selfints = [-3, -1, -3]
-        mults = [1, 2, 1]
+        rows = [(-3, 1, 1), (-1, "3/2", 2), (-3, 1, 1)]
     else:
-        rates = [None] * k
-        rates[0] = rates[-1] = 1
+        rows = [(-2, None, 1)] * k
+        rows[0] = rows[-1] = (-2, 1, 1)
         if k == 3:
-            rates[1] = 2
-        selfints = [-2] * k
-        mults = [1] * k
-    for i in range(len(selfints)):
-        flags = ("L",) if i in (0, len(selfints) - 1) else ()
-        g.add_vertex(f"E{i + 1}", selfints[i], rate=rates[i],
-                     multiplicities={"h": mults[i]}, flags=flags)
-    for i in range(len(selfints) - 1):
-        g.add_edge(f"E{i + 1}", f"E{i + 2}")
-    g.add_arrow("E1", "h", 1, "generic-linear")
-    g.add_arrow(f"E{len(selfints)}", "h", 1, "generic-linear")
-    return g
+            rows[1] = (-2, 2, 1)
+    ends = ("E1", f"E{len(rows)}")
+    return _graph({
+        "vertices": [(f"E{i}", self_int, 0, rate, h,
+                      ("L",) if f"E{i}" in ends else ())
+                     for i, (self_int, rate, h) in enumerate(rows, 1)],
+        "edges": [(f"E{i}", f"E{i + 1}") for i in range(1, len(rows))],
+        "arrows": ([("E1", "h", 2, "generic-linear")] if k == 1 else
+                   [(e, "h", 1, "generic-linear") for e in ends]),
+    })
 
 
 def graph_e6() -> DualGraph:

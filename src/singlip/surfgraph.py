@@ -364,9 +364,13 @@ def solve_multiplicities(graph: DualGraph, arrows, strict: bool = True) -> Divis
     values = list(solved.solution)
     if strict and any(v.denominator != 1 for v in values):
         raise DomainError(f"non-integral multiplicities {values}")
-    coeffs = {vid: (values[index[vid]].numerator if values[index[vid]].denominator == 1
-                    else values[index[vid]]) for vid in ids}
-    return Divisor(coeffs, tuple(sorted((str(v), mu) for v, mu in pairs)))
+    coeffs = {vid: v.numerator if v.denominator == 1 else v
+              for vid, v in zip(ids, values)}
+    return Divisor(coeffs, tuple(sorted(pairs, key=_arrow_order)))
+
+
+def _arrow_order(pair: tuple) -> tuple:
+    return str(pair[0]), pair[1]  # integer and string ids sort alike
 
 
 def strict_part_from_residuals(graph: DualGraph, coefficients: dict) -> list[tuple]:
@@ -387,7 +391,7 @@ def pencil_min(graph: DualGraph, divisors: Sequence[Divisor]) -> Divisor:
         raise InputError("pencil_min needs at least one divisor")
     coeffs = {vid: min(d.coefficient(vid) for d in divisors) for vid in graph.ids()}
     arrows = strict_part_from_residuals(graph, coeffs)
-    return Divisor(coeffs, tuple((v, m) for v, m in sorted(arrows, key=str)))
+    return Divisor(coeffs, tuple(sorted(arrows, key=_arrow_order)))
 
 
 def has_base_point(divisors: Sequence[Divisor], vertex) -> bool:

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InputError, ResourceCapExceeded
 from .series import PrecisionExhausted, RatSeries
@@ -56,19 +56,14 @@ class BlowupEvent(NamedTuple):
 
 
 class _Point:
-    """An infinitely-near point carrying branch strict transforms.
+    """An infinitely-near point carrying branch strict transforms, named by
+    the ``center`` that the event blowing it up records; ``branches`` maps
+    branch id to (RatSeries, RatSeries)."""
 
-    ``du`` is the exceptional curve cut out by the first coordinate, ``dv``
-    the one cut out by the second, if any, and ``branches`` maps branch id
-    to (RatSeries, RatSeries)."""
+    __slots__ = ("center", "branches")
 
-    __slots__ = ("key", "du", "dv", "branches")
-
-    def __init__(self, key: tuple, du: Optional[int], dv: Optional[int],
-                 branches: dict):
-        self.key = key
-        self.du = du
-        self.dv = dv
+    def __init__(self, center: tuple, branches: dict):
+        self.center = center
         self.branches = branches
 
 
@@ -94,7 +89,7 @@ def _horizon(curve: Sequence[PuiseuxBranch]) -> int:
 def _resolve(curve, event_cap: int, horizon: int):
     tree = DualTree()
     events: list[BlowupEvent] = []
-    queue = deque([_Point(("origin",), None, None, {
+    queue = deque([_Point(("origin",), {
         i: tuple(RatSeries.make(s, horizon) for s in b.parametrization())
         for i, b in enumerate(curve)})])
     kept = []
@@ -109,18 +104,14 @@ def _resolve(curve, event_cap: int, horizon: int):
         queue.extend(_land_branches(p, events[-1].index))
     for p in kept:
         for bid, (bu, _) in sorted(p.branches.items()):
-            assert bu.ord() == 1 and p.du is not None
-            tree.add_arrow(p.du, CURVE_FUNCTION, 1, "branch", bid)
+            assert bu.ord() == 1
+            tree.add_arrow(p.center[1], CURVE_FUNCTION, 1, "branch", bid)
     return events, tree
 
 
 def _needs_blowup(p: _Point) -> bool:
-    if p.key[0] == "origin":
-        return True
-    if len(p.branches) >= 2:
-        return True
-    if p.key[0] == "sat" and p.dv is not None:
-        return True  # branch sitting on a double point of the divisor
+    if p.center[0] != "free" or len(p.branches) >= 2:
+        return True  # the origin, a double point of the divisor, or two branches
     (pair,) = p.branches.values()
     if _local_multiplicity(pair) >= 2:
         return True  # singular strict transform
@@ -131,44 +122,44 @@ def _local_multiplicity(pair) -> int:
     return min(pair[0].ord(), pair[1].ord())
 
 
+def _curves_through(center: tuple) -> tuple:
+    """The exceptional curves through a center: none at the origin, one at
+    a free point, two at a satellite point."""
+    return center[1:3] if center[0] == "satellite" else center[1:2]
+
+
 def _blow_up(tree: DualTree, p: _Point) -> BlowupEvent:
     """Blow up the point in the tree; the new vertex id is the event index."""
     new = len(tree.vertices)
-    exceptional = [e for e in (p.du, p.dv) if e is not None]
     through = tuple(sorted(
         (bid, _local_multiplicity(pair)) for bid, pair in p.branches.items()))
-    tree.blow_up(new, exceptional, {
-        CURVE_FUNCTION: sum(m for _, m in through),
-        GENERIC_LINEAR: int(p.key[0] == "origin")})
-    if p.key[0] == "origin":
+    origin = p.center[0] == "origin"
+    tree.blow_up(new, _curves_through(p.center), {
+        CURVE_FUNCTION: sum(m for _, m in through), GENERIC_LINEAR: int(origin)})
+    if origin:
         tree.add_arrow(new, GENERIC_LINEAR, 1, "generic-linear")
-        center = ("origin",)
-    elif len(exceptional) == 2:
-        center = ("satellite", exceptional[0], exceptional[1])
-    else:
-        tag = p.key[2] if p.key[0] == "free" else "axis"
-        center = ("free", exceptional[0], tag)
-    return BlowupEvent(new, center, through)
+    return BlowupEvent(new, p.center, through)
 
 
 def _land_branches(p: _Point, new: int) -> list[_Point]:
     """The points of the new curve ``new`` that p's branches pass through,
-    in the order of their first branch."""
+    in the order of their first branch.  ``new`` meets each curve through
+    p's center (cut out by p's first, then second coordinate) at a
+    satellite point, and a coordinate axis that is no such curve at "axis"."""
+    meets = [("satellite", new, d) for d in _curves_through(p.center)]
+    on_u, on_v = meets + [("free", new, "axis")] * (2 - len(meets))
     landings: dict[tuple, _Point] = {}
     for bid, (bu, bv) in sorted(p.branches.items()):
         if bv.ord() < bu.ord():
-            key, dv = ("sat", new, p.du), p.du
-            pair = (bv, bu.div(bv))
+            center, pair = on_u, (bv, bu.div(bv))
         else:
             ratio = bv.div(bu)
             c = ratio.constant()
             if c:
-                key, dv = ("free", new, c), None
-                pair = (bu, ratio.sub_const(c))
+                center, pair = ("free", new, c), (bu, ratio.sub_const(c))
             else:
-                key, dv = ("sat", new, p.dv), p.dv
-                pair = (bu, ratio)
-        landings.setdefault(key, _Point(key, new, dv, {})).branches[bid] = pair
+                center, pair = on_v, (bu, ratio)
+        landings.setdefault(center, _Point(center, {})).branches[bid] = pair
     return list(landings.values())
 
 

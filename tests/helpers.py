@@ -1,23 +1,28 @@
 """Shared test utilities: numeric oracles, the pairwise contact matrix,
 characteristic exponents, a reference determinant, random curve
-generation, towers replayed from the blow-up event log, the curvette
-oracle for inner rates, graph-level blow-ups of towers, the piece labels
-of a decomposition, a small DOT syntax checker used to validate emitted
-graphs, and a fresh interpreter that imports this checkout."""
+generation, towers replayed from the blow-up event log, A'Campo's
+Alexander polynomial of a tower, the curvette oracle for inner rates,
+graph-level blow-ups of towers, the piece labels of a decomposition, a
+small DOT syntax checker used to validate emitted graphs, the CLI run
+in-process, and a fresh interpreter that imports this checkout."""
 
 from __future__ import annotations
 
 import cmath
+import io
 import math
 import os
 import random
 import re
 import subprocess
 import sys
+from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 from singlip import PuiseuxBranch, strand_contact, strands_of
+from singlip.cli import main
 from singlip.errors import DomainError, SinglipError
 from singlip.strands import ContactMatrix
 from singlip.surfgraph import CURVE_FUNCTION, GENERIC_LINEAR, DualTree
@@ -204,6 +209,40 @@ def extend_arrow_chain(tree: DualTree, arrow_index: int, steps: int) -> DualTree
 def summary(d) -> list[str]:
     """The sorted piece labels of a decomposition, e.g. ["A(1,5/3)", "B(1)"]."""
     return sorted(p.describe() for p in d.pieces.values())
+
+
+def alexander_polynomial(tree: DualTree) -> list[int]:
+    """A'Campo's Alexander polynomial of the curve resolved by ``tree``,
+    (t - 1) * prod_v (t^m_v - 1)^(delta_v - 2), with m_v the multiplicity
+    of f on the curve v and delta_v its valence plus its f arrows; integer
+    coefficients from the constant term up.  The factors with a negative
+    exponent divide the others exactly."""
+    num, den = [-1, 1], [1]
+    arrows = Counter(a.vertex for a in tree.arrows if a.name == CURVE_FUNCTION)
+    for v in tree.vertices:
+        m = v.multiplicities[CURVE_FUNCTION]
+        factor = [-1] + [0] * (m - 1) + [1]
+        k = tree.valence(v.id) + arrows[v.id] - 2
+        for _ in range(abs(k)):
+            if k > 0:
+                num = _int_poly_mul(num, factor)
+            else:
+                den = _int_poly_mul(den, factor)
+    quotient = [0] * (len(num) - len(den) + 1)
+    for i in reversed(range(len(quotient))):  # den is monic
+        quotient[i] = c = num[i + len(den) - 1]
+        for j, d in enumerate(den):
+            num[i + j] -= c * d
+    assert not any(num), "A'Campo's product is not a polynomial"
+    return quotient
+
+
+def _int_poly_mul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
 
 
 def creation_chain(events, vertex) -> list:
@@ -454,6 +493,14 @@ def parse_dot(text: str) -> dict:
     if i >= len(tokens) or tokens[i] != "}":
         raise ValueError("missing closing brace")
     return {"nodes": nodes, "edges": edges}
+
+
+def run_cli(*argv) -> tuple[int, str, str]:
+    """``singlip *argv`` in-process: exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
 
 
 def run_python(*argv) -> subprocess.CompletedProcess:

@@ -1,23 +1,15 @@
 import argparse
 import io
 import json
-from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from helpers import parse_dot, run_python
+from helpers import parse_dot, run_cli, run_python
 from singlip import PuiseuxBranch, contact_matrix, jsonio, resolve_curve
-from singlip.cli import build_parser, main
+from singlip.cli import build_parser
 from singlip.decomp import MODES
 from singlip.fixtures import curve_cusp_53, fixture_names, load_fixture
 from singlip.surfgraph import DualGraph
-
-
-def run_cli(*argv):
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(list(argv))
-    return code, out.getvalue(), err.getvalue()
 
 
 @pytest.fixture

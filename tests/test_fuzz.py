@@ -1,0 +1,128 @@
+"""Fuzzing the CLI with mutated documents.
+
+Each example takes a curve, graph or tower document of the fixtures,
+applies a few mutations (a field dropped, retyped or duplicated, a junk
+rational, a reference to a vertex that does not exist) and runs one
+subcommand on it through ``cli.main`` in-process.  Whatever the document
+says, the call must end with exit code 0, 1 or 2 and at most one error
+line, never with an exception."""
+
+import json
+
+import pytest
+
+from helpers import run_cli
+from singlip import jsonio, resolve_curve
+from singlip.fixtures import fixture_names, load_fixture
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+JUNK = (None, True, False, 0, -1, 2, 10 ** 30, 1.5, -0.0, float("nan"), "",
+        "x", "E1", "1/0", "3/0", "1/2/3", "-0/5", " 2/3", "2/-3", "1e400",
+        {"num": 1, "den": 0}, {"num": "a", "den": 2}, {"num": 1},
+        {"num": True, "den": 1}, {"num": 2, "den": 3, "extra": 1}, [],
+        {}, [1, "x"], [[]], {"id": "E1"})
+GHOSTS = ("ghost", 999, -1, "0")
+MUTATIONS = ("drop", "retype", "duplicate", "dangling")
+D = "{doc}"  # the mutated document's path
+CURVE_COMMANDS = (["curve", "contacts", D], ["curve", "carrousel", D, "--reduce"],
+                  ["curve", "horns", D, "--base", "0"], ["curve", "resolve", D],
+                  ["curve", "equiv", D, D], ["graph", "laufer", D], ["verify", D])
+GRAPH_COMMANDS = (["graph", "mult", D, "--arrow", "h"],
+                  ["graph", "pencil", D, "--gen", "h", "--gen", "x", "--resolve"],
+                  ["graph", "thickthin", D], ["graph", "decompose", D, "--mode", "outer"],
+                  ["graph", "signature", D, D, "--metric", "inner"], ["verify", D])
+COMMANDS = {"curve": CURVE_COMMANDS, "graph": GRAPH_COMMANDS,
+            "tower": (["verify", D],)}
+
+
+def _documents() -> list:
+    """(kind, document) for every fixture and the resolved fixture curves."""
+    out = []
+    for name in fixture_names():
+        value = load_fixture(name)
+        if isinstance(value, list):
+            out.append(("curve", jsonio.curve_to_json(value)))
+            events, tree = resolve_curve(value)
+            out.append(("tower", jsonio.tower_to_json(tree, events)))
+        else:
+            out.append(("graph", jsonio.graph_to_json(value)))
+    return out
+
+
+DOCUMENTS = _documents()
+
+
+def _paths(doc, prefix=()):
+    """Every place in a JSON document, as a path of keys and indices."""
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else (
+        enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def mutate(doc: dict, kind: str, place: int, pick: int) -> dict:
+    """One mutation of a copy of ``doc`` at its ``place``-th path; ``pick``
+    chooses the junk value, the ghost id or the duplicated key's name."""
+    doc = json.loads(json.dumps(doc))
+    paths = list(_paths(doc))[1:]
+    if not paths:
+        return doc
+    path = paths[place % len(paths)]
+    parent, key = _at(doc, path[:-1]), path[-1]
+    if kind == "drop":
+        del parent[key]
+    elif kind == "retype":
+        parent[key] = JUNK[pick % len(JUNK)]
+    elif kind == "duplicate":
+        if isinstance(parent, list):
+            parent.insert(key, json.loads(json.dumps(parent[key])))
+        else:
+            parent[f"{key}{pick}"] = parent[key]
+    else:  # the ghost id at the place, and an edge and an arrow to it
+        ghost = GHOSTS[pick % len(GHOSTS)]
+        vertices = doc.get("vertices")
+        first = (vertices[0].get("id", ghost) if isinstance(vertices, list)
+                 and vertices and isinstance(vertices[0], dict) else ghost)
+        parent[key] = ghost
+        for name, entry in (("edges", [first, ghost]),
+                            ("arrows", {"vertex": ghost, "name": "h",
+                                        "multiplicity": 1, "kind": "function"})):
+            if isinstance(doc.get(name), list):
+                doc[name].append(entry)
+    return doc
+
+
+@pytest.fixture(scope="module")
+def doc_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "doc.json"
+
+
+@hypothesis.settings(max_examples=500, deadline=None, derandomize=True,
+                     database=None,
+                     suppress_health_check=[hypothesis.HealthCheck.too_slow])
+@hypothesis.given(st.data())
+def test_mutated_documents_never_escape(doc_path, data):
+    doc_kind, doc = data.draw(st.sampled_from(DOCUMENTS), "document")
+    for _ in range(data.draw(st.integers(1, 3), "mutations")):
+        doc = mutate(doc, data.draw(st.sampled_from(MUTATIONS)),
+                     data.draw(st.integers(0, 10 ** 6)),
+                     data.draw(st.integers(0, 10 ** 6)))
+    command = data.draw(st.sampled_from(COMMANDS[doc_kind]), "command")
+    options = data.draw(st.sampled_from(
+        [[], ["--strict"], ["--format", "json"], ["--format", "dot"]]))
+    doc_path.write_text(json.dumps(doc))
+    argv = options + [str(doc_path) if a == D else a for a in command]
+    code, _, err = run_cli(*argv)
+    assert code in (0, 1, 2), (argv, code)
+    errors = [line for line in err.splitlines()
+              if line.startswith(("input error:", "error:"))]
+    assert len(errors) <= 1, errors

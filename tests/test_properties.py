@@ -4,12 +4,16 @@ denominators and term counts, so every case finishes quickly while still
 exercising satellite chains, shared centers and conjugate contacts."""
 
 import random
+from collections import Counter
 
-from helpers import curvette_pair, random_curve
+from helpers import alexander_polynomial, curvette_pair, random_curve
 from singlip import (build_carrousel_tree, coincidence_exponent,
-                     contact_matrix, csquare_decomposition, leaf_contacts,
-                     resolve_curve, verify_tower)
+                     contact_matrix, csquare_decomposition,
+                     laufer_double_cover, laufer_parity_prepare, leaf_contacts,
+                     resolve_curve, strands_of, verify_tower)
 from singlip.decomp import Decomposition, Piece, amalgamate
+from singlip.errors import DomainError
+from singlip.surfgraph import CURVE_FUNCTION
 from singlip.tower import branch_contact
 
 
@@ -107,3 +111,62 @@ def test_tree_branch_contacts_match_strand_contacts_200():
                 expected = coincidence_exponent(curve[i], curve[j])
                 assert branch_contact(tree, i, j) == expected, (curve, i, j)
                 checked += 1
+
+
+def test_cover_determinant_is_alexander_at_minus_one_300():
+    # the double cover z^2 + f is the double branched cover of S^3 over the
+    # link of f, so |H_1| = |det| of its graph equals |Delta_f(-1)|, and
+    # Delta_f(-1) = 0 means H_1 is infinite: the cover graph has a curve
+    # of positive genus or a cycle
+    rng = random.Random(107)
+    built = 0
+    for _ in range(300):
+        _, tree = resolve_curve(random_curve(rng, max_branches=3, max_den=6))
+        try:
+            cover = laufer_double_cover(laufer_parity_prepare(tree))
+        except DomainError:
+            continue  # outside the combinatorial case of the construction
+        built += 1
+        delta = alexander_polynomial(tree)
+        at_minus_one = sum(c * (-1) ** i for i, c in enumerate(delta))
+        if at_minus_one:
+            assert abs(cover.determinant()) == abs(at_minus_one), tree.arrows
+        else:
+            cycles = len(cover.edges) - len(cover.vertices) + 1
+            assert cycles > 0 or any(v.genus for v in cover.vertices.values())
+    assert built >= 50
+
+
+def test_milnor_number_three_ways_and_intersections_two_ways_300():
+    # Teissier from the strands, Milnor from the events, A'Campo from the
+    # tower; intersection numbers of branches from strand contacts and by
+    # Noether's formula over the infinitely near points
+    rng = random.Random(108)
+    pairs = 0
+    for _ in range(300):
+        curve = random_curve(rng, max_branches=3, max_den=6)
+        strands = strands_of(curve)
+        m = contact_matrix(curve)
+        n = len(strands)
+        teissier = sum(m.entries[j][k] for j in range(n) for k in range(n)
+                       if j != k) - n + 1
+        events, tree = resolve_curve(curve)
+        delta = sum(e * (e - 1) // 2 for e in
+                    (sum(mu for _, mu in ev.branches_through) for ev in events))
+        milnor = 2 * delta - len(curve) + 1
+        arrows = Counter(a.vertex for a in tree.arrows if a.name == CURVE_FUNCTION)
+        acampo = 1 - sum(v.multiplicities[CURVE_FUNCTION]
+                         * (2 - tree.valence(v.id) - arrows[v.id])
+                         for v in tree.vertices)
+        assert teissier == milnor == acampo, curve
+        assert len(alexander_polynomial(tree)) - 1 == milnor, curve
+        local = [dict(ev.branches_through) for ev in events]
+        for i in range(len(curve)):
+            for j in range(i + 1, len(curve)):
+                by_contacts = sum(m.entries[a][b] for a in range(n) for b in range(n)
+                                  if strands[a].branch_index == i
+                                  and strands[b].branch_index == j)
+                noether = sum(x.get(i, 0) * x.get(j, 0) for x in local)
+                assert by_contacts == noether, (curve, i, j)
+                pairs += 1
+    assert pairs >= 200

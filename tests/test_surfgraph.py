@@ -9,7 +9,7 @@ from singlip import (Divisor, DualGraph, PuiseuxBranch, has_base_point,
                      tower_to_graph, verify_graph, verify_tower)
 from singlip.errors import DomainError
 from singlip.fixtures import curve_cusp_53, graph_e8
-from singlip.jsonio import graph_to_json, tower_to_json
+from singlip.jsonio import graph_to_json, parse_graph, tower_to_json
 from singlip.surfgraph import DualTree, strict_part_from_residuals
 
 
@@ -67,6 +67,32 @@ def test_pencil_min_e8():
     generic = pencil_min(g, [fx, fy, fz])
     assert generic.coefficients == X_DIV
     assert generic.strict_arrows == (("E8", 1),)
+
+
+def test_strict_arrows_keep_integer_ids():
+    """Both divisor constructors keep the graph's vertex ids in their
+    strict parts, ordered by the ids as strings ("10" before "9"), and
+    ``to_json`` writes every id as a string."""
+    doc = graph_to_json(graph_e8())
+    num = {vid: int(vid[1:]) + 2 for vid in E8_IDS}  # E1..E8 -> 3..10
+    for v in doc["vertices"]:
+        v["id"] = num[v["id"]]
+    doc["edges"] = [[num[a], num[b]] for a, b in doc["edges"]]
+    for a in doc["arrows"]:
+        a["vertex"] = num[a["vertex"]]
+    g = parse_graph(doc)
+    div = solve_multiplicities(g, [(10, 1), (9, 2)])
+    assert div.strict_arrows == ((10, 1), (9, 2))
+    assert div.to_json() == {
+        "coefficients": {"3": 35, "4": 28, "5": 21, "6": 14, "7": 7, "8": 24,
+                         "9": 13, "10": 18},
+        "strict": [{"vertex": "10", "multiplicity": 1},
+                   {"vertex": "9", "multiplicity": 2}]}
+    x, y = solve_multiplicities(g, "x"), solve_multiplicities(g, "y")
+    assert x.strict_arrows == ((10, 1),) and y.strict_arrows == ((9, 1),)
+    generic = pencil_min(g, [x, y])
+    assert generic.strict_arrows == ((9, 1),)
+    assert generic.to_json()["strict"] == [{"vertex": "9", "multiplicity": 1}]
 
 
 def test_pencil_min_trivial():
