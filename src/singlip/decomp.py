@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from fractions import Fraction
+from heapq import heappop, heappush
 from typing import NamedTuple
 
 from .errors import DomainError, InputError
@@ -229,33 +230,26 @@ def csquare_decomposition(tree: DualTree) -> Decomposition:
     return d
 
 
-def _other(rates: tuple, q) -> Fraction:
-    """The rate of a two-rate piece other than q (q when both are q)."""
-    return rates[1] if rates[0] == q else rates[0]
-
-
-def _rule(x: Piece, y: Piece):
+def _rule(x: Piece, rx: tuple, y: Piece, ry: tuple, one: int):
     """The first amalgamation rule that applies to the adjacent pieces x, y
-    in this orientation, as (eliminated rate, ordering pid, kept pid, new
-    kind, new rates); kind and rates are None when the kept piece stays as
-    it is.  None when no rule applies."""
+    of integer rates rx, ry (1 is ``one``) in this orientation, as
+    (eliminated rate, ordering pid, kept pid, new kind, new rates); kind and
+    rates are None when the kept piece stays as it is.  None when none does."""
     low = min(x.pid, y.pid)
-    # A(q,q') u A(q',q'') = A(q,q'')
-    if x.kind == y.kind == "A" and (shared := set(x.rates) & set(y.rates)):
+    # A(q,q') u A(q',q'') = A(q,q''): the rate other than s is the sum less s
+    if x.kind == y.kind == "A" and (shared := set(rx) & set(ry)):
         s = max(shared)
-        return s, low, low, "A", tuple(sorted((_other(x.rates, s),
-                                               _other(y.rates, s))))
+        return s, low, low, "A", tuple(sorted((sum(rx) - s, sum(ry) - s)))
     # A(q,q') u D(q') = D(q)
-    if x.kind == "A" and y.kind == "D" and y.rates[0] in x.rates:
-        s = y.rates[0]
-        return s, low, low, "D", (_other(x.rates, s),)
+    if x.kind == "A" and y.kind == "D" and ry[0] in rx:
+        return ry[0], low, low, "D", (sum(rx) - ry[0],)
     # D(q) melts into a B or conical piece of the same rate
     if (x.kind == "D" and y.kind in ("B", "conical") and not y.special
-            and x.rates[0] == y.rates[0]):
-        return x.rates[0], x.pid, y.pid, None, None
+            and rx[0] == ry[0]):
+        return rx[0], x.pid, y.pid, None, None
     # rate-1 pieces merge into a conical piece
-    if y.kind == "conical" and all(q == 1 for q in x.rates):
-        return Fraction(1), low, low, "conical", (Fraction(1),)
+    if y.kind == "conical" and all(r == one for r in rx):
+        return one, low, low, "conical", (one,)
     return None
 
 
@@ -267,36 +261,56 @@ def amalgamate(d: Decomposition) -> Decomposition:
     rate; adjacent all-rate-1 pieces merge into a conical piece.  Each step
     merges the pair whose rule eliminates the highest rate, then has the
     lowest ordering pid (the D's for a melt, else the lower of the two),
-    then the lowest pair, which makes the result reproducible; confluence
-    under relabeling is checked by the tests.  A rule reads only its two
-    pieces, so after a merge only the pairs at the kept piece are
-    evaluated again.
+    then the lowest pair: a heap holds the pending rules under that key.  A
+    rule reads only its two pieces, so a merge drops the rules at both and
+    pushes those of the pairs at the kept piece; a popped key that is no
+    longer its pair's rule is skipped.  That is O(P log P) on P pieces of
+    bounded valence.  Confluence under relabeling is checked by the tests.
     """
     pieces = dict(d.pieces)
+    # the rules read a rate q as the integer q * lcm: a Fraction compares slowly
+    objs = {id(q): q for p in pieces.values() for q in p.rates}
+    lcm = math.lcm(*(q.denominator for q in objs.values()))
+    scaled = {i: q.numerator * (lcm // q.denominator) for i, q in objs.items()}
+    values = {lcm: Fraction(1)} | {scaled[i]: q for i, q in objs.items()}
+    ints = {pid: tuple([scaled[id(q)] for q in p.rates]) for pid, p in pieces.items()}
     nbrs = defaultdict(set)
     rules: dict = {}
+    heap: list = []
 
     def evaluate(a, b):
-        a, b = sorted((a, b))
+        a, b = (a, b) if a < b else (b, a)
         if a in pieces and b in pieces:
-            found = _rule(pieces[a], pieces[b]) or _rule(pieces[b], pieces[a])
+            x, rx, y, ry = pieces[a], ints[a], pieces[b], ints[b]
+            found = _rule(x, rx, y, ry, lcm) or _rule(y, ry, x, rx, lcm)
             if found:
-                rules[a, b] = found
+                key = (-found[0], found[1], a, b)
+                rules[a, b] = (key, *found[2:])
+                heappush(heap, key)
 
     for a, b in d.adjacency:
         nbrs[a].add(b)
         nbrs[b].add(a)
         evaluate(a, b)
-    while rules:
-        pair = max(rules, key=lambda p: (rules[p][0], -rules[p][1], -p[0], -p[1]))
-        _, _, keep, kind, rates = rules[pair]
-        drop = pair[1] if keep == pair[0] else pair[0]
+    while heap:
+        key = heappop(heap)
+        rule = rules.get(key[2:])
+        if rule is None or rule[0] != key:
+            continue  # stale: the pair merged or was evaluated again since
+        _, keep, kind, new = rule
+        drop = key[3] if keep == key[2] else key[2]
+        for v in (keep, drop):
+            for w in nbrs[v]:
+                rules.pop((v, w) if v < w else (w, v), None)
         kept, gone = pieces[keep], pieces.pop(drop)
-        new = kept if kind is None else Piece(keep, kind, rates)
-        pieces[keep] = new._replace(support=kept.support | gone.support,
-                                    edge_support=kept.edge_support | gone.edge_support)
-        rules = {p: r for p, r in rules.items()
-                 if keep not in p and drop not in p}
+        support = kept.support | gone.support
+        edges = kept.edge_support | gone.edge_support
+        if kind is None:
+            pieces[keep] = kept._replace(support=support, edge_support=edges)
+        else:
+            ints[keep] = new
+            pieces[keep] = Piece(keep, kind, tuple([values[r] for r in new]),
+                                 support, edges)
         nbrs[keep] = (nbrs[keep] | nbrs.pop(drop)) - {keep, drop}
         for w in nbrs[keep]:
             nbrs[w] = nbrs[w] - {drop} | {keep}

@@ -23,6 +23,7 @@ keeps equal keys equal and unequal ones unequal: contacts are invariant.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate
@@ -119,13 +120,9 @@ def coefficient_key(a: Fraction, k: int, order: int) -> tuple[Fraction, int]:
 
 def _strands_of_branch(index: int, branch: PuiseuxBranch, order: int) -> list[Strand]:
     n = branch.denominator
-    step = order // n
-    out = []
-    for j in range(n):
-        series = tuple((e, coefficient_key(a, j * (e * n).numerator * step, order))
-                       for e, a in branch.terms)
-        out.append(Strand(index, order, series))
-    return out
+    terms = [(e, a, (e * n).numerator * (order // n)) for e, a in branch.terms]
+    return [Strand(index, order, tuple((e, coefficient_key(a, j * m, order))
+                                       for e, a, m in terms)) for j in range(n)]
 
 
 def strands_of(curve: Sequence[PuiseuxBranch],
@@ -143,11 +140,15 @@ def strands_of(curve: Sequence[PuiseuxBranch],
         raise ResourceCapExceeded(f"strand cap {strand_cap} exceeded: {count} strands")
     order = reduce(math.lcm, (b.denominator for b in curve), 1)
     per_branch = [_strands_of_branch(i, b, order) for i, b in enumerate(curve)]
+    # equal strand sets need equal exponents: hash only branches sharing theirs
+    shapes = [tuple(e for e, _ in b.terms) for b in curve]
+    repeats = Counter(shapes)
     first: dict = {}
     for k, group in enumerate(per_branch):
-        i = first.setdefault(frozenset(s.series for s in group), k)
-        if i != k:
-            raise InputError(f"branches {i} and {k} have identical strand sets")
+        if repeats[shapes[k]] > 1:
+            i = first.setdefault(frozenset(s.series for s in group), k)
+            if i != k:
+                raise InputError(f"branches {i} and {k} have identical strand sets")
     return [s for group in per_branch for s in group]
 
 

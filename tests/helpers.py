@@ -2,9 +2,10 @@
 characteristic exponents, a reference determinant, random curve
 generation, towers replayed from the blow-up event log, A'Campo's
 Alexander polynomial of a tower, the curvette oracle for inner rates,
-graph-level blow-ups of towers, the piece labels of a decomposition, a
-small DOT syntax checker used to validate emitted graphs, the CLI run
-in-process, and a fresh interpreter that imports this checkout."""
+graph-level blow-ups of towers, the piece labels of a decomposition, the
+quadratic reference amalgamation, a small DOT syntax checker used to
+validate emitted graphs, the CLI run in-process, and a fresh interpreter
+that imports this checkout."""
 
 from __future__ import annotations
 
@@ -16,13 +17,14 @@ import random
 import re
 import subprocess
 import sys
-from collections import Counter
+from collections import Counter, defaultdict
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 from singlip import PuiseuxBranch, strand_contact, strands_of
 from singlip.cli import main
+from singlip.decomp import Decomposition, Piece
 from singlip.errors import DomainError, SinglipError
 from singlip.strands import ContactMatrix
 from singlip.surfgraph import CURVE_FUNCTION, GENERIC_LINEAR, DualTree
@@ -209,6 +211,77 @@ def extend_arrow_chain(tree: DualTree, arrow_index: int, steps: int) -> DualTree
 def summary(d) -> list[str]:
     """The sorted piece labels of a decomposition, e.g. ["A(1,5/3)", "B(1)"]."""
     return sorted(p.describe() for p in d.pieces.values())
+
+
+# -- the quadratic amalgamation, a reference for decomp.amalgamate ------------
+
+def _other(rates: tuple, q) -> Fraction:
+    """The rate of a two-rate piece other than q (q when both are q)."""
+    return rates[1] if rates[0] == q else rates[0]
+
+
+def _rule(x: Piece, y: Piece):
+    """The first amalgamation rule that applies to the adjacent pieces x, y
+    in this orientation, as (eliminated rate, ordering pid, kept pid, new
+    kind, new rates); kind and rates are None when the kept piece stays as
+    it is.  None when no rule applies."""
+    low = min(x.pid, y.pid)
+    # A(q,q') u A(q',q'') = A(q,q'')
+    if x.kind == y.kind == "A" and (shared := set(x.rates) & set(y.rates)):
+        s = max(shared)
+        return s, low, low, "A", tuple(sorted((_other(x.rates, s),
+                                               _other(y.rates, s))))
+    # A(q,q') u D(q') = D(q)
+    if x.kind == "A" and y.kind == "D" and y.rates[0] in x.rates:
+        s = y.rates[0]
+        return s, low, low, "D", (_other(x.rates, s),)
+    # D(q) melts into a B or conical piece of the same rate
+    if (x.kind == "D" and y.kind in ("B", "conical") and not y.special
+            and x.rates[0] == y.rates[0]):
+        return x.rates[0], x.pid, y.pid, None, None
+    # rate-1 pieces merge into a conical piece
+    if y.kind == "conical" and all(q == 1 for q in x.rates):
+        return Fraction(1), low, low, "conical", (Fraction(1),)
+    return None
+
+
+def reference_amalgamate(d: Decomposition) -> Decomposition:
+    """``decomp.amalgamate`` as it was before its rule heap: after every
+    merge it takes the max over all pending rules of (eliminated rate,
+    lowest ordering pid, lowest pair), compared as Fractions, and rebuilds
+    the rules without the pairs at the two merged pieces.  Quadratic in
+    the pieces, and the oracle for the heap's merge order."""
+    pieces = dict(d.pieces)
+    nbrs = defaultdict(set)
+    rules: dict = {}
+
+    def evaluate(a, b):
+        a, b = sorted((a, b))
+        if a in pieces and b in pieces:
+            found = _rule(pieces[a], pieces[b]) or _rule(pieces[b], pieces[a])
+            if found:
+                rules[a, b] = found
+
+    for a, b in d.adjacency:
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+        evaluate(a, b)
+    while rules:
+        pair = max(rules, key=lambda p: (rules[p][0], -rules[p][1], -p[0], -p[1]))
+        _, _, keep, kind, rates = rules[pair]
+        drop = pair[1] if keep == pair[0] else pair[0]
+        kept, gone = pieces[keep], pieces.pop(drop)
+        new = kept if kind is None else Piece(keep, kind, rates)
+        pieces[keep] = new._replace(support=kept.support | gone.support,
+                                    edge_support=kept.edge_support | gone.edge_support)
+        rules = {p: r for p, r in rules.items()
+                 if keep not in p and drop not in p}
+        nbrs[keep] = (nbrs[keep] | nbrs.pop(drop)) - {keep, drop}
+        for w in nbrs[keep]:
+            nbrs[w] = nbrs[w] - {drop} | {keep}
+            evaluate(keep, w)
+    return Decomposition(d.mode, pieces,
+                         {frozenset((a, b)) for a in nbrs for b in nbrs[a]})
 
 
 def alexander_polynomial(tree: DualTree) -> list[int]:

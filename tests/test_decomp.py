@@ -6,10 +6,10 @@ from fractions import Fraction as F
 import pytest
 
 from helpers import random_curve, summary
-from singlip import (amalgamate, build_decomposition, csquare_decomposition,
-                     inner_signature, outer_signature, resolve_curve,
-                     signatures_equal, thick_thin, thin_zone_rate,
-                     tower_to_graph)
+from singlip import (PuiseuxBranch, amalgamate, build_decomposition,
+                     csquare_decomposition, inner_signature, outer_signature,
+                     resolve_curve, signatures_equal, thick_thin,
+                     thin_zone_rate, tower_to_graph)
 from singlip import fixtures, jsonio
 from singlip.decomp import MODES, Signature, _nodes
 from singlip.errors import DomainError, InputError
@@ -138,6 +138,23 @@ def test_amalgamate_identity_when_stable():
     assert summary(again) == summary(a)
     assert {p.support for p in again.pieces.values()} == {
         p.support for p in a.pieces.values()}
+
+
+def test_amalgamate_long_chain():
+    # y = x^(201/200) resolves into a chain of 200 curves after the root;
+    # its 401 per-vertex pieces collapse to the cone, one B-piece over the
+    # chain, and the A-piece between them
+    _, tree = resolve_curve([PuiseuxBranch.from_terms([(F(201, 200), F(1))])])
+    d = csquare_decomposition(tree)
+    assert len(d.pieces) == 401
+    a = amalgamate(d)
+    assert [(pid, p.kind, p.rates) for pid, p in sorted(a.pieces.items())] == [
+        (0, "conical", (1,)), (200, "B", (F(201, 200),)),
+        (201, "A", (1, F(201, 200)))]
+    assert len(a.pieces[200].support) == 200
+    assert len(a.pieces[200].edge_support) == 199
+    assert a.adjacency == {frozenset((0, 201)), frozenset((200, 201))}
+    assert amalgamate(a).to_json() == a.to_json()
 
 
 # amalgamate(csquare_decomposition(tower)) of the curve fixtures: per piece

@@ -5,9 +5,11 @@ exercising satellite chains, shared centers and conjugate contacts."""
 
 import random
 from collections import Counter
+from fractions import Fraction
 
-from helpers import alexander_polynomial, curvette_pair, random_curve
-from singlip import (build_carrousel_tree, coincidence_exponent,
+from helpers import (alexander_polynomial, curvette_pair, random_curve,
+                     reference_amalgamate)
+from singlip import (PuiseuxBranch, build_carrousel_tree, coincidence_exponent,
                      contact_matrix, csquare_decomposition,
                      laufer_double_cover, laufer_parity_prepare, leaf_contacts,
                      resolve_curve, strands_of, verify_tower)
@@ -93,6 +95,40 @@ def test_amalgamation_confluence_200():
         permuted = _relabel(d, perm)
         assert _shape(amalgamate(permuted)) == reference
         assert amalgamate(stable).to_json() == stable.to_json()
+
+
+def _random_pieces(rng: random.Random, count: int) -> Decomposition:
+    """A tree of random pieces over a few rates.  Unlike a tower's, an
+    A-piece here may have three A-neighbours, and then the merge order
+    decides the result."""
+    d = Decomposition("random")
+    rates = [Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5, 2)]
+    for pid in range(count):
+        kind = rng.choice(("A", "A", "A", "D", "B", "conical"))
+        if kind == "A":
+            pair = tuple(sorted(rng.choices(rates, k=2)))
+        else:
+            pair = (Fraction(1),) if kind == "conical" else (rng.choice(rates),)
+        d.add(kind, pair, [rng.randrange(pid)] if pid else [],
+              support=frozenset([pid]))
+    return d
+
+
+def test_amalgamate_matches_quadratic_reference_300():
+    # the heap merges in the reference's order, so pids, rates and supports
+    # agree object for object.  On towers the order does not show in the
+    # result; on the random piece trees it does.  Chains x^((k+1)/k) hold a
+    # live rule at every pair of neighbouring A-pieces
+    rng = random.Random(108)
+    cases = [csquare_decomposition(resolve_curve(
+                 random_curve(rng, max_branches=3, max_den=6))[1])
+             for _ in range(300)]
+    cases += [csquare_decomposition(resolve_curve(
+                  [PuiseuxBranch.from_terms([(Fraction(k + 1, k), 1)])])[1])
+              for k in (*range(1, 41), 100, 200)]
+    cases += [_random_pieces(rng, rng.randint(2, 30)) for _ in range(300)]
+    for d in cases:
+        assert amalgamate(d).to_json() == reference_amalgamate(d).to_json()
 
 
 def test_tree_branch_contacts_match_strand_contacts_200():

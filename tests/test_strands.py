@@ -43,6 +43,16 @@ def test_duplicate_branches_rejected():
                            branch(("3/2", -1), ("7/4", 1))])) == 8
 
 
+def test_duplicate_branches_error_names_the_first_repeat():
+    # branches 0 and 3 are conjugate as well, but branch 2 is the first to
+    # repeat an earlier branch's strand set, that of branch 1
+    curve = [branch(("3/2", 1)), branch(("5/4", 2)), branch(("5/4", -2)),
+             branch(("3/2", -1))]
+    with pytest.raises(InputError,
+                       match="^branches 1 and 2 have identical strand sets$"):
+        strands_of(curve)
+
+
 def test_coefficient_key_normal_form():
     for order in (2, 4, 6, 12):
         half = order // 2
