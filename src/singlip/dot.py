@@ -1,68 +1,65 @@
 """Graphviz DOT emission for trees, graphs and decompositions.
 
-Conventions follow the figures this package reproduces: self-intersection
-below the vertex, inner rate in bold, multiplicities in parentheses, strict
-transforms as arrowheads, L-nodes drawn with a double circle.  Output is
-deterministic: vertices and edges are emitted in sorted order.
-"""
+Towers, graphs and decompositions share one writer: vertices in storage
+order, edges sorted, each arrow a dashed edge to a label node.  A vertex
+label stacks its name, ``q=`` its inner rate, its self-intersection, any
+[genus] and its (multiplicities); L-nodes get a double circle."""
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:
     from .carrousel import CarrouselNode, CarrouselTree
-    from .decomp import Decomposition
-    from .surfgraph import DualGraph, DualTree
+    from .decomp import Decomposition, Piece
+    from .surfgraph import DualGraph, DualTree, Vertex
 
 
 def _q(s) -> str:
     return '"' + str(s).replace('"', r'\"') + '"'
 
 
+def _graph_dot(name: str, node: str, graph: DualGraph, attributes, edges,
+               arrows=()) -> str:
+    """DOT text of the graph ``name`` with default node style ``node``: each
+    vertex v with ``attributes(v)``, then ``edges`` and ``arrows``."""
+    ids = {vid: i for i, vid in enumerate(graph.ids())}
+    lines = [f"graph {name} {{", f"  node [{node}];",
+             *(f"  v{i} [{attributes(graph.vertices[vid])}];"
+               for vid, i in ids.items()),
+             *(f"  v{ids[a]} -- v{ids[b]};" for a, b in edges)]
+    for i, a in enumerate(arrows):
+        lines += [f"  a{i} [shape=none, label={_q(f'{a.name}({a.multiplicity})')}];",
+                  f"  v{ids[a.vertex]} -- a{i} [style=dashed];"]
+    return "\n".join(lines) + "\n}\n"
+
+
+def _sorted_edges(graph: DualGraph) -> list:
+    return sorted(graph.edges, key=lambda e: (str(e[0]), str(e[1])))
+
+
+def _mults(v: Vertex) -> str:
+    mults = ",".join(f"{k}:{m}" for k, m in sorted(v.multiplicities.items()))
+    return f"\\n({mults})" if mults else ""
+
+
 def tree_to_dot(tree: DualTree) -> str:
-    lines = ["graph tower {", "  node [shape=circle];"]
-    for v in tree.vertices:
-        label = f"E{v.id + 1}\\nq={v.rate}\\n{v.self_intersection}"
-        mults = ",".join(f"{k}:{m}" for k, m in sorted(v.multiplicities.items()))
-        if mults:
-            label += f"\\n({mults})"
-        lines.append(f"  v{v.id} [label={_q(label)}];")
-    for a, b in sorted(tree.edges):
-        lines.append(f"  v{a} -- v{b};")
-    return _close(lines, tree.arrows, tree.ids())
-
-
-def _close(lines: list, arrows, index) -> str:
-    """Append the arrows (``index`` maps a vertex id to its DOT number)
-    and the closing brace."""
-    for i, arrow in enumerate(arrows):
-        label = f"{arrow.name}({arrow.multiplicity})"
-        lines.append(f"  a{i} [shape=none, label={_q(label)}];")
-        lines.append(f"  v{index[arrow.vertex]} -- a{i} [style=dashed];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _graph_dot("tower", "shape=circle", tree, lambda v: "label=" + _q(
+        f"E{v.id + 1}\\nq={v.rate}\\n{v.self_intersection}" + _mults(v)),
+        sorted(tree.edges), tree.arrows)
 
 
 def graph_to_dot(graph: DualGraph) -> str:
     from .surfgraph import L_NODE
-    lines = ["graph resolution {", "  node [shape=circle];"]
-    ids = {vid: i for i, vid in enumerate(graph.vertices)}
-    for vid, v in graph.vertices.items():
-        parts = [str(vid), str(v.self_intersection)]
-        if v.rate is not None:
-            parts.insert(1, f"q={v.rate}")
-        if v.genus:
-            parts.append(f"[{v.genus}]")
-        mults = ",".join(f"{k}:{m}" for k, m in sorted(v.multiplicities.items()))
-        if mults:
-            parts.append(f"({mults})")
-        extra = ", peripheries=2" if L_NODE in v.flags else ""
-        label = "\\n".join(parts)
-        lines.append(f"  v{ids[vid]} [label={_q(label)}{extra}];")
-    for a, b in sorted(graph.edges, key=lambda e: (str(e[0]), str(e[1]))):
-        lines.append(f"  v{ids[a]} -- v{ids[b]};")
-    return _close(lines, graph.arrows, ids)
+
+    def attributes(v: Vertex) -> str:
+        rate = "" if v.rate is None else f"\\nq={v.rate}"
+        genus = f"\\n[{v.genus}]" if v.genus else ""
+        label = _q(f"{v.id}{rate}\\n{v.self_intersection}{genus}{_mults(v)}")
+        return f"label={label}" + (", peripheries=2" if L_NODE in v.flags else "")
+
+    return _graph_dot("resolution", "shape=circle", graph, attributes,
+                      _sorted_edges(graph), graph.arrows)
 
 
 def carrousel_to_dot(tree: CarrouselTree) -> str:
@@ -92,37 +89,27 @@ def carrousel_to_dot(tree: CarrouselTree) -> str:
     return "\n".join(lines) + "\n"
 
 
-_PIECE_COLORS = {"conical": "black", "B": "red", "D": "gray", "A": "white"}
+def _fill(p: Optional[Piece]) -> str:
+    if p is not None and p.special:
+        return "lightblue"
+    if p is None or p.kind == "A":
+        return "white"
+    if all(q == 1 for q in p.rates):
+        return "black"
+    return "red" if p.kind == "B" else "gray"
 
 
 def decomposition_to_dot(graph: DualGraph, decomposition: Decomposition) -> str:
-    """Vertices colored by owning piece: black for conical/B(1), red for
-    B(q>1), white for A, blue for special A-pieces."""
-    owner = {}
-    for p in decomposition.pieces.values():
-        for vid in p.support:
-            owner[vid] = p
-    lines = ["graph decomposition {", "  node [shape=circle, style=filled];"]
-    ids = {vid: i for i, vid in enumerate(graph.vertices)}
-    for vid, v in graph.vertices.items():
-        p = owner.get(vid)
-        if p is None:
-            color = "white"
-        elif p.special:
-            color = "lightblue"
-        elif p.kind == "A":
-            color = "white"
-        elif all(q == 1 for q in p.rates):
-            color = "black"
-        else:
-            color = _PIECE_COLORS.get(p.kind, "white")
-        font = ", fontcolor=white" if color == "black" else ""
-        label = str(vid)
-        if v.rate is not None:
-            label += f"\\n{v.rate}"
-        lines.append(
-            f"  v{ids[vid]} [label={_q(label)}, fillcolor={_q(color)}{font}];")
-    for a, b in sorted(graph.edges, key=lambda e: (str(e[0]), str(e[1]))):
-        lines.append(f"  v{ids[a]} -- v{ids[b]};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    """Vertices labelled id over rate and filled by their piece: black for
+    rate 1 (conical, B(1), D(1)), red for B(q > 1), gray for D(q > 1),
+    lightblue for special A-pieces, white for other A-pieces and none."""
+    owner = {vid: p for p in decomposition.pieces.values() for vid in p.support}
+
+    def attributes(v: Vertex) -> str:
+        fill = _fill(owner.get(v.id))
+        label = str(v.id) if v.rate is None else f"{v.id}\\n{v.rate}"
+        return (f"label={_q(label)}, fillcolor={_q(fill)}"
+                + (", fontcolor=white" if fill == "black" else ""))
+
+    return _graph_dot("decomposition", "shape=circle, style=filled", graph,
+                      attributes, _sorted_edges(graph))

@@ -108,33 +108,36 @@ def curve_to_json(curve: list[PuiseuxBranch]) -> dict:
 def parse_graph(doc: dict, strict: bool = False,
                 warnings: Optional[list] = None) -> DualGraph:
     from .surfgraph import DualGraph
+
+    def fields(v: dict, where: str) -> dict:
+        return {"genus": v.get("genus", 0),
+                "rate": None if v.get("rate") is None else as_rational(v["rate"]),
+                "multiplicities": _object(v.get("multiplicities", {}),
+                                          f"{where}.multiplicities"),
+                "flags": _list(v, "flags")}
+
+    return _read_graph(doc, GRAPH_FORMAT, DualGraph(), (),
+                       {"genus", "rate", "flags"}, fields, strict, warnings)
+
+
+def _read_graph(doc: dict, fmt: str, g: DualGraph, extra: tuple, vertex_fields: set,
+                fields, strict: bool, warnings: Optional[list]) -> DualGraph:
+    """Fill the empty ``g`` from a document of format ``fmt``.
+    ``fields(v, where)`` reads a vertex's ``add_vertex`` arguments after
+    its id and self-intersection, in the order their errors are reported."""
     warnings = warnings if warnings is not None else []
-    _check_format(doc, GRAPH_FORMAT)
-    _check_fields(doc, {"format", "vertices", "edges", "arrows"},
-                  "graph document", strict, warnings)
-    g = DualGraph()
+    what = fmt.split(".")[1].split("/")[0]
+    _check_format(doc, fmt)
+    _check_fields(doc, {"format", "vertices", "edges", "arrows", *extra},
+                  f"{what} document", strict, warnings)
+    allowed = {"id", "self_intersection", "multiplicities", *vertex_fields}
     for i, v in enumerate(_list(doc, "vertices")):
         where = f"vertices[{i}]"
-        _check_fields(_object(v, where), {"id", "self_intersection", "genus",
-                                          "rate", "multiplicities", "flags"},
-                      where, strict, warnings)
-        rate = v.get("rate")
+        _check_fields(_object(v, where), allowed, where, strict, warnings)
         try:
-            g.add_vertex(v["id"], v["self_intersection"], genus=v.get("genus", 0),
-                         rate=None if rate is None else as_rational(rate),
-                         multiplicities=_object(v.get("multiplicities", {}),
-                                                f"{where}.multiplicities"),
-                         flags=_list(v, "flags"))
+            g.add_vertex(v["id"], v["self_intersection"], **fields(v, where))
         except KeyError as exc:
             raise InputError(f"{where} missing {exc}") from None
-    _add_edges_and_arrows(g, doc, strict, warnings)
-    if not g.vertices:
-        raise InputError("graph document has no vertices")
-    return g
-
-
-def _add_edges_and_arrows(g: DualGraph, doc: dict, strict: bool,
-                          warnings: list):
     for i, e in enumerate(_list(doc, "edges")):
         if not isinstance(e, list) or len(e) != 2:
             raise InputError(f"edges[{i}] must be a two-element list")
@@ -149,6 +152,9 @@ def _add_edges_and_arrows(g: DualGraph, doc: dict, strict: bool,
                         a.get("kind", "function"), a.get("branch"))
         except KeyError as exc:
             raise InputError(f"{where} missing {exc}") from None
+    if not g.vertices:
+        raise InputError(f"{what} document has no vertices")
+    return g
 
 
 def graph_to_json(g: DualGraph) -> dict:
@@ -192,27 +198,14 @@ def parse_tower(doc: dict, strict: bool = False,
     rate_vector; the rate is read off it, so a stored "rate" is ignored,
     and so are the "events"."""
     from .surfgraph import DualTree
-    warnings = warnings if warnings is not None else []
-    _check_format(doc, TOWER_FORMAT)
-    _check_fields(doc, {"format", "vertices", "edges", "arrows", "events"},
-                  "tower document", strict, warnings)
-    tree = DualTree()
-    for i, v in enumerate(_list(doc, "vertices")):
-        where = f"vertices[{i}]"
-        _check_fields(_object(v, where), {"id", "self_intersection", "rate",
-                                          "rate_vector", "multiplicities"},
-                      where, strict, warnings)
-        try:
-            tree.add_vertex(v["id"], v["self_intersection"],
-                            rate_vector=v["rate_vector"],
-                            multiplicities=_object(v.get("multiplicities", {}),
-                                                   f"{where}.multiplicities"))
-        except KeyError as exc:
-            raise InputError(f"{where} missing {exc}") from None
-    _add_edges_and_arrows(tree, doc, strict, warnings)
-    if not tree.vertices:
-        raise InputError("tower document has no vertices")
-    return tree
+
+    def fields(v: dict, where: str) -> dict:
+        return {"rate_vector": v["rate_vector"],
+                "multiplicities": _object(v.get("multiplicities", {}),
+                                          f"{where}.multiplicities")}
+
+    return _read_graph(doc, TOWER_FORMAT, DualTree(), ("events",),
+                       {"rate", "rate_vector"}, fields, strict, warnings)
 
 
 def dumps(doc: dict) -> str:

@@ -418,6 +418,9 @@ def _malformed(shape):
         tower["arrows"][0]["vertex"] = 99
     elif shape == "tower-bad-rate-vector":
         tower["vertices"][0]["rate_vector"] = [1, "x"]
+    elif shape == "tower-no-rate-vector-multiplicities-list":
+        del tower["vertices"][1]["rate_vector"]
+        tower["vertices"][1]["multiplicities"] = [1, 2]
     elif shape == "graph-vertices-string":
         graph["vertices"] = "E1"
     elif shape == "graph-edges-number":
@@ -432,6 +435,8 @@ def _malformed(shape):
         graph["vertices"][0]["rate"] = "x"
     elif shape == "graph-rate-zero-denominator":
         graph["vertices"][0]["rate"] = {"num": 1, "den": 0}
+    elif shape == "graph-rate-multiplicities-flags":
+        graph["vertices"][0].update(rate="x", multiplicities=[1, 2], flags=3)
     elif shape == "graph-edge-true":
         graph = _int_ids(graph)
         graph["edges"].append([True, 2])
@@ -460,23 +465,48 @@ def _malformed(shape):
     return ("curve", "contacts"), curve
 
 
-@pytest.mark.parametrize("shape", [
-    "tower-no-rate-vector", "tower-edge-to-missing-vertex",
-    "tower-id-not-position", "tower-arrow-to-missing-vertex",
-    "tower-bad-rate-vector", "graph-vertices-string", "graph-edges-number",
-    "graph-arrows-object", "graph-vertex-not-object",
-    "graph-multiplicities-list", "graph-rate-not-a-number",
-    "graph-rate-zero-denominator", "graph-edge-true",
-    "graph-arrow-vertex-true", "graph-vertex-id-true",
-    "curve-exp-zero-denominator", "curve-coeff-true", "curve-coeff-num-true",
-    "curve-denominator-true", "curve-denominator-float"])
+# the one line each shape prints; where a document has several faults, the
+# reader reports the first in the order it reads the fields
+MALFORMED = {
+    "tower-no-rate-vector": "vertices[3] missing 'rate_vector'",
+    "tower-edge-to-missing-vertex": "edge (0,9) references unknown vertex",
+    "tower-id-not-position": "tower vertex id 7 is not its position 1",
+    "tower-arrow-to-missing-vertex": "arrow references unknown vertex 99",
+    "tower-bad-rate-vector":
+        "vertex 0: rate_vector must be two integers [p, q] with q > 0",
+    "tower-no-rate-vector-multiplicities-list":
+        "vertices[1] missing 'rate_vector'",
+    "graph-vertices-string": "field 'vertices' must be a list",
+    "graph-edges-number": "field 'edges' must be a list",
+    "graph-arrows-object": "field 'arrows' must be a list",
+    "graph-vertex-not-object": "vertices[0] must be an object",
+    "graph-multiplicities-list": "vertices[0].multiplicities must be an object",
+    "graph-rate-not-a-number": "cannot interpret 'x' as a rational number",
+    "graph-rate-zero-denominator":
+        "cannot interpret {'num': 1, 'den': 0} as a rational number",
+    "graph-rate-multiplicities-flags":
+        "cannot interpret 'x' as a rational number",
+    "graph-edge-true": "edge (True,2) references unknown vertex",
+    "graph-arrow-vertex-true": "arrow references unknown vertex True",
+    "graph-vertex-id-true": "vertex id True is not a string or an integer",
+    "curve-exp-zero-denominator": "cannot interpret '1/0' as a rational number",
+    "curve-coeff-true": "cannot interpret True as a rational number",
+    "curve-coeff-num-true":
+        "cannot interpret {'num': True, 'den': 2} as a rational number",
+    "curve-denominator-true":
+        "branches[0]: declared denominator True differs from the minimal one 1",
+    "curve-denominator-float":
+        "branches[1]: declared denominator 2.0 differs from the minimal one 2",
+}
+
+
+@pytest.mark.parametrize("shape", list(MALFORMED))
 def test_malformed_document_exit_2(tmp_path, shape):
     argv, doc = _malformed(shape)
     p = tmp_path / "doc.json"
     p.write_text(json.dumps(doc))
     code, out, err = run_cli(*argv, str(p))
-    assert code == 2 and out == ""
-    assert err.splitlines() == [err.strip()] and err.startswith("input error:")
+    assert (code, out, err) == (2, "", f"input error: {MALFORMED[shape]}\n")
 
 
 def test_verify_rejects_a_tower_with_a_cycle(tmp_path):

@@ -15,6 +15,8 @@ from singlip import (PuiseuxBranch, build_carrousel_tree, coincidence_exponent,
                      resolve_curve, strands_of, verify_tower)
 from singlip.decomp import Decomposition, Piece, amalgamate
 from singlip.errors import DomainError
+from singlip.fixtures import fixture_kind, fixture_names, load_fixture
+from singlip.jsonio import parse_tower, tower_to_json
 from singlip.surfgraph import CURVE_FUNCTION
 from singlip.tower import branch_contact
 
@@ -58,6 +60,20 @@ def test_rate_vectors_equal_curvette_contacts_200():
             checked += 1
         cases += 1
     assert checked >= 200
+
+
+def test_tower_json_round_trip_200():
+    """Reading a tower document back and writing it again gives the
+    document less its events, which the reader ignores."""
+    rng = random.Random(110)
+    curves = [load_fixture(n) for n in fixture_names() if fixture_kind(n) == "curve"]
+    curves += [random_curve(rng, 3, 6) for _ in range(200)]
+    for curve in curves:
+        events, tree = resolve_curve(curve)
+        doc = tower_to_json(tree, events)
+        assert "events" in doc
+        assert tower_to_json(parse_tower(doc)) == {
+            k: v for k, v in doc.items() if k != "events"}
 
 
 def _relabel(d: Decomposition, perm: dict) -> Decomposition:
