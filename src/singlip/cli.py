@@ -62,14 +62,22 @@ def _cap(args, name: str, default: int) -> int:
     return _positive_int(raw, f"{name} cap")
 
 
-def _event_cap(args) -> int:
-    from .tower import DEFAULT_EVENT_CAP
-    return _cap(args, "event", DEFAULT_EVENT_CAP)
-
-
 def _strand_cap(args) -> int:
     from .strands import DEFAULT_STRAND_CAP
     return _cap(args, "strand", DEFAULT_STRAND_CAP)
+
+
+def _matrix(args, path: str):
+    """The contact matrix of the curve document at ``path``."""
+    from .strands import contact_matrix
+    return contact_matrix(_load("curve", path, args.strict), _strand_cap(args))
+
+
+def _resolve(args):
+    """The blow-up events and the resolution tower of the input curve."""
+    from .tower import DEFAULT_EVENT_CAP, resolve_curve
+    return resolve_curve(_load("curve", args.input, args.strict),
+                         _cap(args, "event", DEFAULT_EVENT_CAP), _strand_cap(args))
 
 
 def _emit(args, json_doc, text_lines, render_dot=None) -> None:
@@ -88,16 +96,12 @@ def _emit(args, json_doc, text_lines, render_dot=None) -> None:
 
 # -- curve commands -----------------------------------------------------------
 
-def cmd_curve_contacts(args) -> int:
-    from .strands import contact_matrix
-    matrix = contact_matrix(_load("curve", args.input, args.strict), _strand_cap(args))
-    finite = sorted(matrix.finite_values())
+def cmd_curve_contacts(args) -> None:
+    matrix = _matrix(args, args.input)
     lines = [f"strands: {matrix.size}",
-             "contacts: " + ", ".join(str(v) for v in finite)]
+             "contacts: " + ", ".join(map(str, sorted(matrix.finite_values())))]
     lines += map(" ".join, matrix.rendered(lambda v: "inf" if v is None else str(v)))
-    doc = {"format": "singlip.contacts/1", **matrix.to_json()}
-    _emit(args, doc, lines)
-    return 0
+    _emit(args, {"format": "singlip.contacts/1", **matrix.to_json()}, lines)
 
 
 def _render_carrousel(node, indent=0, label=None):
@@ -115,27 +119,21 @@ def _render_carrousel(node, indent=0, label=None):
     return lines
 
 
-def cmd_curve_carrousel(args) -> int:
+def cmd_curve_carrousel(args) -> None:
     from . import carrousel
-    from .strands import contact_matrix
-    curve = _load("curve", args.input, args.strict)
-    t = carrousel.decorate(carrousel.build_carrousel_tree(
-        contact_matrix(curve, _strand_cap(args))))
+    t = carrousel.decorate(carrousel.build_carrousel_tree(_matrix(args, args.input)))
     if args.reduce:
         t = carrousel.reduce_to_eggers(t)
     doc = {"format": "singlip.carrousel/1", **t.to_json()}
     _emit(args, doc, _render_carrousel(t.root), lambda dot: dot.carrousel_to_dot(t))
-    return 0
 
 
-def cmd_curve_horns(args) -> int:
-    from .strands import contact_matrix, horn_jump_profile
-    curve = _load("curve", args.input, args.strict)
-    profile = horn_jump_profile(contact_matrix(curve, _strand_cap(args)), args.base)
+def cmd_curve_horns(args) -> None:
+    from .strands import horn_jump_profile
+    profile = horn_jump_profile(_matrix(args, args.input), args.base)
     lines = ["thresholds: " + ", ".join(str(t) for t in profile.thresholds),
              "counts: " + ", ".join(str(c) for c in profile.counts)]
     _emit(args, {"format": "singlip.horns/1", **profile.to_json()}, lines)
-    return 0
 
 
 def _numbered_lines(g, detail) -> list[str]:
@@ -149,34 +147,28 @@ def _numbered_lines(g, detail) -> list[str]:
     return lines + [f"edges: {edges}"]
 
 
-def cmd_curve_resolve(args) -> int:
-    from . import jsonio, tower
-    curve = _load("curve", args.input, args.strict)
-    events, tree = tower.resolve_curve(curve, _event_cap(args), _strand_cap(args))
+def cmd_curve_resolve(args) -> None:
+    from . import jsonio
+    events, tree = _resolve(args)
     lines = _numbered_lines(tree, lambda v: f"rate={v.rate}")
     lines.append("arrows: " + ", ".join(
         f"{a.name}@E{a.vertex + 1}({a.multiplicity})" for a in tree.arrows))
     _emit(args, jsonio.tower_to_json(tree, events), lines,
           lambda dot: dot.tree_to_dot(tree))
-    return 0
 
 
-def cmd_curve_equiv(args) -> int:
-    from . import carrousel, strands
-    trees = []
-    for path in (args.first, args.second):
-        curve = _load("curve", path, args.strict)
-        trees.append(carrousel.build_carrousel_tree(
-            strands.contact_matrix(curve, _strand_cap(args))))
-    equal = carrousel.trees_isomorphic(*trees)
+def cmd_curve_equiv(args) -> None:
+    from . import carrousel
+    equal = carrousel.trees_isomorphic(*(
+        carrousel.build_carrousel_tree(_matrix(args, path))
+        for path in (args.first, args.second)))
     _emit(args, {"format": "singlip.equiv/1", "equivalent": equal},
-          [f"equivalent: {'true' if equal else 'false'}"])
-    return 0
+          [f"equivalent: {str(equal).lower()}"])
 
 
 # -- graph commands -----------------------------------------------------------
 
-def cmd_graph_mult(args) -> int:
+def cmd_graph_mult(args) -> None:
     from . import surfgraph
     graph = _load("graph", args.input, args.strict)
     divisor = surfgraph.solve_multiplicities(graph, args.arrow,
@@ -184,21 +176,18 @@ def cmd_graph_mult(args) -> int:
     lines = [f"{vid}: {m}" for vid, m in divisor.coefficients.items()]
     _emit(args, {"format": "singlip.divisor/1", "name": args.arrow,
                  **divisor.to_json()}, lines)
-    return 0
 
 
-def cmd_graph_laufer(args) -> int:
-    from . import jsonio, surfgraph, tower
-    curve = _load("curve", args.input, args.strict)
-    _, tree = tower.resolve_curve(curve, _event_cap(args), _strand_cap(args))
+def cmd_graph_laufer(args) -> None:
+    from . import jsonio, surfgraph
+    _, tree = _resolve(args)
     cover = surfgraph.laufer_double_cover(surfgraph.laufer_parity_prepare(tree))
     lines = _numbered_lines(cover, lambda v: f"genus={v.genus}")
     _emit(args, jsonio.graph_to_json(cover), lines,
           lambda dot: dot.graph_to_dot(cover))
-    return 0
 
 
-def cmd_graph_pencil(args) -> int:
+def cmd_graph_pencil(args) -> None:
     from . import jsonio, surfgraph
     graph = _load("graph", args.input, args.strict)
     gens = []
@@ -232,29 +221,22 @@ def cmd_graph_pencil(args) -> int:
                  "generic": generic.to_json(),
                  "base_points": [str(v) for v in base_vertices],
                  **resolved_doc}, lines)
-    return 0
 
 
-def cmd_graph_thickthin(args) -> int:
+def cmd_graph_thickthin(args) -> None:
     from . import decomp
     tt = decomp.thick_thin(_load("graph", args.input, args.strict))
-    lines = []
-    for l_node, zone in tt.thick_zones:
-        lines.append(f"thick[{l_node}]: " + ", ".join(sorted(map(str, zone))))
-    for zone in tt.thin_zones:
-        lines.append("thin: " + ", ".join(sorted(map(str, zone))))
-    lines.append(f"metrically conical: "
-                 f"{'true' if tt.metrically_conical else 'false'}")
-    doc = {"format": "singlip.thickthin/1",
-           "thick": [{"l_node": str(l), "zone": sorted(map(str, z))}
-                     for l, z in tt.thick_zones],
-           "thin": [sorted(map(str, z)) for z in tt.thin_zones],
-           "metrically_conical": tt.metrically_conical}
-    _emit(args, doc, lines)
-    return 0
+    thick = [(str(l), sorted(map(str, z))) for l, z in tt.thick_zones]
+    thin = [sorted(map(str, z)) for z in tt.thin_zones]
+    lines = [f"thick[{l}]: " + ", ".join(z) for l, z in thick]
+    lines += ["thin: " + ", ".join(z) for z in thin]
+    lines.append(f"metrically conical: {str(tt.metrically_conical).lower()}")
+    _emit(args, {"format": "singlip.thickthin/1",
+                 "thick": [{"l_node": l, "zone": z} for l, z in thick],
+                 "thin": thin, "metrically_conical": tt.metrically_conical}, lines)
 
 
-def cmd_graph_decompose(args) -> int:
+def cmd_graph_decompose(args) -> None:
     from . import decomp
     graph = _load("graph", args.input, args.strict)
     d = decomp.build_decomposition(graph, args.mode)
@@ -262,21 +244,19 @@ def cmd_graph_decompose(args) -> int:
              for p in sorted(d.pieces.values(), key=lambda p: p.pid)]
     _emit(args, {"format": "singlip.decomposition/1", **d.to_json()}, lines,
           lambda dot: dot.decomposition_to_dot(graph, d))
-    return 0
 
 
-def cmd_graph_signature(args) -> int:
+def cmd_graph_signature(args) -> None:
     from . import decomp
     build = {"inner": decomp.inner_signature,
              "outer": decomp.outer_signature}[args.metric]
     first = build(_load("graph", args.input, args.strict))
     if args.second:
-        second = build(_load("graph", args.second, args.strict))
-        equal = decomp.signatures_equal(first, second)
+        equal = decomp.signatures_equal(
+            first, build(_load("graph", args.second, args.strict)))
         _emit(args, {"format": "singlip.signature/1", "metric": args.metric,
-                     "equal": equal},
-              [f"equal: {'true' if equal else 'false'}"])
-        return 0
+                     "equal": equal}, [f"equal: {str(equal).lower()}"])
+        return
     doc = first.to_json()
     lines = [f"{args.metric} signature, {len(doc['nodes'])} pieces:"]
     for node in doc["nodes"]:
@@ -286,7 +266,6 @@ def cmd_graph_signature(args) -> int:
                      + (" " + " ".join(extras) if extras else ""))
     lines.append("adjacency: " + ", ".join(f"{a}-{b}" for a, b in doc["edges"]))
     _emit(args, {"format": "singlip.signature/1", **doc}, lines)
-    return 0
 
 
 # -- verify and fixtures ------------------------------------------------------
@@ -314,23 +293,30 @@ def cmd_verify(args) -> int:
     return 1 if problems else 0
 
 
-def cmd_fixtures_list(args) -> int:
+def cmd_fixtures_list(args) -> None:
     from . import fixtures
     for name in fixtures.fixture_names():
         print(f"{name} ({fixtures.fixture_kind(name)})")
-    return 0
 
 
-def cmd_fixtures_dump(args) -> int:
+def cmd_fixtures_dump(args) -> None:
     from . import fixtures, jsonio
     obj = fixtures.load_fixture(args.name)
     to_json = {"curve": jsonio.curve_to_json,
                "graph": jsonio.graph_to_json}[fixtures.fixture_kind(args.name)]
     sys.stdout.write(jsonio.dumps(to_json(obj)))
-    return 0
 
 
 # -- parser -------------------------------------------------------------------
+
+def _command(sub, name: str, func, *positionals: str, **kw):
+    """Add the subcommand ``name``, which runs ``func`` on ``positionals``."""
+    p = sub.add_parser(name, **kw)
+    for dest in positionals:
+        p.add_argument(dest)
+    p.set_defaults(func=func)
+    return p
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -349,77 +335,59 @@ def build_parser() -> argparse.ArgumentParser:
 
     curve = sub.add_parser("curve", help="plane curve germ operations")
     csub = curve.add_subparsers(dest="subcommand", required=True)
-    p = csub.add_parser("contacts", help="contact matrix of the strands")
-    p.add_argument("input")
-    p.set_defaults(func=cmd_curve_contacts)
-    p = csub.add_parser("carrousel", help="decorated carrousel tree")
-    p.add_argument("input")
+    _command(csub, "contacts", cmd_curve_contacts, "input",
+             help="contact matrix of the strands")
+    p = _command(csub, "carrousel", cmd_curve_carrousel, "input",
+                 help="decorated carrousel tree")
     p.add_argument("--reduce", action="store_true",
                    help="apply the Eggers reduction")
-    p.set_defaults(func=cmd_curve_carrousel)
-    p = csub.add_parser("horns", help="horn jump profile of one strand")
-    p.add_argument("input")
+    p = _command(csub, "horns", cmd_curve_horns, "input",
+                 help="horn jump profile of one strand")
     p.add_argument("--base", type=int, required=True, help="base strand index")
-    p.set_defaults(func=cmd_curve_horns)
-    p = csub.add_parser("resolve", help="minimal embedded resolution tower")
-    p.add_argument("input")
-    p.set_defaults(func=cmd_curve_resolve)
-    p = csub.add_parser("equiv", help="decide outer Lipschitz equivalence")
-    p.add_argument("first")
-    p.add_argument("second")
-    p.set_defaults(func=cmd_curve_equiv)
+    _command(csub, "resolve", cmd_curve_resolve, "input",
+             help="minimal embedded resolution tower")
+    _command(csub, "equiv", cmd_curve_equiv, "first", "second",
+             help="decide outer Lipschitz equivalence")
 
     graph = sub.add_parser("graph", help="resolution graph operations")
     gsub = graph.add_subparsers(dest="subcommand", required=True)
-    p = gsub.add_parser("mult", help="solve total-transform multiplicities")
-    p.add_argument("input")
+    p = _command(gsub, "mult", cmd_graph_mult, "input",
+                 help="solve total-transform multiplicities")
     p.add_argument("--arrow", required=True, help="arrow (function) name")
     p.add_argument("--allow-fractional", action="store_true")
-    p.set_defaults(func=cmd_graph_mult)
-    p = gsub.add_parser("laufer", help="double cover graph of z^2 + f(x,y) "
-                                       "from curve input")
-    p.add_argument("input")
-    p.set_defaults(func=cmd_graph_laufer)
-    p = gsub.add_parser("pencil", help="generic member and base points of a pencil")
-    p.add_argument("input")
+    _command(gsub, "laufer", cmd_graph_laufer, "input",
+             help="double cover graph of z^2 + f(x,y) from curve input")
+    p = _command(gsub, "pencil", cmd_graph_pencil, "input",
+                 help="generic member and base points of a pencil")
     p.add_argument("--gen", action="append", default=[],
                    help="generator as NAME[:POWER], repeatable")
     p.add_argument("--resolve", action="store_true",
                    help="blow up the first base point until resolved")
-    p.set_defaults(func=cmd_graph_pencil)
-    p = gsub.add_parser("thickthin", help="thick-thin decomposition")
-    p.add_argument("input")
-    p.set_defaults(func=cmd_graph_thickthin)
-    p = gsub.add_parser("decompose", help="geometric decomposition")
-    p.add_argument("input")
+    _command(gsub, "thickthin", cmd_graph_thickthin, "input",
+             help="thick-thin decomposition")
+    p = _command(gsub, "decompose", cmd_graph_decompose, "input",
+                 help="geometric decomposition")
     p.add_argument("--mode", choices=("initial", "inner", "outer"), required=True)
-    p.set_defaults(func=cmd_graph_decompose)
-    p = gsub.add_parser("signature", help="classification signature")
-    p.add_argument("input")
-    p.add_argument("second", nargs="?", default=None,
+    p = _command(gsub, "signature", cmd_graph_signature, "input",
+                 help="classification signature")
+    p.add_argument("second", nargs="?",
                    help="second graph: compare signatures instead")
     p.add_argument("--metric", choices=("inner", "outer"), required=True)
-    p.set_defaults(func=cmd_graph_signature)
 
-    p = sub.add_parser("verify", help="run the consistency verifier")
-    p.add_argument("input")
-    p.set_defaults(func=cmd_verify)
+    _command(sub, "verify", cmd_verify, "input",
+             help="run the consistency verifier")
 
     fix = sub.add_parser("fixtures", help="built-in example data")
     fsub = fix.add_subparsers(dest="subcommand", required=True)
-    p = fsub.add_parser("list")
-    p.set_defaults(func=cmd_fixtures_list)
-    p = fsub.add_parser("dump")
-    p.add_argument("name")
-    p.set_defaults(func=cmd_fixtures_dump)
+    _command(fsub, "list", cmd_fixtures_list)
+    _command(fsub, "dump", cmd_fixtures_dump, "name")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args) or 0
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -118,15 +118,71 @@ def test_graph_decompose(paths):
     assert "B(1)" in out and "A(1,5/3)" in out and "B(5/3)" in out
 
 
+def _parser_table(parser, path=()) -> dict:
+    """{command path: (its func's name, [(option string or positional,
+    required, choices, default)])} for ``parser`` and every subparser."""
+    table, rows = {}, []
+    for a in parser._actions:
+        if isinstance(a, argparse._HelpAction):
+            continue
+        choices = None if a.choices is None else tuple(a.choices)
+        rows.append((" ".join(a.option_strings) or a.dest, a.required, choices,
+                     a.default))
+        if isinstance(a, argparse._SubParsersAction):
+            for name, sub in a.choices.items():
+                table.update(_parser_table(sub, (*path, name)))
+    func = parser.get_default("func")
+    table[path] = (func and func.__name__, rows)
+    return table
+
+
+INPUT = ("input", True, None, None)
+PARSER = {
+    (): (None, [("--format", False, ("text", "json", "dot"), "text"),
+                ("--strict", False, None, False),
+                ("--event-cap", False, None, None),
+                ("--strand-cap", False, None, None),
+                ("command", True, ("curve", "graph", "verify", "fixtures"), None)]),
+    ("curve",): (None, [("subcommand", True, ("contacts", "carrousel", "horns",
+                                              "resolve", "equiv"), None)]),
+    ("curve", "contacts"): ("cmd_curve_contacts", [INPUT]),
+    ("curve", "carrousel"): ("cmd_curve_carrousel",
+                             [INPUT, ("--reduce", False, None, False)]),
+    ("curve", "horns"): ("cmd_curve_horns", [INPUT, ("--base", True, None, None)]),
+    ("curve", "resolve"): ("cmd_curve_resolve", [INPUT]),
+    ("curve", "equiv"): ("cmd_curve_equiv", [("first", True, None, None),
+                                             ("second", True, None, None)]),
+    ("graph",): (None, [("subcommand", True, ("mult", "laufer", "pencil",
+                                              "thickthin", "decompose",
+                                              "signature"), None)]),
+    ("graph", "mult"): ("cmd_graph_mult", [
+        INPUT, ("--arrow", True, None, None),
+        ("--allow-fractional", False, None, False)]),
+    ("graph", "laufer"): ("cmd_graph_laufer", [INPUT]),
+    ("graph", "pencil"): ("cmd_graph_pencil", [
+        INPUT, ("--gen", False, None, []), ("--resolve", False, None, False)]),
+    ("graph", "thickthin"): ("cmd_graph_thickthin", [INPUT]),
+    ("graph", "decompose"): ("cmd_graph_decompose", [
+        INPUT, ("--mode", True, ("initial", "inner", "outer"), None)]),
+    ("graph", "signature"): ("cmd_graph_signature", [
+        INPUT, ("second", False, None, None),
+        ("--metric", True, ("inner", "outer"), None)]),
+    ("verify",): ("cmd_verify", [INPUT]),
+    ("fixtures",): (None, [("subcommand", True, ("list", "dump"), None)]),
+    ("fixtures", "list"): ("cmd_fixtures_list", []),
+    ("fixtures", "dump"): ("cmd_fixtures_dump", [("name", True, None, None)]),
+}
+
+
+def test_parser_structure():
+    # help text is left out: argparse formats it differently across versions
+    assert _parser_table(build_parser()) == PARSER
+
+
 def test_decompose_mode_choices_are_decomp_modes():
     # build_parser lists the modes itself so that parsing never imports decomp
-    graph = next(a for a in build_parser()._actions
-                 if isinstance(a, argparse._SubParsersAction)).choices["graph"]
-    decompose = next(a for a in graph._actions
-                     if isinstance(a, argparse._SubParsersAction)
-                     ).choices["decompose"]
-    mode = next(a for a in decompose._actions if a.dest == "mode")
-    assert tuple(mode.choices) == MODES
+    _, rows = _parser_table(build_parser())[("graph", "decompose")]
+    assert {row[0]: row[2] for row in rows}["--mode"] == MODES
 
 
 def test_graph_signature_compare(paths):
@@ -380,16 +436,19 @@ def _tower_json():
     return jsonio.tower_to_json(tree, events)
 
 
+def _renamed(graph, rename):
+    """The graph document with each vertex id v renamed ``rename(v)``."""
+    for v in graph["vertices"]:
+        v["id"] = rename(v["id"])
+    graph["edges"] = [[rename(a), rename(b)] for a, b in graph["edges"]]
+    for a in graph["arrows"]:
+        a["vertex"] = rename(a["vertex"])
+    return graph
+
+
 def _int_ids(graph):
     """The graph document with its ids "E1", "E2", ... renamed 1, 2, ..."""
-    def num(vid):
-        return int(vid[1:])
-    for v in graph["vertices"]:
-        v["id"] = num(v["id"])
-    graph["edges"] = [[num(a), num(b)] for a, b in graph["edges"]]
-    for a in graph["arrows"]:
-        a["vertex"] = num(a["vertex"])
-    return graph
+    return _renamed(graph, lambda vid: int(vid[1:]))
 
 
 def test_graph_with_integer_ids_loads(tmp_path):
@@ -397,6 +456,28 @@ def test_graph_with_integer_ids_loads(tmp_path):
     p.write_text(json.dumps(_int_ids(jsonio.graph_to_json(load_fixture("e8")))))
     code, out, err = run_cli("graph", "thickthin", str(p))
     assert code == 0 and err == ""
+
+
+@pytest.mark.parametrize("names, chain", [
+    ("abcdefgh", "h(-3), v8(-2), v9(-1)"),
+    (["v8", *"bcdefgh"], "h(-3), v9(-2), v10(-1)")])
+def test_pencil_names_new_curves_after_other_ids(tmp_path, names, chain):
+    # ids neither all "E<n>" nor all integers: the new curves are the free
+    # ones of v8, v9, ... for the 8 vertices of E8
+    graph = _renamed(jsonio.graph_to_json(load_fixture("e8")),
+                     lambda vid: names[int(vid[1:]) - 1])
+    p = tmp_path / "graph.json"
+    p.write_text(json.dumps(graph))
+    code, out, _ = run_cli("graph", "pencil", "--gen", "x", "--gen", "y:2",
+                           "--resolve", str(p))
+    assert code == 0
+    assert out.splitlines()[1:] == ["base points on: h", f"chain: {chain}"]
+
+
+def test_pencil_needs_two_generators(paths):
+    code, out, err = run_cli("graph", "pencil", "--gen", "x", paths["e8"])
+    assert (code, out, err) == (
+        2, "", "input error: graph pencil needs at least two --gen entries\n")
 
 
 def _malformed(shape):
@@ -517,6 +598,17 @@ def test_verify_rejects_a_tower_with_a_cycle(tmp_path):
     code, out, _ = run_cli("verify", str(p))
     assert code == 1
     assert "not a connected tree" in out.splitlines()
+
+
+def test_verify_reports_rates_not_increasing_from_the_root(tmp_path):
+    doc = _tower_json()
+    doc["vertices"][0]["rate_vector"] = [2, 1]  # rate 2 at the root
+    p = tmp_path / "tower.json"
+    p.write_text(json.dumps(doc))
+    code, out, _ = run_cli("verify", str(p))
+    assert (code, out.splitlines()) == (1, [
+        "rate not increasing from vertex 0 to 2", "root rate differs from 1",
+        "failed: 2 problem(s)"])
 
 
 def test_verify_reports_a_missing_multiplicity(paths, tmp_path):

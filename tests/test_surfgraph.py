@@ -10,7 +10,8 @@ from singlip import (Divisor, DualGraph, PuiseuxBranch, has_base_point,
 from singlip.errors import DomainError
 from singlip.fixtures import curve_cusp_53, graph_e8
 from singlip.jsonio import graph_to_json, parse_graph, tower_to_json
-from singlip.surfgraph import DualTree, strict_part_from_residuals
+from singlip.surfgraph import (L_NODE, DualTree, blowdownable_vertices,
+                              strict_part_from_residuals)
 
 
 E8_IDS = [f"E{i}" for i in range(1, 9)]
@@ -333,3 +334,26 @@ def test_copy_shares_no_mutable_state():
         dup.add_edge(a, new)
         dup.add_arrow(new, "g")
         assert state(graph) == before
+
+
+# what blowdownable_vertices finds in the chain a - b - c, with b a rational
+# -1 curve and a, c -2 curves, changed as each case says
+BLOWDOWN_CASES = {"chain": ["b"], "one-L-neighbour": ["b"], "arrow": [],
+                  "valence-3": [], "genus-1": [], "between-L-curves": []}
+
+
+@pytest.mark.parametrize("case", list(BLOWDOWN_CASES))
+def test_blowdownable_vertices(case):
+    g = DualGraph()
+    g.add_vertex("a", -2, flags=[L_NODE] if case in ("one-L-neighbour",
+                                                     "between-L-curves") else None)
+    g.add_vertex("b", -1, genus=1 if case == "genus-1" else 0)
+    g.add_vertex("c", -2, flags=[L_NODE] if case == "between-L-curves" else None)
+    g.add_edge("a", "b")
+    g.add_edge("b", "c")
+    if case == "valence-3":
+        g.add_vertex("d", -2)
+        g.add_edge("b", "d")
+    if case == "arrow":
+        g.add_arrow("b", "f")
+    assert blowdownable_vertices(g) == BLOWDOWN_CASES[case]
