@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from .errors import InputError
@@ -84,28 +85,27 @@ def build_carrousel_tree(matrix: ContactMatrix) -> CarrouselTree:
     larger one is a vertex weighted by the least contact with its first
     strand, so no vertex but the root is unary.  An infinite (None) entry
     joins no class, so a matrix with one off the diagonal never comes back
-    from ``leaf_contacts``.
-    """
+    from ``leaf_contacts``.  Contacts are compared by rank."""
+    ranks, inf = matrix.ranks, len(matrix.values) - 1
 
-    def split(strands: list[int], weight: Fraction) -> CarrouselNode:
-        # contact is ultrametric, so one representative per class is enough;
-        # as its row alone decides, the strand at the least contact splits
-        # off, and the recursion ends on any matrix, an asymmetric one too
-        groups: list[list[int]] = []
-        for s in strands:
-            for g in groups:
-                q = matrix.q(g[0], s)
-                if q is not None and q > weight:
-                    g.append(s)
-                    break
+    def split(strands: list[int], weight: Fraction, top: int) -> CarrouselNode:
+        # contact is ultrametric: the first strand left takes its class, all
+        # above ``top`` in its row.  Its least contact splits off, so any matrix ends
+        kids = []
+        while strands:
+            first = strands.pop(0)
+            row = ranks[first]
+            group = [s for s in strands if top < row[s] < inf]
+            if group:
+                strands = [s for s in strands if not top < row[s] < inf]
+                low = min(group, key=row.__getitem__)
+                kids.append(split([first, *group], matrix.q(first, low), row[low]))
             else:
-                groups.append([s])
-        return CarrouselNode(weight, tuple(
-            split(g, min(matrix.q(g[0], s) for s in g[1:])) if len(g) > 1
-            else CarrouselNode(None, leaf=g[0]) for g in groups))
+                kids.append(CarrouselNode(None, leaf=first))
+        return CarrouselNode(weight, tuple(kids))
 
-    return CarrouselTree(split(list(range(matrix.size)), Fraction(1)),
-                         matrix.size)
+    top = sum(v <= 1 for v in matrix.values[:-1]) - 1  # ranks above it exceed 1
+    return CarrouselTree(split(list(range(matrix.size)), Fraction(1), top), matrix.size)
 
 
 def decorate(tree: CarrouselTree) -> CarrouselTree:
@@ -118,15 +118,12 @@ def decorate(tree: CarrouselTree) -> CarrouselTree:
         q = node.weight
         if parent_q is not None and q <= parent_q:
             raise InputError(f"weights not increasing: {parent_q} then {q}")
-        n = q.denominator if parent_n is None else math.lcm(parent_n, q.denominator)
-        m_ = (q * n).numerator
-        if parent_n is None:
-            r = s = None
-        else:
-            r = n // parent_n
-            s = int(n * (q - parent_q))
+        n = math.lcm(parent_n or 1, q.denominator)
+        r = s = None
+        if parent_n is not None:
+            r, s = n // parent_n, int(n * (q - parent_q))
         kids = tuple(walk(c, q, n) for c in node.children)
-        return node._replace(children=kids, m=m_, n=n, r=r, s=s)
+        return node._replace(children=kids, m=(q * n).numerator, n=n, r=r, s=s)
 
     return CarrouselTree(walk(tree.root, None, None), tree.size)
 
@@ -173,21 +170,37 @@ def trees_isomorphic(a: CarrouselTree, b: CarrouselTree) -> bool:
 
 
 def leaf_contacts(tree: CarrouselTree) -> ContactMatrix:
-    """Recover the contact matrix: contact of two leaves is the weight of
-    their deepest common ancestor.  Used as the round-trip oracle."""
-    m = tree.size
-    rows = [[None] * m for _ in range(m)]
+    """The round-trip oracle: contact of two leaves is the weight of their
+    deepest common ancestor.  A leaf reads its row off one row in depth-first
+    order on which its branching ancestors paint their ranks, deepest last."""
+    leaves, weights = [], []
 
-    def walk(node: CarrouselNode):
+    def span(node: CarrouselNode):  # (node, first leaf, end, child spans)
+        start = len(leaves)
+        kids = [span(c) for c in node.children]
         if node.is_leaf():
-            return [node.leaf]
-        groups = [walk(c) for c in node.children]
-        for i in range(len(groups)):
-            for k in range(i + 1, len(groups)):
-                for x in groups[i]:
-                    for y in groups[k]:
-                        rows[x][y] = rows[y][x] = node.weight
-        return [x for g in groups for x in g]
+            leaves.append(node.leaf)
+        elif len(kids) > 1:
+            weights.append(node.weight)
+        return node, start, len(leaves), kids
 
-    walk(tree.root)
-    return ContactMatrix(m, tuple(tuple(r) for r in rows))
+    root = span(tree.root)
+    values, rank = ContactMatrix.rank_table(weights)
+    inf = len(values) - 1
+    row, rows = [inf] * len(leaves), [()] * tree.size
+    order = sorted(range(len(leaves)), key=leaves.__getitem__)
+    pick = itemgetter(*order) if len(order) > 1 else tuple  # one key: no tuple
+
+    def fill(kids, here: int):
+        for node, start, end, below in kids:
+            if node.is_leaf():
+                row[start] = inf
+                rows[node.leaf] = pick(row)
+            else:
+                deeper = rank.get(id(node.weight), here)
+                row[start:end] = [deeper] * (end - start)
+                fill(below, deeper)
+            row[start:end] = [here] * (end - start)
+
+    fill([root], inf)
+    return ContactMatrix._make((tree.size, values, tuple(rows)))

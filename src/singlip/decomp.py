@@ -461,8 +461,10 @@ def _isomorphic(adj: dict, colour: dict) -> bool:
     colours and edges.  A stable colouring with equal histograms whose
     classes are singletons is such a bijection; otherwise individualise
     one vertex of the smallest tied class against each candidate, depth
-    first on an explicit stack of candidate generators."""
-    stack = [iter((colour,))]
+    first on an explicit stack of candidate generators.  Refinement keeps
+    unequal histograms unequal, so unequal initial ones stop before it."""
+    hist = [Counter(c for (side, _), c in colour.items() if side == s) for s in (0, 1)]
+    stack = [iter((colour,))] if hist[0] == hist[1] else []
     while stack:
         colour = next(stack[-1], None)
         if colour is None:
@@ -489,9 +491,7 @@ def signatures_equal(a: Signature, b: Signature) -> bool:
     symmetries there)."""
     if a.metric != b.metric:
         return False
-    adj: dict = {}
-    colour: dict = {}
-    palette: dict = {}
+    adj, colour, palette = {}, {}, {}
     for side, sig in enumerate((a, b)):
         for pid, attrs in sig.nodes.items():
             adj[side, pid] = []

@@ -18,6 +18,10 @@ The monodromy x^(1/N) -> zeta_N x^(1/N), the carrousel's rotation, takes
 the j-th strand of each branch to its (j+1)-th.  It multiplies the
 coefficient at exponent e of every strand by the same zeta_N^(e*N), so it
 keeps equal keys equal and unequal ones unequal: contacts are invariant.
+
+A contact matrix keeps its distinct finite contacts once, increasing and
+then None (infinity), and per strand a row of ranks into them.  Ranks
+compare as contacts do, so every N^2 pass runs on small integers.
 """
 
 from __future__ import annotations
@@ -26,13 +30,12 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import InputError, ResourceCapExceeded
 from .exactnum import as_rational, rational_to_json
 
-INFINITY = None  # sentinel for infinite contact, kept exact on purpose
 DEFAULT_STRAND_CAP = 1024
 
 
@@ -84,9 +87,7 @@ class PuiseuxBranch(_BranchFields):
     def parametrization(self) -> tuple[dict, dict]:
         """(x(t), y(t)) as exponent->coefficient dicts with x = t^n."""
         n = self.denominator
-        x = {n: Fraction(1)}
-        y = {int(e * n): c for e, c in self.terms}
-        return x, y
+        return {n: Fraction(1)}, {int(e * n): c for e, c in self.terms}
 
     def to_json(self) -> dict:
         return {"denominator": self.denominator,
@@ -161,62 +162,76 @@ def strand_contact(s: Strand, t: Strand) -> Optional[Fraction]:
     # series; stored coefficients are never 0
     for x, y in zip(s.series, t.series):
         if x != y:
-            return min(x[0], y[0])
+            return x[0] if x[0] is y[0] else min(x[0], y[0])
     a, b = len(s.series), len(t.series)
     if a == b:
-        return INFINITY
+        return None
     return s.series[b][0] if a > b else t.series[a][0]
 
 
-class ContactMatrix(NamedTuple):
-    """Symmetric matrix of strand contacts with infinite diagonal."""
-
+class _MatrixFields(NamedTuple):
     size: int
-    entries: tuple[tuple[Optional[Fraction], ...], ...]
+    values: tuple[Optional[Fraction], ...]
+    ranks: tuple[tuple[int, ...], ...]
+
+
+class ContactMatrix(_MatrixFields):
+    """Symmetric matrix of strand contacts with infinite diagonal, in rank
+    form (module docstring): q(j, k) is ``values[ranks[j][k]]``.  Equal
+    values in distinct entries get one rank; ``_make`` takes a rank form as
+    it is, and is never given a value unsorted, repeated or unused."""
+
+    __slots__ = ()
+
+    def __new__(cls, size: int, entries):
+        values, rank = cls.rank_table(chain.from_iterable(entries))
+        return super().__new__(cls, size, values, tuple(
+            tuple(map(rank.__getitem__, map(id, row))) for row in entries))
+
+    @staticmethod
+    def rank_table(contacts) -> tuple[tuple, dict]:
+        """``values`` for these contacts, and the rank of each by ``id``: few
+        objects are distinct, and a Fraction hashes slowly."""
+        objects = {id(q): q for q in (None, *contacts)}
+        values = (*sorted(set(objects.values()) - {None}), None)
+        rank = {q: r for r, q in enumerate(values)}
+        return values, {i: rank[q] for i, q in objects.items()}
+
+    def __getnewargs__(self):  # pickle and copy call __new__ with these
+        return self.size, self.entries
+
+    @property
+    def entries(self) -> tuple[tuple[Optional[Fraction], ...], ...]:
+        return tuple(tuple(map(self.values.__getitem__, row)) for row in self.ranks)
 
     def q(self, j: int, k: int) -> Optional[Fraction]:
-        return self.entries[j][k]
-
-    def distinct(self) -> dict:
-        """id -> entry per distinct entry object: ``contact_matrix`` interns
-        equal values, and a Fraction hashes slowly."""
-        out: dict = {}
-        for row in self.entries:
-            out.update(zip(map(id, row), row))
-        return out
+        return self.values[self.ranks[j][k]]
 
     def finite_values(self) -> set[Fraction]:
-        return {v for v in self.distinct().values() if v is not None}
+        return set(self.values[:-1])
 
     def rendered(self, text) -> list[list]:
-        """The rows with ``text`` applied once per distinct entry object."""
-        get = {i: text(v) for i, v in self.distinct().items()}.__getitem__
-        return [list(map(get, map(id, row))) for row in self.entries]
+        """The rows with ``text`` applied once per value."""
+        get = [text(v) for v in self.values].__getitem__
+        return [list(map(get, row)) for row in self.ranks]
 
     def check_ultrametric(self) -> list[tuple[int, int, int]]:
         """Triples (j,k,l) violating q(j,l) >= min(q(j,k), q(k,l)), None
-        counting as infinity.
-
-        The leaf contacts of any carrousel tree form an ultrametric matrix
-        with infinite diagonal, and such a matrix is the leaf contact matrix
-        of its own tree.  So a matrix the round trip gives back has no
-        violation, and the cubic scan only runs for one it does not (never
-        one built by ``contact_matrix``).
-        """
+        counting as infinity: none when the matrix is its own tree's leaf
+        contacts, as a curve's is (those have none), else the cubic scan."""
         from .carrousel import build_carrousel_tree, leaf_contacts
-        if leaf_contacts(build_carrousel_tree(self)).entries == self.entries:
-            return []
-
-        def below(v, w):  # v < w with None as infinity
-            return v is not None and (w is None or v < w)
-        rows = self.entries
-        m = self.size
-        return [(j, k, l) for j in range(m) for k in range(m) for l in range(m)
-                if below(rows[j][l], rows[j][k]) and below(rows[j][l], rows[k][l])]
+        back = leaf_contacts(build_carrousel_tree(self))
+        return [] if back == self else _violations(self.ranks)
 
     def to_json(self) -> dict:
         return {"size": self.size, "entries": self.rendered(
             lambda v: "inf" if v is None else rational_to_json(v))}
+
+
+def _violations(rows) -> list[tuple[int, int, int]]:
+    m = range(len(rows))
+    return [(j, k, l) for j in m for k in m for l in m
+            if rows[j][l] < rows[j][k] and rows[j][l] < rows[k][l]]
 
 
 def contact_matrix(curve: Sequence[PuiseuxBranch],
@@ -224,20 +239,22 @@ def contact_matrix(curve: Sequence[PuiseuxBranch],
     """Contacts of all strands from the twist-0 row of each branch: the
     monodromy (module docstring) gives q((i,a),(k,b)) = q((i,0),(k,(b-a)
     mod n_k)), so row (i, a) is row (i, 0) with each branch block rotated
-    right by a.  B*N contacts for B branches and N strands; equal values
-    are interned, so the rows share a few ``Fraction`` objects."""
+    right by a.  B*N contacts for B branches and N strands, each one of
+    the few exponent objects of the strands."""
     strands = strands_of(curve, strand_cap)
     sizes = [b.denominator for b in curve]
     starts = list(accumulate(sizes, initial=0))
-    values: dict = {}
+    heads = [[strand_contact(strands[start], t) for t in strands]
+             for start in starts[:-1]]
+    values, rank = ContactMatrix.rank_table(chain.from_iterable(heads))
     rows = []
-    for start, n in zip(starts, sizes):
-        head = tuple(values.setdefault(q, q)
-                     for q in (strand_contact(strands[start], t) for t in strands))
-        blocks = [head[c:c + size] for c, size in zip(starts, sizes)]
-        rows += [sum((b[-a % len(b):] + b[:-a % len(b)] for b in blocks), ())
-                 for a in range(n)]
-    return ContactMatrix(len(strands), tuple(rows))
+    for head, n in zip(heads, sizes):
+        head = tuple(map(rank.__getitem__, map(id, head)))
+        # block k of row a is the k-th block of the head rotated right by a
+        twice = [(k, head[c:c + k] * 2) for c, k in zip(starts, sizes)]
+        rows += map(tuple, map(chain.from_iterable, zip(*(
+            [b[k - a % k:2 * k - a % k] for a in range(n)] for k, b in twice))))
+    return ContactMatrix._make((len(strands), values, tuple(rows)))
 
 
 def coincidence_exponent(a: PuiseuxBranch, b: PuiseuxBranch) -> Fraction:
@@ -271,9 +288,8 @@ class HornJumpProfile(NamedTuple):
 def horn_jump_profile(matrix: ContactMatrix, base: int) -> HornJumpProfile:
     if not 0 <= base < matrix.size:
         raise InputError(f"base strand {base} out of range")
-    row = [matrix.q(base, k) for k in range(matrix.size)]
-    thresholds = sorted({v for v in row if v is not None}, reverse=True)
-    counts = [1]
-    for t in thresholds:
-        counts.append(1 + sum(1 for v in row if v is not None and v >= t))
-    return HornJumpProfile(base, tuple(thresholds), tuple(counts))
+    per_rank = Counter(matrix.ranks[base])
+    del per_rank[len(matrix.values) - 1]  # infinity
+    ranks = sorted(per_rank, reverse=True)
+    return HornJumpProfile(base, tuple(map(matrix.values.__getitem__, ranks)),
+                           tuple(accumulate(map(per_rank.__getitem__, ranks), initial=1)))

@@ -1,11 +1,13 @@
 """Shared test utilities: numeric oracles, the pairwise contact matrix,
-characteristic exponents, a reference determinant, random curve
-generation, towers replayed from the blow-up event log, A'Campo's
-Alexander polynomial of a tower, the curvette oracle for inner rates,
-graph-level blow-ups of towers, the piece labels of a decomposition, the
-quadratic reference amalgamation, a small DOT syntax checker used to
-validate emitted graphs, the CLI run in-process, and a fresh interpreter
-that imports this checkout."""
+Fraction-comparing references for the carrousel tree, leaf contacts,
+rendering and horn profiles of a contact matrix, characteristic
+exponents, a reference determinant, random curve generation, towers
+replayed from the blow-up event log, A'Campo's Alexander polynomial of a
+tower, the curvette oracle for inner rates, graph-level blow-ups of
+towers, the piece labels of a decomposition, the quadratic reference
+amalgamation, a small DOT syntax checker used to validate emitted graphs,
+the CLI run in-process, and a fresh interpreter that imports this
+checkout."""
 
 from __future__ import annotations
 
@@ -26,7 +28,8 @@ from singlip import PuiseuxBranch, strand_contact, strands_of
 from singlip.cli import main
 from singlip.decomp import Decomposition, Piece
 from singlip.errors import DomainError, SinglipError
-from singlip.strands import ContactMatrix
+from singlip.carrousel import CarrouselNode, CarrouselTree
+from singlip.strands import ContactMatrix, HornJumpProfile
 from singlip.surfgraph import CURVE_FUNCTION, GENERIC_LINEAR, DualTree
 
 
@@ -85,6 +88,70 @@ def pairwise_contact_matrix(curve) -> ContactMatrix:
         for k in range(j + 1, m):
             rows[j][k] = rows[k][j] = strand_contact(strands[j], strands[k])
     return ContactMatrix(m, tuple(tuple(r) for r in rows))
+
+
+# -- references for the rank form of contact matrices ------------------------
+#
+# The library reads a contact matrix as ranks into its table of values; these
+# read only ``q`` and ``entries`` and compare Fractions, as the code did
+# before the rank form.
+
+
+def reference_carrousel_tree(matrix: ContactMatrix) -> CarrouselTree:
+    """Carrousel tree by Fraction comparisons: each strand joins the first
+    class whose first strand has contact above the vertex weight with it."""
+
+    def split(strands, weight):
+        groups = []
+        for s in strands:
+            for g in groups:
+                q = matrix.q(g[0], s)
+                if q is not None and q > weight:
+                    g.append(s)
+                    break
+            else:
+                groups.append([s])
+        return CarrouselNode(weight, tuple(
+            split(g, min(matrix.q(g[0], s) for s in g[1:])) if len(g) > 1
+            else CarrouselNode(None, leaf=g[0]) for g in groups))
+
+    return CarrouselTree(split(list(range(matrix.size)), Fraction(1)), matrix.size)
+
+
+def pairwise_leaf_contacts(tree: CarrouselTree) -> ContactMatrix:
+    """Leaf contacts by a loop over every pair of leaves below each vertex."""
+    rows = [[None] * tree.size for _ in range(tree.size)]
+
+    def walk(node):
+        if node.is_leaf():
+            return [node.leaf]
+        groups = [walk(c) for c in node.children]
+        for i in range(len(groups)):
+            for k in range(i + 1, len(groups)):
+                for x in groups[i]:
+                    for y in groups[k]:
+                        rows[x][y] = rows[y][x] = node.weight
+        return [x for g in groups for x in g]
+
+    walk(tree.root)
+    return ContactMatrix(tree.size, tuple(map(tuple, rows)))
+
+
+def rendered_by_id(matrix: ContactMatrix, text) -> list[list]:
+    """The entries with ``text`` applied once per distinct entry object."""
+    seen = {}
+    for row in matrix.entries:
+        seen.update(zip(map(id, row), row))
+    get = {i: text(v) for i, v in seen.items()}.__getitem__
+    return [list(map(get, map(id, row))) for row in matrix.entries]
+
+
+def reference_horn_profile(matrix: ContactMatrix, base: int) -> HornJumpProfile:
+    """Horn jump profile counted entry by entry over one row of Fractions."""
+    row = [matrix.q(base, k) for k in range(matrix.size)]
+    thresholds = sorted({v for v in row if v is not None}, reverse=True)
+    counts = [1 + sum(1 for v in row if v is not None and v >= t) for t in thresholds]
+    return HornJumpProfile(base, tuple(thresholds), (1, *counts))
 
 
 def branch_char_exponents(branch: PuiseuxBranch) -> set[Fraction]:

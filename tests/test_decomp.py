@@ -365,6 +365,23 @@ def test_signatures_of_a_wide_star_compare():
     assert not signatures_equal(star, inner_signature(_star(450, F(2))))
 
 
+def test_unequal_piece_histograms_skip_refinement(monkeypatch):
+    # refinement keeps unequal colour histograms unequal, so a comparison
+    # whose two sides differ in their piece attributes never refines
+    from singlip import decomp
+    calls = []
+    refine = decomp._refine
+    monkeypatch.setattr(decomp, "_refine", lambda *a: calls.append(1) or refine(*a))
+    doc = jsonio.graph_to_json(graph_e8())
+    sig = inner_signature(jsonio.parse_graph(doc))
+    assert not signatures_equal(sig, inner_signature(jsonio.parse_graph(_perturb(doc))))
+    assert not signatures_equal(sig, inner_signature(graph_d4()))
+    assert calls == []
+    assert signatures_equal(sig, inner_signature(
+        jsonio.parse_graph(_relabel(doc, random.Random(3)))))
+    assert calls
+
+
 def _rated_documents():
     docs = []
     for name in fixtures.fixture_names():

@@ -311,8 +311,9 @@ def test_contact_matrix_of_1000_strands_is_fast():
 
 
 def test_finite_values_of_1000_strands_is_fast():
-    # a million entries that share four interned objects: read by id, they
-    # cost four Fraction hashes; a set of the entries took over half a second
+    # a million entries ranked into a table of four values: read off the
+    # table, they cost three Fraction hashes; a set of the entries took over
+    # half a second
     m = contact_matrix([branch(("3/2", 1), ("7/4", 1), ("2001/1000", 1))])
     start = time.perf_counter()
     values = m.finite_values()
