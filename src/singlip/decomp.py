@@ -16,8 +16,9 @@ whose thin piece contains no node at all.
 The inner (resp. outer) geometric decomposition keeps one B-piece per inner
 (resp. outer) node and one A-piece per string between nodes; special
 P-nodes contribute frozen A(q,q)-pieces in the inner decomposition.  The
-same decompositions arise from the initial per-vertex pieces by running the
-amalgamation rules, which is checked in the test suite.
+test suite checks, on the towers of the three curve fixtures, that running
+the amalgamation rules on the per-vertex pieces of ``csquare_decomposition``
+gives the initial decomposition's piece labels and non-empty supports.
 """
 
 from __future__ import annotations
@@ -88,7 +89,8 @@ class ThickThin(NamedTuple):
 def _walk_string(graph: DualGraph, node, start, nodes) -> tuple[list, object]:
     """Follow the string leaving ``node`` through its neighbour ``start``
     across vertices not in ``nodes``.  Returns the string's interior and
-    the node it ends at, or None when it ends at a leaf (a bamboo)."""
+    the node it ends at, or None when it ends at a leaf (a bamboo).
+    ``nodes`` holds every ``_is_node`` vertex, so the walk never forks."""
     chain = []
     prev, cur = node, start
     while cur not in nodes:
@@ -96,8 +98,6 @@ def _walk_string(graph: DualGraph, node, start, nodes) -> tuple[list, object]:
         nxt = [w for w in graph.neighbors(cur) if w != prev]
         if not nxt:
             return chain, None
-        if len(nxt) > 1:
-            raise InputError(f"non-node vertex {cur!r} with valence > 2")
         prev, cur = cur, nxt[0]
     return chain, cur
 
@@ -372,32 +372,6 @@ def build_decomposition(graph: DualGraph, mode: str) -> Decomposition:
 
 # -- classification signatures ------------------------------------------------
 
-def _decomposition_graph(graph: DualGraph, d: Decomposition,
-                         metric: str) -> tuple[dict, list]:
-    mults = {}
-    for p in d.pieces.values():
-        if p.node is not None:
-            m = graph.vertices[p.node].multiplicities.get(GENERIC_LINEAR)
-            if m is None:
-                raise InputError(
-                    f"vertex {p.node!r} lacks generic-linear multiplicities")
-            mults[p.pid] = m
-    if metric == "inner":
-        scale = math.gcd(*mults.values()) if mults else 1
-    else:
-        scale = 1
-    nodes = {}
-    for p in d.pieces.values():
-        attrs = {"kind": "special-A" if p.special else p.kind,
-                 "rates": tuple(str(q) for q in p.rates)}
-        if p.pid in mults:
-            attrs["mult"] = Fraction(mults[p.pid], scale)
-        if metric == "outer" and p.node is not None:
-            attrs["selfint"] = graph.vertices[p.node].self_intersection
-        nodes[p.pid] = attrs
-    return nodes, sorted(tuple(sorted(pair)) for pair in d.adjacency)
-
-
 class Signature(NamedTuple):
     """A decomposition graph: piece id -> attributes, and piece edges."""
 
@@ -418,18 +392,39 @@ class Signature(NamedTuple):
                 "edges": [list(e) for e in self.edges]}
 
 
+def _signature(graph: DualGraph, metric: str) -> Signature:
+    """The metric's decomposition graph, with the piece attributes that
+    ``inner_signature`` and ``outer_signature`` describe."""
+    d = build_decomposition(graph, metric)
+    nodes, mults = {}, {}
+    for p in d.pieces.values():
+        nodes[p.pid] = {"kind": "special-A" if p.special else p.kind,
+                        "rates": tuple(str(q) for q in p.rates)}
+        if p.node is not None:
+            v = graph.vertices[p.node]
+            if GENERIC_LINEAR not in v.multiplicities:
+                raise InputError(
+                    f"vertex {p.node!r} lacks generic-linear multiplicities")
+            mults[p.pid] = v.multiplicities[GENERIC_LINEAR]
+            if metric == "outer":
+                nodes[p.pid]["selfint"] = v.self_intersection
+    scale = math.gcd(*mults.values()) if metric == "inner" and mults else 1
+    for pid, m in mults.items():
+        nodes[pid]["mult"] = Fraction(m, scale)
+    return Signature(metric, nodes,
+                     sorted(tuple(sorted(pair)) for pair in d.adjacency))
+
+
 def inner_signature(graph: DualGraph) -> Signature:
     """Inner Lipschitz classification data: the inner decomposition graph
     with per-piece rates and scale-normalised generic-linear multiplicities."""
-    d = build_decomposition(graph, "inner")
-    return Signature("inner", *_decomposition_graph(graph, d, "inner"))
+    return _signature(graph, "inner")
 
 
 def outer_signature(graph: DualGraph) -> Signature:
     """Outer classification data: the outer decomposition graph with rate,
     self-intersection and generic-linear multiplicity at every node piece."""
-    d = build_decomposition(graph, "outer")
-    return Signature("outer", *_decomposition_graph(graph, d, "outer"))
+    return _signature(graph, "outer")
 
 
 def _refine(adj: dict, colour: dict) -> dict:

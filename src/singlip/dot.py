@@ -15,8 +15,13 @@ if TYPE_CHECKING:
     from .surfgraph import DualGraph, DualTree, Vertex
 
 
+def _esc(text) -> str:
+    """User text (an id or a name) as it reads inside a quoted DOT string."""
+    return str(text).replace("\\", "\\\\").replace('"', '\\"')
+
+
 def _q(s) -> str:
-    return '"' + str(s).replace('"', r'\"') + '"'
+    return f'"{s}"'
 
 
 def _graph_dot(name: str, node: str, graph: DualGraph, attributes, edges,
@@ -29,7 +34,7 @@ def _graph_dot(name: str, node: str, graph: DualGraph, attributes, edges,
                for vid, i in ids.items()),
              *(f"  v{ids[a]} -- v{ids[b]};" for a, b in edges)]
     for i, a in enumerate(arrows):
-        lines += [f"  a{i} [shape=none, label={_q(f'{a.name}({a.multiplicity})')}];",
+        lines += [f"  a{i} [shape=none, label={_q(f'{_esc(a.name)}({a.multiplicity})')}];",
                   f"  v{ids[a.vertex]} -- a{i} [style=dashed];"]
     return "\n".join(lines) + "\n}\n"
 
@@ -39,7 +44,7 @@ def _sorted_edges(graph: DualGraph) -> list:
 
 
 def _mults(v: Vertex) -> str:
-    mults = ",".join(f"{k}:{m}" for k, m in sorted(v.multiplicities.items()))
+    mults = ",".join(f"{_esc(k)}:{m}" for k, m in sorted(v.multiplicities.items()))
     return f"\\n({mults})" if mults else ""
 
 
@@ -55,7 +60,7 @@ def graph_to_dot(graph: DualGraph) -> str:
     def attributes(v: Vertex) -> str:
         rate = "" if v.rate is None else f"\\nq={v.rate}"
         genus = f"\\n[{v.genus}]" if v.genus else ""
-        label = _q(f"{v.id}{rate}\\n{v.self_intersection}{genus}{_mults(v)}")
+        label = _q(f"{_esc(v.id)}{rate}\\n{v.self_intersection}{genus}{_mults(v)}")
         return f"label={label}" + (", peripheries=2" if L_NODE in v.flags else "")
 
     return _graph_dot("resolution", "shape=circle", graph, attributes,
@@ -107,7 +112,7 @@ def decomposition_to_dot(graph: DualGraph, decomposition: Decomposition) -> str:
 
     def attributes(v: Vertex) -> str:
         fill = _fill(owner.get(v.id))
-        label = str(v.id) if v.rate is None else f"{v.id}\\n{v.rate}"
+        label = _esc(v.id) + ("" if v.rate is None else f"\\n{v.rate}")
         return (f"label={_q(label)}, fillcolor={_q(fill)}"
                 + (", fontcolor=white" if fill == "black" else ""))
 

@@ -49,23 +49,28 @@ def _graph(data: dict) -> DualGraph:
     return g
 
 
+# E1..E7 and the seven edges that both E8 graphs list
+_E8_VERTICES: tuple[tuple, ...] = (
+    ("E1", -2, 0, "5/3", 6, ()),
+    ("E2", -2, 0, "8/5", 5, ()),
+    ("E3", -2, 0, "3/2", 4, ()),
+    ("E4", -2, 0, "4/3", 3, ()),
+    ("E5", -2, 0, "1", 2, ("L",)),
+    ("E6", -2, 0, "7/4", 4, ()),
+    ("E7", -2, 0, "2", 2, ()),
+)
+_E8_EDGES: tuple[tuple, ...] = (
+    ("E7", "E6"), ("E6", "E1"), ("E1", "E2"), ("E2", "E3"), ("E3", "E4"),
+    ("E4", "E5"), ("E1", "E8"))
+
+
 def graph_e8() -> DualGraph:
     """Minimal resolution of x^2 + y^3 + z^5 with coordinate arrows, inner
     rates, and the generic-linear divisor; E1 is the central vertex, E5 the
     L-node, E8 carries the polar strict transform."""
     return _graph({
-        "vertices": [
-            ("E1", -2, 0, "5/3", 6, ()),
-            ("E2", -2, 0, "8/5", 5, ()),
-            ("E3", -2, 0, "3/2", 4, ()),
-            ("E4", -2, 0, "4/3", 3, ()),
-            ("E5", -2, 0, "1", 2, ("L",)),
-            ("E6", -2, 0, "7/4", 4, ()),
-            ("E7", -2, 0, "2", 2, ()),
-            ("E8", -2, 0, "2", 3, ("P",)),
-        ],
-        "edges": [("E7", "E6"), ("E6", "E1"), ("E1", "E2"), ("E2", "E3"),
-                  ("E3", "E4"), ("E4", "E5"), ("E1", "E8")],
+        "vertices": [*_E8_VERTICES, ("E8", -2, 0, "2", 3, ("P",))],
+        "edges": _E8_EDGES,
         "arrows": [("E8", "x", 1, "function"),
                    ("E7", "y", 1, "function"),
                    ("E5", "z", 1, "function"),
@@ -79,21 +84,10 @@ def graph_e8_nash() -> DualGraph:
     factors through the Nash modification; the polar curve now meets the
     last curve of the new chain, whose inner rate is 10/3."""
     return _graph({
-        "vertices": [
-            ("E1", -2, 0, "5/3", 6, ()),
-            ("E2", -2, 0, "8/5", 5, ()),
-            ("E3", -2, 0, "3/2", 4, ()),
-            ("E4", -2, 0, "4/3", 3, ()),
-            ("E5", -2, 0, "1", 2, ("L",)),
-            ("E6", -2, 0, "7/4", 4, ()),
-            ("E7", -2, 0, "2", 2, ()),
-            ("E8", -3, 0, "2", 3, ()),
-            ("E9", -2, 0, "8/3", 3, ()),
-            ("E10", -1, 0, "10/3", 3, ("P",)),
-        ],
-        "edges": [("E7", "E6"), ("E6", "E1"), ("E1", "E2"), ("E2", "E3"),
-                  ("E3", "E4"), ("E4", "E5"), ("E1", "E8"), ("E8", "E9"),
-                  ("E9", "E10")],
+        "vertices": [*_E8_VERTICES, ("E8", -3, 0, "2", 3, ()),
+                     ("E9", -2, 0, "8/3", 3, ()),
+                     ("E10", -1, 0, "10/3", 3, ("P",))],
+        "edges": [*_E8_EDGES, ("E8", "E9"), ("E9", "E10")],
         "arrows": [("E5", "h", 1, "generic-linear"),
                    ("E10", "polar", 1, "polar")],
     })

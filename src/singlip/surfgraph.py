@@ -453,30 +453,18 @@ def resolve_pencil(graph: DualGraph, div_a: Divisor, div_b: Divisor, vertex,
 def _parity_items(tree: DualTree):
     """Edges and arrows of the total transform of f, with the
     multiplicities of their two sides."""
+    m = [v.multiplicities.get(CURVE_FUNCTION, 0) for v in tree.vertices]
     for a, b in sorted(tree.edges):
-        yield ("edge", (a, b),
-               tree.vertices[a].multiplicities.get(CURVE_FUNCTION, 0),
-               tree.vertices[b].multiplicities.get(CURVE_FUNCTION, 0))
+        yield "edge", (a, b), m[a], m[b]
     for i, arrow in enumerate(tree.arrows):
         if arrow.name == CURVE_FUNCTION:
-            yield ("arrow", i,
-                   tree.vertices[arrow.vertex].multiplicities.get(CURVE_FUNCTION, 0),
-                   arrow.multiplicity)
-
-
-def _blow_up_arrow(tree: DualTree, arrow_index: int):
-    """Blow up the point where an arrow (a strict transform) meets its
-    curve, in place; the arrow moves to the new exceptional curve."""
-    arrow = tree.arrows[arrow_index]
-    new = _fresh_id(tree)
-    tree.blow_up(new, (arrow.vertex,), {arrow.name: arrow.multiplicity})
-    tree.arrows[arrow_index] = arrow._replace(vertex=new)
+            yield "arrow", i, m[arrow.vertex], arrow.multiplicity
 
 
 def laufer_parity_prepare(tree: DualTree) -> DualTree:
     """Blow up every intersection point of two odd-multiplicity components
-    of the total transform (arrows counted); the result has no odd-odd
-    adjacency, so the branch locus of the double cover is smooth.
+    of the total transform, moving an arrow to the curve over its point;
+    the result has no odd-odd adjacency, so the cover's branch locus is smooth.
 
     One pass over the input's items suffices: blowing up an odd-odd point
     gives an even curve, which creates no new odd-odd point, and leaves
@@ -487,10 +475,13 @@ def laufer_parity_prepare(tree: DualTree) -> DualTree:
         return tree
     out = tree.copy()
     for kind, ref in odd:
+        new = _fresh_id(out)
         if kind == "edge":
-            out.blow_up(_fresh_id(out), ref)
+            out.blow_up(new, ref)
         else:
-            _blow_up_arrow(out, ref)
+            arrow = out.arrows[ref]
+            out.blow_up(new, (arrow.vertex,), {arrow.name: arrow.multiplicity})
+            out.arrows[ref] = arrow._replace(vertex=new)
     return out
 
 

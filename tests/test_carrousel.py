@@ -178,3 +178,8 @@ def test_eggers_reduction_rejects_bad_group_sizes():
     root = CarrouselNode(F(1), (inner,), m=1, n=1)
     with pytest.raises(InputError):
         reduce_to_eggers(CarrouselTree(root, 5))
+
+
+def test_eggers_reduction_rejects_undecorated_tree():
+    with pytest.raises(InputError, match="needs a decorated tree"):
+        reduce_to_eggers(tree_of(curve_carrousel_example()))

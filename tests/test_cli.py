@@ -8,6 +8,7 @@ from helpers import parse_dot, run_cli, run_python
 from singlip import PuiseuxBranch, contact_matrix, jsonio, resolve_curve
 from singlip.cli import build_parser
 from singlip.decomp import MODES
+from singlip.dot import graph_to_dot
 from singlip.fixtures import curve_cusp_53, fixture_names, load_fixture
 from singlip.surfgraph import DualGraph
 
@@ -210,6 +211,23 @@ def test_verify_fails_on_broken_graph(paths, tmp_path):
     assert "laufer residual" in out
 
 
+def test_verify_reports_a_disconnected_graph(tmp_path):
+    g = DualGraph()
+    g.add_vertex("a", -1)
+    g.add_vertex("b", -1)
+    p = tmp_path / "graph.json"
+    p.write_text(json.dumps(jsonio.graph_to_json(g)))
+    assert run_cli("verify", str(p)) == (
+        1, "graph is not connected\nfailed: 1 problem(s)\n", "")
+
+
+def test_input_from_stdin(paths, monkeypatch):
+    expected = run_cli("curve", "resolve", paths["cusp-53"])
+    with open(paths["cusp-53"]) as fh:
+        monkeypatch.setattr("sys.stdin", io.StringIO(fh.read()))
+    assert run_cli("curve", "resolve", "-") == expected
+
+
 def test_input_errors_exit_2(tmp_path):
     missing = tmp_path / "missing.json"
     code, _, err = run_cli("curve", "contacts", str(missing))
@@ -311,6 +329,22 @@ def test_dot_outputs_parse(paths):
         assert code == 0
         parsed = parse_dot(out)
         assert parsed["nodes"]
+
+
+def test_dot_labels_escape_backslashes(tmp_path):
+    # the id a\"b: escaping only the quote would end the label after a\\
+    g = DualGraph()
+    g.add_vertex('a\\"b', -1, rate=1, flags=["L"])
+    p = tmp_path / "graph.json"
+    p.write_text(json.dumps(jsonio.graph_to_json(g)))
+    code, out, _ = run_cli("--format", "dot", "graph", "decompose", "--mode",
+                           "inner", str(p))
+    assert code == 0 and parse_dot(out)["nodes"] == {"v0"}
+    assert 'label="a\\\\\\"b\\n1"' in out
+    # arrow names and function names are user text too
+    g.vertices['a\\"b'].multiplicities['g\\"'] = 1
+    g.add_arrow('a\\"b', 'f\\"')
+    assert len(parse_dot(graph_to_dot(g))["nodes"]) == 2
 
 
 def test_event_cap_env(paths, monkeypatch):
@@ -502,6 +536,8 @@ def _malformed(shape):
     elif shape == "tower-no-rate-vector-multiplicities-list":
         del tower["vertices"][1]["rate_vector"]
         tower["vertices"][1]["multiplicities"] = [1, 2]
+    elif shape == "tower-no-vertices":
+        tower.update(vertices=[], edges=[], arrows=[])
     elif shape == "graph-vertices-string":
         graph["vertices"] = "E1"
     elif shape == "graph-edges-number":
@@ -527,6 +563,8 @@ def _malformed(shape):
     elif shape == "graph-vertex-id-true":
         graph = _int_ids(graph)
         graph["vertices"][0]["id"] = True
+    elif shape == "graph-no-vertices":
+        graph.update(vertices=[], edges=[], arrows=[])
     elif shape == "curve-exp-zero-denominator":
         curve["branches"][0]["terms"][0]["exp"] = "1/0"
     elif shape == "curve-coeff-true":
@@ -557,6 +595,7 @@ MALFORMED = {
         "vertex 0: rate_vector must be two integers [p, q] with q > 0",
     "tower-no-rate-vector-multiplicities-list":
         "vertices[1] missing 'rate_vector'",
+    "tower-no-vertices": "tower document has no vertices",
     "graph-vertices-string": "field 'vertices' must be a list",
     "graph-edges-number": "field 'edges' must be a list",
     "graph-arrows-object": "field 'arrows' must be a list",
@@ -570,6 +609,7 @@ MALFORMED = {
     "graph-edge-true": "edge (True,2) references unknown vertex",
     "graph-arrow-vertex-true": "arrow references unknown vertex True",
     "graph-vertex-id-true": "vertex id True is not a string or an integer",
+    "graph-no-vertices": "graph document has no vertices",
     "curve-exp-zero-denominator": "cannot interpret '1/0' as a rational number",
     "curve-coeff-true": "cannot interpret True as a rational number",
     "curve-coeff-num-true":

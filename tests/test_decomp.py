@@ -95,6 +95,15 @@ def test_thick_thin_errors():
     g2.vertices["E2"].flags.add("L")
     with pytest.raises(DomainError):
         thick_thin(g2)  # adjacent L-nodes
+    g3 = graph_d4()
+    g3.remove_edge("E1", "E4")
+    with pytest.raises(InputError, match="connected"):
+        thick_thin(g3)
+
+
+def test_build_decomposition_rejects_an_unknown_mode():
+    with pytest.raises(InputError, match="^unknown decomposition mode 'bogus'$"):
+        build_decomposition(graph_e8(), "bogus")
 
 
 def test_thin_zone_rate():

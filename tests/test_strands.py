@@ -203,6 +203,20 @@ def test_branch_validation():
     assert b.denominator == 2
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: PuiseuxBranch(0, ()), "branch denominator must be a positive integer"),
+    (lambda: PuiseuxBranch(2, ((F(4, 3), 1),)), "exponent 4/3 not over denominator 2"),
+    (lambda: strands_of([]), "curve needs at least one branch"),
+    (lambda: strand_contact(strands_of([branch(("3/2", 1))])[0],
+                            strands_of([branch(("4/3", 1))])[0]),
+     "strands expanded over different orders"),
+], ids=["denominator-zero", "exponent-off-denominator", "no-branches",
+        "contact-across-orders"])
+def test_strand_layer_input_errors(call, message):
+    with pytest.raises(InputError, match=f"^{message}$"):
+        call()
+
+
 def test_horn_counts_monotone_random():
     rng = random.Random(13)
     for _ in range(60):

@@ -7,7 +7,7 @@ from singlip import (Divisor, DualGraph, PuiseuxBranch, has_base_point,
                      laufer_double_cover, laufer_parity_prepare, pencil_min,
                      resolve_curve, resolve_pencil, solve_multiplicities,
                      tower_to_graph, verify_graph, verify_tower)
-from singlip.errors import DomainError
+from singlip.errors import DomainError, InputError
 from singlip.fixtures import curve_cusp_53, graph_e8
 from singlip.jsonio import graph_to_json, parse_graph, tower_to_json
 from singlip.surfgraph import (L_NODE, DualTree, blowdownable_vertices,
@@ -116,6 +116,16 @@ def test_pencil_min_negative_residual():
         strict_part_from_residuals(g, {"A": 5, "B": 1, "C": 1})
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda g: g.add_arrow("E1", "f", branch="0"), "arrow branch '0' is not an integer"),
+    (lambda g: pencil_min(g, []), "pencil_min needs at least one divisor"),
+], ids=["arrow-branch-string", "pencil-of-nothing"])
+def test_graph_input_errors(call, message):
+    with pytest.raises(InputError) as exc:
+        call(graph_e8())
+    assert str(exc.value) == message
+
+
 def test_base_point_detection():
     fx = Divisor(X_DIV)
     fy = Divisor({k: 2 * v for k, v in Y_DIV.items()})
@@ -180,6 +190,18 @@ def test_parity_prepare_no_odd_odd_is_identity():
     assert len(prep.vertices) == len(tree.vertices)
 
 
+@pytest.mark.parametrize("name", ["cusp-53", "four-lines"])
+def test_parity_prepare_leaves_its_input_alone(name):
+    # cusp-53 has odd-odd points, so prepare blows up a copy; four
+    # transversal lines have none, so it returns the input itself
+    lines = [PuiseuxBranch.from_terms([(F(1), F(c))]) for c in (1, 2, 3, 4)]
+    _, tree = resolve_curve(curve_cusp_53() if name == "cusp-53" else lines)
+    before = tower_to_json(tree)
+    prep = laufer_parity_prepare(tree)
+    assert (prep is tree) == (name == "four-lines")
+    assert tower_to_json(tree) == before
+
+
 def test_double_cover_e8():
     cover = laufer_double_cover(laufer_parity_prepare(_cusp_tower_35()))
     assert len(cover.vertices) == 8
@@ -213,6 +235,20 @@ def test_double_cover_lifts_generic_linear_divisor():
                 if a.name == "h"]
     assert solve_multiplicities(cover, h_arrows).coefficients == {
         vid: v.multiplicities["h"] for vid, v in cover.vertices.items()}
+
+
+def test_double_cover_lifts_other_functions_as_function_arrows():
+    # a function other than f and h pulls back like h, its forced strict
+    # part drawn as plain function arrows
+    prep = laufer_parity_prepare(_cusp_tower_35())
+    for v in prep.vertices:
+        v.multiplicities["g"] = v.multiplicities["h"]
+    cover = laufer_double_cover(prep)
+    pairs = {n: sorted((a.vertex, a.multiplicity, a.kind) for a in cover.arrows
+                       if a.name == n) for n in ("g", "h")}
+    assert pairs["g"] == [(v, m, "function") for v, m, _ in pairs["h"]]
+    assert all(v.multiplicities["g"] == v.multiplicities["h"]
+               for v in cover.vertices.values())
 
 
 def test_double_cover_rejects_odd_odd():
@@ -260,6 +296,16 @@ def test_double_cover_rejects_odd_selfint_halving():
     tree.add_vertex(0, -3, rate_vector=(1, 1), multiplicities={"f": 3})
     tree.add_arrow(0, "f", 1, "branch", 0)
     with pytest.raises(DomainError):
+        laufer_double_cover(tree)
+
+
+def test_double_cover_refuses_to_halve_an_odd_self_intersection():
+    # an odd curve with no edges or arrows passes the parity check, so the
+    # halving of its self-intersection is what refuses
+    tree = DualTree()
+    tree.add_vertex(0, -3, rate_vector=(1, 1), multiplicities={"f": 1})
+    with pytest.raises(DomainError, match="^odd self-intersection -3 at branch "
+                       "vertex 0 cannot be halved$"):
         laufer_double_cover(tree)
 
 

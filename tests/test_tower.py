@@ -171,6 +171,13 @@ def test_tree_contacts_match_strand_contacts():
     assert coincidence_exponent(curve[0], curve[1]) == 2
 
 
+def test_branch_contact_needs_the_branch_arrow():
+    from singlip.tower import branch_contact
+    _, tree = resolve_curve(curve_carrousel_example())
+    with pytest.raises(InputError, match="^no arrow for branch 5$"):
+        branch_contact(tree, 0, 5)
+
+
 def test_all_double_points_blowup_rates():
     _, tree = resolve_curve(curve_cusp_53())
     t2 = blow_all_double_points(tree)
