@@ -95,10 +95,10 @@ def _walk_string(graph: DualGraph, node, start, nodes) -> tuple[list, object]:
     prev, cur = node, start
     while cur not in nodes:
         chain.append(cur)
-        nxt = [w for w in graph.neighbors(cur) if w != prev]
-        if not nxt:
+        ends = graph.neighbors(cur)              # one or two, cur not a node
+        if len(ends) == 1:
             return chain, None
-        prev, cur = cur, nxt[0]
+        prev, cur = cur, ends[ends[0] == prev]   # a double edge leads back
     return chain, cur
 
 

@@ -7,13 +7,13 @@ the package) rounds: floats appear only in test oracles.
 
 Every linear-algebra question about an intersection matrix (determinant,
 signs of the leading principal minors, exact solves) goes through the one
-Bareiss elimination ``eliminate`` below.  Intersection matrices of
-resolution graphs are tridiagonal for chains and nearly so for trees, so
-``eliminate`` scales a row lazily: it touches a row only when a pivot
-column hits it or it becomes the pivot row, and the scalings of the steps
-it skipped telescope to one exact factor.  Scaling by a ratio of non-zero
-pivots keeps every zero entry zero and every non-zero one non-zero, so
-the zero tests read the stale rows as they are.
+Bareiss elimination ``eliminate``, on sparse rows in an order the caller
+picks.  Eliminating a vertex joins its later neighbours; in a tree's
+depth-first post-order each vertex has one, its parent, so nothing fills
+in (Parter 1961).  No caller's answer depends on the order: a symmetric
+permutation keeps the determinant and permutes the solution, which the
+caller maps back; Sylvester's criterion holds in any order, and a zero
+minor fails it in any; singularity and integrality belong to the matrix.
 """
 
 from __future__ import annotations
@@ -56,79 +56,79 @@ class Elimination(NamedTuple):
     solution: Optional[tuple]     # Fractions; None without rhs or if singular
 
 
-def eliminate(matrix: Sequence[Sequence[int]],
+def eliminate(rows: Sequence[dict],
               rhs: Optional[Sequence[int]] = None) -> Elimination:
-    """Fraction-free Gaussian elimination of a square integer matrix
-    (Bareiss 1968), optionally augmented by an integer right-hand side.
+    """Fraction-free Gaussian elimination (Bareiss 1968) of a square integer
+    matrix of sparse rows, ``rows[i]`` mapping a column to its entry (a
+    missing column is zero), optionally augmented by an integer right-hand
+    side.
 
     Without row swaps the k-th pivot is the leading principal minor of
-    order k (Sylvester's identity) and every division is exact.  Rows are
-    swapped only when a pivot vanishes; that vanishing minor is the last
-    one reported, since the later pivots are minors of the permuted matrix.
-    The solve is fraction-free too: by Cramer's rule det * x is an integer
-    vector, recovered from the triangular system by exact divisions.
+    order k (Sylvester's identity) and every division is exact.  A zero
+    pivot swaps in the first row below that is non-zero in its column; that
+    vanishing minor is the last one reported.  By Cramer's rule det * x is
+    an integer vector, solved from the triangular rows by exact divisions.
 
-    Rows are updated lazily.  Step k, with pivot p_k (p_0 = 1), only
-    scales a row whose entry in the pivot column is zero, by p_k / p_(k-1);
-    after a run of such steps s+1..k the row is its value after step s
-    times p_k / p_s.  So each row keeps the last step it was brought up to
-    date at, and is touched only when a pivot column hits it or it becomes
-    the pivot row.  A hit at step k applies the Bareiss update to the stale
-    entries and divides by p_s instead of p_(k-1), which gives the same
-    exact integers; a new pivot row, by position or by a swap, is scaled by
-    p_(k-1) / p_s.  Pivots are non-zero, so a stale entry is zero exactly
-    when the current one is, and the hit tests and the swap search read
-    stale rows.  Every row is current at its own pivot step, which is all
-    the back substitution reads.  A chain's tridiagonal matrix thus costs
-    O(n^2) instead of O(n^3).
+    Rows are updated lazily.  A step with pivot p_k scales each row that is
+    zero in the pivot column by p_k / p_(k-1); over steps s+1..k that
+    telescopes to p_k / p_s.  So a row records the step it is current at
+    and is touched only when a pivot column hits it, where the update
+    divides by p_s instead of p_(k-1), or when it becomes the pivot row and
+    is scaled.  Scaling keeps zeros zero, so stale rows answer the hit
+    tests.  Each column lists the rows that held it, so the work is the
+    number of non-zeros, fill-in included.
     """
-    n = len(matrix)
-    rows = [list(row) + ([rhs[i]] if rhs is not None else [])
-            for i, row in enumerate(matrix)]
+    n = len(rows)
+    rows = [{**row, n: b} if b else dict(row)    # rhs is column n
+            for row, b in zip(rows, rhs or [0] * n)]
+    cols = [[] for _ in range(n + 1)]    # cols[j]: rows with column j
+    for r, row in enumerate(rows):
+        for j in row:
+            cols[j].append(r)
     pivots = [1]         # pivots[s] = p_s, the pivot of step s
     current = [0] * n    # rows[r] holds its value after step current[r]
-
-    def bring_up(r, k):          # rows[r] to its value after step k
-        s = current[r]
-        if s != k:
-            p, q = pivots[k], pivots[s]
-            rows[r][k:] = [a * p // q for a in rows[r][k:]]
-            current[r] = k
-
     minors = []
     swapped = False
     sign = 1
     for k in range(n):           # step k + 1
-        bring_up(k, k)
-        if not swapped:
-            minors.append(rows[k][k])
-        if rows[k][k] == 0:
+        if not rows[k].get(k):
+            if not swapped:
+                minors.append(0)
             swapped = True
-            pivot = next((r for r in range(k + 1, n) if rows[r][k]), None)
+            pivot = min((r for r in cols[k] if r > k and rows[r].get(k)),
+                        default=None)
             if pivot is None:
                 return Elimination(tuple(minors), 0, None)
             rows[k], rows[pivot] = rows[pivot], rows[k]
             current[k], current[pivot] = current[pivot], current[k]
             sign = -sign
-            bring_up(k, k)
+            for j in rows[pivot]:        # the row moved down, listed again
+                cols[j].append(pivot)
         top = rows[k]
-        p = top[k]
-        for r in range(k + 1, n):
+        if current[k] != k:      # bring it up to date
+            p, q = pivots[k], pivots[current[k]]
+            for j in top:
+                top[j] = top[j] * p // q
+        p = top.pop(k)           # the pivot row keeps its columns past k
+        if not swapped:
+            minors.append(p)
+        for r in cols[k]:
             row = rows[r]
-            f = row[k]
-            if f:
+            if r > k and row.get(k):
+                f = row.pop(k)
                 q = pivots[current[r]]
-                row[k + 1:] = [(p * a - f * b) // q
-                               for a, b in zip(row[k + 1:], top[k + 1:])]
+                for j in row:
+                    row[j] = (p * row[j] - f * top.get(j, 0)) // q
+                for j, b in top.items():
+                    if j not in row:     # fill-in
+                        row[j] = -f * b // q
+                        cols[j].append(r)
                 current[r] = k + 1
         pivots.append(p)
-    prev = pivots[n]
     solution = None
-    if rhs is not None:
-        y = [0] * n
+    if rhs is not None:          # y[n] = -det puts -det * rhs_i in row i's sum
+        y = [0] * n + [-pivots[n]]
         for i in reversed(range(n)):
-            acc = prev * rows[i][n] - sum(rows[i][j] * y[j]
-                                          for j in range(i + 1, n))
-            y[i] = acc // rows[i][i]
-        solution = tuple(Fraction(v, prev) for v in y)
-    return Elimination(tuple(minors), sign * prev, solution)
+            y[i] = -sum(a * y[j] for j, a in rows[i].items()) // pivots[i + 1]
+        solution = tuple(Fraction(v, pivots[n]) for v in y[:n])
+    return Elimination(tuple(minors), sign * pivots[n], solution)

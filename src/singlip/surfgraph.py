@@ -235,24 +235,36 @@ class DualGraph:
         ids = self.ids()
         return not ids or len(self.component(ids[0])) == len(ids)
 
-    def intersection_matrix(self) -> list[list[int]]:
-        ids = self.ids()
-        index = {v: i for i, v in enumerate(ids)}
-        m = [[0] * len(ids) for _ in ids]
-        for v in ids:
-            m[index[v]][index[v]] = self.vertices[v].self_intersection
+    def intersection_rows(self) -> tuple[dict, list[dict]]:
+        """The row of each vertex id, and the intersection matrix as
+        ``exactnum.eliminate`` rows in a depth-first post-order: each tree
+        vertex comes before its parent, so nothing fills in."""
+        order, seen, adjacent = [], set(), self._adjacent
+        stack = [(None, iter(self.ids()))]   # a root meeting every vertex
+        while stack:
+            for w in stack[-1][1]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append((w, iter(adjacent[w])))
+                    break
+            else:
+                order.append(stack.pop()[0])
+        index = dict(zip(order, range(len(order) - 1)))   # not that root
+        rows = [{i: self.vertices[vid].self_intersection}
+                for vid, i in index.items()]
         for a, b in self.edges:
-            m[index[a]][index[b]] += 1
-            m[index[b]][index[a]] += 1
-        return m
+            i, j = index[a], index[b]
+            rows[i][j] = rows[i].get(j, 0) + 1
+            rows[j][i] = rows[j].get(i, 0) + 1
+        return index, rows
 
     def determinant(self) -> int:
-        return eliminate(self.intersection_matrix()).determinant
+        return eliminate(self.intersection_rows()[1]).determinant
 
     def is_negative_definite(self) -> bool:
         """Sign test on the leading principal minors, (-1)^k minor_k > 0,
         all read off one ``exactnum.eliminate`` pass."""
-        return _negative_definite(eliminate(self.intersection_matrix()).minors)
+        return _negative_definite(eliminate(self.intersection_rows()[1]).minors)
 
     def laufer_residuals(self, coefficients: dict, arrows: Sequence[tuple] = ()
                          ) -> dict:
@@ -307,7 +319,7 @@ def verify_graph_det(graph: DualGraph) -> tuple[list[str], int]:
     problems = []
     if not graph.is_connected():
         problems.append("graph is not connected")
-    elim = eliminate(graph.intersection_matrix())
+    elim = eliminate(graph.intersection_rows()[1])
     if not _negative_definite(elim.minors):
         problems.append("intersection matrix is not negative definite")
     for name in graph.function_names():
@@ -352,20 +364,18 @@ def solve_multiplicities(graph: DualGraph, arrows, strict: bool = True) -> Divis
             raise InputError(f"graph has no arrows named {arrows!r}")
     else:
         pairs = list(arrows)
-    ids = graph.ids()
-    index = {v: i for i, v in enumerate(ids)}
-    rhs = [0] * len(ids)
+    index, rows = graph.intersection_rows()
+    rhs = [0] * len(rows)
     for vid, mult in pairs:
         rhs[index[vid]] -= mult
-    # exact solve by the shared Bareiss elimination, exactnum.eliminate
-    solved = eliminate(graph.intersection_matrix(), rhs)
+    solved = eliminate(rows, rhs)
     if solved.solution is None:
         raise DomainError("singular intersection matrix")
-    values = list(solved.solution)
+    values = [solved.solution[index[vid]] for vid in graph.ids()]
     if strict and any(v.denominator != 1 for v in values):
         raise DomainError(f"non-integral multiplicities {values}")
     coeffs = {vid: v.numerator if v.denominator == 1 else v
-              for vid, v in zip(ids, values)}
+              for vid, v in zip(graph.ids(), values)}
     return Divisor(coeffs, tuple(sorted(pairs, key=_arrow_order)))
 
 

@@ -1,7 +1,9 @@
 """Shared test utilities: numeric oracles, the pairwise contact matrix,
 Fraction-comparing references for the carrousel tree, leaf contacts,
 rendering and horn profiles of a contact matrix, characteristic
-exponents, a reference determinant, random curve generation, towers
+exponents, a reference determinant, the dense intersection matrix and
+dense Bareiss elimination with the sparse rows they are compared through,
+relabelled graphs, random curve generation, towers
 replayed from the blow-up event log, A'Campo's Alexander polynomial of a
 tower, the curvette oracle for inner rates, graph-level blow-ups of
 towers, the piece labels of a decomposition, the quadratic reference
@@ -28,9 +30,10 @@ from singlip import PuiseuxBranch, strand_contact, strands_of
 from singlip.cli import main
 from singlip.decomp import Decomposition, Piece
 from singlip.errors import DomainError, SinglipError
+from singlip.exactnum import Elimination
 from singlip.carrousel import CarrouselNode, CarrouselTree
 from singlip.strands import ContactMatrix, HornJumpProfile
-from singlip.surfgraph import CURVE_FUNCTION, GENERIC_LINEAR, DualTree
+from singlip.surfgraph import CURVE_FUNCTION, GENERIC_LINEAR, DualGraph, DualTree
 
 
 def coefficient_value(strand, exp) -> complex:
@@ -185,6 +188,101 @@ def fraction_det(matrix) -> int:
                 m[r][c] -= factor * m[col][c]
     assert det.denominator == 1
     return det.numerator
+
+
+def sparse_rows(matrix) -> list[dict]:
+    """A dense matrix as ``exactnum.eliminate`` rows: column -> non-zero."""
+    return [{j: a for j, a in enumerate(row) if a} for row in matrix]
+
+
+def intersection_matrix(graph) -> list[list[int]]:
+    """Dense intersection matrix in ``graph.ids()`` order; a double edge
+    adds 2 off the diagonal."""
+    ids = graph.ids()
+    index = {v: i for i, v in enumerate(ids)}
+    m = [[0] * len(ids) for _ in ids]
+    for v in ids:
+        m[index[v]][index[v]] = graph.vertices[v].self_intersection
+    for a, b in graph.edges:
+        m[index[a]][index[b]] += 1
+        m[index[b]][index[a]] += 1
+    return m
+
+
+def dense_eliminate(matrix, rhs=None) -> Elimination:
+    """Reference for ``exactnum.eliminate``: the same lazy Bareiss
+    elimination on a dense matrix, scanning every row below the pivot at
+    every step.  A row not hit by a pivot column is left stale and scaled
+    by p_k / p_s when it is next read; see ``exactnum.eliminate``."""
+    n = len(matrix)
+    rows = [list(row) + ([rhs[i]] if rhs is not None else [])
+            for i, row in enumerate(matrix)]
+    pivots = [1]         # pivots[s] = p_s, the pivot of step s
+    current = [0] * n    # rows[r] holds its value after step current[r]
+
+    def bring_up(r, k):          # rows[r] to its value after step k
+        s = current[r]
+        if s != k:
+            p, q = pivots[k], pivots[s]
+            rows[r][k:] = [a * p // q for a in rows[r][k:]]
+            current[r] = k
+
+    minors = []
+    swapped = False
+    sign = 1
+    for k in range(n):           # step k + 1
+        bring_up(k, k)
+        if not swapped:
+            minors.append(rows[k][k])
+        if rows[k][k] == 0:
+            swapped = True
+            pivot = next((r for r in range(k + 1, n) if rows[r][k]), None)
+            if pivot is None:
+                return Elimination(tuple(minors), 0, None)
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            current[k], current[pivot] = current[pivot], current[k]
+            sign = -sign
+            bring_up(k, k)
+        top = rows[k]
+        p = top[k]
+        for r in range(k + 1, n):
+            row = rows[r]
+            f = row[k]
+            if f:
+                q = pivots[current[r]]
+                row[k + 1:] = [(p * a - f * b) // q
+                               for a, b in zip(row[k + 1:], top[k + 1:])]
+                current[r] = k + 1
+        pivots.append(p)
+    prev = pivots[n]
+    solution = None
+    if rhs is not None:
+        y = [0] * n
+        for i in reversed(range(n)):
+            acc = prev * rows[i][n] - sum(rows[i][j] * y[j]
+                                          for j in range(i + 1, n))
+            y[i] = acc // rows[i][i]
+        solution = tuple(Fraction(v, prev) for v in y)
+    return Elimination(tuple(minors), sign * prev, solution)
+
+
+def relabelled(graph, rng: random.Random) -> tuple[DualGraph, dict]:
+    """The same graph with its vertex ids renamed ``r0``, ``r1``, ... at
+    random and its vertices, edges and arrows added in a shuffled order,
+    so its elimination order differs; and the renaming."""
+    new = [f"r{i}" for i in range(len(graph.ids()))]
+    rng.shuffle(new)
+    name = dict(zip(graph.ids(), new))
+    out = DualGraph()
+    for vid in rng.sample(graph.ids(), len(new)):
+        v = graph.vertices[vid]
+        out.add_vertex(name[vid], v.self_intersection, v.genus, v.rate,
+                       v.multiplicities, v.flags, v.rate_vector)
+    for a, b in rng.sample(graph.edges, len(graph.edges)):
+        out.add_edge(name[a], name[b])
+    for a in rng.sample(graph.arrows, len(graph.arrows)):
+        out.add_arrow(name[a.vertex], a.name, a.multiplicity, a.kind, a.branch)
+    return out, name
 
 
 def random_branch(rng: random.Random, max_den: int = 6,

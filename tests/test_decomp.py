@@ -86,6 +86,32 @@ def test_metrically_conical_ade():
     assert got == expected
 
 
+def _loop_graph(loop):
+    """An L-node ``a`` (-3, rate 1) on a loop through the rate-2 vertices
+    ``loop``; a one-vertex loop is a double edge."""
+    g = DualGraph()
+    g.add_vertex("a", -3, rate=1, flags={"L"})
+    for vid in loop:
+        g.add_vertex(vid, -3, rate=2)
+    for u, w in zip(("a", *loop), (*loop, "a")):
+        g.add_edge(u, w)
+    return g
+
+
+@pytest.mark.parametrize("loop", [("b",), ("b", "c")])
+def test_a_loop_through_an_l_node_is_thin(loop):
+    # the string leaving a through a double edge comes back to a, as the
+    # 3-cycle's does, so it is thin and joined by an A-piece
+    g = _loop_graph(loop)
+    assert g.is_negative_definite()
+    tt = thick_thin(g)
+    assert tt.thick_zones == (("a", frozenset({"a"})),)
+    assert tt.thin_zones == (frozenset(loop),)
+    d = build_decomposition(g, "inner")
+    assert summary(d) == ["A(1,1)", "B(1)"]
+    assert d.pieces[1].support == frozenset(loop)
+
+
 def test_thick_thin_errors():
     g = graph_d4()
     g.vertices["E1"].flags.discard("L")

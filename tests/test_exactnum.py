@@ -3,7 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from helpers import fraction_det
+from helpers import (dense_eliminate, fraction_det, intersection_matrix,
+                     relabelled, sparse_rows)
 from singlip import fixtures, resolve_curve, solve_multiplicities, tower_to_graph
 from singlip.errors import InputError
 from singlip.exactnum import as_rational, eliminate
@@ -40,7 +41,7 @@ def _cramer(matrix, rhs):
 
 
 def _check(matrix, rhs):
-    e = eliminate(matrix, rhs)
+    e = eliminate(sparse_rows(matrix), rhs)
     assert e.determinant == fraction_det(matrix)
     assert e.minors == _reference_minors(matrix)
     if e.determinant == 0 or rhs is None:
@@ -59,7 +60,7 @@ def test_eliminate_hand_cases():
     assert _check([[0, 0], [0, 0]], [0, 0]).determinant == 0
     assert eliminate([]) == ((), 1, None)
     assert eliminate([], []) == ((), 1, ())
-    assert eliminate([[-2]]).minors == (-2,)
+    assert eliminate(sparse_rows([[-2]])).minors == (-2,)
     # a zero pivot past the first step, recovered by a swap
     assert _check([[1, 1, 0], [1, 1, 1], [0, 1, 1]], [1, 2, 3]).determinant == -1
 
@@ -128,6 +129,39 @@ def test_eliminate_matches_fraction_reference_sparse():
     assert swaps > 100 and singular > 50
 
 
+def test_eliminate_matches_dense_reference():
+    # random dense, sparse, non-symmetric and singular matrices, with and
+    # without a right-hand side, each also with its rows and columns
+    # permuted alike, against the dense kernel of the same elimination
+    rng = random.Random(13)
+    swaps = singular = solved = 0
+    for trial in range(3000):
+        n = rng.randint(1, 12)
+        if trial % 3 == 0:
+            m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        else:
+            m = _sparse_matrix(rng, trial % 3, n)
+        if trial % 5 == 1 and n > 1:       # singular: last row a combination
+            coeffs = [rng.randint(-2, 2) for _ in range(n - 1)]
+            m[-1] = [sum(c * row[j] for c, row in zip(coeffs, m))
+                     for j in range(n)]
+        perm = rng.sample(range(n), n)
+        for matrix in (m, [[m[i][j] for j in perm] for i in perm]):
+            rhs = ([rng.randint(-5, 5) for _ in range(n)]
+                   if rng.random() < 0.5 else None)
+            rows = sparse_rows(matrix)
+            for row in rows[::2]:            # explicit zeros are allowed
+                row.setdefault(rng.randrange(n), 0)
+            before = [dict(row) for row in rows]
+            e = eliminate(rows, rhs)
+            assert e == dense_eliminate(matrix, rhs), (matrix, rhs)
+            assert rows == before            # the input is not changed
+            swaps += 0 in e.minors and e.determinant != 0
+            singular += e.determinant == 0
+            solved += e.solution is not None
+    assert swaps > 500 and singular > 1000 and solved > 1500
+
+
 def _random_tree_graph(rng, n):
     g = DualGraph()
     for i in range(n):
@@ -137,28 +171,14 @@ def _random_tree_graph(rng, n):
     return g
 
 
-def _relabelled(g, rng):
-    """Same graph, vertex ids renamed and vertices and edges reordered, so
-    the elimination order is not the tree order and fill-in happens."""
-    new = [f"r{i}" for i in g.ids()]
-    rng.shuffle(new)
-    name = dict(zip(g.ids(), new))
-    out = DualGraph()
-    for vid in rng.sample(g.ids(), len(g.ids())):
-        out.add_vertex(name[vid], g.vertices[vid].self_intersection)
-    for a, b in rng.sample(g.edges, len(g.edges)):
-        out.add_edge(name[a], name[b])
-    return out
-
-
 def test_negative_definite_matches_per_minor_loop():
     rng = random.Random(3)
     shuffle = random.Random(5)
     seen = set()
     for _ in range(150):
         tree = _random_tree_graph(rng, rng.randint(1, 12))
-        for g in (tree, _relabelled(tree, shuffle)):
-            m = g.intersection_matrix()
+        for g in (tree, relabelled(tree, shuffle)[0]):
+            m = intersection_matrix(g)
             expected = _reference_negative_definite(m)
             assert g.is_negative_definite() == expected
             assert g.determinant() == fraction_det(m) == tree.determinant()
@@ -171,10 +191,10 @@ def test_fixture_intersection_matrices(name):
     graph = fixtures.load_fixture(name)
     if fixtures.fixture_kind(name) == "curve":
         _, tower = resolve_curve(graph)
-        assert tower.determinant() == fraction_det(tower.intersection_matrix())
+        assert tower.determinant() == fraction_det(intersection_matrix(tower))
         graph = tower_to_graph(tower)
-    m = graph.intersection_matrix()
-    e = eliminate(m)
+    m = intersection_matrix(graph)
+    e = eliminate(sparse_rows(m))
     assert e.determinant == graph.determinant() == fraction_det(m), name
     assert e.minors == _reference_minors(m), name
     assert graph.is_negative_definite() == _reference_negative_definite(m)

@@ -1,12 +1,17 @@
+import random
+import re
 import time
 from fractions import Fraction as F
 
 import pytest
 
-from singlip import (Divisor, DualGraph, PuiseuxBranch, has_base_point,
-                     laufer_double_cover, laufer_parity_prepare, pencil_min,
-                     resolve_curve, resolve_pencil, solve_multiplicities,
-                     tower_to_graph, verify_graph, verify_tower)
+from helpers import (dense_eliminate, intersection_matrix, random_curve,
+                     relabelled, sparse_rows)
+from singlip import (Divisor, DualGraph, PuiseuxBranch, fixtures,
+                     has_base_point, laufer_double_cover,
+                     laufer_parity_prepare, pencil_min, resolve_curve,
+                     resolve_pencil, solve_multiplicities, tower_to_graph,
+                     verify_graph, verify_tower)
 from singlip.errors import DomainError, InputError
 from singlip.fixtures import curve_cusp_53, graph_e8
 from singlip.jsonio import graph_to_json, parse_graph, tower_to_json
@@ -58,6 +63,17 @@ def test_solve_non_integral():
         solve_multiplicities(g, [("A", 1)])
     div = solve_multiplicities(g, [("A", 1)], strict=False)
     assert div.coefficients == {"A": F(1, 2)}
+    # the message lists the values in insertion order, whatever order the
+    # elimination ran in
+    for ids, values in ((("A", "B"), [F(2, 3), F(1, 3)]),
+                        (("B", "A"), [F(1, 3), F(2, 3)])):
+        g = DualGraph()
+        for vid in ids:
+            g.add_vertex(vid, -2)
+        g.add_edge("A", "B")
+        message = re.escape(f"non-integral multiplicities {values}")
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            solve_multiplicities(g, [("A", 1)])
 
 
 def test_pencil_min_e8():
@@ -252,8 +268,16 @@ def test_double_cover_lifts_other_functions_as_function_arrows():
 
 
 def test_double_cover_rejects_odd_odd():
-    with pytest.raises(DomainError):
+    odd_odd = "^odd-odd adjacency at {}; not in the combinatorial case"
+    with pytest.raises(DomainError, match=odd_odd.format(r"edge \(0, 2\)")):
         laufer_double_cover(_cusp_tower_35())  # not parity-prepared
+    # an odd curve with an odd arrow is refused here too, before the
+    # halving of its self-intersection is reached
+    tree = DualTree()
+    tree.add_vertex(0, -3, rate_vector=(1, 1), multiplicities={"f": 3})
+    tree.add_arrow(0, "f", 1, "branch", 0)
+    with pytest.raises(DomainError, match=odd_odd.format("arrow 0")):
+        laufer_double_cover(tree)
 
 
 def test_double_cover_rejects_even_even():
@@ -287,14 +311,6 @@ def test_double_cover_two_lines_gives_a1():
 def test_double_cover_rejects_split_cover():
     tree = DualTree()
     tree.add_vertex(0, -1, rate_vector=(1, 1), multiplicities={"f": 2})
-    with pytest.raises(DomainError):
-        laufer_double_cover(tree)
-
-
-def test_double_cover_rejects_odd_selfint_halving():
-    tree = DualTree()
-    tree.add_vertex(0, -3, rate_vector=(1, 1), multiplicities={"f": 3})
-    tree.add_arrow(0, "f", 1, "branch", 0)
     with pytest.raises(DomainError):
         laufer_double_cover(tree)
 
@@ -403,3 +419,118 @@ def test_blowdownable_vertices(case):
     if case == "arrow":
         g.add_arrow("b", "f")
     assert blowdownable_vertices(g) == BLOWDOWN_CASES[case]
+
+
+# -- elimination order ---------------------------------------------------------
+
+def _double_edge_graph():
+    g = DualGraph()
+    for vid, e in (("a", -3), ("b", -3), ("c", -2)):
+        g.add_vertex(vid, e, multiplicities={"f": 1})
+    g.add_edge("a", "b")
+    g.add_edge("b", "a")
+    g.add_edge("b", "c")
+    g.add_arrow("c", "f", 1)
+    return g
+
+
+def _two_component_graph():
+    g = DualGraph()
+    for vid, e in (("x", -2), ("y", -2), ("z", -3)):
+        g.add_vertex(vid, e, multiplicities={"h": 1})
+    g.add_edge("x", "y")
+    g.add_arrow("x", "h", 1)
+    g.add_arrow("z", "h", 1)
+    return g
+
+
+def _fixture_graph(name):
+    """A graph fixture, or the resolution tower of a curve fixture."""
+    g = fixtures.load_fixture(name)
+    return resolve_curve(g)[1] if fixtures.fixture_kind(name) == "curve" else g
+
+
+EXTRA_CASES = {"double-edge": _double_edge_graph,
+               "two-components": _two_component_graph}
+
+
+def _perturbed(g):
+    """A copy with its first vertex's self-intersection raised (to at most
+    -1) and multiplicities raised by one, so that Laufer-zero and possibly
+    negative definiteness fail, and one multiplicity of its last vertex
+    dropped."""
+    out = g.copy()
+    first, last = out.ids()[0], out.ids()[-1]
+    v = out.vertices[first]
+    v.self_intersection = min(v.self_intersection + 1, -1)
+    v.multiplicities = {n: m + 1 for n, m in v.multiplicities.items()}
+    for fn in out.function_names()[:1]:
+        out.vertices[last].multiplicities.pop(fn, None)
+    return out
+
+
+def _renamed(problem, rename):
+    head, at, vid = problem.rpartition(" at vertex ")
+    return head + at + rename[vid] if at else problem
+
+
+@pytest.mark.parametrize("name", fixtures.fixture_names() + list(EXTRA_CASES))
+def test_answers_do_not_depend_on_vertex_order(name):
+    rng = random.Random(name)
+    base = EXTRA_CASES[name]() if name in EXTRA_CASES else _fixture_graph(name)
+    for g in (base, _perturbed(base)):
+        ids = g.ids()
+        m = intersection_matrix(g)
+        expected = dense_eliminate(m)
+        negdef = all(d * (-1) ** k > 0 for k, d in enumerate(expected.minors, 1))
+        problems = verify_graph(g)
+        solves = {}
+        for fn in sorted({a.name for a in g.arrows}):
+            rhs = [0] * len(ids)
+            for vid, mult in g.arrow_pairs(fn):
+                rhs[ids.index(vid)] -= mult
+            solves[fn] = dense_eliminate(m, rhs).solution
+        copies = [relabelled(g, rng) for _ in range(3)]
+        for h, rename in [(g, {v: v for v in ids})] + copies:
+            index, rows = h.intersection_rows()
+            hm, hids = intersection_matrix(h), h.ids()
+            perm = [hids.index(v) for v in index]
+            assert list(index.values()) == list(range(len(ids)))
+            assert rows == sparse_rows([[hm[a][b] for b in perm] for a in perm])
+            assert h.determinant() == expected.determinant
+            assert h.is_negative_definite() == negdef
+            names = {str(v): str(rename[v]) for v in ids}
+            assert sorted(verify_graph(h)) == sorted(_renamed(p, names)
+                                                     for p in problems)
+            for fn, solution in solves.items():
+                if solution is None:
+                    with pytest.raises(DomainError, match="^singular"):
+                        solve_multiplicities(h, fn, strict=False)
+                    continue
+                coeffs = {rename[v]: x for v, x in zip(ids, solution)}
+                assert solve_multiplicities(h, fn, strict=False).coefficients \
+                    == coeffs
+                if all(x.denominator == 1 for x in solution):
+                    assert solve_multiplicities(h, fn).coefficients == coeffs
+                else:
+                    message = (f"non-integral multiplicities "
+                               f"{[coeffs[v] for v in hids]}")
+                    with pytest.raises(DomainError,
+                                       match=f"^{re.escape(message)}$"):
+                        solve_multiplicities(h, fn)
+
+
+def test_trees_eliminate_without_fill():
+    # in a tree's elimination order each vertex but the last meets exactly
+    # one later vertex, its parent, so eliminating it fills in nothing
+    rng = random.Random(2)
+    trees = [g for g in map(_fixture_graph, fixtures.fixture_names())
+             if g.is_connected() and len(g.edges) == len(g.ids()) - 1]
+    trees += [resolve_curve(random_curve(rng, 3))[1] for _ in range(20)]
+    assert len(trees) > 30
+    for tree in trees:
+        for g in (tree, relabelled(tree, rng)[0]):
+            index, _ = g.intersection_rows()
+            later = [sum(index[w] > i for w in g.neighbors(vid))
+                     for vid, i in index.items()]
+            assert later == [1] * (len(later) - 1) + [0]
