@@ -387,7 +387,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args) or 0
+        code = args.func(args) or 0
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone; devnull keeps the exit flush from failing again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -365,6 +365,8 @@ def build_decomposition(graph: DualGraph, mode: str) -> Decomposition:
         d.add("A", _rates_between(graph, a, b),
               (piece_of_node[a], piece_of_node[b]), support=chain)
 
+    # cannot fail: in a connected graph with a node, each other vertex lies on
+    # one bamboo or string, which the walks record once; an independent check
     if not d.supports_partition(list(graph.vertices)):
         raise DomainError("piece supports do not partition the vertices")
     return d
@@ -373,28 +375,27 @@ def build_decomposition(graph: DualGraph, mode: str) -> Decomposition:
 # -- classification signatures ------------------------------------------------
 
 class Signature(NamedTuple):
-    """A decomposition graph: piece id -> attributes, and piece edges."""
+    """A decomposition graph: piece id -> attributes (the strings and ints
+    ``to_json`` writes), and piece edges.  ``tree``: the piece graph is a
+    tree, so colour refinement decides it (Immerman-Lander 1990); only
+    ``_signature`` sets it, and ``to_json`` does not write it."""
 
     metric: str
     nodes: dict
     edges: list
+    tree: bool = False
 
     def to_json(self) -> dict:
-        nodes = []
-        for n in sorted(self.nodes):
-            a = dict(self.nodes[n])
-            a["id"] = n
-            if "mult" in a:
-                a["mult"] = str(a["mult"])
-            a["rates"] = list(a["rates"])
-            nodes.append(a)
-        return {"metric": self.metric, "nodes": nodes,
+        return {"metric": self.metric,
+                "nodes": [{**self.nodes[n], "id": n} for n in sorted(self.nodes)],
                 "edges": [list(e) for e in self.edges]}
 
 
 def _signature(graph: DualGraph, metric: str) -> Signature:
     """The metric's decomposition graph, with the piece attributes that
-    ``inner_signature`` and ``outer_signature`` describe."""
+    ``inner_signature`` and ``outer_signature`` describe.  The decomposed
+    graph is connected, so the piece graph is a tree iff it has one edge
+    fewer than pieces."""
     d = build_decomposition(graph, metric)
     nodes, mults = {}, {}
     for p in d.pieces.values():
@@ -410,9 +411,9 @@ def _signature(graph: DualGraph, metric: str) -> Signature:
                 nodes[p.pid]["selfint"] = v.self_intersection
     scale = math.gcd(*mults.values()) if metric == "inner" and mults else 1
     for pid, m in mults.items():
-        nodes[pid]["mult"] = Fraction(m, scale)
-    return Signature(metric, nodes,
-                     sorted(tuple(sorted(pair)) for pair in d.adjacency))
+        nodes[pid]["mult"] = str(Fraction(m, scale))
+    edges = sorted(tuple(sorted(pair)) for pair in d.adjacency)
+    return Signature(metric, nodes, edges, len(edges) == len(nodes) - 1)
 
 
 def inner_signature(graph: DualGraph) -> Signature:
@@ -451,13 +452,28 @@ def _individualised(adj: dict, colour: dict, c, first, fresh):
             for v in adj if v[0] == 1 and colour[v] == c)
 
 
-def _isomorphic(adj: dict, colour: dict) -> bool:
-    """Whether some bijection between side 0 and side 1 of ``adj`` keeps
-    colours and edges.  A stable colouring with equal histograms whose
-    classes are singletons is such a bijection; otherwise individualise
-    one vertex of the smallest tied class against each candidate, depth
-    first on an explicit stack of candidate generators.  Refinement keeps
-    unequal histograms unequal, so unequal initial ones stop before it."""
+def signatures_equal(a: Signature, b: Signature) -> bool:
+    """Isomorphism of the two decomposition graphs keeping every piece
+    attribute, by colour refinement under one palette.  Refinement keeps
+    unequal histograms unequal, so unequal initial ones stop before it.  If
+    either side is a tree, equal histograms at the first stable colouring
+    decide: refinement identifies every tree, even among graphs with cycles
+    (Immerman-Lander, *Describing graphs: a first-order approach to graph
+    canonization*, 1990).  Otherwise a stable colouring with equal
+    histograms and singleton classes is a bijection, and a tie is broken by
+    individualising one side-0 vertex of the smallest tied class against
+    each candidate, depth first on an explicit stack of generators."""
+    if a.metric != b.metric:
+        return False
+    adj, colour, palette = {}, {}, {}
+    for side, sig in enumerate((a, b)):
+        for pid, attrs in sig.nodes.items():
+            adj[side, pid] = []
+            colour[side, pid] = palette.setdefault(
+                tuple(sorted(attrs.items())), len(palette))
+        for x, y in sig.edges:
+            adj[side, x].append((side, y))
+            adj[side, y].append((side, x))
     hist = [Counter(c for (side, _), c in colour.items() if side == s) for s in (0, 1)]
     stack = [iter((colour,))] if hist[0] == hist[1] else []
     while stack:
@@ -471,28 +487,9 @@ def _isomorphic(adj: dict, colour: dict) -> bool:
         if hist[0] != hist[1]:
             continue
         tied = [c for c, k in hist[0].items() if k > 1]
-        if not tied:
+        if not tied or a.tree or b.tree:
             return True
         c = min(tied, key=lambda c: (hist[0][c], c))
         first = next(v for v in adj if v[0] == 0 and colour[v] == c)
         stack.append(_individualised(adj, colour, c, first, len(colour)))
     return False
-
-
-def signatures_equal(a: Signature, b: Signature) -> bool:
-    """Isomorphism of the two decomposition graphs keeping every piece
-    attribute, by colour refinement with backtracking on ties (colour
-    refinement alone decides trees, so the backtracking only breaks
-    symmetries there)."""
-    if a.metric != b.metric:
-        return False
-    adj, colour, palette = {}, {}, {}
-    for side, sig in enumerate((a, b)):
-        for pid, attrs in sig.nodes.items():
-            adj[side, pid] = []
-            colour[side, pid] = palette.setdefault(
-                tuple(sorted(attrs.items())), len(palette))
-        for x, y in sig.edges:
-            adj[side, x].append((side, y))
-            adj[side, y].append((side, x))
-    return _isomorphic(adj, colour)

@@ -741,11 +741,16 @@ def run_cli(*argv) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def run_python(*argv) -> subprocess.CompletedProcess:
-    """``python *argv`` in a fresh interpreter that imports singlip from this
-    checkout; it must exit 0."""
+def checkout_env() -> dict:
+    """The environment of a fresh interpreter that imports singlip from this
+    checkout."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, *argv], env=env, check=True,
-                          capture_output=True, text=True, timeout=60)
+
+
+def run_python(*argv) -> subprocess.CompletedProcess:
+    """``python *argv`` in a fresh interpreter under ``checkout_env``; it
+    must exit 0."""
+    return subprocess.run([sys.executable, *argv], env=checkout_env(),
+                          check=True, capture_output=True, text=True, timeout=60)

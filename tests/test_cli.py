@@ -1,10 +1,12 @@
 import argparse
 import io
 import json
+import subprocess
+import sys
 
 import pytest
 
-from helpers import parse_dot, run_cli, run_python
+from helpers import checkout_env, parse_dot, run_cli, run_python
 from singlip import PuiseuxBranch, contact_matrix, jsonio, resolve_curve
 from singlip.cli import build_parser
 from singlip.decomp import MODES
@@ -240,6 +242,23 @@ def test_input_errors_exit_2(tmp_path):
     wrong.write_text(json.dumps({"format": "nope"}))
     code, _, err = run_cli("curve", "contacts", str(wrong))
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["--format", "json", "curve", "contacts", "-"], ["fixtures", "dump", "e8"]],
+    ids=["contacts-of-60-strands", "fixtures-dump"])
+def test_closed_stdout_pipe_exits_1_quietly(argv):
+    # the reader is gone before the child writes; the 60-strand contact
+    # matrix is far larger than a pipe buffer, so its write fails whenever
+    # the reader closes
+    curve = [PuiseuxBranch.from_terms([("61/60", 1)])]
+    proc = subprocess.Popen([sys.executable, "-m", "singlip.cli", *argv],
+                            env=checkout_env(), stdin=subprocess.PIPE,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    _, err = proc.communicate(jsonio.dumps(jsonio.curve_to_json(curve)).encode(),
+                              timeout=60)
+    assert (proc.returncode, err) == (1, b"")
 
 
 @pytest.mark.parametrize("raw", [

@@ -1,6 +1,7 @@
 import json
 import operator
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -392,12 +393,56 @@ def _star(leaves: int, first_leaf_rate=F(1)) -> DualGraph:
     return g
 
 
-def test_signatures_of_a_wide_star_compare():
-    # the search individualises one tied leaf pair per level, which went
-    # past the interpreter's recursion limit at 400 leaves when it recursed
+def _spy_individualised(monkeypatch) -> list:
+    """Record each call of ``decomp._individualised``, one per search level."""
+    from singlip import decomp
+    calls = []
+    real = decomp._individualised
+    monkeypatch.setattr(decomp, "_individualised",
+                        lambda *a: calls.append(1) or real(*a))
+    return calls
+
+
+def test_signatures_of_a_wide_star_compare(monkeypatch):
+    # a star is a tree, so its first stable colouring decides; the search
+    # would individualise one tied leaf pair per level
+    calls = _spy_individualised(monkeypatch)
     star = inner_signature(_star(450))
+    assert star.tree
     assert signatures_equal(star, inner_signature(_star(450)))
     assert not signatures_equal(star, inner_signature(_star(450, F(2))))
+    assert calls == []
+    # a hand-built signature carries no tree fact and keeps the search, on
+    # an explicit stack one level deep per leaf pair
+    bare = inner_signature(_star(60))
+    assert signatures_equal(Signature(*bare[:3]), Signature(*bare[:3]))
+    assert len(calls) == 59
+
+
+def _two_strings() -> DualGraph:
+    """Two L-nodes joined by two disjoint strings: a cycle through two
+    nodes, whose two A-pieces refinement cannot tell apart."""
+    g = DualGraph()
+    g.add_vertex("a", -3, rate=F(1), multiplicities={"h": 1}, flags=("L",))
+    g.add_vertex("b", -3, rate=F(2), multiplicities={"h": 1}, flags=("L",))
+    for vid in "stu":
+        g.add_vertex(vid, -2, rate=F(3, 2), multiplicities={"h": 1})
+    for a, b in (("a", "s"), ("s", "b"), ("a", "t"), ("t", "u"), ("u", "b")):
+        g.add_edge(a, b)
+    return g
+
+
+def test_a_piece_graph_with_a_cycle_keeps_the_search(monkeypatch):
+    calls = _spy_individualised(monkeypatch)
+    doc = jsonio.graph_to_json(_two_strings())
+    for build in (inner_signature, outer_signature):
+        sig = build(jsonio.parse_graph(doc))
+        assert not sig.tree and len(sig.nodes) == len(sig.edges) == 4
+        for seed in range(3):
+            relabelled = _relabel(doc, random.Random(seed))
+            assert signatures_equal(sig, build(jsonio.parse_graph(relabelled)))
+        assert not signatures_equal(sig, build(jsonio.parse_graph(_perturb(doc))))
+    assert calls
 
 
 def test_unequal_piece_histograms_skip_refinement(monkeypatch):
@@ -433,6 +478,63 @@ def _rated_documents():
     return docs
 
 
+def _piece_graph_is_a_tree(sig) -> bool:
+    """Connected and acyclic, by union-find over the signature's edges."""
+    root = {n: n for n in sig.nodes}
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    acyclic = True
+    for x, y in sig.edges:
+        rx, ry = find(x), find(y)
+        acyclic = acyclic and rx != ry
+        root[rx] = ry
+    return acyclic and len({find(n) for n in sig.nodes}) == 1
+
+
+def test_signature_tree_fact_is_a_connected_acyclic_piece_graph():
+    facts = set()
+    for doc in _rated_documents() + [jsonio.graph_to_json(_two_strings())]:
+        for build in (inner_signature, outer_signature):
+            sig = build(jsonio.parse_graph(doc))
+            assert sig.tree == _piece_graph_is_a_tree(sig)
+            facts.add(sig.tree)
+    assert facts == {True, False}
+
+
+def _random_tree_signature(rng, size: int, colours: int) -> Signature:
+    """A tree of ``size`` pieces in ``colours`` attribute sets, marked as one."""
+    nodes = {i: {"kind": "B", "rates": (str(rng.randint(2, colours + 1)),)}
+             for i in range(size)}
+    return Signature("inner", nodes, [(rng.randrange(i), i) for i in range(1, size)],
+                     tree=True)
+
+
+def _relabelled_signature(sig: Signature, rng) -> Signature:
+    perm = list(sig.nodes)
+    rng.shuffle(perm)
+    return sig._replace(nodes={perm[i]: a for i, a in sig.nodes.items()},
+                        edges=[(perm[x], perm[y]) for x, y in sig.edges])
+
+
+def _swapped_edges(sig: Signature, rng) -> Signature:
+    """The same degrees after a few edge swaps, so maybe a cycle and more
+    than one component; no tree fact."""
+    edges = [tuple(e) for e in sig.edges]
+    for _ in range(3):
+        if len(edges) < 2:
+            break
+        i, j = rng.sample(range(len(edges)), 2)
+        (a, b), (c, d) = edges[i], edges[j]
+        if len({a, b, c, d}) == 4 and not {frozenset((a, d)), frozenset((c, b))} & {
+                frozenset(e) for e in edges}:
+            edges[i], edges[j] = (a, d), (c, b)
+    return Signature(sig.metric, sig.nodes, edges)
+
+
 def test_signatures_equal_matches_networkx():
     nx = pytest.importorskip("networkx")
 
@@ -456,6 +558,18 @@ def test_signatures_equal_matches_networkx():
             assert not check(sig, build(jsonio.parse_graph(_perturb(doc))))
             outcomes.add(len(sig.nodes))
     assert max(outcomes) >= 10
+    # random 1-2-coloured trees carrying the tree fact, against a relabelled
+    # copy, another tree, and a graph of the same degrees without the fact
+    results = Counter()
+    for _ in range(300):
+        size, colours = rng.randint(1, 12), rng.randint(1, 2)
+        tree = _random_tree_signature(rng, size, colours)
+        assert check(tree, _relabelled_signature(tree, rng))
+        other = _random_tree_signature(rng, size, colours)
+        results["tree", check(tree, other)] += 1
+        swapped = _swapped_edges(_relabelled_signature(tree, rng), rng)
+        results["swapped", check(swapped, tree)] += 1
+    assert min(results.values()) >= 10, results
     # colour refinement alone cannot split two 2-regular graphs of one
     # size: the hexagon against two triangles needs the backtracking
     node = {"kind": "A", "rates": ("2", "3")}
@@ -476,6 +590,11 @@ def test_signatures_equal_matches_networkx():
     four_three = Signature("inner", seven, [(0, 1), (1, 2), (2, 3), (0, 3),
                                             (4, 5), (5, 6), (4, 6)])
     assert check(three_four, four_three)
+    # with a seventh piece each has one edge fewer than pieces, yet neither
+    # is a tree: only _signature knows its graph connected, so these carry
+    # no tree fact and refinement's tie goes to the search
+    assert not check(Signature("inner", seven, triangles.edges),
+                     Signature("inner", seven, hexagon.edges))
 
 
 def test_signature_requires_multiplicities():
