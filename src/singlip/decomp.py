@@ -376,14 +376,11 @@ def build_decomposition(graph: DualGraph, mode: str) -> Decomposition:
 
 class Signature(NamedTuple):
     """A decomposition graph: piece id -> attributes (the strings and ints
-    ``to_json`` writes), and piece edges.  ``tree``: the piece graph is a
-    tree, so colour refinement decides it (Immerman-Lander 1990); only
-    ``_signature`` sets it, and ``to_json`` does not write it."""
+    ``to_json`` writes), and piece edges."""
 
     metric: str
     nodes: dict
     edges: list
-    tree: bool = False
 
     def to_json(self) -> dict:
         return {"metric": self.metric,
@@ -393,9 +390,7 @@ class Signature(NamedTuple):
 
 def _signature(graph: DualGraph, metric: str) -> Signature:
     """The metric's decomposition graph, with the piece attributes that
-    ``inner_signature`` and ``outer_signature`` describe.  The decomposed
-    graph is connected, so the piece graph is a tree iff it has one edge
-    fewer than pieces."""
+    ``inner_signature`` and ``outer_signature`` describe."""
     d = build_decomposition(graph, metric)
     nodes, mults = {}, {}
     for p in d.pieces.values():
@@ -412,8 +407,8 @@ def _signature(graph: DualGraph, metric: str) -> Signature:
     scale = math.gcd(*mults.values()) if metric == "inner" and mults else 1
     for pid, m in mults.items():
         nodes[pid]["mult"] = str(Fraction(m, scale))
-    edges = sorted(tuple(sorted(pair)) for pair in d.adjacency)
-    return Signature(metric, nodes, edges, len(edges) == len(nodes) - 1)
+    return Signature(metric, nodes,
+                     sorted(tuple(sorted(pair)) for pair in d.adjacency))
 
 
 def inner_signature(graph: DualGraph) -> Signature:
@@ -452,6 +447,19 @@ def _individualised(adj: dict, colour: dict, c, first, fresh):
             for v in adj if v[0] == 1 and colour[v] == c)
 
 
+def _is_tree(adj: dict, side: int) -> bool:
+    """Whether side ``side`` of ``adj`` is a tree: connected, with one edge
+    fewer than vertices (so with no loop or repeated edge either)."""
+    verts = [v for v in adj if v[0] == side]
+    reached, todo = set(), verts[:1]
+    while todo:
+        v = todo.pop()
+        if v not in reached:
+            reached.add(v)
+            todo += adj[v]
+    return len(reached) == len(verts) == sum(len(adj[v]) for v in verts) // 2 + 1
+
+
 def signatures_equal(a: Signature, b: Signature) -> bool:
     """Isomorphism of the two decomposition graphs keeping every piece
     attribute, by colour refinement under one palette.  Refinement keeps
@@ -475,6 +483,7 @@ def signatures_equal(a: Signature, b: Signature) -> bool:
             adj[side, x].append((side, y))
             adj[side, y].append((side, x))
     hist = [Counter(c for (side, _), c in colour.items() if side == s) for s in (0, 1)]
+    tree = _is_tree(adj, 0) or _is_tree(adj, 1)
     stack = [iter((colour,))] if hist[0] == hist[1] else []
     while stack:
         colour = next(stack[-1], None)
@@ -487,7 +496,7 @@ def signatures_equal(a: Signature, b: Signature) -> bool:
         if hist[0] != hist[1]:
             continue
         tied = [c for c, k in hist[0].items() if k > 1]
-        if not tied or a.tree or b.tree:
+        if not tied or tree:
             return True
         c = min(tied, key=lambda c: (hist[0][c], c))
         first = next(v for v in adj if v[0] == 0 and colour[v] == c)

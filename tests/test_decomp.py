@@ -1,6 +1,7 @@
 import json
 import operator
 import random
+import sys
 from collections import Counter
 from fractions import Fraction as F
 
@@ -12,7 +13,7 @@ from singlip import (PuiseuxBranch, amalgamate, build_decomposition,
                      resolve_curve, signatures_equal, thick_thin,
                      thin_zone_rate, tower_to_graph)
 from singlip import fixtures, jsonio
-from singlip.decomp import MODES, Signature, _nodes
+from singlip.decomp import MODES, Signature, _is_tree, _nodes
 from singlip.errors import DomainError, InputError
 from singlip.fixtures import (curve_32_74, curve_cusp_53, graph_a_k, graph_d4,
                               graph_e8, graph_e8_nash,
@@ -403,20 +404,45 @@ def _spy_individualised(monkeypatch) -> list:
     return calls
 
 
+def _is_tree_signature(sig: Signature) -> bool:
+    """``_is_tree`` on the adjacency ``signatures_equal`` builds for ``sig``."""
+    adj = {(0, n): [] for n in sig.nodes}
+    for x, y in sig.edges:
+        adj[0, x].append((0, y))
+        adj[0, y].append((0, x))
+    return _is_tree(adj, 0)
+
+
+def _frame_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
 def test_signatures_of_a_wide_star_compare(monkeypatch):
     # a star is a tree, so its first stable colouring decides; the search
     # would individualise one tied leaf pair per level
     calls = _spy_individualised(monkeypatch)
     star = inner_signature(_star(450))
-    assert star.tree
+    assert _is_tree_signature(star)
     assert signatures_equal(star, inner_signature(_star(450)))
     assert not signatures_equal(star, inner_signature(_star(450, F(2))))
     assert calls == []
-    # a hand-built signature carries no tree fact and keeps the search, on
-    # an explicit stack one level deep per leaf pair
+    # one edge between two leaves closes a cycle, so the search runs one
+    # level per tied leaf pair; under a recursion limit 30 frames above the
+    # caller it must keep its levels on an explicit stack
     bare = inner_signature(_star(60))
-    assert signatures_equal(Signature(*bare[:3]), Signature(*bare[:3]))
-    assert len(calls) == 59
+    leaves = [n for n, attrs in bare.nodes.items() if "mult" in attrs]
+    cyclic = bare._replace(edges=bare.edges + [tuple(leaves[:2])])
+    assert not _is_tree_signature(cyclic)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frame_depth() + 30)
+    try:
+        assert signatures_equal(cyclic, _relabelled_signature(cyclic, random.Random(1)))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(calls) == 58
 
 
 def _two_strings() -> DualGraph:
@@ -437,7 +463,7 @@ def test_a_piece_graph_with_a_cycle_keeps_the_search(monkeypatch):
     doc = jsonio.graph_to_json(_two_strings())
     for build in (inner_signature, outer_signature):
         sig = build(jsonio.parse_graph(doc))
-        assert not sig.tree and len(sig.nodes) == len(sig.edges) == 4
+        assert not _is_tree_signature(sig) and len(sig.nodes) == len(sig.edges) == 4
         for seed in range(3):
             relabelled = _relabel(doc, random.Random(seed))
             assert signatures_equal(sig, build(jsonio.parse_graph(relabelled)))
@@ -496,21 +522,26 @@ def _piece_graph_is_a_tree(sig) -> bool:
 
 
 def test_signature_tree_fact_is_a_connected_acyclic_piece_graph():
-    facts = set()
-    for doc in _rated_documents() + [jsonio.graph_to_json(_two_strings())]:
-        for build in (inner_signature, outer_signature):
-            sig = build(jsonio.parse_graph(doc))
-            assert sig.tree == _piece_graph_is_a_tree(sig)
-            facts.add(sig.tree)
-    assert facts == {True, False}
+    sigs = [build(jsonio.parse_graph(doc))
+            for doc in _rated_documents() + [jsonio.graph_to_json(_two_strings())]
+            for build in (inner_signature, outer_signature)]
+    # one edge fewer than pieces without being connected, a loop, a
+    # repeated edge, and no piece at all
+    node = {"kind": "A", "rates": ("2",)}
+    sigs += [Signature("inner", {i: node for i in range(4)}, edges)
+             for edges in ([(0, 1), (1, 2), (0, 2)], [(0, 1), (1, 2), (2, 2)],
+                           [(0, 1), (1, 2), (1, 2)], [(0, 1), (1, 2), (2, 3)])]
+    sigs.append(Signature("inner", {}, []))
+    facts = [_is_tree_signature(sig) for sig in sigs]
+    assert facts == [_piece_graph_is_a_tree(sig) for sig in sigs]
+    assert set(facts) == {True, False} and facts[-5:] == [False] * 3 + [True, False]
 
 
 def _random_tree_signature(rng, size: int, colours: int) -> Signature:
-    """A tree of ``size`` pieces in ``colours`` attribute sets, marked as one."""
+    """A random tree of ``size`` pieces in ``colours`` attribute sets."""
     nodes = {i: {"kind": "B", "rates": (str(rng.randint(2, colours + 1)),)}
              for i in range(size)}
-    return Signature("inner", nodes, [(rng.randrange(i), i) for i in range(1, size)],
-                     tree=True)
+    return Signature("inner", nodes, [(rng.randrange(i), i) for i in range(1, size)])
 
 
 def _relabelled_signature(sig: Signature, rng) -> Signature:
@@ -522,7 +553,7 @@ def _relabelled_signature(sig: Signature, rng) -> Signature:
 
 def _swapped_edges(sig: Signature, rng) -> Signature:
     """The same degrees after a few edge swaps, so maybe a cycle and more
-    than one component; no tree fact."""
+    than one component."""
     edges = [tuple(e) for e in sig.edges]
     for _ in range(3):
         if len(edges) < 2:
@@ -558,8 +589,8 @@ def test_signatures_equal_matches_networkx():
             assert not check(sig, build(jsonio.parse_graph(_perturb(doc))))
             outcomes.add(len(sig.nodes))
     assert max(outcomes) >= 10
-    # random 1-2-coloured trees carrying the tree fact, against a relabelled
-    # copy, another tree, and a graph of the same degrees without the fact
+    # random 1-2-coloured trees against a relabelled copy, another tree,
+    # and a graph of the same degrees that may not be a tree
     results = Counter()
     for _ in range(300):
         size, colours = rng.randint(1, 12), rng.randint(1, 2)
@@ -591,8 +622,8 @@ def test_signatures_equal_matches_networkx():
                                             (4, 5), (5, 6), (4, 6)])
     assert check(three_four, four_three)
     # with a seventh piece each has one edge fewer than pieces, yet neither
-    # is a tree: only _signature knows its graph connected, so these carry
-    # no tree fact and refinement's tie goes to the search
+    # is connected, so neither is a tree and refinement's tie goes to the
+    # search
     assert not check(Signature("inner", seven, triangles.edges),
                      Signature("inner", seven, hexagon.edges))
 
