@@ -23,9 +23,14 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import NamedTuple, Optional
 
-from .errors import InputError
+from .errors import InputError, ResourceCapExceeded
 from .exactnum import rational_to_json
 from .strands import ContactMatrix
+
+# Leaves lie at most this many levels below the root: each tree walk takes
+# about two Python frames a level, and JSON output two nestings, which this
+# keeps well under the default recursion limit of 1000.
+MAX_DEPTH = 400
 
 
 class CarrouselNode(NamedTuple):
@@ -85,12 +90,16 @@ def build_carrousel_tree(matrix: ContactMatrix) -> CarrouselTree:
     larger one is a vertex weighted by the least contact with its first
     strand, so no vertex but the root is unary.  An infinite (None) entry
     joins no class, so a matrix with one off the diagonal never comes back
-    from ``leaf_contacts``.  Contacts are compared by rank."""
+    from ``leaf_contacts``.  Contacts are compared by rank.  A tree deeper
+    than ``MAX_DEPTH`` levels is ``ResourceCapExceeded``."""
     ranks, inf = matrix.ranks, len(matrix.values) - 1
 
-    def split(strands: list[int], weight: Fraction, top: int) -> CarrouselNode:
+    def split(strands: list[int], weight: Fraction, top: int,
+              depth: int) -> CarrouselNode:
         # contact is ultrametric: the first strand left takes its class, all
         # above ``top`` in its row.  Its least contact splits off, so any matrix ends
+        if depth == MAX_DEPTH:   # its children would lie deeper
+            raise ResourceCapExceeded(f"carrousel depth limit {MAX_DEPTH} exceeded")
         kids = []
         while strands:
             first = strands.pop(0)
@@ -99,13 +108,15 @@ def build_carrousel_tree(matrix: ContactMatrix) -> CarrouselTree:
             if group:
                 strands = [s for s in strands if not top < row[s] < inf]
                 low = min(group, key=row.__getitem__)
-                kids.append(split([first, *group], matrix.q(first, low), row[low]))
+                kids.append(split([first, *group], matrix.q(first, low), row[low],
+                                  depth + 1))
             else:
                 kids.append(CarrouselNode(None, leaf=first))
         return CarrouselNode(weight, tuple(kids))
 
     top = sum(v <= 1 for v in matrix.values[:-1]) - 1  # ranks above it exceed 1
-    return CarrouselTree(split(list(range(matrix.size)), Fraction(1), top), matrix.size)
+    return CarrouselTree(split(list(range(matrix.size)), Fraction(1), top, 0),
+                         matrix.size)
 
 
 def decorate(tree: CarrouselTree) -> CarrouselTree:

@@ -32,7 +32,7 @@ from typing import NamedTuple
 from .errors import DomainError, InputError
 from .exactnum import rational_to_json
 from .surfgraph import (DualGraph, DualTree, L_NODE, DELTA_NODE, P_NODE,
-                        GENERIC_LINEAR)
+                        GENERIC_LINEAR, reach)
 
 MODES = ("initial", "inner", "outer")
 
@@ -451,13 +451,8 @@ def _is_tree(adj: dict, side: int) -> bool:
     """Whether side ``side`` of ``adj`` is a tree: connected, with one edge
     fewer than vertices (so with no loop or repeated edge either)."""
     verts = [v for v in adj if v[0] == side]
-    reached, todo = set(), verts[:1]
-    while todo:
-        v = todo.pop()
-        if v not in reached:
-            reached.add(v)
-            todo += adj[v]
-    return len(reached) == len(verts) == sum(len(adj[v]) for v in verts) // 2 + 1
+    edges = sum(len(adj[v]) for v in verts) // 2
+    return len(verts) == edges + 1 == len(reach(adj, verts[0]))
 
 
 def signatures_equal(a: Signature, b: Signature) -> bool:

@@ -21,4 +21,4 @@ class DomainError(SinglipError, ValueError):
 
 
 class ResourceCapExceeded(DomainError):
-    """A configurable iteration cap (blow-up events, pencil steps) was hit."""
+    """A size cap (events, pencil steps, strands, carrousel depth) was hit."""

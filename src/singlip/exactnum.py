@@ -8,12 +8,13 @@ the package) rounds: floats appear only in test oracles.
 Every linear-algebra question about an intersection matrix (determinant,
 signs of the leading principal minors, exact solves) goes through the one
 Bareiss elimination ``eliminate``, on sparse rows in an order the caller
-picks.  Eliminating a vertex joins its later neighbours; in a tree's
-depth-first post-order each vertex has one, its parent, so nothing fills
-in (Parter 1961).  No caller's answer depends on the order: a symmetric
-permutation keeps the determinant and permutes the solution, which the
-caller maps back; Sylvester's criterion holds in any order, and a zero
-minor fails it in any; singularity and integrality belong to the matrix.
+picks.  Eliminating a vertex joins its later neighbours; in any order with
+each tree vertex before its parent, here reverse breadth-first, each has
+one, its parent, so nothing fills in (Parter 1961).  No caller's answer
+depends on the order: a symmetric permutation keeps the determinant and
+permutes the solution, which the caller maps back; Sylvester's criterion
+holds in any order, and a zero minor fails it in any; singularity and
+integrality belong to the matrix.
 """
 
 from __future__ import annotations

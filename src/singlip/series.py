@@ -89,6 +89,9 @@ class RatSeries(NamedTuple):
         monomial = other.prec == math.inf and len(other.num) == len(other.den) == 1
         prec = min(self.prec - o, so + other.prec - 2 * o,
                    math.inf if monomial else self.horizon)
+        # never true: every stored exponent lies below its series' prec, so
+        # o <= so < P_self and o < P_other put both bounds at 1 or more, and
+        # the resolver's horizon is at least 2; kept as an independent check
         if prec < 1:
             raise PrecisionExhausted
         return RatSeries._reduced(_mul(self.num, other.den, o, prec),

@@ -76,6 +76,18 @@ def _negative_definite(minors) -> bool:
     return all(d * (-1) ** k > 0 for k, d in enumerate(minors, 1))
 
 
+def reach(adjacent: dict, start, within=None) -> list:
+    """Vertices reachable from ``start`` through ``within`` only when given,
+    breadth first in the order of the ``adjacent`` lists."""
+    order, seen = [start], {start}
+    for v in order:
+        for w in adjacent[v]:
+            if w not in seen and (within is None or w in within):
+                seen.add(w)
+                order.append(w)
+    return order
+
+
 class DualGraph:
     """Resolution graph: vertices with decorations, edges (multi-edges
     allowed), and arrows for strict transforms.  ``vertices`` maps id to
@@ -219,17 +231,9 @@ class DualGraph:
         return sorted({n for vid in self.ids()
                        for n in self.vertices[vid].multiplicities})
 
-    def component(self, start, within=None) -> set:
-        """Vertices reachable from ``start``, through ``within`` only when
-        given."""
-        seen = {start}
-        queue = [start]
-        while queue:
-            for w in self._adjacent[queue.pop()]:
-                if w not in seen and (within is None or w in within):
-                    seen.add(w)
-                    queue.append(w)
-        return seen
+    def component(self, start, within=None) -> list:
+        """``reach`` from ``start`` in this graph."""
+        return reach(self._adjacent, start, within)
 
     def is_connected(self) -> bool:
         ids = self.ids()
@@ -237,19 +241,14 @@ class DualGraph:
 
     def intersection_rows(self) -> tuple[dict, list[dict]]:
         """The row of each vertex id, and the intersection matrix as
-        ``exactnum.eliminate`` rows in a depth-first post-order: each tree
-        vertex comes before its parent, so nothing fills in."""
-        order, seen, adjacent = [], set(), self._adjacent
-        stack = [(None, iter(self.ids()))]   # a root meeting every vertex
-        while stack:
-            for w in stack[-1][1]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append((w, iter(adjacent[w])))
-                    break
-            else:
-                order.append(stack.pop()[0])
-        index = dict(zip(order, range(len(order) - 1)))   # not that root
+        ``exactnum.eliminate`` rows in any order with each tree vertex
+        before its parent, so that nothing fills in; here each component in
+        reverse breadth-first order from its first vertex."""
+        index: dict = {}
+        for vid in self.ids():
+            if vid not in index:
+                for w in reversed(reach(self._adjacent, vid)):
+                    index[w] = len(index)
         rows = [{i: self.vertices[vid].self_intersection}
                 for vid, i in index.items()]
         for a, b in self.edges:

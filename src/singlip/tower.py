@@ -11,13 +11,15 @@ arrows transversal at free points, so the event sequence is the minimal
 one.  A decision past a series' precision restarts the resolution at twice
 the horizon, so a horizon too small costs time, never a different tower.
 
-The points pass through one queue in creation order.  A popped point that
-needs a blow-up is blown up and the points of the new curve are queued in
-the order of their first branch; any other point is kept and gets its
-branch arrows at the end, in pop order.  A point's branches are fixed once
-the blow-up that creates it has landed them, so whether it needs a blow-up
-never changes, and every later point is queued after it: the queue blows
-up, at each step, the earliest created point that needs it.
+A point is the pair (center, branches): the center that the event blowing
+it up records, and each branch id's two series.  The points pass through
+one queue in creation order.  A popped point that needs a blow-up is blown
+up and the points of the new curve are queued in the order of their first
+branch; any other point is kept and gets its branch arrows at the end, in
+pop order.  A point's branches are fixed once the blow-up that creates it
+has landed them, so whether it needs a blow-up never changes, and every
+later point is queued after it: the queue blows up, at each step, the
+earliest created point that needs it.
 
 Each event is ``DualGraph.blow_up``, which sets the new curve's
 self-intersection, unreduced inner-rate vector and multiplicities.  The
@@ -55,18 +57,6 @@ class BlowupEvent(NamedTuple):
     branches_through: tuple[tuple[int, int], ...]
 
 
-class _Point:
-    """An infinitely-near point carrying branch strict transforms, named by
-    the ``center`` that the event blowing it up records; ``branches`` maps
-    branch id to (RatSeries, RatSeries)."""
-
-    __slots__ = ("center", "branches")
-
-    def __init__(self, center: tuple, branches: dict):
-        self.center = center
-        self.branches = branches
-
-
 def resolve_curve(curve: Sequence[PuiseuxBranch], event_cap: int = DEFAULT_EVENT_CAP,
                   strand_cap: int = DEFAULT_STRAND_CAP
                   ) -> tuple[list[BlowupEvent], DualTree]:
@@ -89,30 +79,30 @@ def _horizon(curve: Sequence[PuiseuxBranch]) -> int:
 def _resolve(curve, event_cap: int, horizon: int):
     tree = DualTree()
     events: list[BlowupEvent] = []
-    queue = deque([_Point(("origin",), {
+    queue = deque([(("origin",), {
         i: tuple(RatSeries.make(s, horizon) for s in b.parametrization())
         for i, b in enumerate(curve)})])
     kept = []
     while queue:
-        p = queue.popleft()
-        if not _needs_blowup(p):
-            kept.append(p)
+        center, branches = point = queue.popleft()
+        if not _needs_blowup(center, branches):
+            kept.append(point)
             continue
         if len(events) >= event_cap:
             raise ResourceCapExceeded(f"blow-up event cap {event_cap} exceeded")
-        events.append(_blow_up(tree, p))
-        queue.extend(_land_branches(p, events[-1].index))
-    for p in kept:
-        for bid, (bu, _) in sorted(p.branches.items()):
+        events.append(_blow_up(tree, center, branches))
+        queue.extend(_land_branches(center, branches, events[-1].index))
+    for center, branches in kept:
+        for bid, (bu, _) in sorted(branches.items()):
             assert bu.ord() == 1
-            tree.add_arrow(p.center[1], CURVE_FUNCTION, 1, "branch", bid)
+            tree.add_arrow(center[1], CURVE_FUNCTION, 1, "branch", bid)
     return events, tree
 
 
-def _needs_blowup(p: _Point) -> bool:
-    if p.center[0] != "free" or len(p.branches) >= 2:
+def _needs_blowup(center: tuple, branches: dict) -> bool:
+    if center[0] != "free" or len(branches) >= 2:
         return True  # the origin, a double point of the divisor, or two branches
-    (pair,) = p.branches.values()
+    (pair,) = branches.values()
     if _local_multiplicity(pair) >= 2:
         return True  # singular strict transform
     return pair[0].ord() >= 2  # smooth but tangent to the exceptional curve
@@ -128,39 +118,39 @@ def _curves_through(center: tuple) -> tuple:
     return center[1:3] if center[0] == "satellite" else center[1:2]
 
 
-def _blow_up(tree: DualTree, p: _Point) -> BlowupEvent:
+def _blow_up(tree: DualTree, center: tuple, branches: dict) -> BlowupEvent:
     """Blow up the point in the tree; the new vertex id is the event index."""
     new = len(tree.vertices)
     through = tuple(sorted(
-        (bid, _local_multiplicity(pair)) for bid, pair in p.branches.items()))
-    origin = p.center[0] == "origin"
-    tree.blow_up(new, _curves_through(p.center), {
+        (bid, _local_multiplicity(pair)) for bid, pair in branches.items()))
+    origin = center[0] == "origin"
+    tree.blow_up(new, _curves_through(center), {
         CURVE_FUNCTION: sum(m for _, m in through), GENERIC_LINEAR: int(origin)})
     if origin:
         tree.add_arrow(new, GENERIC_LINEAR, 1, "generic-linear")
-    return BlowupEvent(new, p.center, through)
+    return BlowupEvent(new, center, through)
 
 
-def _land_branches(p: _Point, new: int) -> list[_Point]:
-    """The points of the new curve ``new`` that p's branches pass through,
+def _land_branches(center: tuple, branches: dict, new: int) -> list[tuple]:
+    """The points of the new curve ``new`` that the branches pass through,
     in the order of their first branch.  ``new`` meets each curve through
-    p's center (cut out by p's first, then second coordinate) at a
+    ``center`` (cut out by the first, then second coordinate) at a
     satellite point, and a coordinate axis that is no such curve at "axis"."""
-    meets = [("satellite", new, d) for d in _curves_through(p.center)]
+    meets = [("satellite", new, d) for d in _curves_through(center)]
     on_u, on_v = meets + [("free", new, "axis")] * (2 - len(meets))
-    landings: dict[tuple, _Point] = {}
-    for bid, (bu, bv) in sorted(p.branches.items()):
+    landings: dict[tuple, dict] = {}
+    for bid, (bu, bv) in sorted(branches.items()):
         if bv.ord() < bu.ord():
-            center, pair = on_u, (bv, bu.div(bv))
+            at, pair = on_u, (bv, bu.div(bv))
         else:
             ratio = bv.div(bu)
             c = ratio.constant()
             if c:
-                center, pair = ("free", new, c), (bu, ratio.sub_const(c))
+                at, pair = ("free", new, c), (bu, ratio.sub_const(c))
             else:
-                center, pair = on_v, (bu, ratio)
-        landings.setdefault(center, _Point(center, {})).branches[bid] = pair
-    return list(landings.values())
+                at, pair = on_v, (bu, ratio)
+        landings.setdefault(at, {})[bid] = pair
+    return list(landings.items())
 
 
 def branch_contact(tree: DualTree, first: int, second: int) -> Fraction:

@@ -7,6 +7,7 @@ from helpers import random_curve
 from singlip import (PuiseuxBranch, build_carrousel_tree, contact_matrix,
                      decorate, leaf_contacts, reduce_to_eggers,
                      trees_isomorphic)
+from singlip.carrousel import MAX_DEPTH
 from singlip.errors import InputError
 from singlip.fixtures import curve_carrousel_example, load_fixture
 from singlip.strands import ContactMatrix
@@ -183,3 +184,18 @@ def test_eggers_reduction_rejects_bad_group_sizes():
 def test_eggers_reduction_rejects_undecorated_tree():
     with pytest.raises(InputError, match="needs a decorated tree"):
         reduce_to_eggers(tree_of(curve_carrousel_example()))
+
+
+def test_carrousel_depth_limit_leaves_wide_trees_alone():
+    # MAX_DEPTH + 100 pairs of strands, the pairs apart at contact 1 and
+    # each pair at its own contact: two levels and far more contacts than
+    # the limit
+    pairs = MAX_DEPTH + 100
+    ranks = tuple(tuple(pairs + 1 if j == k else j // 2 + 1 if j // 2 == k // 2
+                        else 0 for k in range(2 * pairs)) for j in range(2 * pairs))
+    matrix = ContactMatrix._make((2 * pairs, (*map(F, range(1, pairs + 2)), None),
+                                  ranks))
+    tree = build_carrousel_tree(matrix)
+    assert len(tree.root.children) == pairs
+    assert all(len(c.children) == 2 for c in tree.root.children)
+    assert leaf_contacts(tree) == matrix

@@ -7,7 +7,8 @@ import sys
 import pytest
 
 from helpers import checkout_env, parse_dot, run_cli, run_python
-from singlip import PuiseuxBranch, contact_matrix, jsonio, resolve_curve
+from singlip import PuiseuxBranch, contact_matrix, jsonio, resolve_curve, strands
+from singlip.carrousel import MAX_DEPTH
 from singlip.cli import build_parser
 from singlip.decomp import MODES
 from singlip.dot import graph_to_dot
@@ -420,6 +421,48 @@ def test_default_strand_cap_refuses_a_million_strands(tmp_path):
         code, out, err = run_cli(*argv, str(path))
         assert (code, out) == (1, ""), argv
         assert err == "error: strand cap 1024 exceeded: 1000000 strands\n", argv
+
+
+def _staircase(tmp_path, n) -> str:
+    """The curve of the n smooth branches y = x^(j+1), j = 0..n-1, whose
+    carrousel tree has its last leaf n - 1 levels below the root."""
+    path = tmp_path / f"staircase-{n}.json"
+    path.write_text(json.dumps({"format": "singlip.curve/1", "branches": [
+        {"terms": [{"exp": j + 1, "coeff": 1}]} for j in range(n)]}))
+    return str(path)
+
+
+_CARROUSEL_COMMANDS = [
+    ["curve", "carrousel"], ["curve", "carrousel", "--reduce"],
+    ["--format", "json", "curve", "carrousel"],
+    ["--format", "json", "curve", "carrousel", "--reduce"],
+    ["--format", "dot", "curve", "carrousel"], ["curve", "equiv", None],
+    ["verify"]]
+
+
+def test_carrousel_depth_limit(tmp_path, monkeypatch):
+    # every command that walks a carrousel tree works at the depth limit
+    # and one level deeper exits 1 with one error line, not a traceback.
+    # In-process under pytest the stack starts deeper than in a fresh
+    # interpreter.  Each curve's contact matrix is computed once: nothing
+    # here reads it but the tree
+    matrices, real = {}, strands.contact_matrix
+
+    def contact_matrix_once(curve, cap):
+        if tuple(curve) not in matrices:
+            matrices[tuple(curve)] = real(curve, cap)
+        return matrices[tuple(curve)]
+
+    monkeypatch.setattr(strands, "contact_matrix", contact_matrix_once)
+    at, past = _staircase(tmp_path, MAX_DEPTH + 1), _staircase(tmp_path, MAX_DEPTH + 2)
+    for argv in _CARROUSEL_COMMANDS:
+        code, out, err = run_cli(*[at if a is None else a for a in argv], at)
+        assert (code, err) == (0, ""), argv
+        if "json" in argv:
+            json.loads(out)
+        code, out, err = run_cli(*[past if a is None else a for a in argv], past)
+        assert (code, out) == (1, ""), argv
+        assert err == f"error: carrousel depth limit {MAX_DEPTH} exceeded\n", argv
 
 
 @pytest.mark.parametrize("value", ["abc", "1.5", "0", "-5"])

@@ -10,6 +10,8 @@ import math
 import random
 from fractions import Fraction as F
 
+from helpers import random_curve
+from singlip import resolve_curve
 from singlip.series import PrecisionExhausted, RatSeries
 
 P = 2 ** 61 - 1
@@ -102,3 +104,31 @@ def test_exact_series_stay_exact():
     assert (r.num, r.den, r.prec) == ({1: 1}, {0: 1, 1: 1}, 4)
     # den is kept below 4 - ord r only, so subtracting a constant loses 1
     assert r.sub_const(F(1)).prec == 3
+
+
+def _recording(method, out: list):
+    def record(*args):
+        out.append(method(*args))
+        return out[-1]
+    return record
+
+
+def test_resolver_series_keep_their_terms_below_precision(monkeypatch):
+    # why div's "prec < 1" raise never fires: every exponent a series stores
+    # lies below its prec, so the order of a divisor and of a dividend are
+    # both below their precisions.  A quotient's den also stays below prec -
+    # ord num; a constant taken off keeps its den, which may reach past that
+    built, quotients = [], []
+    monkeypatch.setattr(RatSeries, "_reduced", classmethod(
+        _recording(RatSeries._reduced.__func__, built)))
+    monkeypatch.setattr(RatSeries, "div", _recording(RatSeries.div, quotients))
+    rng = random.Random(5)
+    for _ in range(300):
+        resolve_curve(random_curve(rng, 3))
+    assert len(quotients) > 1000 and len(built) > len(quotients)
+    for s in built + quotients:
+        assert s.prec >= 1
+        assert all(e < s.prec for e in (*s.num, *s.den))
+    for s in quotients:
+        if s.num:
+            assert all(e < s.prec - min(s.num) for e in s.den)

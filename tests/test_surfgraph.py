@@ -16,7 +16,7 @@ from singlip.errors import DomainError, InputError
 from singlip.fixtures import curve_cusp_53, graph_e8
 from singlip.jsonio import graph_to_json, parse_graph, tower_to_json
 from singlip.surfgraph import (L_NODE, DualTree, blowdownable_vertices,
-                              strict_part_from_residuals)
+                              reach, strict_part_from_residuals)
 
 
 E8_IDS = [f"E{i}" for i in range(1, 9)]
@@ -524,17 +524,71 @@ def test_answers_do_not_depend_on_vertex_order(name):
                         solve_multiplicities(h, fn)
 
 
+def _forest(trees, rng) -> DualGraph:
+    """The disjoint union of the trees, every other one with integer ids
+    and the rest with string ids, its vertices added in a shuffled order."""
+    name = {}
+    for k, tree in enumerate(trees):
+        for vid in tree.ids():
+            name[k, vid] = len(name) if k % 2 else f"t{k}.{vid}"
+    out = DualGraph()
+    for k, vid in rng.sample(list(name), len(name)):
+        out.add_vertex(name[k, vid], trees[k].vertices[vid].self_intersection)
+    for k, tree in enumerate(trees):
+        for a, b in tree.edges:
+            out.add_edge(name[k, a], name[k, b])
+    return out
+
+
 def test_trees_eliminate_without_fill():
-    # in a tree's elimination order each vertex but the last meets exactly
-    # one later vertex, its parent, so eliminating it fills in nothing
+    # in a forest's elimination order each vertex meets exactly one later
+    # vertex, its parent, except the last of each component, which meets
+    # none; so eliminating it fills in nothing
     rng = random.Random(2)
     trees = [g for g in map(_fixture_graph, fixtures.fixture_names())
              if g.is_connected() and len(g.edges) == len(g.ids()) - 1]
     trees += [resolve_curve(random_curve(rng, 3))[1] for _ in range(20)]
     assert len(trees) > 30
-    for tree in trees:
+    forests = [_forest(rng.sample(trees, rng.randint(2, 4)), rng)
+               for _ in range(10)]
+    for tree in trees + forests:
         for g in (tree, relabelled(tree, rng)[0]):
             index, _ = g.intersection_rows()
             later = [sum(index[w] > i for w in g.neighbors(vid))
                      for vid, i in index.items()]
-            assert later == [1] * (len(later) - 1) + [0]
+            roots = len(later) - len(g.edges)
+            assert sorted(later) == [0] * roots + [1] * len(g.edges)
+            assert later[-1] == 0
+
+
+def test_reach_is_breadth_first_within_and_once():
+    # a square 0-1-2-a with a double edge 0-a, a tail 2-3 and a lone x
+    adjacent = {0: [1, "a", "a"], 1: [0, 2], "a": [0, 0, 2], 2: [1, "a", 3],
+                3: [2], "x": []}
+    assert reach(adjacent, 0) == [0, 1, "a", 2, 3]
+    assert reach(adjacent, 3) == [3, 2, 1, "a", 0]
+    assert reach(adjacent, "a") == ["a", 0, 2, 1, 3]
+    assert reach(adjacent, 0, within={1, 2, 3}) == [0, 1, 2, 3]
+    assert reach(adjacent, 3, within={0, "a"}) == [3]
+    assert reach(adjacent, "x") == ["x"]
+    rng = random.Random(4)
+    for _ in range(200):
+        ids = [*range(8), *"abcdefgh"]
+        adjacent = {v: [] for v in ids}
+        for _ in range(rng.randint(0, 20)):
+            a, b = rng.choice(ids), rng.choice(ids)
+            adjacent[a].append(b)
+            adjacent[b].append(a)
+        within = set(rng.sample(ids, rng.randint(0, len(ids))))
+        start = rng.choice(ids)
+        order = reach(adjacent, start, within)
+        distance = {start: 0}   # breadth first by rounds, the oracle
+        while True:
+            rim = {w for v, d in distance.items() if d == max(distance.values())
+                   for w in adjacent[v] if w in within and w not in distance}
+            if not rim:
+                break
+            distance.update(dict.fromkeys(rim, max(distance.values()) + 1))
+        assert len(order) == len(set(order)) and set(order) == set(distance)
+        assert order[0] == start and set(order[1:]) <= within
+        assert [distance[v] for v in order] == sorted(distance.values())
