@@ -24,6 +24,8 @@ from typing import NamedTuple, Optional, Sequence
 
 from .errors import InputError
 
+_RATIONAL_KEYS = frozenset(("num", "den"))
+
 
 def is_int(x) -> bool:
     """An integer that is not a bool: JSON ``true`` is not the number 1."""
@@ -34,14 +36,12 @@ def as_rational(value) -> Fraction:
     """Coerce ints, Fractions, "p/q" strings and {"num","den"} dicts of
     integers; anything else, a bool or a zero denominator included, is an
     InputError."""
-    if is_int(value) or isinstance(value, Fraction):
-        return Fraction(value)
     try:
-        if isinstance(value, str):
+        if isinstance(value, dict):
+            if value.keys() == _RATIONAL_KEYS and all(map(is_int, value.values())):
+                return Fraction(value["num"], value["den"])
+        elif is_int(value) or isinstance(value, (Fraction, str)):
             return Fraction(value)
-        if (isinstance(value, dict) and set(value) == {"num", "den"}
-                and all(map(is_int, value.values()))):
-            return Fraction(value["num"], value["den"])
     except (ValueError, ZeroDivisionError):
         pass
     raise InputError(f"cannot interpret {value!r} as a rational number")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import sys
+from collections import defaultdict
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Optional
 
@@ -46,6 +47,13 @@ def _list(doc: dict, name: str) -> list:
 def _object(value, where: str) -> dict:
     if not isinstance(value, dict):
         raise InputError(f"{where} must be an object")
+    return value
+
+
+def _multiplicities(v: dict, i: int) -> dict:
+    value = v.get("multiplicities", {})
+    if not isinstance(value, dict):
+        raise InputError(f"vertices[{i}].multiplicities must be an object")
     return value
 
 
@@ -109,12 +117,10 @@ def parse_graph(doc: dict, strict: bool = False,
                 warnings: Optional[list] = None) -> DualGraph:
     from .surfgraph import DualGraph
 
-    def fields(v: dict, where: str) -> dict:
-        return {"genus": v.get("genus", 0),
-                "rate": None if v.get("rate") is None else as_rational(v["rate"]),
-                "multiplicities": _object(v.get("multiplicities", {}),
-                                          f"{where}.multiplicities"),
-                "flags": _list(v, "flags")}
+    def fields(v: dict, i: int) -> tuple:
+        rate = v.get("rate")
+        return (v.get("genus", 0), None if rate is None else as_rational(rate),
+                _multiplicities(v, i), _list(v, "flags"))
 
     return _read_graph(doc, GRAPH_FORMAT, DualGraph(), (),
                        {"genus", "rate", "flags"}, fields, strict, warnings)
@@ -123,8 +129,8 @@ def parse_graph(doc: dict, strict: bool = False,
 def _read_graph(doc: dict, fmt: str, g: DualGraph, extra: tuple, vertex_fields: set,
                 fields, strict: bool, warnings: Optional[list]) -> DualGraph:
     """Fill the empty ``g`` from a document of format ``fmt``.
-    ``fields(v, where)`` reads a vertex's ``add_vertex`` arguments after
-    its id and self-intersection, in the order their errors are reported."""
+    ``fields(v, i)`` reads vertex ``i``'s ``add_vertex`` arguments after its
+    id and self-intersection, in the order their errors are reported."""
     warnings = warnings if warnings is not None else []
     what = fmt.split(".")[1].split("/")[0]
     _check_format(doc, fmt)
@@ -132,12 +138,14 @@ def _read_graph(doc: dict, fmt: str, g: DualGraph, extra: tuple, vertex_fields: 
                   f"{what} document", strict, warnings)
     allowed = {"id", "self_intersection", "multiplicities", *vertex_fields}
     for i, v in enumerate(_list(doc, "vertices")):
-        where = f"vertices[{i}]"
-        _check_fields(_object(v, where), allowed, where, strict, warnings)
+        if not isinstance(v, dict):
+            raise InputError(f"vertices[{i}] must be an object")
+        if not v.keys() <= allowed:
+            _check_fields(v, allowed, f"vertices[{i}]", strict, warnings)
         try:
-            g.add_vertex(v["id"], v["self_intersection"], **fields(v, where))
+            g.add_vertex(v["id"], v["self_intersection"], *fields(v, i))
         except KeyError as exc:
-            raise InputError(f"{where} missing {exc}") from None
+            raise InputError(f"vertices[{i}] missing {exc}") from None
     for i, e in enumerate(_list(doc, "edges")):
         if not isinstance(e, list) or len(e) != 2:
             raise InputError(f"edges[{i}] must be a two-element list")
@@ -199,10 +207,9 @@ def parse_tower(doc: dict, strict: bool = False,
     and so are the "events"."""
     from .surfgraph import DualTree
 
-    def fields(v: dict, where: str) -> dict:
-        return {"rate_vector": v["rate_vector"],
-                "multiplicities": _object(v.get("multiplicities", {}),
-                                          f"{where}.multiplicities")}
+    def fields(v: dict, i: int) -> tuple:
+        rate_vector = v["rate_vector"]
+        return 0, None, _multiplicities(v, i), None, rate_vector
 
     return _read_graph(doc, TOWER_FORMAT, DualTree(), ("events",),
                        {"rate", "rate_vector"}, fields, strict, warnings)
@@ -215,106 +222,98 @@ def dumps(doc: dict) -> str:
     return _emit_json(doc)
 
 
-# The memo finds a container by its items under ==, where True == 1 == 1.0
-# and Fraction(2) == 2 although they render differently (or not at all), so
-# only containers whose keys and values have exactly these types are kept.
-# A dict's items are (key, value) tuples, never such a value, so a dict and
-# a list never share an entry.
-_FLAT = frozenset((str, int, type(None)))
+# json's text of a scalar of each type, and in this order of a subclass
+# of one; bool is an int that json writes as a word
+_TEXT = {str: encode_basestring_ascii, type(None): lambda o: "null",
+         bool: lambda o: "true" if o else "false", int: int.__repr__,
+         float: json.dumps}
 
 
 def _scalar(o) -> Optional[str]:
     """The JSON text of a scalar, as ``json`` writes it, else None."""
-    if isinstance(o, str):
-        return encode_basestring_ascii(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        return json.dumps(o)
+    for t, text in _TEXT.items():
+        if isinstance(o, t):
+            return text(o)
     return None
-
-
-def _key(k) -> str:
-    s = _scalar(k)
-    if s is None:
-        raise TypeError(f"keys must be str, int, float, bool or None, "
-                        f"not {k.__class__.__name__}")
-    return s if isinstance(k, str) else '"' + s + '"'
 
 
 def _emit_json(doc) -> str:
     """Byte-identical to ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``.
 
     Below Python 3.13 any ``indent`` sends ``json`` to its pure-Python
-    generator encoder, which costs more than computing the reports.  This
-    writes into one list and renders each container of scalars (a contact
-    matrix repeats thousands of ``{"den": q, "num": p}``) once per
-    indentation.  Delete it once requires-python reaches 3.13, whose C
-    encoder handles ``indent`` and is faster still.
+    generator encoder, which costs more than computing the reports.  Delete
+    this once requires-python reaches 3.13, whose C encoder handles
+    ``indent`` and is faster still.
 
-    ``seen`` keeps, one dict per pad, the text of each object written by
-    its ``id``; the loops read it before recursing, so an object repeated
-    in ``doc`` (``ContactMatrix.to_json`` shares each entry) costs one
-    lookup.  Ids are safe keys: one is reused only after its object is
-    freed, and the containers of ``doc`` keep all they hold alive.
+    It writes into one list.  A container's loop looks each item's exact
+    type up in ``_TEXT`` and writes a scalar inline; any other item (a
+    container, a subclass, an unsupported type) goes to ``emit``, whose
+    ``isinstance`` tests give json's text or json's ``TypeError``.  A
+    container whose items were all written inline is flat: ``emit`` joins
+    its text once and keeps it by ``id`` in ``seen``, one dict per
+    indentation, where the loops look before recursing, so an object
+    repeated in ``doc`` (``ContactMatrix.to_json`` shares each entry)
+    costs one lookup.  Ids are safe keys: the containers of ``doc`` keep
+    all they hold alive, so none is reused during the call.  ``keys``
+    holds the text of each str key.
     """
     out: list[str] = []
     append = out.append
-    memo: dict = {}
-    seen: dict = {}
+    text = _TEXT.get
+    keys: dict = {}
+    seen: defaultdict = defaultdict(dict)
 
-    def emit(o, pad: str, known: dict):
-        if isinstance(o, dict):
-            if not o:
-                return append("{}")
-            inner = pad + "  "
-            if {*map(type, o), *map(type, o.values())} <= _FLAT:
-                key = (pad, tuple(o.items()))
-                s = memo.get(key)
-                if s is None:
-                    s = memo[key] = "{" + inner + ("," + inner).join(
-                        _key(k) + ": " + _scalar(v)
-                        for k, v in sorted(o.items())) + pad + "}"
-                known[id(o)] = s
-                return append(s)
-            sep, comma, here = "{" + inner, "," + inner, seen.setdefault(inner, {})
-            for k, v in sorted(o.items()):
-                append(sep + _key(k) + ": ")
-                s = here.get(id(v))
-                emit(v, inner, here) if s is None else append(s)
-                sep = comma
-            return append(pad + "}")
-        if isinstance(o, (list, tuple)):
-            if not o:
-                return append("[]")
-            inner = pad + "  "
-            if set(map(type, o)) <= _FLAT:
-                key = (pad, tuple(o))
-                s = memo.get(key)
-                if s is None:
-                    s = memo[key] = ("[" + inner + ("," + inner).join(
-                        map(_scalar, o)) + pad + "]")
-                known[id(o)] = s
-                return append(s)
-            sep, comma, here = "[" + inner, "," + inner, seen.setdefault(inner, {})
-            for v in o:
-                append(sep)
-                s = here.get(id(v))
-                emit(v, inner, here) if s is None else append(s)
-                sep = comma
-            return append(pad + "]")
-        s = known[id(o)] = _scalar(o)
+    def key(k) -> str:
+        s = _scalar(k)
         if s is None:
-            raise TypeError(f"Object of type {o.__class__.__name__} "
-                            f"is not JSON serializable")
-        append(s)
+            raise TypeError(f"keys must be str, int, float, bool or None, "
+                            f"not {k.__class__.__name__}")
+        if type(k) is str:   # True == 1 == 1.0 as keys, but not as text
+            s = keys[k] = s + ": "
+            return s
+        return (s if isinstance(k, str) else '"' + s + '"') + ": "
 
-    emit(doc, "\n", {})
+    def emit(o, pad: str):
+        if not isinstance(o, (dict, list, tuple)):
+            s = _scalar(o)
+            if s is None:
+                raise TypeError(f"Object of type {o.__class__.__name__} "
+                                f"is not JSON serializable")
+            return append(s)
+        if not o:
+            return append("{}" if isinstance(o, dict) else "[]")
+        inner = pad + "  "
+        comma, here, start, flat = "," + inner, seen[inner], len(out), True
+        if isinstance(o, dict):
+            sep = "{" + inner
+            for k, v in sorted(o.items()):
+                f = text(type(v))
+                if f is not None:
+                    append(sep + (keys.get(k) or key(k)) + f(v))
+                else:
+                    flat = False
+                    append(sep + (keys.get(k) or key(k)))
+                    s = here.get(id(v))
+                    emit(v, inner) if s is None else append(s)
+                sep = comma
+            append(pad + "}")
+        else:
+            sep = "[" + inner
+            for v in o:
+                f = text(type(v))
+                if f is not None:
+                    append(sep + f(v))
+                else:
+                    flat = False
+                    append(sep)
+                    s = here.get(id(v))
+                    emit(v, inner) if s is None else append(s)
+                sep = comma
+            append(pad + "]")
+        if flat:
+            s = seen[pad][id(o)] = "".join(out[start:])
+            out[start:] = [s]
+
+    emit(doc, "\n")
     append("\n")
     return "".join(out)

@@ -77,8 +77,10 @@ class RatSeries(NamedTuple):
         num = {e: q * a for e, a in self.num.items()}
         for e, b in self.den.items():
             num[e] = num.get(e, 0) - p * b
-        return RatSeries._reduced(num, {e: q * b for e, b in self.den.items()},
-                                  prec, self.horizon)
+        # den matters below prec - ord num only, and num's order may have risen
+        limit = prec - min((e for e, a in num.items() if a), default=0)
+        den = {e: q * b for e, b in self.den.items() if e < limit}
+        return RatSeries._reduced(num, den, prec, self.horizon)
 
     def div(self, other: "RatSeries") -> "RatSeries":
         """self / other, factoring other's t-order into the numerator side."""

@@ -119,28 +119,28 @@ class DualGraph:
 
     def add_vertex(self, vid, self_intersection, genus=0, rate=None,
                    multiplicities=None, flags=None, rate_vector=None) -> Vertex:
-        where = f"vertex {vid!r}"
         if not is_int(self_intersection) or self_intersection >= 0:
-            raise InputError(f"{where}: self_intersection must be a negative integer")
+            raise InputError(f"vertex {vid!r}: self_intersection must be a "
+                             "negative integer")
         if not is_int(genus) or genus < 0:
-            raise InputError(f"{where}: genus must be a non-negative integer")
+            raise InputError(f"vertex {vid!r}: genus must be a non-negative integer")
         mults = dict(multiplicities or {})
-        if not all(is_int(m) and m >= 0 for m in mults.values()):
-            raise InputError(f"{where}: multiplicities must be non-negative integers")
+        if not all(map(is_int, mults.values())) or min(mults.values(), default=0) < 0:
+            raise InputError(f"vertex {vid!r}: multiplicities must be non-negative "
+                             "integers")
         bad = [f for f in flags or () if f not in KNOWN_FLAGS]
         if bad:
-            raise InputError(f"{where}: unknown flags {bad}")
+            raise InputError(f"vertex {vid!r}: unknown flags {bad}")
         if rate_vector is not None:
             if not (isinstance(rate_vector, (list, tuple)) and len(rate_vector) == 2
                     and all(map(is_int, rate_vector)) and rate_vector[1] > 0):
-                raise InputError(f"{where}: rate_vector must be two integers "
-                                 "[p, q] with q > 0")
+                raise InputError(f"vertex {vid!r}: rate_vector must be two "
+                                 "integers [p, q] with q > 0")
             rate_vector = tuple(rate_vector)
-            if rate is None:
-                rate = Fraction(*rate_vector)
+            rate = Fraction(*rate_vector) if rate is None else rate
         v = Vertex(vid, self_intersection, genus,
-                   None if rate is None else Fraction(rate), mults,
-                   set(flags or ()), rate_vector)
+                   rate if rate is None or isinstance(rate, Fraction) else Fraction(rate),
+                   mults, set(flags or ()), rate_vector)
         self._store(v)
         self._adjacent[vid] = []
         return v

@@ -616,6 +616,31 @@ def _malformed(shape):
         graph["vertices"][0]["rate"] = {"num": 1, "den": 0}
     elif shape == "graph-rate-multiplicities-flags":
         graph["vertices"][0].update(rate="x", multiplicities=[1, 2], flags=3)
+    elif shape == "graph-multiplicities-null":
+        graph["vertices"][0]["multiplicities"] = None
+    elif shape == "graph-flags-string":
+        graph["vertices"][0]["flags"] = "L"
+    elif shape == "graph-unknown-flags":
+        graph["vertices"][0]["flags"] = ["X", "L", "Y"]
+    elif shape == "graph-multiplicity-negative":
+        graph["vertices"][0]["multiplicities"] = {"h": -1}
+    elif shape == "graph-multiplicity-true":
+        graph["vertices"][0]["multiplicities"] = {"h": True}
+    elif shape == "graph-duplicate-id":
+        graph["vertices"][1]["id"] = "E1"
+    elif shape == "graph-self-intersection-zero":
+        graph["vertices"][0]["self_intersection"] = 0
+    elif shape == "graph-genus-negative":
+        graph["vertices"][0]["genus"] = -1
+    elif shape == "graph-rate-num-only":
+        graph["vertices"][0]["rate"] = {"num": 1}
+    elif shape == "graph-id-list":
+        graph["vertices"][0]["id"] = [1]
+    elif shape == "graph-edge-three-ids":
+        graph["edges"].append(["E1", "E2", "E3"])
+    elif shape == "graph-no-self-intersection-rate-not-a-number":
+        del graph["vertices"][0]["self_intersection"]
+        graph["vertices"][0]["rate"] = "x"
     elif shape == "graph-edge-true":
         graph = _int_ids(graph)
         graph["edges"].append([True, 2])
@@ -668,6 +693,23 @@ MALFORMED = {
         "cannot interpret {'num': 1, 'den': 0} as a rational number",
     "graph-rate-multiplicities-flags":
         "cannot interpret 'x' as a rational number",
+    "graph-multiplicities-null": "vertices[0].multiplicities must be an object",
+    "graph-flags-string": "field 'flags' must be a list",
+    "graph-unknown-flags": "vertex 'E1': unknown flags ['X', 'Y']",
+    "graph-multiplicity-negative":
+        "vertex 'E1': multiplicities must be non-negative integers",
+    "graph-multiplicity-true":
+        "vertex 'E1': multiplicities must be non-negative integers",
+    "graph-duplicate-id": "duplicate vertex id 'E1'",
+    "graph-self-intersection-zero":
+        "vertex 'E1': self_intersection must be a negative integer",
+    "graph-genus-negative": "vertex 'E1': genus must be a non-negative integer",
+    "graph-rate-num-only": "cannot interpret {'num': 1} as a rational number",
+    "graph-id-list": "vertex id [1] is not a string or an integer",
+    "graph-edge-three-ids": "edges[7] must be a two-element list",
+    # the id and the self-intersection are read before the other fields
+    "graph-no-self-intersection-rate-not-a-number":
+        "vertices[0] missing 'self_intersection'",
     "graph-edge-true": "edge (True,2) references unknown vertex",
     "graph-arrow-vertex-true": "arrow references unknown vertex True",
     "graph-vertex-id-true": "vertex id True is not a string or an integer",

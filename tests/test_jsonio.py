@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import json
 import random
+from collections import OrderedDict
+from enum import IntEnum
 from fractions import Fraction
+from typing import NamedTuple
 
 from singlip import (amalgamate, build_carrousel_tree, build_decomposition,
                      contact_matrix, csquare_decomposition, decorate, fixtures,
@@ -75,8 +78,8 @@ def test_fixture_documents():
 
 
 def test_whole_report_of_every_fixture():
-    # one nested document, like the reports the benchmark writes: equal
-    # leaves at many depths share the memo
+    # one nested document, like the reports the benchmark writes: the
+    # emitter keeps each flat container's text by id, at many depths
     report = {name: (_curve_reports(obj) if fixtures.fixture_kind(name) == "curve"
                      else _graph_reports(obj))
               for name in fixtures.fixture_names()
@@ -126,7 +129,7 @@ def test_hand_cases():
             {}, [], (), {"a": {}}, [[]], [{}], {"a": [], "b": {}, "c": ()},
             [[[]], [{}], {"x": [[]]}],
             (1, (2, 3), [4]), [(1, 2), [1, 2]],
-            # equal under == but rendered differently: the memo keeps them apart
+            # equal under == but rendered differently, as values and as keys
             [True, 1, 1.0, False, 0, 0.0, None],
             [[True], [1], [1.0], [False], [0]],
             {"a": [1, 2], "b": [True, 2], "c": [1.0, 2]},
@@ -160,6 +163,50 @@ def test_repeated_objects():
             [t, one, t, [1.0], t, one, {"v": t}, {"v": [1]}, {"v": one}],
             [d, {"den": 2, "num": True}, {"den": 2.0, "num": 3}, d,
              {"den": True, "num": 3}, d, {2: 3}, {True: 3}],
+    ]:
+        assert_same(doc)
+
+
+class _Dict(dict):
+    pass
+
+
+class _List(list):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+class _Pair(NamedTuple):
+    num: int
+    den: object
+
+
+class _Kind(IntEnum):
+    ONE = 1
+    TWO = 2
+
+
+def test_subclasses_render_as_their_json_type():
+    # a scalar or container of a subclass type is written as json writes
+    # its base type, and a NamedTuple as a list
+    pair = _Pair(3, 2)
+    nested = _Pair(1, pair)
+    for doc in [
+            OrderedDict([("b", 1), ("a", [2])]), {"o": OrderedDict(x=pair)},
+            _Dict(b=1, a=_Dict(c=2)), [_Dict(), _Dict(k=None)],
+            pair, [pair, pair, {"p": pair}], [nested, nested, [nested]],
+            _List([1, 2, _List()]), {"l": _List(["x", True])},
+            _Kind.TWO, [_Kind.ONE, 1, True], {_Kind.TWO: _Kind.ONE, 3: _Kind.TWO},
+            {1: "a", _Kind.TWO: "b"},
+            _Str("s"), [_Str("é"), "é"], {_Str("b"): _Str("v"), "a": 1},
+            _Float(0.5), [_Float("nan"), _Float("-inf"), 2.5], {_Float(1.5): 0},
     ]:
         assert_same(doc)
 

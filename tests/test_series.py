@@ -116,8 +116,8 @@ def _recording(method, out: list):
 def test_resolver_series_keep_their_terms_below_precision(monkeypatch):
     # why div's "prec < 1" raise never fires: every exponent a series stores
     # lies below its prec, so the order of a divisor and of a dividend are
-    # both below their precisions.  A quotient's den also stays below prec -
-    # ord num; a constant taken off keeps its den, which may reach past that
+    # both below their precisions.  Every den also stays below prec - ord
+    # num: a quotient keeps no more, and a constant taken off drops the rest
     built, quotients = [], []
     monkeypatch.setattr(RatSeries, "_reduced", classmethod(
         _recording(RatSeries._reduced.__func__, built)))
@@ -129,6 +129,6 @@ def test_resolver_series_keep_their_terms_below_precision(monkeypatch):
     for s in built + quotients:
         assert s.prec >= 1
         assert all(e < s.prec for e in (*s.num, *s.den))
-    for s in quotients:
+    for s in built:
         if s.num:
             assert all(e < s.prec - min(s.num) for e in s.den)
