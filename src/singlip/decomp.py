@@ -39,15 +39,15 @@ MODES = ("initial", "inner", "outer")
 
 def _require_rates(graph: DualGraph, vids):
     missing = [vid for vid, v in graph.vertices.items()
-               if vid in vids and v.rate is None]
+               if v.rate is None and vid in vids]
     if missing:
         raise InputError(f"vertices without inner rates: {missing}")
 
 
-def _is_node(graph: DualGraph, vid) -> bool:
-    """A node in every mode: valence >= 3, positive genus or an L-node."""
-    v = graph.vertices[vid]
-    return graph.valence(vid) >= 3 or v.genus > 0 or L_NODE in v.flags
+def _is_node(v, valence: int) -> bool:
+    """Whether the vertex record ``v`` of that valence is a node in every
+    mode: valence >= 3, positive genus or an L-node."""
+    return valence >= 3 or v.genus > 0 or L_NODE in v.flags
 
 
 def _nodes(graph: DualGraph, mode: str) -> dict:
@@ -63,10 +63,10 @@ def _nodes(graph: DualGraph, mode: str) -> dict:
         raise InputError(f"unknown decomposition mode {mode!r}")
     out = {}
     for vid, v in graph.vertices.items():
-        if _is_node(graph, vid):
+        nbrs = graph.neighbors(vid)
+        if _is_node(v, len(nbrs)):
             out[vid] = False
         elif mode == "inner":
-            nbrs = graph.neighbors(vid)
             if (P_NODE in v.flags and len(nbrs) == 2
                     and all(graph.vertices[w].rate < v.rate for w in nbrs)):
                 out[vid] = True
@@ -93,9 +93,10 @@ def _walk_string(graph: DualGraph, node, start, nodes) -> tuple[list, object]:
     ``nodes`` holds every ``_is_node`` vertex, so the walk never forks."""
     chain = []
     prev, cur = node, start
+    neighbors = graph.neighbors
     while cur not in nodes:
         chain.append(cur)
-        ends = graph.neighbors(cur)              # one or two, cur not a node
+        ends = neighbors(cur)                    # one or two, cur not a node
         if len(ends) == 1:
             return chain, None
         prev, cur = cur, ends[ends[0] == prev]   # a double edge leads back
@@ -114,7 +115,8 @@ def thick_thin(graph: DualGraph) -> ThickThin:
             if L_NODE in graph.vertices[w].flags:
                 raise DomainError(f"adjacent L-nodes {vid!r} and {w!r}")
 
-    nodes = {vid for vid in graph.vertices if _is_node(graph, vid)}
+    nodes = {vid for vid, v in graph.vertices.items()
+             if _is_node(v, graph.valence(vid))}
     thick: dict = {vid: {vid} for vid in l_nodes}
     for vid in l_nodes:
         for start in graph.neighbors(vid):
@@ -187,10 +189,10 @@ class Decomposition:
         return pid
 
     def supports_partition(self, graph_vertices) -> bool:
-        seen = []
-        for p in self.pieces.values():
-            seen.extend(p.support)
-        return sorted(map(str, seen)) == sorted(map(str, graph_vertices))
+        """Whether each of the distinct ids ``graph_vertices`` is in one support."""
+        supports = [p.support for p in self.pieces.values()]
+        return (sum(map(len, supports)) == len(graph_vertices)
+                and set().union(*supports).issuperset(graph_vertices))
 
     def to_json(self) -> dict:
         return {"mode": self.mode,
@@ -325,49 +327,49 @@ def build_decomposition(graph: DualGraph, mode: str) -> Decomposition:
     B-pieces biject with the mode's nodes (each node plus its attached
     bamboos); A-pieces biject with the strings and edges joining two nodes.
     In inner mode a special P-node contributes a frozen A(q,q)-piece
-    instead of a B-piece.
+    instead of a B-piece.  Each string is walked once, from its first node
+    in vertex order: no walk starts at a node (a direct edge) or at the
+    last interior vertex of a string walked before (its other end).
     """
-    _require_rates(graph, graph.vertices)
+    vertices = graph.vertices
+    _require_rates(graph, vertices)
     if not graph.is_connected():
         raise InputError("decomposition needs a connected graph")
     nodes = _nodes(graph, mode)
     if not nodes:
         raise DomainError("graph has no nodes for this mode")
 
-    d = Decomposition(mode)
-    piece_of_node = {}
-    strings = {}                # interior -> (node, end node), once per string
+    pieces, adjacency, piece_of_node = {}, set(), {}
+    strings, skip = [], set(nodes)  # (node, end node, interior, no edge)
     for vid, special in nodes.items():
-        q = graph.vertices[vid].rate
+        q = vertices[vid].rate
         support = {vid}
         for start in graph.neighbors(vid):
-            chain, end = _walk_string(graph, vid, start, nodes)
-            if end is None:
-                support.update(chain)  # bamboo
-            elif chain:
-                strings.setdefault(frozenset(chain), (vid, end))
-        if special:
-            kind, rates = "A", (q, q)
-        else:
-            kind, rates = "B", (q,)
-        piece_of_node[vid] = d.add(kind, rates, support=frozenset(support),
-                                   special=special, node=vid)
+            if start not in skip:
+                chain, end = _walk_string(graph, vid, start, nodes)
+                if end is None:
+                    support.update(chain)  # bamboo
+                else:
+                    strings.append((vid, end, frozenset(chain), frozenset()))
+                    skip.add(chain[-1])
+        pid = piece_of_node[vid] = len(pieces)
+        pieces[pid] = Piece(pid, "A" if special else "B", (q, q) if special else (q,),
+                            frozenset(support), frozenset(), special, vid)
 
-    # direct edges between nodes become A-pieces supported on the edge
-    for i, (a, b) in enumerate(graph.edges):
-        if a in nodes and b in nodes:
-            d.add("A", _rates_between(graph, a, b),
-                  (piece_of_node[a], piece_of_node[b]),
-                  edge_support=frozenset([("edge", i)]))
-
-    # strings between two nodes become A-pieces on their interior vertices
-    for chain, (a, b) in strings.items():
-        d.add("A", _rates_between(graph, a, b),
-              (piece_of_node[a], piece_of_node[b]), support=chain)
+    # direct edges between nodes become A-pieces supported on the edge, and
+    # strings between two nodes A-pieces on their interior vertices
+    joins = [(a, b, frozenset(), frozenset([("edge", i)]))
+             for i, (a, b) in enumerate(graph.edges) if a in nodes and b in nodes]
+    for a, b, support, edge_support in joins + strings:
+        pid = len(pieces)
+        pieces[pid] = Piece(pid, "A", _rates_between(graph, a, b), support, edge_support)
+        adjacency.add(frozenset((pid, piece_of_node[a])))
+        adjacency.add(frozenset((pid, piece_of_node[b])))
 
     # cannot fail: in a connected graph with a node, each other vertex lies on
     # one bamboo or string, which the walks record once; an independent check
-    if not d.supports_partition(list(graph.vertices)):
+    d = Decomposition(mode, pieces, adjacency)
+    if not d.supports_partition(vertices.keys()):
         raise DomainError("piece supports do not partition the vertices")
     return d
 
@@ -395,7 +397,7 @@ def _signature(graph: DualGraph, metric: str) -> Signature:
     nodes, mults = {}, {}
     for p in d.pieces.values():
         nodes[p.pid] = {"kind": "special-A" if p.special else p.kind,
-                        "rates": tuple(str(q) for q in p.rates)}
+                        "rates": tuple(map(str, p.rates))}
         if p.node is not None:
             v = graph.vertices[p.node]
             if GENERIC_LINEAR not in v.multiplicities:
@@ -405,10 +407,11 @@ def _signature(graph: DualGraph, metric: str) -> Signature:
             if metric == "outer":
                 nodes[p.pid]["selfint"] = v.self_intersection
     scale = math.gcd(*mults.values()) if metric == "inner" and mults else 1
+    if not scale:
+        raise InputError("generic-linear multiplicities are 0 at every node piece")
     for pid, m in mults.items():
-        nodes[pid]["mult"] = str(Fraction(m, scale))
-    return Signature(metric, nodes,
-                     sorted(tuple(sorted(pair)) for pair in d.adjacency))
+        nodes[pid]["mult"] = str(m // scale)
+    return Signature(metric, nodes, sorted(map(tuple, map(sorted, d.adjacency))))
 
 
 def inner_signature(graph: DualGraph) -> Signature:
@@ -423,36 +426,36 @@ def outer_signature(graph: DualGraph) -> Signature:
     return _signature(graph, "outer")
 
 
-def _refine(adj: dict, colour: dict) -> dict:
+def _refine(adj: list, colour: list) -> list:
     """Colour refinement to the stable partition: split every colour class
     by the multiset of neighbour colours until no class splits.  One
     palette serves every vertex, so equal colours on the two sides of a
     comparison mean equal roles."""
+    classes = len(set(colour))
     while True:
         palette: dict = {}
-        new = {v: palette.setdefault(
-                   (colour[v], tuple(sorted(colour[w] for w in adj[v]))),
-                   len(palette))
-               for v in adj}
-        if len(palette) == len(set(colour.values())):
+        new = [palette.setdefault((c, *sorted(map(colour.__getitem__, ws))),
+                                  len(palette))
+               for c, ws in zip(colour, adj)]
+        if len(palette) == classes:   # no class split: each only refines
             return new
-        colour = new
+        colour, classes = new, len(palette)
 
 
-def _individualised(adj: dict, colour: dict, c, first, fresh):
-    """The colourings that give ``first`` and one side-1 vertex of colour
-    ``c`` the colour ``fresh``, one per candidate, lazily.  A function, so
-    that a generator waiting on the stack keeps its own arguments."""
-    return ({**colour, first: fresh, v: fresh}
-            for v in adj if v[0] == 1 and colour[v] == c)
+def _individualised(candidates, colour: list, c, first, fresh):
+    """The colourings that give ``first`` and one of the ``candidates`` of
+    colour ``c`` the colour ``fresh``, one per candidate, lazily.  A
+    function, so that a generator waiting on the stack keeps its own
+    arguments."""
+    return ([fresh if u in (first, v) else k for u, k in enumerate(colour)]
+            for v in candidates if colour[v] == c)
 
 
-def _is_tree(adj: dict, side: int) -> bool:
-    """Whether side ``side`` of ``adj`` is a tree: connected, with one edge
-    fewer than vertices (so with no loop or repeated edge either)."""
-    verts = [v for v in adj if v[0] == side]
-    edges = sum(len(adj[v]) for v in verts) // 2
-    return len(verts) == edges + 1 == len(reach(adj, verts[0]))
+def _is_tree(adj: list, verts: range) -> bool:
+    """Whether the vertices ``verts`` of ``adj`` form a tree: connected, with
+    one edge fewer than vertices (so with no loop or repeated edge either)."""
+    edges = sum(map(len, adj[verts.start:verts.stop])) // 2
+    return len(verts) == edges + 1 == len(reach(adj, verts.start))
 
 
 def signatures_equal(a: Signature, b: Signature) -> bool:
@@ -465,35 +468,35 @@ def signatures_equal(a: Signature, b: Signature) -> bool:
     canonization*, 1990).  Otherwise a stable colouring with equal
     histograms and singleton classes is a bijection, and a tie is broken by
     individualising one side-0 vertex of the smallest tied class against
-    each candidate, depth first on an explicit stack of generators."""
+    each candidate, depth first on an explicit stack of generators.
+    Vertices are list indices: the pieces of ``a``, then those of ``b``."""
     if a.metric != b.metric:
         return False
-    adj, colour, palette = {}, {}, {}
-    for side, sig in enumerate((a, b)):
-        for pid, attrs in sig.nodes.items():
-            adj[side, pid] = []
-            colour[side, pid] = palette.setdefault(
-                tuple(sorted(attrs.items())), len(palette))
+    n, palette = len(a.nodes), {}
+    colour = [palette.setdefault(tuple(sorted(attrs.items())), len(palette))
+              for sig in (a, b) for attrs in sig.nodes.values()]
+    sides = (range(n), range(n, len(colour)))
+    if sorted(colour[:n]) != sorted(colour[n:]):
+        return False
+    adj = [[] for _ in colour]
+    for sig, side in zip((a, b), sides):
+        at = dict(zip(sig.nodes, side))
         for x, y in sig.edges:
-            adj[side, x].append((side, y))
-            adj[side, y].append((side, x))
-    hist = [Counter(c for (side, _), c in colour.items() if side == s) for s in (0, 1)]
-    tree = _is_tree(adj, 0) or _is_tree(adj, 1)
-    stack = [iter((colour,))] if hist[0] == hist[1] else []
+            adj[at[x]].append(at[y])
+            adj[at[y]].append(at[x])
+    tree = _is_tree(adj, sides[0]) or _is_tree(adj, sides[1])
+    stack = [iter((colour,))]
     while stack:
         colour = next(stack[-1], None)
         if colour is None:
             stack.pop()
             continue
         colour = _refine(adj, colour)
-        hist = [Counter(c for (side, _), c in colour.items() if side == s)
-                for s in (0, 1)]
-        if hist[0] != hist[1]:
+        if sorted(colour[:n]) != sorted(colour[n:]):
             continue
-        tied = [c for c, k in hist[0].items() if k > 1]
-        if not tied or tree:
+        if tree or len(set(colour[:n])) == n:
             return True
-        c = min(tied, key=lambda c: (hist[0][c], c))
-        first = next(v for v in adj if v[0] == 0 and colour[v] == c)
-        stack.append(_individualised(adj, colour, c, first, len(colour)))
+        _, c = min((k, c) for c, k in Counter(colour[:n]).items() if k > 1)
+        first = colour.index(c)             # a side-0 vertex: side 0 is first
+        stack.append(_individualised(sides[1], colour, c, first, len(colour)))
     return False

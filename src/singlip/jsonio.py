@@ -255,7 +255,9 @@ def _emit_json(doc) -> str:
     repeated in ``doc`` (``ContactMatrix.to_json`` shares each entry)
     costs one lookup.  Ids are safe keys: the containers of ``doc`` keep
     all they hold alive, so none is reused during the call.  ``keys``
-    holds the text of each str key.
+    holds the text of each str key.  A document that contains itself
+    recurses until ``RecursionError``; only then ``_has_cycle`` tells it
+    from a deep one, to raise json's ``ValueError`` instead.
     """
     out: list[str] = []
     append = out.append
@@ -314,6 +316,30 @@ def _emit_json(doc) -> str:
             s = seen[pad][id(o)] = "".join(out[start:])
             out[start:] = [s]
 
-    emit(doc, "\n")
+    try:
+        emit(doc, "\n")
+    except RecursionError:
+        if _has_cycle(doc):
+            raise ValueError("Circular reference detected") from None
+        raise
     append("\n")
     return "".join(out)
+
+
+def _has_cycle(doc) -> bool:
+    """Whether a container in ``doc`` contains itself: a depth-first walk
+    on an explicit stack over container ids, which meets a cycle as an id
+    still on its path and enters a shared container once."""
+    path, done, stack = set(), set(), [(doc, False)]
+    while stack:
+        o, leaving = stack.pop()
+        if leaving:
+            path.remove(id(o))
+            done.add(id(o))
+        elif isinstance(o, (dict, list, tuple)) and id(o) not in done:
+            if id(o) in path:
+                return True
+            path.add(id(o))
+            stack.append((o, True))
+            stack.extend((v, False) for v in (o.values() if isinstance(o, dict) else o))
+    return False

@@ -217,7 +217,8 @@ class DualGraph:
     # -- reading --------------------------------------------------------------
 
     def neighbors(self, vid) -> list:
-        return list(self._adjacent[vid])
+        """The stored adjacency list of ``vid``: read it, never change it."""
+        return self._adjacent[vid]
 
     def valence(self, vid) -> int:
         return len(self._adjacent[vid])

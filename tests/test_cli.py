@@ -652,6 +652,10 @@ def _malformed(shape):
         graph["vertices"][0]["id"] = True
     elif shape == "graph-no-vertices":
         graph.update(vertices=[], edges=[], arrows=[])
+    elif shape == "signature-h-all-zero":
+        for v in graph["vertices"]:
+            v["multiplicities"]["h"] = 0
+        graph["arrows"] = [a for a in graph["arrows"] if a["name"] != "h"]
     elif shape == "curve-exp-zero-denominator":
         curve["branches"][0]["terms"][0]["exp"] = "1/0"
     elif shape == "curve-coeff-true":
@@ -668,6 +672,8 @@ def _malformed(shape):
         return ("verify",), tower
     if shape.startswith("graph"):
         return ("graph", "thickthin"), graph
+    if shape.startswith("signature"):
+        return ("graph", "signature", "--metric", "inner"), graph
     return ("curve", "contacts"), curve
 
 
@@ -714,6 +720,9 @@ MALFORMED = {
     "graph-arrow-vertex-true": "arrow references unknown vertex True",
     "graph-vertex-id-true": "vertex id True is not a string or an integer",
     "graph-no-vertices": "graph document has no vertices",
+    # the gcd that scales the inner multiplicities is 0
+    "signature-h-all-zero":
+        "generic-linear multiplicities are 0 at every node piece",
     "curve-exp-zero-denominator": "cannot interpret '1/0' as a rational number",
     "curve-coeff-true": "cannot interpret True as a rational number",
     "curve-coeff-num-true":

@@ -13,7 +13,7 @@ from singlip import (PuiseuxBranch, amalgamate, build_decomposition,
                      resolve_curve, signatures_equal, thick_thin,
                      thin_zone_rate, tower_to_graph)
 from singlip import fixtures, jsonio
-from singlip.decomp import MODES, Signature, _is_tree, _nodes
+from singlip.decomp import MODES, Decomposition, Signature, _is_tree, _nodes
 from singlip.errors import DomainError, InputError
 from singlip.fixtures import (curve_32_74, curve_cusp_53, graph_a_k, graph_d4,
                               graph_e8, graph_e8_nash,
@@ -279,6 +279,24 @@ def test_partition_property_all_modes():
             assert d.supports_partition(list(g.vertices))
 
 
+def test_partition_check_tells_vertex_ids_1_and_str_1_apart():
+    # a graph keeps 1 and "1" as distinct ids, though both print as "1"
+    g = DualGraph()
+    g.add_vertex("1", -2, rate=1)
+    g.add_vertex(2, -2, rate=1)
+    for support, partition in (([1, 2], False), (["1", 2], True),
+                               (["1", 2, 3], False), (["1"], False)):
+        d = Decomposition("inner")
+        d.add("B", (F(1),), support=frozenset(support))
+        assert d.supports_partition(g.vertices.keys()) is partition, support
+        assert d.supports_partition(list(g.vertices)) is partition, support
+    # as many members as the graph has vertices, one of them twice
+    d = Decomposition("inner")
+    for support in (["1"], ["1"]):
+        d.add("B", (F(1),), support=frozenset(support))
+    assert not d.supports_partition(g.vertices.keys())
+
+
 def test_inner_b_pieces_biject_with_inner_nodes():
     for name in ("e8", "e8-nash", "minimal-singularity", "d4"):
         g = load_fixture(name)
@@ -406,11 +424,12 @@ def _spy_individualised(monkeypatch) -> list:
 
 def _is_tree_signature(sig: Signature) -> bool:
     """``_is_tree`` on the adjacency ``signatures_equal`` builds for ``sig``."""
-    adj = {(0, n): [] for n in sig.nodes}
+    at = {pid: i for i, pid in enumerate(sig.nodes)}
+    adj = [[] for _ in at]
     for x, y in sig.edges:
-        adj[0, x].append((0, y))
-        adj[0, y].append((0, x))
-    return _is_tree(adj, 0)
+        adj[at[x]].append(at[y])
+        adj[at[y]].append(at[x])
+    return _is_tree(adj, range(len(adj)))
 
 
 def _frame_depth() -> int:

@@ -2,10 +2,11 @@
 
 Each example takes a curve, graph or tower document of the fixtures,
 applies a few mutations (a field dropped, retyped or duplicated, a junk
-rational, a reference to a vertex that does not exist) and runs one
-subcommand on it through ``cli.main`` in-process.  Whatever the document
-says, the call must end with exit code 0, 1 or 2 and at most one error
-line, never with an exception."""
+rational, a reference to a vertex that does not exist, one junk value in
+one field of every vertex) and runs one subcommand on it through
+``cli.main`` in-process.  Whatever the document says, the call must end
+with exit code 0, 1 or 2 and at most one error line, never with an
+exception."""
 
 import json
 
@@ -24,7 +25,7 @@ JUNK = (None, True, False, 0, -1, 2, 10 ** 30, 1.5, -0.0, float("nan"), "",
         {"num": True, "den": 1}, {"num": 2, "den": 3, "extra": 1}, [],
         {}, [1, "x"], [[]], {"id": "E1"})
 GHOSTS = ("ghost", 999, -1, "0")
-MUTATIONS = ("drop", "retype", "duplicate", "dangling")
+MUTATIONS = ("drop", "retype", "duplicate", "dangling", "uniform")
 D = "{doc}"  # the mutated document's path
 CURVE_COMMANDS = (["curve", "contacts", D], ["curve", "carrousel", D, "--reduce"],
                   ["curve", "horns", D, "--base", "0"], ["curve", "resolve", D],
@@ -73,6 +74,8 @@ def mutate(doc: dict, kind: str, place: int, pick: int) -> dict:
     """One mutation of a copy of ``doc`` at its ``place``-th path; ``pick``
     chooses the junk value, the ghost id or the duplicated key's name."""
     doc = json.loads(json.dumps(doc))
+    if kind == "uniform":
+        return _uniform(doc, place, JUNK[pick % len(JUNK)])
     paths = list(_paths(doc))[1:]
     if not paths:
         return doc
@@ -98,6 +101,26 @@ def mutate(doc: dict, kind: str, place: int, pick: int) -> dict:
                                         "multiplicity": 1, "kind": "function"})):
             if isinstance(doc.get(name), list):
                 doc[name].append(entry)
+    return doc
+
+
+def _uniform(doc: dict, place: int, value) -> dict:
+    """``value`` at one field of every vertex of ``doc``: the ``place``-th
+    field of the first vertex, where each multiplicity counts as a field."""
+    vertices = doc.get("vertices")
+    vertices = [v for v in vertices if isinstance(v, dict)] if isinstance(
+        vertices, list) else []
+    if not vertices:
+        return doc
+    mults = vertices[0].get("multiplicities")
+    fields = [(k,) for k in vertices[0] if k != "multiplicities"] + [
+        ("multiplicities", k) for k in (mults if isinstance(mults, dict) else ())]
+    *inner, key = fields[place % len(fields)]
+    for v in vertices:
+        for k in inner:
+            v = v.get(k) if isinstance(v, dict) else None
+        if isinstance(v, dict):
+            v[key] = json.loads(json.dumps(value))
     return doc
 
 

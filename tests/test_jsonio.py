@@ -244,3 +244,28 @@ def test_unsupported_types_raise_type_error():
             assert str(exc) == message
         else:
             raise AssertionError(f"json accepted {doc!r}")
+
+
+def _raised(encode, doc) -> tuple:
+    try:
+        encode(doc)
+    except (ValueError, RecursionError) as exc:
+        return type(exc), str(exc)
+    raise AssertionError(f"{encode.__name__} accepted {doc!r}")
+
+
+def test_a_document_that_contains_itself_raises_json_value_error():
+    l, d = [1], {"a": 1}
+    l.append(l)
+    d["b"] = [2, d]
+    shared = [1]
+    for doc in [l, d, {"x": [shared, shared, [l]]}]:
+        assert _raised(_emit_json, doc) == _raised(reference, doc) == (
+            ValueError, "Circular reference detected")
+
+
+def test_a_deep_document_still_raises_recursion_error():
+    deep = []
+    for _ in range(5000):
+        deep = [deep]
+    assert _raised(_emit_json, deep)[0] is _raised(reference, deep)[0] is RecursionError

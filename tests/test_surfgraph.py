@@ -384,7 +384,7 @@ def test_copy_shares_no_mutable_state():
     for graph, to_json in ((graph_e8(), graph_to_json), (tree, tower_to_json)):
         def state(g):
             return (to_json(g), [sorted(g.vertices[v].flags) for v in g.ids()],
-                    [g.neighbors(v) for v in g.ids()])
+                    [list(g.neighbors(v)) for v in g.ids()])
         before = state(graph)
         dup = graph.copy()
         assert type(dup) is type(graph) and state(dup) == before
