@@ -222,19 +222,11 @@ def dumps(doc: dict) -> str:
     return _emit_json(doc)
 
 
-# json's text of a scalar of each type, and in this order of a subclass
-# of one; bool is an int that json writes as a word
+# json's text of a scalar of each exact type; bool is an int that json
+# writes as a word
 _TEXT = {str: encode_basestring_ascii, type(None): lambda o: "null",
          bool: lambda o: "true" if o else "false", int: int.__repr__,
          float: json.dumps}
-
-
-def _scalar(o) -> Optional[str]:
-    """The JSON text of a scalar, as ``json`` writes it, else None."""
-    for t, text in _TEXT.items():
-        if isinstance(o, t):
-            return text(o)
-    return None
 
 
 def _emit_json(doc) -> str:
@@ -245,19 +237,29 @@ def _emit_json(doc) -> str:
     this once requires-python reaches 3.13, whose C encoder handles
     ``indent`` and is faster still.
 
+    ``_emit`` writes the library's documents; ``json`` writes any other
+    document, or raises its own error for it.
+    """
+    try:
+        return _emit(doc)
+    except (TypeError, RecursionError):
+        pass
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _emit(doc) -> str:
+    """The text of a document of exact dicts with str keys, lists, tuples
+    and scalars of the types in ``_TEXT``; ``TypeError`` at anything else.
+
     It writes into one list.  A container's loop looks each item's exact
-    type up in ``_TEXT`` and writes a scalar inline; any other item (a
-    container, a subclass, an unsupported type) goes to ``emit``, whose
-    ``isinstance`` tests give json's text or json's ``TypeError``.  A
-    container whose items were all written inline is flat: ``emit`` joins
-    its text once and keeps it by ``id`` in ``seen``, one dict per
-    indentation, where the loops look before recursing, so an object
-    repeated in ``doc`` (``ContactMatrix.to_json`` shares each entry)
-    costs one lookup.  Ids are safe keys: the containers of ``doc`` keep
-    all they hold alive, so none is reused during the call.  ``keys``
-    holds the text of each str key.  A document that contains itself
-    recurses until ``RecursionError``; only then ``_has_cycle`` tells it
-    from a deep one, to raise json's ``ValueError`` instead.
+    type up in ``_TEXT`` and writes a scalar inline; a container goes to
+    ``emit``.  A container whose items were all written inline is flat:
+    ``emit`` joins its text once and keeps it by ``id`` in ``seen``, one
+    dict per indentation, where the loops look before recursing, so an
+    object repeated in ``doc`` (``ContactMatrix.to_json`` shares each
+    entry) costs one lookup.  Ids are safe keys: the containers of ``doc``
+    keep all they hold alive, so none is reused during the call.  ``keys``
+    holds the text of each key.
     """
     out: list[str] = []
     append = out.append
@@ -265,28 +267,22 @@ def _emit_json(doc) -> str:
     keys: dict = {}
     seen: defaultdict = defaultdict(dict)
 
-    def key(k) -> str:
-        s = _scalar(k)
-        if s is None:
-            raise TypeError(f"keys must be str, int, float, bool or None, "
-                            f"not {k.__class__.__name__}")
-        if type(k) is str:   # True == 1 == 1.0 as keys, but not as text
-            s = keys[k] = s + ": "
-            return s
-        return (s if isinstance(k, str) else '"' + s + '"') + ": "
+    def key(k) -> str:   # encode_basestring_ascii refuses a non-str
+        s = keys[k] = encode_basestring_ascii(k) + ": "
+        return s
 
     def emit(o, pad: str):
-        if not isinstance(o, (dict, list, tuple)):
-            s = _scalar(o)
-            if s is None:
-                raise TypeError(f"Object of type {o.__class__.__name__} "
-                                f"is not JSON serializable")
-            return append(s)
+        t = type(o)
+        if t is not dict and t is not list and t is not tuple:
+            f = text(t)
+            if f is None:
+                raise TypeError(t)
+            return append(f(o))
         if not o:
-            return append("{}" if isinstance(o, dict) else "[]")
+            return append("{}" if t is dict else "[]")
         inner = pad + "  "
         comma, here, start, flat = "," + inner, seen[inner], len(out), True
-        if isinstance(o, dict):
+        if t is dict:
             sep = "{" + inner
             for k, v in sorted(o.items()):
                 f = text(type(v))
@@ -316,30 +312,6 @@ def _emit_json(doc) -> str:
             s = seen[pad][id(o)] = "".join(out[start:])
             out[start:] = [s]
 
-    try:
-        emit(doc, "\n")
-    except RecursionError:
-        if _has_cycle(doc):
-            raise ValueError("Circular reference detected") from None
-        raise
+    emit(doc, "\n")
     append("\n")
     return "".join(out)
-
-
-def _has_cycle(doc) -> bool:
-    """Whether a container in ``doc`` contains itself: a depth-first walk
-    on an explicit stack over container ids, which meets a cycle as an id
-    still on its path and enters a shared container once."""
-    path, done, stack = set(), set(), [(doc, False)]
-    while stack:
-        o, leaving = stack.pop()
-        if leaving:
-            path.remove(id(o))
-            done.add(id(o))
-        elif isinstance(o, (dict, list, tuple)) and id(o) not in done:
-            if id(o) in path:
-                return True
-            path.add(id(o))
-            stack.append((o, True))
-            stack.extend((v, False) for v in (o.values() if isinstance(o, dict) else o))
-    return False

@@ -156,8 +156,7 @@ def _land_branches(center: tuple, branches: dict, new: int) -> list[tuple]:
 def branch_contact(tree: DualTree, first: int, second: int) -> Fraction:
     """Contact exponent of two resolved branches read off the tree: the
     rate of the deepest vertex common to the root paths of their arrows."""
-    parent = {tree.root: None}
-    parent.update((w, v) for v, w in _edges_from_root(tree))
+    parent = _parents(tree)
 
     def path(branch):
         arrows = [a for a in tree.arrows if a.branch == branch]
@@ -174,18 +173,14 @@ def branch_contact(tree: DualTree, first: int, second: int) -> Fraction:
     return max(tree.vertices[v].rate for v in common)
 
 
-def _edges_from_root(tree: DualTree):
-    """(parent, child) for every vertex reachable from the root, depth
-    first with neighbours in sorted order."""
-    seen = {tree.root}
-    stack = [tree.root] if tree.vertices else []
-    while stack:
-        v = stack.pop()
-        for w in sorted(tree.neighbors(v)):
-            if w not in seen:
-                seen.add(w)
-                yield v, w
-                stack.append(w)
+def _parents(tree: DualTree) -> dict:
+    """Each vertex reachable from the root, in ``component``'s breadth-first
+    order, mapped to its neighbour that comes earliest in that walk; the
+    root to None."""
+    order = tree.component(tree.root) if tree.vertices else []
+    rank = {v: i for i, v in enumerate(order)}
+    return {w: min(tree.neighbors(w), key=rank.__getitem__) if i else None
+            for i, w in enumerate(order)}
 
 
 class TowerReport(NamedTuple):
@@ -204,13 +199,14 @@ def verify_tower(tree: DualTree) -> TowerReport:
     plus the tower's own: a connected tree with determinant +-1 whose
     rates increase away from a root of rate 1."""
     problems, det = verify_graph_det(tree)
-    if not tree.is_connected() or len(tree.edges) != len(tree.vertices) - 1:
+    parent = _parents(tree)
+    if len(parent) != len(tree.vertices) or len(tree.edges) != len(tree.vertices) - 1:
         problems.append("not a connected tree")
     if abs(det) != 1:
         problems.append(f"intersection determinant {det} not +-1")
     problems += [f"rate not increasing from vertex {v} to {w}"
-                 for v, w in _edges_from_root(tree)
-                 if tree.vertices[w].rate <= tree.vertices[v].rate]
+                 for w, v in parent.items()
+                 if v is not None and tree.vertices[w].rate <= tree.vertices[v].rate]
     if not tree.vertices or tree.vertices[tree.root].rate != 1:
         problems.append("root rate differs from 1")
     return TowerReport(tuple(problems))

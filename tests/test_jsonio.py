@@ -1,19 +1,28 @@
 """The hand-written emitter behind ``jsonio.dumps`` against ``json`` itself.
 
-These tests call ``_emit_json`` directly, so they also cover it on Python
-3.13+, where ``dumps`` uses ``json.dumps``.  They need no pytest: every
-test is a plain function, so another interpreter can run them with
-``python -c "import test_jsonio as t; t.test_fixture_documents()"``.
+These tests call the emitter directly, so they also cover it on Python
+3.13+, where ``dumps`` uses ``json.dumps``.  Documents of exact types with
+str keys, as the library writes (the fixture reports, the whole report, the
+repeated objects and the str-key random documents), go through ``_emit``
+as well as ``_emit_json``, so a slip onto ``json``'s path cannot pass
+silently.  The edge cases (subclasses, non-str keys, unsupported types,
+cycles, deep documents) go through ``_emit_json``, which hands them to
+``json``.  They need no pytest: every test is a plain function, and
+``PYTHONPATH=src python tests/test_jsonio.py`` runs them all on any
+interpreter.
 """
 
 from __future__ import annotations
 
 import json
 import random
+import sys
+import traceback
 from collections import OrderedDict
 from enum import IntEnum
 from fractions import Fraction
 from typing import NamedTuple
+from unittest import mock
 
 from singlip import (amalgamate, build_carrousel_tree, build_decomposition,
                      contact_matrix, csquare_decomposition, decorate, fixtures,
@@ -21,7 +30,8 @@ from singlip import (amalgamate, build_carrousel_tree, build_decomposition,
                      reduce_to_eggers, resolve_curve, tower_to_graph)
 from singlip.decomp import MODES
 from singlip.errors import DomainError
-from singlip.jsonio import _emit_json, curve_to_json, graph_to_json, tower_to_json
+from singlip.jsonio import (_emit, _emit_json, curve_to_json, dumps, graph_to_json,
+                            tower_to_json)
 
 
 def reference(doc) -> str:
@@ -30,6 +40,11 @@ def reference(doc) -> str:
 
 def assert_same(doc):
     assert _emit_json(doc) == reference(doc), doc
+
+
+def assert_fast(doc):
+    """``_emit`` itself writes ``doc``, as ``json`` does."""
+    assert _emit(doc) == _emit_json(doc) == reference(doc), doc
 
 
 def _graph_reports(g) -> list:
@@ -65,26 +80,32 @@ def _curve_reports(curve) -> list:
             *_graph_reports(tower_to_graph(tower))]
 
 
+def _fixture_reports() -> dict:
+    return {name: (_curve_reports(obj) if fixtures.fixture_kind(name) == "curve"
+                   else _graph_reports(obj))
+            for name in fixtures.fixture_names()
+            for obj in [fixtures.load_fixture(name)]}
+
+
 def test_fixture_documents():
-    count = 0
-    for name in fixtures.fixture_names():
-        obj = fixtures.load_fixture(name)
-        docs = (_curve_reports(obj) if fixtures.fixture_kind(name) == "curve"
-                else _graph_reports(obj))
-        for doc in docs:
-            assert_same(doc)
-        count += len(docs)
-    assert count > 80
+    docs = [doc for reports in _fixture_reports().values() for doc in reports]
+    for doc in docs:
+        assert_fast(doc)
+    assert len(docs) > 80
 
 
 def test_whole_report_of_every_fixture():
     # one nested document, like the reports the benchmark writes: the
     # emitter keeps each flat container's text by id, at many depths
-    report = {name: (_curve_reports(obj) if fixtures.fixture_kind(name) == "curve"
-                     else _graph_reports(obj))
-              for name in fixtures.fixture_names()
-              for obj in [fixtures.load_fixture(name)]}
-    assert_same(report)
+    assert_fast(_fixture_reports())
+
+
+def test_dumps_leaves_no_fixture_report_to_json():
+    docs = [doc for reports in _fixture_reports().values() for doc in reports]
+    with mock.patch.object(json, "dumps", wraps=json.dumps) as spy:
+        for doc in docs:
+            dumps(doc)
+    assert spy.call_count == (len(docs) if sys.version_info >= (3, 13) else 0)
 
 
 _STRINGS = ["", "a", "num", "den", "inf", "é", "日本", " ", "\x00\x1f",
@@ -102,26 +123,28 @@ def _scalar(rng: random.Random):
     ])()
 
 
-def _random_doc(rng: random.Random, depth: int):
+def _random_doc(rng: random.Random, depth: int, int_keys: bool):
     if depth == 0 or rng.random() < 0.3:
         return _scalar(rng)
     size = rng.randint(0, 4)
     kind = rng.random()
     if kind < 0.4:
-        return [_random_doc(rng, depth - 1) for _ in range(size)]
+        return [_random_doc(rng, depth - 1, int_keys) for _ in range(size)]
     if kind < 0.5:
-        return tuple(_random_doc(rng, depth - 1) for _ in range(size))
-    if kind < 0.6:
-        return {rng.randint(-5, 5): _random_doc(rng, depth - 1)
+        return tuple(_random_doc(rng, depth - 1, int_keys) for _ in range(size))
+    if kind < 0.6 and int_keys:
+        return {rng.randint(-5, 5): _random_doc(rng, depth - 1, int_keys)
                 for _ in range(size)}
-    return {rng.choice(_STRINGS): _random_doc(rng, depth - 1)
+    return {rng.choice(_STRINGS): _random_doc(rng, depth - 1, int_keys)
             for _ in range(size)}
 
 
 def test_random_nested_documents():
     rng = random.Random(20201)
     for _ in range(500):
-        assert_same(_random_doc(rng, rng.randint(1, 6)))
+        assert_same(_random_doc(rng, rng.randint(1, 6), int_keys=True))
+    for _ in range(500):
+        assert_fast(_random_doc(rng, rng.randint(1, 6), int_keys=False))
 
 
 def test_hand_cases():
@@ -129,21 +152,23 @@ def test_hand_cases():
             {}, [], (), {"a": {}}, [[]], [{}], {"a": [], "b": {}, "c": ()},
             [[[]], [{}], {"x": [[]]}],
             (1, (2, 3), [4]), [(1, 2), [1, 2]],
-            # equal under == but rendered differently, as values and as keys
+            # equal under == but rendered differently
             [True, 1, 1.0, False, 0, 0.0, None],
             [[True], [1], [1.0], [False], [0]],
             {"a": [1, 2], "b": [True, 2], "c": [1.0, 2]},
             [{"v": 1}, {"v": True}, {"v": 1.0}],
-            [{1: "x"}, {True: "x"}, {1.0: "x"}, {"1": "x"}],
-            [{None: 0}, {"null": 0}, {False: 0}, {0: 0}],
             # one container at two depths
             [[1, 2], [[1, 2]], {"k": [1, 2]}],
             None, True, 0, -1, 10**100, -(10**100), "x", "éÿĀ",
             "\x00\x01\x08\x0c\x1f\"\\\n\r\t", "\ud800", "\U0010ffff",
             {"é": "日本", "\x00": "\n"}, {"b": 1, "a": 2, "B": 3, "": 4},
-            {2: "b", 10: "a", -1: "c"},
             [float("nan"), float("-inf"), 1e-7, 123456789.125],
     ]:
+        assert_fast(doc)
+    # non-str keys, equal under == but rendered differently; json writes them
+    for doc in [[{1: "x"}, {True: "x"}, {1.0: "x"}, {"1": "x"}],
+                [{None: 0}, {"null": 0}, {False: 0}, {0: 0}],
+                {2: "b", 10: "a", -1: "c"}]:
         assert_same(doc)
 
 
@@ -162,8 +187,12 @@ def test_repeated_objects():
             [d, {"den": 2, "num": 3}, d, [1, 2], l, (1, 2), l, tuple(l)],
             [t, one, t, [1.0], t, one, {"v": t}, {"v": [1]}, {"v": one}],
             [d, {"den": 2, "num": True}, {"den": 2.0, "num": 3}, d,
-             {"den": True, "num": 3}, d, {2: 3}, {True: 3}],
+             {"den": True, "num": 3}, d],
     ]:
+        assert_fast(doc)
+    # and among dicts with non-str keys, which json writes
+    for doc in [[d, {2: 3}, d, {True: 3}, l, {"k": {None: d}}, l],
+                {"a": [d, {1.0: l}], "b": d}]:
         assert_same(doc)
 
 
@@ -264,8 +293,33 @@ def test_a_document_that_contains_itself_raises_json_value_error():
             ValueError, "Circular reference detected")
 
 
-def test_a_deep_document_still_raises_recursion_error():
+def _text_or_error(encode, doc):
+    try:
+        return encode(doc)
+    except RecursionError:
+        return RecursionError
+
+
+def test_a_deep_document_gives_json_text_or_error():
+    # json's pure-Python encoder (below 3.13) runs out of stack on it, and
+    # its C encoder for indented output (3.13 on) writes it
     deep = []
     for _ in range(5000):
         deep = [deep]
-    assert _raised(_emit_json, deep)[0] is _raised(reference, deep)[0] is RecursionError
+    expected = _text_or_error(reference, deep)
+    assert _text_or_error(_emit_json, deep) == expected
+    assert (expected is RecursionError) == (sys.version_info < (3, 13))
+
+
+if __name__ == "__main__":
+    tests = [f for name, f in list(globals().items()) if name.startswith("test_")]
+    failed = 0
+    for test in tests:
+        try:
+            test()
+        except Exception:
+            failed += 1
+            traceback.print_exc()
+    print(f"{len(tests) - failed} of {len(tests)} passed on Python "
+          f"{sys.version.split()[0]}")
+    sys.exit(1 if failed else 0)

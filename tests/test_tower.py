@@ -343,6 +343,19 @@ def test_tower_building_is_checked():
     assert tree.neighbors(0) == [1] and tree.neighbors(1) == [0]
 
 
+def test_verify_reports_rate_drops_in_walk_order():
+    # rates 1, 2, 3 at the root and its children, and a drop below each
+    # child: the lines follow the breadth-first walk from the root
+    tree = DualTree()
+    for i, vector in enumerate([(1, 1), (2, 1), (3, 1), (3, 2), (2, 1)]):
+        tree.add_vertex(i, -2, rate_vector=vector)
+    for a, b in ((0, 1), (0, 2), (1, 3), (2, 4)):
+        tree.add_edge(a, b)
+    assert [p for p in verify_tower(tree).problems() if p.startswith("rate")] == [
+        "rate not increasing from vertex 1 to 3",
+        "rate not increasing from vertex 2 to 4"]
+
+
 def test_verify_reports_a_cycle():
     _, tree = resolve_curve(curve_cusp_53())
     tree.add_edge(0, 1)
