@@ -25,7 +25,7 @@ from typing import NamedTuple, Optional
 
 from .errors import InputError, ResourceCapExceeded
 from .exactnum import rational_to_json
-from .strands import ContactMatrix
+from .strands import ContactMatrix, ranking
 
 # Leaves lie at most this many levels below the root: each tree walk takes
 # about two Python frames a level, and JSON output two nestings, which this
@@ -196,8 +196,8 @@ def leaf_contacts(tree: CarrouselTree) -> ContactMatrix:
         return node, start, len(leaves), kids
 
     root = span(tree.root)
-    values, rank = ContactMatrix.rank_table(weights)
-    inf = len(values) - 1
+    rank = ranking(weights)
+    inf = len(rank) - 1
     row, rows = [inf] * len(leaves), [()] * tree.size
     order = sorted(range(len(leaves)), key=leaves.__getitem__)
     pick = itemgetter(*order) if len(order) > 1 else tuple  # one key: no tuple
@@ -208,10 +208,10 @@ def leaf_contacts(tree: CarrouselTree) -> ContactMatrix:
                 row[start] = inf
                 rows[node.leaf] = pick(row)
             else:
-                deeper = rank.get(id(node.weight), here)
+                deeper = rank.get(node.weight, here)
                 row[start:end] = [deeper] * (end - start)
                 fill(below, deeper)
             row[start:end] = [here] * (end - start)
 
     fill([root], inf)
-    return ContactMatrix._make((tree.size, values, tuple(rows)))
+    return ContactMatrix._make((tree.size, tuple(rank), tuple(rows)))

@@ -8,11 +8,11 @@ pairwise contacts is the combinatorial core of the outer Lipschitz geometry
 of the germ.
 
 Coefficients of the input branches are rational; roots of unity enter only
-through the conjugation twist, so every strand coefficient is a monomial
-a * zeta_N^k with a rational and N the lcm of the branch denominators.  It
-is stored as the exact key (a, k), normalised so that equal coefficients
-have equal keys; contacts are then tuple comparisons, with no field
-arithmetic.
+through the conjugation twist, so every strand term is a monomial
+p/q * zeta_N^k * x^(m/N) with N the lcm of the branch denominators.  It
+is stored as the integer key (m, k, p, q), normalised so that equal terms
+have equal keys; contacts are then comparisons of small integers, each
+the numerator m of an exponent m/N.
 
 The monodromy x^(1/N) -> zeta_N x^(1/N), the carrousel's rotation, takes
 the j-th strand of each branch to its (j+1)-th.  It multiplies the
@@ -21,7 +21,7 @@ keeps equal keys equal and unequal ones unequal: contacts are invariant.
 
 A contact matrix keeps its distinct finite contacts once, increasing and
 then None (infinity), and per strand a row of ranks into them.  Ranks
-compare as contacts do, so every N^2 pass runs on small integers.
+compare as contacts do, so every N^2 pass runs on small integers too.
 """
 
 from __future__ import annotations
@@ -98,32 +98,33 @@ class PuiseuxBranch(_BranchFields):
 class Strand(NamedTuple):
     """One of the n conjugate series of a branch, over a common order N.
 
-    ``series`` holds (exponent, (a, k)) in increasing exponent order; the
-    coefficient is a * zeta_N^k with a != 0, keyed by ``coefficient_key``.
+    ``series`` holds one key (m, k, p, q) per term p/q * zeta_N^k * x^(m/N),
+    in increasing m, with (k, p, q) from ``coefficient_key`` and p != 0.
     Its twist is its position among its branch's strands in ``strands_of``.
     """
 
     branch_index: int
     order: int
-    series: tuple[tuple[Fraction, tuple[Fraction, int]], ...]
+    series: tuple[tuple[int, int, int, int], ...]
 
 
-def coefficient_key(a: Fraction, k: int, order: int) -> tuple[Fraction, int]:
-    """Normal form of a * zeta_order^k: k reduced mod order, and below
-    order/2 when order is even, by zeta^(order/2) = -1."""
+def coefficient_key(a: Fraction, k: int, order: int) -> tuple[int, int, int]:
+    """Normal form (k, p, q) of a * zeta_order^k with a = p/q: k reduced mod
+    order, and below order/2 when order is even, by zeta^(order/2) = -1."""
     # a zeta^k = b zeta^l forces zeta^(k-l) = b/a to be a rational root of
     # unity, i.e. +-1, so after this reduction equal values have equal keys
     k %= order
     if order % 2 == 0 and k >= order // 2:
-        return -a, k - order // 2
-    return a, k
+        return k - order // 2, -a.numerator, a.denominator
+    return k, a.numerator, a.denominator
 
 
 def _strands_of_branch(index: int, branch: PuiseuxBranch, order: int) -> list[Strand]:
-    n = branch.denominator
-    terms = [(e, a, (e * n).numerator * (order // n)) for e, a in branch.terms]
-    return [Strand(index, order, tuple((e, coefficient_key(a, j * m, order))
-                                       for e, a, m in terms)) for j in range(n)]
+    # e = m/N, and the denominator of e divides N
+    terms = [(e.numerator * (order // e.denominator), a) for e, a in branch.terms]
+    return [Strand(index, order, tuple((m, *coefficient_key(a, j * m, order))
+                                       for m, a in terms))
+            for j in range(branch.denominator)]
 
 
 def strands_of(curve: Sequence[PuiseuxBranch],
@@ -141,20 +142,17 @@ def strands_of(curve: Sequence[PuiseuxBranch],
         raise ResourceCapExceeded(f"strand cap {strand_cap} exceeded: {count} strands")
     order = reduce(math.lcm, (b.denominator for b in curve), 1)
     per_branch = [_strands_of_branch(i, b, order) for i, b in enumerate(curve)]
-    # equal strand sets need equal exponents: hash only branches sharing theirs
-    shapes = [tuple(e for e, _ in b.terms) for b in curve]
-    repeats = Counter(shapes)
     first: dict = {}
     for k, group in enumerate(per_branch):
-        if repeats[shapes[k]] > 1:
-            i = first.setdefault(frozenset(s.series for s in group), k)
-            if i != k:
-                raise InputError(f"branches {i} and {k} have identical strand sets")
+        i = first.setdefault(frozenset(s.series for s in group), k)
+        if i != k:
+            raise InputError(f"branches {i} and {k} have identical strand sets")
     return [s for group in per_branch for s in group]
 
 
-def strand_contact(s: Strand, t: Strand) -> Optional[Fraction]:
-    """Smallest exponent where the two series differ; None (infinity) if equal."""
+def strand_contact(s: Strand, t: Strand) -> Optional[int]:
+    """The numerator m of the smallest exponent m/N (N = ``s.order``) where
+    the two series differ; None (infinity) if they are equal."""
     if s.order != t.order:
         raise InputError("strands expanded over different orders")
     # at the first differing term either the keys differ at one exponent,
@@ -162,11 +160,17 @@ def strand_contact(s: Strand, t: Strand) -> Optional[Fraction]:
     # series; stored coefficients are never 0
     for x, y in zip(s.series, t.series):
         if x != y:
-            return x[0] if x[0] is y[0] else min(x[0], y[0])
+            return min(x[0], y[0])
     a, b = len(s.series), len(t.series)
     if a == b:
         return None
     return s.series[b][0] if a > b else t.series[a][0]
+
+
+def ranking(keys) -> dict:
+    """The rank of each distinct key, increasing, with None (infinity) last;
+    the dict lists the keys in rank order."""
+    return {q: r for r, q in enumerate((*sorted(set(keys) - {None}), None))}
 
 
 class _MatrixFields(NamedTuple):
@@ -177,25 +181,17 @@ class _MatrixFields(NamedTuple):
 
 class ContactMatrix(_MatrixFields):
     """Symmetric matrix of strand contacts with infinite diagonal, in rank
-    form (module docstring): q(j, k) is ``values[ranks[j][k]]``.  Equal
-    values in distinct entries get one rank; ``_make`` takes a rank form as
-    it is, and is never given a value unsorted, repeated or unused."""
+    form (module docstring): q(j, k) is ``values[ranks[j][k]]``.  The
+    constructor ranks a matrix of entries, equal values one rank; ``_make``
+    takes a rank form as it is, and is never given a value unsorted,
+    repeated or unused."""
 
     __slots__ = ()
 
     def __new__(cls, size: int, entries):
-        values, rank = cls.rank_table(chain.from_iterable(entries))
-        return super().__new__(cls, size, values, tuple(
-            tuple(map(rank.__getitem__, map(id, row))) for row in entries))
-
-    @staticmethod
-    def rank_table(contacts) -> tuple[tuple, dict]:
-        """``values`` for these contacts, and the rank of each by ``id``: few
-        objects are distinct, and a Fraction hashes slowly."""
-        objects = {id(q): q for q in (None, *contacts)}
-        values = (*sorted(set(objects.values()) - {None}), None)
-        rank = {q: r for r, q in enumerate(values)}
-        return values, {i: rank[q] for i, q in objects.items()}
+        rank = ranking(chain.from_iterable(entries))
+        return super().__new__(cls, size, tuple(rank), tuple(
+            tuple(map(rank.__getitem__, row)) for row in entries))
 
     def __getnewargs__(self):  # pickle and copy call __new__ with these
         return self.size, self.entries
@@ -239,17 +235,19 @@ def contact_matrix(curve: Sequence[PuiseuxBranch],
     """Contacts of all strands from the twist-0 row of each branch: the
     monodromy (module docstring) gives q((i,a),(k,b)) = q((i,0),(k,(b-a)
     mod n_k)), so row (i, a) is row (i, 0) with each branch block rotated
-    right by a.  B*N contacts for B branches and N strands, each one of
-    the few exponent objects of the strands."""
+    right by a.  B*N contacts for B branches and N strands, ranked as
+    integers m of the contacts m/N, with one Fraction per distinct value."""
     strands = strands_of(curve, strand_cap)
     sizes = [b.denominator for b in curve]
     starts = list(accumulate(sizes, initial=0))
     heads = [[strand_contact(strands[start], t) for t in strands]
              for start in starts[:-1]]
-    values, rank = ContactMatrix.rank_table(chain.from_iterable(heads))
+    rank = ranking(chain.from_iterable(heads))
+    order = strands[0].order
+    values = tuple(m if m is None else Fraction(m, order) for m in rank)
     rows = []
     for head, n in zip(heads, sizes):
-        head = tuple(map(rank.__getitem__, map(id, head)))
+        head = tuple(map(rank.__getitem__, head))
         # block k of row a is the k-th block of the head rotated right by a
         twice = [(k, head[c:c + k] * 2) for c, k in zip(starts, sizes)]
         rows += map(tuple, map(chain.from_iterable, zip(*(
@@ -263,7 +261,8 @@ def coincidence_exponent(a: PuiseuxBranch, b: PuiseuxBranch) -> Fraction:
     twist-0 strand of ``a``.  It is finite, as the strands of a branch are
     one monodromy orbit and ``strands_of`` rejects equal orbits."""
     pair = strands_of([a, b])
-    return max(strand_contact(pair[0], t) for t in pair[a.denominator:])
+    return Fraction(max(strand_contact(pair[0], t) for t in pair[a.denominator:]),
+                    pair[0].order)
 
 
 class HornJumpProfile(NamedTuple):

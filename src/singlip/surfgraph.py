@@ -90,9 +90,9 @@ def reach(adjacent: dict, start, within=None) -> list:
 
 class DualGraph:
     """Resolution graph: vertices with decorations, edges (multi-edges
-    allowed), and arrows for strict transforms.  ``vertices`` maps id to
-    record; every change of ``edges`` goes through ``add_edge`` and
-    ``remove_edge``, which keep the adjacency lists."""
+    allowed, loops not), and arrows for strict transforms.  ``vertices``
+    maps id to record; every change of ``edges`` goes through ``add_edge``
+    and ``remove_edge``, which keep the adjacency lists."""
 
     def __init__(self):
         self.vertices = {}
@@ -148,6 +148,8 @@ class DualGraph:
     def add_edge(self, a, b):
         if a not in self or b not in self:
             raise InputError(f"edge ({a!r},{b!r}) references unknown vertex")
+        if a == b:  # a good resolution has smooth curves: no loops
+            raise InputError(f"edge ({a!r},{b!r}) joins a vertex to itself")
         self.edges.append((a, b))
         self._adjacent[a].append(b)
         self._adjacent[b].append(a)

@@ -1,5 +1,6 @@
-"""Shared test utilities: numeric oracles, the pairwise contact matrix,
-Fraction-comparing references for the carrousel tree, leaf contacts,
+"""Shared test utilities: strand exponents and contacts as Fractions,
+numeric oracles, the pairwise contact matrix, Fraction-comparing
+references for the carrousel tree, leaf contacts,
 rendering and horn profiles of a contact matrix, characteristic
 exponents, a reference determinant, the dense intersection matrix and
 dense Bareiss elimination with the sparse rows they are compared through,
@@ -36,19 +37,30 @@ from singlip.strands import ContactMatrix, HornJumpProfile
 from singlip.surfgraph import CURVE_FUNCTION, GENERIC_LINEAR, DualGraph, DualTree
 
 
+def exponents(strand) -> list[Fraction]:
+    """The exponents m/N of the strand's terms, increasing."""
+    return [Fraction(m, strand.order) for m, *_ in strand.series]
+
+
+def contact(s, t):
+    """``strand_contact`` of two strands as the exponent m/N, or None."""
+    m = strand_contact(s, t)
+    return None if m is None else Fraction(m, s.order)
+
+
 def coefficient_value(strand, exp) -> complex:
-    """Numeric value a * exp(2 pi i k / N) of the strand's coefficient
-    (a, k) at ``exp``, 0 when the series has no such term."""
-    for e, (a, k) in strand.series:
-        if e == exp:
-            return float(a) * cmath.exp(2j * cmath.pi * k / strand.order)
+    """Numeric value p/q * exp(2 pi i k / N) of the strand's coefficient
+    key (k, p, q) at ``exp``, 0 when the series has no such term."""
+    for m, k, p, q in strand.series:
+        if Fraction(m, strand.order) == exp:
+            return p / q * cmath.exp(2j * cmath.pi * k / strand.order)
     return 0j
 
 
 def eval_strand(strand, t: float) -> complex:
     """Numeric value of a strand series at x = t (t > 0 real)."""
     return sum(coefficient_value(strand, e) * t ** float(e)
-               for e, _ in strand.series)
+               for e in exponents(strand))
 
 
 def numeric_contact(s, s2, q: Fraction, samples=(1e-2, 1e-3, 1e-4),
@@ -64,9 +76,9 @@ def numeric_contact(s, s2, q: Fraction, samples=(1e-2, 1e-3, 1e-4),
         # adaptive sampling for small exponent gaps; direct subtraction of
         # float values underflows there, so evaluate the difference series
         # (coefficients subtracted exactly) instead
-        n = max(e.denominator for e, _ in list(s.series) + list(s2.series))
+        exps = sorted({*exponents(s), *exponents(s2)})
+        n = max(e.denominator for e in exps)
         samples = tuple(10.0 ** (-2 * n * k) for k in (1, 2, 3))
-        exps = sorted({e for e, _ in s.series} | {e for e, _ in s2.series})
         diff = [(e, coefficient_value(s, e) - coefficient_value(s2, e))
                 for e in exps]
     ratios = []
@@ -82,14 +94,14 @@ def numeric_contact(s, s2, q: Fraction, samples=(1e-2, 1e-3, 1e-4),
 
 
 def pairwise_contact_matrix(curve) -> ContactMatrix:
-    """Reference contact matrix: ``strand_contact`` of every pair of strands,
+    """Reference contact matrix: the contact of every pair of strands,
     with no use of the monodromy."""
     strands = strands_of(curve)
     m = len(strands)
     rows = [[None] * m for _ in range(m)]
     for j in range(m):
         for k in range(j + 1, m):
-            rows[j][k] = rows[k][j] = strand_contact(strands[j], strands[k])
+            rows[j][k] = rows[k][j] = contact(strands[j], strands[k])
     return ContactMatrix(m, tuple(tuple(r) for r in rows))
 
 

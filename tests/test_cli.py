@@ -652,6 +652,14 @@ def _malformed(shape):
         graph["vertices"][0]["id"] = True
     elif shape == "graph-no-vertices":
         graph.update(vertices=[], edges=[], arrows=[])
+    elif shape == "graph-edge-loop":
+        graph["edges"].append(["E2", "E2"])
+    elif shape == "tower-edge-loop":
+        tower["edges"].append([0, 0])
+    elif shape == "graph-arrow-name-number":
+        graph["arrows"][0]["name"] = 1
+    elif shape in ("decompose-disconnected", "signature-disconnected"):
+        graph["edges"].remove(["E1", "E8"])
     elif shape == "signature-h-all-zero":
         for v in graph["vertices"]:
             v["multiplicities"]["h"] = 0
@@ -674,6 +682,8 @@ def _malformed(shape):
         return ("graph", "thickthin"), graph
     if shape.startswith("signature"):
         return ("graph", "signature", "--metric", "inner"), graph
+    if shape.startswith("decompose"):
+        return ("graph", "decompose", "--mode", "outer"), graph
     return ("curve", "contacts"), curve
 
 
@@ -720,6 +730,12 @@ MALFORMED = {
     "graph-arrow-vertex-true": "arrow references unknown vertex True",
     "graph-vertex-id-true": "vertex id True is not a string or an integer",
     "graph-no-vertices": "graph document has no vertices",
+    "graph-edge-loop": "edge ('E2','E2') joins a vertex to itself",
+    "tower-edge-loop": "edge (0,0) joins a vertex to itself",
+    "graph-arrow-name-number": "arrow name 1 is not a string",
+    # e8 without its edge E1-E8
+    "decompose-disconnected": "decomposition needs a connected graph",
+    "signature-disconnected": "decomposition needs a connected graph",
     # the gcd that scales the inner multiplicities is 0
     "signature-h-all-zero":
         "generic-linear multiplicities are 0 at every node piece",

@@ -2,12 +2,13 @@ import cmath
 import math
 import random
 import time
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
-from helpers import (branch_char_exponents, coefficient_value, numeric_contact,
-                     pairwise_contact_matrix, random_curve)
+from helpers import (branch_char_exponents, coefficient_value, contact,
+                     numeric_contact, pairwise_contact_matrix, random_curve)
 from singlip import (PuiseuxBranch, coincidence_exponent, contact_matrix, fixtures,
                      horn_jump_profile, resolve_curve, strand_contact, strands_of)
 from singlip.errors import InputError, ResourceCapExceeded
@@ -59,20 +60,22 @@ def test_coefficient_key_normal_form():
         for k in range(-order, 2 * order):
             for a in (F(1), F(-3, 2)):
                 assert coefficient_key(a, k + half, order) == coefficient_key(-a, k, order)
-                b, l = coefficient_key(a, k, order)
-                assert 0 <= l < half
-                assert abs(float(b) * cmath.exp(2j * cmath.pi * l / order)
+                l, p, q = coefficient_key(a, k, order)
+                assert 0 <= l < half and q > 0
+                assert abs(p / q * cmath.exp(2j * cmath.pi * l / order)
                            - float(a) * cmath.exp(2j * cmath.pi * k / order)) < 1e-9
     for order in (1, 3, 5, 9):
         for k in range(-order, 2 * order):
-            assert coefficient_key(F(2), k, order) == (F(2), k % order)
+            assert coefficient_key(F(2, 3), k, order) == (k % order, 2, 3)
+    # (m, k, p, q): 1 * x^(3/2) and -1 * x^(3/2) over N = 2
     keys = {s.series for s in strands_of([branch(("3/2", 1))])}
-    assert keys == {((F(3, 2), (F(1), 0)),), ((F(3, 2), (F(-1), 0)),)}
+    assert keys == {((3, 0, 1, 1),), ((3, 0, -1, 1),)}
 
 
 def test_strand_contact_same_branch():
     s, t = strands_of([branch(("3/2", 1))])
-    q = strand_contact(s, t)
+    assert strand_contact(s, t) == 3  # 3/2 over N = 2
+    q = contact(s, t)
     assert q == F(3, 2)
     assert numeric_contact(s, t, q)
     assert strand_contact(s, s) is None  # infinity
@@ -81,11 +84,10 @@ def test_strand_contact_same_branch():
 def test_strand_contact_aligned_conjugates():
     # same twist sign on 3/2, different on 13/6
     strands = strands_of([branch(("3/2", 1), ("13/6", 1))])
-    values = {strand_contact(s, t)
-              for i, s in enumerate(strands) for t in strands[i + 1:]}
+    values = {contact(s, t) for i, s in enumerate(strands) for t in strands[i + 1:]}
     assert values == {F(3, 2), F(13, 6)}
     pair = [(s, t) for i, s in enumerate(strands) for t in strands[i + 1:]
-            if strand_contact(s, t) == F(13, 6)]
+            if contact(s, t) == F(13, 6)]
     assert all(numeric_contact(s, t, F(13, 6)) for s, t in pair)
 
 
@@ -180,7 +182,7 @@ def test_numeric_contact_oracle_random():
         strands = strands_of(curve)
         for i, s in enumerate(strands):
             for t in strands[i + 1:]:
-                q = strand_contact(s, t)
+                q = contact(s, t)
                 if q is not None:
                     assert numeric_contact(s, t, q, samples=None), (curve, q)
 
@@ -239,7 +241,7 @@ def test_coincidence_is_max_over_strand_pairs_and_at_least_one():
         q = coincidence_exponent(curve[0], curve[1])
         assert q >= 1
         strands = strands_of(curve)
-        pairs = [strand_contact(s, t) for s in strands for t in strands
+        pairs = [contact(s, t) for s in strands for t in strands
                  if s.branch_index == 0 and t.branch_index == 1]
         assert q == max(pairs)
 
@@ -307,6 +309,23 @@ def test_contact_matrix_matches_pairwise_reference():
     assert max(sum(b.denominator for b in c) for c in curves) >= 24
     for curve in curves:
         _assert_matches_pairwise(curve)
+
+
+def test_contact_matrix_compares_no_fractions(monkeypatch):
+    # exponents and coefficients are integer keys over N: a Fraction is
+    # built once per distinct contact, and never compared or hashed
+    rng = random.Random(3)
+    curves = [random_curve(rng, max_branches=3) for _ in range(50)]
+    calls = Counter()
+    for name in ("__eq__", "__hash__", "_richcmp"):
+        def spy(*args, name=name, method=getattr(F, name)):
+            calls[name] += 1
+            return method(*args)
+        monkeypatch.setattr(F, name, spy)
+    for curve in curves:
+        contact_matrix(curve)
+    monkeypatch.undo()
+    assert calls == Counter()
 
 
 def test_contact_matrix_of_1000_strands_is_fast():
