@@ -4,14 +4,17 @@ Subcommands mirror the library: ``curve`` operations take curve JSON,
 ``graph`` operations take resolution-graph JSON, ``verify`` checks the
 consistency invariants of any supported document, and ``fixtures`` ships
 the built-in examples.  Exit codes: 0 success, 1 domain error or failed
-verification, 2 malformed input.
+verification, 2 malformed input.  One table, ``_CLI``, holds every
+parser.  ``build_parser`` builds argparse's parser from it; ``_read_args``
+reads a well-formed command line off it without argparse and leaves help,
+abbreviations and usage errors to argparse.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 
 from .errors import DomainError, InputError
 
@@ -307,85 +310,128 @@ def cmd_fixtures_dump(args) -> None:
     sys.stdout.write(jsonio.dumps(to_json(obj)))
 
 
-# -- parser -------------------------------------------------------------------
+# -- command line -------------------------------------------------------------
 
-def _command(sub, name: str, func, *positionals: str, **kw):
-    """Add the subcommand ``name``, which runs ``func`` on ``positionals``."""
-    p = sub.add_parser(name, **kw)
-    for dest in positionals:
-        p.add_argument(dest)
-    p.set_defaults(func=func)
-    return p
+_FLAG = "store_true"
+_INPUT = ("input", {})
+
+# Each parser as (help, arguments, its function or its subcommands by word),
+# each argument as (name, add_argument keywords), positionals first.
+_CLI = ("Lipschitz-geometry invariants of curve and surface singularities from "
+        "exact combinatorial data", [
+    ("--format", dict(choices=("text", "json", "dot"), default="text",
+                      help="output format")),
+    ("--strict", dict(action=_FLAG, help="reject unknown JSON fields")),
+    ("--event-cap", dict(help="blow-up event cap (or $SINGLIP_EVENT_CAP)")),
+    ("--strand-cap", dict(help="strand count cap (or $SINGLIP_STRAND_CAP)"))], {
+    "curve": ("plane curve germ operations", [], {
+        "contacts": ("contact matrix of the strands", [_INPUT], cmd_curve_contacts),
+        "carrousel": ("decorated carrousel tree", [_INPUT, ("--reduce", dict(
+            action=_FLAG, help="apply the Eggers reduction"))], cmd_curve_carrousel),
+        "horns": ("horn jump profile of one strand", [_INPUT, ("--base", dict(
+            type=int, required=True, help="base strand index"))], cmd_curve_horns),
+        "resolve": ("minimal embedded resolution tower", [_INPUT], cmd_curve_resolve),
+        "equiv": ("decide outer Lipschitz equivalence", [("first", {}), ("second", {})],
+                  cmd_curve_equiv)}),
+    "graph": ("resolution graph operations", [], {
+        "mult": ("solve total-transform multiplicities", [
+            _INPUT, ("--arrow", dict(required=True, help="arrow (function) name")),
+            ("--allow-fractional", dict(action=_FLAG))], cmd_graph_mult),
+        "laufer": ("double cover graph of z^2 + f(x,y) from curve input", [_INPUT],
+                   cmd_graph_laufer),
+        "pencil": ("generic member and base points of a pencil", [_INPUT, (
+            "--gen", dict(action="append", default=[],
+                          help="generator as NAME[:POWER], repeatable")), (
+            "--resolve", dict(action=_FLAG,
+                              help="blow up the first base point until resolved"))],
+            cmd_graph_pencil),
+        "thickthin": ("thick-thin decomposition", [_INPUT], cmd_graph_thickthin),
+        "decompose": ("geometric decomposition", [_INPUT, ("--mode", dict(
+            choices=("initial", "inner", "outer"), required=True))],
+            cmd_graph_decompose),
+        "signature": ("classification signature", [_INPUT, ("second", dict(
+            nargs="?", help="second graph: compare signatures instead")), ("--metric",
+            dict(choices=("inner", "outer"), required=True))], cmd_graph_signature)}),
+    "verify": ("run the consistency verifier", [_INPUT], cmd_verify),
+    "fixtures": ("built-in example data", [], {
+        "list": (None, [], cmd_fixtures_list),
+        "dump": (None, [("name", {})], cmd_fixtures_dump)})})
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="singlip",
-        description="Lipschitz-geometry invariants of curve and surface "
-                    "singularities from exact combinatorial data")
-    parser.add_argument("--format", choices=("text", "json", "dot"),
-                        default="text", help="output format")
-    parser.add_argument("--strict", action="store_true",
-                        help="reject unknown JSON fields")
-    parser.add_argument("--event-cap", default=None,
-                        help="blow-up event cap (or $SINGLIP_EVENT_CAP)")
-    parser.add_argument("--strand-cap", default=None,
-                        help="strand count cap (or $SINGLIP_STRAND_CAP)")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    curve = sub.add_parser("curve", help="plane curve germ operations")
-    csub = curve.add_subparsers(dest="subcommand", required=True)
-    _command(csub, "contacts", cmd_curve_contacts, "input",
-             help="contact matrix of the strands")
-    p = _command(csub, "carrousel", cmd_curve_carrousel, "input",
-                 help="decorated carrousel tree")
-    p.add_argument("--reduce", action="store_true",
-                   help="apply the Eggers reduction")
-    p = _command(csub, "horns", cmd_curve_horns, "input",
-                 help="horn jump profile of one strand")
-    p.add_argument("--base", type=int, required=True, help="base strand index")
-    _command(csub, "resolve", cmd_curve_resolve, "input",
-             help="minimal embedded resolution tower")
-    _command(csub, "equiv", cmd_curve_equiv, "first", "second",
-             help="decide outer Lipschitz equivalence")
-
-    graph = sub.add_parser("graph", help="resolution graph operations")
-    gsub = graph.add_subparsers(dest="subcommand", required=True)
-    p = _command(gsub, "mult", cmd_graph_mult, "input",
-                 help="solve total-transform multiplicities")
-    p.add_argument("--arrow", required=True, help="arrow (function) name")
-    p.add_argument("--allow-fractional", action="store_true")
-    _command(gsub, "laufer", cmd_graph_laufer, "input",
-             help="double cover graph of z^2 + f(x,y) from curve input")
-    p = _command(gsub, "pencil", cmd_graph_pencil, "input",
-                 help="generic member and base points of a pencil")
-    p.add_argument("--gen", action="append", default=[],
-                   help="generator as NAME[:POWER], repeatable")
-    p.add_argument("--resolve", action="store_true",
-                   help="blow up the first base point until resolved")
-    _command(gsub, "thickthin", cmd_graph_thickthin, "input",
-             help="thick-thin decomposition")
-    p = _command(gsub, "decompose", cmd_graph_decompose, "input",
-                 help="geometric decomposition")
-    p.add_argument("--mode", choices=("initial", "inner", "outer"), required=True)
-    p = _command(gsub, "signature", cmd_graph_signature, "input",
-                 help="classification signature")
-    p.add_argument("second", nargs="?",
-                   help="second graph: compare signatures instead")
-    p.add_argument("--metric", choices=("inner", "outer"), required=True)
-
-    _command(sub, "verify", cmd_verify, "input",
-             help="run the consistency verifier")
-
-    fix = sub.add_parser("fixtures", help="built-in example data")
-    fsub = fix.add_subparsers(dest="subcommand", required=True)
-    _command(fsub, "list", cmd_fixtures_list)
-    _command(fsub, "dump", cmd_fixtures_dump, "name")
+def build_parser():
+    """The argparse parser of ``_CLI``."""
+    import argparse
+    parser = argparse.ArgumentParser(prog="singlip", description=_CLI[0])
+    _add_arguments(parser, _CLI, "command")
     return parser
 
 
+def _add_arguments(parser, node, dest: str) -> None:
+    _, arguments, then = node
+    for name, kw in arguments:
+        parser.add_argument(name, **kw)
+    if callable(then):
+        parser.set_defaults(func=then)
+        return
+    sub = parser.add_subparsers(dest=dest, required=True)
+    for word, child in then.items():
+        kw = {"help": child[0]} if child[0] else {}
+        _add_arguments(sub.add_parser(word, **kw), child, "subcommand")
+
+
+def _dest(name: str) -> str:
+    return name.lstrip("-").replace("-", "_")
+
+
+def _read_args(argv):
+    """What ``build_parser().parse_args(argv)`` makes of a well-formed
+    ``argv``, read off ``_CLI``; None wherever the two could differ: help,
+    abbreviations, ``=`` forms, ``--``, option values that start with
+    ``-``, an option between two positionals, and usage errors."""
+    ns, values, gap, path = {}, [], False, [_CLI]
+    tokens = iter(sys.argv[1:] if argv is None else argv)
+    for tok in tokens:
+        _, arguments, then = path[-1]
+        if not tok.startswith("-") or tok == "-":
+            if callable(then) and not gap:
+                values.append(tok)
+            elif callable(then) or tok not in then:
+                return None
+            else:
+                ns["subcommand" if path[1:] else "command"] = tok
+                path.append(then[tok])
+            continue
+        kw, gap = dict(arguments).get(tok), bool(values)
+        if kw is None:
+            return None
+        if kw.get("action") == _FLAG:
+            ns[_dest(tok)] = True
+            continue
+        arg = next(tokens, "--")
+        try:
+            value = kw.get("type", str)(arg)
+        except ValueError:
+            return None
+        if arg != "-" and arg[:1] == "-" or value not in kw.get("choices", [value]):
+            return None
+        ns[_dest(tok)] = ([*ns.get(_dest(tok), []), value]
+                          if kw.get("action") == "append" else value)
+    _, arguments, func = path[-1]
+    names = [name for name, _ in arguments if name[0] != "-"]
+    ns.update(zip(names, values))
+    if not callable(func) or len(values) > len(names) or any(
+            kw.get("required", name in names and "nargs" not in kw)
+            and _dest(name) not in ns for name, kw in arguments):
+        return None
+    for _, arguments, _ in path:
+        for name, kw in arguments:
+            ns.setdefault(_dest(name), {_FLAG: False}.get(kw.get("action"),
+                                                          kw.get("default")))
+    return SimpleNamespace(**ns, func=func)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _read_args(argv) or build_parser().parse_args(argv)
     try:
         code = args.func(args) or 0
         sys.stdout.flush()

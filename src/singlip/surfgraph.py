@@ -23,6 +23,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from fractions import Fraction
+from itertools import count
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import DomainError, InputError, ResourceCapExceeded
@@ -318,9 +319,14 @@ def verify_graph(graph: DualGraph) -> list[str]:
 def verify_graph_det(graph: DualGraph) -> tuple[list[str], int]:
     """``verify_graph``'s problems and the intersection determinant, both
     read off one elimination."""
-    problems = []
-    if not graph.is_connected():
-        problems.append("graph is not connected")
+    problems, seen, starts = [], set(), []
+    for vid in graph.ids():
+        if vid not in seen:
+            starts.append(vid)
+            seen.update(graph.component(vid))
+    if starts[1:]:
+        problems.append(f"graph is not connected: no path from vertex {starts[0]} "
+                        f"to {', '.join(map(str, starts[1:]))}")
     elim = eliminate(graph.intersection_rows()[1])
     if not _negative_definite(elim.minors):
         problems.append("intersection matrix is not negative definite")
@@ -418,16 +424,15 @@ class PencilStep(NamedTuple):
     multiplicities: tuple
 
 
-def _fresh_id(graph: DualGraph):
+def _fresh_ids(graph: DualGraph):
+    """New ids for ``graph``, each free once those before it are added: E<n>
+    past the largest, the next integers, or the free v<k> from k = |V|."""
     ids = graph.ids()
     if all(isinstance(v, str) and re.fullmatch(r"E\d+", v) for v in ids):
-        return f"E{max(int(v[1:]) for v in ids) + 1}"
+        return (f"E{n}" for n in count(max(int(v[1:]) for v in ids) + 1))
     if all(isinstance(v, int) for v in ids):
-        return max(ids) + 1
-    k = len(ids)
-    while f"v{k}" in graph.vertices:
-        k += 1
-    return f"v{k}"
+        return count(max(ids) + 1)
+    return (f"v{k}" for k in count(len(ids)) if f"v{k}" not in graph.vertices)
 
 
 def resolve_pencil(graph: DualGraph, div_a: Divisor, div_b: Divisor, vertex,
@@ -443,11 +448,11 @@ def resolve_pencil(graph: DualGraph, div_a: Divisor, div_b: Divisor, vertex,
     g = graph.copy()
     ma, mb = div_a.coefficient(vertex), div_b.coefficient(vertex)
     steps: list[PencilStep] = [PencilStep(vertex, (ma, mb))]
-    current = vertex
+    current, fresh = vertex, _fresh_ids(g)
     while ma != mb:
         if len(steps) > cap:
             raise ResourceCapExceeded(f"pencil resolution cap {cap} exceeded")
-        new = _fresh_id(g)
+        new = next(fresh)
         g.vertices[current].self_intersection -= 1
         g.add_vertex(new, -1)
         g.add_edge(new, current)
@@ -486,8 +491,7 @@ def laufer_parity_prepare(tree: DualTree) -> DualTree:
     if not odd:
         return tree
     out = tree.copy()
-    for kind, ref in odd:
-        new = _fresh_id(out)
+    for (kind, ref), new in zip(odd, _fresh_ids(out)):
         if kind == "edge":
             out.blow_up(new, ref)
         else:

@@ -9,8 +9,8 @@ replayed from the blow-up event log, A'Campo's Alexander polynomial of a
 tower, the curvette oracle for inner rates, graph-level blow-ups of
 towers, the piece labels of a decomposition, the quadratic reference
 amalgamation, a small DOT syntax checker used to validate emitted graphs,
-the CLI run in-process, and a fresh interpreter that imports this
-checkout."""
+the CLI run in-process, the CLI table's commands and argparse's reading of
+a command line, and a fresh interpreter that imports this checkout."""
 
 from __future__ import annotations
 
@@ -25,10 +25,11 @@ import sys
 from collections import Counter, defaultdict
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from singlip import PuiseuxBranch, strand_contact, strands_of
-from singlip.cli import main
+from singlip.cli import _CLI, build_parser, main
 from singlip.decomp import Decomposition, Piece
 from singlip.errors import DomainError, SinglipError
 from singlip.exactnum import Elimination
@@ -751,6 +752,29 @@ def run_cli(*argv) -> tuple[int, str, str]:
     with redirect_stdout(out), redirect_stderr(err):
         code = main(list(argv))
     return code, out.getvalue(), err.getvalue()
+
+
+def cli_commands(node=_CLI, words=()) -> list:
+    """(words, arguments) of every command in the CLI table."""
+    _, arguments, then = node
+    if callable(then):
+        return [(list(words), arguments)]
+    return [c for word, child in then.items()
+            for c in cli_commands(child, (*words, word))]
+
+
+@cache
+def _parser():
+    return build_parser()
+
+
+def parsed(argv):
+    """vars() of argparse's namespace for ``argv``, or its exit code."""
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            return vars(_parser().parse_args(argv))
+    except SystemExit as exc:
+        return exc.code
 
 
 def checkout_env() -> dict:

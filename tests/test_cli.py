@@ -6,10 +6,11 @@ import sys
 
 import pytest
 
-from helpers import checkout_env, parse_dot, run_cli, run_python
+from helpers import (checkout_env, cli_commands, parse_dot, parsed, run_cli,
+                     run_python)
 from singlip import PuiseuxBranch, contact_matrix, jsonio, resolve_curve, strands
 from singlip.carrousel import MAX_DEPTH
-from singlip.cli import build_parser
+from singlip.cli import _read_args, build_parser, main
 from singlip.decomp import MODES
 from singlip.dot import graph_to_dot
 from singlip.fixtures import curve_cusp_53, fixture_names, load_fixture
@@ -183,6 +184,62 @@ def test_parser_structure():
     assert _parser_table(build_parser()) == PARSER
 
 
+def test_reader_reads_every_command_as_argparse_does():
+    given = ["--format", "json", "--strict", "--event-cap", "5", "--strand-cap", "9"]
+    for words, arguments in cli_commands():
+        positionals = [name for name, _ in arguments if name[0] != "-"]
+        options, flags = [], []
+        for name, kw in arguments:
+            if kw.get("action") == "store_true":
+                flags.append(name)
+            elif name[0] == "-":
+                value = kw["choices"][-1] if "choices" in kw else "3"
+                options += [name, value] * (2 if kw.get("action") == "append" else 1)
+        required = [name for name, kw in arguments
+                    if name[0] != "-" and "nargs" not in kw]
+        for head in ([], given, given[:2] + given):
+            for names in {tuple(required), tuple(positionals)}:
+                tail = [f"{name}.json" for name in names]
+                for argv in (head + words + options + flags + tail,
+                             head + words + tail + flags + options,
+                             head + words + flags + tail + options,
+                             head + words + ["-"] * len(tail) + options):
+                    got = _read_args(argv)
+                    assert got is not None, argv
+                    assert vars(got) == parsed(argv), argv
+    assert len(cli_commands()) == 14
+
+
+def test_reader_leaves_an_option_between_positionals_to_argparse(capsys):
+    # argparse takes `a` alone as the positionals, and then refuses `b`
+    argv = ["graph", "signature", "a", "--metric", "inner", "b"]
+    assert _read_args(argv) is None
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "singlip: error: unrecognized arguments: b")
+
+
+def test_help_and_abbreviations_fall_back_to_argparse(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == build_parser().format_help()
+    assert _read_args(["--form", "json", "fixtures", "list"]) is None
+    assert run_cli("--form", "json", "fixtures", "list") == run_cli("fixtures", "list")
+
+
+def test_usage_errors_print_argparse_usage(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(["curve", "horns", "--base", "x", "-"])
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", (
+        "usage: singlip curve horns [-h] --base BASE input\n"
+        "singlip curve horns: error: argument --base: invalid int value: 'x'\n"))
+
+
 def test_decompose_mode_choices_are_decomp_modes():
     # build_parser lists the modes itself so that parsing never imports decomp
     _, rows = _parser_table(build_parser())[("graph", "decompose")]
@@ -215,13 +272,15 @@ def test_verify_fails_on_broken_graph(paths, tmp_path):
 
 
 def test_verify_reports_a_disconnected_graph(tmp_path):
+    # the first vertex of each component that the walk from `a` misses
     g = DualGraph()
-    g.add_vertex("a", -1)
-    g.add_vertex("b", -1)
+    for vid in "abcd":
+        g.add_vertex(vid, -2)
+    g.add_edge("b", "c")
     p = tmp_path / "graph.json"
     p.write_text(json.dumps(jsonio.graph_to_json(g)))
-    assert run_cli("verify", str(p)) == (
-        1, "graph is not connected\nfailed: 1 problem(s)\n", "")
+    assert run_cli("verify", str(p)) == (1, "graph is not connected: no path from "
+                                         "vertex a to b, d\nfailed: 1 problem(s)\n", "")
 
 
 def test_input_from_stdin(paths, monkeypatch):

@@ -172,6 +172,22 @@ def test_resolve_pencil_zero_steps():
     assert len(g2.vertices) == 8
 
 
+@pytest.mark.parametrize("ids, new", [
+    (["E1", "E07", "E3"], ["E8", "E9", "E10", "E11"]),
+    ([0, 5, 2], [6, 7, 8, 9]),
+    (["a", 1, "v5", "v6", "v8"], ["v7", "v9", "v10", "v11"]),
+    (["E1", "E2", 3], ["v3", "v4", "v5", "v6"])])
+def test_resolve_pencil_names_each_new_curve_by_the_graph_ids(ids, new):
+    # E<n> past the largest, the next integer, else the free v<k> from k = |V|
+    g = DualGraph()
+    for vid in ids:
+        g.add_vertex(vid, -2)
+    g2, steps = resolve_pencil(g, Divisor({ids[0]: 0}), Divisor({ids[0]: 4}),
+                               ids[0])
+    assert [s.vertex for s in steps] == [ids[0], *new]
+    assert g2.ids() == [*ids, *new]
+
+
 def _cusp_tower_35():
     _, tree = resolve_curve(curve_cusp_53())
     return tree
@@ -473,9 +489,22 @@ def _perturbed(g):
     return out
 
 
-def _renamed(problem, rename):
+def _renamed(problem, graph, back):
+    """``problem`` of ``graph`` with its vertices named by ``back``.  The
+    vertices a not-connected problem names depend on the vertex order, so
+    it becomes their components, which must be all of them."""
+    ids = {str(v): v for v in graph.ids()}
     head, at, vid = problem.rpartition(" at vertex ")
-    return head + at + rename[vid] if at else problem
+    if at:
+        return head + at + str(back[ids[vid]])
+    head, sep, named = problem.partition(": no path from vertex ")
+    if not sep:
+        return problem
+    first, _, rest = named.partition(" to ")
+    starts = [ids[n] for n in [first, *rest.split(", ")]]
+    parts = {frozenset(back[w] for w in graph.component(v)) for v in starts}
+    assert len(parts) == len(starts) and set().union(*parts) == set(back.values())
+    return head + ": " + str(sorted(sorted(map(str, part)) for part in parts))
 
 
 @pytest.mark.parametrize("name", fixtures.fixture_names() + list(EXTRA_CASES))
@@ -503,9 +532,9 @@ def test_answers_do_not_depend_on_vertex_order(name):
             assert rows == sparse_rows([[hm[a][b] for b in perm] for a in perm])
             assert h.determinant() == expected.determinant
             assert h.is_negative_definite() == negdef
-            names = {str(v): str(rename[v]) for v in ids}
-            assert sorted(verify_graph(h)) == sorted(_renamed(p, names)
-                                                     for p in problems)
+            back = {new: old for old, new in rename.items()}
+            assert sorted(_renamed(p, h, back) for p in verify_graph(h)) == sorted(
+                _renamed(p, g, dict(zip(ids, ids))) for p in problems)
             for fn, solution in solves.items():
                 if solution is None:
                     with pytest.raises(DomainError, match="^singular"):
