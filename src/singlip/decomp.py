@@ -128,10 +128,7 @@ def thick_thin(graph: DualGraph) -> ThickThin:
 
     claimed = set().union(*thick.values())
     rest = {vid for vid in graph.vertices if vid not in claimed}
-    zones = []
-    for vid in rest:
-        if not any(vid in zone for zone in zones):
-            zones.append(frozenset(graph.component(vid, rest)))
+    zones = [frozenset(tree) for tree in graph.components(rest)]
     zones.sort(key=lambda z: sorted(map(str, z)))
     return ThickThin(tuple((vid, frozenset(thick[vid])) for vid in l_nodes),
                      tuple(zones))

@@ -33,15 +33,20 @@ def is_int(x) -> bool:
 
 
 def as_rational(value) -> Fraction:
-    """Coerce ints, Fractions, "p/q" strings and {"num","den"} dicts of
-    integers; anything else, a bool or a zero denominator included, is an
-    InputError."""
+    """Coerce ints, Fractions, "p/q" strings of ASCII digits with an optional
+    sign and {"num","den"} dicts of integers; anything else, a bool, a decimal
+    or exponent string or a zero denominator included, is an InputError."""
     try:
         if isinstance(value, dict):
             if value.keys() == _RATIONAL_KEYS and all(map(is_int, value.values())):
                 return Fraction(value["num"], value["den"])
-        elif is_int(value) or isinstance(value, (Fraction, str)):
+        elif is_int(value) or isinstance(value, Fraction):
             return Fraction(value)
+        elif isinstance(value, str) and value.isascii():
+            # not all Fraction reads: it expands "1e-99999999" to 10**99999999
+            num, slash, den = value.lstrip("+-").partition("/")
+            if num.isdigit() and (den.isdigit() or not slash):
+                return Fraction(value)
     except (ValueError, ZeroDivisionError):
         pass
     raise InputError(f"cannot interpret {value!r} as a rational number")

@@ -77,16 +77,17 @@ def _negative_definite(minors) -> bool:
     return all(d * (-1) ** k > 0 for k, d in enumerate(minors, 1))
 
 
-def reach(adjacent: dict, start, within=None) -> list:
-    """Vertices reachable from ``start`` through ``within`` only when given,
-    breadth first in the order of the ``adjacent`` lists."""
-    order, seen = [start], {start}
+def reach(adjacent: dict, start, within=None) -> dict:
+    """The breadth-first tree from ``start``, through ``within`` only when
+    given: each vertex in the order the walk along the ``adjacent`` lists
+    reaches it, mapped to its neighbour reached first, and ``start`` to None."""
+    tree, order = {start: None}, [start]
     for v in order:
         for w in adjacent[v]:
-            if w not in seen and (within is None or w in within):
-                seen.add(w)
+            if w not in tree and (within is None or w in within):
+                tree[w] = v
                 order.append(w)
-    return order
+    return tree
 
 
 class DualGraph:
@@ -235,24 +236,31 @@ class DualGraph:
         return sorted({n for vid in self.ids()
                        for n in self.vertices[vid].multiplicities})
 
-    def component(self, start, within=None) -> list:
+    def component(self, start, within=None) -> dict:
         """``reach`` from ``start`` in this graph."""
         return reach(self._adjacent, start, within)
 
+    def components(self, within=None) -> list[dict]:
+        """The breadth-first tree of each component of the graph, or of the
+        vertices ``within``: ``component`` of each vertex that no earlier
+        tree holds, in ``ids()`` order or that of ``within``."""
+        trees, seen = [], set()
+        for vid in self.ids() if within is None else within:
+            if vid not in seen:
+                trees.append(self.component(vid, within))
+                seen.update(trees[-1])
+        return trees
+
     def is_connected(self) -> bool:
-        ids = self.ids()
-        return not ids or len(self.component(ids[0])) == len(ids)
+        return len(self.components()) < 2
 
     def intersection_rows(self) -> tuple[dict, list[dict]]:
         """The row of each vertex id, and the intersection matrix as
         ``exactnum.eliminate`` rows in any order with each tree vertex
         before its parent, so that nothing fills in; here each component in
         reverse breadth-first order from its first vertex."""
-        index: dict = {}
-        for vid in self.ids():
-            if vid not in index:
-                for w in reversed(reach(self._adjacent, vid)):
-                    index[w] = len(index)
+        index = {w: i for i, w in enumerate(
+            w for tree in self.components() for w in reversed(tree))}
         rows = [{i: self.vertices[vid].self_intersection}
                 for vid, i in index.items()]
         for a, b in self.edges:
@@ -319,11 +327,7 @@ def verify_graph(graph: DualGraph) -> list[str]:
 def verify_graph_det(graph: DualGraph) -> tuple[list[str], int]:
     """``verify_graph``'s problems and the intersection determinant, both
     read off one elimination."""
-    problems, seen, starts = [], set(), []
-    for vid in graph.ids():
-        if vid not in seen:
-            starts.append(vid)
-            seen.update(graph.component(vid))
+    problems, starts = [], [next(iter(tree)) for tree in graph.components()]
     if starts[1:]:
         problems.append(f"graph is not connected: no path from vertex {starts[0]} "
                         f"to {', '.join(map(str, starts[1:]))}")

@@ -156,7 +156,7 @@ def _land_branches(center: tuple, branches: dict, new: int) -> list[tuple]:
 def branch_contact(tree: DualTree, first: int, second: int) -> Fraction:
     """Contact exponent of two resolved branches read off the tree: the
     rate of the deepest vertex common to the root paths of their arrows."""
-    parent = _parents(tree)
+    parent = tree.component(tree.root) if tree.vertices else {}
 
     def path(branch):
         arrows = [a for a in tree.arrows if a.branch == branch]
@@ -173,16 +173,6 @@ def branch_contact(tree: DualTree, first: int, second: int) -> Fraction:
     return max(tree.vertices[v].rate for v in common)
 
 
-def _parents(tree: DualTree) -> dict:
-    """Each vertex reachable from the root, in ``component``'s breadth-first
-    order, mapped to its neighbour that comes earliest in that walk; the
-    root to None."""
-    order = tree.component(tree.root) if tree.vertices else []
-    rank = {v: i for i, v in enumerate(order)}
-    return {w: min(tree.neighbors(w), key=rank.__getitem__) if i else None
-            for i, w in enumerate(order)}
-
-
 class TowerReport(NamedTuple):
     lines: tuple
 
@@ -196,10 +186,10 @@ class TowerReport(NamedTuple):
 
 def verify_tower(tree: DualTree) -> TowerReport:
     """The checks of every resolution graph (``surfgraph.verify_graph``)
-    plus the tower's own: a connected tree with determinant +-1 whose
-    rates increase away from a root of rate 1."""
+    plus the tower's own: a connected tree with determinant +-1 whose rates
+    increase along the breadth-first tree from a root of rate 1, in its order."""
     problems, det = verify_graph_det(tree)
-    parent = _parents(tree)
+    parent = tree.component(tree.root) if tree.vertices else {}
     if len(parent) != len(tree.vertices) or len(tree.edges) != len(tree.vertices) - 1:
         problems.append("not a connected tree")
     if abs(det) != 1:

@@ -717,6 +717,8 @@ def _malformed(shape):
         tower["edges"].append([0, 0])
     elif shape == "graph-arrow-name-number":
         graph["arrows"][0]["name"] = 1
+    elif shape == "graph-arrow-kind-unknown":
+        graph["arrows"][0]["kind"] = "x"
     elif shape in ("decompose-disconnected", "signature-disconnected"):
         graph["edges"].remove(["E1", "E8"])
     elif shape == "signature-h-all-zero":
@@ -729,6 +731,10 @@ def _malformed(shape):
         curve["branches"][0]["terms"][0]["coeff"] = True
     elif shape == "curve-coeff-num-true":
         curve["branches"][0]["terms"][0]["coeff"] = {"num": True, "den": 2}
+    elif shape == "curve-branches-empty":
+        curve["branches"] = []
+    elif shape == "curve-coeff-exponent":
+        curve["branches"][0]["terms"][0]["coeff"] = "1e-99999999"
     elif shape == "curve-denominator-true":
         curve = smooth
         curve["branches"][0]["denominator"] = True
@@ -792,6 +798,7 @@ MALFORMED = {
     "graph-edge-loop": "edge ('E2','E2') joins a vertex to itself",
     "tower-edge-loop": "edge (0,0) joins a vertex to itself",
     "graph-arrow-name-number": "arrow name 1 is not a string",
+    "graph-arrow-kind-unknown": "unknown arrow kind 'x'",
     # e8 without its edge E1-E8
     "decompose-disconnected": "decomposition needs a connected graph",
     "signature-disconnected": "decomposition needs a connected graph",
@@ -802,6 +809,10 @@ MALFORMED = {
     "curve-coeff-true": "cannot interpret True as a rational number",
     "curve-coeff-num-true":
         "cannot interpret {'num': True, 'den': 2} as a rational number",
+    "curve-branches-empty": "field 'branches' must be a non-empty list",
+    # Fraction would read it, as a power of ten of 10**8 digits
+    "curve-coeff-exponent":
+        "cannot interpret '1e-99999999' as a rational number",
     "curve-denominator-true":
         "branches[0]: declared denominator True differs from the minimal one 1",
     "curve-denominator-float":

@@ -213,7 +213,12 @@ def test_as_rational_accepts_and_rejects():
     assert as_rational("3/2") == F(3, 2)
     assert as_rational({"num": -4, "den": 6}) == F(-2, 3)
     assert as_rational(5) == 5
+    assert as_rational("-7") == -7 and as_rational("+0/5") == 0
+    # decimal and exponent strings are malformed, however short: Fraction
+    # would expand "1e-99999999" into a power of ten
     for bad in ("1/0", "x", {"num": 1, "den": 0}, {"num": 1.5, "den": 2},
-                {"num": 1}, 0.5, None, [1, 2], True, {"num": True, "den": 2}):
+                {"num": 1}, 0.5, None, [1, 2], True, {"num": True, "den": 2},
+                "0.5", "1e3", "1e-99999999", " 2/3", "1_000", "3/", "/3", "-",
+                "--1", "2/-3", "\u0663"):
         with pytest.raises(InputError):
             as_rational(bad)

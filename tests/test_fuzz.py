@@ -104,17 +104,22 @@ def mutate(doc: dict, kind: str, place: int, pick: int) -> dict:
     return doc
 
 
+def _fields(vertex: dict) -> list:
+    """The fields of a vertex, each multiplicity counting as one."""
+    mults = vertex.get("multiplicities")
+    return [(k,) for k in vertex if k != "multiplicities"] + [
+        ("multiplicities", k) for k in (mults if isinstance(mults, dict) else ())]
+
+
 def _uniform(doc: dict, place: int, value) -> dict:
     """``value`` at one field of every vertex of ``doc``: the ``place``-th
-    field of the first vertex, where each multiplicity counts as a field."""
+    of the ``_fields`` of the first vertex."""
     vertices = doc.get("vertices")
     vertices = [v for v in vertices if isinstance(v, dict)] if isinstance(
         vertices, list) else []
     if not vertices:
         return doc
-    mults = vertices[0].get("multiplicities")
-    fields = [(k,) for k in vertices[0] if k != "multiplicities"] + [
-        ("multiplicities", k) for k in (mults if isinstance(mults, dict) else ())]
+    fields = _fields(vertices[0])
     *inner, key = fields[place % len(fields)]
     for v in vertices:
         for k in inner:
@@ -129,19 +134,39 @@ def doc_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "doc.json"
 
 
+@st.composite
+def cases(draw):
+    """(document kind, document, mutations, command, options), each
+    mutation the arguments of ``mutate`` after the document."""
+    doc_kind, doc = draw(st.sampled_from(DOCUMENTS))
+    mutations = [(draw(st.sampled_from(MUTATIONS)), draw(st.integers(0, 10 ** 6)),
+                  draw(st.integers(0, 10 ** 6)))
+                 for _ in range(draw(st.integers(1, 3)))]
+    command = draw(st.sampled_from(COMMANDS[doc_kind]))
+    options = draw(st.sampled_from(
+        [[], ["--strict"], ["--format", "json"], ["--format", "dot"]]))
+    return doc_kind, doc, mutations, command, options
+
+
+# The generic-linear multiplicity 0 at every vertex of a rated graph, which
+# the random draws almost never combine: the inner signature's gcd is 0.
+E8 = jsonio.graph_to_json(load_fixture("e8"))
+H_ZERO = ("uniform", _fields(E8["vertices"][0]).index(("multiplicities", "h")),
+          next(i for i, v in enumerate(JUNK) if type(v) is int and v == 0))
+
+
 @hypothesis.settings(max_examples=500, deadline=None, derandomize=True,
                      database=None,
                      suppress_health_check=[hypothesis.HealthCheck.too_slow])
-@hypothesis.given(st.data())
-def test_mutated_documents_never_escape(doc_path, data):
-    doc_kind, doc = data.draw(st.sampled_from(DOCUMENTS), "document")
-    for _ in range(data.draw(st.integers(1, 3), "mutations")):
-        doc = mutate(doc, data.draw(st.sampled_from(MUTATIONS)),
-                     data.draw(st.integers(0, 10 ** 6)),
-                     data.draw(st.integers(0, 10 ** 6)))
-    command = data.draw(st.sampled_from(COMMANDS[doc_kind]), "command")
-    options = data.draw(st.sampled_from(
-        [[], ["--strict"], ["--format", "json"], ["--format", "dot"]]))
+@hypothesis.given(cases())
+@hypothesis.example(("graph", E8, [H_ZERO],
+                     ["graph", "signature", D, D, "--metric", "inner"], []))
+@hypothesis.example(("graph", E8, [H_ZERO],
+                     ["graph", "signature", D, D, "--metric", "outer"], []))
+def test_mutated_documents_never_escape(doc_path, case):
+    doc_kind, doc, mutations, command, options = case
+    for kind, place, pick in mutations:
+        doc = mutate(doc, kind, place, pick)
     doc_path.write_text(json.dumps(doc))
     argv = options + [str(doc_path) if a == D else a for a in command]
     code, _, err = run_cli(*argv)

@@ -10,8 +10,8 @@ from helpers import (dense_eliminate, intersection_matrix, random_curve,
 from singlip import (Divisor, DualGraph, PuiseuxBranch, fixtures,
                      has_base_point, laufer_double_cover,
                      laufer_parity_prepare, pencil_min, resolve_curve,
-                     resolve_pencil, solve_multiplicities, tower_to_graph,
-                     verify_graph, verify_tower)
+                     resolve_pencil, solve_multiplicities, thick_thin,
+                     tower_to_graph, verify_graph, verify_tower)
 from singlip.errors import DomainError, InputError
 from singlip.fixtures import curve_cusp_53, graph_e8
 from singlip.jsonio import graph_to_json, parse_graph, tower_to_json
@@ -594,12 +594,15 @@ def test_reach_is_breadth_first_within_and_once():
     # a square 0-1-2-a with a double edge 0-a, a tail 2-3 and a lone x
     adjacent = {0: [1, "a", "a"], 1: [0, 2], "a": [0, 0, 2], 2: [1, "a", 3],
                 3: [2], "x": []}
-    assert reach(adjacent, 0) == [0, 1, "a", 2, 3]
-    assert reach(adjacent, 3) == [3, 2, 1, "a", 0]
-    assert reach(adjacent, "a") == ["a", 0, 2, 1, 3]
-    assert reach(adjacent, 0, within={1, 2, 3}) == [0, 1, 2, 3]
-    assert reach(adjacent, 3, within={0, "a"}) == [3]
-    assert reach(adjacent, "x") == ["x"]
+    assert list(reach(adjacent, 0)) == [0, 1, "a", 2, 3]
+    assert list(reach(adjacent, 3)) == [3, 2, 1, "a", 0]
+    assert list(reach(adjacent, "a")) == ["a", 0, 2, 1, 3]
+    assert list(reach(adjacent, 0, within={1, 2, 3})) == [0, 1, 2, 3]
+    assert list(reach(adjacent, 3, within={0, "a"})) == [3]
+    assert list(reach(adjacent, "x")) == ["x"]
+    # 2 is reached from 1 and from "a", first from 1
+    assert reach(adjacent, 0) == {0: None, 1: 0, "a": 0, 2: 1, 3: 2}
+    assert reach(adjacent, 3) == {3: None, 2: 3, 1: 2, "a": 2, 0: 1}
     rng = random.Random(4)
     for _ in range(200):
         ids = [*range(8), *"abcdefgh"]
@@ -610,7 +613,8 @@ def test_reach_is_breadth_first_within_and_once():
             adjacent[b].append(a)
         within = set(rng.sample(ids, rng.randint(0, len(ids))))
         start = rng.choice(ids)
-        order = reach(adjacent, start, within)
+        tree = reach(adjacent, start, within)
+        order = list(tree)
         distance = {start: 0}   # breadth first by rounds, the oracle
         while True:
             rim = {w for v, d in distance.items() if d == max(distance.values())
@@ -621,3 +625,44 @@ def test_reach_is_breadth_first_within_and_once():
         assert len(order) == len(set(order)) and set(order) == set(distance)
         assert order[0] == start and set(order[1:]) <= within
         assert [distance[v] for v in order] == sorted(distance.values())
+        # each vertex hangs from its neighbour that comes first in the walk
+        rank = {v: i for i, v in enumerate(order)}
+        assert tree[start] is None
+        for v in order[1:]:
+            assert tree[v] == min((w for w in adjacent[v] if w in rank),
+                                  key=rank.__getitem__)
+            assert tree[v] == start or tree[v] in within
+
+
+def test_components_partition_the_graph_in_id_order():
+    rng = random.Random(6)
+    for _ in range(100):
+        g, ids = DualGraph(), rng.sample([*range(8), *"abcdefgh"], 16)
+        for vid in ids:
+            g.add_vertex(vid, -2)
+        for _ in range(rng.randint(0, 16)):
+            g.add_edge(*rng.sample(ids, 2))
+        trees = g.components()
+        members = [v for tree in trees for v in tree]
+        assert len(members) == len(ids) and set(members) == set(ids)
+        firsts = [next(iter(tree)) for tree in trees]
+        assert firsts == sorted(firsts, key=ids.index)
+        for first, tree in zip(firsts, trees):
+            assert tree == g.component(first)
+            assert first == min(tree, key=ids.index)
+        assert g.is_connected() == (len(trees) == 1)
+
+
+def test_components_within_are_the_thin_zones():
+    # minimal-singularity leaves two thin zones, m2-m4-m5 and m7; the
+    # trees come in the order of ``within`` and walk inside it
+    g = fixtures.load_fixture("minimal-singularity")
+    tt = thick_thin(g)
+    thick = set().union(*(zone for _, zone in tt.thick_zones))
+    rest = [vid for vid in g.ids() if vid not in thick]
+    assert g.components(rest) == [{"m2": None, "m4": "m2", "m5": "m4"},
+                                  {"m7": None}]
+    assert g.components(rest[::-1]) == [{"m7": None},
+                                        {"m5": None, "m4": "m5", "m2": "m4"}]
+    assert {frozenset(tree) for tree in g.components(set(rest))} == set(
+        tt.thin_zones)
