@@ -49,7 +49,9 @@ def as_rational(value) -> Fraction:
                 return Fraction(value)
     except (ValueError, ZeroDivisionError):
         pass
-    raise InputError(f"cannot interpret {value!r} as a rational number")
+    text = repr(value)  # cut, so that a long value does not fill the message
+    text = text if len(text) <= 60 else f"{text[:40]}... ({len(text)} characters)"
+    raise InputError(f"cannot interpret {text} as a rational number")
 
 
 def rational_to_json(r: Fraction) -> dict:

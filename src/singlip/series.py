@@ -17,13 +17,15 @@ term stored below P, or a division leaving P < 1, raises
 ``PrecisionExhausted``.  A resolution reads a branch up to n times its last
 characteristic or coincidence exponent (Wall 2004, *Singular Points of
 Plane Curves*), and ``tower.resolve_curve`` doubles the horizon until then.
+Besides num, den and P, a series keeps that horizon and its order, found
+once when it is built and None where ``ord`` raises.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 
 class PrecisionExhausted(Exception):
@@ -48,24 +50,29 @@ class RatSeries(NamedTuple):
     den: dict
     prec: float  # an int, or math.inf when exact
     horizon: int
+    order: Optional[float]  # ord(): an int or math.inf; None if it raises
 
     @classmethod
     def make(cls, poly: dict, horizon: int) -> "RatSeries":
         """The exact series of a polynomial with rational coefficients."""
         d = math.lcm(*(c.denominator for c in poly.values()))  # gcd 1 with num
-        return cls({e: int(c * d) for e, c in poly.items()}, {0: d}, math.inf, horizon)
+        num = {e: c.numerator * (d // c.denominator) for e, c in poly.items()}
+        return cls(num, {0: d}, math.inf, horizon, min(num, default=math.inf))
 
     @classmethod
     def _reduced(cls, num: dict, den: dict, prec, horizon: int) -> "RatSeries":
         g = math.gcd(*num.values(), *den.values()) * (-1 if den[0] < 0 else 1)
-        return cls({e: c // g for e, c in num.items() if c},
-                   {e: c // g for e, c in den.items()}, prec, horizon)
+        if g != 1 or 0 in num.values():  # else num/den is reduced already
+            num = {e: c // g for e, c in num.items() if c}
+            den = {e: c // g for e, c in den.items()}
+        order = min(num) if num else math.inf if prec == math.inf else None
+        return cls(num, den, prec, horizon, order)
 
     def ord(self):
         """t-order, infinite for the exact zero series."""
-        if self.num or self.prec == math.inf:
-            return min(self.num, default=math.inf)
-        raise PrecisionExhausted
+        if self.order is None:
+            raise PrecisionExhausted
+        return self.order
 
     def constant(self) -> Fraction:
         """Value at t = 0."""

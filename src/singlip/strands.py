@@ -129,25 +129,33 @@ def _strands_of_branch(index: int, branch: PuiseuxBranch, order: int) -> list[St
 
 def strands_of(curve: Sequence[PuiseuxBranch],
                strand_cap: int = DEFAULT_STRAND_CAP) -> list[Strand]:
-    """All strands of the curve over N = lcm of the branch denominators.
+    """All strands over N of a curve that ``check_curve`` accepts."""
+    order = check_curve(curve, strand_cap)
+    return [s for i, b in enumerate(curve) for s in _strands_of_branch(i, b, order)]
 
-    Rejects curves containing two copies of the same branch (identical
-    strand sets), which are non-reduced and have no finite contact data,
-    and curves of more than ``strand_cap`` strands, before building any.
-    """
+
+def check_curve(curve: Sequence[PuiseuxBranch],
+                strand_cap: int = DEFAULT_STRAND_CAP) -> int:
+    """N = lcm of the branch denominators.  Rejects an empty curve, one of
+    more than ``strand_cap`` strands, and two copies of a branch (identical
+    strand sets: non-reduced, no finite contact data).  Those need equal
+    exponents, so only branches that share their denominator and term
+    count with another are expanded."""
     if not curve:
         raise InputError("curve needs at least one branch")
     count = sum(b.denominator for b in curve)
     if count > strand_cap:
         raise ResourceCapExceeded(f"strand cap {strand_cap} exceeded: {count} strands")
     order = reduce(math.lcm, (b.denominator for b in curve), 1)
-    per_branch = [_strands_of_branch(i, b, order) for i, b in enumerate(curve)]
+    shapes = Counter((b.denominator, len(b.terms)) for b in curve)
     first: dict = {}
-    for k, group in enumerate(per_branch):
-        i = first.setdefault(frozenset(s.series for s in group), k)
-        if i != k:
-            raise InputError(f"branches {i} and {k} have identical strand sets")
-    return [s for group in per_branch for s in group]
+    for k, b in enumerate(curve):
+        if shapes[b.denominator, len(b.terms)] > 1:
+            i = first.setdefault(frozenset(
+                s.series for s in _strands_of_branch(k, b, order)), k)
+            if i != k:
+                raise InputError(f"branches {i} and {k} have identical strand sets")
+    return order
 
 
 def strand_contact(s: Strand, t: Strand) -> Optional[int]:

@@ -93,8 +93,8 @@ def reach(adjacent: dict, start, within=None) -> dict:
 class DualGraph:
     """Resolution graph: vertices with decorations, edges (multi-edges
     allowed, loops not), and arrows for strict transforms.  ``vertices``
-    maps id to record; every change of ``edges`` goes through ``add_edge``
-    and ``remove_edge``, which keep the adjacency lists."""
+    maps id to record; ``add_edge``, ``remove_edge`` and ``blow_up`` change
+    ``edges`` and keep the adjacency lists."""
 
     def __init__(self):
         self.vertices = {}
@@ -188,17 +188,28 @@ class DualGraph:
         (1,1) at the origin, v + (1,0) at a free point of a curve with
         vector v, and the componentwise sum v + v' at a satellite point;
         vectors are kept unreduced, since the sum is only right on those."""
+        for e in curves:
+            if e not in self:
+                raise InputError(f"blow-up on unknown curve {e!r}")
         old = [self.vertices[e] for e in curves]
-        strict = strict or {}
-        names = {n for v in old for n in v.multiplicities} | set(strict)
-        mults = {n: sum(v.multiplicities.get(n, 0) for v in old)
-                 + strict.get(n, 0) for n in sorted(names)}
-        vector = tuple(map(sum, zip(_RATE_STEP[len(old)],
-                                    *(v.rate_vector for v in old))))
-        new = self.add_vertex(vid, -1, multiplicities=mults, rate_vector=vector)
+        sums: dict = {}
+        for source in [v.multiplicities for v in old] + [strict or {}]:
+            for n, m in source.items():
+                sums[n] = sums.get(n, 0) + m
+        # each sum starts at 0: an int, never a bool, when its terms are integers
+        if not all(isinstance(m, int) and m >= 0 for m in sums.values()):
+            raise InputError(f"vertex {vid!r}: multiplicities must be non-negative "
+                             "integers")
+        p, q = _RATE_STEP[len(old)]
+        for v in old:
+            p, q = p + v.rate_vector[0], q + v.rate_vector[1]
+        new = Vertex(vid, -1, 0, Fraction(p, q), dict(sorted(sums.items())), set(), (p, q))
+        self._store(new)
+        self._adjacent[vid] = list(curves)
         for e in curves:
             self.vertices[e].self_intersection -= 1
-            self.add_edge(e, vid)
+            self.edges.append((e, vid))
+            self._adjacent[e].append(vid)
         if len(curves) == 2:
             self.remove_edge(*curves)
         return new

@@ -12,14 +12,14 @@ one.  A decision past a series' precision restarts the resolution at twice
 the horizon, so a horizon too small costs time, never a different tower.
 
 A point is the pair (center, branches): the center that the event blowing
-it up records, and each branch id's two series.  The points pass through
-one queue in creation order.  A popped point that needs a blow-up is blown
-up and the points of the new curve are queued in the order of their first
-branch; any other point is kept and gets its branch arrows at the end, in
-pop order.  A point's branches are fixed once the blow-up that creates it
-has landed them, so whether it needs a blow-up never changes, and every
-later point is queued after it: the queue blows up, at each step, the
-earliest created point that needs it.
+it up records, and each branch id's two series, in id order.  The points
+pass through one queue in creation order.  A popped point that needs a
+blow-up is blown up and the points of the new curve are queued in the
+order of their first branch; any other point is kept and gets its branch
+arrows at the end, in pop order.  A point's branches are fixed once the
+blow-up that creates it has landed them, so whether it needs a blow-up
+never changes, and every later point is queued after it: the queue blows
+up, at each step, the earliest created point that needs it.
 
 Each event is ``DualGraph.blow_up``, which sets the new curve's
 self-intersection, unreduced inner-rate vector and multiplicities.  The
@@ -45,7 +45,7 @@ from typing import NamedTuple, Sequence
 
 from .errors import InputError, ResourceCapExceeded
 from .series import PrecisionExhausted, RatSeries
-from .strands import DEFAULT_STRAND_CAP, PuiseuxBranch, strands_of
+from .strands import DEFAULT_STRAND_CAP, PuiseuxBranch, check_curve
 from .surfgraph import CURVE_FUNCTION, GENERIC_LINEAR, DualTree, verify_graph_det
 
 DEFAULT_EVENT_CAP = 512
@@ -61,27 +61,28 @@ def resolve_curve(curve: Sequence[PuiseuxBranch], event_cap: int = DEFAULT_EVENT
                   strand_cap: int = DEFAULT_STRAND_CAP
                   ) -> tuple[list[BlowupEvent], DualTree]:
     """Minimal embedded resolution tower of the curve."""
-    strands_of(curve, strand_cap)  # validates branches and rejects duplicates
-    horizon = _horizon(curve)
+    check_curve(curve, strand_cap)
+    pairs = [b.parametrization() for b in curve]
+    horizon = _horizon(pairs)
     while True:
         try:
-            return _resolve(curve, event_cap, horizon)
+            return _resolve(pairs, event_cap, horizon)
         except PrecisionExhausted:
             horizon *= 2
 
 
-def _horizon(curve: Sequence[PuiseuxBranch]) -> int:
-    """Twice the largest t-degree n * (last exponent) of a branch, which
-    bounds n times every characteristic and coincidence exponent."""
-    return 2 * max(max([*x, *y]) for x, y in (b.parametrization() for b in curve))
+def _horizon(pairs: list) -> int:
+    """Twice the largest t-degree n * (last exponent) of a parametrization,
+    which bounds n times every characteristic and coincidence exponent."""
+    return 2 * max(max([*x, *y]) for x, y in pairs)
 
 
-def _resolve(curve, event_cap: int, horizon: int):
+def _resolve(pairs: list, event_cap: int, horizon: int):
     tree = DualTree()
     events: list[BlowupEvent] = []
     queue = deque([(("origin",), {
-        i: tuple(RatSeries.make(s, horizon) for s in b.parametrization())
-        for i, b in enumerate(curve)})])
+        i: (RatSeries.make(x, horizon), RatSeries.make(y, horizon))
+        for i, (x, y) in enumerate(pairs)})])
     kept = []
     while queue:
         center, branches = point = queue.popleft()
@@ -93,7 +94,7 @@ def _resolve(curve, event_cap: int, horizon: int):
         events.append(_blow_up(tree, center, branches))
         queue.extend(_land_branches(center, branches, events[-1].index))
     for center, branches in kept:
-        for bid, (bu, _) in sorted(branches.items()):
+        for bid, (bu, _) in branches.items():
             assert bu.ord() == 1
             tree.add_arrow(center[1], CURVE_FUNCTION, 1, "branch", bid)
     return events, tree
@@ -102,14 +103,10 @@ def _resolve(curve, event_cap: int, horizon: int):
 def _needs_blowup(center: tuple, branches: dict) -> bool:
     if center[0] != "free" or len(branches) >= 2:
         return True  # the origin, a double point of the divisor, or two branches
-    (pair,) = branches.values()
-    if _local_multiplicity(pair) >= 2:
+    ((u, v),) = branches.values()
+    if min(u.ord(), v.ord()) >= 2:
         return True  # singular strict transform
-    return pair[0].ord() >= 2  # smooth but tangent to the exceptional curve
-
-
-def _local_multiplicity(pair) -> int:
-    return min(pair[0].ord(), pair[1].ord())
+    return u.ord() >= 2  # smooth but tangent to the exceptional curve
 
 
 def _curves_through(center: tuple) -> tuple:
@@ -121,11 +118,10 @@ def _curves_through(center: tuple) -> tuple:
 def _blow_up(tree: DualTree, center: tuple, branches: dict) -> BlowupEvent:
     """Blow up the point in the tree; the new vertex id is the event index."""
     new = len(tree.vertices)
-    through = tuple(sorted(
-        (bid, _local_multiplicity(pair)) for bid, pair in branches.items()))
+    through = tuple([(bid, min(u.ord(), v.ord())) for bid, (u, v) in branches.items()])
     origin = center[0] == "origin"
     tree.blow_up(new, _curves_through(center), {
-        CURVE_FUNCTION: sum(m for _, m in through), GENERIC_LINEAR: int(origin)})
+        CURVE_FUNCTION: sum([m for _, m in through]), GENERIC_LINEAR: int(origin)})
     if origin:
         tree.add_arrow(new, GENERIC_LINEAR, 1, "generic-linear")
     return BlowupEvent(new, center, through)
@@ -139,13 +135,13 @@ def _land_branches(center: tuple, branches: dict, new: int) -> list[tuple]:
     meets = [("satellite", new, d) for d in _curves_through(center)]
     on_u, on_v = meets + [("free", new, "axis")] * (2 - len(meets))
     landings: dict[tuple, dict] = {}
-    for bid, (bu, bv) in sorted(branches.items()):
-        if bv.ord() < bu.ord():
+    for bid, (bu, bv) in branches.items():
+        if bv.order < bu.order:  # both read by _blow_up, so neither is None
             at, pair = on_u, (bv, bu.div(bv))
         else:
             ratio = bv.div(bu)
-            c = ratio.constant()
-            if c:
+            if ratio.order == 0:  # a nonzero constant: num keeps no zero terms
+                c = ratio.constant()
                 at, pair = ("free", new, c), (bu, ratio.sub_const(c))
             else:
                 at, pair = on_v, (bu, ratio)

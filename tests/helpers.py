@@ -5,7 +5,8 @@ rendering and horn profiles of a contact matrix, characteristic
 exponents, a reference determinant, the dense intersection matrix and
 dense Bareiss elimination with the sparse rows they are compared through,
 relabelled graphs, random curve generation, towers
-replayed from the blow-up event log, A'Campo's Alexander polynomial of a
+replayed from the blow-up event log, the plain forms of the resolver's
+series product, series reduction and graph blow-up, A'Campo's Alexander polynomial of a
 tower, the curvette oracle for inner rates, graph-level blow-ups of
 towers, the piece labels of a decomposition, the quadratic reference
 amalgamation, a small DOT syntax checker used to validate emitted graphs,
@@ -389,6 +390,70 @@ def extend_arrow_chain(tree: DualTree, arrow_index: int, steps: int) -> DualTree
 def summary(d) -> list[str]:
     """The sorted piece labels of a decomposition, e.g. ["A(1,5/3)", "B(1)"]."""
     return sorted(p.describe() for p in d.pieces.values())
+
+
+# -- references for the resolver's kernels ------------------------------------
+#
+# The plain forms of the series product, the series reduction and the
+# graph blow-up: the library's faster forms must give equal dicts and
+# records, zero-valued keys included (a den keeps them, and ``div``'s
+# monomial test counts them).
+
+
+def reference_mul(a: dict, b: dict, shift: int, limit) -> dict:
+    """a * b / t^shift below ``limit``, term by term."""
+    out: dict = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = ea + eb - shift
+            if e < limit:
+                out[e] = out.get(e, 0) + ca * cb
+    return out
+
+
+def reference_reduced(num: dict, den: dict) -> tuple[dict, dict]:
+    """num and den divided by the gcd of all their coefficients, signed so
+    that den[0] > 0, with num's zero coefficients dropped."""
+    g = math.gcd(*num.values(), *den.values()) * (-1 if den[0] < 0 else 1)
+    return ({e: c // g for e, c in num.items() if c},
+            {e: c // g for e, c in den.items()})
+
+
+def reference_make(poly: dict) -> tuple[dict, dict]:
+    """num and den of the exact series of a polynomial with rational
+    coefficients, scaled by Fraction products."""
+    d = math.lcm(*(c.denominator for c in poly.values()))
+    return {e: int(c * d) for e, c in poly.items()}, {0: d}
+
+
+def reference_blow_up(graph: DualGraph, vid, curves, strict=None):
+    """``DualGraph.blow_up`` through ``add_vertex`` and ``add_edge``, which
+    check every value again."""
+    old = [graph.vertices[e] for e in curves]
+    strict = strict or {}
+    names = {n for v in old for n in v.multiplicities} | set(strict)
+    mults = {n: sum(v.multiplicities.get(n, 0) for v in old)
+             + strict.get(n, 0) for n in sorted(names)}
+    vector = tuple(map(sum, zip({0: (1, 1), 1: (1, 0), 2: (0, 0)}[len(old)],
+                                *(v.rate_vector for v in old))))
+    new = graph.add_vertex(vid, -1, multiplicities=mults, rate_vector=vector)
+    for e in curves:
+        graph.vertices[e].self_intersection -= 1
+        graph.add_edge(e, vid)
+    if len(curves) == 2:
+        graph.remove_edge(*curves)
+    return new
+
+
+def graph_state(graph: DualGraph) -> tuple:
+    """Every vertex record, with its multiplicities in their key order, the
+    edges, the adjacency lists and the arrows, to compare two graphs by."""
+    records = [(v.id, v.self_intersection, v.genus, v.rate, type(v.rate),
+                list(v.multiplicities.items()), v.flags, v.rate_vector)
+               for v in map(graph.vertices.__getitem__, graph.ids())]
+    return (records, list(graph.edges),
+            {vid: list(ws) for vid, ws in graph._adjacent.items()},
+            list(graph.arrows))
 
 
 # -- the quadratic amalgamation, a reference for decomp.amalgamate ------------

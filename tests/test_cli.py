@@ -829,6 +829,19 @@ def test_malformed_document_exit_2(tmp_path, shape):
     assert (code, out, err) == (2, "", f"input error: {MALFORMED[shape]}\n")
 
 
+def test_a_long_rejected_value_gives_a_short_line(tmp_path):
+    # one digit past the int limit of str(): rejected, and echoed cut
+    doc = {"format": "singlip.curve/1",
+           "branches": [{"denominator": 1, "terms": [{"exp": 2, "coeff": "1" * 4301}]}]}
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(doc))
+    code, out, err = run_cli("curve", "contacts", str(p))
+    assert (code, out) == (2, "")
+    assert err == (f"input error: cannot interpret '{'1' * 39}... (4303 characters) "
+                   "as a rational number\n")
+    assert len(err.encode()) < 200
+
+
 def test_verify_rejects_a_tower_with_a_cycle(tmp_path):
     doc = _tower_json()
     doc["edges"].append([0, 1])

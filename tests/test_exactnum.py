@@ -222,3 +222,15 @@ def test_as_rational_accepts_and_rejects():
                 "--1", "2/-3", "\u0663"):
         with pytest.raises(InputError):
             as_rational(bad)
+
+
+def test_as_rational_cuts_a_long_value_in_its_message():
+    # a repr of up to 60 characters is echoed whole, a longer one is cut to
+    # its first 40 and its length
+    for bad, text in (("x" * 58, repr("x" * 58)),
+                      ("x" * 59, "'" + "x" * 39 + "... (61 characters)"),
+                      (list(range(30)), "[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 1"
+                                        "... (110 characters)")):
+        with pytest.raises(InputError) as caught:
+            as_rational(bad)
+        assert str(caught.value) == f"cannot interpret {text} as a rational number"

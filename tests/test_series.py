@@ -4,15 +4,19 @@ quotient claims is its value modulo t^prec, and an order that raises
 
 The reference series are computed modulo the prime 2^61 - 1, where exact
 rational arithmetic on a few hundred terms costs little; the coefficients
-here are small, so no nonzero one vanishes modulo the prime."""
+here are small, so no nonzero one vanishes modulo the prime.  The product,
+the reduction and the exact series also match their plain forms in
+``helpers`` dict for dict, on signed, large and sparse coefficients."""
 
 import math
 import random
 from fractions import Fraction as F
 
-from helpers import random_curve
+import pytest
+
+from helpers import random_curve, reference_make, reference_mul, reference_reduced
 from singlip import resolve_curve
-from singlip.series import PrecisionExhausted, RatSeries
+from singlip.series import PrecisionExhausted, RatSeries, _mul
 
 P = 2 ** 61 - 1
 DEPTH = 120  # terms of the reference series
@@ -132,3 +136,65 @@ def test_resolver_series_keep_their_terms_below_precision(monkeypatch):
     for s in built:
         if s.num:
             assert all(e < s.prec - min(s.num) for e in s.den)
+
+
+def _coefficient(rng: random.Random) -> int:
+    # mostly small, so that products cancel; sometimes past 2^128
+    big = rng.random() < 0.2
+    return rng.choice([-1, 1]) * (10 ** rng.randint(20, 45) if big else rng.randint(1, 3))
+
+
+def _sparse(rng: random.Random, spread: int) -> dict:
+    exps = rng.sample(range(spread), rng.randint(1, min(6, spread)))
+    return {e: _coefficient(rng) for e in exps}
+
+
+def _expected_order(num: dict, prec):
+    return min(num) if num else math.inf if prec == math.inf else None
+
+
+def test_products_and_reductions_match_their_plain_forms():
+    # equal dicts, zero-valued keys included: a den keeps them, and div's
+    # monomial test counts them
+    rng = random.Random(17)
+    seen = dict.fromkeys(("zero term", "gcd above 1", "negative den", "gcd 1"), 0)
+    for _ in range(3000):
+        a, b = _sparse(rng, 8), _sparse(rng, rng.choice([3, 8, 40]))
+        shift = rng.randint(0, 3)
+        limit = math.inf if rng.random() < 0.5 else rng.randint(0, 12)
+        num = _mul(a, b, shift, limit)
+        assert num == reference_mul(a, b, shift, limit)
+        den = _sparse(rng, 6)
+        den[0] = _coefficient(rng)
+        k = rng.choice([1, 1, 2, 6, 10 ** 30])
+        num = {e: c * k for e, c in num.items()}
+        den = {e: c * k for e, c in den.items()}
+        prec = math.inf if rng.random() < 0.3 else rng.randint(1, 12)
+        s = RatSeries._reduced(dict(num), dict(den), prec, 9)
+        ref_num, ref_den = reference_reduced(num, den)
+        assert (s.num, s.den, s.prec, s.horizon) == (ref_num, ref_den, prec, 9)
+        assert s.order == _expected_order(ref_num, prec)
+        gcd = math.gcd(*num.values(), *den.values())
+        seen["zero term"] += 0 in num.values()
+        seen["gcd above 1"] += gcd > 1
+        seen["negative den"] += den[0] < 0
+        seen["gcd 1"] += gcd == 1 and den[0] > 0 and 0 not in num.values()
+    assert min(seen.values()) > 100, seen
+
+
+def test_exact_series_match_their_plain_form():
+    rng = random.Random(19)
+    for _ in range(500):
+        poly = {e: F(_coefficient(rng), rng.choice([1, 2, 3, 7, 10 ** 25]))
+                for e in rng.sample(range(1, 30), rng.randint(0, 5))}
+        s = RatSeries.make(poly, 12)
+        assert (s.num, s.den) == reference_make(poly)
+        assert s.order == min(s.num, default=math.inf) == s.ord()
+
+
+def test_an_order_past_precision_raises_every_time():
+    s = RatSeries._reduced({0: 0}, {0: -3}, 4, 4)
+    assert (s.num, s.den, s.order) == ({}, {0: 1}, None)
+    for _ in range(2):
+        with pytest.raises(PrecisionExhausted):
+            s.ord()

@@ -8,13 +8,15 @@ from fractions import Fraction as F
 import pytest
 
 from helpers import (branch_char_exponents, coefficient_value, contact,
-                     numeric_contact, pairwise_contact_matrix, random_curve)
+                     numeric_contact, pairwise_contact_matrix, random_branch,
+                     random_curve)
 from singlip import (PuiseuxBranch, coincidence_exponent, contact_matrix, fixtures,
                      horn_jump_profile, resolve_curve, strand_contact, strands_of)
 from singlip.errors import InputError, ResourceCapExceeded
 from singlip.fixtures import curve_carrousel_example
 from singlip.jsonio import _emit_json
-from singlip.strands import DEFAULT_STRAND_CAP, ContactMatrix, coefficient_key
+from singlip.strands import (DEFAULT_STRAND_CAP, ContactMatrix, _strands_of_branch,
+                              check_curve, coefficient_key)
 
 
 def branch(*terms):
@@ -52,6 +54,40 @@ def test_duplicate_branches_error_names_the_first_repeat():
     with pytest.raises(InputError,
                        match="^branches 1 and 2 have identical strand sets$"):
         strands_of(curve)
+
+
+def _conjugate(b: PuiseuxBranch) -> PuiseuxBranch:
+    # x^(1/n) -> -x^(1/n) for even n: the sign of a_e flips where e*n is odd
+    n = b.denominator
+    odd = [n % 2 == 0 and (e * n).numerator % 2 for e, _ in b.terms]
+    return PuiseuxBranch(n, tuple((e, -c if o else c) for (e, c), o in zip(b.terms, odd)))
+
+
+def test_duplicate_check_matches_comparing_every_strand_set():
+    # check_curve expands only branches that share their denominator and
+    # term count with another; it must name the pair that comparing the
+    # strand sets of all branches names
+    rng = random.Random(29)
+    repeats = 0
+    for _ in range(600):
+        curve = [random_branch(rng, 4, 2) for _ in range(rng.randint(1, 4))]
+        for _ in range(rng.randint(0, 2)):
+            copy = rng.choice([lambda b: b, _conjugate])(rng.choice(curve))
+            curve.insert(rng.randint(0, len(curve)), copy)
+        order = math.lcm(*(b.denominator for b in curve))
+        first, expected = {}, None
+        for k, b in enumerate(curve):
+            i = first.setdefault(frozenset(
+                s.series for s in _strands_of_branch(k, b, order)), k)
+            if i != k:
+                expected = f"branches {i} and {k} have identical strand sets"
+                break
+        try:
+            assert check_curve(curve) == order and expected is None
+        except InputError as caught:
+            assert str(caught) == expected
+            repeats += 1
+    assert 200 < repeats < 500
 
 
 def test_coefficient_key_normal_form():

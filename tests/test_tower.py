@@ -6,14 +6,15 @@ from pathlib import Path
 import pytest
 
 from helpers import (blow_all_double_points, curvette_pair,
-                     extend_arrow_chain, random_curve, replay_events,
-                     replay_prefixes)
+                     extend_arrow_chain, graph_state, random_curve,
+                     reference_blow_up, replay_events, replay_prefixes)
 from singlip import (PuiseuxBranch, coincidence_exponent, fixtures, jsonio,
-                     laufer_parity_prepare, resolve_curve, tower, verify_tower)
+                     laufer_parity_prepare, resolve_curve, tower,
+                     tower_to_graph, verify_tower)
 from singlip.errors import InputError, ResourceCapExceeded
 from singlip.fixtures import (curve_32_74, curve_carrousel_example,
-                              curve_cusp_53)
-from singlip.surfgraph import DualTree
+                              curve_cusp_53, graph_e8)
+from singlip.surfgraph import CURVE_FUNCTION, GENERIC_LINEAR, DualGraph, DualTree
 
 
 DATA = Path(__file__).parent / "data"
@@ -322,6 +323,56 @@ def test_adjacency_lists_follow_edges():
             for v in t.ids():
                 assert sorted(t.neighbors(v)) == _edge_neighbours(t, v)
                 assert t.valence(v) == len(_edge_neighbours(t, v))
+
+
+def test_blow_up_matches_its_plain_form(monkeypatch):
+    # the same vertex records, edges and adjacency lists as a blow-up that
+    # goes through add_vertex and add_edge: on 200 random towers replayed
+    # from their events, on their parity preparations, and on edges and
+    # curves of their graphs with dict storage
+    rng = random.Random(23)
+    prepared = 0
+    for _ in range(200):
+        events, tree = resolve_curve(random_curve(rng, 3))
+        plain = DualTree()
+        for ev in events:
+            curves = ev.center[1:3] if ev.center[0] == "satellite" else ev.center[1:2]
+            reference_blow_up(plain, ev.index, curves, {
+                CURVE_FUNCTION: sum(m for _, m in ev.branches_through),
+                GENERIC_LINEAR: int(ev.center[0] == "origin")})
+        assert graph_state(tree)[:3] == graph_state(plain)[:3]
+        fast = laufer_parity_prepare(tree)
+        with monkeypatch.context() as m:
+            m.setattr(DualGraph, "blow_up", reference_blow_up)
+            assert graph_state(fast) == graph_state(laufer_parity_prepare(tree))
+        prepared += fast is not tree
+        graphs = tower_to_graph(tree), tower_to_graph(tree)
+        curves = rng.choice([(rng.choice(tree.ids()),), *tree.edges[-1:]])
+        graphs[0].blow_up(len(tree.vertices), curves, {CURVE_FUNCTION: 1})
+        reference_blow_up(graphs[1], len(tree.vertices), curves, {CURVE_FUNCTION: 1})
+        assert graph_state(graphs[0]) == graph_state(graphs[1])
+    assert prepared > 100
+
+
+def test_blow_up_refuses_bad_arguments_before_changing_the_graph():
+    # each check comes before the first change: the curve ids, the summed
+    # multiplicities, and the new id (DualTree._store, DualGraph._store)
+    _, tree = resolve_curve(curve_cusp_53())
+    e8, graph = graph_e8(), tower_to_graph(tree)
+    n = len(tree.vertices)
+    cases = [(tree, n, (c,), None) for c in (-1, n, "0", True, 1.0, None)]
+    cases += [(e8, "E9", (c,), None) for c in ("E0", 1, None, ["E1"])]
+    cases += [(tree, n, (0, c), None) for c in (-1, n)]
+    cases += [(tree, n, (1,), {CURVE_FUNCTION: bad}) for bad in (-100, 1.5)]
+    cases += [(tree, vid, (1,), None) for vid in (n + 1, n - 1, "4")]
+    cases += [(graph, vid, (1,), None) for vid in (0, 1.5)]
+    for g, vid, curves, strict in cases:
+        before = graph_state(g)
+        with pytest.raises(InputError):
+            g.blow_up(vid, curves, strict)
+        assert graph_state(g) == before
+    with pytest.raises(InputError, match="blow-up on unknown curve -1"):
+        tree.blow_up(n, (-1,))
 
 
 def test_tower_building_is_checked():
