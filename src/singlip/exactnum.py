@@ -28,8 +28,9 @@ _RATIONAL_KEYS = frozenset(("num", "den"))
 
 
 def is_int(x) -> bool:
-    """An integer that is not a bool: JSON ``true`` is not the number 1."""
-    return isinstance(x, int) and not isinstance(x, bool)
+    """An integer that is not a bool: JSON ``true`` is not the number 1.
+    ``json.loads`` yields exact ints, so the exact test comes first."""
+    return type(x) is int or isinstance(x, int) and not isinstance(x, bool)
 
 
 def as_rational(value) -> Fraction:
@@ -38,7 +39,9 @@ def as_rational(value) -> Fraction:
     or exponent string or a zero denominator included, is an InputError."""
     try:
         if isinstance(value, dict):
-            if value.keys() == _RATIONAL_KEYS and all(map(is_int, value.values())):
+            if value.keys() == _RATIONAL_KEYS and (
+                    type(value["num"]) is type(value["den"]) is int
+                    or all(map(is_int, value.values()))):
                 return Fraction(value["num"], value["den"])
         elif is_int(value) or isinstance(value, Fraction):
             return Fraction(value)

@@ -27,8 +27,9 @@ GRAPH_FORMAT = "singlip.graph/1"
 TOWER_FORMAT = "singlip.tower/1"
 
 
-def _check_fields(obj: dict, allowed: set, where: str, strict: bool,
-                  warnings: list):
+def _check_fields(obj, allowed: set, where: str, strict: bool, warnings: list):
+    if not isinstance(obj, dict):
+        raise InputError(f"{where} must be an object")
     unknown = sorted(set(obj) - allowed)
     if unknown:
         msg = f"unknown fields {unknown} in {where}"
@@ -41,12 +42,6 @@ def _list(doc: dict, name: str) -> list:
     value = doc.get(name, ())
     if not isinstance(value, (list, tuple)):
         raise InputError(f"field {name!r} must be a list")
-    return value
-
-
-def _object(value, where: str) -> dict:
-    if not isinstance(value, dict):
-        raise InputError(f"{where} must be an object")
     return value
 
 
@@ -89,12 +84,12 @@ def parse_curve(doc: dict, strict: bool = False,
     out = []
     for i, b in enumerate(branches):
         where = f"branches[{i}]"
-        _check_fields(_object(b, where), {"denominator", "terms"}, where,
-                      strict, warnings)
+        _check_fields(b, {"denominator", "terms"}, where, strict, warnings)
         terms = []
         for j, t in enumerate(_list(b, "terms")):
-            _check_fields(_object(t, f"{where}.terms[{j}]"), {"exp", "coeff"},
-                          f"{where}.terms[{j}]", strict, warnings)
+            if not (type(t) is dict and t.keys() <= {"exp", "coeff"}):
+                _check_fields(t, {"exp", "coeff"}, f"{where}.terms[{j}]",
+                              strict, warnings)
             try:
                 terms.append((as_rational(t["exp"]), as_rational(t["coeff"])))
             except KeyError as exc:
@@ -138,9 +133,7 @@ def _read_graph(doc: dict, fmt: str, g: DualGraph, extra: tuple, vertex_fields: 
                   f"{what} document", strict, warnings)
     allowed = {"id", "self_intersection", "multiplicities", *vertex_fields}
     for i, v in enumerate(_list(doc, "vertices")):
-        if not isinstance(v, dict):
-            raise InputError(f"vertices[{i}] must be an object")
-        if not v.keys() <= allowed:
+        if not (type(v) is dict and v.keys() <= allowed):
             _check_fields(v, allowed, f"vertices[{i}]", strict, warnings)
         try:
             g.add_vertex(v["id"], v["self_intersection"], *fields(v, i))
@@ -150,16 +143,15 @@ def _read_graph(doc: dict, fmt: str, g: DualGraph, extra: tuple, vertex_fields: 
         if not isinstance(e, list) or len(e) != 2:
             raise InputError(f"edges[{i}] must be a two-element list")
         g.add_edge(e[0], e[1])
+    allowed = {"vertex", "name", "multiplicity", "kind", "branch"}
     for i, a in enumerate(_list(doc, "arrows")):
-        where = f"arrows[{i}]"
-        _check_fields(_object(a, where), {"vertex", "name", "multiplicity",
-                                          "kind", "branch"},
-                      where, strict, warnings)
+        if not (type(a) is dict and a.keys() <= allowed):
+            _check_fields(a, allowed, f"arrows[{i}]", strict, warnings)
         try:
             g.add_arrow(a["vertex"], a["name"], a.get("multiplicity", 1),
                         a.get("kind", "function"), a.get("branch"))
         except KeyError as exc:
-            raise InputError(f"{where} missing {exc}") from None
+            raise InputError(f"arrows[{i}] missing {exc}") from None
     if not g.vertices:
         raise InputError(f"{what} document has no vertices")
     return g

@@ -27,7 +27,7 @@ from itertools import count
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import DomainError, InputError, ResourceCapExceeded
-from .exactnum import eliminate, is_int
+from .exactnum import as_rational, eliminate, is_int
 
 L_NODE = "L"
 DELTA_NODE = "Delta"
@@ -77,6 +77,10 @@ def _negative_definite(minors) -> bool:
     return all(d * (-1) ** k > 0 for k, d in enumerate(minors, 1))
 
 
+def _is_id(vid) -> bool:  # a string or an integer that is not a bool
+    return type(vid) is str or type(vid) is int or isinstance(vid, str) or is_int(vid)
+
+
 def reach(adjacent: dict, start, within=None) -> dict:
     """The breadth-first tree from ``start``, through ``within`` only when
     given: each vertex in the order the walk along the ``adjacent`` lists
@@ -105,13 +109,13 @@ class DualGraph:
     # -- vertex storage (a DualTree keeps a list instead) -------------------
 
     def __contains__(self, vid) -> bool:
-        return (is_int(vid) or isinstance(vid, str)) and vid in self.vertices
+        return _is_id(vid) and vid in self.vertices
 
     def ids(self) -> list:
         return list(self.vertices)
 
     def _store(self, v: Vertex):
-        if not (is_int(v.id) or isinstance(v.id, str)):
+        if not _is_id(v.id):
             raise InputError(f"vertex id {v.id!r} is not a string or an integer")
         if v.id in self.vertices:
             raise InputError(f"duplicate vertex id {v.id!r}")
@@ -127,21 +131,23 @@ class DualGraph:
         if not is_int(genus) or genus < 0:
             raise InputError(f"vertex {vid!r}: genus must be a non-negative integer")
         mults = dict(multiplicities or {})
-        if not all(map(is_int, mults.values())) or min(mults.values(), default=0) < 0:
-            raise InputError(f"vertex {vid!r}: multiplicities must be non-negative "
-                             "integers")
-        bad = [f for f in flags or () if f not in KNOWN_FLAGS]
+        for m in mults.values():
+            if not (type(m) is int or is_int(m)) or m < 0:
+                raise InputError(f"vertex {vid!r}: multiplicities must be non-negative "
+                                 "integers")
+        bad = flags and [f for f in flags if f not in KNOWN_FLAGS]
         if bad:
             raise InputError(f"vertex {vid!r}: unknown flags {bad}")
         if rate_vector is not None:
             if not (isinstance(rate_vector, (list, tuple)) and len(rate_vector) == 2
-                    and all(map(is_int, rate_vector)) and rate_vector[1] > 0):
+                    and (type(rate_vector[0]) is type(rate_vector[1]) is int
+                         or all(map(is_int, rate_vector))) and rate_vector[1] > 0):
                 raise InputError(f"vertex {vid!r}: rate_vector must be two "
                                  "integers [p, q] with q > 0")
             rate_vector = tuple(rate_vector)
             rate = Fraction(*rate_vector) if rate is None else rate
         v = Vertex(vid, self_intersection, genus,
-                   rate if rate is None or isinstance(rate, Fraction) else Fraction(rate),
+                   rate if rate is None or type(rate) is Fraction else as_rational(rate),
                    mults, set(flags or ()), rate_vector)
         self._store(v)
         self._adjacent[vid] = []
@@ -157,9 +163,14 @@ class DualGraph:
         self._adjacent[b].append(a)
 
     def remove_edge(self, a, b):
-        self.edges.remove((a, b) if (a, b) in self.edges else (b, a))
-        self._adjacent[a].remove(b)
-        self._adjacent[b].remove(a)
+        edges, pair = self.edges, ((a, b), (b, a))
+        for i in range(len(edges) - 1, -1, -1):  # blow-ups cut recent edges
+            if edges[i] in pair:
+                del edges[i]
+                self._adjacent[a].remove(b)
+                self._adjacent[b].remove(a)
+                return
+        raise InputError(f"no edge ({a!r},{b!r})")
 
     def add_arrow(self, vertex, name, multiplicity=1, kind="function",
                   branch=None):
@@ -191,6 +202,10 @@ class DualGraph:
         for e in curves:
             if e not in self:
                 raise InputError(f"blow-up on unknown curve {e!r}")
+            if self.vertices[e].rate_vector is None:
+                raise InputError(f"blow-up on curve {e!r}, which has no rate vector")
+        if len(curves) > 2 or curves[1:] and curves[0] not in self._adjacent[curves[1]]:
+            raise InputError(f"curves {list(curves)!r} meet in no point to blow up")
         old = [self.vertices[e] for e in curves]
         sums: dict = {}
         for source in [v.multiplicities for v in old] + [strict or {}]:
@@ -316,7 +331,7 @@ class DualTree(DualGraph):
         self.vertices = []
 
     def __contains__(self, vid) -> bool:
-        return is_int(vid) and 0 <= vid < len(self.vertices)
+        return (type(vid) is int or is_int(vid)) and 0 <= vid < len(self.vertices)
 
     def ids(self) -> list:
         return list(range(len(self.vertices)))

@@ -418,6 +418,22 @@ def test_copy_shares_no_mutable_state():
         assert state(graph) == before
 
 
+def test_remove_edge_takes_the_last_edge_stored_either_way_round():
+    g = DualGraph()
+    for vid in "abc":
+        g.add_vertex(vid, -2)
+    for a, b in (("a", "b"), ("b", "c"), ("b", "a"), ("c", "b")):
+        g.add_edge(a, b)
+    g.remove_edge("a", "b")
+    assert g.edges == [("a", "b"), ("b", "c"), ("c", "b")]
+    g.remove_edge("b", "c")
+    assert g.edges == [("a", "b"), ("b", "c")]
+    assert [g.neighbors(v) for v in "abc"] == [["b"], ["a", "c"], ["b"]]
+    with pytest.raises(InputError, match=r"^no edge \('a','c'\)$"):
+        g.remove_edge("a", "c")
+    assert g.edges == [("a", "b"), ("b", "c")]
+
+
 # what blowdownable_vertices finds in the chain a - b - c, with b a rational
 # -1 curve and a, c -2 curves, changed as each case says
 BLOWDOWN_CASES = {"chain": ["b"], "one-L-neighbour": ["b"], "arrow": [],

@@ -355,14 +355,18 @@ def test_blow_up_matches_its_plain_form(monkeypatch):
 
 
 def test_blow_up_refuses_bad_arguments_before_changing_the_graph():
-    # each check comes before the first change: the curve ids, the summed
+    # each check comes before the first change: the curve ids, their rate
+    # vectors, the centre (one curve, or two that meet), the summed
     # multiplicities, and the new id (DualTree._store, DualGraph._store)
     _, tree = resolve_curve(curve_cusp_53())
     e8, graph = graph_e8(), tower_to_graph(tree)
     n = len(tree.vertices)
+    assert tree.edges == [(0, 2), (2, 3), (1, 3)]
     cases = [(tree, n, (c,), None) for c in (-1, n, "0", True, 1.0, None)]
     cases += [(e8, "E9", (c,), None) for c in ("E0", 1, None, ["E1"])]
+    cases += [(e8, "E9", ("E1",), None)]                # no rate vector
     cases += [(tree, n, (0, c), None) for c in (-1, n)]
+    cases += [(tree, n, c, None) for c in ((1, 1), (1, 3, 2), (0, 3))]
     cases += [(tree, n, (1,), {CURVE_FUNCTION: bad}) for bad in (-100, 1.5)]
     cases += [(tree, vid, (1,), None) for vid in (n + 1, n - 1, "4")]
     cases += [(graph, vid, (1,), None) for vid in (0, 1.5)]
@@ -371,8 +375,15 @@ def test_blow_up_refuses_bad_arguments_before_changing_the_graph():
         with pytest.raises(InputError):
             g.blow_up(vid, curves, strict)
         assert graph_state(g) == before
-    with pytest.raises(InputError, match="blow-up on unknown curve -1"):
-        tree.blow_up(n, (-1,))
+    for g, vid, curves, message in [
+            (tree, n, (-1,), "blow-up on unknown curve -1"),
+            (e8, "E9", ("E1",), "blow-up on curve 'E1', which has no rate vector"),
+            (tree, n, (1, 1), "curves [1, 1] meet in no point to blow up"),
+            (tree, n, (1, 3, 2), "curves [1, 3, 2] meet in no point to blow up"),
+            (tree, n, (0, 3), "curves [0, 3] meet in no point to blow up")]:
+        with pytest.raises(InputError) as exc:
+            g.blow_up(vid, curves)
+        assert str(exc.value) == message
 
 
 def test_tower_building_is_checked():
