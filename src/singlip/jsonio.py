@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import sys
-from collections import defaultdict
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Optional
 
@@ -239,31 +238,43 @@ def _emit_json(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+class _Keys(dict):
+    def __missing__(self, k) -> str:   # encode_basestring_ascii refuses a non-str
+        s = self[k] = encode_basestring_ascii(k) + ": "
+        return s
+
+
+class _Pads(dict):
+    def __missing__(self, pad: str) -> tuple:
+        inner = pad + "  "
+        s = self[pad] = (inner, "," + inner, "{" + inner, pad + "}",
+                         "[" + inner, pad + "]", {})
+        return s
+
+
 def _emit(doc) -> str:
     """The text of a document of exact dicts with str keys, lists, tuples
     and scalars of the types in ``_TEXT``; ``TypeError`` at anything else.
 
     It writes into one list.  A container's loop looks each item's exact
     type up in ``_TEXT`` and writes a scalar inline; a container goes to
-    ``emit``.  A container whose items were all written inline is flat:
-    ``emit`` joins its text once and keeps it by ``id`` in ``seen``, one
-    dict per indentation, where the loops look before recursing, so an
-    object repeated in ``doc`` (``ContactMatrix.to_json`` shares each
-    entry) costs one lookup.  Ids are safe keys: the containers of ``doc``
-    keep all they hold alive, so none is reused during the call.  ``keys``
-    holds the text of each key.
+    ``emit``.  ``pads`` holds, per indentation, the strings that open,
+    separate and close a container there, and the memo of its items: the
+    text of each flat dict (one whose values were all written inline) by
+    ``id``, which the loops look up before recursing and ``emit`` fills as
+    ``seen``.  So a dict repeated in ``doc`` (``ContactMatrix.to_json``
+    shares each entry) costs one lookup; lists and tuples, which no
+    document shares, are written in place.  Ids are safe keys: the
+    containers of ``doc`` keep all they hold alive, so none is reused
+    during the call.  ``keys`` holds the text of each key.
     """
     out: list[str] = []
     append = out.append
     text = _TEXT.get
-    keys: dict = {}
-    seen: defaultdict = defaultdict(dict)
+    keys = _Keys()
+    pads = _Pads()
 
-    def key(k) -> str:   # encode_basestring_ascii refuses a non-str
-        s = keys[k] = encode_basestring_ascii(k) + ": "
-        return s
-
-    def emit(o, pad: str):
+    def emit(o, pad: str, seen: dict):
         t = type(o)
         if t is not dict and t is not list and t is not tuple:
             f = text(t)
@@ -272,38 +283,35 @@ def _emit(doc) -> str:
             return append(f(o))
         if not o:
             return append("{}" if t is dict else "[]")
-        inner = pad + "  "
-        comma, here, start, flat = "," + inner, seen[inner], len(out), True
+        inner, comma, sep, end, lsep, lend, here = pads[pad]
         if t is dict:
-            sep = "{" + inner
+            start, flat = len(out), True
             for k, v in sorted(o.items()):
                 f = text(type(v))
                 if f is not None:
-                    append(sep + (keys.get(k) or key(k)) + f(v))
+                    append(sep + keys[k] + f(v))
                 else:
                     flat = False
-                    append(sep + (keys.get(k) or key(k)))
+                    append(sep + keys[k])
                     s = here.get(id(v))
-                    emit(v, inner) if s is None else append(s)
+                    emit(v, inner, here) if s is None else append(s)
                 sep = comma
-            append(pad + "}")
+            append(end)
+            if flat:
+                s = seen[id(o)] = "".join(out[start:])
+                out[start:] = [s]
         else:
-            sep = "[" + inner
             for v in o:
                 f = text(type(v))
                 if f is not None:
-                    append(sep + f(v))
+                    append(lsep + f(v))
                 else:
-                    flat = False
-                    append(sep)
+                    append(lsep)
                     s = here.get(id(v))
-                    emit(v, inner) if s is None else append(s)
-                sep = comma
-            append(pad + "]")
-        if flat:
-            s = seen[pad][id(o)] = "".join(out[start:])
-            out[start:] = [s]
+                    emit(v, inner, here) if s is None else append(s)
+                lsep = comma
+            append(lend)
 
-    emit(doc, "\n")
+    emit(doc, "\n", {})
     append("\n")
     return "".join(out)

@@ -135,6 +135,8 @@ class DualGraph:
             if not (type(m) is int or is_int(m)) or m < 0:
                 raise InputError(f"vertex {vid!r}: multiplicities must be non-negative "
                                  "integers")
+        if flags is not None and not isinstance(flags, (list, tuple, set, frozenset)):
+            raise InputError(f"vertex {vid!r}: flags must be a list of names")
         bad = flags and [f for f in flags if f not in KNOWN_FLAGS]
         if bad:
             raise InputError(f"vertex {vid!r}: unknown flags {bad}")
@@ -206,6 +208,10 @@ class DualGraph:
                 raise InputError(f"blow-up on curve {e!r}, which has no rate vector")
         if len(curves) > 2 or curves[1:] and curves[0] not in self._adjacent[curves[1]]:
             raise InputError(f"curves {list(curves)!r} meet in no point to blow up")
+        for m in (strict or {}).values():  # exact type first; 0 + True is the int 1
+            if not (type(m) is int or is_int(m)):
+                raise InputError(f"vertex {vid!r}: multiplicities must be non-negative "
+                                 "integers")
         old = [self.vertices[e] for e in curves]
         sums: dict = {}
         for source in [v.multiplicities for v in old] + [strict or {}]:

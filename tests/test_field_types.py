@@ -5,7 +5,9 @@ type-checks as an integer takes an ``IntEnum`` as that integer and refuses
 The readers test the exact JSON types first and call ``is_int`` or
 ``isinstance`` only when that test fails; these values take that second
 path.  One table sends them through documents, the other through the
-builders, which must leave a graph as it was when they refuse.
+builders, which must leave a graph as it was when they refuse.  The
+builders also refuse a ``flags`` argument that is not a list, tuple or set,
+where the graph reader refuses any field but a list.
 """
 
 from enum import IntEnum
@@ -160,6 +162,8 @@ API_FIELDS = {
                      Int.ONE, "arrow branch True is not an integer"),
     "blow-up-curve": (two_curves, lambda g, x: g.blow_up(3, (x,)), Int.ONE,
                       "blow-up on unknown curve True"),
+    "blow-up-strict": (two_curves, lambda g, x: g.blow_up(3, (1,), {"h": x}), Int.ONE,
+                       "vertex 3: multiplicities must be non-negative integers"),
     "tower-id": (points(1), lambda t, x: t.add_vertex(x, -1, rate_vector=(2, 1)),
                  Int.ONE, "tower vertex id True is not its position 1"),
     "tower-edge-end": (points(2), lambda t, x: t.add_edge(0, x), Int.ONE,
@@ -180,3 +184,16 @@ def test_a_builder_argument_takes_an_int_subclass_and_refuses_true(name):
         call(g, True)
     assert str(exc.value) == message
     assert graph_state(g) == before
+
+
+def test_a_builder_refuses_flags_that_are_not_a_collection():
+    # a str is iterable, and "LP" would be stored as the flags L and P
+    g = two_curves()
+    before = graph_state(g)
+    for flags in ("LP", "", True, 3):
+        with pytest.raises(InputError) as exc:
+            g.add_vertex("a", -2, flags=flags)
+        assert str(exc.value) == "vertex 'a': flags must be a list of names"
+        assert graph_state(g) == before
+    for flags in (["L"], ("L",), {"L"}, frozenset("L"), [], None):
+        assert g.copy().add_vertex("a", -2, flags=flags).flags == set(flags or ())

@@ -24,10 +24,12 @@ from fractions import Fraction
 from typing import NamedTuple
 from unittest import mock
 
+from helpers import random_curve
 from singlip import (amalgamate, build_carrousel_tree, build_decomposition,
                      contact_matrix, csquare_decomposition, decorate, fixtures,
-                     inner_signature, leaf_contacts, outer_signature,
-                     reduce_to_eggers, resolve_curve, tower_to_graph)
+                     inner_signature, laufer_parity_prepare, leaf_contacts,
+                     outer_signature, reduce_to_eggers, resolve_curve,
+                     tower_to_graph)
 from singlip.decomp import MODES
 from singlip.errors import DomainError
 from singlip.jsonio import (_emit, _emit_json, curve_to_json, dumps, graph_to_json,
@@ -87,6 +89,27 @@ def _fixture_reports() -> dict:
             for obj in [fixtures.load_fixture(name)]}
 
 
+def _benchmark_shaped_reports() -> list:
+    """One report per drawn curve, in one document, as the benchmark writes
+    it: the contact and round-trip matrices side by side at one depth (each
+    shares one entry dict per distinct contact), the tower, the prepared
+    tower, the carrousel decomposition and its amalgamation."""
+    rng = random.Random(36)
+    reports = []
+    for i in range(50):
+        curve = random_curve(rng, max_branches=3)
+        matrix = contact_matrix(curve)
+        events, tower = resolve_curve(curve)
+        pieces = csquare_decomposition(tower)
+        reports.append({"case": f"drawn/{i}", "stages": {
+            "contacts": matrix.to_json(),
+            "roundtrip": leaf_contacts(build_carrousel_tree(matrix)).to_json(),
+            "tower": tower_to_json(tower, events),
+            "prepared": tower_to_json(laufer_parity_prepare(tower)),
+            "csquare": pieces.to_json(), "amalgamate": amalgamate(pieces).to_json()}})
+    return reports
+
+
 def test_fixture_documents():
     docs = [doc for reports in _fixture_reports().values() for doc in reports]
     for doc in docs:
@@ -95,9 +118,11 @@ def test_fixture_documents():
 
 
 def test_whole_report_of_every_fixture():
-    # one nested document, like the reports the benchmark writes: the
-    # emitter keeps each flat container's text by id, at many depths
+    # nested documents, like the reports the benchmark writes: the emitter
+    # keeps each flat dict's text by id, at many depths, and writes each
+    # list and tuple in place
     assert_fast(_fixture_reports())
+    assert_fast(_benchmark_shaped_reports())
 
 
 def test_dumps_leaves_no_fixture_report_to_json():
@@ -173,7 +198,8 @@ def test_hand_cases():
 
 
 def test_repeated_objects():
-    # the emitter keeps the text of an object by its id and indentation
+    # the emitter keeps the text of a flat dict by its id and indentation,
+    # and writes a repeated list or tuple again at each place
     d, l, t, one = {"den": 2, "num": 3}, [1, 2], [True], [1]
     nested = {"a": [d, l], "b": d}
     for doc in [

@@ -356,8 +356,9 @@ def test_blow_up_matches_its_plain_form(monkeypatch):
 
 def test_blow_up_refuses_bad_arguments_before_changing_the_graph():
     # each check comes before the first change: the curve ids, their rate
-    # vectors, the centre (one curve, or two that meet), the summed
-    # multiplicities, and the new id (DualTree._store, DualGraph._store)
+    # vectors, the centre (one curve, or two that meet), the strict
+    # multiplicities (True would sum to an int), the summed multiplicities,
+    # and the new id (DualTree._store, DualGraph._store)
     _, tree = resolve_curve(curve_cusp_53())
     e8, graph = graph_e8(), tower_to_graph(tree)
     n = len(tree.vertices)
@@ -367,7 +368,7 @@ def test_blow_up_refuses_bad_arguments_before_changing_the_graph():
     cases += [(e8, "E9", ("E1",), None)]                # no rate vector
     cases += [(tree, n, (0, c), None) for c in (-1, n)]
     cases += [(tree, n, c, None) for c in ((1, 1), (1, 3, 2), (0, 3))]
-    cases += [(tree, n, (1,), {CURVE_FUNCTION: bad}) for bad in (-100, 1.5)]
+    cases += [(tree, n, (1,), {CURVE_FUNCTION: bad}) for bad in (-100, 1.5, True, 1.0, "1")]
     cases += [(tree, vid, (1,), None) for vid in (n + 1, n - 1, "4")]
     cases += [(graph, vid, (1,), None) for vid in (0, 1.5)]
     for g, vid, curves, strict in cases:
