@@ -9,16 +9,16 @@ from importlib import import_module
 _EXPORTS = {
     "carrousel": ("CarrouselTree build_carrousel_tree decorate leaf_contacts "
                   "reduce_to_eggers trees_isomorphic"),
-    "decomp": ("Decomposition Piece amalgamate build_decomposition "
-               "csquare_decomposition inner_signature outer_signature "
-               "signatures_equal thick_thin thin_zone_rate"),
+    "csquare": "amalgamate csquare_decomposition",
+    "decomp": ("Decomposition Piece build_decomposition inner_signature "
+               "outer_signature signatures_equal thick_thin thin_zone_rate"),
+    "dualgraph": "DualGraph DualTree verify_graph",
     "errors": "DomainError InputError ResourceCapExceeded SinglipError",
     "strands": ("ContactMatrix PuiseuxBranch Strand coincidence_exponent "
                 "contact_matrix horn_jump_profile strand_contact strands_of"),
-    "surfgraph": ("Divisor DualGraph DualTree has_base_point "
-                  "laufer_double_cover laufer_parity_prepare pencil_min "
-                  "resolve_pencil solve_multiplicities tower_to_graph "
-                  "verify_graph"),
+    "surfgraph": ("Divisor has_base_point laufer_double_cover "
+                  "laufer_parity_prepare pencil_min resolve_pencil "
+                  "solve_multiplicities tower_to_graph"),
     "tower": "BlowupEvent branch_contact resolve_curve verify_tower",
 }
 _HOME = {name: mod for mod, names in _EXPORTS.items() for name in names.split()}

@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING, Optional
 if TYPE_CHECKING:
     from .carrousel import CarrouselNode, CarrouselTree
     from .decomp import Decomposition, Piece
-    from .surfgraph import DualGraph, DualTree, Vertex
+    from .dualgraph import DualGraph, DualTree, Vertex
 
 
 def _esc(text) -> str:
@@ -55,7 +55,7 @@ def tree_to_dot(tree: DualTree) -> str:
 
 
 def graph_to_dot(graph: DualGraph) -> str:
-    from .surfgraph import L_NODE
+    from .dualgraph import L_NODE
 
     def attributes(v: Vertex) -> str:
         rate = "" if v.rate is None else f"\\nq={v.rate}"

@@ -15,7 +15,7 @@ from .errors import InputError
 
 if TYPE_CHECKING:
     from .strands import PuiseuxBranch
-    from .surfgraph import DualGraph
+    from .dualgraph import DualGraph
 
 
 def _branch(*terms) -> PuiseuxBranch:
@@ -36,7 +36,7 @@ def curve_32_74() -> list[PuiseuxBranch]:
 
 
 def _graph(data: dict) -> DualGraph:
-    from .surfgraph import DualGraph
+    from .dualgraph import DualGraph
     g = DualGraph()
     for vid, self_int, genus, rate, h, flags in data["vertices"]:
         mults = {} if h is None else {"h": h}

@@ -18,7 +18,7 @@ from .exactnum import as_rational, is_int, rational_to_json
 
 if TYPE_CHECKING:
     from .strands import PuiseuxBranch
-    from .surfgraph import DualGraph, DualTree
+    from .dualgraph import DualGraph, DualTree
     from .tower import BlowupEvent
 
 CURVE_FORMAT = "singlip.curve/1"
@@ -109,7 +109,7 @@ def curve_to_json(curve: list[PuiseuxBranch]) -> dict:
 
 def parse_graph(doc: dict, strict: bool = False,
                 warnings: Optional[list] = None) -> DualGraph:
-    from .surfgraph import DualGraph
+    from .dualgraph import DualGraph
 
     def fields(v: dict, i: int) -> tuple:
         rate = v.get("rate")
@@ -196,7 +196,7 @@ def parse_tower(doc: dict, strict: bool = False,
     """Vertex ids must be 0..n-1 in order and every vertex needs its
     rate_vector; the rate is read off it, so a stored "rate" is ignored,
     and so are the "events"."""
-    from .surfgraph import DualTree
+    from .dualgraph import DualTree
 
     def fields(v: dict, i: int) -> tuple:
         rate_vector = v["rate_vector"]
@@ -224,9 +224,9 @@ def _emit_json(doc) -> str:
     """Byte-identical to ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``.
 
     Below Python 3.13 any ``indent`` sends ``json`` to its pure-Python
-    generator encoder, which costs more than computing the reports.  Delete
-    this once requires-python reaches 3.13, whose C encoder handles
-    ``indent`` and is faster still.
+    generator encoder, which costs more than computing the reports.  From
+    3.13 on ``json`` takes ``indent`` in C, yet ``_emit`` still writes curve
+    reports faster there; ROADMAP item 25 decides the branch by measurement.
 
     ``_emit`` writes the library's documents; ``json`` writes any other
     document, or raises its own error for it.

@@ -46,7 +46,7 @@ from typing import NamedTuple, Sequence
 from .errors import InputError, ResourceCapExceeded
 from .series import PrecisionExhausted, RatSeries
 from .strands import DEFAULT_STRAND_CAP, PuiseuxBranch, check_curve
-from .surfgraph import CURVE_FUNCTION, GENERIC_LINEAR, DualTree, verify_graph_det
+from .dualgraph import CURVE_FUNCTION, GENERIC_LINEAR, DualTree, verify_graph_det
 
 DEFAULT_EVENT_CAP = 512
 
@@ -181,7 +181,7 @@ class TowerReport(NamedTuple):
 
 
 def verify_tower(tree: DualTree) -> TowerReport:
-    """The checks of every resolution graph (``surfgraph.verify_graph``)
+    """The checks of every resolution graph (``dualgraph.verify_graph``)
     plus the tower's own: a connected tree with determinant +-1 whose rates
     increase along the breadth-first tree from a root of rate 1, in its order."""
     problems, det = verify_graph_det(tree)

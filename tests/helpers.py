@@ -36,7 +36,7 @@ from singlip.errors import DomainError, SinglipError
 from singlip.exactnum import Elimination
 from singlip.carrousel import CarrouselNode, CarrouselTree
 from singlip.strands import ContactMatrix, HornJumpProfile
-from singlip.surfgraph import CURVE_FUNCTION, GENERIC_LINEAR, DualGraph, DualTree
+from singlip.dualgraph import CURVE_FUNCTION, GENERIC_LINEAR, DualGraph, DualTree
 
 
 def exponents(strand) -> list[Fraction]:
@@ -456,7 +456,7 @@ def graph_state(graph: DualGraph) -> tuple:
             list(graph.arrows))
 
 
-# -- the quadratic amalgamation, a reference for decomp.amalgamate ------------
+# -- the quadratic amalgamation, a reference for csquare.amalgamate -----------
 
 def _other(rates: tuple, q) -> Fraction:
     """The rate of a two-rate piece other than q (q when both are q)."""
@@ -489,7 +489,7 @@ def _rule(x: Piece, y: Piece):
 
 
 def reference_amalgamate(d: Decomposition) -> Decomposition:
-    """``decomp.amalgamate`` as it was before its rule heap: after every
+    """``csquare.amalgamate`` as it was before its rule heap: after every
     merge it takes the max over all pending rules of (eliminated rate,
     lowest ordering pid, lowest pair), compared as Fractions, and rebuilds
     the rules without the pairs at the two merged pieces.  Quadratic in
@@ -822,7 +822,7 @@ def run_cli(*argv) -> tuple[int, str, str]:
 def cli_commands(node=_CLI, words=()) -> list:
     """(words, arguments) of every command in the CLI table."""
     _, arguments, then = node
-    if callable(then):
+    if isinstance(then, str):
         return [(list(words), arguments)]
     return [c for word, child in then.items()
             for c in cli_commands(child, (*words, word))]

@@ -27,11 +27,11 @@ ALLOWED = {
     **dict.fromkeys(
         [("dot.py", "from .carrousel import CarrouselNode, CarrouselTree"),
          ("dot.py", "from .decomp import Decomposition, Piece"),
-         ("dot.py", "from .surfgraph import DualGraph, DualTree, Vertex"),
+         ("dot.py", "from .dualgraph import DualGraph, DualTree, Vertex"),
          ("fixtures.py", "from .strands import PuiseuxBranch"),
-         ("fixtures.py", "from .surfgraph import DualGraph"),
+         ("fixtures.py", "from .dualgraph import DualGraph"),
          ("jsonio.py", "from .strands import PuiseuxBranch"),
-         ("jsonio.py", "from .surfgraph import DualGraph, DualTree"),
+         ("jsonio.py", "from .dualgraph import DualGraph, DualTree"),
          ("jsonio.py", "from .tower import BlowupEvent")],
         "an import for annotations only, under TYPE_CHECKING"),
     ("cli.py", "sys.exit(main())"): "the __main__ call, run by the CLI process",

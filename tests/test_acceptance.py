@@ -18,7 +18,8 @@ from singlip import (Divisor, build_carrousel_tree, coincidence_exponent,
                      laufer_parity_prepare, leaf_contacts, pencil_min,
                      resolve_curve, resolve_pencil, solve_multiplicities,
                      thick_thin, verify_tower)
-from singlip.decomp import amalgamate, build_decomposition
+from singlip.csquare import amalgamate
+from singlip.decomp import build_decomposition
 from singlip.fixtures import (curve_carrousel_example, curve_cusp_53,
                               graph_e8, graph_e8_nash,
                               graph_minimal_singularity, load_fixture)

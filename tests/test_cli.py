@@ -14,7 +14,7 @@ from singlip.cli import _read_args, build_parser, main
 from singlip.decomp import MODES
 from singlip.dot import graph_to_dot
 from singlip.fixtures import curve_cusp_53, fixture_names, load_fixture
-from singlip.surfgraph import DualGraph
+from singlip.dualgraph import DualGraph
 
 
 @pytest.fixture
@@ -137,7 +137,7 @@ def _parser_table(parser, path=()) -> dict:
             for name, sub in a.choices.items():
                 table.update(_parser_table(sub, (*path, name)))
     func = parser.get_default("func")
-    table[path] = (func and func.__name__, rows)
+    table[path] = (func, rows)
     return table
 
 
@@ -546,32 +546,60 @@ def _loaded_modules(*argv) -> set:
     return set(out.stdout.splitlines()[-1].split())
 
 
-def test_cli_import_leaves_networkx_unloaded(paths):
-    # networkx alone cost most of the CLI's cold start; nothing may import it.
-    # Each command imports only the layers it runs.
-    # Listing fixtures loads no layer, and not even fractions.
-    listed = _loaded_modules("fixtures", "list")
-    assert listed == {"singlip", "singlip.cli", "singlip.errors",
-                      "singlip.fixtures"}
-    contacts = _loaded_modules("curve", "contacts", paths["cusp-53"])
-    assert not contacts & {f"singlip.{m}" for m in (
-        "surfgraph", "tower", "series", "carrousel", "decomp", "dot")}
-    mult = _loaded_modules("graph", "mult", "--arrow", "x", paths["e8"])
-    assert not mult & {f"singlip.{m}" for m in (
-        "strands", "tower", "series", "carrousel", "decomp", "dot")}
-    assert "singlip.strands" in contacts and "singlip.surfgraph" in mult
-    # DOT text is rendered, and dot loaded, only under --format dot
-    carrousel = _loaded_modules("curve", "carrousel", paths["cusp-53"])
-    assert "singlip.carrousel" in carrousel and "singlip.dot" not in carrousel
-    assert "networkx" not in listed | contacts | mult | carrousel
-    # nor may any layer, including those that no pinned command loads
+# The singlip modules that a text call of each command loads besides
+# singlip, errors, cli and its command module cli_<command>: no curve
+# command loads surfgraph or decomp, thickthin, decompose and signature load
+# no surfgraph, and nothing loads csquare.  A DOT call adds dot.
+LAYERS = {
+    "curve contacts": "cli_io exactnum jsonio strands",
+    "curve carrousel": "carrousel cli_io exactnum jsonio strands",
+    "curve horns": "cli_io exactnum jsonio strands",
+    "curve resolve": "cli_io dualgraph exactnum jsonio series strands tower",
+    "curve equiv": "carrousel cli_io exactnum jsonio strands",
+    "graph mult": "cli_io dualgraph exactnum jsonio surfgraph",
+    "graph laufer": "cli_io dualgraph exactnum jsonio series strands surfgraph tower",
+    "graph pencil": "cli_io dualgraph exactnum jsonio surfgraph",
+    "graph thickthin": "cli_io decomp dualgraph exactnum jsonio",
+    "graph decompose": "cli_io decomp dualgraph exactnum jsonio",
+    "graph signature": "cli_io decomp dualgraph exactnum jsonio",
+    "verify": "cli_io dualgraph exactnum jsonio",
+    "fixtures list": "fixtures",
+    "fixtures dump": "dualgraph exactnum fixtures jsonio",
+}
+OPTIONS = {"curve horns": ["--base", "0"], "graph mult": ["--arrow", "x"],
+           "graph pencil": ["--gen", "x", "--gen", "y:2"],
+           "graph decompose": ["--mode", "inner"], "graph signature": ["--metric", "inner"]}
+DOT = {"curve carrousel", "curve resolve", "graph laufer", "graph decompose"}
+
+
+def test_each_command_loads_only_the_modules_it_runs(paths):
+    # networkx alone cost most of the CLI's cold start, and the benchmark's
+    # calls compile each module they load, so each command loads only what
+    # it runs; listing fixtures loads no layer, and not even fractions
+    assert sorted(" ".join(words) for words, _ in cli_commands()) == sorted(LAYERS)
+    for words, arguments in cli_commands():
+        command = " ".join(words)
+        doc = paths["cusp-53" if words[0] == "curve" or command == "graph laufer"
+                    else "e8"]
+        inputs = [{"name": "e8"}.get(name, doc) for name, kw in arguments
+                  if name[0] != "-" and "nargs" not in kw]
+        for fmt in ("text", "dot") if command in DOT else ("text",):
+            loaded = _loaded_modules("--format", fmt, *words, *OPTIONS.get(command, []),
+                                     *inputs)
+            want = ["errors", "cli", f"cli_{words[0]}", *LAYERS[command].split()]
+            if fmt == "dot":
+                want.append("dot")
+            assert loaded - {"fractions"} == {"singlip", *(f"singlip.{m}" for m in want)}, (
+                command, fmt)
+            assert ("fractions" in loaded) == (command != "fixtures list")
+    # nor may any layer, including those that no command loads, load networkx
     out = run_python("-c", "import importlib, pkgutil, sys, singlip\n"
                      "for m in pkgutil.iter_modules(singlip.__path__):\n"
                      "    importlib.import_module('singlip.' + m.name)\n"
                      "print(*[m for m in sys.modules if m.split('.')[0] in "
                      "('singlip', 'networkx')])")
     every = set(out.stdout.split())
-    assert {f"singlip.{m}" for m in ("decomp", "dot", "series", "tower")} <= every
+    assert {f"singlip.{m}" for m in ("csquare", "decomp", "dot", "series", "tower")} <= every
     assert "networkx" not in every
 
 

@@ -18,7 +18,7 @@ from singlip.errors import DomainError, InputError
 from singlip.fixtures import (curve_32_74, curve_cusp_53, graph_a_k, graph_d4,
                               graph_e8, graph_e8_nash,
                               graph_minimal_singularity, load_fixture)
-from singlip.surfgraph import DualGraph
+from singlip.dualgraph import DualGraph
 
 
 def test_classify_nodes_minimal_singularity():

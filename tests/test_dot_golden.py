@@ -23,7 +23,8 @@ from singlip import (amalgamate, build_decomposition, csquare_decomposition,
 from singlip.decomp import MODES
 from singlip.errors import InputError
 from singlip.fixtures import fixture_kind, fixture_names, load_fixture
-from singlip.surfgraph import DualTree, tower_to_graph
+from singlip.dualgraph import DualTree
+from singlip.surfgraph import tower_to_graph
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "dot.json"
 CURVE_COMMANDS = (["curve", "resolve"], ["curve", "carrousel", "--reduce"],

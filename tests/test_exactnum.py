@@ -8,7 +8,7 @@ from helpers import (dense_eliminate, fraction_det, intersection_matrix,
 from singlip import fixtures, resolve_curve, solve_multiplicities, tower_to_graph
 from singlip.errors import InputError
 from singlip.exactnum import as_rational, eliminate
-from singlip.surfgraph import DualGraph
+from singlip.dualgraph import DualGraph
 
 
 def _leading(matrix, k):

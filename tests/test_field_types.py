@@ -18,7 +18,7 @@ from helpers import graph_state
 from singlip.errors import InputError
 from singlip.jsonio import (curve_to_json, graph_to_json, parse_curve,
                             parse_graph, parse_tower, tower_to_json)
-from singlip.surfgraph import DualGraph, DualTree
+from singlip.dualgraph import DualGraph, DualTree
 
 
 class Int(IntEnum):

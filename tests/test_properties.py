@@ -13,11 +13,12 @@ from singlip import (PuiseuxBranch, build_carrousel_tree, coincidence_exponent,
                      contact_matrix, csquare_decomposition,
                      laufer_double_cover, laufer_parity_prepare, leaf_contacts,
                      resolve_curve, strands_of, verify_tower)
-from singlip.decomp import Decomposition, Piece, amalgamate
+from singlip.csquare import amalgamate
+from singlip.decomp import Decomposition, Piece
 from singlip.errors import DomainError
 from singlip.fixtures import fixture_kind, fixture_names, load_fixture
 from singlip.jsonio import parse_tower, tower_to_json
-from singlip.surfgraph import CURVE_FUNCTION
+from singlip.dualgraph import CURVE_FUNCTION
 from singlip.tower import branch_contact
 
 

@@ -15,8 +15,8 @@ from singlip import (Divisor, DualGraph, PuiseuxBranch, fixtures,
 from singlip.errors import DomainError, InputError
 from singlip.fixtures import curve_cusp_53, graph_e8
 from singlip.jsonio import graph_to_json, parse_graph, tower_to_json
-from singlip.surfgraph import (L_NODE, DualTree, blowdownable_vertices,
-                              reach, strict_part_from_residuals)
+from singlip.dualgraph import L_NODE, DualTree, reach
+from singlip.surfgraph import blowdownable_vertices, strict_part_from_residuals
 
 
 E8_IDS = [f"E{i}" for i in range(1, 9)]

@@ -14,7 +14,7 @@ from singlip import (PuiseuxBranch, coincidence_exponent, fixtures, jsonio,
 from singlip.errors import InputError, ResourceCapExceeded
 from singlip.fixtures import (curve_32_74, curve_carrousel_example,
                               curve_cusp_53, graph_e8)
-from singlip.surfgraph import CURVE_FUNCTION, GENERIC_LINEAR, DualGraph, DualTree
+from singlip.dualgraph import CURVE_FUNCTION, GENERIC_LINEAR, DualGraph, DualTree
 
 
 DATA = Path(__file__).parent / "data"
@@ -219,15 +219,15 @@ def test_verify_flags_printed_figure_inconsistency():
 
 def test_verify_tower_eliminates_once(monkeypatch):
     # the minors and the determinant come from one elimination
-    from singlip import surfgraph
+    from singlip import dualgraph
     sizes = []
-    eliminate = surfgraph.eliminate
+    eliminate = dualgraph.eliminate
 
     def spy(matrix, *rest):
         sizes.append(len(matrix))
         return eliminate(matrix, *rest)
 
-    monkeypatch.setattr(surfgraph, "eliminate", spy)
+    monkeypatch.setattr(dualgraph, "eliminate", spy)
     _, tree = resolve_curve(curve_carrousel_example())
     assert verify_tower(tree).ok
     assert sizes == [len(tree.vertices)] == [9]
@@ -357,8 +357,8 @@ def test_blow_up_matches_its_plain_form(monkeypatch):
 def test_blow_up_refuses_bad_arguments_before_changing_the_graph():
     # each check comes before the first change: the curve ids, their rate
     # vectors, the centre (one curve, or two that meet), the strict
-    # multiplicities (True would sum to an int), the summed multiplicities,
-    # and the new id (DualTree._store, DualGraph._store)
+    # multiplicities (True would sum to an int, and -1 to a non-negative but
+    # wrong one), and the new id (DualTree._store, DualGraph._store)
     _, tree = resolve_curve(curve_cusp_53())
     e8, graph = graph_e8(), tower_to_graph(tree)
     n = len(tree.vertices)
@@ -368,7 +368,8 @@ def test_blow_up_refuses_bad_arguments_before_changing_the_graph():
     cases += [(e8, "E9", ("E1",), None)]                # no rate vector
     cases += [(tree, n, (0, c), None) for c in (-1, n)]
     cases += [(tree, n, c, None) for c in ((1, 1), (1, 3, 2), (0, 3))]
-    cases += [(tree, n, (1,), {CURVE_FUNCTION: bad}) for bad in (-100, 1.5, True, 1.0, "1")]
+    cases += [(tree, n, (1,), {CURVE_FUNCTION: bad})
+              for bad in (-100, -1, 1.5, True, 1.0, "1")]
     cases += [(tree, vid, (1,), None) for vid in (n + 1, n - 1, "4")]
     cases += [(graph, vid, (1,), None) for vid in (0, 1.5)]
     for g, vid, curves, strict in cases:
@@ -385,6 +386,10 @@ def test_blow_up_refuses_bad_arguments_before_changing_the_graph():
         with pytest.raises(InputError) as exc:
             g.blow_up(vid, curves)
         assert str(exc.value) == message
+    # curve 1 has f-multiplicity 5, so -1 would have made a vertex with f = 4
+    with pytest.raises(InputError) as exc:
+        tree.blow_up(n, (1,), {CURVE_FUNCTION: -1})
+    assert str(exc.value) == "vertex 4: multiplicities must be non-negative integers"
 
 
 def test_tower_building_is_checked():
