@@ -6,7 +6,7 @@ consistency invariants of any supported document, and ``fixtures`` ships
 the built-in examples.  Exit codes: 0 success, 1 domain error or failed
 verification, 2 malformed input.  One table, ``_CLI``, holds every parser
 and names each command's function, which ``main`` takes from the
-``COMMANDS`` of the module ``cli_<command>`` alone.  ``build_parser``
+``COMMANDS`` of ``cli_<the second word of its name>`` alone.  ``build_parser``
 builds argparse's parser from it; ``_read_args`` reads a well-formed
 command line off it without argparse and leaves the rest to argparse.
 """
@@ -54,13 +54,13 @@ _CLI = ("Lipschitz-geometry invariants of curve and surface singularities from "
             "--resolve", dict(action=_FLAG,
                               help="blow up the first base point until resolved"))],
             "cmd_graph_pencil"),
-        "thickthin": ("thick-thin decomposition", [_INPUT], "cmd_graph_thickthin"),
+        "thickthin": ("thick-thin decomposition", [_INPUT], "cmd_decomp_thickthin"),
         "decompose": ("geometric decomposition", [_INPUT, ("--mode", dict(
             choices=("initial", "inner", "outer"), required=True))],
-            "cmd_graph_decompose"),
+            "cmd_decomp_decompose"),
         "signature": ("classification signature", [_INPUT, ("second", dict(
             nargs="?", help="second graph: compare signatures instead")), ("--metric",
-            dict(choices=("inner", "outer"), required=True))], "cmd_graph_signature")}),
+            dict(choices=("inner", "outer"), required=True))], "cmd_decomp_signature")}),
     "verify": ("run the consistency verifier", [_INPUT], "cmd_verify"),
     "fixtures": ("built-in example data", [], {
         "list": (None, [], "cmd_fixtures_list"),
@@ -142,7 +142,7 @@ def _read_args(argv):
 def main(argv=None) -> int:
     args = _read_args(argv) or build_parser().parse_args(argv)
     try:
-        commands = import_module(f".cli_{args.command}", __package__).COMMANDS
+        commands = import_module(".cli_" + args.func.split("_")[1], __package__).COMMANDS
         code = commands[args.func](args) or 0
         sys.stdout.flush()
         return code

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 from .dualgraph import DELTA_NODE, GENERIC_LINEAR, L_NODE, P_NODE, DualGraph, reach
 from .errors import DomainError, InputError
-from .exactnum import rational_to_json
+from .exactnum import rational_objects
 
 MODES = ("initial", "inner", "outer")
 
@@ -154,9 +154,10 @@ class Piece(NamedTuple):
         label = kind + "(" + ",".join(str(q) for q in self.rates) + ")"
         return ("special " + label) if self.special else label
 
-    def to_json(self) -> dict:
+    def to_json(self, rational) -> dict:
+        """``rational`` writes each rate (``Decomposition.to_json`` shares them)."""
         return {"id": self.pid, "kind": self.kind,
-                "rates": [rational_to_json(q) for q in self.rates],
+                "rates": list(map(rational, self.rates)),
                 "special": self.special,
                 "support": sorted(map(str, self.support)),
                 "edge_support": sorted(map(str, self.edge_support))}
@@ -187,8 +188,10 @@ class Decomposition:
                 and set().union(*supports).issuperset(graph_vertices))
 
     def to_json(self) -> dict:
+        """The pieces in pid order, each rational one object (``Piece.to_json``)."""
+        rational = rational_objects()
         return {"mode": self.mode,
-                "pieces": [self.pieces[k].to_json() for k in sorted(self.pieces)],
+                "pieces": [self.pieces[k].to_json(rational) for k in sorted(self.pieces)],
                 "adjacency": sorted(sorted(pair) for pair in self.adjacency)}
 
 

@@ -14,7 +14,7 @@ from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Optional
 
 from .errors import InputError
-from .exactnum import as_rational, is_int, rational_to_json
+from .exactnum import as_rational, is_int, rational_objects
 
 if TYPE_CHECKING:
     from .strands import PuiseuxBranch
@@ -157,10 +157,12 @@ def _read_graph(doc: dict, fmt: str, g: DualGraph, extra: tuple, vertex_fields: 
 
 
 def graph_to_json(g: DualGraph) -> dict:
+    """The document of ``g``, one object per distinct rate (``rational_objects``)."""
+    rate = rational_objects()
     return {"format": GRAPH_FORMAT,
             "vertices": [{"id": vid, "self_intersection": v.self_intersection,
                           "genus": v.genus,
-                          "rate": None if v.rate is None else rational_to_json(v.rate),
+                          "rate": None if v.rate is None else rate(v.rate),
                           "multiplicities": dict(sorted(v.multiplicities.items())),
                           "flags": sorted(v.flags)}
                          for vid, v in g.vertices.items()],
@@ -171,10 +173,12 @@ def graph_to_json(g: DualGraph) -> dict:
 
 
 def tower_to_json(tree: DualTree, events: Optional[list[BlowupEvent]] = None) -> dict:
+    """The document of ``tree`` and its ``events``, one object per distinct rate."""
+    rate = rational_objects()
     out = {"format": TOWER_FORMAT,
            "vertices": [{"id": v.id,
                          "self_intersection": v.self_intersection,
-                         "rate": rational_to_json(v.rate),
+                         "rate": rate(v.rate),
                          "rate_vector": list(v.rate_vector),
                          "multiplicities": dict(sorted(v.multiplicities.items()))}
                         for v in tree.vertices],
@@ -260,11 +264,11 @@ def _emit(doc) -> str:
     type up in ``_TEXT`` and writes a scalar inline; a container goes to
     ``emit``.  ``pads`` holds, per indentation, the strings that open,
     separate and close a container there, and the memo of its items: the
-    text of each flat dict (one whose values were all written inline) by
-    ``id``, which the loops look up before recursing and ``emit`` fills as
-    ``seen``.  So a dict repeated in ``doc`` (``ContactMatrix.to_json``
-    shares each entry) costs one lookup; lists and tuples, which no
-    document shares, are written in place.  Ids are safe keys: the
+    text of each flat dict (all values scalars, written with one join) by
+    ``id``, which the loops look up before recursing.  The builders share
+    flat dicts (``ContactMatrix.to_json`` each entry, ``rational_objects``
+    each rational), so a repeat costs one lookup.  Other dicts, lists and
+    tuples are written item by item in place.  Ids are safe keys: the
     containers of ``doc`` keep all they hold alive, so none is reused
     during the call.  ``keys`` holds the text of each key.
     """
@@ -285,21 +289,26 @@ def _emit(doc) -> str:
             return append("{}" if t is dict else "[]")
         inner, comma, sep, end, lsep, lend, here = pads[pad]
         if t is dict:
-            start, flat = len(out), True
-            for k, v in sorted(o.items()):
+            ks, items = sorted(o), []
+            for k in ks:
+                f = text(type(o[k]))
+                if f is None:
+                    break
+                items.append(keys[k] + f(o[k]))
+            else:
+                s = seen[id(o)] = sep + comma.join(items) + end
+                return append(s)
+            for k in ks:        # not flat: written item by item
+                v = o[k]
                 f = text(type(v))
                 if f is not None:
                     append(sep + keys[k] + f(v))
                 else:
-                    flat = False
                     append(sep + keys[k])
                     s = here.get(id(v))
                     emit(v, inner, here) if s is None else append(s)
                 sep = comma
             append(end)
-            if flat:
-                s = seen[id(o)] = "".join(out[start:])
-                out[start:] = [s]
         else:
             for v in o:
                 f = text(type(v))

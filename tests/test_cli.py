@@ -166,10 +166,10 @@ PARSER = {
     ("graph", "laufer"): ("cmd_graph_laufer", [INPUT]),
     ("graph", "pencil"): ("cmd_graph_pencil", [
         INPUT, ("--gen", False, None, []), ("--resolve", False, None, False)]),
-    ("graph", "thickthin"): ("cmd_graph_thickthin", [INPUT]),
-    ("graph", "decompose"): ("cmd_graph_decompose", [
+    ("graph", "thickthin"): ("cmd_decomp_thickthin", [INPUT]),
+    ("graph", "decompose"): ("cmd_decomp_decompose", [
         INPUT, ("--mode", True, ("initial", "inner", "outer"), None)]),
-    ("graph", "signature"): ("cmd_graph_signature", [
+    ("graph", "signature"): ("cmd_decomp_signature", [
         INPUT, ("second", False, None, None),
         ("--metric", True, ("inner", "outer"), None)]),
     ("verify",): ("cmd_verify", [INPUT]),
@@ -547,24 +547,26 @@ def _loaded_modules(*argv) -> set:
 
 
 # The singlip modules that a text call of each command loads besides
-# singlip, errors, cli and its command module cli_<command>: no curve
-# command loads surfgraph or decomp, thickthin, decompose and signature load
-# no surfgraph, and nothing loads csquare.  A DOT call adds dot.
+# singlip, errors and cli: its command module (cli_<second word of its
+# function's name>), then what it runs.  No curve command loads surfgraph or
+# decomp, thickthin, decompose and signature load no surfgraph, and nothing
+# loads csquare.  A DOT call adds dot.
 LAYERS = {
-    "curve contacts": "cli_io exactnum jsonio strands",
-    "curve carrousel": "carrousel cli_io exactnum jsonio strands",
-    "curve horns": "cli_io exactnum jsonio strands",
-    "curve resolve": "cli_io dualgraph exactnum jsonio series strands tower",
-    "curve equiv": "carrousel cli_io exactnum jsonio strands",
-    "graph mult": "cli_io dualgraph exactnum jsonio surfgraph",
-    "graph laufer": "cli_io dualgraph exactnum jsonio series strands surfgraph tower",
-    "graph pencil": "cli_io dualgraph exactnum jsonio surfgraph",
-    "graph thickthin": "cli_io decomp dualgraph exactnum jsonio",
-    "graph decompose": "cli_io decomp dualgraph exactnum jsonio",
-    "graph signature": "cli_io decomp dualgraph exactnum jsonio",
-    "verify": "cli_io dualgraph exactnum jsonio",
-    "fixtures list": "fixtures",
-    "fixtures dump": "dualgraph exactnum fixtures jsonio",
+    "curve contacts": "cli_curve cli_io exactnum jsonio strands",
+    "curve carrousel": "carrousel cli_curve cli_io exactnum jsonio strands",
+    "curve horns": "cli_curve cli_io exactnum jsonio strands",
+    "curve resolve": "cli_curve cli_io dualgraph exactnum jsonio series strands tower",
+    "curve equiv": "carrousel cli_curve cli_io exactnum jsonio strands",
+    "graph mult": "cli_graph cli_io dualgraph exactnum jsonio surfgraph",
+    "graph laufer": ("cli_graph cli_io dualgraph exactnum jsonio series strands "
+                     "surfgraph tower"),
+    "graph pencil": "cli_graph cli_io dualgraph exactnum jsonio surfgraph",
+    "graph thickthin": "cli_decomp cli_io decomp dualgraph exactnum jsonio",
+    "graph decompose": "cli_decomp cli_io decomp dualgraph exactnum jsonio",
+    "graph signature": "cli_decomp cli_io decomp dualgraph exactnum jsonio",
+    "verify": "cli_io cli_verify dualgraph exactnum jsonio",
+    "fixtures list": "cli_fixtures fixtures",
+    "fixtures dump": "cli_fixtures dualgraph exactnum fixtures jsonio",
 }
 OPTIONS = {"curve horns": ["--base", "0"], "graph mult": ["--arrow", "x"],
            "graph pencil": ["--gen", "x", "--gen", "y:2"],
@@ -586,7 +588,7 @@ def test_each_command_loads_only_the_modules_it_runs(paths):
         for fmt in ("text", "dot") if command in DOT else ("text",):
             loaded = _loaded_modules("--format", fmt, *words, *OPTIONS.get(command, []),
                                      *inputs)
-            want = ["errors", "cli", f"cli_{words[0]}", *LAYERS[command].split()]
+            want = ["errors", "cli", *LAYERS[command].split()]
             if fmt == "dot":
                 want.append("dot")
             assert loaded - {"fractions"} == {"singlip", *(f"singlip.{m}" for m in want)}, (

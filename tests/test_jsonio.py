@@ -10,6 +10,11 @@ cycles, deep documents) go through ``_emit_json``, which hands them to
 ``json``.  They need no pytest: every test is a plain function, and
 ``PYTHONPATH=src python tests/test_jsonio.py`` runs them all on any
 interpreter.
+
+The builders of the library's documents (``graph_to_json``,
+``tower_to_json``, ``Decomposition.to_json``) give each distinct rational
+one object, so that the emitter writes it once; the tests hold their
+documents to builders that give every rational a fresh object.
 """
 
 from __future__ import annotations
@@ -27,11 +32,12 @@ from unittest import mock
 from helpers import random_curve
 from singlip import (amalgamate, build_carrousel_tree, build_decomposition,
                      contact_matrix, csquare_decomposition, decorate, fixtures,
-                     inner_signature, laufer_parity_prepare, leaf_contacts,
-                     outer_signature, reduce_to_eggers, resolve_curve,
+                     inner_signature, laufer_double_cover, laufer_parity_prepare,
+                     leaf_contacts, outer_signature, reduce_to_eggers, resolve_curve,
                      tower_to_graph)
 from singlip.decomp import MODES
 from singlip.errors import DomainError
+from singlip.exactnum import rational_to_json
 from singlip.jsonio import (_emit, _emit_json, curve_to_json, dumps, graph_to_json,
                             tower_to_json)
 
@@ -220,6 +226,144 @@ def test_repeated_objects():
     for doc in [[d, {2: 3}, d, {True: 3}, l, {"k": {None: d}}, l],
                 {"a": [d, {1.0: l}], "b": d}]:
         assert_same(doc)
+
+
+def test_flat_dict_hand_cases():
+    # the flat attempt stops at the first container in key order and writes
+    # the scalars before it; a flat dict shared at two depths is written at
+    # each; flat dicts of values equal under == are told apart
+    f = {"k": 1, "s": "x"}
+    esc = {"s": "\x00\"\\\n\u2028é\U0001f600", "t": True, "i": 1, "f": 1.0,
+           "n": None}
+    for doc in [
+            {"a": 1, "b": [1, 2], "c": "x"}, {"a": 1, "b": 2, "c": {"d": 1}},
+            {"a": None, "b": {"c": 1}, "d": [], "e": True},
+            {"a": {"x": 1}, "b": 1}, [{"a": 1, "z": {}}, {"a": 1, "z": {"y": 2}}],
+            [f, [f, {"x": f}], f, {"y": [f]}], {"a": f, "b": [[f]], "c": f},
+            [esc, esc, {"e": esc}, [esc]],
+            [{"v": True}, {"v": 1}, {"v": 1.0}, {"v": None}, {"v": "1"}],
+            {"t": {"v": True}, "i": {"v": 1}, "f": {"v": 1.0}, "n": {"v": None}},
+    ]:
+        assert_fast(doc)
+
+
+def _fresh_graph_json(g) -> dict:
+    """``graph_to_json`` with a fresh object for every rational."""
+    return {"format": "singlip.graph/1",
+            "vertices": [{"id": vid, "self_intersection": v.self_intersection,
+                          "genus": v.genus,
+                          "rate": None if v.rate is None else rational_to_json(v.rate),
+                          "multiplicities": dict(sorted(v.multiplicities.items())),
+                          "flags": sorted(v.flags)}
+                         for vid, v in g.vertices.items()],
+            "edges": [[a, b] for a, b in g.edges],
+            "arrows": [{"vertex": a.vertex, "name": a.name,
+                        "multiplicity": a.multiplicity, "kind": a.kind}
+                       for a in g.arrows]}
+
+
+def _fresh_tower_json(tree, events=None) -> dict:
+    """``tower_to_json`` with a fresh object for every rational."""
+    out = {"format": "singlip.tower/1",
+           "vertices": [{"id": v.id, "self_intersection": v.self_intersection,
+                         "rate": rational_to_json(v.rate),
+                         "rate_vector": list(v.rate_vector),
+                         "multiplicities": dict(sorted(v.multiplicities.items()))}
+                        for v in tree.vertices],
+           "edges": sorted([list(e) for e in tree.edges]),
+           "arrows": [{"vertex": a.vertex, "name": a.name,
+                       "multiplicity": a.multiplicity, "kind": a.kind,
+                       **({"branch": a.branch} if a.branch is not None else {})}
+                      for a in tree.arrows]}
+    if events is not None:
+        out["events"] = [{"index": e.index, "center": [str(x) for x in e.center],
+                          "branches": [list(b) for b in e.branches_through]}
+                         for e in events]
+    return out
+
+
+def _fresh_decomposition_json(d) -> dict:
+    """``Decomposition.to_json`` with a fresh object for every rational."""
+    return {"mode": d.mode,
+            "pieces": [{"id": p.pid, "kind": p.kind,
+                        "rates": [rational_to_json(q) for q in p.rates],
+                        "special": p.special, "support": sorted(map(str, p.support)),
+                        "edge_support": sorted(map(str, p.edge_support))}
+                       for p in (d.pieces[k] for k in sorted(d.pieces))],
+            "adjacency": sorted(sorted(pair) for pair in d.adjacency)}
+
+
+def _built_pairs(graphs, towers) -> list:
+    """(document, its fresh-object twin) for each graph, its decompositions,
+    and each tower with its events, its prepared tower, their graphs and
+    decompositions, its carrousel decomposition and amalgamation and its
+    double cover."""
+    pairs = []
+    for events, tower in towers:
+        prepared = laufer_parity_prepare(tower)
+        pieces = csquare_decomposition(tower)
+        pairs += [(tower_to_json(tower, events), _fresh_tower_json(tower, events)),
+                  (tower_to_json(prepared), _fresh_tower_json(prepared)),
+                  *((d.to_json(), _fresh_decomposition_json(d))
+                    for d in (pieces, amalgamate(pieces)))]
+        graphs = [*graphs, tower_to_graph(tower), tower_to_graph(prepared)]
+        try:
+            graphs.append(laufer_double_cover(prepared))
+        except DomainError:  # a split cover
+            pass
+    for g in graphs:
+        pairs.append((graph_to_json(g), _fresh_graph_json(g)))
+        for mode in MODES if all(v.rate is not None for v in g.vertices.values()) else ():
+            try:
+                d = build_decomposition(g, mode)
+            except DomainError:  # no nodes for this mode
+                continue
+            pairs.append((d.to_json(), _fresh_decomposition_json(d)))
+    return pairs
+
+
+def _rationals(doc, found: list) -> list:
+    if type(doc) is dict:
+        if doc.keys() == {"num", "den"}:
+            found.append(doc)
+        else:
+            for v in doc.values():
+                _rationals(v, found)
+    elif type(doc) is list:
+        for v in doc:
+            _rationals(v, found)
+    return found
+
+
+def _assert_built_documents(pairs):
+    shared = 0
+    for doc, fresh in pairs:
+        assert doc == fresh
+        assert json.dumps(doc, sort_keys=True) == json.dumps(fresh, sort_keys=True)
+        assert_fast(doc)
+        found = _rationals(doc, [])
+        objects = {id(r): (r["num"], r["den"]) for r in found}
+        # one object per value: as many objects as values, none shared by two
+        assert len(objects) == len(set(objects.values())), doc
+        shared += len(found) - len(objects)
+    assert shared > len(pairs)
+
+
+def test_builders_share_one_object_per_rational_in_fixtures():
+    graphs, towers = [], []
+    for name in fixtures.fixture_names():
+        obj = fixtures.load_fixture(name)
+        if fixtures.fixture_kind(name) == "curve":
+            towers.append(resolve_curve(obj))
+        else:
+            graphs.append(obj)
+    _assert_built_documents(_built_pairs(graphs, towers))
+
+
+def test_builders_share_one_object_per_rational_in_drawn_curves():
+    rng = random.Random(38)
+    towers = [resolve_curve(random_curve(rng, max_branches=3)) for _ in range(50)]
+    _assert_built_documents(_built_pairs([], towers))
 
 
 class _Dict(dict):
