@@ -27,7 +27,6 @@ from typing import NamedTuple
 
 from .dualgraph import DELTA_NODE, GENERIC_LINEAR, L_NODE, P_NODE, DualGraph, reach
 from .errors import DomainError, InputError
-from .exactnum import rational_objects
 
 MODES = ("initial", "inner", "outer")
 
@@ -154,14 +153,6 @@ class Piece(NamedTuple):
         label = kind + "(" + ",".join(str(q) for q in self.rates) + ")"
         return ("special " + label) if self.special else label
 
-    def to_json(self, rational) -> dict:
-        """``rational`` writes each rate (``Decomposition.to_json`` shares them)."""
-        return {"id": self.pid, "kind": self.kind,
-                "rates": list(map(rational, self.rates)),
-                "special": self.special,
-                "support": sorted(map(str, self.support)),
-                "edge_support": sorted(map(str, self.edge_support))}
-
 
 class Decomposition:
     """Pieces by pid, and the adjacent pairs of pids as frozensets."""
@@ -188,10 +179,19 @@ class Decomposition:
                 and set().union(*supports).issuperset(graph_vertices))
 
     def to_json(self) -> dict:
-        """The pieces in pid order, each rational one object (``Piece.to_json``)."""
-        rational = rational_objects()
+        """The pieces in pid order.  An A-piece repeats the rates of the
+        pieces it joins, so equal rates are one object, which ``jsonio.dumps``
+        writes once; the memo's keys are ``(num, den)``, hashed in C."""
+        shared = {}
         return {"mode": self.mode,
-                "pieces": [self.pieces[k].to_json(rational) for k in sorted(self.pieces)],
+                "pieces": [{"id": p.pid, "kind": p.kind,
+                            "rates": [shared.get(r := (q.numerator, q.denominator))
+                                      or shared.setdefault(r, {"num": r[0], "den": r[1]})
+                                      for q in p.rates],
+                            "special": p.special,
+                            "support": sorted(map(str, p.support)),
+                            "edge_support": sorted(map(str, p.edge_support))}
+                           for p in map(self.pieces.__getitem__, sorted(self.pieces))],
                 "adjacency": sorted(sorted(pair) for pair in self.adjacency)}
 
 

@@ -61,6 +61,17 @@ def _is_id(vid) -> bool:  # a string or an integer that is not a bool
     return type(vid) is str or type(vid) is int or isinstance(vid, str) or is_int(vid)
 
 
+def _check_multiplicities(vid, mults: dict):
+    """InputError unless each function name is a string and each
+    multiplicity a non-negative integer (exact type first; 0 + True is 1)."""
+    for name, m in mults.items():
+        if not isinstance(name, str):
+            raise InputError(f"vertex {vid!r}: function name {name!r} is not a string")
+        if not (type(m) is int or is_int(m)) or m < 0:
+            raise InputError(f"vertex {vid!r}: multiplicities must be non-negative "
+                             "integers")
+
+
 def reach(adjacent: dict, start, within=None) -> dict:
     """The breadth-first tree from ``start``, through ``within`` only when
     given: each vertex in the order the walk along the ``adjacent`` lists
@@ -111,10 +122,7 @@ class DualGraph:
         if not is_int(genus) or genus < 0:
             raise InputError(f"vertex {vid!r}: genus must be a non-negative integer")
         mults = dict(multiplicities or {})
-        for m in mults.values():
-            if not (type(m) is int or is_int(m)) or m < 0:
-                raise InputError(f"vertex {vid!r}: multiplicities must be non-negative "
-                                 "integers")
+        _check_multiplicities(vid, mults)
         if flags is not None and not isinstance(flags, (list, tuple, set, frozenset)):
             raise InputError(f"vertex {vid!r}: flags must be a list of names")
         bad = flags and [f for f in flags if f not in KNOWN_FLAGS]
@@ -127,7 +135,13 @@ class DualGraph:
                 raise InputError(f"vertex {vid!r}: rate_vector must be two "
                                  "integers [p, q] with q > 0")
             rate_vector = tuple(rate_vector)
-            rate = Fraction(*rate_vector) if rate is None else rate
+            if rate is None:
+                rate = Fraction(*rate_vector)
+            else:
+                rate = rate if type(rate) is Fraction else as_rational(rate)
+                if rate.numerator * rate_vector[1] != rate.denominator * rate_vector[0]:
+                    raise InputError(f"vertex {vid!r}: rate {rate} is not the p/q of "
+                                     f"rate_vector {list(rate_vector)}")
         v = Vertex(vid, self_intersection, genus,
                    rate if rate is None or type(rate) is Fraction else as_rational(rate),
                    mults, set(flags or ()), rate_vector)
@@ -188,10 +202,7 @@ class DualGraph:
                 raise InputError(f"blow-up on curve {e!r}, which has no rate vector")
         if len(curves) > 2 or curves[1:] and curves[0] not in self._adjacent[curves[1]]:
             raise InputError(f"curves {list(curves)!r} meet in no point to blow up")
-        for m in (strict or {}).values():  # exact type first; 0 + True is the int 1
-            if not (type(m) is int or is_int(m)) or m < 0:
-                raise InputError(f"vertex {vid!r}: multiplicities must be non-negative "
-                                 "integers")
+        _check_multiplicities(vid, strict or {})
         old = [self.vertices[e] for e in curves]
         sums: dict = {}
         for source in [v.multiplicities for v in old] + [strict or {}]:

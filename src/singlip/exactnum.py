@@ -61,17 +61,6 @@ def rational_to_json(r: Fraction) -> dict:
     return {"num": r.numerator, "den": r.denominator}
 
 
-def rational_objects():
-    """``rational_to_json`` for one document: one shared object per value,
-    which ``jsonio.dumps`` writes once.  Keys are ``(num, den)``, hashed in C."""
-    objects = {}
-
-    def get(r: Fraction) -> dict:
-        key = r.numerator, r.denominator
-        return objects.get(key) or objects.setdefault(key, {"num": key[0], "den": key[1]})
-    return get
-
-
 class Elimination(NamedTuple):
     minors: tuple                 # leading principal minors of order 1, 2, ...
     determinant: int

@@ -14,7 +14,7 @@ from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Optional
 
 from .errors import InputError
-from .exactnum import as_rational, is_int, rational_objects
+from .exactnum import as_rational, is_int, rational_to_json
 
 if TYPE_CHECKING:
     from .strands import PuiseuxBranch
@@ -157,12 +157,10 @@ def _read_graph(doc: dict, fmt: str, g: DualGraph, extra: tuple, vertex_fields: 
 
 
 def graph_to_json(g: DualGraph) -> dict:
-    """The document of ``g``, one object per distinct rate (``rational_objects``)."""
-    rate = rational_objects()
     return {"format": GRAPH_FORMAT,
             "vertices": [{"id": vid, "self_intersection": v.self_intersection,
                           "genus": v.genus,
-                          "rate": None if v.rate is None else rate(v.rate),
+                          "rate": None if v.rate is None else rational_to_json(v.rate),
                           "multiplicities": dict(sorted(v.multiplicities.items())),
                           "flags": sorted(v.flags)}
                          for vid, v in g.vertices.items()],
@@ -173,12 +171,10 @@ def graph_to_json(g: DualGraph) -> dict:
 
 
 def tower_to_json(tree: DualTree, events: Optional[list[BlowupEvent]] = None) -> dict:
-    """The document of ``tree`` and its ``events``, one object per distinct rate."""
-    rate = rational_objects()
     out = {"format": TOWER_FORMAT,
            "vertices": [{"id": v.id,
                          "self_intersection": v.self_intersection,
-                         "rate": rate(v.rate),
+                         "rate": rational_to_json(v.rate),
                          "rate_vector": list(v.rate_vector),
                          "multiplicities": dict(sorted(v.multiplicities.items()))}
                         for v in tree.vertices],
@@ -265,12 +261,12 @@ def _emit(doc) -> str:
     ``emit``.  ``pads`` holds, per indentation, the strings that open,
     separate and close a container there, and the memo of its items: the
     text of each flat dict (all values scalars, written with one join) by
-    ``id``, which the loops look up before recursing.  The builders share
-    flat dicts (``ContactMatrix.to_json`` each entry, ``rational_objects``
-    each rational), so a repeat costs one lookup.  Other dicts, lists and
-    tuples are written item by item in place.  Ids are safe keys: the
-    containers of ``doc`` keep all they hold alive, so none is reused
-    during the call.  ``keys`` holds the text of each key.
+    ``id``, which the loops look up before recursing.  Two builders share
+    flat dicts (``ContactMatrix.to_json`` its contact entries,
+    ``Decomposition.to_json`` its rates), so a repeat costs one lookup.
+    Other dicts, lists and tuples are written item by item in place.  Ids
+    are safe keys: the containers of ``doc`` keep all they hold alive, so
+    none is reused during the call.  ``keys`` holds the text of each key.
     """
     out: list[str] = []
     append = out.append

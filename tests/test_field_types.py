@@ -7,7 +7,8 @@ The readers test the exact JSON types first and call ``is_int`` or
 path.  One table sends them through documents, the other through the
 builders, which must leave a graph as it was when they refuse.  The
 builders also refuse a ``flags`` argument that is not a list, tuple or set,
-where the graph reader refuses any field but a list.
+where the graph reader refuses any field but a list, and a function name
+that is not a string, which no JSON object key can be.
 """
 
 from enum import IntEnum
@@ -197,3 +198,18 @@ def test_a_builder_refuses_flags_that_are_not_a_collection():
         assert graph_state(g) == before
     for flags in (["L"], ("L",), {"L"}, frozenset("L"), [], None):
         assert g.copy().add_vertex("a", -2, flags=flags).flags == set(flags or ())
+
+
+def test_a_builder_refuses_a_function_name_that_is_not_a_string():
+    # sorting the names, as verify_graph and graph_to_json do, would raise
+    # a bare TypeError between 1 and "h"
+    g = two_curves()
+    before = graph_state(g)
+    for name in (1, Int.ONE, None, ("h",)):
+        for call in (lambda: g.add_vertex("a", -2, multiplicities={"h": 1, name: 2}),
+                     lambda: g.blow_up("a", (1,), {"h": 1, name: 2})):
+            with pytest.raises(InputError) as exc:
+                call()
+            assert str(exc.value) == f"vertex 'a': function name {name!r} is not a string"
+            assert graph_state(g) == before
+    assert g.blow_up("a", (1,), {"g": 2}).multiplicities == {"g": 2, "h": 1}

@@ -411,6 +411,23 @@ def test_tower_building_is_checked():
     assert tree.neighbors(0) == [1] and tree.neighbors(1) == [0]
 
 
+def test_add_vertex_refuses_a_rate_that_is_not_its_vectors_quotient():
+    # a rate 2 stored with the vector (1, 1) made blow_up's next vertex rate
+    # 2 from (2, 1), so verify_tower reported a drop and a root rate not 1
+    for g in (DualTree(), DualGraph()):
+        before = graph_state(g)
+        for rate in (2, F(1, 2), "2", {"num": 2, "den": 1}):
+            with pytest.raises(InputError) as exc:
+                g.add_vertex(0, -1, rate=rate, rate_vector=(1, 1))
+            assert graph_state(g) == before
+        assert str(exc.value) == "vertex 0: rate 2 is not the p/q of rate_vector [1, 1]"
+    # an equal rate is kept as a Fraction, the vector as given, unreduced
+    tree = DualTree()
+    for vid, rate, vector in ((0, 1, (1, 1)), (1, "2", (4, 2)), (2, F(3, 2), (3, 2))):
+        v = tree.add_vertex(vid, -2, rate=rate, rate_vector=vector)
+        assert (v.rate, type(v.rate), v.rate_vector) == (F(rate), F, vector)
+
+
 def test_verify_reports_rate_drops_in_walk_order():
     # rates 1, 2, 3 at the root and its children, and a drop below each
     # child: the lines follow the breadth-first walk from the root
