@@ -1,62 +1,65 @@
 """A tower's decomposition of the plane into pieces, and their amalgamation;
 no command calls them yet (ROADMAP item 10).  The tests check that on the
-curve fixtures' towers this gives the initial decomposition's pieces."""
+curve fixtures' towers this gives the initial decomposition's pieces.  Both
+run on plain data and build each ``Piece`` once, at the end."""
 
 import math
 from collections import defaultdict
 from fractions import Fraction
 from heapq import heappop, heappush
 
-from .decomp import Decomposition, Piece, _rates_between
+from .decomp import Decomposition, Piece
 from .dualgraph import DualTree
 
 
 def csquare_decomposition(tree: DualTree) -> Decomposition:
     """Per-vertex geometric decomposition of the plane attached to a tower:
     one piece per exceptional curve (conical at the root, D at arrowless
-    leaves, A(q,q) at arrowless valence-2 vertices, B otherwise) and one
-    A(q,q')-piece per edge."""
-    d = Decomposition("csquare")
+    leaves, A(q,q) at arrowless valence-2 vertices, B otherwise), vertex v's
+    under pid v, then one A(q,q')-piece per edge in sorted edge order, its
+    rates ordered by cross-multiplying their rate vectors."""
+    vertices, root, empty = tree.vertices, tree.root, frozenset()
     arrowed = {a.vertex for a in tree.arrows}
-    for v in tree.vertices:
-        q = v.rate
-        arrows = v.id in arrowed
-        valence = tree.valence(v.id)
-        if v.id == tree.root:
+    pieces, adjacency = {}, set()
+    for vid, v in enumerate(vertices):  # tower ids are creation positions
+        q, valence = v.rate, tree.valence(vid)
+        if vid == root:
             kind, rates = "conical", (Fraction(1),)
-        elif valence == 1 and not arrows:
+        elif valence == 1 and vid not in arrowed:
             kind, rates = "D", (q,)
-        elif valence == 2 and not arrows:
+        elif valence == 2 and vid not in arrowed:
             kind, rates = "A", (q, q)
         else:
             kind, rates = "B", (q,)
-        d.add(kind, rates, support=frozenset([v.id]), node=v.id)
-    # tower ids are creation positions, so the piece of vertex v has pid v
-    for a, b in sorted(tree.edges):
-        d.add("A", _rates_between(tree, a, b), (a, b),
-              edge_support=frozenset([(min(a, b), max(a, b))]))
-    return d
+        pieces[vid] = Piece(vid, kind, rates, frozenset((vid,)), empty, False, vid)
+    for pid, (a, b) in enumerate(sorted(tree.edges), len(vertices)):
+        x, y = vertices[a], vertices[b]
+        (p, q), (r, s) = x.rate_vector, y.rate_vector
+        rates = (x.rate, y.rate) if r * q >= p * s else (y.rate, x.rate)
+        pieces[pid] = Piece(pid, "A", rates, empty, frozenset([(min(a, b), max(a, b))]))
+        adjacency.update((frozenset((pid, a)), frozenset((pid, b))))
+    return Decomposition("csquare", pieces, adjacency)
 
 
-def _rule(x: Piece, rx: tuple, y: Piece, ry: tuple, one: int):
-    """The first amalgamation rule that applies to the adjacent pieces x, y
-    of integer rates rx, ry (1 is ``one``) in this orientation, as
-    (eliminated rate, ordering pid, kept pid, new kind, new rates); kind and
-    rates are None when the kept piece stays as it is.  None when none does."""
-    low = min(x.pid, y.pid)
-    # A(q,q') u A(q',q'') = A(q,q''): the rate other than s is the sum less s
-    if x.kind == y.kind == "A" and (shared := set(rx) & set(ry)):
-        s = max(shared)
-        return s, low, low, "A", tuple(sorted((sum(rx) - s, sum(ry) - s)))
+def _rule(x: tuple, y: tuple, one: int):
+    """The first amalgamation rule that applies to the adjacent pieces x, y,
+    rows (pid, kind, integer rates in ``Piece`` order with 1 read as ``one``,
+    special), in this orientation, as (eliminated rate, ordering pid, kept
+    pid, new kind, new rates), kind and rates None if the kept piece stays."""
+    (xp, xk, rx, _), (yp, yk, ry, ys) = x, y
+    low = xp if xp < yp else yp
+    # A(q,q') u A(q',q'') = A(q,q''): s the higher shared rate, 0 if none (rates > 0)
+    if xk == yk == "A" and (s := rx[1] if rx[1] in ry else rx[0] if rx[0] in ry else 0):
+        u, v = sum(rx) - s, sum(ry) - s  # the rate other than s is the sum less s
+        return s, low, low, "A", (u, v) if u <= v else (v, u)
     # A(q,q') u D(q') = D(q)
-    if x.kind == "A" and y.kind == "D" and ry[0] in rx:
+    if xk == "A" and yk == "D" and ry[0] in rx:
         return ry[0], low, low, "D", (sum(rx) - ry[0],)
     # D(q) melts into a B or conical piece of the same rate
-    if (x.kind == "D" and y.kind in ("B", "conical") and not y.special
-            and rx[0] == ry[0]):
-        return rx[0], x.pid, y.pid, None, None
+    if xk == "D" and yk in ("B", "conical") and not ys and rx[0] == ry[0]:
+        return rx[0], xp, yp, None, None
     # rate-1 pieces merge into a conical piece
-    if y.kind == "conical" and all(r == one for r in rx):
+    if yk == "conical" and all(r == one for r in rx):
         return one, low, low, "conical", (one,)
     return None
 
@@ -74,23 +77,26 @@ def amalgamate(d: Decomposition) -> Decomposition:
     pushes those of the pairs at the kept piece; a popped key that is no
     longer its pair's rule is skipped.  That is O(P log P) on P pieces of
     bounded valence.  Confluence under relabeling is checked by the tests.
+    The run keeps per-pid tables (a row of kind, integer rates and special
+    flag, the member pids, the neighbours) and changes them in place; each
+    surviving piece is built at the end, with one union of its members'
+    supports, and one that a rule rebuilt has no special flag or node.
     """
-    pieces = dict(d.pieces)
+    pieces = d.pieces
     # the rules read a rate q as the integer q * lcm: a Fraction compares slowly
     objs = {id(q): q for p in pieces.values() for q in p.rates}
     lcm = math.lcm(*(q.denominator for q in objs.values()))
     scaled = {i: q.numerator * (lcm // q.denominator) for i, q in objs.items()}
-    values = {lcm: Fraction(1)} | {scaled[i]: q for i, q in objs.items()}
-    ints = {pid: tuple([scaled[id(q)] for q in p.rates]) for pid, p in pieces.items()}
-    nbrs = defaultdict(set)
-    rules: dict = {}
-    heap: list = []
+    rows = {pid: (pid, p.kind, tuple([scaled[id(q)] for q in p.rates]), p.special)
+            for pid, p in pieces.items()}
+    members = {pid: [pid] for pid in pieces}
+    nbrs, rules, heap, rebuilt = defaultdict(set), {}, [], {}
 
     def evaluate(a, b):
         a, b = (a, b) if a < b else (b, a)
-        if a in pieces and b in pieces:
-            x, rx, y, ry = pieces[a], ints[a], pieces[b], ints[b]
-            found = _rule(x, rx, y, ry, lcm) or _rule(y, ry, x, rx, lcm)
+        x, y = rows.get(a), rows.get(b)
+        if x and y:
+            found = _rule(x, y, lcm) or _rule(y, x, lcm)
             if found:
                 key = (-found[0], found[1], a, b)
                 rules[a, b] = (key, *found[2:])
@@ -107,21 +113,30 @@ def amalgamate(d: Decomposition) -> Decomposition:
             continue  # stale: the pair merged or was evaluated again since
         _, keep, kind, new = rule
         drop = key[3] if keep == key[2] else key[2]
-        for v in (keep, drop):
-            for w in nbrs[v]:
+        near, far = nbrs[keep], nbrs.pop(drop)
+        for v, ws in ((keep, near), (drop, far)):
+            for w in ws:
                 rules.pop((v, w) if v < w else (w, v), None)
-        kept, gone = pieces[keep], pieces.pop(drop)
-        support = kept.support | gone.support
-        edges = kept.edge_support | gone.edge_support
-        if kind is None:
-            pieces[keep] = kept._replace(support=support, edge_support=edges)
-        else:
-            ints[keep] = new
-            pieces[keep] = Piece(keep, kind, tuple([values[r] for r in new]),
-                                 support, edges)
-        nbrs[keep] = (nbrs[keep] | nbrs.pop(drop)) - {keep, drop}
-        for w in nbrs[keep]:
-            nbrs[w] = nbrs[w] - {drop} | {keep}
+        del rows[drop]
+        if kind is not None:
+            rows[keep] = rebuilt[keep] = (keep, kind, new, False)
+        members[keep] += members.pop(drop)
+        for w in far:
+            nbrs[w].discard(drop)
+            nbrs[w].add(keep)
+        near |= far
+        near -= {keep, drop}
+        for w in near:
             evaluate(keep, w)
-    return Decomposition(d.mode, pieces,
-                         {frozenset((a, b)) for a in nbrs for b in nbrs[a]})
+
+    out = {}
+    for pid, group in members.items():
+        p = pieces[pid]
+        if group[1:]:
+            support = frozenset().union(*[pieces[m].support for m in group])
+            edges = frozenset().union(*[pieces[m].edge_support for m in group])
+            row = rebuilt.get(pid)
+            p = (Piece(pid, row[1], tuple(Fraction(q, lcm) for q in row[2]), support, edges)
+                 if row else p._replace(support=support, edge_support=edges))
+        out[pid] = p
+    return Decomposition(d.mode, out, {frozenset((a, b)) for a in nbrs for b in nbrs[a]})

@@ -164,14 +164,6 @@ class Decomposition:
         self.pieces = {} if pieces is None else pieces
         self.adjacency = set() if adjacency is None else adjacency
 
-    def add(self, kind: str, rates: tuple, joins=(), **fields) -> int:
-        """Add a piece under the next pid, adjacent to the pieces ``joins``,
-        and return its pid."""
-        pid = len(self.pieces)
-        self.pieces[pid] = Piece(pid, kind, rates, **fields)
-        self.adjacency.update(frozenset((pid, j)) for j in joins)
-        return pid
-
     def supports_partition(self, graph_vertices) -> bool:
         """Whether each of the distinct ids ``graph_vertices`` is in one support."""
         supports = [p.support for p in self.pieces.values()]
@@ -193,11 +185,6 @@ class Decomposition:
                             "edge_support": sorted(map(str, p.edge_support))}
                            for p in map(self.pieces.__getitem__, sorted(self.pieces))],
                 "adjacency": sorted(sorted(pair) for pair in self.adjacency)}
-
-
-def _rates_between(graph: DualGraph, a, b) -> tuple:
-    """Rates of the A-piece joining the vertices a and b, smaller first."""
-    return tuple(sorted((graph.vertices[a].rate, graph.vertices[b].rate)))
 
 
 def build_decomposition(graph: DualGraph, mode: str) -> Decomposition:
@@ -241,7 +228,8 @@ def build_decomposition(graph: DualGraph, mode: str) -> Decomposition:
              for i, (a, b) in enumerate(graph.edges) if a in nodes and b in nodes]
     for a, b, support, edge_support in joins + strings:
         pid = len(pieces)
-        pieces[pid] = Piece(pid, "A", _rates_between(graph, a, b), support, edge_support)
+        rates = tuple(sorted((vertices[a].rate, vertices[b].rate)))
+        pieces[pid] = Piece(pid, "A", rates, support, edge_support)
         adjacency.add(frozenset((pid, piece_of_node[a])))
         adjacency.add(frozenset((pid, piece_of_node[b])))
 

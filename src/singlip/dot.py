@@ -50,8 +50,8 @@ def _mults(v: Vertex) -> str:
 
 def tree_to_dot(tree: DualTree) -> str:
     return _graph_dot("tower", "shape=circle", tree, lambda v: "label=" + _q(
-        f"E{v.id + 1}" + ("" if v.rate is None else f"\\nq={v.rate}")
-        + f"\\n{v.self_intersection}" + _mults(v)), sorted(tree.edges), tree.arrows)
+        f"E{v.id + 1}\\nq={v.rate}\\n{v.self_intersection}" + _mults(v)),
+        sorted(tree.edges), tree.arrows)
 
 
 def graph_to_dot(graph: DualGraph) -> str:

@@ -314,8 +314,8 @@ class DualGraph:
 
 class DualTree(DualGraph):
     """Decorated dual tree of a composition of point blow-ups over the
-    plane: a DualGraph whose vertex ids are 0..n-1 in creation order,
-    stored as a list indexed by id, with the root 0."""
+    plane: a DualGraph whose vertex ids are 0..n-1 in creation order, each
+    vertex with a rate vector, stored as a list indexed by id, with the root 0."""
 
     root = 0
 
@@ -333,6 +333,8 @@ class DualTree(DualGraph):
         if v.id != len(self.vertices) or not is_int(v.id):
             raise InputError(f"tower vertex id {v.id!r} is not its position "
                              f"{len(self.vertices)}")
+        if v.rate_vector is None:
+            raise InputError(f"tower vertex {v.id!r} has no rate_vector")
         self.vertices.append(v)
 
 

@@ -8,10 +8,11 @@ relabelled graphs, random curve generation, towers
 replayed from the blow-up event log, the plain forms of the resolver's
 series product, series reduction and graph blow-up, A'Campo's Alexander polynomial of a
 tower, the curvette oracle for inner rates, graph-level blow-ups of
-towers, the piece labels of a decomposition, the quadratic reference
-amalgamation, a small DOT syntax checker used to validate emitted graphs,
-the CLI run in-process, the CLI table's commands and argparse's reading of
-a command line, and a fresh interpreter that imports this checkout."""
+towers, the piece labels of a decomposition, the C² decomposition of a
+tower built piece by piece, the quadratic reference amalgamation, a
+small DOT syntax checker used to validate emitted graphs, the CLI run
+in-process, the CLI table's commands and argparse's reading of a command
+line, and a fresh interpreter that imports this checkout."""
 
 from __future__ import annotations
 
@@ -454,6 +455,39 @@ def graph_state(graph: DualGraph) -> tuple:
     return (records, list(graph.edges),
             {vid: list(ws) for vid, ws in graph._adjacent.items()},
             list(graph.arrows))
+
+
+# -- the C² decomposition built piece by piece, a reference for csquare -------
+
+def reference_csquare(tree: DualTree) -> Decomposition:
+    """``csquare.csquare_decomposition`` as it was before it built its
+    pieces in one pass: each piece added under the next pid, with keyword
+    fields, and each edge's two rates sorted as Fractions."""
+    pieces, adjacency = {}, set()
+
+    def add(kind, rates, joins=(), **fields):
+        pid = len(pieces)
+        pieces[pid] = Piece(pid, kind, rates, **fields)
+        adjacency.update(frozenset((pid, j)) for j in joins)
+
+    arrowed = {a.vertex for a in tree.arrows}
+    for v in tree.vertices:
+        q = v.rate
+        arrows = v.id in arrowed
+        valence = tree.valence(v.id)
+        if v.id == tree.root:
+            kind, rates = "conical", (Fraction(1),)
+        elif valence == 1 and not arrows:
+            kind, rates = "D", (q,)
+        elif valence == 2 and not arrows:
+            kind, rates = "A", (q, q)
+        else:
+            kind, rates = "B", (q,)
+        add(kind, rates, support=frozenset([v.id]), node=v.id)
+    for a, b in sorted(tree.edges):
+        add("A", tuple(sorted((tree.vertices[a].rate, tree.vertices[b].rate))),
+            (a, b), edge_support=frozenset([(min(a, b), max(a, b))]))
+    return Decomposition("csquare", pieces, adjacency)
 
 
 # -- the quadratic amalgamation, a reference for csquare.amalgamate -----------

@@ -13,7 +13,7 @@ from singlip import (PuiseuxBranch, amalgamate, build_decomposition,
                      resolve_curve, signatures_equal, thick_thin,
                      thin_zone_rate, tower_to_graph)
 from singlip import fixtures, jsonio
-from singlip.decomp import MODES, Decomposition, Signature, _is_tree, _nodes
+from singlip.decomp import MODES, Decomposition, Piece, Signature, _is_tree, _nodes
 from singlip.errors import DomainError, InputError
 from singlip.fixtures import (curve_32_74, curve_cusp_53, graph_a_k, graph_d4,
                               graph_e8, graph_e8_nash,
@@ -286,14 +286,12 @@ def test_partition_check_tells_vertex_ids_1_and_str_1_apart():
     g.add_vertex(2, -2, rate=1)
     for support, partition in (([1, 2], False), (["1", 2], True),
                                (["1", 2, 3], False), (["1"], False)):
-        d = Decomposition("inner")
-        d.add("B", (F(1),), support=frozenset(support))
+        d = Decomposition("inner", {0: Piece(0, "B", (F(1),), frozenset(support))})
         assert d.supports_partition(g.vertices.keys()) is partition, support
         assert d.supports_partition(list(g.vertices)) is partition, support
     # as many members as the graph has vertices, one of them twice
-    d = Decomposition("inner")
-    for support in (["1"], ["1"]):
-        d.add("B", (F(1),), support=frozenset(support))
+    d = Decomposition("inner", {pid: Piece(pid, "B", (F(1),), frozenset(["1"]))
+                                for pid in (0, 1)})
     assert not d.supports_partition(g.vertices.keys())
 
 

@@ -23,7 +23,6 @@ from singlip import (amalgamate, build_decomposition, csquare_decomposition,
 from singlip.decomp import MODES
 from singlip.errors import InputError
 from singlip.fixtures import fixture_kind, fixture_names, load_fixture
-from singlip.dualgraph import DualTree
 from singlip.surfgraph import tower_to_graph
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "dot.json"
@@ -101,16 +100,6 @@ def test_curve_drawings_match_golden(tmp_path):
                          golden["curves"], strict=True):
         assert got == (want["command"], want["exit"], want["dot"])
     assert random_digest(tmp_path) == golden["random_sha256"]
-
-
-def test_unrated_tower_vertex_has_no_rate_line():
-    # as in graph_to_dot, a vertex without a rate gets no q= line
-    tree = DualTree()
-    tree.add_vertex(0, -1)
-    tree.add_vertex(1, -2, rate=2)
-    tree.add_edge(0, 1)
-    assert dot.tree_to_dot(tree).splitlines()[2:4] == [
-        r'  v0 [label="E1\n-1"];', r'  v1 [label="E2\nq=2\n-2"];']
 
 
 if __name__ == "__main__":

@@ -6,11 +6,12 @@ exercising satellite chains, shared centers and conjugate contacts."""
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 
 from helpers import (alexander_polynomial, curvette_pair, random_curve,
-                     reference_amalgamate)
-from singlip import (PuiseuxBranch, build_carrousel_tree, coincidence_exponent,
-                     contact_matrix, csquare_decomposition,
+                     reference_amalgamate, reference_csquare)
+from singlip import (PuiseuxBranch, build_carrousel_tree, build_decomposition,
+                     coincidence_exponent, contact_matrix, csquare_decomposition,
                      laufer_double_cover, laufer_parity_prepare, leaf_contacts,
                      resolve_curve, strands_of, verify_tower)
 from singlip.csquare import amalgamate
@@ -114,11 +115,13 @@ def test_amalgamation_confluence_200():
         assert amalgamate(stable).to_json() == stable.to_json()
 
 
-def _random_pieces(rng: random.Random, count: int) -> Decomposition:
+def _random_pieces(rng: random.Random, count: int, special=False) -> Decomposition:
     """A tree of random pieces over a few rates.  Unlike a tower's, an
     A-piece here may have three A-neighbours, and then the merge order
-    decides the result."""
-    d = Decomposition("random")
+    decides the result.  With ``special``, each A(q,q)- and B-piece is
+    special with probability 1/2: a special A(q,q)-piece keeps its flag
+    while no rule changes it, and no D melts into a special B-piece."""
+    pieces, adjacency = {}, set()
     rates = [Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5, 2)]
     for pid in range(count):
         kind = rng.choice(("A", "A", "A", "D", "B", "conical"))
@@ -126,25 +129,60 @@ def _random_pieces(rng: random.Random, count: int) -> Decomposition:
             pair = tuple(sorted(rng.choices(rates, k=2)))
         else:
             pair = (Fraction(1),) if kind == "conical" else (rng.choice(rates),)
-        d.add(kind, pair, [rng.randrange(pid)] if pid else [],
-              support=frozenset([pid]))
-    return d
+        flag = (special and (kind == "B" or kind == "A" and pair[0] == pair[1])
+                and rng.random() < 0.5)
+        pieces[pid] = Piece(pid, kind, pair, frozenset([pid]), special=flag)
+        if pid:
+            adjacency.add(frozenset((pid, rng.randrange(pid))))
+    return Decomposition("random", pieces, adjacency)
+
+
+@cache
+def _amalgamation_cases() -> tuple:
+    """Towers of random curves, the chains x^((k+1)/k), which hold a live
+    rule at every pair of neighbouring A-pieces, and random piece trees."""
+    rng = random.Random(108)
+    towers = [resolve_curve(random_curve(rng, max_branches=3, max_den=6))[1]
+              for _ in range(300)]
+    towers += [resolve_curve([PuiseuxBranch.from_terms([(Fraction(k + 1, k), 1)])])[1]
+               for k in (*range(1, 41), 100, 200)]
+    return towers, [_random_pieces(rng, rng.randint(2, 30)) for _ in range(300)]
+
+
+def test_csquare_matches_construction_reference_300():
+    # the same pieces, objects equal field for field, under the same pids
+    # and in the same order as the construction through keyword fields
+    for tower in _amalgamation_cases()[0]:
+        d, reference = csquare_decomposition(tower), reference_csquare(tower)
+        assert d.to_json() == reference.to_json()
+        assert list(d.pieces.items()) == list(reference.pieces.items())
+        assert d.adjacency == reference.adjacency
 
 
 def test_amalgamate_matches_quadratic_reference_300():
     # the heap merges in the reference's order, so pids, rates and supports
     # agree object for object.  On towers the order does not show in the
-    # result; on the random piece trees it does.  Chains x^((k+1)/k) hold a
-    # live rule at every pair of neighbouring A-pieces
-    rng = random.Random(108)
-    cases = [csquare_decomposition(resolve_curve(
-                 random_curve(rng, max_branches=3, max_den=6))[1])
-             for _ in range(300)]
-    cases += [csquare_decomposition(resolve_curve(
-                  [PuiseuxBranch.from_terms([(Fraction(k + 1, k), 1)])])[1])
-              for k in (*range(1, 41), 100, 200)]
-    cases += [_random_pieces(rng, rng.randint(2, 30)) for _ in range(300)]
-    for d in cases:
+    # result; on the random piece trees it does
+    towers, trees = _amalgamation_cases()
+    for d in [*map(csquare_decomposition, towers), *trees]:
+        assert amalgamate(d).to_json() == reference_amalgamate(d).to_json()
+
+
+def test_amalgamate_matches_quadratic_reference_with_special_pieces():
+    # the inner decompositions of the rated graph fixtures, where
+    # minimal-singularity's special P-nodes m4 and m7 give special
+    # A(q,q)-pieces, and random piece trees with special pieces
+    cases = []
+    for name in fixture_names():
+        graph = load_fixture(name)
+        if fixture_kind(name) == "graph" and all(
+                v.rate is not None for v in graph.vertices.values()):
+            cases.append(build_decomposition(graph, "inner"))
+    assert sum(p.special for d in cases for p in d.pieces.values()) >= 2
+    rng = random.Random(109)
+    trees = [_random_pieces(rng, rng.randint(2, 30), special=True) for _ in range(300)]
+    assert sum(p.special for d in trees for p in d.pieces.values()) > 300
+    for d in cases + trees:
         assert amalgamate(d).to_json() == reference_amalgamate(d).to_json()
 
 

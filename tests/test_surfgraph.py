@@ -412,7 +412,7 @@ def test_copy_shares_no_mutable_state():
         a, b = dup.edges[0]
         dup.remove_edge(a, b)
         new = len(dup.vertices) if isinstance(dup, DualTree) else "new"
-        dup.add_vertex(new, -1)
+        dup.add_vertex(new, -1, rate_vector=(1, 1))
         dup.add_edge(a, new)
         dup.add_arrow(new, "g")
         assert state(graph) == before

@@ -428,6 +428,23 @@ def test_add_vertex_refuses_a_rate_that_is_not_its_vectors_quotient():
         assert (v.rate, type(v.rate), v.rate_vector) == (F(rate), F, vector)
 
 
+def test_a_tower_refuses_a_vertex_without_a_rate_vector():
+    # such a vertex made tower_to_json raise a bare AttributeError on its
+    # rate None; a graph vertex needs no rate vector
+    tree = DualTree()
+    for vid, rate in ((0, None), (0, 1)):
+        with pytest.raises(InputError) as exc:
+            tree.add_vertex(vid, -1, rate=rate)
+        assert str(exc.value) == "tower vertex 0 has no rate_vector"
+        assert graph_state(tree) == graph_state(DualTree())
+    tree.add_vertex(0, -1, rate_vector=(1, 1))
+    before = graph_state(tree)
+    with pytest.raises(InputError, match="^tower vertex 1 has no rate_vector$"):
+        tree.add_vertex(1, -2, rate=2)
+    assert graph_state(tree) == before
+    graph = DualGraph()
+    assert graph.add_vertex(0, -1).rate_vector is None
+
 def test_verify_reports_rate_drops_in_walk_order():
     # rates 1, 2, 3 at the root and its children, and a drop below each
     # child: the lines follow the breadth-first walk from the root
