@@ -1,7 +1,8 @@
 """A tower's decomposition of the plane into pieces, and their amalgamation;
-no command calls them yet (ROADMAP item 10).  The tests check that on the
-curve fixtures' towers this gives the initial decomposition's pieces.  Both
-run on plain data and build each ``Piece`` once, at the end."""
+no command calls them (ROADMAP item 30 moves them into the tests).  The
+tests check that on the curve fixtures' towers this gives the initial
+decomposition's pieces.  Both run on plain data and build each ``Piece``
+once, at the end."""
 
 import math
 from collections import defaultdict

@@ -49,9 +49,9 @@ def _nodes(graph: DualGraph, mode: str) -> dict:
     frozen special A(q,q)-piece.
 
     Beyond ``_is_node``, inner mode takes the special P-nodes (P-nodes of
-    valence two whose rate strictly exceeds both neighbour rates), which
-    get the special piece; outer mode takes every P-node, and initial mode
-    every P- and Delta-node.
+    valence two whose rate strictly exceeds both neighbour rates, all
+    three of which must be given), which get the special piece; outer
+    mode takes every P-node, and initial mode every P- and Delta-node.
     """
     if mode not in MODES:
         raise InputError(f"unknown decomposition mode {mode!r}")
@@ -61,9 +61,10 @@ def _nodes(graph: DualGraph, mode: str) -> dict:
         if _is_node(v, len(nbrs)):
             out[vid] = False
         elif mode == "inner":
-            if (P_NODE in v.flags and len(nbrs) == 2
-                    and all(graph.vertices[w].rate < v.rate for w in nbrs)):
-                out[vid] = True
+            if P_NODE in v.flags and len(nbrs) == 2:
+                _require_rates(graph, (vid, *nbrs))
+                if all(graph.vertices[w].rate < v.rate for w in nbrs):
+                    out[vid] = True
         elif P_NODE in v.flags or (mode == "initial" and DELTA_NODE in v.flags):
             out[vid] = False
     return out
@@ -196,14 +197,16 @@ def build_decomposition(graph: DualGraph, mode: str) -> Decomposition:
     instead of a B-piece.  Each string is walked once, from its first node
     in vertex order: no walk starts at a node (a direct edge) or at the
     last interior vertex of a string walked before (its other end).
+    Rates are read, so required, only at the nodes; an A-piece takes its
+    rates from the nodes it joins.
     """
     vertices = graph.vertices
-    _require_rates(graph, vertices)
     if not graph.is_connected():
         raise InputError("decomposition needs a connected graph")
     nodes = _nodes(graph, mode)
     if not nodes:
         raise DomainError("graph has no nodes for this mode")
+    _require_rates(graph, nodes)
 
     pieces, adjacency, piece_of_node = {}, set(), {}
     strings, skip = [], set(nodes)  # (node, end node, interior, no edge)

@@ -845,11 +845,15 @@ def parse_dot(text: str) -> dict:
     return {"nodes": nodes, "edges": edges}
 
 
-def run_cli(*argv) -> tuple[int, str, str]:
-    """``singlip *argv`` in-process: exit code, stdout and stderr."""
+def run_cli(*argv) -> tuple[int, str, str | None]:
+    """``singlip *argv`` in-process: exit code, stdout and stderr; stderr
+    None for a usage error, whose text is argparse's."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = main(list(argv))
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), None
     return code, out.getvalue(), err.getvalue()
 
 

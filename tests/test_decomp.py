@@ -49,10 +49,36 @@ def test_special_p_definition_on_contested_vertex():
 
 
 def test_classify_requires_rates():
-    g = graph_a_k(4)  # interior vertices carry no rates
+    # d5 has no rates; the refusal names its nodes only, not the string
+    # interiors that no piece reads
     for mode in MODES:
-        with pytest.raises(InputError, match="without inner rates"):
-            build_decomposition(g, mode)
+        with pytest.raises(InputError) as exc:
+            build_decomposition(load_fixture("d5"), mode)
+        assert str(exc.value) == "vertices without inner rates: ['E1', 'E4']"
+
+
+def test_strings_need_no_interior_rates():
+    # a4 and a5 rate only the ends of their string, and its A-piece takes
+    # its rates from them
+    for k in (4, 5):
+        for mode in MODES:
+            d = build_decomposition(graph_a_k(k), mode)
+            assert summary(d) == ["A(1,1)", "B(1)", "B(1)"]
+            assert d.pieces[2].support == {f"E{i}" for i in range(2, k)}
+
+
+def test_p_node_next_to_an_unrated_vertex_is_refused():
+    # inner mode compares a valence-two P-node's rate with its neighbours'
+    g = graph_a_k(4)
+    g.vertices["E2"].flags.add("P")
+    g.vertices["E2"].rate = F(2)
+    with pytest.raises(InputError) as exc:
+        build_decomposition(g, "inner")
+    assert str(exc.value) == "vertices without inner rates: ['E3']"
+    # the other modes take the P-node as a node, and read no interior rate
+    for mode in ("initial", "outer"):
+        assert summary(build_decomposition(g, mode)) == [
+            "A(1,2)", "A(1,2)", "B(1)", "B(1)", "B(2)"]
 
 
 def test_thick_thin_e8():
