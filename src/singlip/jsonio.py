@@ -252,21 +252,34 @@ class _Pads(dict):
         return s
 
 
+class RankRows(list):
+    """The rows ``[values[r] for r in row]`` of ``ranks``, written from those two."""
+
+    __slots__ = ("values", "ranks")
+
+    def __init__(self, values, ranks):
+        super().__init__([list(map(values.__getitem__, row)) for row in ranks])
+        self.values, self.ranks = values, ranks
+
+
 def _emit(doc) -> str:
-    """The text of a document of exact dicts with str keys, lists, tuples
-    and scalars of the types in ``_TEXT``; ``TypeError`` at anything else.
+    """The text of a document of exact dicts with str keys, lists, tuples,
+    ``RankRows`` and scalars of ``_TEXT``'s types; ``TypeError`` at others.
 
     It writes into one list.  A container's loop looks each item's exact
     type up in ``_TEXT`` and writes a scalar inline; a container goes to
     ``emit``.  ``pads`` holds, per indentation, the strings that open,
     separate and close a container there, and the memo of its items: the
     text of each flat dict (all values scalars, written with one join) by
-    ``id``, which the loops look up before recursing.  Two builders share
-    flat dicts (``ContactMatrix.to_json`` its contact entries,
-    ``Decomposition.to_json`` its rates), so a repeat costs one lookup.
-    Other dicts, lists and tuples are written item by item in place.  Ids
-    are safe keys: the containers of ``doc`` keep all they hold alive, so
-    none is reused during the call.  ``keys`` holds the text of each key.
+    ``id``, which the loops look up before recursing, so a repeat of a rate
+    that ``Decomposition.to_json`` shares costs one lookup.  Other dicts,
+    lists and tuples are written item by item in place.  Ids are safe keys:
+    the containers of ``doc`` keep all they hold alive, so none is reused
+    during the call.  ``keys`` holds the text of each key.  A ``RankRows``
+    (``ContactMatrix.to_json``'s entries) is written from its ``values``,
+    each once at the entries' indentation, and its ``ranks``, never its
+    rows, so a row edited in place would be written unchanged; nothing
+    edits one, and ``ContactMatrix.rendered`` builds one per call.
     """
     out: list[str] = []
     append = out.append
@@ -278,9 +291,23 @@ def _emit(doc) -> str:
         t = type(o)
         if t is not dict and t is not list and t is not tuple:
             f = text(t)
-            if f is None:
+            if f is not None:
+                return append(f(o))
+            if t is not RankRows:
                 raise TypeError(t)
-            return append(f(o))
+            inner, comma, _, _, lsep, lend, _ = pads[pad]
+            row_inner, row_comma, _, _, row_sep, row_end, here = pads[inner]
+            texts = []
+            for v in o.values:
+                start = len(out)
+                emit(v, row_inner, here)
+                texts.append("".join(out[start:]))
+                del out[start:]
+            for r in o.ranks:
+                out.extend((lsep + row_sep, row_comma.join(map(texts.__getitem__, r)),
+                            row_end) if r else (lsep + "[]",))
+                lsep = comma
+            return append(lend if o.ranks else "[]")
         if not o:
             return append("{}" if t is dict else "[]")
         inner, comma, sep, end, lsep, lend, here = pads[pad]

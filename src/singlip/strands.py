@@ -35,6 +35,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .errors import InputError, ResourceCapExceeded
 from .exactnum import as_rational, rational_to_json
+from .jsonio import RankRows
 
 DEFAULT_STRAND_CAP = 1024
 
@@ -214,10 +215,9 @@ class ContactMatrix(_MatrixFields):
     def finite_values(self) -> set[Fraction]:
         return set(self.values[:-1])
 
-    def rendered(self, text) -> list[list]:
+    def rendered(self, text) -> RankRows:
         """The rows with ``text`` applied once per value."""
-        get = [text(v) for v in self.values].__getitem__
-        return [list(map(get, row)) for row in self.ranks]
+        return RankRows([text(v) for v in self.values], self.ranks)
 
     def check_ultrametric(self) -> list[tuple[int, int, int]]:
         """Triples (j,k,l) violating q(j,l) >= min(q(j,k), q(k,l)), None

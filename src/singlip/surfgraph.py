@@ -67,7 +67,7 @@ def solve_multiplicities(graph: DualGraph, arrows, strict: bool = True) -> Divis
         raise DomainError("singular intersection matrix")
     values = [solved.solution[index[vid]] for vid in graph.ids()]
     if strict and any(v.denominator != 1 for v in values):
-        raise DomainError(f"non-integral multiplicities {values}")
+        raise DomainError(f"non-integral multiplicities [{', '.join(map(str, values))}]")
     coeffs = {vid: v.numerator if v.denominator == 1 else v
               for vid, v in zip(graph.ids(), values)}
     return Divisor(coeffs, tuple(sorted(pairs, key=_arrow_order)))

@@ -17,7 +17,14 @@ from the runs of its group:
 ``BENCH_1.json`` and ``BENCH_2.json`` key their summary ``set/group`` and
 tag their runs with the set; ``BENCH_1.json`` took its quartiles by
 ``statistics.quantiles``' default (exclusive) method, the others by the
-inclusive one."""
+inclusive one.
+
+From ``BENCH_8.json`` on a file is ``singlip.bench/2``, whose runs are
+trimmed to what the summary reads and what identifies a run: the fields of
+``RUN``, a ``last_line`` of ``LAST`` fields and a ``meta_line`` whose
+``meta`` holds the ``META`` fields.  The workload, seed and trace of such a
+run are read off its command line.  Older files are ``singlip.bench/1``
+and keep run.py's two lines as printed."""
 
 import json
 import re
@@ -33,6 +40,32 @@ GATED = {m["name"]: m["better"]
 QUARTILES = {"BENCH_1.json": "exclusive"}
 FIELDS = {"format", "subject", "parent_commit", "change_commit", "host",
           "procedure", "summary", "runs"}
+TRIMMED_FROM = 8
+RUN = {"command", "group", "side", "seed", "workload", "first_in_pair", "exit",
+       "wall_s", "last_line", "meta_line"}
+LAST = {"correct", "attempted", "failed", "metrics"}
+META = {"commit", "python", "src_lines", "passes", "probe_median_s", "tail_percentile",
+        "tail_samples"}
+
+
+def _trimmed(name: str) -> bool:
+    return int(name.split("_")[1].split(".")[0]) >= TRIMMED_FROM
+
+
+def _run_agrees(run: dict, trimmed: bool) -> bool:
+    """Whether ``run`` has its format's fields and agrees with its command."""
+    meta, last = run["meta_line"]["meta"], run["last_line"]
+    trace = int(run["command"].split("--trace ")[1].split()[0])
+    if not (run["side"] in ("parent", "change")
+            and f"--workload {run['workload']} --seed {run['seed']} " in run["command"]
+            and (set(GATED) if trace == 0 else {"jsonio.emit_s"}) <= set(last["metrics"])):
+        return False
+    if trimmed:
+        return (set(run), set(last), set(run["meta_line"]), set(meta)) == (
+            RUN, LAST, {"meta"}, META) and run["exit"] == 0
+    return ((meta["workload"], meta["seed"], meta["trace"]) == (
+        run["workload"], run["seed"], trace)
+        and (meta["attempted"], meta["failed"]) == (last["attempted"], last["failed"]))
 
 
 def _stats(parent: list, change: list, better: str, method: str) -> dict:
@@ -89,19 +122,14 @@ def _summary(entry: dict, runs: list, method: str) -> dict:
 def problems(doc: dict, name: str) -> list:
     """Every way the document ``name`` departs from its format or from its
     own runs."""
-    found = [] if doc.get("format") == "singlip.bench/1" else ["format"]
+    trimmed = _trimmed(name)
+    tag = "singlip.bench/2" if trimmed else "singlip.bench/1"
+    found = [] if doc.get("format") == tag else ["format"]
     found += [f"missing {f}" for f in sorted(FIELDS - set(doc))]
     if not re.fullmatch("[0-9a-f]{40}", str(doc.get("parent_commit"))):
         found.append("parent_commit")
     for i, run in enumerate(doc.get("runs", [])):
-        meta, last = run["meta_line"]["meta"], run["last_line"]
-        if not (run["side"] in ("parent", "change")
-                and f"--workload {run['workload']} --seed {run['seed']} " in run["command"]
-                and (meta["workload"], meta["seed"]) == (run["workload"], run["seed"])
-                and (meta["attempted"], meta["failed"]) == (last["attempted"], last["failed"])
-                and f"--trace {meta['trace']}" in run["command"]
-                and (set(GATED) if meta["trace"] == 0 else {"jsonio.emit_s"})
-                <= set(last["metrics"])):
+        if not _run_agrees(run, trimmed):
             found.append(f"runs[{i}]")
     for key, entry in doc.get("summary", {}).items():
         group_set, _, group = key.rpartition("/")
@@ -123,3 +151,13 @@ def test_a_changed_median_fails(path):
     key = next(k for k, e in doc["summary"].items() if "cases_per_s" in e)
     doc["summary"][key]["cases_per_s"]["change_median"] += 0.0001
     assert problems(doc, path.name) == [f"summary {key}"]
+
+
+@pytest.mark.parametrize("path", [p for p in FILES if _trimmed(p.name)],
+                         ids=lambda p: p.name)
+def test_an_untrimmed_run_fails(path):
+    doc = json.loads(path.read_text())
+    doc["runs"][0]["meta_line"]["meta"]["nproc"] = 2   # a meta field it drops
+    doc["runs"][-1]["last_line"]["wrong"] = []        # a last-line field it drops
+    doc["format"] = "singlip.bench/1"
+    assert problems(doc, path.name) == ["format", "runs[0]", f"runs[{len(doc['runs']) - 1}]"]

@@ -357,10 +357,16 @@ def test_outputs_deterministic(paths):
 
 
 def _plain(doc) -> bool:
-    """Whether every container in ``doc`` is a plain dict, list or tuple.
-    A record is a tuple too, and would be written as a list unchecked."""
+    """Whether every container in ``doc`` is a plain dict, list or tuple, or
+    a ``jsonio.RankRows`` whose rows are its values picked by its ranks.
+    A record is a tuple too, and would be written as a list unchecked; the
+    emitter writes a ``RankRows`` from its values and ranks, not its rows,
+    and any other list subclass as json does."""
     if type(doc) is dict:
         return all(map(_plain, doc.values()))
+    if type(doc) is jsonio.RankRows:
+        return (doc == [[doc.values[r] for r in row] for row in doc.ranks]
+                and all(map(_plain, doc)))
     if type(doc) in (list, tuple):
         return all(map(_plain, doc))
     return type(doc) in (str, int, bool, type(None))
@@ -408,6 +414,28 @@ def test_dot_outputs_parse(paths):
         assert code == 0
         parsed = parse_dot(out)
         assert parsed["nodes"]
+
+
+# the commands with no DOT form, each with an input that does not exist
+_NO_DOT = [["curve", "contacts"], ["curve", "horns", "--base", "0"],
+           ["curve", "equiv", "missing.json"], ["graph", "mult", "--arrow", "x"],
+           ["graph", "pencil", "--gen", "x"], ["graph", "thickthin"],
+           ["graph", "signature", "--metric", "inner"]]
+
+
+def test_no_dot_form_is_refused_before_the_command_runs(paths, monkeypatch):
+    calls, real = [], strands.contact_matrix
+    monkeypatch.setattr(strands, "contact_matrix",
+                        lambda *a: calls.append(a) or real(*a))
+    curve = paths["carrousel-example"]
+    assert run_cli("--format", "dot", "curve", "contacts", curve) == (
+        2, "", "input error: no DOT form for this command\n")
+    assert calls == []
+    assert run_cli("curve", "contacts", curve)[0] == 0 and len(calls) == 1
+    # nor is the input read: the refusal is the same for a missing file
+    for argv in _NO_DOT:
+        assert run_cli("--format", "dot", *argv, "missing.json") == (
+            2, "", "input error: no DOT form for this command\n"), argv
 
 
 def test_dot_labels_escape_backslashes(tmp_path):

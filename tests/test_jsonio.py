@@ -11,6 +11,8 @@ cycles, deep documents) go through ``_emit_json``, which hands them to
 ``PYTHONPATH=src python tests/test_jsonio.py`` runs them all on any
 interpreter.
 
+``ContactMatrix.to_json`` writes its entries as a ``jsonio.RankRows``,
+which the emitter writes from its values and ranks, not its rows.
 ``Decomposition.to_json`` gives each distinct rate of its document one
 object, so that the emitter writes it once; a tower's or a graph's rates
 are nearly all distinct, so ``tower_to_json`` and ``graph_to_json`` write
@@ -39,8 +41,8 @@ from singlip import (amalgamate, build_carrousel_tree, build_decomposition,
 from singlip.decomp import MODES
 from singlip.errors import DomainError
 from singlip.exactnum import rational_to_json
-from singlip.jsonio import (_emit, _emit_json, curve_to_json, dumps, graph_to_json,
-                            tower_to_json)
+from singlip.jsonio import (RankRows, _emit, _emit_json, curve_to_json, dumps,
+                            graph_to_json, tower_to_json)
 
 
 def reference(doc) -> str:
@@ -244,6 +246,29 @@ def test_flat_dict_hand_cases():
             [esc, esc, {"e": esc}, [esc]],
             [{"v": True}, {"v": 1}, {"v": 1.0}, {"v": None}, {"v": "1"}],
             {"t": {"v": True}, "i": {"v": 1}, "f": {"v": 1.0}, "n": {"v": None}},
+    ]:
+        assert_fast(doc)
+
+
+def test_rank_rows():
+    # a RankRows holds the rows its ranks pick from its values, and the
+    # emitter writes it from the values and ranks as json writes those rows
+    inf, half, three = "inf", {"num": 1, "den": 2}, {"den": 2, "num": 3}
+    a = RankRows([half, three, inf], [(2, 0, 1), (0, 2, 1), (1, 1, 2)])
+    b = RankRows([three, inf, half], [(1, 2), (2, 1)])
+    assert a == [[inf, half, three], [half, inf, three], [three, three, inf]]
+    deep = {"v": [1, {"n": [1, 2]}], "w": None, "": ()}
+    for doc in [
+            RankRows([inf], [(0,)]), {"size": 1, "entries": RankRows([inf], [[0]])},
+            RankRows([half, inf], [(1, 1, 1), (1, 0, 1)]),  # a row of only "inf"
+            RankRows([], []), RankRows([], [()]), RankRows([inf], [(), (0,), ()]),
+            # at the top, in a tuple, in a dict and three levels down
+            a, (a,), {"entries": a, "size": 3}, [[{"k": a}]], ((1, [[a, 2]]),),
+            # two sharing value objects, beside those objects
+            [a, b, {"c": a, "r": b}, half, [three, inf]], {"a": [a], "b": [b]},
+            # values that are not flat, and other scalars
+            RankRows([deep, inf, [deep], 7, None, True, 0.5],
+                     [(0, 1, 2), (2, 2, 1), (3, 4, 5, 6)]),
     ]:
         assert_fast(doc)
 

@@ -24,6 +24,10 @@ def test_every_public_name_is_its_modules_object():
         assert getattr(singlip, name) is getattr(home, name), name
     assert singlip.jsonio is import_module("singlip.jsonio")
     assert {*singlip.__all__, "jsonio", "dot"} <= set(dir(singlip))
+    # the module hook itself, which an attribute set by an earlier import
+    # of the submodule bypasses
+    for name in singlip._SUBMODULES:
+        assert singlip.__getattr__(name) is import_module(f"singlip.{name}"), name
 
 
 def test_unknown_name_raises_attribute_error():

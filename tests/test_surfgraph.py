@@ -64,14 +64,13 @@ def test_solve_non_integral():
     div = solve_multiplicities(g, [("A", 1)], strict=False)
     assert div.coefficients == {"A": F(1, 2)}
     # the message lists the values in insertion order, whatever order the
-    # elimination ran in
-    for ids, values in ((("A", "B"), [F(2, 3), F(1, 3)]),
-                        (("B", "A"), [F(1, 3), F(2, 3)])):
+    # elimination ran in, each as p/q
+    for ids, values in ((("A", "B"), "2/3, 1/3"), (("B", "A"), "1/3, 2/3")):
         g = DualGraph()
         for vid in ids:
             g.add_vertex(vid, -2)
         g.add_edge("A", "B")
-        message = re.escape(f"non-integral multiplicities {values}")
+        message = re.escape(f"non-integral multiplicities [{values}]")
         with pytest.raises(DomainError, match=f"^{message}$"):
             solve_multiplicities(g, [("A", 1)])
 
@@ -563,7 +562,7 @@ def test_answers_do_not_depend_on_vertex_order(name):
                     assert solve_multiplicities(h, fn).coefficients == coeffs
                 else:
                     message = (f"non-integral multiplicities "
-                               f"{[coeffs[v] for v in hids]}")
+                               f"[{', '.join(str(coeffs[v]) for v in hids)}]")
                     with pytest.raises(DomainError,
                                        match=f"^{re.escape(message)}$"):
                         solve_multiplicities(h, fn)
