@@ -23,9 +23,11 @@ from .errors import DomainError, InputError
 
 _FLAG = "store_true"
 _INPUT = ("input", {})
-# no DOT form: refused before the command's module is imported or its input read
-_NO_DOT = {"cmd_curve_contacts", "cmd_curve_horns", "cmd_curve_equiv", "cmd_graph_mult",
-           "cmd_graph_pencil", "cmd_decomp_thickthin", "cmd_decomp_signature"}
+# no form in a format: refused before the command's module is imported or its input read
+_NO_FORM = {"json": {"cmd_verify", "cmd_fixtures_list"}, "dot": {
+    "cmd_curve_contacts", "cmd_curve_horns", "cmd_curve_equiv", "cmd_graph_mult",
+    "cmd_graph_pencil", "cmd_decomp_thickthin", "cmd_decomp_signature", "cmd_verify",
+    "cmd_fixtures_list", "cmd_fixtures_dump"}}
 
 # Each parser as (help, arguments, its function's name or its subcommands by
 # word), each argument as (name, add_argument keywords), positionals first.
@@ -145,8 +147,8 @@ def _read_args(argv):
 def main(argv=None) -> int:
     args = _read_args(argv) or build_parser().parse_args(argv)
     try:
-        if args.format == "dot" and args.func in _NO_DOT:
-            raise InputError("no DOT form for this command")
+        if args.func in _NO_FORM.get(args.format, ()):
+            raise InputError(f"no {args.format.upper()} form for this command")
         commands = import_module(".cli_" + args.func.split("_")[1], __package__).COMMANDS
         code = commands[args.func](args) or 0
         sys.stdout.flush()

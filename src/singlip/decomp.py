@@ -27,6 +27,7 @@ from typing import NamedTuple
 
 from .dualgraph import DELTA_NODE, GENERIC_LINEAR, L_NODE, P_NODE, DualGraph, reach
 from .errors import DomainError, InputError
+from .exactnum import rational_to_json
 
 MODES = ("initial", "inner", "outer")
 
@@ -172,15 +173,10 @@ class Decomposition:
                 and set().union(*supports).issuperset(graph_vertices))
 
     def to_json(self) -> dict:
-        """The pieces in pid order.  An A-piece repeats the rates of the
-        pieces it joins, so equal rates are one object, which ``jsonio.dumps``
-        writes once; the memo's keys are ``(num, den)``, hashed in C."""
-        shared = {}
+        """The pieces in pid order."""
         return {"mode": self.mode,
                 "pieces": [{"id": p.pid, "kind": p.kind,
-                            "rates": [shared.get(r := (q.numerator, q.denominator))
-                                      or shared.setdefault(r, {"num": r[0], "den": r[1]})
-                                      for q in p.rates],
+                            "rates": [rational_to_json(q) for q in p.rates],
                             "special": p.special,
                             "support": sorted(map(str, p.support)),
                             "edge_support": sorted(map(str, p.edge_support))}

@@ -1,9 +1,9 @@
 """JSON schemas for curves, graphs and computed reports.
 
 Every document carries a top-level "format" tag.  Rationals travel as
-{"num": p, "den": q} objects; parsers also accept "p/q" strings and bare
-integers for convenience.  In strict mode unknown fields are rejected;
-otherwise they are collected as warnings.
+{"num": p, "den": q} objects, each built fresh; parsers also accept "p/q"
+strings and bare integers.  Unknown fields are refused in strict mode, else
+collected as warnings.  ``dumps`` writes a document from its values alone.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import sys
 from json.encoder import encode_basestring_ascii
+from operator import is_, itemgetter
 from typing import TYPE_CHECKING, Optional
 
 from .errors import InputError
@@ -248,18 +249,23 @@ class _Pads(dict):
     def __missing__(self, pad: str) -> tuple:
         inner = pad + "  "
         s = self[pad] = (inner, "," + inner, "{" + inner, pad + "}",
-                         "[" + inner, pad + "]", {})
+                         "[" + inner, pad + "]")
         return s
 
 
 class RankRows(list):
-    """The rows ``[values[r] for r in row]`` of ``ranks``, written from those two."""
+    """The tuples ``rows``, one per row of ``ranks``, of the ``values`` its
+    ranks pick; ``_emit`` writes it from ``values`` and ``ranks`` while it
+    holds exactly the tuples of ``rows``."""
 
-    __slots__ = ("values", "ranks")
+    __slots__ = ("values", "ranks", "rows")
 
     def __init__(self, values, ranks):
-        super().__init__([list(map(values.__getitem__, row)) for row in ranks])
-        self.values, self.ranks = values, ranks
+        self.values = values = tuple(values)
+        self.rows = tuple(itemgetter(*row)(values) if len(row) > 1
+                          else tuple(map(values.__getitem__, row)) for row in ranks)
+        self.ranks = ranks
+        super().__init__(self.rows)
 
 
 def _emit(doc) -> str:
@@ -269,17 +275,13 @@ def _emit(doc) -> str:
     It writes into one list.  A container's loop looks each item's exact
     type up in ``_TEXT`` and writes a scalar inline; a container goes to
     ``emit``.  ``pads`` holds, per indentation, the strings that open,
-    separate and close a container there, and the memo of its items: the
-    text of each flat dict (all values scalars, written with one join) by
-    ``id``, which the loops look up before recursing, so a repeat of a rate
-    that ``Decomposition.to_json`` shares costs one lookup.  Other dicts,
-    lists and tuples are written item by item in place.  Ids are safe keys:
-    the containers of ``doc`` keep all they hold alive, so none is reused
-    during the call.  ``keys`` holds the text of each key.  A ``RankRows``
-    (``ContactMatrix.to_json``'s entries) is written from its ``values``,
-    each once at the entries' indentation, and its ``ranks``, never its
-    rows, so a row edited in place would be written unchanged; nothing
-    edits one, and ``ContactMatrix.rendered`` builds one per call.
+    separate and close a container there, and ``keys`` the text of each
+    key.  A dict whose values are all scalars is written with one join,
+    any other container item by item in place.  A ``RankRows``
+    (``ContactMatrix.to_json``'s entries) that holds exactly the tuples it
+    was built with is written from its ``values``, each once at the entries'
+    indentation, and its ``ranks``; once a row is replaced, added or
+    removed, it is written as the list of rows it holds.
     """
     out: list[str] = []
     append = out.append
@@ -287,7 +289,7 @@ def _emit(doc) -> str:
     keys = _Keys()
     pads = _Pads()
 
-    def emit(o, pad: str, seen: dict):
+    def emit(o, pad: str):
         t = type(o)
         if t is not dict and t is not list and t is not tuple:
             f = text(t)
@@ -295,22 +297,23 @@ def _emit(doc) -> str:
                 return append(f(o))
             if t is not RankRows:
                 raise TypeError(t)
-            inner, comma, _, _, lsep, lend, _ = pads[pad]
-            row_inner, row_comma, _, _, row_sep, row_end, here = pads[inner]
-            texts = []
-            for v in o.values:
-                start = len(out)
-                emit(v, row_inner, here)
-                texts.append("".join(out[start:]))
-                del out[start:]
-            for r in o.ranks:
-                out.extend((lsep + row_sep, row_comma.join(map(texts.__getitem__, r)),
-                            row_end) if r else (lsep + "[]",))
-                lsep = comma
-            return append(lend if o.ranks else "[]")
+            if len(o) == len(o.rows) and all(map(is_, o, o.rows)):
+                inner, comma, _, _, lsep, lend = pads[pad]
+                row_inner, row_comma, _, _, row_sep, row_end = pads[inner]
+                texts = []
+                for v in o.values:
+                    start = len(out)
+                    emit(v, row_inner)
+                    texts.append("".join(out[start:]))
+                    del out[start:]
+                for r in o.ranks:
+                    out.extend((lsep + row_sep, row_comma.join(map(texts.__getitem__, r)),
+                                row_end) if r else (lsep + "[]",))
+                    lsep = comma
+                return append(lend if o.ranks else "[]")
         if not o:
             return append("{}" if t is dict else "[]")
-        inner, comma, sep, end, lsep, lend, here = pads[pad]
+        inner, comma, sep, end, lsep, lend = pads[pad]
         if t is dict:
             ks, items = sorted(o), []
             for k in ks:
@@ -319,8 +322,7 @@ def _emit(doc) -> str:
                     break
                 items.append(keys[k] + f(o[k]))
             else:
-                s = seen[id(o)] = sep + comma.join(items) + end
-                return append(s)
+                return append(sep + comma.join(items) + end)
             for k in ks:        # not flat: written item by item
                 v = o[k]
                 f = text(type(v))
@@ -328,8 +330,7 @@ def _emit(doc) -> str:
                     append(sep + keys[k] + f(v))
                 else:
                     append(sep + keys[k])
-                    s = here.get(id(v))
-                    emit(v, inner, here) if s is None else append(s)
+                    emit(v, inner)
                 sep = comma
             append(end)
         else:
@@ -339,11 +340,10 @@ def _emit(doc) -> str:
                     append(lsep + f(v))
                 else:
                     append(lsep)
-                    s = here.get(id(v))
-                    emit(v, inner, here) if s is None else append(s)
+                    emit(v, inner)
                 lsep = comma
             append(lend)
 
-    emit(doc, "\n", {})
+    emit(doc, "\n")
     append("\n")
     return "".join(out)

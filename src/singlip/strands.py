@@ -216,8 +216,8 @@ class ContactMatrix(_MatrixFields):
         return set(self.values[:-1])
 
     def rendered(self, text) -> RankRows:
-        """The rows with ``text`` applied once per value."""
-        return RankRows([text(v) for v in self.values], self.ranks)
+        """The rows, as tuples, with ``text`` applied once per value."""
+        return RankRows(map(text, self.values), self.ranks)
 
     def check_ultrametric(self) -> list[tuple[int, int, int]]:
         """Triples (j,k,l) violating q(j,l) >= min(q(j,k), q(k,l)), None

@@ -8,7 +8,8 @@ import pytest
 
 from helpers import (checkout_env, cli_commands, parse_dot, parsed, run_cli,
                      run_python)
-from singlip import PuiseuxBranch, contact_matrix, jsonio, resolve_curve, strands
+from singlip import (PuiseuxBranch, contact_matrix, fixtures, jsonio, resolve_curve,
+                     strands)
 from singlip.carrousel import MAX_DEPTH
 from singlip.cli import _read_args, build_parser, main
 from singlip.decomp import MODES
@@ -227,7 +228,9 @@ def test_help_and_abbreviations_fall_back_to_argparse(capsys):
     assert exc.value.code == 0
     assert capsys.readouterr().out == build_parser().format_help()
     assert _read_args(["--form", "json", "fixtures", "list"]) is None
-    assert run_cli("--form", "json", "fixtures", "list") == run_cli("fixtures", "list")
+    assert (run_cli("--form", "json", "fixtures", "list")
+            == run_cli("--format", "json", "fixtures", "list")
+            != run_cli("fixtures", "list"))
 
 
 def test_usage_errors_print_argparse_usage(capsys, monkeypatch):
@@ -269,6 +272,14 @@ def test_verify_fails_on_broken_graph(paths, tmp_path):
     code, out, _ = run_cli("verify", str(bad))
     assert code == 1
     assert "laufer residual" in out
+
+
+def test_verify_refuses_a_document_it_has_no_check_for(tmp_path):
+    p = tmp_path / "contacts.json"
+    p.write_text(json.dumps({"format": "singlip.contacts/1", "size": 1,
+                             "entries": [["inf"]]}))
+    assert run_cli("verify", str(p)) == (
+        2, "", "input error: cannot verify documents of format 'singlip.contacts/1'\n")
 
 
 def test_verify_reports_a_disconnected_graph(tmp_path):
@@ -358,14 +369,16 @@ def test_outputs_deterministic(paths):
 
 def _plain(doc) -> bool:
     """Whether every container in ``doc`` is a plain dict, list or tuple, or
-    a ``jsonio.RankRows`` whose rows are its values picked by its ranks.
-    A record is a tuple too, and would be written as a list unchecked; the
-    emitter writes a ``RankRows`` from its values and ranks, not its rows,
-    and any other list subclass as json does."""
+    a ``jsonio.RankRows`` that holds the rows it was built with, each the
+    tuple of its values (a tuple too) picked by its ranks.  A record is a
+    tuple too, and would be written as a list unchecked; the emitter writes
+    such a ``RankRows`` from its values and ranks, and any other list
+    subclass as json does."""
     if type(doc) is dict:
         return all(map(_plain, doc.values()))
     if type(doc) is jsonio.RankRows:
-        return (doc == [[doc.values[r] for r in row] for row in doc.ranks]
+        return (type(doc.values) is tuple and doc.rows == tuple(doc)
+                and doc == [tuple(doc.values[r] for r in row) for row in doc.ranks]
                 and all(map(_plain, doc)))
     if type(doc) in (list, tuple):
         return all(map(_plain, doc))
@@ -420,7 +433,8 @@ def test_dot_outputs_parse(paths):
 _NO_DOT = [["curve", "contacts"], ["curve", "horns", "--base", "0"],
            ["curve", "equiv", "missing.json"], ["graph", "mult", "--arrow", "x"],
            ["graph", "pencil", "--gen", "x"], ["graph", "thickthin"],
-           ["graph", "signature", "--metric", "inner"]]
+           ["graph", "signature", "--metric", "inner"], ["verify"],
+           ["fixtures", "dump"]]
 
 
 def test_no_dot_form_is_refused_before_the_command_runs(paths, monkeypatch):
@@ -436,6 +450,16 @@ def test_no_dot_form_is_refused_before_the_command_runs(paths, monkeypatch):
     for argv in _NO_DOT:
         assert run_cli("--format", "dot", *argv, "missing.json") == (
             2, "", "input error: no DOT form for this command\n"), argv
+    # verify and fixtures list write only text, fixtures dump only JSON; a
+    # refused fixtures call reads no fixture
+    monkeypatch.setattr(fixtures, "fixture_names", lambda: calls.append("names"))
+    monkeypatch.setattr(fixtures, "load_fixture", lambda name: calls.append(name))
+    for fmt, argv in [("dot", ["fixtures", "list"]), ("json", ["fixtures", "list"]),
+                      ("dot", ["fixtures", "dump", "e8"]),
+                      ("json", ["verify", "missing.json"])]:
+        assert run_cli("--format", fmt, *argv) == (
+            2, "", f"input error: no {fmt.upper()} form for this command\n"), argv
+    assert len(calls) == 1
 
 
 def test_dot_labels_escape_backslashes(tmp_path):
