@@ -28,8 +28,8 @@ def cmd_graph_pencil(args) -> None:
     graph = load("graph", args.input, args.strict)
     gens = []
     for entry in args.gen:
-        name, _, raw = entry.partition(":")
-        power = positive_int(raw or "1", f"--gen {name} power")
+        name, colon, raw = entry.partition(":")
+        power = positive_int(raw if colon else "1", f"--gen {name} power")
         base = surfgraph.solve_multiplicities(graph, name)
         gens.append(surfgraph.Divisor(
             {k: power * v for k, v in base.coefficients.items()},

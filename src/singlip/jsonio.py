@@ -1,9 +1,10 @@
 """JSON schemas for curves, graphs and computed reports.
 
 Every document carries a top-level "format" tag.  Rationals travel as
-{"num": p, "den": q} objects, each built fresh; parsers also accept "p/q"
-strings and bare integers.  Unknown fields are refused in strict mode, else
-collected as warnings.  ``dumps`` writes a document from its values alone.
+{"num": p, "den": q} objects, each built fresh but in a contact matrix's
+rows, an immutable ``RankRows``; parsers also accept "p/q" strings and
+bare integers.  Unknown fields are refused in strict mode, else collected
+as warnings.  ``dumps`` writes a document from its values alone.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import json
 import sys
 from json.encoder import encode_basestring_ascii
-from operator import is_, itemgetter
 from typing import TYPE_CHECKING, Optional
 
 from .errors import InputError
@@ -139,6 +139,11 @@ def _read_graph(doc: dict, fmt: str, g: DualGraph, extra: tuple, vertex_fields: 
             g.add_vertex(v["id"], v["self_intersection"], *fields(v, i))
         except KeyError as exc:
             raise InputError(f"vertices[{i}] missing {exc}") from None
+    texts: dict = {}    # outputs name a vertex by its text
+    for vid in g.vertices:
+        if texts.setdefault(str(vid), vid) != vid:
+            raise InputError(f"vertex ids {texts[str(vid)]!r} and {vid!r} differ "
+                             "only in type")
     for i, e in enumerate(_list(doc, "edges")):
         if not isinstance(e, list) or len(e) != 2:
             raise InputError(f"edges[{i}] must be a two-element list")
@@ -253,19 +258,10 @@ class _Pads(dict):
         return s
 
 
-class RankRows(list):
-    """The tuples ``rows``, one per row of ``ranks``, of the ``values`` its
-    ranks pick; ``_emit`` writes it from ``values`` and ``ranks`` while it
-    holds exactly the tuples of ``rows``."""
-
-    __slots__ = ("values", "ranks", "rows")
-
-    def __init__(self, values, ranks):
-        self.values = values = tuple(values)
-        self.rows = tuple(itemgetter(*row)(values) if len(row) > 1
-                          else tuple(map(values.__getitem__, row)) for row in ranks)
-        self.ranks = ranks
-        super().__init__(self.rows)
+class RankRows(tuple):
+    """The rows of a contact matrix's entries, as tuples of the ``values``
+    its ``ranks`` pick; ``ContactMatrix.rendered`` builds it, and ``_emit``
+    writes it from ``values`` and ``ranks``."""
 
 
 def _emit(doc) -> str:
@@ -278,10 +274,9 @@ def _emit(doc) -> str:
     separate and close a container there, and ``keys`` the text of each
     key.  A dict whose values are all scalars is written with one join,
     any other container item by item in place.  A ``RankRows``
-    (``ContactMatrix.to_json``'s entries) that holds exactly the tuples it
-    was built with is written from its ``values``, each once at the entries'
-    indentation, and its ``ranks``; once a row is replaced, added or
-    removed, it is written as the list of rows it holds.
+    (``ContactMatrix.to_json``'s entries, a tuple that cannot be edited) is
+    written from its ``values``, each once at the entries' indentation, and
+    its ``ranks``.
     """
     out: list[str] = []
     append = out.append
@@ -297,20 +292,19 @@ def _emit(doc) -> str:
                 return append(f(o))
             if t is not RankRows:
                 raise TypeError(t)
-            if len(o) == len(o.rows) and all(map(is_, o, o.rows)):
-                inner, comma, _, _, lsep, lend = pads[pad]
-                row_inner, row_comma, _, _, row_sep, row_end = pads[inner]
-                texts = []
-                for v in o.values:
-                    start = len(out)
-                    emit(v, row_inner)
-                    texts.append("".join(out[start:]))
-                    del out[start:]
-                for r in o.ranks:
-                    out.extend((lsep + row_sep, row_comma.join(map(texts.__getitem__, r)),
-                                row_end) if r else (lsep + "[]",))
-                    lsep = comma
-                return append(lend if o.ranks else "[]")
+            inner, comma, _, _, lsep, lend = pads[pad]
+            row_inner, row_comma, _, _, row_sep, row_end = pads[inner]
+            texts = []
+            for v in o.values:
+                start = len(out)
+                emit(v, row_inner)
+                texts.append("".join(out[start:]))
+                del out[start:]
+            for r in o.ranks:
+                out.extend((lsep + row_sep, row_comma.join(map(texts.__getitem__, r)),
+                            row_end) if r else (lsep + "[]",))
+                lsep = comma
+            return append(lend if o.ranks else "[]")
         if not o:
             return append("{}" if t is dict else "[]")
         inner, comma, sep, end, lsep, lend = pads[pad]

@@ -31,6 +31,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, chain
+from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import InputError, ResourceCapExceeded
@@ -217,7 +218,11 @@ class ContactMatrix(_MatrixFields):
 
     def rendered(self, text) -> RankRows:
         """The rows, as tuples, with ``text`` applied once per value."""
-        return RankRows(map(text, self.values), self.ranks)
+        values = tuple(map(text, self.values))
+        rows = RankRows(itemgetter(*row)(values) if len(row) > 1
+                        else tuple(map(values.__getitem__, row)) for row in self.ranks)
+        rows.values, rows.ranks = values, self.ranks
+        return rows
 
     def check_ultrametric(self) -> list[tuple[int, int, int]]:
         """Triples (j,k,l) violating q(j,l) >= min(q(j,k), q(k,l)), None

@@ -155,14 +155,14 @@ def pairwise_leaf_contacts(tree: CarrouselTree) -> ContactMatrix:
     return ContactMatrix(tree.size, tuple(map(tuple, rows)))
 
 
-def rendered_by_id(matrix: ContactMatrix, text) -> list[tuple]:
+def rendered_by_id(matrix: ContactMatrix, text) -> tuple[tuple, ...]:
     """The entry rows, as tuples, with ``text`` applied once per distinct
     entry object."""
     seen = {}
     for row in matrix.entries:
         seen.update(zip(map(id, row), row))
     get = {i: text(v) for i, v in seen.items()}.__getitem__
-    return [tuple(map(get, map(id, row))) for row in matrix.entries]
+    return tuple(tuple(map(get, map(id, row))) for row in matrix.entries)
 
 
 def reference_horn_profile(matrix: ContactMatrix, base: int) -> HornJumpProfile:

@@ -4,7 +4,9 @@ Each example takes a curve, graph or tower document of the fixtures,
 applies a few mutations (a field dropped, retyped or duplicated, a junk
 rational, a reference to a vertex that does not exist, one junk value in
 one field of every vertex) and runs one subcommand on it through
-``cli.main`` in-process.  Whatever the document says, the call must end
+``cli.main`` in-process: with no option, with ``--strict``, or with a
+``--format`` that ``cli.main`` does not refuse for the subcommand before
+it reads the document.  Whatever the document says, the call must end
 with exit code 0, 1 or 2 and at most one error line, never with an
 exception."""
 
@@ -12,8 +14,9 @@ import json
 
 import pytest
 
-from helpers import run_cli
+from helpers import parsed, run_cli
 from singlip import jsonio, resolve_curve
+from singlip.cli import _NO_FORM
 from singlip.fixtures import fixture_names, load_fixture
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -143,9 +146,16 @@ def cases(draw):
                   draw(st.integers(0, 10 ** 6)))
                  for _ in range(draw(st.integers(1, 3)))]
     command = draw(st.sampled_from(COMMANDS[doc_kind]))
-    options = draw(st.sampled_from(
-        [[], ["--strict"], ["--format", "json"], ["--format", "dot"]]))
+    options = draw(st.sampled_from(_options(command)))
     return doc_kind, doc, mutations, command, options
+
+
+def _options(command: list) -> list:
+    """[], --strict and each --format that ``cli.main`` does not refuse for
+    ``command`` before its document is read."""
+    func = parsed(command)["func"]
+    return [[], ["--strict"]] + [["--format", form] for form in ("json", "dot")
+                                 if func not in _NO_FORM[form]]
 
 
 # The generic-linear multiplicity 0 at every vertex of a rated graph, which

@@ -11,19 +11,22 @@ cycles, deep documents) go through ``_emit_json``, which hands them to
 ``PYTHONPATH=src python tests/test_jsonio.py`` runs them all on any
 interpreter.
 
-``ContactMatrix.to_json`` writes its entries as a ``jsonio.RankRows``,
-whose rows are tuples of its values; the emitter writes it from its values
-and ranks while it holds the rows it was built with, and otherwise as the
-list it is.  Every other builder writes each rational fresh, and the emitter
+``ContactMatrix.to_json`` writes its entries as a ``jsonio.RankRows``, a
+tuple of row tuples of its values that ``ContactMatrix.rendered`` builds
+and that cannot be edited in place; the emitter writes it from its values
+and ranks.  Every other builder writes each rational fresh, and the emitter
 keeps no text by object, so what it writes depends on values alone: every
-built document, edited in place, is written as ``json`` writes it.  The
-tests hold the tower, graph and decomposition documents to twins built
-here.
+built document, edited in place but for a contact matrix's entries, which
+are replaced whole, is written as ``json`` writes it.  The tests hold the
+tower, graph and decomposition documents to twins built here.
 """
 
 from __future__ import annotations
 
+import copy
 import json
+import operator
+import pickle
 import random
 import sys
 import traceback
@@ -34,11 +37,11 @@ from typing import NamedTuple
 from unittest import mock
 
 from helpers import random_curve
-from singlip import (amalgamate, build_carrousel_tree, build_decomposition,
-                     contact_matrix, csquare_decomposition, decorate, fixtures,
-                     inner_signature, laufer_double_cover, laufer_parity_prepare,
-                     leaf_contacts, outer_signature, reduce_to_eggers, resolve_curve,
-                     tower_to_graph)
+from singlip import (ContactMatrix, amalgamate, build_carrousel_tree,
+                     build_decomposition, contact_matrix, csquare_decomposition,
+                     decorate, fixtures, inner_signature, laufer_double_cover,
+                     laufer_parity_prepare, leaf_contacts, outer_signature,
+                     reduce_to_eggers, resolve_curve, tower_to_graph)
 from singlip.decomp import MODES
 from singlip.errors import DomainError
 from singlip.exactnum import rational_to_json
@@ -257,37 +260,53 @@ def test_flat_dict_hand_cases():
         assert_fast(doc)
 
 
+def _rank_rows(values: list, ranks: list) -> RankRows:
+    """``ContactMatrix.rendered``'s rows of the ``values`` that ``ranks`` pick."""
+    matrix = ContactMatrix._make((len(ranks), tuple(range(len(values))),
+                                  tuple(map(tuple, ranks))))
+    return matrix.rendered(values.__getitem__)
+
+
 def test_rank_rows():
     # a RankRows holds, as tuples, the rows its ranks pick from its values,
     # and the emitter writes it from the values and ranks as json writes
     # those rows
     inf, half, three = "inf", {"num": 1, "den": 2}, {"den": 2, "num": 3}
-    a = RankRows([half, three, inf], [(2, 0, 1), (0, 2, 1), (1, 1, 2)])
-    b = RankRows([three, inf, half], [(1, 2), (2, 1)])
-    assert a == [(inf, half, three), (half, inf, three), (three, three, inf)]
-    assert a.values == (half, three, inf) and a.rows == tuple(a)
-    assert RankRows([inf], [(0,), ()]) == [(inf,), ()]
+    a = _rank_rows([half, three, inf], [(2, 0, 1), (0, 2, 1), (1, 1, 2)])
+    b = _rank_rows([three, inf, half], [(1, 2), (2, 1)])
+    assert a == ((inf, half, three), (half, inf, three), (three, three, inf))
+    assert type(a) is RankRows and a.values == (half, three, inf)
+    assert _rank_rows([inf], [(0,), ()]) == ((inf,), ())
     deep = {"v": [1, {"n": [1, 2]}], "w": None, "": ()}
     for doc in [
-            RankRows([inf], [(0,)]), {"size": 1, "entries": RankRows([inf], [[0]])},
-            RankRows([half, inf], [(1, 1, 1), (1, 0, 1)]),  # a row of only "inf"
-            RankRows([], []), RankRows([], [()]), RankRows([inf], [(), (0,), ()]),
+            _rank_rows([inf], [(0,)]), {"size": 1, "entries": _rank_rows([inf], [[0]])},
+            _rank_rows([half, inf], [(1, 1, 1), (1, 0, 1)]),  # a row of only "inf"
+            _rank_rows([], []), _rank_rows([], [()]), _rank_rows([inf], [(), (0,), ()]),
             # at the top, in a tuple, in a dict and three levels down
             a, (a,), {"entries": a, "size": 3}, [[{"k": a}]], ((1, [[a, 2]]),),
             # two sharing value objects, beside those objects
             [a, b, {"c": a, "r": b}, half, [three, inf]], {"a": [a], "b": [b]},
             # values that are not flat, and other scalars
-            RankRows([deep, inf, [deep], 7, None, True, 0.5],
-                     [(0, 1, 2), (2, 2, 1), (3, 4, 5, 6)]),
+            _rank_rows([deep, inf, [deep], 7, None, True, 0.5],
+                       [(0, 1, 2), (2, 2, 1), (3, 4, 5, 6)]),
     ]:
         assert_fast(doc)
-    # once a row is replaced, added or removed, the rows it holds are written
-    for edit in (lambda r: r.__setitem__(0, list(r[0])), lambda r: r.append(r[0]),
-                 lambda r: r.__setitem__(1, r[0]), lambda r: r.pop(0),
-                 lambda r: r.__setitem__(2, 7), lambda r: r.clear()):
-        c = RankRows([half, three, inf], [(2, 0, 1), (0, 2, 1), (1, 1, 2)])
-        edit(c)
-        assert_fast([c, {"entries": c}])
+    # a built contacts document's entries refuse an edit, and its pickle and
+    # copies are written as it is
+    doc = {"format": "singlip.contacts/1",
+           **contact_matrix(fixtures.load_fixture("cusp-53")).to_json()}
+    for edit, *index in ((operator.setitem, 0, ()), (operator.delitem, 0)):
+        try:
+            edit(doc["entries"], *index)
+        except TypeError:
+            continue
+        raise AssertionError("an edited RankRows")
+    twins = [pickle.loads(pickle.dumps(doc, protocol))
+             for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    twins += [{**doc, "entries": copy.copy(doc["entries"])}, copy.deepcopy(doc)]
+    for twin in twins:
+        assert type(twin["entries"]) is RankRows and twin["entries"] is not doc["entries"]
+        assert _emit(twin) == dumps(twin) == dumps(doc) == reference(doc)
 
 
 def _fresh_graph_json(g) -> dict:
@@ -395,7 +414,7 @@ _VALUES = (True, 1.5, None, "edited")
 
 
 def _containers(doc, found: list) -> list:
-    """Every list and dict in ``doc``, a ``RankRows`` among them."""
+    """Every list and dict in ``doc``, those in its tuples among them."""
     if isinstance(doc, dict):
         found.append(doc)
         for v in doc.values():
@@ -433,24 +452,28 @@ def _edit(c, rng: random.Random) -> None:
 
 
 def _assert_edited(docs: list, rng: random.Random) -> int:
-    """Edit each document in place, each contact matrix's entries once and
-    three of its containers drawn at random, then write it; the count of
-    entries edited."""
+    """Replace each contact matrix's entries by a list of its rows edited
+    once, edit three containers of each document drawn at random in place,
+    then write it; the count of entries replaced."""
     matrices = 0
     for doc in docs:
         containers = _containers(doc, [])
-        entries = [c for c in containers if type(c) is RankRows]
-        for c in entries + [rng.choice(containers) for _ in range(3)]:
+        holders = [c for c in containers
+                   if type(c) is dict and type(c.get("entries")) is RankRows]
+        for c in holders:
+            c["entries"] = rows = list(c["entries"])
+            _edit(rows, rng)
+        for c in [rng.choice(containers) for _ in range(3)]:
             _edit(c, rng)
         assert_fast(doc)
-        matrices += len(entries)
+        matrices += len(holders)
     return matrices
 
 
 def test_edited_documents_are_written_as_edited():
-    # every document the builders return, edited in place after it is built,
-    # is written as json writes it, by _emit and _emit_json, not dumps, so
-    # that _emit writes them on 3.13 too
+    # every document the builders return, edited after it is built, is
+    # written as json writes it, by _emit and _emit_json, not dumps, so that
+    # _emit writes them on 3.13 too
     rng = random.Random(43)
     docs = [doc for reports in _fixture_reports().values() for doc in reports]
     docs += [doc for _ in range(300)
@@ -459,7 +482,7 @@ def test_edited_documents_are_written_as_edited():
     # row 0 of cusp-53's contacts replaced: json's text on every interpreter
     matrix = contact_matrix(fixtures.load_fixture("cusp-53"))
     doc = {"format": "singlip.contacts/1", **matrix.to_json()}
-    doc["entries"][0] = doc["entries"][1]
+    doc["entries"] = [doc["entries"][1], *doc["entries"][1:]]
     assert dumps(doc) == reference(doc) != dumps(
         {"format": "singlip.contacts/1", **matrix.to_json()})
 

@@ -404,8 +404,8 @@ def test_finite_values_are_the_set_of_entries():
     m = ContactMatrix(3, ((None, F(3, 2), F(3, 2)), (F(3, 2), None, F(2)),
                           (F(3, 2), F(2), None)))
     assert m.finite_values() == {F(3, 2), F(2)}
-    assert m.rendered(str) == [("None", "3/2", "3/2"), ("3/2", "None", "2"),
-                               ("3/2", "2", "None")]
+    assert m.rendered(str) == (("None", "3/2", "3/2"), ("3/2", "None", "2"),
+                               ("3/2", "2", "None"))
 
 
 def test_strand_cap():
