@@ -10,7 +10,6 @@ as warnings.  ``dumps`` writes a document from its values alone.
 from __future__ import annotations
 
 import json
-import sys
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Optional
 
@@ -140,7 +139,7 @@ def _read_graph(doc: dict, fmt: str, g: DualGraph, extra: tuple, vertex_fields: 
         except KeyError as exc:
             raise InputError(f"vertices[{i}] missing {exc}") from None
     texts: dict = {}    # outputs name a vertex by its text
-    for vid in g.vertices:
+    for vid in g.ids():
         if texts.setdefault(str(vid), vid) != vid:
             raise InputError(f"vertex ids {texts[str(vid)]!r} and {vid!r} differ "
                              "only in type")
@@ -212,13 +211,6 @@ def parse_tower(doc: dict, strict: bool = False,
                        {"rate", "rate_vector"}, fields, strict, warnings)
 
 
-def dumps(doc: dict) -> str:
-    """``json.dumps(doc, indent=2, sort_keys=True)`` plus a newline."""
-    if sys.version_info >= (3, 13):
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    return _emit_json(doc)
-
-
 # json's text of a scalar of each exact type; bool is an int that json
 # writes as a word
 _TEXT = {str: encode_basestring_ascii, type(None): lambda o: "null",
@@ -226,16 +218,11 @@ _TEXT = {str: encode_basestring_ascii, type(None): lambda o: "null",
          float: json.dumps}
 
 
-def _emit_json(doc) -> str:
+def dumps(doc) -> str:
     """Byte-identical to ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``.
 
-    Below Python 3.13 any ``indent`` sends ``json`` to its pure-Python
-    generator encoder, which costs more than computing the reports.  From
-    3.13 on ``json`` takes ``indent`` in C, yet ``_emit`` still writes curve
-    reports faster there; ROADMAP item 25 decides the branch by measurement.
-
-    ``_emit`` writes the library's documents; ``json`` writes any other
-    document, or raises its own error for it.
+    ``_emit`` writes the library's documents, on every interpreter;
+    ``json`` writes any other document, or raises its own error for it.
     """
     try:
         return _emit(doc)
@@ -260,8 +247,15 @@ class _Pads(dict):
 
 class RankRows(tuple):
     """The rows of a contact matrix's entries, as tuples of the ``values``
-    its ``ranks`` pick; ``ContactMatrix.rendered`` builds it, and ``_emit``
-    writes it from ``values`` and ``ranks``."""
+    its ``ranks`` pick; ``ContactMatrix.rendered`` builds it and sets both
+    in its ``__dict__``, and ``_emit`` writes it from them.  Neither can be
+    reassigned or deleted."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"RankRows.{name} cannot be assigned")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"RankRows.{name} cannot be deleted")
 
 
 def _emit(doc) -> str:

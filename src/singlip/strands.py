@@ -221,7 +221,7 @@ class ContactMatrix(_MatrixFields):
         values = tuple(map(text, self.values))
         rows = RankRows(itemgetter(*row)(values) if len(row) > 1
                         else tuple(map(values.__getitem__, row)) for row in self.ranks)
-        rows.values, rows.ranks = values, self.ranks
+        rows.__dict__.update(values=values, ranks=self.ranks)
         return rows
 
     def check_ultrametric(self) -> list[tuple[int, int, int]]:

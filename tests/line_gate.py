@@ -40,10 +40,6 @@ ALLOWED = {
          ("cli.py", "return 1")],
         "the BrokenPipeError handler, run only in the child process of "
         "test_closed_stdout_pipe_exits_1_quietly"),
-    ("jsonio.py", 'return json.dumps(doc, indent=2, sort_keys=True) + "\\n"'):
-        "the branch of dumps that Python 3.13 and later take",
-    ("jsonio.py", "return _emit_json(doc)"):
-        "the branch of dumps that Python 3.12 and earlier take",
     ("decomp.py", 'raise DomainError("piece supports do not partition the vertices")'):
         "an independent check that cannot fire, as its comment says",
     ("series.py", "raise PrecisionExhausted"):

@@ -1,20 +1,18 @@
 """The hand-written emitter behind ``jsonio.dumps`` against ``json`` itself.
 
-These tests call the emitter directly, so they also cover it on Python
-3.13+, where ``dumps`` uses ``json.dumps``.  Documents of exact types with
-str keys, as the library writes (the fixture reports, the whole report, the
-repeated objects and the str-key random documents), go through ``_emit``
-as well as ``_emit_json``, so a slip onto ``json``'s path cannot pass
-silently.  The edge cases (subclasses, non-str keys, unsupported types,
-cycles, deep documents) go through ``_emit_json``, which hands them to
-``json``.  They need no pytest: every test is a plain function, and
-``PYTHONPATH=src python tests/test_jsonio.py`` runs them all on any
-interpreter.
+Documents of exact types with str keys, as the library writes (the
+fixture reports, the whole report, the repeated objects and the str-key
+random documents), go through ``_emit`` as well as ``dumps``, so a slip
+onto ``json``'s path cannot pass silently.  The edge cases (subclasses,
+non-str keys, unsupported types, cycles, deep documents) go through
+``dumps``, which hands them to ``json``.  They need no pytest: every test
+is a plain function, and ``PYTHONPATH=src python tests/test_jsonio.py``
+runs them all on any interpreter.
 
 ``ContactMatrix.to_json`` writes its entries as a ``jsonio.RankRows``, a
 tuple of row tuples of its values that ``ContactMatrix.rendered`` builds
-and that cannot be edited in place; the emitter writes it from its values
-and ranks.  Every other builder writes each rational fresh, and the emitter
+and that cannot be edited in place, nor its values and ranks reassigned;
+the emitter writes it from its values and ranks.  Every other builder writes each rational fresh, and the emitter
 keeps no text by object, so what it writes depends on values alone: every
 built document, edited in place but for a contact matrix's entries, which
 are replaced whole, is written as ``json`` writes it.  The tests hold the
@@ -45,8 +43,9 @@ from singlip import (ContactMatrix, amalgamate, build_carrousel_tree,
 from singlip.decomp import MODES
 from singlip.errors import DomainError
 from singlip.exactnum import rational_to_json
-from singlip.jsonio import (RankRows, _emit, _emit_json, curve_to_json, dumps,
-                            graph_to_json, tower_to_json)
+from singlip.dualgraph import Vertex
+from singlip.jsonio import (RankRows, _emit, curve_to_json, dumps, graph_to_json,
+                            parse_tower, tower_to_json)
 
 
 def reference(doc) -> str:
@@ -54,12 +53,12 @@ def reference(doc) -> str:
 
 
 def assert_same(doc):
-    assert _emit_json(doc) == reference(doc), doc
+    assert dumps(doc) == reference(doc), doc
 
 
 def assert_fast(doc):
     """``_emit`` itself writes ``doc``, as ``json`` does."""
-    assert _emit(doc) == _emit_json(doc) == reference(doc), doc
+    assert _emit(doc) == dumps(doc) == reference(doc), doc
 
 
 def _graph_reports(g) -> list:
@@ -149,7 +148,7 @@ def test_dumps_leaves_no_fixture_report_to_json():
     with mock.patch.object(json, "dumps", wraps=json.dumps) as spy:
         for doc in docs:
             dumps(doc)
-    assert spy.call_count == (len(docs) if sys.version_info >= (3, 13) else 0)
+    assert spy.call_count == 0
 
 
 _STRINGS = ["", "a", "num", "den", "inf", "é", "日本", " ", "\x00\x1f",
@@ -291,22 +290,44 @@ def test_rank_rows():
                        [(0, 1, 2), (2, 2, 1), (3, 4, 5, 6)]),
     ]:
         assert_fast(doc)
-    # a built contacts document's entries refuse an edit, and its pickle and
-    # copies are written as it is
+    # a built contacts document's entries refuse an edit, and a reassigned
+    # or deleted values or ranks, and its pickle and copies are written as
+    # it is
     doc = {"format": "singlip.contacts/1",
            **contact_matrix(fixtures.load_fixture("cusp-53")).to_json()}
-    for edit, *index in ((operator.setitem, 0, ()), (operator.delitem, 0)):
+    entries = doc["entries"]
+    for edit, *args in ((operator.setitem, 0, ()), (operator.delitem, 0)):
         try:
-            edit(doc["entries"], *index)
+            edit(entries, *args)
         except TypeError:
             continue
         raise AssertionError("an edited RankRows")
+    for edit, *args in ((setattr, "ranks", entries.ranks[:1]), (delattr, "ranks"),
+                        (setattr, "values", entries.values[::-1]), (delattr, "values")):
+        try:
+            edit(entries, *args)
+        except AttributeError:
+            continue
+        raise AssertionError(f"{edit.__name__} on RankRows.{args[0]}")
+    assert dumps(doc) == reference(doc) and len(entries.ranks) == len(entries) > 1
     twins = [pickle.loads(pickle.dumps(doc, protocol))
              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
     twins += [{**doc, "entries": copy.copy(doc["entries"])}, copy.deepcopy(doc)]
     for twin in twins:
         assert type(twin["entries"]) is RankRows and twin["entries"] is not doc["entries"]
         assert _emit(twin) == dumps(twin) == dumps(doc) == reference(doc)
+
+
+def test_tower_reader_compares_vertex_ids():
+    # the check that no two ids differ only in type reads ids, never the
+    # vertex records of the tower's list
+    events, tower = resolve_curve(fixtures.load_fixture("cusp-53"))
+    doc = tower_to_json(tower, events)
+    seen = []
+    with mock.patch.object(Vertex, "__repr__",
+                           lambda v: seen.append(v.id) or object.__repr__(v)):
+        assert dumps(tower_to_json(parse_tower(doc))) == dumps(tower_to_json(tower))
+    assert seen == []
 
 
 def _fresh_graph_json(g) -> dict:
@@ -472,8 +493,7 @@ def _assert_edited(docs: list, rng: random.Random) -> int:
 
 def test_edited_documents_are_written_as_edited():
     # every document the builders return, edited after it is built, is
-    # written as json writes it, by _emit and _emit_json, not dumps, so that
-    # _emit writes them on 3.13 too
+    # written as json writes it, by _emit itself
     rng = random.Random(43)
     docs = [doc for reports in _fixture_reports().values() for doc in reports]
     docs += [doc for _ in range(300)
@@ -546,7 +566,7 @@ def test_repeated_object_before_a_type_error():
 
 def _type_error(doc) -> str:
     try:
-        _emit_json(doc)
+        dumps(doc)
     except TypeError as exc:
         return str(exc)
     raise AssertionError(f"no TypeError for {doc!r}")
@@ -580,7 +600,7 @@ def test_a_document_that_contains_itself_raises_json_value_error():
     d["b"] = [2, d]
     shared = [1]
     for doc in [l, d, {"x": [shared, shared, [l]]}]:
-        assert _raised(_emit_json, doc) == _raised(reference, doc) == (
+        assert _raised(dumps, doc) == _raised(reference, doc) == (
             ValueError, "Circular reference detected")
 
 
@@ -598,7 +618,7 @@ def test_a_deep_document_gives_json_text_or_error():
     for _ in range(5000):
         deep = [deep]
     expected = _text_or_error(reference, deep)
-    assert _text_or_error(_emit_json, deep) == expected
+    assert _text_or_error(dumps, deep) == expected
     assert (expected is RecursionError) == (sys.version_info < (3, 13))
 
 

@@ -14,7 +14,7 @@ from singlip import (PuiseuxBranch, coincidence_exponent, contact_matrix, fixtur
                      horn_jump_profile, resolve_curve, strand_contact, strands_of)
 from singlip.errors import InputError, ResourceCapExceeded
 from singlip.fixtures import curve_carrousel_example
-from singlip.jsonio import _emit_json
+from singlip.jsonio import dumps
 from singlip.strands import (DEFAULT_STRAND_CAP, ContactMatrix, _strands_of_branch,
                               check_curve, coefficient_key)
 
@@ -316,8 +316,8 @@ def _plain_json(matrix) -> dict:
 def _assert_matches_pairwise(curve):
     m, ref = contact_matrix(curve), pairwise_contact_matrix(curve)
     assert m.entries == ref.entries, curve
-    assert _emit_json(m.to_json()) == _emit_json(_plain_json(ref)), curve
-    assert _emit_json(ref.to_json()) == _emit_json(_plain_json(ref)), curve
+    assert dumps(m.to_json()) == dumps(_plain_json(ref)), curve
+    assert dumps(ref.to_json()) == dumps(_plain_json(ref)), curve
 
 
 def _wide_shapes():

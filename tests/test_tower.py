@@ -24,15 +24,6 @@ def branch(*terms):
     return PuiseuxBranch.from_terms([(F(e), F(c)) for e, c in terms])
 
 
-@pytest.mark.parametrize("name", ["carrousel-example", "cusp-53", "curve-32-74"])
-def test_fixture_tower_json_is_pinned(name):
-    # the whole tower document, event order included, as recorded before the
-    # resolver ran on a creation-order queue
-    events, tree = resolve_curve(fixtures.load_fixture(name))
-    pinned = (DATA / f"tower-{name}.json").read_text()
-    assert jsonio.dumps(jsonio.tower_to_json(tree, events)) == pinned
-
-
 def test_event_repr_names_its_fields():
     # test_restarts_from_horizon_1_give_the_same_towers compares these reprs
     events, _ = resolve_curve(curve_cusp_53())
