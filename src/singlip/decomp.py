@@ -33,10 +33,11 @@ MODES = ("initial", "inner", "outer")
 
 
 def _require_rates(graph: DualGraph, vids):
-    missing = [vid for vid, v in graph.vertices.items()
-               if v.rate is None and vid in vids]
-    if missing:
-        raise InputError(f"vertices without inner rates: {missing}")
+    vertices = graph.vertices
+    for vid in vids:    # the message names every one, in vertex order
+        if vertices[vid].rate is None:
+            missing = [w for w, v in vertices.items() if v.rate is None and w in vids]
+            raise InputError(f"vertices without inner rates: {missing}")
 
 
 def _is_node(v, valence: int) -> bool:
@@ -56,9 +57,9 @@ def _nodes(graph: DualGraph, mode: str) -> dict:
     """
     if mode not in MODES:
         raise InputError(f"unknown decomposition mode {mode!r}")
-    out = {}
+    out, adjacent = {}, graph._adjacent
     for vid, v in graph.vertices.items():
-        nbrs = graph.neighbors(vid)
+        nbrs = adjacent[vid]
         if _is_node(v, len(nbrs)):
             out[vid] = False
         elif mode == "inner":
@@ -89,10 +90,10 @@ def _walk_string(graph: DualGraph, node, start, nodes) -> tuple[list, object]:
     ``nodes`` holds every ``_is_node`` vertex, so the walk never forks."""
     chain = []
     prev, cur = node, start
-    neighbors = graph.neighbors
+    adjacent = graph._adjacent
     while cur not in nodes:
         chain.append(cur)
-        ends = neighbors(cur)                    # one or two, cur not a node
+        ends = adjacent[cur]                     # one or two, cur not a node
         if len(ends) == 1:
             return chain, None
         prev, cur = cur, ends[ends[0] == prev]   # a double edge leads back
@@ -181,7 +182,8 @@ class Decomposition:
                             "support": sorted(map(str, p.support)),
                             "edge_support": sorted(map(str, p.edge_support))}
                            for p in map(self.pieces.__getitem__, sorted(self.pieces))],
-                "adjacency": sorted(sorted(pair) for pair in self.adjacency)}
+                "adjacency": sorted([[a, b] if a < b else [b, a]
+                                     for a, b in self.adjacency])}
 
 
 def build_decomposition(graph: DualGraph, mode: str) -> Decomposition:
@@ -194,50 +196,57 @@ def build_decomposition(graph: DualGraph, mode: str) -> Decomposition:
     in vertex order: no walk starts at a node (a direct edge) or at the
     last interior vertex of a string walked before (its other end).
     Rates are read, so required, only at the nodes; an A-piece takes its
-    rates from the nodes it joins.
+    rates from the nodes it joins.  A disconnected graph fails some check,
+    and only then is the graph walked whole, to refuse it before all else.
     """
-    vertices = graph.vertices
-    if not graph.is_connected():
-        raise InputError("decomposition needs a connected graph")
-    nodes = _nodes(graph, mode)
-    if not nodes:
-        raise DomainError("graph has no nodes for this mode")
-    _require_rates(graph, nodes)
+    vertices, adjacent = graph.vertices, graph._adjacent
+    try:
+        nodes = _nodes(graph, mode)
+        if not nodes:
+            raise DomainError("graph has no nodes for this mode")
+        _require_rates(graph, nodes)
 
-    pieces, adjacency, piece_of_node = {}, set(), {}
-    strings, skip = [], set(nodes)  # (node, end node, interior, no edge)
-    for vid, special in nodes.items():
-        q = vertices[vid].rate
-        support = {vid}
-        for start in graph.neighbors(vid):
-            if start not in skip:
-                chain, end = _walk_string(graph, vid, start, nodes)
-                if end is None:
-                    support.update(chain)  # bamboo
-                else:
-                    strings.append((vid, end, frozenset(chain), frozenset()))
-                    skip.add(chain[-1])
-        pid = piece_of_node[vid] = len(pieces)
-        pieces[pid] = Piece(pid, "A" if special else "B", (q, q) if special else (q,),
-                            frozenset(support), frozenset(), special, vid)
+        pieces, adjacency, piece_of_node = {}, set(), {}
+        strings, skip = [], set(nodes)  # (node, end node, interior, no edge)
+        links = {vid: [] for vid in nodes}  # the nodes each string or edge joins
+        for vid, special in nodes.items():
+            q = vertices[vid].rate
+            support = {vid}
+            for start in adjacent[vid]:
+                if start not in skip:
+                    chain, end = _walk_string(graph, vid, start, nodes)
+                    if end is None:
+                        support.update(chain)  # bamboo
+                    else:
+                        strings.append((vid, end, frozenset(chain), frozenset()))
+                        skip.add(chain[-1])
+            pid = piece_of_node[vid] = len(pieces)
+            pieces[pid] = Piece(pid, "A" if special else "B", (q, q) if special else (q,),
+                                frozenset(support), frozenset(), special, vid)
 
-    # direct edges between nodes become A-pieces supported on the edge, and
-    # strings between two nodes A-pieces on their interior vertices
-    joins = [(a, b, frozenset(), frozenset([("edge", i)]))
-             for i, (a, b) in enumerate(graph.edges) if a in nodes and b in nodes]
-    for a, b, support, edge_support in joins + strings:
-        pid = len(pieces)
-        rates = tuple(sorted((vertices[a].rate, vertices[b].rate)))
-        pieces[pid] = Piece(pid, "A", rates, support, edge_support)
-        adjacency.add(frozenset((pid, piece_of_node[a])))
-        adjacency.add(frozenset((pid, piece_of_node[b])))
+        # direct edges between nodes become A-pieces supported on the edge, and
+        # strings between two nodes A-pieces on their interior vertices
+        joins = [(a, b, frozenset(), frozenset([("edge", i)]))
+                 for i, (a, b) in enumerate(graph.edges) if a in nodes and b in nodes]
+        for a, b, support, edges in joins + strings:
+            pid, q, r = len(pieces), vertices[a].rate, vertices[b].rate
+            pieces[pid] = Piece(pid, "A", (q, r) if q <= r else (r, q), support, edges)
+            adjacency.add(frozenset((pid, piece_of_node[a])))
+            adjacency.add(frozenset((pid, piece_of_node[b])))
+            links[a].append(b)
+            links[b].append(a)
 
-    # cannot fail: in a connected graph with a node, each other vertex lies on
-    # one bamboo or string, which the walks record once; an independent check
-    d = Decomposition(mode, pieces, adjacency)
-    if not d.supports_partition(vertices.keys()):
-        raise DomainError("piece supports do not partition the vertices")
-    return d
+        # holds iff connected: then each vertex but the nodes lies on one bamboo
+        # or string, which the walks record once, and the nodes are joined
+        d = Decomposition(mode, pieces, adjacency)
+        if not (d.supports_partition(vertices.keys())
+                and len(reach(links, next(iter(nodes)))) == len(nodes)):
+            raise DomainError("piece supports do not partition the vertices")
+        return d
+    except (InputError, DomainError):
+        if not graph.is_connected():
+            raise InputError("decomposition needs a connected graph") from None
+        raise
 
 
 # -- classification signatures ------------------------------------------------
@@ -277,7 +286,8 @@ def _signature(graph: DualGraph, metric: str) -> Signature:
         raise InputError("generic-linear multiplicities are 0 at every node piece")
     for pid, m in mults.items():
         nodes[pid]["mult"] = str(m // scale)
-    return Signature(metric, nodes, sorted(map(tuple, map(sorted, d.adjacency))))
+    return Signature(metric, nodes, sorted([(a, b) if a < b else (b, a)
+                                            for a, b in d.adjacency]))
 
 
 def inner_signature(graph: DualGraph) -> Signature:
@@ -339,7 +349,7 @@ def signatures_equal(a: Signature, b: Signature) -> bool:
     if a.metric != b.metric:
         return False
     n, palette = len(a.nodes), {}
-    colour = [palette.setdefault(tuple(sorted(attrs.items())), len(palette))
+    colour = [palette.setdefault(frozenset(attrs.items()), len(palette))
               for sig in (a, b) for attrs in sig.nodes.values()]
     sides = (range(n), range(n, len(colour)))
     if sorted(colour[:n]) != sorted(colour[n:]):

@@ -100,7 +100,7 @@ class DualGraph:
     # -- vertex storage (a DualTree keeps a list instead) -------------------
 
     def __contains__(self, vid) -> bool:
-        return _is_id(vid) and vid in self.vertices
+        return _is_id(vid) and vid in self._adjacent
 
     def ids(self) -> list:
         return list(self.vertices)
@@ -170,8 +170,7 @@ class DualGraph:
 
     def add_arrow(self, vertex, name, multiplicity=1, kind="function",
                   branch=None):
-        if vertex not in self:
-            raise InputError(f"arrow references unknown vertex {vertex!r}")
+        self.require_arrow_vertex(vertex)
         if not isinstance(name, str):
             raise InputError(f"arrow name {name!r} is not a string")
         if kind not in ARROW_KINDS:
@@ -180,7 +179,11 @@ class DualGraph:
             raise InputError("arrow multiplicity must be a positive integer")
         if branch is not None and not is_int(branch):
             raise InputError(f"arrow branch {branch!r} is not an integer")
-        self.arrows.append(Arrow(vertex, name, multiplicity, kind, branch))
+        self.arrows.append(Arrow._make((vertex, name, multiplicity, kind, branch)))
+
+    def require_arrow_vertex(self, vid):
+        if vid not in self:
+            raise InputError(f"arrow references unknown vertex {vid!r}")
 
     def blow_up(self, vid, curves: Sequence, strict: Optional[dict] = None
                 ) -> Vertex:
@@ -261,31 +264,37 @@ class DualGraph:
 
     def components(self, within=None) -> list[dict]:
         """The breadth-first tree of each component of the graph, or of the
-        vertices ``within``: ``component`` of each vertex that no earlier
-        tree holds, in ``ids()`` order or that of ``within``."""
+        vertices ``within``: ``component`` of each vertex no earlier tree
+        holds, in ``ids()`` or ``within`` order; the first alone if it has all."""
         trees, seen = [], set()
-        for vid in self.ids() if within is None else within:
+        vids = self.ids() if within is None else within
+        for vid in vids:
             if vid not in seen:
                 trees.append(self.component(vid, within))
+                if len(trees[-1]) == len(vids):
+                    break
                 seen.update(trees[-1])
         return trees
 
     def is_connected(self) -> bool:
-        return len(self.components()) < 2
+        """Whether one ``reach`` from the first id finds every vertex."""
+        adjacent = self._adjacent
+        return not adjacent or len(reach(adjacent, next(iter(adjacent)))) == len(adjacent)
 
     def intersection_rows(self) -> tuple[dict, list[dict]]:
         """The row of each vertex id, and the intersection matrix as
         ``exactnum.eliminate`` rows in any order with each tree vertex
         before its parent, so that nothing fills in; here each component in
         reverse breadth-first order from its first vertex."""
-        index = {w: i for i, w in enumerate(
-            w for tree in self.components() for w in reversed(tree))}
-        rows = [{i: self.vertices[vid].self_intersection}
-                for vid, i in index.items()]
-        for a, b in self.edges:
-            i, j = index[a], index[b]
-            rows[i][j] = rows[i].get(j, 0) + 1
-            rows[j][i] = rows[j].get(i, 0) + 1
+        order = [w for tree in self.components() for w in reversed(tree)]
+        index = dict(zip(order, range(len(order))))
+        vertices, adjacent, rows = self.vertices, self._adjacent, []
+        for i, vid in enumerate(order):
+            row = {i: vertices[vid].self_intersection}
+            for w in adjacent[vid]:      # each edge, from either end
+                j = index[w]
+                row[j] = row.get(j, 0) + 1
+            rows.append(row)
         return index, rows
 
     def determinant(self) -> int:
@@ -302,12 +311,13 @@ class DualGraph:
         divisor with the given coefficients plus the given strict arrows."""
         arrow_mult: dict = {}
         for vid, mult in arrows:
+            self.require_arrow_vertex(vid)
             arrow_mult[vid] = arrow_mult.get(vid, 0) + mult
-        out = {}
-        for vid in self.ids():
-            acc = coefficients.get(vid, 0) * self.vertices[vid].self_intersection
-            for w in self._adjacent[vid]:
-                acc += coefficients.get(w, 0)
+        out, vertices, get = {}, self.vertices, coefficients.get
+        for vid, ws in self._adjacent.items():     # in ids() order
+            acc = get(vid, 0) * vertices[vid].self_intersection
+            for w in ws:
+                acc += get(w, 0)
             out[vid] = acc + arrow_mult.get(vid, 0)
         return out
 
@@ -322,9 +332,6 @@ class DualTree(DualGraph):
     def __init__(self):
         super().__init__()
         self.vertices = []
-
-    def __contains__(self, vid) -> bool:
-        return (type(vid) is int or is_int(vid)) and 0 <= vid < len(self.vertices)
 
     def ids(self) -> list:
         return list(range(len(self.vertices)))

@@ -38,10 +38,10 @@ def as_rational(value) -> Fraction:
     sign and {"num","den"} dicts of integers; anything else, a bool, a decimal
     or exponent string or a zero denominator included, is an InputError."""
     try:
-        if isinstance(value, dict):
-            if value.keys() == _RATIONAL_KEYS and (
-                    type(value["num"]) is type(value["den"]) is int
-                    or all(map(is_int, value.values()))):
+        if isinstance(value, dict):   # exact types first, as json.loads gives them
+            if len(value) == 2 and (type(value.get("num")) is type(value.get("den")) is int
+                                    or value.keys() == _RATIONAL_KEYS
+                                    and all(map(is_int, value.values()))):
                 return Fraction(value["num"], value["den"])
         elif is_int(value) or isinstance(value, Fraction):
             return Fraction(value)
@@ -78,7 +78,8 @@ def eliminate(rows: Sequence[dict],
     order k (Sylvester's identity) and every division is exact.  A zero
     pivot swaps in the first row below that is non-zero in its column; that
     vanishing minor is the last one reported.  By Cramer's rule det * x is
-    an integer vector, solved from the triangular rows by exact divisions.
+    an integer vector, solved from the triangular rows by exact divisions;
+    when det is 1 or -1, x = det * (det * x) is integral and needs no gcd.
 
     Rows are updated lazily.  A step with pivot p_k scales each row that is
     zero in the pivot column by p_k / p_(k-1); over steps s+1..k that
@@ -136,10 +137,14 @@ def eliminate(rows: Sequence[dict],
                         cols[j].append(r)
                 current[r] = k + 1
         pivots.append(p)
-    solution = None
+    solution, det = None, pivots[n]
     if rhs is not None:          # y[n] = -det puts -det * rhs_i in row i's sum
-        y = [0] * n + [-pivots[n]]
-        for i in reversed(range(n)):
-            y[i] = -sum(a * y[j] for j, a in rows[i].items()) // pivots[i + 1]
-        solution = tuple(Fraction(v, pivots[n]) for v in y[:n])
-    return Elimination(tuple(minors), sign * pivots[n], solution)
+        y = [0] * n + [-det]
+        for i in range(n - 1, -1, -1):
+            acc = 0
+            for j, a in rows[i].items():
+                acc -= a * y[j]
+            y[i] = acc // pivots[i + 1]
+        solution = (tuple(map(Fraction, [v * det for v in y[:n]])) if det in (1, -1)
+                    else tuple(Fraction(v, det) for v in y[:n]))
+    return Elimination(tuple(minors), sign * det, solution)

@@ -111,10 +111,11 @@ def parse_graph(doc: dict, strict: bool = False,
                 warnings: Optional[list] = None) -> DualGraph:
     from .dualgraph import DualGraph
 
-    def fields(v: dict, i: int) -> tuple:
-        rate = v.get("rate")
+    def fields(v: dict, i: int) -> tuple:   # exact types first
+        rate, mults, flags = v.get("rate"), v.get("multiplicities"), v.get("flags")
         return (v.get("genus", 0), None if rate is None else as_rational(rate),
-                _multiplicities(v, i), _list(v, "flags"))
+                mults if type(mults) is dict else _multiplicities(v, i),
+                flags if type(flags) is list else _list(v, "flags"))
 
     return _read_graph(doc, GRAPH_FORMAT, DualGraph(), (),
                        {"genus", "rate", "flags"}, fields, strict, warnings)

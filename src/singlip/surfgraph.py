@@ -58,6 +58,8 @@ def solve_multiplicities(graph: DualGraph, arrows, strict: bool = True) -> Divis
             raise InputError(f"graph has no arrows named {arrows!r}")
     else:
         pairs = list(arrows)
+        for vid, _ in pairs:
+            graph.require_arrow_vertex(vid)
     index, rows = graph.intersection_rows()
     rhs = [0] * len(rows)
     for vid, mult in pairs:

@@ -40,8 +40,6 @@ ALLOWED = {
          ("cli.py", "return 1")],
         "the BrokenPipeError handler, run only in the child process of "
         "test_closed_stdout_pipe_exits_1_quietly"),
-    ("decomp.py", 'raise DomainError("piece supports do not partition the vertices")'):
-        "an independent check that cannot fire, as its comment says",
     ("series.py", "raise PrecisionExhausted"):
         "an independent check that cannot fire, as its comment says",
 }

@@ -160,6 +160,52 @@ def test_build_decomposition_rejects_an_unknown_mode():
         build_decomposition(graph_e8(), "bogus")
 
 
+def _with_copy(g: DualGraph, prefix: str, drop=()) -> DualGraph:
+    """``g`` and, beside it, a copy of it less the ids ``drop``, each id
+    prefixed: a graph with two components."""
+    out = g.copy()
+    for vid, v in g.vertices.items():
+        if vid not in drop:
+            out.add_vertex(prefix + vid, v.self_intersection, v.genus, v.rate,
+                           v.multiplicities, v.flags)
+    for a, b in g.edges:
+        if a not in drop and b not in drop:
+            out.add_edge(prefix + a, prefix + b)
+    return out
+
+
+def test_a_disconnected_graph_is_refused_before_any_other_error():
+    # the graph is walked whole only when some check fails, and a
+    # disconnected one fails one: its nodes are not joined, or a component
+    # without a node leaves its vertices out of every support
+    e8, chain = graph_e8(), graph_a_k(3)
+    unrated = graph_e8()
+    unrated.vertices["E1"].rate = None       # a node, E1-E2-E3 and E1-E6-E7
+    nodeless = DualGraph()
+    for vid in ("a", "b", "c"):
+        nodeless.add_vertex(vid, -2, rate=2)
+    nodeless.add_edge("a", "b")
+    graphs = {"two e8": _with_copy(e8, "b"), "e8 and its strings": _with_copy(e8, "b", ["E1"]),
+              "an unrated node": _with_copy(unrated, "b"),
+              "two chains": _with_copy(chain, "b"), "no node": nodeless}
+    for name, g in graphs.items():
+        for mode in (*MODES, "bogus"):
+            with pytest.raises(InputError) as exc:
+                build_decomposition(g, mode)
+            assert str(exc.value) == "decomposition needs a connected graph", name
+        for signature in (inner_signature, outer_signature):
+            with pytest.raises(InputError, match="^decomposition needs a connected graph$"):
+                signature(g)
+    # connected, the same graphs give their own errors
+    with pytest.raises(InputError, match="^vertices without inner rates: .'E1'.$"):
+        build_decomposition(unrated, "inner")
+    nodeless.remove_edge("a", "b")
+    nodeless.add_edge("a", "c")
+    nodeless.add_edge("c", "b")
+    with pytest.raises(DomainError, match="^graph has no nodes for this mode$"):
+        build_decomposition(nodeless, "inner")
+
+
 def test_thin_zone_rate():
     g = graph_e8()
     (zone,) = thick_thin(g).thin_zones

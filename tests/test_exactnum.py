@@ -162,6 +162,42 @@ def test_eliminate_matches_dense_reference():
     assert swaps > 500 and singular > 1000 and solved > 1500
 
 
+def _unimodular(rng, n):
+    """L U with L lower and U upper triangular, both with diagonals of 1
+    and -1: a matrix of determinant 1 or -1."""
+    def triangle(lower):
+        return [[rng.choice((1, -1)) if i == j else
+                 rng.randint(-2, 2) if (j < i) == lower else 0
+                 for j in range(n)] for i in range(n)]
+    lo, up = triangle(True), triangle(False)
+    return [[sum(lo[i][k] * up[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)]
+
+
+def test_solutions_over_unit_and_other_determinants():
+    # a solution over a determinant of 1 or -1 is built from integers, any
+    # other one from num/det; both as the dense kernel gives them
+    rng = random.Random(17)
+    units = others = 0
+    for trial in range(600):
+        n = rng.randint(1, 9)
+        m = _unimodular(rng, n)
+        if trial % 2:                       # one row times k: det times k
+            i, k = rng.randrange(n), rng.choice((2, 3, -2, 5))
+            m[i] = [k * a for a in m[i]]
+        rhs = [rng.randint(-5, 5) for _ in range(n)]
+        e = eliminate(sparse_rows(m), rhs)
+        assert e == dense_eliminate(m, rhs), (m, rhs)
+        assert e.determinant == fraction_det(m)
+        assert all(type(x) is F for x in e.solution)
+        if e.determinant in (1, -1):
+            units += 1
+            assert all(x.denominator == 1 for x in e.solution)
+        else:
+            others += 1
+    assert units > 250 and others > 250
+
+
 def _random_tree_graph(rng, n):
     g = DualGraph()
     for i in range(n):

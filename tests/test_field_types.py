@@ -8,9 +8,12 @@ path.  One table sends them through documents, the other through the
 builders, which must leave a graph as it was when they refuse.  The
 builders also refuse a ``flags`` argument that is not a list, tuple or set,
 where the graph reader refuses any field but a list, and a function name
-that is not a string, which no JSON object key can be.
+that is not a string, which no JSON object key can be.  A ``str`` subclass
+id or name, and a ``dict`` or ``tuple`` where a document has an object or
+a list, take the second path too, with the outcome of the plain value.
 """
 
+from collections import OrderedDict
 from enum import IntEnum
 
 import pytest
@@ -27,6 +30,11 @@ class Int(IntEnum):
     ZERO = 0
     ONE = 1
     TWO = 2
+    THREE = 3
+
+
+class Text(str):
+    """A string of another type: ``type(x) is str`` fails on it."""
 
 
 def graph_doc() -> dict:
@@ -213,3 +221,47 @@ def test_a_builder_refuses_a_function_name_that_is_not_a_string():
             assert str(exc.value) == f"vertex 'a': function name {name!r} is not a string"
             assert graph_state(g) == before
     assert g.blow_up("a", (1,), {"g": 2}).multiplicities == {"g": 2, "h": 1}
+
+
+def test_a_subclass_takes_the_path_of_its_plain_value():
+    # each exact-type test of the builders and the graph reader, sent an
+    # IntEnum, a str subclass, an OrderedDict or a tuple instead
+    def build(i, s, mapping, seq) -> DualGraph:
+        g = two_curves()
+        g.add_vertex(i(3), i(-2), genus=i(1), multiplicities=mapping({s("h"): i(2)}))
+        g.add_vertex(s("c"), -1, flags=seq(["L"]))
+        g.add_edge(i(3), i(1))
+        g.add_edge(s("c"), i(2))
+        g.add_arrow(i(3), s("h"), i(2))
+        g.add_arrow(s("c"), "f", branch=i(0))
+        assert i(1) in g and s("c") in g and i(0) not in g and s("1") not in g
+        return g
+
+    plain = build(int, str, dict, list)
+    sub = build(Int, Text, OrderedDict, tuple)
+    assert graph_state(sub) == graph_state(plain)
+    assert type(sub.ids()[2]) is Int and type(sub.ids()[3]) is Text
+    assert Int.ONE in points(2)() and Int.TWO not in points(2)()
+    refusals = {
+        lambda g: g.add_vertex(Text("c"), -2): "duplicate vertex id 'c'",
+        lambda g: g.add_vertex(Int.TWO, -2): "duplicate vertex id <Int.TWO: 2>",
+        lambda g: g.add_vertex("d", Int.ZERO):
+            "vertex 'd': self_intersection must be a negative integer",
+        lambda g: g.add_edge(Text("x"), 1): "edge ('x',1) references unknown vertex",
+        lambda g: g.add_edge(Int.ONE, Int.ONE):
+            "edge (<Int.ONE: 1>,<Int.ONE: 1>) joins a vertex to itself",
+        lambda g: g.add_arrow(Text("x"), "h"): "arrow references unknown vertex 'x'",
+        lambda g: g.add_arrow(Int.ONE, Text("h"), Int.ZERO):
+            "arrow multiplicity must be a positive integer",
+    }
+    for call, message in refusals.items():
+        before = graph_state(sub)
+        with pytest.raises(InputError) as exc:
+            call(sub)
+        assert str(exc.value) == message
+        assert graph_state(sub) == before
+    doc = graph_to_json(plain)
+    for v in doc["vertices"]:
+        v["multiplicities"], v["flags"] = OrderedDict(v["multiplicities"]), tuple(v["flags"])
+        v["rate"] = v["rate"] and OrderedDict(v["rate"])
+    assert graph_to_json(parse_graph(doc)) == graph_to_json(plain)

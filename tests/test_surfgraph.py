@@ -40,6 +40,24 @@ def test_solve_multiplicities_residuals_vanish():
     assert set(residuals.values()) == {0}
 
 
+def test_arrows_on_unknown_vertices_are_refused():
+    # solve_multiplicities raised a bare KeyError on such a pair, and
+    # laufer_residuals left it out; both refuse it as add_arrow does
+    g = graph_e8()
+    for vid in ("nope", True, 1, "e1"):
+        message = f"arrow references unknown vertex {vid!r}"
+        with pytest.raises(InputError) as exc:
+            solve_multiplicities(g, [("E8", 1), (vid, 1)])
+        assert str(exc.value) == message
+        with pytest.raises(InputError) as exc:
+            g.laufer_residuals(X_DIV, [("E8", 1), (vid, 1)])
+        assert str(exc.value) == message
+        with pytest.raises(InputError) as exc:
+            g.add_arrow(vid, "x")
+        assert str(exc.value) == message
+    assert set(g.laufer_residuals(X_DIV, [("E8", 1)]).values()) == {0}
+
+
 def test_solve_single_vertex():
     g = DualGraph()
     g.add_vertex("E1", -1)
@@ -666,6 +684,32 @@ def test_components_partition_the_graph_in_id_order():
             assert tree == g.component(first)
             assert first == min(tree, key=ids.index)
         assert g.is_connected() == (len(trees) == 1)
+
+
+def test_is_connected_is_one_component_on_small_and_split_graphs():
+    # is_connected walks once from the first id, and components stops after
+    # a first tree that holds every vertex
+    def graph(kind, n, edges):
+        g = kind()
+        for vid in range(n):
+            g.add_vertex(vid, -2, rate_vector=(1, 1))
+        for a, b in edges:
+            g.add_edge(a, b)
+        return g
+
+    for kind in (DualGraph, DualTree):
+        for n, edges, parts in ((0, [], 0), (1, [], 1), (2, [], 2), (2, [(0, 1)], 1),
+                                (3, [(0, 2)], 2), (3, [(1, 2)], 2),
+                                (4, [(0, 1), (2, 3)], 2), (4, [(0, 3), (3, 1), (1, 2)], 1)):
+            g = graph(kind, n, edges)
+            trees = g.components()
+            assert len(trees) == parts, (kind, n, edges)
+            assert sorted(v for tree in trees for v in tree) == g.ids()
+            assert g.is_connected() == (parts < 2)
+    g = graph(DualGraph, 3, [(0, 1)])
+    assert g.components([2, 2]) == [{2: None}]
+    assert g.components([1, 0, 1]) == [{1: None, 0: 1}]
+    assert g.components([0, 1]) == [{0: None, 1: 0}]
 
 
 def test_components_within_are_the_thin_zones():
