@@ -198,22 +198,22 @@ class DualGraph:
         (1,1) at the origin, v + (1,0) at a free point of a curve with
         vector v, and the componentwise sum v + v' at a satellite point;
         vectors are kept unreduced, since the sum is only right on those."""
+        sums: dict = {}
+        p, q = _RATE_STEP.get(len(curves), (0, 0))  # more curves are refused below
         for e in curves:
             if e not in self:
                 raise InputError(f"blow-up on unknown curve {e!r}")
-            if self.vertices[e].rate_vector is None:
+            v = self.vertices[e]
+            if v.rate_vector is None:
                 raise InputError(f"blow-up on curve {e!r}, which has no rate vector")
+            p, q = p + v.rate_vector[0], q + v.rate_vector[1]
+            for n, m in v.multiplicities.items():
+                sums[n] = sums.get(n, 0) + m
         if len(curves) > 2 or curves[1:] and curves[0] not in self._adjacent[curves[1]]:
             raise InputError(f"curves {list(curves)!r} meet in no point to blow up")
         _check_multiplicities(vid, strict or {})
-        old = [self.vertices[e] for e in curves]
-        sums: dict = {}
-        for source in [v.multiplicities for v in old] + [strict or {}]:
-            for n, m in source.items():
-                sums[n] = sums.get(n, 0) + m
-        p, q = _RATE_STEP[len(old)]
-        for v in old:
-            p, q = p + v.rate_vector[0], q + v.rate_vector[1]
+        for n, m in (strict or {}).items():
+            sums[n] = sums.get(n, 0) + m
         new = Vertex(vid, -1, 0, Fraction(p, q), dict(sorted(sums.items())), set(), (p, q))
         self._store(new)
         self._adjacent[vid] = list(curves)

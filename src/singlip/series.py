@@ -7,18 +7,18 @@ divided by the gcd of all their coefficients, signed so that den(0) > 0.
 It is known modulo t^P, P infinite when exact: the parametrization is, and
 so is a quotient by an exact monomial.  Any other division v/u, o = ord u,
 has P = min(P_v - o, ord v + P_u - 2o, horizon), v's error shifted by o
-and u's carried through, and keeps num below P and den below P - ord num.
-That is sound because den is a unit at 0: changing it by O(t^(P - ord num))
-changes num/den by O(t^P).  So subtracting a nonzero constant from a series
-of order s > 0 loses s.
+and u's carried through.  Every series keeps num and den below P, one
+cut for both: den is a unit at 0, so changing it by O(t^P) changes num/den
+by O(t^(P + ord num)).  Subtracting a nonzero constant from a series of
+order s > 0 keeps P - s; the resolver subtracts at order 0 only.
 
 The resolver reads only orders and values at 0.  An order with no nonzero
 term stored below P, or a division leaving P < 1, raises
 ``PrecisionExhausted``.  A resolution reads a branch up to n times its last
 characteristic or coincidence exponent (Wall 2004, *Singular Points of
-Plane Curves*), and ``tower.resolve_curve`` doubles the horizon until then.
-Besides num, den and P, a series keeps that horizon and its order, found
-once when it is built and None where ``ord`` raises.
+Plane Curves*); ``tower.resolve_curve`` starts the horizon at the largest
+t-degree of the parametrizations and doubles it after each raise.  A series
+also keeps that horizon and its order, found when built (None if ``ord`` raises).
 """
 
 from __future__ import annotations
@@ -81,13 +81,11 @@ class RatSeries(NamedTuple):
     def sub_const(self, c: Fraction) -> "RatSeries":
         prec = self.prec if not c or self.prec == math.inf else self.prec - self.ord()
         p, q = c.numerator, c.denominator
-        num = {e: q * a for e, a in self.num.items()}
-        for e, b in self.den.items():
+        num = {e: q * a for e, a in self.num.items() if e < prec}
+        den = {e: b for e, b in self.den.items() if e < prec}
+        for e, b in den.items():
             num[e] = num.get(e, 0) - p * b
-        # den matters below prec - ord num only, and num's order may have risen
-        limit = prec - min((e for e, a in num.items() if a), default=0)
-        den = {e: q * b for e, b in self.den.items() if e < limit}
-        return RatSeries._reduced(num, den, prec, self.horizon)
+        return self._reduced(num, {e: q * b for e, b in den.items()}, prec, self.horizon)
 
     def div(self, other: "RatSeries") -> "RatSeries":
         """self / other, factoring other's t-order into the numerator side."""
@@ -100,9 +98,9 @@ class RatSeries(NamedTuple):
                    math.inf if monomial else self.horizon)
         # never true: every stored exponent lies below its series' prec, so
         # o <= so < P_self and o < P_other put both bounds at 1 or more, and
-        # the resolver's horizon is at least 2; kept as an independent check
+        # a horizon is at least 1 (y = 2x has degree 1); an independent check
         if prec < 1:
             raise PrecisionExhausted
         return RatSeries._reduced(_mul(self.num, other.den, o, prec),
-                                  _mul(self.den, other.num, o, max(prec + o - so, 1)),
+                                  _mul(self.den, other.num, o, prec),
                                   prec, self.horizon)

@@ -72,9 +72,10 @@ def resolve_curve(curve: Sequence[PuiseuxBranch], event_cap: int = DEFAULT_EVENT
 
 
 def _horizon(pairs: list) -> int:
-    """Twice the largest t-degree n * (last exponent) of a parametrization,
-    which bounds n times every characteristic and coincidence exponent."""
-    return 2 * max(max([*x, *y]) for x, y in pairs)
+    """The largest t-degree n * (last exponent) of a parametrization, which
+    bounds n times each branch's characteristic exponents; a decision that
+    still runs past a series' precision restarts at twice the horizon."""
+    return max(max([*x, *y]) for x, y in pairs)
 
 
 def _resolve(pairs: list, event_cap: int, horizon: int):

@@ -106,7 +106,7 @@ def test_exact_series_stay_exact():
     assert q.prec == 4 and q.num == {0: 1} and q.den == {0: 1, 1: 1}
     r = RatSeries.make({2: F(1)}, 4).div(RatSeries.make({1: F(1), 2: F(1)}, 4))
     assert (r.num, r.den, r.prec) == ({1: 1}, {0: 1, 1: 1}, 4)
-    # den is kept below 4 - ord r only, so subtracting a constant loses 1
+    # a constant taken off a series of order 1 costs 1 of its precision
     assert r.sub_const(F(1)).prec == 3
 
 
@@ -120,8 +120,8 @@ def _recording(method, out: list):
 def test_resolver_series_keep_their_terms_below_precision(monkeypatch):
     # why div's "prec < 1" raise never fires: every exponent a series stores
     # lies below its prec, so the order of a divisor and of a dividend are
-    # both below their precisions.  Every den also stays below prec - ord
-    # num: a quotient keeps no more, and a constant taken off drops the rest
+    # both below their precisions.  A constant taken off a quotient of order
+    # s > 0 cuts num and den at its own, lower prec as well
     built, quotients = [], []
     monkeypatch.setattr(RatSeries, "_reduced", classmethod(
         _recording(RatSeries._reduced.__func__, built)))
@@ -130,12 +130,14 @@ def test_resolver_series_keep_their_terms_below_precision(monkeypatch):
     for _ in range(300):
         resolve_curve(random_curve(rng, 3))
     assert len(quotients) > 1000 and len(built) > len(quotients)
-    for s in built + quotients:
+    shifted = [q.sub_const(F(1)) for q in quotients
+               if q.order is not None and 0 < q.order < q.prec < math.inf]
+    assert len(shifted) > 100
+    for s in built + quotients + shifted:
         assert s.prec >= 1
         assert all(e < s.prec for e in (*s.num, *s.den))
-    for s in built:
-        if s.num:
-            assert all(e < s.prec - min(s.num) for e in s.den)
+    cut = RatSeries._reduced({1: 1, 3: 1}, {0: 1}, 4, 9).sub_const(F(1))
+    assert (cut.num, cut.den, cut.prec) == ({0: -1, 1: 1}, {0: 1}, 3)
 
 
 def _coefficient(rng: random.Random) -> int:

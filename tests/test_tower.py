@@ -39,15 +39,27 @@ def _ladder(k):
     return [branch(*((f"{2 ** (i + 1) - 1}/{2 ** i}", 1) for i in range(1, k + 1)))]
 
 
+def _pinned_ladder_seconds(k):
+    start = time.perf_counter()
+    events, tree = resolve_curve(_ladder(k))
+    elapsed = time.perf_counter() - start
+    pinned = (DATA / f"tower-k{k}.json").read_text()
+    assert jsonio.dumps(jsonio.tower_to_json(tree, events)) == pinned
+    return elapsed
+
+
 def test_six_pair_ladder_is_pinned():
     # recorded with the resolver on exact, unreduced rational quotients,
     # which took 100 s or more
-    start = time.perf_counter()
-    events, tree = resolve_curve(_ladder(6))
-    elapsed = time.perf_counter() - start
-    pinned = (DATA / "tower-k6.json").read_text()
-    assert jsonio.dumps(jsonio.tower_to_json(tree, events)) == pinned
+    elapsed = _pinned_ladder_seconds(6)
     assert elapsed < 1, f"k = 6 took {elapsed:.2f} s"
+
+
+def test_eight_pair_ladder_is_pinned():
+    # recorded with quotient series started at twice the curve's t-degree,
+    # which took about 1.5 s
+    elapsed = _pinned_ladder_seconds(8)
+    assert elapsed < 1, f"k = 8 took {elapsed:.2f} s"
 
 
 def test_seven_pair_ladder_is_fast():
