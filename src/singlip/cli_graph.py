@@ -36,6 +36,8 @@ def cmd_graph_pencil(args) -> None:
             tuple((v, power * m) for v, m in base.strict_arrows)))
     if len(gens) < 2:
         raise InputError("graph pencil needs at least two --gen entries")
+    if args.resolve and len(gens) > 2:
+        raise InputError("graph pencil --resolve needs exactly two --gen entries")
     generic = surfgraph.pencil_min(graph, gens)
     # a base point needs the generic strict transform through the curve and
     # frozen there by a strictly lower-order generator

@@ -28,6 +28,9 @@ from .dualgraph import CURVE_FUNCTION, GENERIC_LINEAR, L_NODE, DualGraph, DualTr
 from .errors import DomainError, InputError, ResourceCapExceeded
 from .exactnum import eliminate
 
+# the most blow-ups that resolve_pencil makes before it refuses
+PENCIL_CAP = 64
+
 
 class Divisor(NamedTuple):
     """Compact-part coefficients of a total transform plus its strict part."""
@@ -123,8 +126,8 @@ def _fresh_ids(graph: DualGraph):
     return (f"v{k}" for k in count(len(ids)) if f"v{k}" not in graph.vertices)
 
 
-def resolve_pencil(graph: DualGraph, div_a: Divisor, div_b: Divisor, vertex,
-                   cap: int = 64) -> tuple[DualGraph, list[PencilStep]]:
+def resolve_pencil(graph: DualGraph, div_a: Divisor, div_b: Divisor,
+                   vertex) -> tuple[DualGraph, list[PencilStep]]:
     """Blow up the base point of a two-generator pencil until both
     generators have equal multiplicity along the newest curve.
 
@@ -138,8 +141,8 @@ def resolve_pencil(graph: DualGraph, div_a: Divisor, div_b: Divisor, vertex,
     steps: list[PencilStep] = [PencilStep(vertex, (ma, mb))]
     current, fresh = vertex, _fresh_ids(g)
     while ma != mb:
-        if len(steps) > cap:
-            raise ResourceCapExceeded(f"pencil resolution cap {cap} exceeded")
+        if len(steps) > PENCIL_CAP:
+            raise ResourceCapExceeded(f"pencil resolution cap {PENCIL_CAP} exceeded")
         new = next(fresh)
         g.vertices[current].self_intersection -= 1
         g.add_vertex(new, -1)

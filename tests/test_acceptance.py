@@ -20,9 +20,7 @@ from singlip import (Divisor, build_carrousel_tree, coincidence_exponent,
                      thick_thin, verify_tower)
 from singlip.csquare import amalgamate
 from singlip.decomp import build_decomposition
-from singlip.fixtures import (curve_carrousel_example, curve_cusp_53,
-                              graph_e8, graph_e8_nash,
-                              graph_minimal_singularity, load_fixture)
+from singlip.fixtures import curve_carrousel_example, curve_cusp_53, load_fixture
 
 
 def _ok(n, message):
@@ -80,7 +78,7 @@ def test_criterion_05_appendix_tower_rates():
 
 
 def test_criterion_06_e8_divisors_and_pencil_min():
-    g = graph_e8()
+    g = load_fixture("e8")
     ids = [f"E{i}" for i in range(1, 9)]
     x = solve_multiplicities(g, "x")
     y = solve_multiplicities(g, "y")
@@ -98,7 +96,7 @@ def test_criterion_06_e8_divisors_and_pencil_min():
 
 
 def test_criterion_07_pencil_resolution_and_delta_chain():
-    g = graph_e8()
+    g = load_fixture("e8")
     x = solve_multiplicities(g, "x")
     y = solve_multiplicities(g, "y")
     z = solve_multiplicities(g, "z")
@@ -145,7 +143,7 @@ def test_criterion_08_laufer_pipeline():
 
 
 def test_criterion_09_thick_thin_fixtures():
-    tt = thick_thin(graph_e8())
+    tt = thick_thin(load_fixture("e8"))
     assert len(tt.thick_zones[0][1]) == 4
     assert len(tt.thin_zones) == 1 and len(tt.thin_zones[0]) == 4
     assert thick_thin(load_fixture("d4")).thin_zones == ()
@@ -162,15 +160,15 @@ def test_criterion_09_thick_thin_fixtures():
 
 
 def test_criterion_10_geometric_decompositions():
-    inner = build_decomposition(graph_e8(), "inner")
+    inner = build_decomposition(load_fixture("e8"), "inner")
     assert summary(inner) == ["A(1,5/3)", "B(1)", "B(5/3)"]
-    outer = build_decomposition(graph_e8_nash(), "outer")
+    outer = build_decomposition(load_fixture("e8-nash"), "outer")
     assert summary(outer) == ["A(1,5/3)", "A(5/3,10/3)", "B(1)", "B(10/3)",
                               "B(5/3)"]
     two_string = [p for p in outer.pieces.values()
                   if p.rates == (F(5, 3), F(10, 3))]
     assert len(two_string) == 1 and len(two_string[0].support) == 2
-    minimal = build_decomposition(graph_minimal_singularity(), "inner")
+    minimal = build_decomposition(load_fixture("minimal-singularity"), "inner")
     b_rates = sorted(p.rates[0] for p in minimal.pieces.values()
                      if p.kind == "B")
     assert b_rates == [1, 1, 1, 1, 1, 2, 2]

@@ -716,6 +716,18 @@ def test_pencil_needs_two_generators(paths):
         2, "", "input error: graph pencil needs at least two --gen entries\n")
 
 
+def test_pencil_resolve_needs_exactly_two_generators(paths):
+    # the resolution models a pencil of two; without --resolve, three stay
+    # allowed
+    args = ("graph", "pencil", "--gen", "x", "--gen", "y", "--gen", "z")
+    code, out, err = run_cli(*args, "--resolve", paths["e8"])
+    assert (code, out, err) == (
+        2, "", "input error: graph pencil --resolve needs exactly two --gen "
+        "entries\n")
+    code, out, _ = run_cli(*args, paths["e8"])
+    assert code == 0 and out.splitlines()[1] == "base points on: E5"
+
+
 def _malformed(shape):
     """Malformed documents that once escaped as tracebacks, or that were
     read with a JSON ``true`` as 1, as (argv, doc)."""
@@ -802,7 +814,8 @@ def _malformed(shape):
         graph["arrows"][0]["kind"] = "x"
     elif shape == "graph-ids-differ-only-in-type":
         graph["vertices"][0]["id"], graph["vertices"][1]["id"] = 1, "1"
-    elif shape in ("decompose-disconnected", "signature-disconnected"):
+    elif shape in ("decompose-disconnected", "signature-disconnected",
+                   "graph-disconnected"):
         graph["edges"].remove(["E1", "E8"])
     elif shape == "signature-h-all-zero":
         for v in graph["vertices"]:
@@ -885,6 +898,7 @@ MALFORMED = {
     # outputs name vertices by their text; read before the edges to E1, E2
     "graph-ids-differ-only-in-type": "vertex ids 1 and '1' differ only in type",
     # e8 without its edge E1-E8
+    "graph-disconnected": "thick_thin needs a connected graph",
     "decompose-disconnected": "decomposition needs a connected graph",
     "signature-disconnected": "decomposition needs a connected graph",
     # the gcd that scales the inner multiplicities is 0

@@ -15,15 +15,13 @@ from singlip import (PuiseuxBranch, amalgamate, build_decomposition,
 from singlip import fixtures, jsonio
 from singlip.decomp import MODES, Decomposition, Piece, Signature, _is_tree, _nodes
 from singlip.errors import DomainError, InputError
-from singlip.fixtures import (curve_32_74, curve_cusp_53, graph_a_k, graph_d4,
-                              graph_e8, graph_e8_nash,
-                              graph_minimal_singularity, load_fixture)
+from singlip.fixtures import curve_32_74, curve_cusp_53, load_fixture
 from singlip.dualgraph import DualGraph
 
 
 def test_classify_nodes_minimal_singularity():
     # each inner node maps to whether it is a special P-node
-    g = graph_minimal_singularity()
+    g = load_fixture("minimal-singularity")
     inner, outer = _nodes(g, "inner"), _nodes(g, "outer")
     assert inner["m4"] is True
     assert inner["m7"] is True
@@ -39,7 +37,7 @@ def test_special_p_definition_on_contested_vertex():
     # polar components the stated definition does make it special, which is
     # why the fixture leaves it unflagged (its source figure does not mark
     # it special); this exercises the definition itself
-    g = graph_minimal_singularity()
+    g = load_fixture("minimal-singularity")
     g.vertices["m9"].flags.add("P")
     assert _nodes(g, "inner")["m9"] is True
     assert "m9" in _nodes(g, "outer")
@@ -62,14 +60,14 @@ def test_strings_need_no_interior_rates():
     # its rates from them
     for k in (4, 5):
         for mode in MODES:
-            d = build_decomposition(graph_a_k(k), mode)
+            d = build_decomposition(load_fixture(f"a{k}"), mode)
             assert summary(d) == ["A(1,1)", "B(1)", "B(1)"]
             assert d.pieces[2].support == {f"E{i}" for i in range(2, k)}
 
 
 def test_p_node_next_to_an_unrated_vertex_is_refused():
     # inner mode compares a valence-two P-node's rate with its neighbours'
-    g = graph_a_k(4)
+    g = load_fixture("a4")
     g.vertices["E2"].flags.add("P")
     g.vertices["E2"].rate = F(2)
     with pytest.raises(InputError) as exc:
@@ -82,7 +80,7 @@ def test_p_node_next_to_an_unrated_vertex_is_refused():
 
 
 def test_thick_thin_e8():
-    tt = thick_thin(graph_e8())
+    tt = thick_thin(load_fixture("e8"))
     assert len(tt.thick_zones) == 1
     (l_node, zone), = tt.thick_zones
     assert l_node == "E5" and zone == frozenset({"E5", "E4", "E3", "E2"})
@@ -92,7 +90,7 @@ def test_thick_thin_e8():
 
 
 def test_thick_thin_d4_conical():
-    tt = thick_thin(graph_d4())
+    tt = thick_thin(load_fixture("d4"))
     assert tt.thin_zones == ()
     assert tt.metrically_conical
     assert tt.thick_zones[0][1] == frozenset({"E1", "E2", "E3", "E4"})
@@ -141,15 +139,15 @@ def test_a_loop_through_an_l_node_is_thin(loop):
 
 
 def test_thick_thin_errors():
-    g = graph_d4()
+    g = load_fixture("d4")
     g.vertices["E1"].flags.discard("L")
     with pytest.raises(DomainError):
         thick_thin(g)  # no L-node
-    g2 = graph_d4()
+    g2 = load_fixture("d4")
     g2.vertices["E2"].flags.add("L")
     with pytest.raises(DomainError):
         thick_thin(g2)  # adjacent L-nodes
-    g3 = graph_d4()
+    g3 = load_fixture("d4")
     g3.remove_edge("E1", "E4")
     with pytest.raises(InputError, match="connected"):
         thick_thin(g3)
@@ -157,7 +155,7 @@ def test_thick_thin_errors():
 
 def test_build_decomposition_rejects_an_unknown_mode():
     with pytest.raises(InputError, match="^unknown decomposition mode 'bogus'$"):
-        build_decomposition(graph_e8(), "bogus")
+        build_decomposition(load_fixture("e8"), "bogus")
 
 
 def _with_copy(g: DualGraph, prefix: str, drop=()) -> DualGraph:
@@ -178,8 +176,8 @@ def test_a_disconnected_graph_is_refused_before_any_other_error():
     # the graph is walked whole only when some check fails, and a
     # disconnected one fails one: its nodes are not joined, or a component
     # without a node leaves its vertices out of every support
-    e8, chain = graph_e8(), graph_a_k(3)
-    unrated = graph_e8()
+    e8, chain = load_fixture("e8"), load_fixture("a3")
+    unrated = load_fixture("e8")
     unrated.vertices["E1"].rate = None       # a node, E1-E2-E3 and E1-E6-E7
     nodeless = DualGraph()
     for vid in ("a", "b", "c"):
@@ -196,6 +194,10 @@ def test_a_disconnected_graph_is_refused_before_any_other_error():
         for signature in (inner_signature, outer_signature):
             with pytest.raises(InputError, match="^decomposition needs a connected graph$"):
                 signature(g)
+        # thick_thin walks the graph before its other checks, which two
+        # e8s, each with its L-node, would pass
+        with pytest.raises(InputError, match="^thick_thin needs a connected graph$"):
+            thick_thin(g)
     # connected, the same graphs give their own errors
     with pytest.raises(InputError, match="^vertices without inner rates: .'E1'.$"):
         build_decomposition(unrated, "inner")
@@ -207,7 +209,7 @@ def test_a_disconnected_graph_is_refused_before_any_other_error():
 
 
 def test_thin_zone_rate():
-    g = graph_e8()
+    g = load_fixture("e8")
     (zone,) = thick_thin(g).thin_zones
     assert thin_zone_rate(g, zone) == F(5, 3)
     assert thin_zone_rate(g, frozenset({"E7"})) == 2
@@ -312,7 +314,7 @@ def test_amalgamated_fixture_documents():
 
 
 def test_build_decomposition_e8_inner():
-    d = build_decomposition(graph_e8(), "inner")
+    d = build_decomposition(load_fixture("e8"), "inner")
     assert summary(d) == ["A(1,5/3)", "B(1)", "B(5/3)"]
     supports = {p.describe(): p.support for p in d.pieces.values()}
     assert supports["B(1)"] == frozenset({"E5"})
@@ -321,7 +323,7 @@ def test_build_decomposition_e8_inner():
 
 
 def test_build_decomposition_e8_outer_and_initial():
-    g = graph_e8_nash()
+    g = load_fixture("e8-nash")
     outer = build_decomposition(g, "outer")
     assert summary(outer) == ["A(1,5/3)", "A(5/3,10/3)", "B(1)", "B(10/3)",
                               "B(5/3)"]
@@ -335,7 +337,7 @@ def test_build_decomposition_e8_outer_and_initial():
 
 
 def test_build_decomposition_minimal_singularity_inner():
-    d = build_decomposition(graph_minimal_singularity(), "inner")
+    d = build_decomposition(load_fixture("minimal-singularity"), "inner")
     b_pieces = [p for p in d.pieces.values() if p.kind == "B"]
     rates = sorted(p.rates[0] for p in b_pieces)
     assert rates == [1, 1, 1, 1, 1, 2, 2]
@@ -430,18 +432,18 @@ def test_conical_iff_single_piece_inner():
 
 
 def test_signatures():
-    e8 = inner_signature(graph_e8())
-    assert signatures_equal(e8, inner_signature(graph_e8()))
-    assert not signatures_equal(e8, inner_signature(graph_d4()))
-    scaled = graph_e8()
+    e8 = inner_signature(load_fixture("e8"))
+    assert signatures_equal(e8, inner_signature(load_fixture("e8")))
+    assert not signatures_equal(e8, inner_signature(load_fixture("d4")))
+    scaled = load_fixture("e8")
     for v in scaled.vertices.values():
         v.multiplicities["h"] *= 3
     assert signatures_equal(e8, inner_signature(scaled))
 
-    outer = outer_signature(graph_e8_nash())
-    assert signatures_equal(outer, outer_signature(graph_e8_nash()))
+    outer = outer_signature(load_fixture("e8-nash"))
+    assert signatures_equal(outer, outer_signature(load_fixture("e8-nash")))
     assert not signatures_equal(e8, outer)
-    bumped = graph_e8_nash()
+    bumped = load_fixture("e8-nash")
     bumped.vertices["E10"].self_intersection = -2
     assert not signatures_equal(outer, outer_signature(bumped))
 
@@ -567,10 +569,10 @@ def test_unequal_piece_histograms_skip_refinement(monkeypatch):
     calls = []
     refine = decomp._refine
     monkeypatch.setattr(decomp, "_refine", lambda *a: calls.append(1) or refine(*a))
-    doc = jsonio.graph_to_json(graph_e8())
+    doc = jsonio.graph_to_json(load_fixture("e8"))
     sig = inner_signature(jsonio.parse_graph(doc))
     assert not signatures_equal(sig, inner_signature(jsonio.parse_graph(_perturb(doc))))
-    assert not signatures_equal(sig, inner_signature(graph_d4()))
+    assert not signatures_equal(sig, inner_signature(load_fixture("d4")))
     assert calls == []
     assert signatures_equal(sig, inner_signature(
         jsonio.parse_graph(_relabel(doc, random.Random(3)))))
@@ -718,7 +720,7 @@ def test_signatures_equal_matches_networkx():
 
 
 def test_signature_requires_multiplicities():
-    g = graph_e8()
+    g = load_fixture("e8")
     for v in g.vertices.values():
         v.multiplicities.clear()
     with pytest.raises(InputError):

@@ -15,11 +15,6 @@ def test_fixture_registry():
         fixtures.load_fixture("no-such-fixture")
 
 
-def test_a_k_needs_positive_k():
-    with pytest.raises(InputError, match="k >= 1"):
-        fixtures.graph_a_k(0)
-
-
 def test_curve_fixtures_parse_and_round_trip():
     for name in fixtures.fixture_names():
         if fixtures.fixture_kind(name) != "curve":

@@ -13,7 +13,7 @@ from singlip import (build_carrousel_tree, build_decomposition, contact_matrix,
                      horn_jump_profile, inner_signature, jsonio,
                      resolve_curve, resolve_pencil, solve_multiplicities,
                      strands_of, thick_thin, verify_tower)
-from singlip.fixtures import curve_cusp_53, graph_e8
+from singlip.fixtures import curve_cusp_53, load_fixture
 from singlip.series import RatSeries
 
 
@@ -55,7 +55,7 @@ def test_cli_calls_load_neither_dataclasses_nor_copy(tmp_path):
     # locale) loads only for help and usage errors
     curve, graph = tmp_path / "curve.json", tmp_path / "graph.json"
     curve.write_text(jsonio.dumps(jsonio.curve_to_json(curve_cusp_53())))
-    graph.write_text(jsonio.dumps(jsonio.graph_to_json(graph_e8())))
+    graph.write_text(jsonio.dumps(jsonio.graph_to_json(load_fixture("e8"))))
     out = run_python("-c", "import io, sys\nfrom contextlib import redirect_stdout\n"
                      "from singlip.cli import main\n"
                      "with redirect_stdout(io.StringIO()):\n"
@@ -73,7 +73,7 @@ def test_frozen_records_refuse_assignment():
     curve = curve_cusp_53()
     matrix = contact_matrix(curve)
     events, tree = resolve_curve(curve)
-    graph = graph_e8()
+    graph = load_fixture("e8")
     x = solve_multiplicities(graph, "x")
     _, steps = resolve_pencil(graph, x, solve_multiplicities(graph, "y"), "E8")
     records = [curve[0], strands_of(curve)[0], matrix, horn_jump_profile(matrix, 0),

@@ -12,8 +12,8 @@ from singlip import (Divisor, DualGraph, PuiseuxBranch, fixtures,
                      laufer_parity_prepare, pencil_min, resolve_curve,
                      resolve_pencil, solve_multiplicities, thick_thin,
                      tower_to_graph, verify_graph, verify_tower)
-from singlip.errors import DomainError, InputError
-from singlip.fixtures import curve_cusp_53, graph_e8
+from singlip.errors import DomainError, InputError, ResourceCapExceeded
+from singlip.fixtures import curve_cusp_53, load_fixture
 from singlip.jsonio import graph_to_json, parse_graph, tower_to_json
 from singlip.dualgraph import L_NODE, DualTree, reach
 from singlip.surfgraph import blowdownable_vertices, strict_part_from_residuals
@@ -27,14 +27,14 @@ Z_DIV = dict(zip(E8_IDS, [6, 5, 4, 3, 2, 4, 2, 3]))
 
 
 def test_solve_multiplicities_e8():
-    g = graph_e8()
+    g = load_fixture("e8")
     assert solve_multiplicities(g, "x").coefficients == X_DIV
     assert solve_multiplicities(g, "y").coefficients == Y_DIV
     assert solve_multiplicities(g, "z").coefficients == Z_DIV
 
 
 def test_solve_multiplicities_residuals_vanish():
-    g = graph_e8()
+    g = load_fixture("e8")
     div = solve_multiplicities(g, "x")
     residuals = g.laufer_residuals(div.coefficients, [("E8", 1)])
     assert set(residuals.values()) == {0}
@@ -43,7 +43,7 @@ def test_solve_multiplicities_residuals_vanish():
 def test_arrows_on_unknown_vertices_are_refused():
     # solve_multiplicities raised a bare KeyError on such a pair, and
     # laufer_residuals left it out; both refuse it as add_arrow does
-    g = graph_e8()
+    g = load_fixture("e8")
     for vid in ("nope", True, 1, "e1"):
         message = f"arrow references unknown vertex {vid!r}"
         with pytest.raises(InputError) as exc:
@@ -94,7 +94,7 @@ def test_solve_non_integral():
 
 
 def test_pencil_min_e8():
-    g = graph_e8()
+    g = load_fixture("e8")
     fx = Divisor(X_DIV, (("E8", 1),))
     fy = Divisor({k: 2 * v for k, v in Y_DIV.items()}, (("E7", 2),))
     fz = Divisor({k: 4 * v for k, v in Z_DIV.items()}, (("E5", 4),))
@@ -107,7 +107,7 @@ def test_strict_arrows_keep_integer_ids():
     """Both divisor constructors keep the graph's vertex ids in their
     strict parts, ordered by the ids as strings ("10" before "9"), and
     ``to_json`` writes every id as a string."""
-    doc = graph_to_json(graph_e8())
+    doc = graph_to_json(load_fixture("e8"))
     num = {vid: int(vid[1:]) + 2 for vid in E8_IDS}  # E1..E8 -> 3..10
     for v in doc["vertices"]:
         v["id"] = num[v["id"]]
@@ -130,7 +130,7 @@ def test_strict_arrows_keep_integer_ids():
 
 
 def test_pencil_min_trivial():
-    g = graph_e8()
+    g = load_fixture("e8")
     fx = Divisor(X_DIV, (("E8", 1),))
     assert pencil_min(g, [fx, fx]).coefficients == X_DIV
     other = dict(X_DIV)
@@ -155,7 +155,7 @@ def test_pencil_min_negative_residual():
 ], ids=["arrow-branch-string", "pencil-of-nothing"])
 def test_graph_input_errors(call, message):
     with pytest.raises(InputError) as exc:
-        call(graph_e8())
+        call(load_fixture("e8"))
     assert str(exc.value) == message
 
 
@@ -170,7 +170,7 @@ def test_base_point_detection():
 
 
 def test_resolve_pencil_two_steps():
-    g = graph_e8()
+    g = load_fixture("e8")
     fx = Divisor(X_DIV, (("E8", 1),))
     fy = Divisor({k: 2 * v for k, v in Y_DIV.items()}, (("E7", 2),))
     g2, steps = resolve_pencil(g, fx, fy, "E8")
@@ -182,7 +182,7 @@ def test_resolve_pencil_two_steps():
 
 
 def test_resolve_pencil_zero_steps():
-    g = graph_e8()
+    g = load_fixture("e8")
     fx = Divisor(X_DIV, (("E8", 1),))
     g2, steps = resolve_pencil(g, fx, fx, "E8")
     assert len(steps) == 1
@@ -376,9 +376,12 @@ def test_resolve_pencil_cap():
     g.add_vertex("E1", -1)
     a = Divisor({"E1": 0})
     b = Divisor({"E1": 100})
-    with pytest.raises(Exception) as exc:
-        resolve_pencil(g, a, b, "E1", cap=16)
-    assert "cap" in str(exc.value)
+    with pytest.raises(ResourceCapExceeded,
+                       match="^pencil resolution cap 64 exceeded$"):
+        resolve_pencil(g, a, b, "E1")
+    # the cap is on blow-ups: 64 of them still resolve
+    _, steps = resolve_pencil(g, a, Divisor({"E1": 64}), "E1")
+    assert len(steps) == 65 and steps[-1].multiplicities == (64, 64)
 
 
 def test_double_cover_rejects_odd_branch_point_count():
@@ -414,7 +417,7 @@ def test_long_chain_verifies_and_solves_fast():
 
 def test_copy_shares_no_mutable_state():
     _, tree = resolve_curve(curve_cusp_53())
-    for graph, to_json in ((graph_e8(), graph_to_json), (tree, tower_to_json)):
+    for graph, to_json in ((load_fixture("e8"), graph_to_json), (tree, tower_to_json)):
         def state(g):
             return (to_json(g), [sorted(g.vertices[v].flags) for v in g.ids()],
                     [list(g.neighbors(v)) for v in g.ids()])

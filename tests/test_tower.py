@@ -12,8 +12,7 @@ from singlip import (PuiseuxBranch, coincidence_exponent, fixtures, jsonio,
                      laufer_parity_prepare, resolve_curve, tower,
                      tower_to_graph, verify_tower)
 from singlip.errors import InputError, ResourceCapExceeded
-from singlip.fixtures import (curve_32_74, curve_carrousel_example,
-                              curve_cusp_53, graph_e8)
+from singlip.fixtures import curve_32_74, curve_carrousel_example, curve_cusp_53
 from singlip.dualgraph import CURVE_FUNCTION, GENERIC_LINEAR, DualGraph, DualTree
 
 
@@ -363,7 +362,7 @@ def test_blow_up_refuses_bad_arguments_before_changing_the_graph():
     # multiplicities (True would sum to an int, and -1 to a non-negative but
     # wrong one), and the new id (DualTree._store, DualGraph._store)
     _, tree = resolve_curve(curve_cusp_53())
-    e8, graph = graph_e8(), tower_to_graph(tree)
+    e8, graph = fixtures.load_fixture("e8"), tower_to_graph(tree)
     n = len(tree.vertices)
     assert tree.edges == [(0, 2), (2, 3), (1, 3)]
     cases = [(tree, n, (c,), None) for c in (-1, n, "0", True, 1.0, None)]
