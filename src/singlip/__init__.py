@@ -12,14 +12,14 @@ _EXPORTS = {
     "csquare": "amalgamate csquare_decomposition",
     "decomp": ("Decomposition Piece build_decomposition inner_signature "
                "outer_signature signatures_equal thick_thin thin_zone_rate"),
-    "dualgraph": "DualGraph DualTree verify_graph",
+    "dualgraph": ("DualGraph DualTree branch_contact tower_to_graph verify_graph "
+                  "verify_tower"),
     "errors": "DomainError InputError ResourceCapExceeded SinglipError",
     "strands": ("ContactMatrix PuiseuxBranch Strand coincidence_exponent "
                 "contact_matrix horn_jump_profile strand_contact strands_of"),
-    "surfgraph": ("Divisor has_base_point laufer_double_cover "
-                  "laufer_parity_prepare pencil_min resolve_pencil "
-                  "solve_multiplicities tower_to_graph"),
-    "tower": "BlowupEvent branch_contact resolve_curve verify_tower",
+    "surfgraph": ("Divisor has_base_point laufer_double_cover laufer_parity_prepare "
+                  "pencil_min resolve_pencil solve_multiplicities"),
+    "tower": "BlowupEvent resolve_curve",
 }
 _HOME = {name: mod for mod, names in _EXPORTS.items() for name in names.split()}
 # never "cli": `python -m singlip.cli` must find it unimported

@@ -17,7 +17,7 @@ def cmd_verify(args) -> int:
         from .dualgraph import verify_graph
         problems = verify_graph(parse("graph", doc, args.strict))
     elif fmt == jsonio.TOWER_FORMAT:
-        from .tower import verify_tower
+        from .dualgraph import verify_tower
         problems = verify_tower(parse("tower", doc, args.strict)).problems()
     else:
         raise InputError(f"cannot verify documents of format {fmt!r}")

@@ -1,5 +1,6 @@
 """The one resolution graph type, ``DualGraph``, its tower form ``DualTree``, their
-records, walks, blow-ups and ``verify_graph``; ``surfgraph`` is the calculus on them."""
+records, walks, blow-ups and ``verify_graph``, and a tower's checks (``verify_tower``,
+``branch_contact``) and graph form (``tower_to_graph``); ``surfgraph`` is the calculus."""
 
 from __future__ import annotations
 
@@ -373,3 +374,67 @@ def verify_graph_det(graph: DualGraph) -> tuple[list[str], int]:
             problems += [f"laufer residual {r} for {name!r} at vertex {vid}"
                          for vid, r in residuals.items() if r]
     return problems, elim.determinant
+
+
+def tower_to_graph(tree: DualTree, flags: Optional[dict] = None) -> DualGraph:
+    """The tower as a resolution graph with dict storage, edges sorted and
+    the given vertex flags added."""
+    graph = DualGraph()
+    for v in tree.vertices:
+        graph.add_vertex(v.id, v.self_intersection, v.genus, v.rate,
+                         v.multiplicities, (flags or {}).get(v.id, ()),
+                         v.rate_vector)
+    for a, b in sorted(tree.edges):
+        graph.add_edge(a, b)
+    graph.arrows = list(tree.arrows)
+    return graph
+
+
+def branch_contact(tree: DualTree, first: int, second: int) -> Fraction:
+    """Contact exponent of two resolved branches read off the tree: the
+    rate of the deepest vertex common to the root paths of their arrows."""
+    parent = tree.component(tree.root) if tree.vertices else {}
+
+    def path(branch):
+        v = next((a.vertex for a in tree.arrows if a.branch == branch), None)
+        if v is None:
+            raise InputError(f"no arrow for branch {branch}")
+        if v not in parent:
+            raise InputError(f"no path from the root to the arrow of branch {branch}")
+        out = set()
+        while v is not None:
+            out.add(v)
+            v = parent[v]
+        return out
+
+    common = path(first) & path(second)
+    return max(tree.vertices[v].rate for v in common)
+
+
+class TowerReport(NamedTuple):
+    lines: tuple
+
+    @property
+    def ok(self) -> bool:
+        return not self.lines
+
+    def problems(self) -> list[str]:
+        return list(self.lines)
+
+
+def verify_tower(tree: DualTree) -> TowerReport:
+    """The checks of every resolution graph (``verify_graph``) plus the
+    tower's own: a connected tree with determinant +-1 whose rates increase
+    along the breadth-first tree from a root of rate 1, in its order."""
+    problems, det = verify_graph_det(tree)
+    parent = tree.component(tree.root) if tree.vertices else {}
+    if len(parent) != len(tree.vertices) or len(tree.edges) != len(tree.vertices) - 1:
+        problems.append("not a connected tree")
+    if abs(det) != 1:
+        problems.append(f"intersection determinant {det} not +-1")
+    problems += [f"rate not increasing from vertex {v} to {w}"
+                 for w, v in parent.items()
+                 if v is not None and tree.vertices[w].rate <= tree.vertices[v].rate]
+    if not tree.vertices or tree.vertices[tree.root].rate != 1:
+        problems.append("root rate differs from 1")
+    return TowerReport(tuple(problems))

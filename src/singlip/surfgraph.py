@@ -2,8 +2,8 @@
 type is ``dualgraph.DualGraph``.  Four operations: solving total-transform
 multiplicities from the Laufer-zero conditions, componentwise minima of
 divisors (generic pencil members), graph-level resolution of pencil base
-points, and the branched double cover construction for hypersurfaces
-z^2 + f(x,y) built from a parity-prepared embedded resolution of f.
+points, and the branched double cover of the hypersurface z^2 + f(x,y), built
+from ``dualgraph.tower_to_graph`` of a parity-prepared embedded resolution of f.
 
 On parity: an exceptional curve belongs to the branch locus of the double
 cover exactly when its f-multiplicity is odd, so intersection points of two
@@ -22,9 +22,10 @@ from __future__ import annotations
 import re
 from collections import Counter
 from itertools import count
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
-from .dualgraph import CURVE_FUNCTION, GENERIC_LINEAR, L_NODE, DualGraph, DualTree
+from .dualgraph import (CURVE_FUNCTION, GENERIC_LINEAR, L_NODE, DualGraph, DualTree,
+                        tower_to_graph)
 from .errors import DomainError, InputError, ResourceCapExceeded
 from .exactnum import eliminate
 
@@ -266,17 +267,3 @@ def blowdownable_vertices(graph: DualGraph) -> list:
             continue
         out.append(vid)
     return out
-
-
-def tower_to_graph(tree: DualTree, flags: Optional[dict] = None) -> DualGraph:
-    """The tower as a resolution graph with dict storage, edges sorted and
-    the given vertex flags added."""
-    graph = DualGraph()
-    for v in tree.vertices:
-        graph.add_vertex(v.id, v.self_intersection, v.genus, v.rate,
-                         v.multiplicities, (flags or {}).get(v.id, ()),
-                         v.rate_vector)
-    for a, b in sorted(tree.edges):
-        graph.add_edge(a, b)
-    graph.arrows = list(tree.arrows)
-    return graph

@@ -1,4 +1,4 @@
-"""Embedded resolution towers of plane curve germs by iterated point blow-ups.
+"""The resolver: embedded resolution towers of plane curve germs by point blow-ups.
 
 The simulator keeps, for every infinitely-near point currently carrying
 branches, the pair of local coordinate functions restricted to each branch
@@ -33,20 +33,19 @@ The event log records the whole tower: each center names the curves through
 the blown-up point (none at the origin, one at a free point, two at a
 satellite point), so replaying the events through ``DualGraph.blow_up``
 rebuilds the tree, and the centers also fix the chain of coordinate changes
-that leads to each point.  The tests read both off the log to check the
-tower against independent oracles.
+that leads to each point; the tests check both against independent oracles.
+A tower's checks and its graph form live with ``DualTree`` in ``dualgraph``.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .errors import InputError, ResourceCapExceeded
+from .errors import ResourceCapExceeded
 from .series import PrecisionExhausted, RatSeries
 from .strands import DEFAULT_STRAND_CAP, PuiseuxBranch, check_curve
-from .dualgraph import CURVE_FUNCTION, GENERIC_LINEAR, DualTree, verify_graph_det
+from .dualgraph import CURVE_FUNCTION, GENERIC_LINEAR, DualTree
 
 DEFAULT_EVENT_CAP = 512
 
@@ -148,52 +147,3 @@ def _land_branches(center: tuple, branches: dict, new: int) -> list[tuple]:
                 at, pair = on_v, (bu, ratio)
         landings.setdefault(at, {})[bid] = pair
     return list(landings.items())
-
-
-def branch_contact(tree: DualTree, first: int, second: int) -> Fraction:
-    """Contact exponent of two resolved branches read off the tree: the
-    rate of the deepest vertex common to the root paths of their arrows."""
-    parent = tree.component(tree.root) if tree.vertices else {}
-
-    def path(branch):
-        arrows = [a for a in tree.arrows if a.branch == branch]
-        if not arrows:
-            raise InputError(f"no arrow for branch {branch}")
-        v = arrows[0].vertex
-        out = set()
-        while v is not None:
-            out.add(v)
-            v = parent[v]
-        return out
-
-    common = path(first) & path(second)
-    return max(tree.vertices[v].rate for v in common)
-
-
-class TowerReport(NamedTuple):
-    lines: tuple
-
-    @property
-    def ok(self) -> bool:
-        return not self.lines
-
-    def problems(self) -> list[str]:
-        return list(self.lines)
-
-
-def verify_tower(tree: DualTree) -> TowerReport:
-    """The checks of every resolution graph (``dualgraph.verify_graph``)
-    plus the tower's own: a connected tree with determinant +-1 whose rates
-    increase along the breadth-first tree from a root of rate 1, in its order."""
-    problems, det = verify_graph_det(tree)
-    parent = tree.component(tree.root) if tree.vertices else {}
-    if len(parent) != len(tree.vertices) or len(tree.edges) != len(tree.vertices) - 1:
-        problems.append("not a connected tree")
-    if abs(det) != 1:
-        problems.append(f"intersection determinant {det} not +-1")
-    problems += [f"rate not increasing from vertex {v} to {w}"
-                 for w, v in parent.items()
-                 if v is not None and tree.vertices[w].rate <= tree.vertices[v].rate]
-    if not tree.vertices or tree.vertices[tree.root].rate != 1:
-        problems.append("root rate differs from 1")
-    return TowerReport(tuple(problems))

@@ -601,7 +601,10 @@ def _loaded_modules(*argv) -> set:
 # singlip, errors and cli: its command module (cli_<second word of its
 # function's name>), then what it runs.  No curve command loads surfgraph or
 # decomp, thickthin, decompose and signature load no surfgraph, and nothing
-# loads csquare.  A DOT call adds dot.
+# loads csquare.  A DOT call adds dot.  Commands run on cusp-53 or e8, and
+# verify also on cusp-53 and its tower (VERIFY): a tower's checks, like a
+# graph's, are dualgraph's, so it loads no resolver (tower, series,
+# strands); a curve's are strands' contact matrix.
 LAYERS = {
     "curve contacts": "cli_curve cli_io exactnum jsonio strands",
     "curve carrousel": "carrousel cli_curve cli_io exactnum jsonio strands",
@@ -619,13 +622,15 @@ LAYERS = {
     "fixtures list": "cli_fixtures fixtures",
     "fixtures dump": "cli_fixtures dualgraph exactnum fixtures jsonio",
 }
+VERIFY = {"tower": LAYERS["verify"],
+          "cusp-53": "carrousel cli_io cli_verify exactnum jsonio strands"}
 OPTIONS = {"curve horns": ["--base", "0"], "graph mult": ["--arrow", "x"],
            "graph pencil": ["--gen", "x", "--gen", "y:2"],
            "graph decompose": ["--mode", "inner"], "graph signature": ["--metric", "inner"]}
 DOT = {"curve carrousel", "curve resolve", "graph laufer", "graph decompose"}
 
 
-def test_each_command_loads_only_the_modules_it_runs(paths):
+def test_each_command_loads_only_the_modules_it_runs(paths, tmp_path):
     # networkx alone cost most of the CLI's cold start, and the benchmark's
     # calls compile each module they load, so each command loads only what
     # it runs; listing fixtures loads no layer, and not even fractions
@@ -645,6 +650,12 @@ def test_each_command_loads_only_the_modules_it_runs(paths):
             assert loaded - {"fractions"} == {"singlip", *(f"singlip.{m}" for m in want)}, (
                 command, fmt)
             assert ("fractions" in loaded) == (command != "fixtures list")
+    (tmp_path / "tower.json").write_text(jsonio.dumps(_tower_json()))
+    paths = {**paths, "tower": str(tmp_path / "tower.json")}
+    for doc, layers in VERIFY.items():
+        want = ["errors", "cli", *layers.split()]
+        assert _loaded_modules("verify", paths[doc]) == {
+            "singlip", "fractions", *(f"singlip.{m}" for m in want)}, doc
     # nor may any layer, including those that no command loads, load networkx
     out = run_python("-c", "import importlib, pkgutil, sys, singlip\n"
                      "for m in pkgutil.iter_modules(singlip.__path__):\n"

@@ -19,8 +19,7 @@ from singlip.decomp import Decomposition, Piece
 from singlip.errors import DomainError
 from singlip.fixtures import fixture_kind, fixture_names, load_fixture
 from singlip.jsonio import parse_tower, tower_to_json
-from singlip.dualgraph import CURVE_FUNCTION
-from singlip.tower import branch_contact
+from singlip.dualgraph import CURVE_FUNCTION, branch_contact
 
 
 def test_ultrametric_inequality_200():

@@ -13,7 +13,8 @@ from singlip import (PuiseuxBranch, coincidence_exponent, fixtures, jsonio,
                      tower_to_graph, verify_tower)
 from singlip.errors import InputError, ResourceCapExceeded
 from singlip.fixtures import curve_32_74, curve_carrousel_example, curve_cusp_53
-from singlip.dualgraph import CURVE_FUNCTION, GENERIC_LINEAR, DualGraph, DualTree
+from singlip.dualgraph import (CURVE_FUNCTION, GENERIC_LINEAR, DualGraph, DualTree,
+                               branch_contact)
 
 
 DATA = Path(__file__).parent / "data"
@@ -167,7 +168,6 @@ def test_rate_vectors_stay_unreduced():
 def test_tree_contacts_match_strand_contacts():
     # the conjugate-strand contact between these branches (realized only
     # between opposite twists) must still drive the shared centers
-    from singlip.tower import branch_contact
     curve = [branch(("3/2", 1)), branch(("3/2", -1), (2, 1))]
     _, tree = resolve_curve(curve)
     assert branch_contact(tree, 0, 1) == 2
@@ -175,10 +175,27 @@ def test_tree_contacts_match_strand_contacts():
 
 
 def test_branch_contact_needs_the_branch_arrow():
-    from singlip.tower import branch_contact
     _, tree = resolve_curve(curve_carrousel_example())
     with pytest.raises(InputError, match="^no arrow for branch 5$"):
         branch_contact(tree, 0, 5)
+
+
+def test_branch_contact_needs_a_path_from_the_root_to_the_arrow():
+    # a disconnected tower, which verify reports, puts branch 1's arrow on a
+    # vertex that no root path reaches
+    tree = jsonio.parse_tower({
+        "format": "singlip.tower/1", "edges": [],
+        "vertices": [{"id": i, "self_intersection": -1, "rate_vector": [i + 1, 1]}
+                     for i in range(2)],
+        "arrows": [{"vertex": i, "name": "f", "kind": "branch", "branch": i}
+                   for i in range(2)]})
+    assert "graph is not connected: no path from vertex 0 to 1" in verify_tower(
+        tree).problems()
+    assert branch_contact(tree, 0, 0) == 1
+    for first, second in (0, 1), (1, 0):
+        with pytest.raises(InputError,
+                           match="^no path from the root to the arrow of branch 1$"):
+            branch_contact(tree, first, second)
 
 
 def test_all_double_points_blowup_rates():
